@@ -15,7 +15,15 @@ from pathlib import Path
 import click
 
 from . import prompts
-from .compress import RawDocument, Variant, compress_both, compress_html, count_tokens, extract_text
+from .compress import (
+    RawDocument,
+    UnparsableDocument,
+    Variant,
+    compress_both,
+    compress_html,
+    count_tokens,
+    extract_text,
+)
 from .corpus import Corpus, generate_shop, load_corpus, preset_spec, write_corpus
 from .direct import extract_direct_batch
 from .evaluate import (
@@ -182,13 +190,18 @@ def extract_direct_cmd(corpus_dir, out_dir, variant, model, resume, workers, pro
                                oracle_unreparable_rate, oracle_seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    checkpoint = out / "checkpoint.json"
+    checkpoint = out / "checkpoint.jsonl"
     if not resume and checkpoint.exists():
         checkpoint.unlink()
 
     docs = []
+    unparsable: dict[str, str] = {}
     for raw in shop.pages:
-        html_doc, text_doc = compress_both(raw)
+        try:
+            html_doc, text_doc = compress_both(raw)
+        except UnparsableDocument as exc:
+            unparsable[raw.page_id] = str(exc)
+            continue
         docs.append(text_doc if variant == "text" else html_doc)
 
     ledger = CostLedger()
@@ -198,6 +211,7 @@ def extract_direct_cmd(corpus_dir, out_dir, variant, model, resume, workers, pro
         docs, food_product_descriptor(), provider, model, ledger,
         checkpoint_path=checkpoint, out_dir=out, workers=workers,
     )
+    failures.update(unparsable)
     (out / "ledger.json").write_text(ledger.to_json(), encoding="utf-8")
     if failures:
         (out / "failures.json").write_text(

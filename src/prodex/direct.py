@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -80,6 +82,29 @@ def extract_direct(
     )
 
 
+def _load_checkpoint(path: Path) -> dict[str, dict]:
+    """Products of the finished pages in a JSONL checkpoint, by page_id.
+
+    A line counts only once its newline is on disk: an unterminated final
+    line, torn by an interrupted write, is dropped from the file so that
+    appends start on a fresh line, and its page is extracted again.
+    """
+    if not path.exists():
+        return {}
+    data = path.read_bytes()
+    whole = data.rfind(b"\n") + 1
+    if whole < len(data):
+        os.truncate(path, whole)
+    done: dict[str, dict] = {}
+    for number, line in enumerate(data[:whole].decode("utf-8").splitlines(), start=1):
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: line {number} is not valid JSON: {exc}") from exc
+        done[record["page_id"]] = record["product"]
+    return done
+
+
 def extract_direct_batch(
     docs: list[CompressedDocument],
     desc: Optional[SchemaDescriptor],
@@ -92,8 +117,9 @@ def extract_direct_batch(
 ) -> tuple[list[DirectResult], dict[str, str]]:
     """Process a corpus page by page; failures are recorded, not fatal.
 
-    A JSON checkpoint maps finished page_ids to their products, so an
-    interrupted run resumes without re-calling the provider for done pages.
+    The checkpoint is JSONL: one ``{"page_id", "product"}`` line is appended
+    and flushed per finished page, so an interrupted run resumes without
+    re-calling the provider for done pages.
     With workers > 1, pages fan out over a thread pool (the live provider's
     in-flight semaphore still caps concurrency); ledger entries land in
     completion order, keyed by page_id.
@@ -102,8 +128,7 @@ def extract_direct_batch(
     checkpoint: dict[str, dict] = {}
     if checkpoint_path is not None:
         checkpoint_path = Path(checkpoint_path)
-        if checkpoint_path.exists():
-            checkpoint = json.loads(checkpoint_path.read_text(encoding="utf-8"))
+        checkpoint = _load_checkpoint(checkpoint_path)
 
     products_dir = None
     if out_dir is not None:
@@ -125,40 +150,45 @@ def extract_direct_batch(
         else:
             pending.append(doc)
 
-    def finish(doc: CompressedDocument, result: DirectResult) -> None:
-        results[doc.page_id] = result
-        checkpoint[doc.page_id] = product_to_dict(result.product)
-        if checkpoint_path is not None:
-            checkpoint_path.write_text(
-                json.dumps(checkpoint, indent=2, ensure_ascii=False, sort_keys=True),
-                encoding="utf-8",
-            )
-        if products_dir is not None:
-            (products_dir / f"{doc.page_id}.json").write_text(
-                json.dumps(product_to_dict(result.product), indent=2, ensure_ascii=False),
-                encoding="utf-8",
-            )
+    opened = (
+        checkpoint_path.open("a", encoding="utf-8")
+        if checkpoint_path is not None
+        else contextlib.nullcontext()
+    )
+    with opened as sink:
+        def finish(doc: CompressedDocument, result: DirectResult) -> None:
+            results[doc.page_id] = result
+            product = product_to_dict(result.product)
+            if sink is not None:
+                sink.write(json.dumps({"page_id": doc.page_id, "product": product},
+                                      ensure_ascii=False) + "\n")
+                sink.flush()
+            if products_dir is not None:
+                (products_dir / f"{doc.page_id}.json").write_text(
+                    json.dumps(product, indent=2, ensure_ascii=False),
+                    encoding="utf-8",
+                )
 
-    if workers <= 1:
-        for doc in pending:
-            try:
-                finish(doc, extract_direct(doc, desc, provider, model_id, ledger=ledger))
-            except (ExtractionFailed, TransportError, ProviderRefusal, ReplayMiss) as exc:
-                failures[doc.page_id] = str(exc)
-    else:
-        from concurrent.futures import ThreadPoolExecutor, as_completed
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                pool.submit(extract_direct, doc, desc, provider, model_id, ledger): doc
-                for doc in pending
-            }
-            for future in as_completed(futures):
-                doc = futures[future]
+        if workers <= 1:
+            for doc in pending:
                 try:
-                    finish(doc, future.result())
+                    finish(doc, extract_direct(doc, desc, provider, model_id, ledger=ledger))
                 except (ExtractionFailed, TransportError, ProviderRefusal, ReplayMiss) as exc:
                     failures[doc.page_id] = str(exc)
+        else:
+            from concurrent.futures import ThreadPoolExecutor, as_completed
+
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                futures = {
+                    pool.submit(extract_direct, doc, desc, provider, model_id, ledger): doc
+                    for doc in pending
+                }
+                for future in as_completed(futures):
+                    doc = futures[future]
+                    try:
+                        finish(doc, future.result())
+                    except (ExtractionFailed, TransportError, ProviderRefusal, ReplayMiss) as exc:
+                        failures[doc.page_id] = str(exc)
 
     ordered = [results[doc.page_id] for doc in docs if doc.page_id in results]
     return ordered, failures

@@ -6,6 +6,11 @@ every exchange, and a replay provider that serves recorded exchanges keyed by
 a content hash of (model, system prompt, user prompt, schema). Replay makes
 every pipeline bit-deterministic offline.
 
+Every JSON Schema is compiled into a validator once per process: the
+validator is keyed by the schema's canonical JSON text, checked against its
+meta-schema when it is built, and kept in a small fixed-size cache that
+schema checks, response validation and the providers all share.
+
 Cost accounting is exact: usage is priced from a per-model table using
 ``Decimal`` arithmetic, and a ledger's total is always the sum of its
 entries with no floating-point drift.
@@ -13,6 +18,7 @@ entries with no floating-point drift.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -81,10 +87,6 @@ class ChatExchange:
     response_text: str
     usage: Usage
     timestamp: float = 0.0
-
-    @property
-    def key(self) -> str:
-        return exchange_key(self.model_id, self.system_prompt, self.user_prompt, None)
 
 
 def exchange_key(model_id: str, system_prompt: str, user_prompt: str, json_schema) -> str:
@@ -268,14 +270,28 @@ class Provider(Protocol):
         ...
 
 
-def check_schema(json_schema: dict) -> None:
-    """Reject malformed schemas before any provider work."""
+@functools.lru_cache(maxsize=32)
+def _compile_schema(schema_text: str):
+    """The validator for one canonical schema text; failures are not cached."""
+    json_schema = json.loads(schema_text)
     try:
-        jsonschema.validators.validator_for(json_schema).check_schema(json_schema)
+        validator_class = jsonschema.validators.validator_for(json_schema)
+        validator_class.check_schema(json_schema)
     except jsonschema.SchemaError as exc:
         raise SchemaViolation([("$schema", f"invalid JSON Schema: {exc.message}")])
     if not isinstance(json_schema, dict) or "type" not in json_schema:
         raise SchemaViolation([("$schema", "schema must be an object with a type")])
+    return validator_class(json_schema)
+
+
+def schema_validator(json_schema: dict):
+    """Compiled validator for ``json_schema``; raises SchemaViolation if malformed."""
+    return _compile_schema(json.dumps(json_schema, sort_keys=True, ensure_ascii=False))
+
+
+def check_schema(json_schema: dict) -> None:
+    """Reject malformed schemas before any provider work."""
+    schema_validator(json_schema)
 
 
 def validates_against(json_text: str, json_schema: dict) -> bool:
@@ -283,11 +299,7 @@ def validates_against(json_text: str, json_schema: dict) -> bool:
         data = json.loads(json_text)
     except json.JSONDecodeError:
         return False
-    try:
-        jsonschema.validate(data, json_schema)
-    except jsonschema.ValidationError:
-        return False
-    return True
+    return schema_validator(json_schema).is_valid(data)
 
 
 def estimate_usage(system_prompt: str, user_prompt: str, response_text: str) -> Usage:
@@ -416,6 +428,7 @@ class RecordingProvider:
         self._index: list[dict] = []
         if self._index_path.exists():
             self._index = json.loads(self._index_path.read_text(encoding="utf-8"))
+        self._keys = {entry["key"] for entry in self._index}
         self._lock = threading.Lock()
 
     def complete_structured(self, model_id, system_prompt, user_prompt, json_schema) -> ChatExchange:
@@ -437,11 +450,13 @@ class RecordingProvider:
             (self.session_dir / f"{key}.json").write_text(
                 json.dumps(record, indent=2, ensure_ascii=False), encoding="utf-8"
             )
-            if not any(e["key"] == key for e in self._index):
+            if key not in self._keys:
+                self._keys.add(key)
                 self._index.append({"key": key, "model_id": model_id})
-            self._index_path.write_text(
-                json.dumps(self._index, indent=2), encoding="utf-8"
-            )
+                # A crash mid-write leaves the previous index whole.
+                tmp_path = self._index_path.with_name("index.json.tmp")
+                tmp_path.write_text(json.dumps(self._index, indent=2), encoding="utf-8")
+                os.replace(tmp_path, self._index_path)
         return exchange
 
 

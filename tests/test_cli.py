@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 from click.testing import CliRunner
@@ -89,6 +90,34 @@ def test_extract_direct_resume_uses_checkpoint(workspace, runner):
     assert result.exit_code == 0
     ledger = json.loads((out / "ledger.json").read_text())
     assert len(ledger["entries"]) == 0  # all pages came from the checkpoint
+
+
+def test_extract_direct_fresh_removes_checkpoint(workspace, runner, tmp_path):
+    out = tmp_path / "direct"
+    args = ["extract", "direct", "--corpus", str(workspace / "corpus"),
+            "--out", str(out), "--provider", "oracle"]
+    assert runner.invoke(main, args).exit_code == 0
+    assert len((out / "checkpoint.jsonl").read_text().splitlines()) == 40
+    result = runner.invoke(main, args + ["--fresh"])
+    assert result.exit_code == 0, result.output
+    assert len(json.loads((out / "ledger.json").read_text())["entries"]) == 40
+    assert len((out / "checkpoint.jsonl").read_text().splitlines()) == 40
+
+
+def test_extract_direct_unparsable_page_is_a_failure(workspace, runner, tmp_path):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(workspace / "corpus", corpus)
+    empty = sorted((corpus / "pages").glob("*.html"))[5]
+    empty.write_text("")
+    out = tmp_path / "direct"
+    result = runner.invoke(
+        main,
+        ["extract", "direct", "--corpus", str(corpus), "--out", str(out),
+         "--provider", "oracle"],
+    )
+    assert result.exit_code == 0, result.output
+    assert list(json.loads((out / "failures.json").read_text())) == [empty.stem]
+    assert len(list((out / "products").glob("*.json"))) == 39
 
 
 def test_extract_indirect_runs_and_summary(workspace, runner):

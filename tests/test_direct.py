@@ -118,7 +118,7 @@ class TestBatch:
 
     def test_resume_skips_checkpointed_pages(self, small_alpha, oracle, tmp_path):
         docs = self._docs(small_alpha, 10)
-        checkpoint = tmp_path / "checkpoint.json"
+        checkpoint = tmp_path / "checkpoint.jsonl"
         counting = _CountingProvider(oracle)
         ledger = CostLedger()
         extract_direct_batch(docs[:4], None, counting, "o3-mini", ledger, checkpoint_path=checkpoint)
@@ -130,6 +130,50 @@ class TestBatch:
         assert counting.calls == 10  # only the remaining 6 pages hit the provider
         assert len(results) == 10
         assert not failures
+
+    def test_checkpoint_is_one_json_line_per_page(self, small_alpha, oracle, tmp_path):
+        docs = self._docs(small_alpha, 3)
+        checkpoint = tmp_path / "checkpoint.jsonl"
+        results, _ = extract_direct_batch(
+            docs, None, oracle, "o3-mini", CostLedger(), checkpoint_path=checkpoint
+        )
+        lines = [json.loads(line) for line in checkpoint.read_text().splitlines()]
+        assert [line["page_id"] for line in lines] == [d.page_id for d in docs]
+        assert [line["product"] for line in lines] == [
+            product_to_dict(r.product) for r in results
+        ]
+
+    def test_torn_final_line_re_extracts_only_that_page(self, small_alpha, oracle, tmp_path):
+        docs = self._docs(small_alpha, 5)
+        checkpoint = tmp_path / "checkpoint.jsonl"
+        first, _ = extract_direct_batch(
+            docs, None, oracle, "o3-mini", CostLedger(), checkpoint_path=checkpoint
+        )
+        data = checkpoint.read_bytes()
+        checkpoint.write_bytes(data[: len(data) - 20])  # interrupted mid-line
+
+        counting = _CountingProvider(oracle)
+        ledger = CostLedger()
+        again, failures = extract_direct_batch(
+            docs, None, counting, "o3-mini", ledger, checkpoint_path=checkpoint
+        )
+        assert counting.calls == 1
+        assert [e.page_id for e in ledger.entries] == [docs[-1].page_id]
+        assert not failures
+        assert [r.product for r in again] == [r.product for r in first]
+        lines = [json.loads(line) for line in checkpoint.read_text().splitlines()]
+        assert [line["page_id"] for line in lines] == [d.page_id for d in docs]
+
+    def test_corrupt_inner_line_is_an_error(self, small_alpha, oracle, tmp_path):
+        docs = self._docs(small_alpha, 3)
+        checkpoint = tmp_path / "checkpoint.jsonl"
+        extract_direct_batch(docs, None, oracle, "o3-mini", CostLedger(), checkpoint_path=checkpoint)
+        lines = checkpoint.read_text().splitlines(keepends=True)
+        checkpoint.write_text(lines[0] + "{not json\n" + "".join(lines[1:]))
+        with pytest.raises(ValueError, match="line 2"):
+            extract_direct_batch(
+                docs, None, oracle, "o3-mini", CostLedger(), checkpoint_path=checkpoint
+            )
 
     def test_per_page_failures_recorded_batch_continues(self, small_alpha, oracle):
         docs = self._docs(small_alpha, 8)
@@ -176,3 +220,24 @@ class TestParallelBatch:
         assert len(ledger.entries) == 16
         assert [r.page_id for r in parallel] == [r.page_id for r in sequential]
         assert [r.product for r in parallel] == [r.product for r in sequential]
+
+    def test_worker_pool_checkpoint_resumes_without_calls(self, small_alpha, oracle, tmp_path):
+        docs = []
+        for page in small_alpha.pages[:12]:
+            html_doc, _ = compress_both(page)
+            docs.append(html_doc)
+        checkpoint = tmp_path / "checkpoint.jsonl"
+        first, failures = extract_direct_batch(
+            docs, None, oracle, "o3-mini", CostLedger(), checkpoint_path=checkpoint, workers=4
+        )
+        assert not failures
+        lines = [json.loads(line) for line in checkpoint.read_text().splitlines()]
+        assert sorted(line["page_id"] for line in lines) == sorted(d.page_id for d in docs)
+
+        counting = _CountingProvider(oracle)
+        again, failures = extract_direct_batch(
+            docs, None, counting, "o3-mini", CostLedger(), checkpoint_path=checkpoint, workers=4
+        )
+        assert counting.calls == 0
+        assert not failures
+        assert [r.product for r in again] == [r.product for r in first]

@@ -4,6 +4,7 @@ from decimal import Decimal
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from prodex import gateway
 from prodex.gateway import (
     CORRECTIVE_INSTRUCTION,
     ChatExchange,
@@ -19,6 +20,7 @@ from prodex.gateway import (
     estimate_usage,
     exchange_key,
     load_price_table,
+    schema_validator,
     structured_call,
 )
 from prodex.schema import SchemaViolation
@@ -153,6 +155,45 @@ class TestStructuredCall:
         assert provider.calls == []
 
 
+class TestValidatorCache:
+    @staticmethod
+    def _schema(title):
+        return {"title": title, "type": "object", "properties": {"a": {"type": "integer"}}}
+
+    def test_malformed_schema_rejected_on_every_call(self):
+        provider = _ScriptedProvider([])
+        before = gateway._compile_schema.cache_info()
+        for _ in range(2):
+            with pytest.raises(SchemaViolation):
+                structured_call(
+                    provider, "o3-mini", "s", "u", {"type": "nonsense"}, CostLedger(), "direct"
+                )
+        after = gateway._compile_schema.cache_info()
+        assert provider.calls == []
+        assert after.misses - before.misses == 2  # failures are not cached
+        assert after.currsize - before.currsize == 0
+
+    def test_equal_schemas_compile_once(self):
+        before = gateway._compile_schema.cache_info()
+        first = schema_validator(self._schema("CompileOnce"))
+        second = schema_validator(json.loads(json.dumps(self._schema("CompileOnce"))))
+        after = gateway._compile_schema.cache_info()
+        assert first is second
+        assert after.misses - before.misses == 1
+        assert after.hits - before.hits == 1
+
+    def test_invalid_output_retried_with_cached_validator(self):
+        schema = self._schema("CachedRetry")
+        structured_call(_ScriptedProvider(['{"a": 1}']), "o3-mini", "s", "u", schema)
+        provider = _ScriptedProvider(['{"a": "x"}', '{"a": 2}'])
+        ledger = CostLedger()
+        exchange = structured_call(provider, "o3-mini", "s", "u", self._schema("CachedRetry"),
+                                   ledger, "direct")
+        assert exchange.response_text == '{"a": 2}'
+        assert len(ledger.entries) == 2
+        assert provider.calls[1].endswith(CORRECTIVE_INSTRUCTION)
+
+
 class TestRecordReplay:
     def test_record_then_replay_identical(self, tmp_path):
         inner = _ScriptedProvider(['{"a": 1}', '{"a": 2}'])
@@ -188,6 +229,19 @@ class TestRecordReplay:
         for i in range(n):
             structured_call(replay, "o3-mini", "sys", f"user-{i}", SCHEMA, replay_ledger, "direct")
         assert replay_ledger.to_json() == ledger.to_json()
+
+    def test_rerecorded_exchange_keeps_one_index_entry(self, tmp_path):
+        inner = _ScriptedProvider(['{"a": 1}', '{"a": 1}'])
+        recorder = RecordingProvider(inner, tmp_path / "session")
+        recorder.complete_structured("m", "sys", "user-1", SCHEMA)
+        RecordingProvider(inner, tmp_path / "session").complete_structured(
+            "m", "sys", "user-1", SCHEMA
+        )
+        index = json.loads((tmp_path / "session" / "index.json").read_text())
+        assert index == [{"key": exchange_key("m", "sys", "user-1", SCHEMA), "model_id": "m"}]
+        assert sorted(p.name for p in (tmp_path / "session").iterdir()) == sorted(
+            [f"{index[0]['key']}.json", "index.json"]
+        )
 
     def test_missing_session_dir(self, tmp_path):
         with pytest.raises(ReplayMiss):

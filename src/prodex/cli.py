@@ -15,15 +15,7 @@ from pathlib import Path
 import click
 
 from . import prompts
-from .compress import (
-    RawDocument,
-    UnparsableDocument,
-    Variant,
-    compress_both,
-    compress_html,
-    count_tokens,
-    extract_text,
-)
+from .compress import RawDocument, UnparsableDocument, Variant, compress_both, count_tokens
 from .corpus import Corpus, generate_shop, load_corpus, preset_spec, write_corpus
 from .direct import extract_direct_batch
 from .evaluate import (
@@ -90,13 +82,19 @@ def compress_cmd(variant, in_path, out_dir):
     else:
         files = [in_path]
     manifest = []
+    failures: dict[str, str] = {}
     for path in files:
         raw = RawDocument(page_id=path.stem, url=str(path), html=path.read_text(encoding="utf-8"))
-        compressed = compress_html(raw)
+        try:
+            html_doc, text_doc, _ = compress_both(raw)
+        except UnparsableDocument as exc:
+            failures[raw.page_id] = str(exc)
+            continue
         if variant == "text":
-            compressed = extract_text(compressed)
+            compressed = text_doc
             out_file = out / f"{raw.page_id}.txt"
         else:
+            compressed = html_doc
             out_file = out / f"{raw.page_id}.html"
         out_file.write_text(compressed.content, encoding="utf-8")
         manifest.append(
@@ -108,7 +106,18 @@ def compress_cmd(variant, in_path, out_dir):
             }
         )
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2), encoding="utf-8")
-    click.echo(f"compressed {len(files)} page(s) into {out}")
+    _write_failures(out, failures)
+    click.echo(
+        f"compressed {len(manifest)} page(s) into {out}, {len(failures)} unparsable"
+    )
+
+
+def _write_failures(out: Path, failures: dict[str, str]) -> None:
+    """List failed pages, page_id -> reason, in failures.json (only if any)."""
+    if failures:
+        (out / "failures.json").write_text(
+            json.dumps(failures, indent=2, sort_keys=True), encoding="utf-8"
+        )
 
 
 # --- providers -------------------------------------------------------------------
@@ -198,7 +207,7 @@ def extract_direct_cmd(corpus_dir, out_dir, variant, model, resume, workers, pro
     unparsable: dict[str, str] = {}
     for raw in shop.pages:
         try:
-            html_doc, text_doc = compress_both(raw)
+            html_doc, text_doc, _ = compress_both(raw)
         except UnparsableDocument as exc:
             unparsable[raw.page_id] = str(exc)
             continue
@@ -213,10 +222,7 @@ def extract_direct_cmd(corpus_dir, out_dir, variant, model, resume, workers, pro
     )
     failures.update(unparsable)
     (out / "ledger.json").write_text(ledger.to_json(), encoding="utf-8")
-    if failures:
-        (out / "failures.json").write_text(
-            json.dumps(failures, indent=2, sort_keys=True), encoding="utf-8"
-        )
+    _write_failures(out, failures)
     manifest = {
         "strategy": "direct",
         "variant": Variant.TEXT.value if variant == "text" else Variant.HTML_COMPRESSED.value,
@@ -283,7 +289,9 @@ def extract_indirect_cmd(ctx, corpus_dir, out_dir, labels_path, seed, runs,
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    precompressed = {doc.page_id: compress_both(doc) for doc in shop.pages}
+    # Filled by the first run as it compresses pages; later runs reuse it.
+    precompressed: dict = {}
+    failures: dict[str, str] = {}
 
     run_seeds = []
     accuracies = []
@@ -306,13 +314,16 @@ def extract_indirect_cmd(ctx, corpus_dir, out_dir, labels_path, seed, runs,
         (run_dir / "library.json").write_text(result.library.to_json(), encoding="utf-8")
         (run_dir / "metrics.json").write_text(result.metrics.to_json(), encoding="utf-8")
         (run_dir / "ledger.json").write_text(result.ledger.to_json(), encoding="utf-8")
+        failures.update(result.failures)
         accuracies.append(result.metrics.accuracy)
         primary_calls.append(result.metrics.llm_calls_primary_model)
         click.echo(
             f"run {run_index}: seed {run_seed}, accuracy "
             f"{result.metrics.accuracy}, primary calls "
-            f"{result.metrics.llm_calls_primary_model}"
+            f"{result.metrics.llm_calls_primary_model}, unparsable pages "
+            f"{len(result.failures)}"
         )
+    _write_failures(out, failures)
 
     distribution = (
         summarize_runs([a for a in accuracies if a is not None])
@@ -367,6 +378,13 @@ def _load_truth(truth_path):
     return truth
 
 
+def _read_failures(out: Path) -> dict[str, str]:
+    path = out / "failures.json"
+    if not path.exists():
+        return {}
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
 def _report_from_results_dir(results_dir, truth) -> RunReport:
     root = Path(results_dir)
     manifest = json.loads((root / "manifest.json").read_text(encoding="utf-8"))
@@ -374,13 +392,14 @@ def _report_from_results_dir(results_dir, truth) -> RunReport:
     shop_id = manifest["shop_id"]
     corpus_id = manifest["corpus_id"]
     variant = manifest.get("variant", Variant.HTML_COMPRESSED.value)
+    failed = _read_failures(root)
 
     if strategy == "direct":
         products = {}
         for path in sorted((root / "products").glob("*.json")):
             products[path.stem] = parse_product(path.read_text(encoding="utf-8"))
         ledger = CostLedger.from_json((root / "ledger.json").read_text(encoding="utf-8"))
-        accuracy, _ = page_accuracy(products, truth)
+        accuracy, _ = page_accuracy(products, truth, failed=failed)
         shop = ShopReport(
             shop_id=shop_id,
             accuracy_by_variant={variant: accuracy},
@@ -406,7 +425,7 @@ def _report_from_results_dir(results_dir, truth) -> RunReport:
             products[entry["page_id"]] = parse_product(
                 json.dumps(entry["product"], ensure_ascii=False)
             )
-        accuracy, _ = page_accuracy(products, truth)
+        accuracy, _ = page_accuracy(products, truth, failed=failed)
         run_accuracies.append(accuracy)
         metrics = json.loads((run_dir / "metrics.json").read_text(encoding="utf-8"))
         calls_primary += metrics["llm_calls_primary_model"]

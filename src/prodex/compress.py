@@ -67,17 +67,8 @@ def count_tokens(content: str) -> int:
 
 def compress_html(doc: RawDocument) -> CompressedDocument:
     """Reduce raw HTML to the attribute-stripped, element-pruned variant."""
-    tree = htmltree.parse_html(doc.html)
-    if tree.is_empty():
-        raise UnparsableDocument(f"page {doc.page_id}: no parsable content")
-    _prune(tree)
-    content = htmltree.serialize(tree)
-    return CompressedDocument(
-        page_id=doc.page_id,
-        variant=Variant.HTML_COMPRESSED,
-        content=content,
-        token_count=count_tokens(content),
-    )
+    content = htmltree.serialize(_pruned_tree(doc))
+    return _compressed(doc.page_id, Variant.HTML_COMPRESSED, content)
 
 
 def extract_text(doc: CompressedDocument) -> CompressedDocument:
@@ -85,55 +76,69 @@ def extract_text(doc: CompressedDocument) -> CompressedDocument:
     if doc.variant is not Variant.HTML_COMPRESSED:
         raise WrongVariant(f"expected HTML_COMPRESSED input, got {doc.variant.value}")
     tree = htmltree.parse_html(doc.content)
-    content = "\n".join(htmltree.block_text_lines(tree))
+    return _compressed(doc.page_id, Variant.TEXT, "\n".join(htmltree.block_text_lines(tree)))
+
+
+def compress_both(
+    doc: RawDocument,
+) -> tuple[CompressedDocument, CompressedDocument, Document]:
+    """Both variants and the pruned tree, from a single parse.
+
+    The tree equals ``parse_html`` of the HTML variant, so a caller can run
+    extraction programs on it without parsing the page again.
+    """
+    tree = _pruned_tree(doc)
+    html_doc = _compressed(doc.page_id, Variant.HTML_COMPRESSED, htmltree.serialize(tree))
+    text_doc = _compressed(
+        doc.page_id, Variant.TEXT, "\n".join(htmltree.block_text_lines(tree))
+    )
+    return html_doc, text_doc, tree
+
+
+def _compressed(page_id: str, variant: Variant, content: str) -> CompressedDocument:
     return CompressedDocument(
-        page_id=doc.page_id,
-        variant=Variant.TEXT,
+        page_id=page_id,
+        variant=variant,
         content=content,
         token_count=count_tokens(content),
     )
 
 
-def compress_both(doc: RawDocument) -> tuple[CompressedDocument, CompressedDocument]:
-    """Both variants from a single parse (pipeline fast path)."""
+def _pruned_tree(doc: RawDocument) -> Document:
     tree = htmltree.parse_html(doc.html)
     if tree.is_empty():
         raise UnparsableDocument(f"page {doc.page_id}: no parsable content")
     _prune(tree)
-    html_content = htmltree.serialize(tree)
-    text_content = "\n".join(htmltree.block_text_lines(tree))
-    return (
-        CompressedDocument(
-            page_id=doc.page_id,
-            variant=Variant.HTML_COMPRESSED,
-            content=html_content,
-            token_count=count_tokens(html_content),
-        ),
-        CompressedDocument(
-            page_id=doc.page_id,
-            variant=Variant.TEXT,
-            content=text_content,
-            token_count=count_tokens(text_content),
-        ),
-    )
+    return tree
 
 
-def _prune(node: Union[Document, Element]) -> None:
-    """Remove banned elements, extra attributes and inter-tag whitespace."""
-    kept: list[Union[Element, TextNode]] = []
-    for child in node.children:
-        if isinstance(child, TextNode):
-            cleaned = _WS_RUN.sub(" ", child.text).strip()
-            if cleaned:
-                kept.append(TextNode(text=cleaned))
-            continue
-        if child.tag in BANNED_ELEMENTS:
-            continue
-        child.attrs = {
-            name: value
-            for name, value in child.attrs.items()
-            if name in KEPT_ATTRIBUTES
-        }
-        _prune(child)
-        kept.append(child)
-    node.children = kept
+def _prune(root: Document) -> None:
+    """Remove banned elements, extra attributes and inter-tag whitespace.
+
+    Text runs left adjacent by a removed element or comment are merged, as
+    parsing the serialized result would merge them.
+    """
+    stack: list[Union[Document, Element]] = [root]
+    while stack:
+        node = stack.pop()
+        kept: list[Union[Element, TextNode]] = []
+        for child in node.children:
+            if isinstance(child, TextNode):
+                cleaned = _WS_RUN.sub(" ", child.text).strip()
+                if not cleaned:
+                    continue
+                if kept and isinstance(kept[-1], TextNode):
+                    kept[-1] = TextNode(text=kept[-1].text + cleaned)
+                else:
+                    kept.append(TextNode(text=cleaned))
+                continue
+            if child.tag in BANNED_ELEMENTS:
+                continue
+            child.attrs = {
+                name: value
+                for name, value in child.attrs.items()
+                if name in KEPT_ATTRIBUTES
+            }
+            stack.append(child)
+            kept.append(child)
+        node.children = kept

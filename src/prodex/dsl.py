@@ -24,9 +24,10 @@ Field paths address schema leaves: a text field by name
 
 from __future__ import annotations
 
+import functools
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from typing import Optional, Union
 
@@ -81,6 +82,39 @@ class FieldRule:
     node_index: int = 0
     capture: Optional[str] = None
     post_ops: tuple[PostOp, ...] = ()
+    # Derived from selector and capture on construction, so that running the
+    # rule compiles nothing. None when the text would not pass parse_program:
+    # the rule then never matches.
+    compiled_selector: Optional[htmltree.CompiledSelector] = field(
+        init=False, repr=False, compare=False
+    )
+    compiled_capture: Optional[re.Pattern] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        try:
+            selector = _compile_selector(self.selector)
+        except ValueError:
+            selector = None
+        capture = None
+        if self.capture is not None:
+            try:
+                capture = re.compile(self.capture)
+            except re.error:
+                pass
+            if capture is not None and capture.groups != 1:
+                capture = None
+        object.__setattr__(self, "compiled_selector", selector)
+        object.__setattr__(self, "compiled_capture", capture)
+
+
+@functools.lru_cache(maxsize=1024)
+def _compile_selector(selector: str) -> htmltree.CompiledSelector:
+    """htmltree.parse_selector once per distinct selector text.
+
+    Compiled selectors are immutable, so rules share them. A ValueError is
+    not cached and is raised again on every call.
+    """
+    return htmltree.parse_selector(selector)
 
 
 @dataclass(frozen=True)
@@ -226,7 +260,7 @@ def _parse_extraction(data: dict, desc: SchemaDescriptor) -> ExtractionProgram:
             issues.append(ProgramIssue(f"{where}.selector", "InvalidSelector", "selector must be a string"))
             continue
         try:
-            htmltree.parse_selector(selector)
+            _compile_selector(selector)
         except ValueError as exc:
             issues.append(ProgramIssue(f"{where}.selector", "InvalidSelector", str(exc)))
             continue
@@ -417,15 +451,16 @@ def run_extraction_on_tree(
 
 
 def _run_rule(rule: FieldRule, tree) -> tuple[str, Optional[str]]:
-    try:
-        nodes = htmltree.select(tree, rule.selector, limit=SELECTOR_MATCH_LIMIT)
-    except ValueError:
+    if rule.compiled_selector is None or (
+        rule.capture is not None and rule.compiled_capture is None
+    ):
         return "no_match", None
+    nodes = htmltree.select(tree, rule.compiled_selector, limit=SELECTOR_MATCH_LIMIT)
     if rule.node_index >= len(nodes):
         return "no_match", None
     text = htmltree.text_content(nodes[rule.node_index])
-    if rule.capture is not None:
-        match = re.search(rule.capture, text)
+    if rule.compiled_capture is not None:
+        match = rule.compiled_capture.search(text)
         if not match or match.group(1) is None:
             return "no_match", None
         text = match.group(1)

@@ -8,7 +8,7 @@ import json
 import statistics
 from dataclasses import dataclass, field
 from decimal import Decimal
-from typing import Optional
+from typing import Iterable, Optional
 
 from .corpus import GroundTruthRecord
 from .schema import FoodProduct, SchemaDescriptor
@@ -94,15 +94,24 @@ def page_accuracy(
     products: dict[str, FoodProduct],
     truth: dict[str, GroundTruthRecord],
     desc: Optional[SchemaDescriptor] = None,
+    failed: Iterable[str] = (),
 ) -> tuple[float, dict[str, float]]:
-    """Mean similarity (x100) over pages plus the per-page breakdown."""
-    if not products:
-        return 0.0, {}
+    """Mean similarity (x100) over pages plus the per-page breakdown.
+
+    Pages in ``failed`` (a run's failures.json) score 0, whether or not the
+    run wrote a product for them.
+    """
     per_page: dict[str, float] = {}
     for page_id, product in products.items():
         if page_id not in truth:
             raise MissingTruth(page_id)
         per_page[page_id] = compare(product, truth[page_id].product, desc).overall
+    for page_id in failed:
+        if page_id not in truth:
+            raise MissingTruth(page_id)
+        per_page[page_id] = 0.0
+    if not per_page:
+        return 0.0, {}
     accuracy = 100.0 * sum(per_page.values()) / len(per_page)
     return accuracy, per_page
 

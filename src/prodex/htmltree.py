@@ -9,7 +9,9 @@ works on this tree.
 Selector support is the subset that survives attribute stripping: type
 selectors, ``*``, ``.class``, ``#id``, compounds thereof, and descendant /
 child (``>``) combinators. Attribute selectors, pseudo-classes and comma
-groups are rejected.
+groups are rejected. Selection runs on an element index that a document
+builds once, in one walk, at its first ``select``; no walk recurses, so
+deeply nested markup cannot exhaust the call stack.
 """
 
 from __future__ import annotations
@@ -62,9 +64,7 @@ class Element:
     def iter_elements(self) -> Iterator["Element"]:
         """Yield this element and all descendant elements in document order."""
         yield self
-        for child in self.children:
-            if isinstance(child, Element):
-                yield from child.iter_elements()
+        yield from _descendants(self)
 
     def classes(self) -> set[str]:
         raw = self.attrs.get("class") or ""
@@ -73,14 +73,19 @@ class Element:
 
 @dataclass
 class Document:
-    """Root container; its children are the document's top-level nodes."""
+    """Root container; its children are the document's top-level nodes.
+
+    The first ``select`` builds an element index and keeps it here, so a
+    document must not be changed once it has been selected from.
+    """
 
     children: list[Union[Element, TextNode]] = field(default_factory=list)
+    index: Optional["ElementIndex"] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def iter_elements(self) -> Iterator[Element]:
-        for child in self.children:
-            if isinstance(child, Element):
-                yield from child.iter_elements()
+        return _descendants(self)
 
     def is_empty(self) -> bool:
         if any(isinstance(c, Element) for c in self.children):
@@ -88,6 +93,15 @@ class Document:
         return not any(
             isinstance(c, TextNode) and c.text.strip() for c in self.children
         )
+
+
+def _descendants(node: Union[Document, Element]) -> Iterator[Element]:
+    """Elements below ``node`` in document order (preorder), without recursion."""
+    stack = [c for c in reversed(node.children) if isinstance(c, Element)]
+    while stack:
+        element = stack.pop()
+        yield element
+        stack.extend(c for c in reversed(element.children) if isinstance(c, Element))
 
 
 class _TreeBuilder(HTMLParser):
@@ -115,6 +129,11 @@ class _TreeBuilder(HTMLParser):
             self._stack.append(element)
 
     def handle_startendtag(self, tag, attrs):
+        # The implicit close applies as to an open tag, so that serializing
+        # the tree and parsing it again gives the same tree.
+        if tag in IMPLICIT_CLOSE:
+            while self._stack and self._stack[-1].tag in IMPLICIT_CLOSE[tag]:
+                self._stack.pop()
         attr_dict: dict[str, Optional[str]] = {}
         for name, value in attrs:
             if name not in attr_dict:
@@ -159,48 +178,45 @@ def parse_html(html: str) -> Document:
 def serialize(node: Union[Document, Element, TextNode]) -> str:
     """Serialize a tree back to HTML with no whitespace added between tags."""
     parts: list[str] = []
-    _serialize_into(node, parts)
-    return "".join(parts)
-
-
-def _serialize_into(node, parts: list[str]) -> None:
-    if isinstance(node, TextNode):
-        parts.append(escape(node.text, quote=False))
-        return
-    if isinstance(node, Document):
-        for child in node.children:
-            _serialize_into(child, parts)
-        return
-    parts.append(f"<{node.tag}")
-    for name, value in node.attrs.items():
-        if value is None:
-            parts.append(f" {name}")
+    stack: list = [node]  # nodes, and closing tags as strings
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+        elif isinstance(item, TextNode):
+            parts.append(escape(item.text, quote=False))
+        elif isinstance(item, Document):
+            stack.extend(reversed(item.children))
         else:
-            parts.append(f' {name}="{escape(value)}"')
-    parts.append(">")
-    if node.tag in VOID_ELEMENTS:
-        return
-    for child in node.children:
-        _serialize_into(child, parts)
-    parts.append(f"</{node.tag}>")
+            parts.append(f"<{item.tag}")
+            for name, value in item.attrs.items():
+                if value is None:
+                    parts.append(f" {name}")
+                else:
+                    parts.append(f' {name}="{escape(value)}"')
+            parts.append(">")
+            if item.tag not in VOID_ELEMENTS:
+                stack.append(f"</{item.tag}>")
+                stack.extend(reversed(item.children))
+    return "".join(parts)
 
 
 def text_content(node: Union[Document, Element, TextNode]) -> str:
     """All descendant text joined with single spaces (for rule extraction)."""
     pieces: list[str] = []
-    _collect_text(node, pieces)
+    stack: list = [node]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, TextNode):
+            cleaned = _WS_RUN.sub(" ", item.text).strip()
+            if cleaned:
+                pieces.append(cleaned)
+        else:
+            stack.extend(reversed(item.children))
     return " ".join(pieces)
 
 
-def _collect_text(node, pieces: list[str]) -> None:
-    if isinstance(node, TextNode):
-        cleaned = _WS_RUN.sub(" ", node.text).strip()
-        if cleaned:
-            pieces.append(cleaned)
-        return
-    children = node.children if not isinstance(node, TextNode) else []
-    for child in children:
-        _collect_text(child, pieces)
+_BLOCK_END = object()
 
 
 def block_text_lines(node: Union[Document, Element]) -> list[str]:
@@ -208,31 +224,26 @@ def block_text_lines(node: Union[Document, Element]) -> list[str]:
     within a block are joined with single spaces."""
     lines: list[str] = []
     current: list[str] = []
-
-    def flush() -> None:
-        if current:
-            lines.append(" ".join(current))
-            current.clear()
-
-    def walk(n) -> None:
-        if isinstance(n, TextNode):
-            cleaned = _WS_RUN.sub(" ", n.text).strip()
+    stack: list = [node]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, TextNode):
+            cleaned = _WS_RUN.sub(" ", item.text).strip()
             if cleaned:
                 current.append(cleaned)
-            return
-        is_block = isinstance(n, Element) and (
-            n.tag in BLOCK_ELEMENTS or n.tag == "br"
-        )
-        if is_block:
-            flush()
-        if isinstance(n, Element) or isinstance(n, Document):
-            for child in n.children:
-                walk(child)
-        if is_block:
-            flush()
-
-    walk(node)
-    flush()
+            continue
+        if item is _BLOCK_END or (
+            isinstance(item, Element) and (item.tag in BLOCK_ELEMENTS or item.tag == "br")
+        ):
+            if current:
+                lines.append(" ".join(current))
+                current.clear()
+            if item is _BLOCK_END:
+                continue
+            stack.append(_BLOCK_END)
+        stack.extend(reversed(item.children))
+    if current:
+        lines.append(" ".join(current))
     return lines
 
 
@@ -248,15 +259,6 @@ class SimpleSelector:
     tag: Optional[str]  # None means any tag
     classes: frozenset[str]
     ids: frozenset[str]
-
-    def matches(self, element: Element) -> bool:
-        if self.tag is not None and element.tag != self.tag:
-            return False
-        if self.ids and element.attrs.get("id") not in self.ids:
-            return False
-        if self.classes and not self.classes.issubset(element.classes()):
-            return False
-        return True
 
 
 @dataclass(frozen=True)
@@ -318,60 +320,117 @@ def _parse_simple(s: str, pos: int, full: str) -> tuple[SimpleSelector, int]:
     return SimpleSelector(tag=tag, classes=frozenset(classes), ids=frozenset(ids)), pos
 
 
+class ElementIndex:
+    """The elements below a root in document order, built in one walk.
+
+    ``parents[i]`` is the position of element i's parent (-1 for a child of
+    the root); ``by_tag`` and ``by_class`` map a tag or a class name to the
+    ascending positions of the elements carrying it. Positions are preorder,
+    so an element's ancestors all sit at lower positions. The index refers to
+    elements only, never back to itself, so a tree and its index are freed
+    together by reference counting.
+    """
+
+    __slots__ = ("elements", "parents", "classes", "by_tag", "by_class")
+
+    def __init__(self, root: Union[Document, Element]):
+        self.elements: list[Element] = []
+        self.parents: list[int] = []
+        self.classes: list[set[str]] = []
+        self.by_tag: dict[str, list[int]] = {}
+        self.by_class: dict[str, list[int]] = {}
+        stack = [(c, -1) for c in reversed(root.children) if isinstance(c, Element)]
+        while stack:
+            element, parent = stack.pop()
+            position = len(self.elements)
+            self.elements.append(element)
+            self.parents.append(parent)
+            self.by_tag.setdefault(element.tag, []).append(position)
+            classes = element.classes()
+            self.classes.append(classes)
+            for name in classes:
+                self.by_class.setdefault(name, []).append(position)
+            stack.extend(
+                (c, position) for c in reversed(element.children) if isinstance(c, Element)
+            )
+
+    def candidates(self, simple: SimpleSelector):
+        """Ascending positions that may match ``simple``: a superset of its matches."""
+        if simple.classes:
+            return min((self.by_class.get(name, ()) for name in simple.classes), key=len)
+        if simple.tag is not None:
+            return self.by_tag.get(simple.tag, ())
+        return range(len(self.elements))
+
+    def matches(self, simple: SimpleSelector, position: int) -> bool:
+        element = self.elements[position]
+        if simple.tag is not None and element.tag != simple.tag:
+            return False
+        if simple.ids and element.attrs.get("id") not in simple.ids:
+            return False
+        return simple.classes <= self.classes[position]
+
+    def ancestors_match(self, parts, position: int) -> bool:
+        """Whether ``parts[:-1]`` match above ``position``, where ``parts[-1]``
+        matched.
+
+        A depth-first search over states, nearest ancestor first. A state is
+        (k, p, False): parts[k] matched at p; or (k, p, True): parts[k - 1]
+        may match at p or above it. Failed states are not explored twice, so
+        the work is bounded by parts x depth even on hostile selectors.
+        """
+        parents = self.parents
+        stack = [(len(parts) - 1, position, False)]
+        seen = set()
+        while stack:
+            state = stack.pop()
+            if state in seen:
+                continue
+            seen.add(state)
+            k, p, scanning = state
+            if scanning:
+                if p >= 0:
+                    stack.append((k, parents[p], True))
+                    if self.matches(parts[k - 1][1], p):
+                        stack.append((k - 1, p, False))
+                continue
+            if k == 0:
+                return True
+            above = parents[p]
+            if parts[k][0] == "descendant":
+                stack.append((k, above, True))
+            elif above >= 0 and self.matches(parts[k - 1][1], above):
+                stack.append((k - 1, above, False))
+        return False
+
+
 def select(
     root: Union[Document, Element],
     selector: Union[str, CompiledSelector],
     limit: int = 10_000,
 ) -> list[Element]:
-    """All elements matching the selector, in document order, capped at limit."""
+    """All elements matching the selector, in document order, capped at limit.
+
+    Only the first ``limit`` elements below ``root`` in document order are
+    considered. The root itself is never a match nor an ancestor in a match.
+    A Document keeps its index for later calls; an Element root is indexed
+    on each call.
+    """
     compiled = parse_selector(selector) if isinstance(selector, str) else selector
-    parents: dict[int, Optional[Element]] = {}
+    if isinstance(root, Document):
+        if root.index is None:
+            root.index = ElementIndex(root)
+        index = root.index
+    else:
+        index = ElementIndex(root)
+    parts = compiled.parts
+    subject = parts[-1][1]
     matches: list[Element] = []
-    scanned = 0
-
-    def walk(node, parent: Optional[Element]) -> None:
-        nonlocal scanned
-        children = node.children
-        for child in children:
-            if not isinstance(child, Element):
-                continue
-            parents[id(child)] = parent
-            scanned += 1
-            if scanned > limit:
-                return
-            if _selector_matches(compiled, child, parents):
-                matches.append(child)
-            walk(child, child)
-
-    walk(root, None)
-    return matches
-
-
-def _selector_matches(
-    compiled: CompiledSelector,
-    element: Element,
-    parents: dict[int, Optional[Element]],
-) -> bool:
-    combinator, simple = compiled.parts[-1]
-    if not simple.matches(element):
-        return False
-    return _match_rest(compiled.parts[:-1], element, combinator, parents)
-
-
-def _match_rest(parts, element, combinator, parents) -> bool:
-    if not parts:
-        return True
-    _, want = parts[-1]
-    ancestor = parents.get(id(element))
-    if combinator == "child":
-        if ancestor is None or not want.matches(ancestor):
-            return False
-        return _match_rest(parts[:-1], ancestor, parts[-1][0], parents)
-    # descendant: any ancestor may match
-    while ancestor is not None:
-        if want.matches(ancestor) and _match_rest(
-            parts[:-1], ancestor, parts[-1][0], parents
+    for position in index.candidates(subject):
+        if position >= limit:
+            break
+        if index.matches(subject, position) and (
+            len(parts) == 1 or index.ancestors_match(parts, position)
         ):
-            return True
-        ancestor = parents.get(id(ancestor))
-    return False
+            matches.append(index.elements[position])
+    return matches

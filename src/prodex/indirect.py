@@ -27,12 +27,12 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from decimal import Decimal
 from typing import Optional
 
 from . import prompts
-from .compress import CompressedDocument, compress_both
+from .compress import CompressedDocument, UnparsableDocument, compress_both
 from .corpus import Corpus
 from .direct import ExtractionFailed, extract_direct
 from .dsl import (
@@ -206,6 +206,7 @@ class ShopRunResult:
     library: FunctionLibrary
     metrics: ShopRunMetrics
     ledger: CostLedger
+    failures: dict[str, str] = field(default_factory=dict)  # page_id -> why it failed
 
 
 # --- Decision ensemble -------------------------------------------------------
@@ -461,28 +462,54 @@ def process_shop(
     ledger: Optional[CostLedger] = None,
     precompressed: Optional[dict[str, tuple[CompressedDocument, CompressedDocument]]] = None,
 ) -> ShopRunResult:
-    """Run the full indirect algorithm over one shop's corpus."""
+    """Run the full indirect algorithm over one shop's corpus.
+
+    Pages are compressed as they are visited, and the pruned tree from
+    compression is the one extraction programs run on. A page whose
+    ``(html, text)`` documents are already in ``precompressed`` is parsed
+    from its HTML instead; pages compressed here are added to it, so a
+    caller can share the dict between runs. A page that cannot be parsed
+    gets an empty product and is listed in the result's ``failures``.
+    """
     desc = desc or food_product_descriptor()
     ledger = ledger if ledger is not None else CostLedger()
     ledger.meta.setdefault("prompt_bundle_hash", prompts.bundle_hash())
     ledger.meta.setdefault("shop_id", corpus.shop_id)
 
-    compressed: dict[str, tuple[CompressedDocument, CompressedDocument]] = {}
-    if precompressed is not None:
-        compressed = precompressed
-    else:
-        for doc in corpus.pages:
-            compressed[doc.page_id] = compress_both(doc)
+    compressed = precompressed if precompressed is not None else {}
+    raw_pages = {doc.page_id: doc for doc in corpus.pages}
+    failures: dict[str, str] = {}
+
+    def compress_page(page_id: str):
+        """Compress a page not compressed before; its tree, or None."""
+        try:
+            html_doc, text_doc, tree = compress_both(raw_pages[page_id])
+        except UnparsableDocument as exc:
+            failures[page_id] = str(exc)
+            return None
+        compressed[page_id] = (html_doc, text_doc)
+        return tree
 
     token_prefix = f"{corpus.shop_id}-s{config.rng_seed}"
 
+    for page_id in sorted(corpus.labels):
+        if page_id in raw_pages and page_id not in compressed:
+            compress_page(page_id)
     samples = [
         (compressed[page_id][1], label)
         for page_id, label in sorted(corpus.labels.items())
         if page_id in compressed
     ]
+    ensemble_config = config
+    unparsable_labeled = sum(1 for page_id in corpus.labels if page_id in failures)
+    if unparsable_labeled:  # left out of the bootstrap sample
+        ensemble_config = replace(
+            config, bootstrap_sample_size=config.bootstrap_sample_size - unparsable_labeled
+        )
     decision_calls_before = len(ledger.entries)
-    ensemble = build_decision_ensemble(samples, provider, config, ledger, token_prefix)
+    ensemble = build_decision_ensemble(
+        samples, provider, ensemble_config, ledger, token_prefix
+    )
     decision_calls = len(ledger.entries) - decision_calls_before
 
     order = [doc.page_id for doc in corpus.pages]
@@ -516,8 +543,14 @@ def process_shop(
         return best_entry, best_product, max(best_key[0], 0)
 
     for page_id in order:
+        if page_id in compressed:
+            tree = parse_html(compressed[page_id][0].content)
+        else:
+            tree = compress_page(page_id)
+            if tree is None:
+                page_results[page_id] = PageResult(page_id, FoodProduct(), "none", 0)
+                continue
         html_doc, text_doc = compressed[page_id]
-        tree = parse_html(html_doc.content)
         entry, product, count = best_library_result(tree)
         if entry is not None and count >= config.min_valid_attributes:
             entry.pages_matched += 1
@@ -595,7 +628,8 @@ def process_shop(
     if corpus.truth:
         total = 0.0
         for page_id, result in page_results.items():
-            total += compare(result.product, corpus.truth[page_id].product, desc).overall
+            if page_id not in failures:  # an unparsable page scores 0
+                total += compare(result.product, corpus.truth[page_id].product, desc).overall
         accuracy = 100.0 * total / len(page_results) if page_results else None
 
     by_role_cost = ledger.total_by_role()
@@ -630,6 +664,7 @@ def process_shop(
         library=library,
         metrics=metrics,
         ledger=ledger,
+        failures=failures,
     )
 
 

@@ -42,7 +42,7 @@ def test_criterion_1_compression_invariants():
     for preset in ("alpha", "beta", "gamma"):
         corpus = generate_shop(preset_spec(preset, 100, seed=41))
         for raw in corpus.pages:
-            html_doc, text_doc = compress_both(raw)
+            html_doc, text_doc, _ = compress_both(raw)
             tree = parse_html(html_doc.content)
             for element in tree.iter_elements():
                 assert element.tag not in BANNED_ELEMENTS
@@ -211,7 +211,7 @@ def test_criterion_5_synthesis_budget_law(tmp_path):
 def test_criterion_6_decision_ensemble_accuracy():
     started = time.perf_counter()
     corpus = generate_shop(preset_spec("alpha", 1000, seed=7))
-    compressed = {doc.page_id: compress_both(doc) for doc in corpus.pages}
+    compressed = {doc.page_id: compress_both(doc)[:2] for doc in corpus.pages}
     oracle = OracleProvider(corpus, OracleConfig())
     config = OrchestratorConfig(rng_seed=1, bootstrap_sample_size=len(corpus.labels))
     samples = [

@@ -223,3 +223,78 @@ def test_config_file_feeds_orchestrator(workspace, runner, tmp_path):
         if entry["outcome"] == "best_imperfect":
             assert entry["generations"] <= 2
             assert entry["refinements"] <= 4
+
+
+@pytest.fixture(scope="module")
+def broken_corpus(tmp_path_factory, runner):
+    """A 20-page beta corpus whose first labeled page is emptied."""
+    corpus = tmp_path_factory.mktemp("broken") / "corpus"
+    result = runner.invoke(
+        main,
+        ["corpus", "generate", "--preset", "beta", "--pages", "20",
+         "--seed", "3", "--out", str(corpus)],
+    )
+    assert result.exit_code == 0, result.output
+    empty = sorted(json.loads((corpus / "labels.json").read_text()))[0]
+    (corpus / "pages" / f"{empty}.html").write_text("")
+    return corpus, empty
+
+
+def test_extract_indirect_unparsable_page_is_a_failure(broken_corpus, runner, tmp_path):
+    corpus, empty = broken_corpus
+    out = tmp_path / "indirect"
+    result = runner.invoke(
+        main,
+        ["extract", "indirect", "--corpus", str(corpus), "--out", str(out),
+         "--provider", "oracle", "--runs", "2"],
+    )
+    assert result.exit_code == 0, result.output
+    assert list(json.loads((out / "failures.json").read_text())) == [empty]
+    for run_dir in ("run-00", "run-01"):
+        products = json.loads((out / run_dir / "products.json").read_text())
+        assert len(products) == 20
+        failed = next(p for p in products if p["page_id"] == empty)
+        assert failed["count_extracted"] == 0
+
+    report = tmp_path / "report.json"
+    result = runner.invoke(
+        main, ["evaluate", "--results", str(out), "--truth", str(corpus), "--out", str(report)]
+    )
+    assert result.exit_code == 0, result.output
+    scored = json.loads(report.read_text())["shops"]
+    run_accuracies = next(iter(scored.values()))["run_accuracies"]
+    for run_dir, accuracy in zip(("run-00", "run-01"), run_accuracies):
+        metrics = json.loads((out / run_dir / "metrics.json").read_text())
+        assert metrics["accuracy"] == pytest.approx(accuracy)
+        assert accuracy <= 95.0
+
+
+def test_compress_skips_unparsable_page(broken_corpus, runner, tmp_path):
+    corpus, empty = broken_corpus
+    out = tmp_path / "compressed"
+    result = runner.invoke(
+        main, ["compress", "--variant", "text", "--in", str(corpus / "pages"), "--out", str(out)]
+    )
+    assert result.exit_code == 0, result.output
+    assert list(json.loads((out / "failures.json").read_text())) == [empty]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert len(manifest) == 19
+    assert empty not in {entry["page_id"] for entry in manifest}
+
+
+def test_evaluate_scores_failed_pages_as_zero(broken_corpus, runner, tmp_path):
+    corpus, empty = broken_corpus
+    out = tmp_path / "direct"
+    result = runner.invoke(
+        main,
+        ["extract", "direct", "--corpus", str(corpus), "--out", str(out), "--provider", "oracle"],
+    )
+    assert result.exit_code == 0, result.output
+    assert "19 pages ok, 1 failed" in result.output
+    result = runner.invoke(
+        main,
+        ["evaluate", "--results", str(out), "--truth", str(corpus),
+         "--out", str(tmp_path / "report.json")],
+    )
+    assert result.exit_code == 0, result.output
+    assert "mean accuracy 95.00" in result.output

@@ -1,7 +1,8 @@
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from markup import markup
 
 from prodex.compress import (
     BANNED_ELEMENTS,
@@ -14,6 +15,13 @@ from prodex.compress import (
     compress_html,
     count_tokens,
     extract_text,
+)
+from prodex.dsl import (
+    ExtractionProgram,
+    FieldRule,
+    PostOp,
+    run_extraction,
+    run_extraction_on_tree,
 )
 from prodex.htmltree import TextNode, parse_html
 
@@ -191,13 +199,50 @@ class TestInvariantsOnGeneratedHtml:
     @given(_html_fragment())
     def test_monotone_shrinkage(self, fragment):
         html = f"<html><body>{fragment}</body></html>"
-        html_doc, text_doc = compress_both(_raw(html))
+        html_doc, text_doc, _ = compress_both(_raw(html))
         assert text_doc.token_count <= html_doc.token_count
         assert html_doc.token_count <= count_tokens(html)
 
 
 def test_compress_both_matches_two_step_path(small_alpha):
     doc = small_alpha.pages[0]
-    html_doc, text_doc = compress_both(doc)
+    html_doc, text_doc, _ = compress_both(doc)
     assert html_doc.content == compress_html(doc).content
     assert text_doc.content == extract_text(compress_html(doc)).content
+
+
+class TestCompressBothTree:
+    @settings(max_examples=200, deadline=None)
+    @given(markup())
+    @example("a<script>x</script>b")
+    @example("a<!-- c -->b")
+    @example("<p>a < b</p>")
+    @example("<li>a<li/>b")
+    def test_tree_and_text_match_the_reparsed_html(self, html):
+        raw = _raw(html)
+        try:
+            html_doc, text_doc, tree = compress_both(raw)
+        except UnparsableDocument:
+            with pytest.raises(UnparsableDocument):
+                compress_html(raw)
+            return
+        assert tree == parse_html(html_doc.content)
+        assert text_doc.content == extract_text(compress_html(raw)).content
+
+    def test_adjacent_text_runs_merge(self):
+        _, text_doc, tree = compress_both(_raw("a<script>x</script>b<!-- c --> c"))
+        assert tree.children == [TextNode("abc")]
+        assert text_doc.content == "abc"
+
+    def test_deeply_nested_page_compresses_and_extracts(self):
+        depth = 5000
+        html = "<div>" * depth + '<span class="bottom">Zutaten: Wasser</span>'
+        html_doc, text_doc, tree = compress_both(_raw(html))
+        assert text_doc.content == "Zutaten: Wasser"
+        rule = FieldRule(
+            "ingredient_statement", "div > span.bottom",
+            post_ops=(PostOp("strip_label_prefix", prefixes=("Zutaten:",)),),
+        )
+        program = ExtractionProgram("deep", "FoodProduct", rules=(rule,))
+        assert run_extraction_on_tree(program, tree).product.ingredient_statement == "Wasser"
+        assert run_extraction(program, html_doc).product.ingredient_statement == "Wasser"

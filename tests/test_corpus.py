@@ -76,7 +76,7 @@ class TestPagesSurviveCompression:
         doc = small_alpha.pages[0]
         assert "<script" in doc.html
         assert "<footer" in doc.html
-        html_doc, _ = compress_both(doc)
+        html_doc, _, _ = compress_both(doc)
         tree = parse_html(html_doc.content)
         for element in tree.iter_elements():
             assert element.tag not in BANNED_ELEMENTS
@@ -88,7 +88,7 @@ class TestPagesSurviveCompression:
             if small_alpha.truth[d.page_id].has_nutrition
             and small_alpha.truth[d.page_id].has_ingredients
         )
-        html_doc, text_doc = compress_both(full_page)
+        html_doc, text_doc, _ = compress_both(full_page)
         assert "nw-fett" in html_doc.content
         assert "Zutaten" in text_doc.content
 
@@ -99,7 +99,7 @@ class TestTruePrograms:
         for doc in shop.pages:
             record = shop.truth[doc.page_id]
             program = true_program_for(record.template_id)
-            html_doc, _ = compress_both(doc)
+            html_doc, _, _ = compress_both(doc)
             outcome = run_extraction(program, html_doc)
             assert compare(outcome.product, record.product).overall == 1.0
 
@@ -110,7 +110,7 @@ class TestTruePrograms:
             record = shop.truth[doc.page_id]
             own_count = None
             for template_id in templates:
-                html_doc, _ = compress_both(doc)
+                html_doc, _, _ = compress_both(doc)
                 outcome = run_extraction(true_program_for(template_id), html_doc)
                 count = count_extracted(outcome.product)
                 if template_id == record.template_id:
@@ -129,7 +129,7 @@ class TestTruePrograms:
             if not shop.truth[d.page_id].has_nutrition
             and not shop.truth[d.page_id].has_ingredients
         )
-        html_doc, _ = compress_both(empty)
+        html_doc, _, _ = compress_both(empty)
         outcome = run_extraction(true_program_for("tafel"), html_doc)
         assert count_extracted(outcome.product) == 0
         assert compare(outcome.product, shop.truth[empty.page_id].product).overall == 1.0

@@ -1,10 +1,13 @@
 import itertools
 import json
+import re
 from decimal import Decimal
 
 import jsonschema
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from prodex import htmltree
 from prodex.compress import CompressedDocument, Variant, WrongVariant
 from prodex.corpus import load_true_program, true_program_for
 from prodex.dsl import (
@@ -20,6 +23,7 @@ from prodex.dsl import (
     parse_program,
     run_decision,
     run_extraction,
+    run_extraction_on_tree,
 )
 from prodex.schema import FoodProduct, QuantitativeValue
 from prodex.similarity import compare
@@ -317,3 +321,54 @@ class TestCountExtracted:
     def test_value_only_quantity_counts(self):
         product = FoodProduct(fat=QuantitativeValue(Decimal("1"), None))
         assert count_extracted(product) == 1
+
+
+class TestCompiledRules:
+    def test_derived_fields_stay_out_of_equality_repr_and_dict(self):
+        parsed = parse_program(_program_json([_rule_json(capture=r"([0-9]+)")]))
+        direct = FieldRule(
+            "fat.value", ".nutrition td.fat", capture=r"([0-9]+)",
+            post_ops=(PostOp("trim"), PostOp("parse_decimal_comma")),
+        )
+        assert parsed.rules[0] == direct
+        assert hash(parsed.rules[0]) == hash(direct)
+        assert "compiled" not in repr(direct)
+        assert "compiled" not in parsed.to_json()
+        assert direct.compiled_selector.source == ".nutrition td.fat"
+        assert direct.compiled_capture.pattern == r"([0-9]+)"
+
+    def test_running_a_program_compiles_nothing(self, monkeypatch, small_gamma, compressed_gamma):
+        program = true_program_for(small_gamma.truth[small_gamma.pages[0].page_id].template_id)
+        tree = htmltree.parse_html(compressed_gamma[small_gamma.pages[0].page_id][0].content)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("compiled during a run")
+
+        monkeypatch.setattr(htmltree, "parse_selector", refuse)
+        monkeypatch.setattr(re, "compile", refuse)
+        monkeypatch.setattr(re, "search", refuse)
+        outcome = run_extraction_on_tree(program, tree)
+        assert "extracted" in outcome.field_status.values()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.text(alphabet="ab.#>*[]:~, ", max_size=8))
+    def test_direct_rule_with_invalid_selector_is_no_match(self, selector):
+        try:
+            htmltree.parse_selector(selector)
+        except ValueError:
+            pass
+        else:
+            assume(False)
+        rule = FieldRule("fat.value", selector)
+        assert rule.compiled_selector is None
+        program = ExtractionProgram("bad", "FoodProduct", rules=(rule,))
+        outcome = run_extraction(program, _page('<td class="a">1 g</td>'))
+        assert outcome.field_status == {"fat.value": "no_match"}
+
+    @pytest.mark.parametrize("capture", ["([0-9]", "[0-9]+", "([0-9])([a-z])"])
+    def test_direct_rule_with_unusable_capture_is_no_match(self, capture):
+        rule = FieldRule("fat.value", "td", capture=capture)
+        outcome = run_extraction(
+            ExtractionProgram("bad", "FoodProduct", rules=(rule,)), _page("<td>1 g</td>")
+        )
+        assert outcome.field_status == {"fat.value": "no_match"}

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings, strategies as st
+from markup import markup, selectors
 
 from prodex.htmltree import (
     Element,
@@ -126,3 +128,111 @@ def test_iter_elements_document_order():
 def test_element_dataclass_direct_construction():
     el = Element(tag="p", attrs={"class": "x"})
     assert serialize(el) == '<p class="x"></p>'
+
+
+# --- Element index --------------------------------------------------------------
+
+def _reference_select(root, selector, limit):
+    """The selector engine as a plain walk: recursive, with a parent map."""
+    compiled = parse_selector(selector)
+    order = []
+
+    def walk(node, parent):
+        for child in node.children:
+            if isinstance(child, Element):
+                order.append((child, parent))
+                walk(child, child)
+
+    walk(root, None)
+    order = order[:max(limit, 0)]
+    parents = {id(element): parent for element, parent in order}
+
+    def simple_matches(simple, element):
+        if simple.tag is not None and element.tag != simple.tag:
+            return False
+        if simple.ids and element.attrs.get("id") not in simple.ids:
+            return False
+        return simple.classes <= element.classes()
+
+    def rest_matches(parts, element, combinator):
+        if not parts:
+            return True
+        want = parts[-1][1]
+        ancestor = parents.get(id(element))
+        if combinator == "child":
+            return (ancestor is not None and simple_matches(want, ancestor)
+                    and rest_matches(parts[:-1], ancestor, parts[-1][0]))
+        while ancestor is not None:
+            if simple_matches(want, ancestor) and rest_matches(
+                parts[:-1], ancestor, parts[-1][0]
+            ):
+                return True
+            ancestor = parents.get(id(ancestor))
+        return False
+
+    combinator, subject = compiled.parts[-1]
+    return [
+        element for element, _ in order
+        if simple_matches(subject, element)
+        and rest_matches(compiled.parts[:-1], element, combinator)
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    markup(),
+    selectors(),
+    st.one_of(st.integers(0, 12), st.just(10_000)),
+    st.one_of(st.none(), st.integers(0, 50)),
+)
+def test_select_equals_reference_walk(html, selector, limit, element_root):
+    tree = parse_html(html)
+    elements = list(tree.iter_elements())
+    if element_root is None or not elements:
+        root = tree
+    else:
+        root = elements[element_root % len(elements)]
+    got = select(root, selector, limit=limit)
+    want = _reference_select(root, selector, limit)
+    assert [id(e) for e in got] == [id(e) for e in want]
+    # A second call on the same document reuses its index.
+    assert [id(e) for e in select(root, selector, limit=limit)] == [id(e) for e in got]
+
+
+def test_document_index_is_built_once():
+    tree = parse_html('<div class="a"><p class="b">x</p></div>')
+    assert tree.index is None
+    select(tree, "p.b")
+    index = tree.index
+    select(tree, "div.a > p")
+    assert tree.index is index
+    assert index.parents == [-1, 0]
+
+
+def test_element_root_is_neither_match_nor_ancestor():
+    tree = parse_html("<div><div><p>x</p></div></div>")
+    outer = select(tree, "div")[0]
+    assert len(select(outer, "div")) == 1
+    assert len(select(outer, "div > p")) == 1
+    assert select(outer, "div > div > p") == []
+
+
+def test_hostile_selector_on_deep_markup_is_bounded():
+    # Every choice of 40 of the 300 div ancestors is a way to fail on "span";
+    # each (part, ancestor) state is tried once instead.
+    depth = 300
+    tree = parse_html("<div>" * depth + "<p>x</p>")
+    selector = " ".join(["span"] + ["div"] * 40 + ["p"])
+    assert select(tree, selector) == []
+    assert len(select(tree, " ".join(["div"] * 40 + ["p"]))) == 1
+
+
+def test_walks_survive_deep_nesting():
+    depth = 5000
+    tree = parse_html("<div>" * depth + '<span class="bottom">x</span>' + "</div>" * depth)
+    assert sum(1 for _ in tree.iter_elements()) == depth + 1
+    assert serialize(tree).endswith('<span class="bottom">x</span>' + "</div>" * depth)
+    assert text_content(tree) == "x"
+    assert block_text_lines(tree) == ["x"]
+    assert [e.tag for e in select(tree, "div > span.bottom")] == ["span"]
+    assert [e.tag for e in select(tree, "div div .bottom")] == ["span"]

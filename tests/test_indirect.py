@@ -22,7 +22,7 @@ from prodex.similarity import compare
 
 
 def _sample_docs(corpus):
-    compressed = {d.page_id: compress_both(d) for d in corpus.pages}
+    compressed = {d.page_id: compress_both(d)[:2] for d in corpus.pages}
     samples = [
         (compressed[page_id][1], label)
         for page_id, label in sorted(corpus.labels.items())
@@ -136,7 +136,7 @@ class TestAcquireReference:
             and not small_alpha.truth[d.page_id].has_ingredients
             and len(small_alpha.truth[d.page_id].product.populated_fields()) == 7
         )
-        html_doc, text_doc = compress_both(page)
+        html_doc, text_doc, _ = compress_both(page)
         reference, calls = acquire_reference(
             html_doc, text_doc, food_product_descriptor(), oracle,
             _config(small_alpha), CostLedger(),
@@ -150,7 +150,7 @@ class TestAcquireReference:
             if not small_alpha.truth[d.page_id].has_nutrition
             and small_alpha.truth[d.page_id].has_ingredients
         )
-        html_doc, text_doc = compress_both(page)
+        html_doc, text_doc, _ = compress_both(page)
         ledger = CostLedger()
         with pytest.raises(ReferenceUnattainable):
             acquire_reference(
@@ -169,7 +169,7 @@ class TestSynthesizeProgram:
             if corpus.truth[d.page_id].has_nutrition
             and corpus.truth[d.page_id].has_ingredients
         )
-        html_doc, _ = compress_both(page)
+        html_doc, _, _ = compress_both(page)
         reference = corpus.truth[page.page_id].product
         return oracle, html_doc, reference
 
@@ -313,7 +313,7 @@ class TestProcessShop:
 
         oracle = OracleProvider(small_gamma, OracleConfig())
         result = process_shop(small_gamma, oracle, _config(small_gamma, rng_seed=6))
-        compressed = {d.page_id: compress_both(d) for d in small_gamma.pages}
+        compressed = {d.page_id: compress_both(d)[:2] for d in small_gamma.pages}
         for page_id, page_result in result.page_results.items():
             best = 0
             for entry in result.library.entries:
@@ -321,6 +321,67 @@ class TestProcessShop:
                 best = max(best, count_extracted(outcome.product))
             if page_result.source not in ("no-info", "none"):
                 assert page_result.count_extracted == best
+
+
+    def test_each_page_is_parsed_once_and_shared_between_runs(self, small_gamma, monkeypatch):
+        from prodex import indirect
+
+        calls = {"compress": 0, "parse": 0}
+        real_compress, real_parse = indirect.compress_both, indirect.parse_html
+
+        def counting_compress(doc):
+            calls["compress"] += 1
+            return real_compress(doc)
+
+        def counting_parse(html):
+            calls["parse"] += 1
+            return real_parse(html)
+
+        monkeypatch.setattr(indirect, "compress_both", counting_compress)
+        monkeypatch.setattr(indirect, "parse_html", counting_parse)
+        oracle = OracleProvider(small_gamma, OracleConfig())
+        precompressed = {}
+        first = process_shop(small_gamma, oracle, _config(small_gamma, rng_seed=2),
+                             precompressed=precompressed)
+        syntheses = sum(1 for e in first.metrics.synthesis_log if "generations" in e)
+        assert calls == {"compress": len(small_gamma.pages),
+                         "parse": len(small_gamma.labels) + syntheses}
+        assert set(precompressed) == {d.page_id for d in small_gamma.pages}
+        assert all(len(docs) == 2 for docs in precompressed.values())
+
+        calls.update(compress=0, parse=0)
+        second = process_shop(small_gamma, oracle, _config(small_gamma, rng_seed=2),
+                              precompressed=precompressed)
+        assert calls == {"compress": 0, "parse": len(small_gamma.pages) + syntheses}
+        assert second.metrics.to_json() == first.metrics.to_json()
+
+    def test_unparsable_labeled_page_is_a_failure(self, small_gamma, monkeypatch):
+        from dataclasses import replace
+
+        from prodex import indirect
+
+        empty = sorted(small_gamma.labels)[0]
+        corpus = replace(small_gamma, pages=[
+            replace(doc, html="") if doc.page_id == empty else doc for doc in small_gamma.pages
+        ])
+        sample_sizes = []
+        real_build = indirect.build_decision_ensemble
+
+        def recording_build(samples, *args, **kwargs):
+            sample_sizes.append(len(samples))
+            return real_build(samples, *args, **kwargs)
+
+        monkeypatch.setattr(indirect, "build_decision_ensemble", recording_build)
+        result = process_shop(corpus, OracleProvider(corpus, OracleConfig()),
+                              _config(corpus, rng_seed=2))
+        assert sample_sizes == [len(corpus.labels) - 1]
+        assert list(result.failures) == [empty]
+        assert result.page_results[empty].count_extracted == 0
+        scored = [
+            compare(r.product, corpus.truth[page_id].product).overall
+            for page_id, r in result.page_results.items() if page_id != empty
+        ]
+        assert result.metrics.accuracy == pytest.approx(100.0 * sum(scored) / len(corpus.pages))
 
 
 class TestFunctionLibrary:

@@ -10,19 +10,21 @@ from __future__ import annotations
 
 import json
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import click
 
 from . import prompts
 from .compress import RawDocument, UnparsableDocument, Variant, compress_both, count_tokens
-from .corpus import Corpus, generate_shop, load_corpus, preset_spec, write_corpus
+from .corpus import Corpus, generate_shop, load_corpus, load_truth, preset_spec, write_corpus
 from .direct import extract_direct_batch
 from .evaluate import (
     RunReport,
     ShopReport,
     compare_strategies,
     emit_report,
+    evaluate,
     merge_reports,
     page_accuracy,
     summarize_runs,
@@ -363,21 +365,6 @@ def extract_indirect_cmd(ctx, corpus_dir, out_dir, labels_path, seed, runs,
 
 # --- evaluate / compare -----------------------------------------------------------
 
-def _load_truth(truth_path):
-    from .corpus import GroundTruthRecord
-
-    path = Path(truth_path)
-    if path.is_dir():
-        path = path / "truth.jsonl"
-    truth = {}
-    with path.open(encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                record = GroundTruthRecord.from_dict(json.loads(line))
-                truth[record.page_id] = record
-    return truth
-
-
 def _read_failures(out: Path) -> dict[str, str]:
     path = out / "failures.json"
     if not path.exists():
@@ -399,15 +386,10 @@ def _report_from_results_dir(results_dir, truth) -> RunReport:
         for path in sorted((root / "products").glob("*.json")):
             products[path.stem] = parse_product(path.read_text(encoding="utf-8"))
         ledger = CostLedger.from_json((root / "ledger.json").read_text(encoding="utf-8"))
-        accuracy, _ = page_accuracy(products, truth, failed=failed)
-        shop = ShopReport(
-            shop_id=shop_id,
-            accuracy_by_variant={variant: accuracy},
-            calls_primary=len(ledger.entries),
-            cost_usd=str(ledger.total_usd),
-            run_accuracies=[accuracy],
+        return evaluate(
+            products, truth, "direct", corpus_id, shop_id, variant=variant,
+            calls_primary=len(ledger.entries), cost_usd=str(ledger.total_usd), failed=failed,
         )
-        return RunReport(strategy="direct", corpus_id=corpus_id, shops={shop_id: shop})
 
     run_dirs = sorted(root.glob("run-*"))
     if not run_dirs:
@@ -415,10 +397,7 @@ def _report_from_results_dir(results_dir, truth) -> RunReport:
     run_accuracies = []
     calls_primary = 0
     calls_decision = 0
-    cost = "0"
-    from decimal import Decimal as _Decimal
-
-    total_cost = _Decimal(0)
+    total_cost = Decimal(0)
     for run_dir in run_dirs:
         products = {}
         for entry in json.loads((run_dir / "products.json").read_text(encoding="utf-8")):
@@ -430,14 +409,13 @@ def _report_from_results_dir(results_dir, truth) -> RunReport:
         metrics = json.loads((run_dir / "metrics.json").read_text(encoding="utf-8"))
         calls_primary += metrics["llm_calls_primary_model"]
         calls_decision += metrics["llm_calls_decision_model"]
-        total_cost += _Decimal(metrics["cost_total_usd"])
-    cost = str(total_cost)
+        total_cost += Decimal(metrics["cost_total_usd"])
     shop = ShopReport(
         shop_id=shop_id,
         accuracy_by_variant={variant: sum(run_accuracies) / len(run_accuracies)},
         calls_primary=calls_primary,
         calls_decision=calls_decision,
-        cost_usd=cost,
+        cost_usd=str(total_cost),
         run_accuracies=run_accuracies,
         distribution=summarize_runs(run_accuracies) if len(run_accuracies) > 1 else None,
     )
@@ -454,7 +432,7 @@ def _report_from_results_dir(results_dir, truth) -> RunReport:
               default="json", show_default=True)
 def evaluate_cmd(results_dirs, truth_path, out_path, fmt):
     """Score run outputs against ground truth and write a report."""
-    truth = _load_truth(truth_path)
+    truth = load_truth(truth_path)
     reports = [_report_from_results_dir(d, truth) for d in results_dirs]
     merged = merge_reports(reports)
     emit_report(merged, fmt, out_path)

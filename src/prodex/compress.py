@@ -65,20 +65,6 @@ def count_tokens(content: str) -> int:
     return (n + 3) // 4
 
 
-def compress_html(doc: RawDocument) -> CompressedDocument:
-    """Reduce raw HTML to the attribute-stripped, element-pruned variant."""
-    content = htmltree.serialize(_pruned_tree(doc))
-    return _compressed(doc.page_id, Variant.HTML_COMPRESSED, content)
-
-
-def extract_text(doc: CompressedDocument) -> CompressedDocument:
-    """Project a compressed document to its plain text content."""
-    if doc.variant is not Variant.HTML_COMPRESSED:
-        raise WrongVariant(f"expected HTML_COMPRESSED input, got {doc.variant.value}")
-    tree = htmltree.parse_html(doc.content)
-    return _compressed(doc.page_id, Variant.TEXT, "\n".join(htmltree.block_text_lines(tree)))
-
-
 def compress_both(
     doc: RawDocument,
 ) -> tuple[CompressedDocument, CompressedDocument, Document]:

@@ -676,15 +676,24 @@ def write_corpus(corpus: Corpus, out_dir, preset: Optional[str] = None, spec: Op
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2), encoding="utf-8")
 
 
-def load_corpus(corpus_dir) -> Corpus:
-    root = Path(corpus_dir)
-    manifest = json.loads((root / "manifest.json").read_text(encoding="utf-8"))
+def load_truth(path) -> dict[str, GroundTruthRecord]:
+    """Ground truth by page id, from a corpus directory or a truth.jsonl file."""
+    path = Path(path)
+    if path.is_dir():
+        path = path / "truth.jsonl"
     truth: dict[str, GroundTruthRecord] = {}
-    with (root / "truth.jsonl").open(encoding="utf-8") as fh:
+    with path.open(encoding="utf-8") as fh:
         for line in fh:
             if line.strip():
                 record = GroundTruthRecord.from_dict(json.loads(line))
                 truth[record.page_id] = record
+    return truth
+
+
+def load_corpus(corpus_dir) -> Corpus:
+    root = Path(corpus_dir)
+    manifest = json.loads((root / "manifest.json").read_text(encoding="utf-8"))
+    truth = load_truth(root)
     pages = []
     for path in sorted((root / "pages").glob("*.html")):
         page_id = path.stem

@@ -127,9 +127,11 @@ def evaluate(
     calls_decision: int = 0,
     cost_usd: str = "0",
     desc: Optional[SchemaDescriptor] = None,
+    failed: Iterable[str] = (),
 ) -> RunReport:
-    """Score one run's products against ground truth into a report."""
-    accuracy, _ = page_accuracy(products, truth, desc)
+    """Score one run's products against ground truth into a report; pages
+    in ``failed`` score 0."""
+    accuracy, _ = page_accuracy(products, truth, desc, failed=failed)
     shop = ShopReport(
         shop_id=shop_id,
         accuracy_by_variant={variant: accuracy},

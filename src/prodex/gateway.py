@@ -418,17 +418,13 @@ class LiveProvider:
 
 
 class RecordingProvider:
-    """Wraps any provider and persists each exchange in a session directory."""
+    """Wraps any provider and persists each exchange as ``<key>.json`` in a
+    session directory."""
 
     def __init__(self, inner: Provider, session_dir):
         self.inner = inner
         self.session_dir = Path(session_dir)
         self.session_dir.mkdir(parents=True, exist_ok=True)
-        self._index_path = self.session_dir / "index.json"
-        self._index: list[dict] = []
-        if self._index_path.exists():
-            self._index = json.loads(self._index_path.read_text(encoding="utf-8"))
-        self._keys = {entry["key"] for entry in self._index}
         self._lock = threading.Lock()
 
     def complete_structured(self, model_id, system_prompt, user_prompt, json_schema) -> ChatExchange:
@@ -450,13 +446,6 @@ class RecordingProvider:
             (self.session_dir / f"{key}.json").write_text(
                 json.dumps(record, indent=2, ensure_ascii=False), encoding="utf-8"
             )
-            if key not in self._keys:
-                self._keys.add(key)
-                self._index.append({"key": key, "model_id": model_id})
-                # A crash mid-write leaves the previous index whole.
-                tmp_path = self._index_path.with_name("index.json.tmp")
-                tmp_path.write_text(json.dumps(self._index, indent=2), encoding="utf-8")
-                os.replace(tmp_path, self._index_path)
         return exchange
 
 
@@ -465,8 +454,8 @@ class ReplayProvider:
 
     def __init__(self, session_dir):
         self.session_dir = Path(session_dir)
-        if not (self.session_dir / "index.json").exists():
-            raise ReplayMiss(f"no session index in {self.session_dir}")
+        if not self.session_dir.is_dir():
+            raise ReplayMiss(f"no session directory {self.session_dir}")
 
     def complete_structured(self, model_id, system_prompt, user_prompt, json_schema) -> ChatExchange:
         key = exchange_key(model_id, system_prompt, user_prompt, json_schema)

@@ -11,7 +11,8 @@ selectors, ``*``, ``.class``, ``#id``, compounds thereof, and descendant /
 child (``>``) combinators. Attribute selectors, pseudo-classes and comma
 groups are rejected. Selection runs on an element index that a document
 builds once, in one walk, at its first ``select``; no walk recurses, so
-deeply nested markup cannot exhaust the call stack.
+deeply nested markup cannot exhaust the call stack. That includes ``==``
+on trees, and ``repr`` shows a node's child count instead of its children.
 """
 
 from __future__ import annotations
@@ -55,11 +56,17 @@ class TextNode:
     text: str
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class Element:
     tag: str
     attrs: dict[str, Optional[str]] = field(default_factory=dict)
     children: list[Union["Element", TextNode]] = field(default_factory=list)
+
+    def __eq__(self, other):
+        return _same_tree(self, other) if type(other) is Element else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Element(tag={self.tag!r}, attrs={self.attrs!r}, children={len(self.children)})"
 
     def iter_elements(self) -> Iterator["Element"]:
         """Yield this element and all descendant elements in document order."""
@@ -71,7 +78,7 @@ class Element:
         return set(raw.split())
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class Document:
     """Root container; its children are the document's top-level nodes.
 
@@ -80,9 +87,13 @@ class Document:
     """
 
     children: list[Union[Element, TextNode]] = field(default_factory=list)
-    index: Optional["ElementIndex"] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    index: Optional["ElementIndex"] = field(default=None, init=False)
+
+    def __eq__(self, other):
+        return _same_tree(self, other) if type(other) is Document else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Document(children={len(self.children)})"
 
     def iter_elements(self) -> Iterator[Element]:
         return _descendants(self)
@@ -93,6 +104,26 @@ class Document:
         return not any(
             isinstance(c, TextNode) and c.text.strip() for c in self.children
         )
+
+
+def _same_tree(a: Union[Document, Element], b: Union[Document, Element]) -> bool:
+    """Whether two trees have the same tags, attributes and text, compared
+    node by node without recursion; a document's index is ignored."""
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if type(x) is not type(y):
+            return False
+        if isinstance(x, TextNode):
+            if x.text != y.text:
+                return False
+            continue
+        if isinstance(x, Element) and (x.tag != y.tag or x.attrs != y.attrs):
+            return False
+        if len(x.children) != len(y.children):
+            return False
+        stack.extend(zip(x.children, y.children))
+    return True
 
 
 def _descendants(node: Union[Document, Element]) -> Iterator[Element]:

@@ -17,16 +17,18 @@ Per shop run:
   4. Decision-negative pages produce an empty product and never reach the
      primary model.
 
-All primary-model calls (references, generations, refinements) and
-decision-model calls are counted and priced into the run's ledger; the
-metrics invariant `primary == references + generations + refinements` is
-checked at the end of every run.
+Every primary-model call (references, generations, refinements) and
+decision-model call is priced into the run's ledger, and every count in the
+run's metrics is read off that ledger by role. Each synthesis episode logs
+the calls it made; `check_invariants` checks at the end of every run that
+the episodes' sums equal the ledger's per-role totals.
 """
 
 from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from decimal import Decimal
 from typing import Optional
@@ -46,6 +48,7 @@ from .dsl import (
     run_decision,
     run_extraction_on_tree,
 )
+from .evaluate import page_accuracy
 from .gateway import (
     CostLedger,
     Provider,
@@ -73,6 +76,10 @@ class EnsembleBootstrapFailed(Exception):
 
 class ReferenceUnattainable(Exception):
     """No sufficiently filled reference object obtainable for a page."""
+
+
+# Ledger role tags of the primary model's calls.
+PRIMARY_ROLES = ("reference", "func_gen", "refine")
 
 
 @dataclass(frozen=True)
@@ -153,11 +160,21 @@ class ShopRunMetrics:
     synthesis_log: list[dict] = field(default_factory=list)
 
     def check_invariants(self) -> None:
-        expected = (
-            self.reference_extractions
-            + self.functions_generated
-            + self.refinements_performed
-        )
+        """The per-episode counts in ``synthesis_log`` add up to the per-role
+        totals, and those add up to the primary calls; a primary call made
+        outside a synthesis episode breaks the first check."""
+        logged = {"reference_extractions": 0, "functions_generated": 0, "refinements_performed": 0}
+        for entry in self.synthesis_log:
+            logged["reference_extractions"] += entry.get("reference_calls", entry.get("calls", 0))
+            logged["functions_generated"] += entry.get("generations", 0)
+            logged["refinements_performed"] += entry.get("refinements", 0)
+        for name, total in logged.items():
+            if getattr(self, name) != total:
+                raise AssertionError(
+                    f"call accounting broken: {name} is {getattr(self, name)}, "
+                    f"synthesis_log sums to {total}"
+                )
+        expected = sum(logged.values())
         if self.llm_calls_primary_model != expected:
             raise AssertionError(
                 f"primary call accounting broken: {self.llm_calls_primary_model} != {expected}"
@@ -299,33 +316,24 @@ def acquire_reference(
     provider: Provider,
     config: OrchestratorConfig,
     ledger: CostLedger,
-) -> tuple[FoodProduct, int]:
+) -> FoodProduct:
     """Direct-extract a reference object with enough populated fields.
 
-    Falls back once to the TEXT variant; returns (reference, calls_made).
-    Raises ReferenceUnattainable when both attempts fall short.
+    Falls back once to the TEXT variant; every call is in the ledger under
+    the ``reference`` role. Raises ReferenceUnattainable when both attempts
+    fall short.
     """
-    calls = 0
     for doc in (html_doc, text_doc):
-        before = len(ledger.entries)
         try:
             result = extract_direct(
                 doc, desc, provider, config.primary_model,
                 ledger=ledger, role_tag="reference",
             )
         except ExtractionFailed:
-            calls += len(ledger.entries) - before
             continue
-        calls += len(ledger.entries) - before
         if filled_field_ratio(result.product) >= config.reference_fill_threshold:
-            return result.product, calls
-    raise ReferenceUnattainableWithCalls(html_doc.page_id, calls)
-
-
-class ReferenceUnattainableWithCalls(ReferenceUnattainable):
-    def __init__(self, page_id: str, calls: int):
-        super().__init__(f"page {page_id}: no suitable reference object")
-        self.calls = calls
+            return result.product
+    raise ReferenceUnattainable(f"page {html_doc.page_id}: no suitable reference object")
 
 
 # --- Program synthesis ----------------------------------------------------------
@@ -335,8 +343,6 @@ class SynthesisResult:
     best_program: Optional[ExtractionProgram]
     accepted: bool
     best_similarity: float
-    generations: int
-    refinements: int
 
 
 def synthesize_program(
@@ -352,7 +358,8 @@ def synthesize_program(
 
     One initial generation plus up to `max_alternatives` fresh starts, each
     followed by up to `max_refinements` feedback-driven refinement calls;
-    at most (1+max_refinements)*(1+max_alternatives) primary calls total.
+    at most (1+max_refinements)*(1+max_alternatives) primary calls total,
+    each in the ledger under the ``func_gen`` or ``refine`` role.
     """
     schema = extraction_program_json_schema(desc)
     schema_text = json.dumps(schema, indent=2, ensure_ascii=False)
@@ -364,12 +371,8 @@ def synthesize_program(
 
     best_program: Optional[ExtractionProgram] = None
     best_similarity = -1.0
-    generations = 0
-    refinements = 0
 
     def call_for_program(user_prompt: str, role: str) -> Optional[ExtractionProgram]:
-        nonlocal generations, refinements
-        before = len(ledger.entries)
         try:
             exchange = structured_call(
                 provider, config.primary_model, gen_system, user_prompt, schema,
@@ -377,16 +380,8 @@ def synthesize_program(
             )
             program = parse_program(exchange.response_text, desc)
         except (SchemaViolation, ProgramParseError):
-            program = None
-        finally:
-            calls = len(ledger.entries) - before
-            if role == "func_gen":
-                generations += calls
-            else:
-                refinements += calls
-        if not isinstance(program, ExtractionProgram):
             return None
-        return program
+        return program if isinstance(program, ExtractionProgram) else None
 
     for alternative in range(1 + config.max_alternatives):
         attempt_token = f"{token_prefix}-{html_doc.page_id}-alt{alternative}"
@@ -399,7 +394,7 @@ def synthesize_program(
         program = call_for_program(user, "func_gen")
         if program is None:
             continue
-        program = _with_generation(program, 0)
+        program = replace(program, generation=0)
         outcome = run_extraction_on_tree(program, tree, desc)
         report = compare(outcome.product, reference, desc)
         if report.overall > best_similarity:
@@ -420,35 +415,15 @@ def synthesize_program(
             refined = call_for_program(refine_user, "refine")
             if refined is None:
                 continue
-            program = _with_generation(refined, round_no)
+            program = replace(refined, generation=round_no)
             outcome = run_extraction_on_tree(program, tree, desc)
             report = compare(outcome.product, reference, desc)
             if report.overall > best_similarity:
                 best_program, best_similarity = program, report.overall
         if report.overall == 1.0:
-            return SynthesisResult(
-                best_program=program,
-                accepted=True,
-                best_similarity=1.0,
-                generations=generations,
-                refinements=refinements,
-            )
+            return SynthesisResult(best_program=program, accepted=True, best_similarity=1.0)
     return SynthesisResult(
-        best_program=best_program,
-        accepted=False,
-        best_similarity=best_similarity,
-        generations=generations,
-        refinements=refinements,
-    )
-
-
-def _with_generation(program: ExtractionProgram, generation: int) -> ExtractionProgram:
-    return ExtractionProgram(
-        program_id=program.program_id,
-        target_schema_name=program.target_schema_name,
-        rules=program.rules,
-        created_by=program.created_by,
-        generation=generation,
+        best_program=best_program, accepted=False, best_similarity=best_similarity
     )
 
 
@@ -459,7 +434,6 @@ def process_shop(
     provider: Provider,
     config: OrchestratorConfig,
     desc: Optional[SchemaDescriptor] = None,
-    ledger: Optional[CostLedger] = None,
     precompressed: Optional[dict[str, tuple[CompressedDocument, CompressedDocument]]] = None,
 ) -> ShopRunResult:
     """Run the full indirect algorithm over one shop's corpus.
@@ -470,11 +444,14 @@ def process_shop(
     from its HTML instead; pages compressed here are added to it, so a
     caller can share the dict between runs. A page that cannot be parsed
     gets an empty product and is listed in the result's ``failures``.
+
+    Each run prices its calls into a fresh ledger, and every call count in
+    the run's metrics is read off it.
     """
     desc = desc or food_product_descriptor()
-    ledger = ledger if ledger is not None else CostLedger()
-    ledger.meta.setdefault("prompt_bundle_hash", prompts.bundle_hash())
-    ledger.meta.setdefault("shop_id", corpus.shop_id)
+    ledger = CostLedger()
+    ledger.meta["prompt_bundle_hash"] = prompts.bundle_hash()
+    ledger.meta["shop_id"] = corpus.shop_id
 
     compressed = precompressed if precompressed is not None else {}
     raw_pages = {doc.page_id: doc for doc in corpus.pages}
@@ -506,11 +483,9 @@ def process_shop(
         ensemble_config = replace(
             config, bootstrap_sample_size=config.bootstrap_sample_size - unparsable_labeled
         )
-    decision_calls_before = len(ledger.entries)
     ensemble = build_decision_ensemble(
         samples, provider, ensemble_config, ledger, token_prefix
     )
-    decision_calls = len(ledger.entries) - decision_calls_before
 
     order = [doc.page_id for doc in corpus.pages]
     random.Random(config.rng_seed).shuffle(order)
@@ -518,9 +493,6 @@ def process_shop(
     library = FunctionLibrary()
     page_results: dict[str, PageResult] = {}
     decision_cache: dict[str, bool] = {}
-    functions_generated = 0
-    refinements_performed = 0
-    reference_extractions = 0
     synthesis_log: list[dict] = []
 
     def page_decision(page_id: str) -> bool:
@@ -561,61 +533,38 @@ def process_shop(
             page_results[page_id] = PageResult(page_id, FoodProduct(), "no-info", 0)
             continue
         # Synthesis episode: reference acquisition, then generate-and-refine.
-        counts_before = dict(ledger.count_by_role())
-        reference = None
+        # Its call counts are the ledger entries it added, by role.
+        start = len(ledger.entries)
+        synthesis = None
         try:
-            reference, ref_calls = acquire_reference(
-                html_doc, text_doc, desc, provider, config, ledger
-            )
-            reference_extractions += ref_calls
+            reference = acquire_reference(html_doc, text_doc, desc, provider, config, ledger)
             synthesis = synthesize_program(
                 html_doc, reference, desc, provider, config, ledger, token_prefix
             )
-        except ReferenceUnattainableWithCalls as exc:
-            reference_extractions += exc.calls
-            synthesis_log.append(
-                {"page_id": page_id, "outcome": "reference_unattainable", "calls": exc.calls}
-            )
-            page_results[page_id] = PageResult(page_id, product, "none", count)
-            continue
+        except ReferenceUnattainable:
+            log = {"page_id": page_id, "outcome": "reference_unattainable"}
         except (TransportError, ProviderRefusal, ReplayMiss) as exc:
-            # A provider failure mid-episode: true the counters up from the
-            # ledger and move on to the next page.
-            counts_now = ledger.count_by_role()
-
-            def _delta(role: str) -> int:
-                return counts_now.get(role, 0) - counts_before.get(role, 0)
-
-            if reference is None:
-                reference_extractions += _delta("reference")
-            functions_generated += _delta("func_gen")
-            refinements_performed += _delta("refine")
-            synthesis_log.append(
-                {"page_id": page_id, "outcome": "provider_error", "error": str(exc)}
-            )
+            log = {"page_id": page_id, "outcome": "provider_error", "error": str(exc)}
+        else:
+            log = {"page_id": page_id,
+                   "outcome": "accepted" if synthesis.accepted else "best_imperfect"}
+        roles = Counter(e.role_tag for e in ledger.entries[start:])
+        if log["outcome"] == "reference_unattainable":
+            log["calls"] = roles["reference"]
+        else:
+            log.update(reference_calls=roles["reference"], generations=roles["func_gen"],
+                       refinements=roles["refine"])
+        synthesis_log.append(log)
+        if synthesis is None:
             page_results[page_id] = PageResult(page_id, product, "none", count)
             continue
-        functions_generated += synthesis.generations
-        refinements_performed += synthesis.refinements
-        synthesis_log.append(
-            {
-                "page_id": page_id,
-                "outcome": "accepted" if synthesis.accepted else "best_imperfect",
-                "reference_calls": ref_calls,
-                "generations": synthesis.generations,
-                "refinements": synthesis.refinements,
-                "best_similarity": synthesis.best_similarity,
-                "program_id": synthesis.best_program.program_id
-                if synthesis.best_program
-                else None,
-            }
-        )
+        log["best_similarity"] = synthesis.best_similarity
+        log["program_id"] = synthesis.best_program.program_id if synthesis.best_program else None
         if synthesis.best_program is not None:
-            unique = _with_id(
+            library.add(replace(
                 synthesis.best_program,
-                f"{synthesis.best_program.program_id}-{len(library.entries):02d}",
-            )
-            library.add(unique)
+                program_id=f"{synthesis.best_program.program_id}-{len(library.entries):02d}",
+            ))
         entry, product, count = best_library_result(tree)
         if entry is not None and count >= config.min_valid_attributes:
             entry.pages_matched += 1
@@ -625,32 +574,21 @@ def process_shop(
             page_results[page_id] = PageResult(page_id, product, "none", count)
 
     accuracy = None
-    if corpus.truth:
-        total = 0.0
-        for page_id, result in page_results.items():
-            if page_id not in failures:  # an unparsable page scores 0
-                total += compare(result.product, corpus.truth[page_id].product, desc).overall
-        accuracy = 100.0 * total / len(page_results) if page_results else None
+    if corpus.truth and page_results:  # an unparsable page scores 0
+        products = {page_id: r.product for page_id, r in page_results.items()}
+        accuracy, _ = page_accuracy(products, corpus.truth, desc, failed=failures)
 
     by_role_cost = ledger.total_by_role()
-    primary_cost = sum(
-        (by_role_cost.get(role, Decimal(0)) for role in ("reference", "func_gen", "refine")),
-        Decimal(0),
-    )
+    primary_cost = sum((by_role_cost.get(role, Decimal(0)) for role in PRIMARY_ROLES), Decimal(0))
     by_role_count = ledger.count_by_role()
-    primary_calls = (
-        by_role_count.get("reference", 0)
-        + by_role_count.get("func_gen", 0)
-        + by_role_count.get("refine", 0)
-    )
     metrics = ShopRunMetrics(
         shop_id=corpus.shop_id,
         pages_total=len(corpus.pages),
-        llm_calls_primary_model=primary_calls,
-        llm_calls_decision_model=decision_calls,
-        functions_generated=functions_generated,
-        refinements_performed=refinements_performed,
-        reference_extractions=reference_extractions,
+        llm_calls_primary_model=sum(by_role_count.get(role, 0) for role in PRIMARY_ROLES),
+        llm_calls_decision_model=by_role_count.get("decision_gen", 0),
+        functions_generated=by_role_count.get("func_gen", 0),
+        refinements_performed=by_role_count.get("refine", 0),
+        reference_extractions=by_role_count.get("reference", 0),
         seed=config.rng_seed,
         accuracy=accuracy,
         cost_primary_usd=str(primary_cost),
@@ -665,14 +603,4 @@ def process_shop(
         metrics=metrics,
         ledger=ledger,
         failures=failures,
-    )
-
-
-def _with_id(program: ExtractionProgram, program_id: str) -> ExtractionProgram:
-    return ExtractionProgram(
-        program_id=program_id,
-        target_schema_name=program.target_schema_name,
-        rules=program.rules,
-        created_by=program.created_by,
-        generation=program.generation,
     )

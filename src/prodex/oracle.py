@@ -236,29 +236,9 @@ def _parse_program_from_prompt(prompt: str):
     brace = prompt.find("{", start)
     if brace < 0:
         return None
-    depth = 0
-    in_string = False
-    escaped = False
-    for i in range(brace, len(prompt)):
-        ch = prompt[i]
-        if in_string:
-            if escaped:
-                escaped = False
-            elif ch == "\\":
-                escaped = True
-            elif ch == '"':
-                in_string = False
-            continue
-        if ch == '"':
-            in_string = True
-        elif ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-            if depth == 0:
-                try:
-                    program = parse_program(prompt[brace:i + 1])
-                except ProgramParseError:
-                    return None
-                return program if isinstance(program, ExtractionProgram) else None
-    return None
+    try:
+        _, end = json.JSONDecoder().raw_decode(prompt, brace)
+        program = parse_program(prompt[brace:end])
+    except (json.JSONDecodeError, ProgramParseError):
+        return None
+    return program if isinstance(program, ExtractionProgram) else None

@@ -6,15 +6,11 @@ from markup import markup
 
 from prodex.compress import (
     BANNED_ELEMENTS,
-    CompressedDocument,
     RawDocument,
     UnparsableDocument,
     Variant,
-    WrongVariant,
     compress_both,
-    compress_html,
     count_tokens,
-    extract_text,
 )
 from prodex.dsl import (
     ExtractionProgram,
@@ -23,7 +19,7 @@ from prodex.dsl import (
     run_extraction,
     run_extraction_on_tree,
 )
-from prodex.htmltree import TextNode, parse_html
+from prodex.htmltree import TextNode, block_text_lines, parse_html
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
@@ -33,13 +29,26 @@ def _raw(html, page_id="p"):
     return RawDocument(page_id=page_id, url="test", html=html)
 
 
+def _html(doc):
+    return compress_both(doc)[0]
+
+
+def _text(doc):
+    return compress_both(doc)[1]
+
+
+def _text_of(html_doc):
+    """The TEXT variant derived from the HTML variant in a second step."""
+    return "\n".join(block_text_lines(parse_html(html_doc.content)))
+
+
 class TestCompressHtml:
     def test_removes_banned_elements_strips_attrs_and_comments(self):
         doc = _raw(
             '<html><head><script>x</script></head>'
             '<body><p class="a" style="c">T</p><!--c--></body></html>'
         )
-        out = compress_html(doc)
+        out = _html(doc)
         assert out.variant is Variant.HTML_COMPRESSED
         assert '<p class="a">T</p>' in out.content
         assert "script" not in out.content
@@ -47,83 +56,75 @@ class TestCompressHtml:
         assert "<!--" not in out.content
 
     def test_empty_body(self):
-        out = compress_html(_raw("<html><body></body></html>"))
+        out = _html(_raw("<html><body></body></html>"))
         assert out.content == "<html><body></body></html>"
         assert out.token_count >= 0
 
     def test_golden_fixture_byte_exact(self):
         html = (FIXTURES / "globus_like_01.html").read_text(encoding="utf-8")
-        out = compress_html(_raw(html, page_id="globus_like_01"))
+        out = _html(_raw(html, page_id="globus_like_01"))
         expected = (GOLDEN / "globus_like_01.compressed.html").read_text(encoding="utf-8")
         assert out.content == expected
 
     def test_unparsable_document(self):
         with pytest.raises(UnparsableDocument):
-            compress_html(_raw("   \n  "))
+            _html(_raw("   \n  "))
         with pytest.raises(UnparsableDocument):
-            compress_html(_raw("<!-- only a comment -->"))
+            _html(_raw("<!-- only a comment -->"))
 
     def test_plain_text_page_is_parsable(self):
-        out = compress_html(_raw("just words, no tags"))
+        out = _html(_raw("just words, no tags"))
         assert out.content == "just words, no tags"
 
     def test_option_removed_even_with_class(self):
-        out = compress_html(_raw('<select><option class="keepme">1</option></select>'))
+        out = _html(_raw('<select><option class="keepme">1</option></select>'))
         assert "option" not in out.content
 
     def test_no_attributes_other_than_class_and_id(self):
         html = (FIXTURES / "globus_like_01.html").read_text(encoding="utf-8")
-        out = compress_html(_raw(html))
+        out = _html(_raw(html))
         for element in parse_html(out.content).iter_elements():
             assert set(element.attrs) <= {"class", "id"}
 
     def test_banned_absence_checkable_by_reparse(self):
         html = (FIXTURES / "globus_like_01.html").read_text(encoding="utf-8")
-        out = compress_html(_raw(html))
+        out = _html(_raw(html))
         tree = parse_html(out.content)
         for banned in BANNED_ELEMENTS:
             assert not [e for e in tree.iter_elements() if e.tag == banned]
 
     def test_idempotent_on_fixture(self):
         html = (FIXTURES / "globus_like_01.html").read_text(encoding="utf-8")
-        once = compress_html(_raw(html))
-        twice = compress_html(_raw(once.content))
+        once = _html(_raw(html))
+        twice = _html(_raw(once.content))
         assert twice.content == once.content
 
 
 class TestExtractText:
     def test_block_separator(self):
-        out = compress_html(_raw("<div><p>Zutaten:</p><p>Zucker</p></div>"))
-        text = extract_text(out)
+        text = _text(_raw("<div><p>Zutaten:</p><p>Zucker</p></div>"))
         assert text.content == "Zutaten:\nZucker"
         assert text.variant is Variant.TEXT
 
     def test_empty_body_gives_empty_text(self):
-        out = compress_html(_raw("<html><body></body></html>"))
-        text = extract_text(out)
+        text = _text(_raw("<html><body></body></html>"))
         assert text.content == ""
         assert text.token_count == 0
 
     def test_golden_text_byte_exact(self):
         html = (FIXTURES / "globus_like_01.html").read_text(encoding="utf-8")
-        out = extract_text(compress_html(_raw(html, page_id="globus_like_01")))
+        out = _text(_raw(html, page_id="globus_like_01"))
         expected = (GOLDEN / "globus_like_01.text.txt").read_text(encoding="utf-8")
         assert out.content == expected
 
-    def test_wrong_variant_rejected(self):
-        text = CompressedDocument("p", Variant.TEXT, "x", 1)
-        with pytest.raises(WrongVariant):
-            extract_text(text)
-
     def test_no_tags_in_text_output(self):
         html = (FIXTURES / "globus_like_01.html").read_text(encoding="utf-8")
-        text = extract_text(compress_html(_raw(html)))
+        text = _text(_raw(html))
         assert "<" not in text.content
 
     def test_text_preservation_in_order(self):
         html = (FIXTURES / "globus_like_01.html").read_text(encoding="utf-8")
-        compressed = compress_html(_raw(html))
-        text = extract_text(compressed)
+        compressed, text, _ = compress_both(_raw(html))
         pieces = []
         for node in _walk_text(parse_html(compressed.content)):
             pieces.append(node)
@@ -191,8 +192,8 @@ class TestInvariantsOnGeneratedHtml:
     @given(_html_fragment())
     def test_compression_is_a_fixed_point(self, fragment):
         html = f"<html><body>{fragment}</body></html>"
-        once = compress_html(_raw(html))
-        twice = compress_html(_raw(once.content))
+        once = _html(_raw(html))
+        twice = _html(_raw(once.content))
         assert twice.content == once.content
 
     @settings(max_examples=60, deadline=None)
@@ -207,8 +208,8 @@ class TestInvariantsOnGeneratedHtml:
 def test_compress_both_matches_two_step_path(small_alpha):
     doc = small_alpha.pages[0]
     html_doc, text_doc, _ = compress_both(doc)
-    assert html_doc.content == compress_html(doc).content
-    assert text_doc.content == extract_text(compress_html(doc)).content
+    assert _html(_raw(html_doc.content)).content == html_doc.content
+    assert text_doc.content == _text_of(html_doc)
 
 
 class TestCompressBothTree:
@@ -223,11 +224,10 @@ class TestCompressBothTree:
         try:
             html_doc, text_doc, tree = compress_both(raw)
         except UnparsableDocument:
-            with pytest.raises(UnparsableDocument):
-                compress_html(raw)
+            assert parse_html(html).is_empty()
             return
         assert tree == parse_html(html_doc.content)
-        assert text_doc.content == extract_text(compress_html(raw)).content
+        assert text_doc.content == _text_of(html_doc)
 
     def test_adjacent_text_runs_merge(self):
         _, text_doc, tree = compress_both(_raw("a<script>x</script>b<!-- c --> c"))

@@ -11,6 +11,7 @@ from prodex.corpus import (
     generate_shop,
     load_corpus,
     load_true_program,
+    load_truth,
     preset_spec,
     true_program_for,
     write_corpus,
@@ -162,6 +163,17 @@ class TestOnDisk:
         }
         for template_id in again.template_ids:
             assert load_true_program(again, template_id) == true_program_for(template_id)
+
+    def test_truth_loads_from_corpus_dir_or_file(self, tmp_path):
+        spec = preset_spec("alpha", 5, seed=5)
+        shop = generate_shop(spec)
+        write_corpus(shop, tmp_path / "c", preset="alpha", spec=spec)
+        from_dir = load_truth(tmp_path / "c")
+        from_file = load_truth(tmp_path / "c" / "truth.jsonl")
+        assert {k: v.to_dict() for k, v in from_dir.items()} == {
+            k: v.to_dict() for k, v in shop.truth.items()
+        }
+        assert from_file.keys() == from_dir.keys()
 
     def test_layout_files_exist(self, tmp_path):
         spec = preset_spec("alpha", 5, seed=5)

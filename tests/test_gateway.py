@@ -230,18 +230,17 @@ class TestRecordReplay:
             structured_call(replay, "o3-mini", "sys", f"user-{i}", SCHEMA, replay_ledger, "direct")
         assert replay_ledger.to_json() == ledger.to_json()
 
-    def test_rerecorded_exchange_keeps_one_index_entry(self, tmp_path):
+    def test_rerecorded_exchange_leaves_one_file(self, tmp_path):
         inner = _ScriptedProvider(['{"a": 1}', '{"a": 1}'])
         recorder = RecordingProvider(inner, tmp_path / "session")
         recorder.complete_structured("m", "sys", "user-1", SCHEMA)
         RecordingProvider(inner, tmp_path / "session").complete_structured(
             "m", "sys", "user-1", SCHEMA
         )
-        index = json.loads((tmp_path / "session" / "index.json").read_text())
-        assert index == [{"key": exchange_key("m", "sys", "user-1", SCHEMA), "model_id": "m"}]
-        assert sorted(p.name for p in (tmp_path / "session").iterdir()) == sorted(
-            [f"{index[0]['key']}.json", "index.json"]
-        )
+        key = exchange_key("m", "sys", "user-1", SCHEMA)
+        assert [p.name for p in (tmp_path / "session").iterdir()] == [f"{key}.json"]
+        replay = ReplayProvider(tmp_path / "session")
+        assert replay.complete_structured("m", "sys", "user-1", SCHEMA).response_text == '{"a": 1}'
 
     def test_missing_session_dir(self, tmp_path):
         with pytest.raises(ReplayMiss):

@@ -3,7 +3,9 @@ from hypothesis import given, settings, strategies as st
 from markup import markup, selectors
 
 from prodex.htmltree import (
+    Document,
     Element,
+    TextNode,
     block_text_lines,
     parse_html,
     parse_selector,
@@ -225,6 +227,27 @@ def test_hostile_selector_on_deep_markup_is_bounded():
     selector = " ".join(["span"] + ["div"] * 40 + ["p"])
     assert select(tree, selector) == []
     assert len(select(tree, " ".join(["div"] * 40 + ["p"]))) == 1
+
+
+def test_tree_equality_and_repr_survive_deep_nesting():
+    depth = 3000
+    tree = parse_html("<div>" * depth)
+    assert tree == parse_html("<div>" * depth)
+    assert tree != parse_html("<div>" * (depth - 1) + "<p>")
+    assert tree != parse_html("<div>" * (depth - 1))
+    assert repr(tree) == "Document(children=1)"
+    assert repr(tree.children[0]) == "Element(tag='div', attrs={}, children=1)"
+
+
+def test_tree_equality_compares_tags_attrs_and_text():
+    assert parse_html('<p class="a">x</p>') == parse_html('<p class="a">x</p>')
+    assert parse_html('<p class="a">x</p>') != parse_html('<p class="b">x</p>')
+    assert parse_html("<p>x</p>") != parse_html("<p>y</p>")
+    assert Element("p") != TextNode("p")
+    assert Document([Element("p")]) != Element("p")
+    tree = parse_html("<div><p>x</p></div>")
+    select(tree, "p")  # the index built here takes no part in equality
+    assert tree == parse_html("<div><p>x</p></div>")
 
 
 def test_walks_survive_deep_nesting():

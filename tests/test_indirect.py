@@ -1,4 +1,6 @@
 import json
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -33,6 +35,10 @@ def _sample_docs(corpus):
 def _config(corpus, **overrides):
     overrides.setdefault("bootstrap_sample_size", len(corpus.labels))
     return OrchestratorConfig(**overrides)
+
+
+def _roles(entries):
+    return Counter(e.role_tag for e in entries)
 
 
 class TestDecisionEnsemble:
@@ -121,11 +127,11 @@ class TestAcquireReference:
         )
         html_doc, text_doc = compressed_gamma[page.page_id]
         ledger = CostLedger()
-        reference, calls = acquire_reference(
+        reference = acquire_reference(
             html_doc, text_doc, food_product_descriptor(), oracle,
             _config(small_gamma), ledger,
         )
-        assert calls == 1
+        assert _roles(ledger.entries) == {"reference": 1}
         assert compare(reference, small_gamma.truth[page.page_id].product).overall == 1.0
 
     def test_boundary_seven_of_eight_accepted(self, small_alpha):
@@ -137,11 +143,13 @@ class TestAcquireReference:
             and len(small_alpha.truth[d.page_id].product.populated_fields()) == 7
         )
         html_doc, text_doc, _ = compress_both(page)
-        reference, calls = acquire_reference(
+        ledger = CostLedger()
+        reference = acquire_reference(
             html_doc, text_doc, food_product_descriptor(), oracle,
-            _config(small_alpha), CostLedger(),
+            _config(small_alpha), ledger,
         )
         assert len(reference.populated_fields()) == 7
+        assert _roles(ledger.entries) == {"reference": 1}
 
     def test_low_fill_page_unattainable_after_two_calls(self, small_alpha):
         oracle = OracleProvider(small_alpha, OracleConfig())
@@ -175,14 +183,15 @@ class TestSynthesizeProgram:
 
     def test_cooperative_oracle_accepts_on_first_attempt(self, small_gamma):
         oracle, html_doc, reference = self._setup(small_gamma)
+        ledger = CostLedger()
         result = synthesize_program(
             html_doc, reference, food_product_descriptor(), oracle,
-            _config(small_gamma), CostLedger(),
+            _config(small_gamma), ledger,
         )
         assert result.accepted is True
         assert result.best_similarity == 1.0
-        assert result.generations == 1
-        assert result.refinements == 0
+        assert _roles(ledger.entries)["func_gen"] == 1
+        assert _roles(ledger.entries)["refine"] == 0
         assert result.best_program.generation == 0
 
     def test_two_imperfections_need_two_refinements(self, small_gamma):
@@ -195,8 +204,8 @@ class TestSynthesizeProgram:
             _config(small_gamma), ledger,
         )
         assert result.accepted is True
-        assert result.generations == 1
-        assert result.refinements == 2
+        assert _roles(ledger.entries)["func_gen"] == 1
+        assert _roles(ledger.entries)["refine"] == 2
         assert result.best_program.generation == 2
         assert len(ledger.entries) == 3
 
@@ -211,8 +220,9 @@ class TestSynthesizeProgram:
         )
         budget = (1 + config.max_refinements) * (1 + config.max_alternatives)
         assert result.accepted is False
-        assert result.generations + result.refinements <= budget
-        assert result.generations + result.refinements == len(ledger.entries)
+        roles = _roles(ledger.entries)
+        assert roles["func_gen"] + roles["refine"] <= budget
+        assert roles["func_gen"] + roles["refine"] == len(ledger.entries)
         assert result.best_program is not None
         assert 0.0 < result.best_similarity < 1.0
 
@@ -272,6 +282,15 @@ class TestProcessShop:
         assert m.accuracy == 100.0
         assert m.llm_calls_decision_model == 5
         assert m.pages_total == len(small_gamma.pages)
+
+    def test_check_invariants_catches_one_generation_too_many(self, small_gamma):
+        oracle = OracleProvider(small_gamma, OracleConfig(imperfections_per_generation=1))
+        m = process_shop(small_gamma, oracle, _config(small_gamma, rng_seed=4)).metrics
+        episode = next(i for i, e in enumerate(m.synthesis_log) if "generations" in e)
+        log = [dict(e) for e in m.synthesis_log]
+        log[episode]["generations"] += 1
+        with pytest.raises(AssertionError, match="functions_generated"):
+            replace(m, synthesis_log=log).check_invariants()
 
     def test_deterministic_same_seed(self, small_gamma):
         oracle = OracleProvider(small_gamma, OracleConfig(imperfections_per_generation=1))
@@ -406,17 +425,21 @@ class TestFunctionLibrary:
 
 
 class _FlakyProvider:
-    """Raises a transport error for pages in a scripted set."""
+    """Raises a transport error for pages in a scripted set, once ``served``
+    calls about those pages have been answered."""
 
-    def __init__(self, inner, bad_pages):
+    def __init__(self, inner, bad_pages, served=0):
         self.inner = inner
         self.bad_pages = bad_pages
+        self.served = served
 
     def complete_structured(self, model_id, system_prompt, user_prompt, json_schema):
         from prodex.gateway import TransportError
 
         if any(f"Art.-Nr. {p}" in user_prompt for p in self.bad_pages):
-            raise TransportError("scripted outage")
+            if self.served == 0:
+                raise TransportError("scripted outage")
+            self.served -= 1
         return self.inner.complete_structured(model_id, system_prompt, user_prompt, json_schema)
 
 
@@ -435,6 +458,27 @@ class TestProviderFailureResilience:
         m.check_invariants()
         outcomes = {entry["outcome"] for entry in m.synthesis_log}
         assert "provider_error" in outcomes
+        for entry in m.synthesis_log:
+            if entry["outcome"] == "provider_error":
+                roles = _roles(e for e in result.ledger.entries if e.page_id == entry["page_id"])
+                assert (entry["reference_calls"], entry["generations"], entry["refinements"]) == (
+                    roles["reference"], roles["func_gen"], roles["refine"]
+                )
         # the next decision-positive page picks up synthesis instead
         assert m.functions_generated >= 1
         assert len(result.page_results) == len(corpus.pages)
+
+    def test_calls_before_a_mid_episode_failure_are_logged(self, full_single_template):
+        corpus = full_single_template
+        config = _config(corpus, rng_seed=5)
+        clean = process_shop(corpus, OracleProvider(corpus, OracleConfig()), config)
+        trigger = clean.metrics.synthesis_log[0]["page_id"]
+
+        # The reference call is answered, the first generation fails.
+        flaky = _FlakyProvider(OracleProvider(corpus, OracleConfig()), {trigger}, served=1)
+        m = process_shop(corpus, flaky, config).metrics
+        m.check_invariants()
+        assert m.synthesis_log[0] == {
+            "page_id": trigger, "outcome": "provider_error", "error": "scripted outage",
+            "reference_calls": 1, "generations": 0, "refinements": 0,
+        }

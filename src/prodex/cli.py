@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import sys
-from decimal import Decimal
+from dataclasses import fields, replace
 from pathlib import Path
 
 import click
@@ -21,7 +21,6 @@ from .corpus import Corpus, generate_shop, load_corpus, load_truth, preset_spec,
 from .direct import extract_direct_batch
 from .evaluate import (
     RunReport,
-    ShopReport,
     compare_strategies,
     emit_report,
     evaluate,
@@ -37,13 +36,16 @@ from .schema import food_product_descriptor, parse_product
 
 @click.group()
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None,
-              help="JSON file with default options for the extract commands.")
+              help="JSON file of orchestrator settings for `extract indirect`; "
+                   "its command-line options override them.")
 @click.pass_context
 def main(ctx, config_path):
     """Schema-constrained product extraction: direct and indirect strategies."""
     ctx.ensure_object(dict)
     if config_path:
         ctx.obj["config"] = json.loads(Path(config_path).read_text(encoding="utf-8"))
+        if not isinstance(ctx.obj["config"], dict):
+            raise click.UsageError("--config: the file must hold a JSON object")
     else:
         ctx.obj["config"] = {}
 
@@ -246,7 +248,7 @@ def extract_direct_cmd(corpus_dir, out_dir, variant, model, resume, workers, pro
 @click.option("--labels", "labels_path", type=click.Path(exists=True), default=None,
               help="Override the corpus bootstrap labels file.")
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--runs", type=int, default=10, show_default=True,
+@click.option("--runs", type=click.IntRange(min=1), default=10, show_default=True,
               help="Repeated runs with derived seeds (the ten-run protocol).")
 @click.option("--ensemble-size", type=int, default=None)
 @click.option("--max-refinements", type=int, default=None)
@@ -270,11 +272,19 @@ def extract_indirect_cmd(ctx, corpus_dir, out_dir, labels_path, seed, runs,
             k: bool(v)
             for k, v in json.loads(Path(labels_path).read_text(encoding="utf-8")).items()
         }
-    provider = _build_provider(provider_name, shop, session, record,
-                               oracle_imperfections, oracle_unreparable_template,
-                               oracle_unreparable_rate, oracle_seed)
+    unknown = sorted(set(shop.labels) - {doc.page_id for doc in shop.pages})
+    if unknown:
+        raise click.UsageError(f"labels name pages not in the corpus: {', '.join(unknown)}")
+    if len(set(shop.labels.values())) < 2:
+        raise click.UsageError("labels need at least one positive and one negative page")
 
     file_config = dict(ctx.obj.get("config", {})) if ctx.obj else {}
+    settable = {f.name for f in fields(OrchestratorConfig)} - {"rng_seed"}
+    for key in file_config:
+        if key == "rng_seed":
+            raise click.UsageError("--config: 'rng_seed' is set by --seed and --runs")
+        if key not in settable:
+            raise click.UsageError(f"--config: unknown key {key!r}")
     overrides = {
         "decision_ensemble_size": ensemble_size,
         "max_refinements": max_refinements,
@@ -287,7 +297,13 @@ def extract_indirect_cmd(ctx, corpus_dir, out_dir, labels_path, seed, runs,
     for key, value in overrides.items():
         if value is not None:
             file_config[key] = value
-    file_config["bootstrap_sample_size"] = len(shop.labels)
+    try:
+        base_config = OrchestratorConfig(**file_config)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
+    provider = _build_provider(provider_name, shop, session, record,
+                               oracle_imperfections, oracle_unreparable_template,
+                               oracle_unreparable_rate, oracle_seed)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -301,8 +317,13 @@ def extract_indirect_cmd(ctx, corpus_dir, out_dir, labels_path, seed, runs,
     for run_index in range(runs):
         run_seed = seed if runs == 1 else seed * 1_000_003 + run_index
         run_seeds.append(run_seed)
-        config = OrchestratorConfig(rng_seed=run_seed, **file_config)
+        config = replace(base_config, rng_seed=run_seed)
         result = process_shop(shop, provider, config, precompressed=precompressed)
+        if shop.truth:  # page_results is in visit order; metrics.json's sum follows it
+            result.metrics.accuracy, _ = page_accuracy(
+                {page_id: r.product for page_id, r in result.page_results.items()},
+                shop.truth, failed=result.failures,
+            )
         run_dir = out / f"run-{run_index:02d}"
         run_dir.mkdir(parents=True, exist_ok=True)
         (run_dir / "products.json").write_text(
@@ -372,54 +393,42 @@ def _read_failures(out: Path) -> dict[str, str]:
     return json.loads(path.read_text(encoding="utf-8"))
 
 
-def _report_from_results_dir(results_dir, truth) -> RunReport:
+def _reports_from_results_dir(results_dir, truth) -> list[RunReport]:
+    """One scored report per run: a direct directory is one run, an indirect
+    one has a run per ``run-*`` subdirectory (or is itself the run)."""
     root = Path(results_dir)
     manifest = json.loads((root / "manifest.json").read_text(encoding="utf-8"))
-    strategy = manifest["strategy"]
-    shop_id = manifest["shop_id"]
-    corpus_id = manifest["corpus_id"]
-    variant = manifest.get("variant", Variant.HTML_COMPRESSED.value)
     failed = _read_failures(root)
 
-    if strategy == "direct":
+    def score(products, **counts) -> RunReport:
+        return evaluate(
+            products, truth, manifest["strategy"], manifest["corpus_id"], manifest["shop_id"],
+            variant=manifest.get("variant", Variant.HTML_COMPRESSED.value), failed=failed,
+            **counts,
+        )
+
+    if manifest["strategy"] == "direct":
         products = {}
         for path in sorted((root / "products").glob("*.json")):
             products[path.stem] = parse_product(path.read_text(encoding="utf-8"))
         ledger = CostLedger.from_json((root / "ledger.json").read_text(encoding="utf-8"))
-        return evaluate(
-            products, truth, "direct", corpus_id, shop_id, variant=variant,
-            calls_primary=len(ledger.entries), cost_usd=str(ledger.total_usd), failed=failed,
-        )
+        return [score(products, calls_primary=len(ledger.entries), cost_usd=str(ledger.total_usd))]
 
-    run_dirs = sorted(root.glob("run-*"))
-    if not run_dirs:
-        run_dirs = [root]
-    run_accuracies = []
-    calls_primary = 0
-    calls_decision = 0
-    total_cost = Decimal(0)
-    for run_dir in run_dirs:
+    reports = []
+    for run_dir in sorted(root.glob("run-*")) or [root]:
         products = {}
         for entry in json.loads((run_dir / "products.json").read_text(encoding="utf-8")):
             products[entry["page_id"]] = parse_product(
                 json.dumps(entry["product"], ensure_ascii=False)
             )
-        accuracy, _ = page_accuracy(products, truth, failed=failed)
-        run_accuracies.append(accuracy)
         metrics = json.loads((run_dir / "metrics.json").read_text(encoding="utf-8"))
-        calls_primary += metrics["llm_calls_primary_model"]
-        calls_decision += metrics["llm_calls_decision_model"]
-        total_cost += Decimal(metrics["cost_total_usd"])
-    shop = ShopReport(
-        shop_id=shop_id,
-        accuracy_by_variant={variant: sum(run_accuracies) / len(run_accuracies)},
-        calls_primary=calls_primary,
-        calls_decision=calls_decision,
-        cost_usd=str(total_cost),
-        run_accuracies=run_accuracies,
-        distribution=summarize_runs(run_accuracies) if len(run_accuracies) > 1 else None,
-    )
-    return RunReport(strategy="indirect", corpus_id=corpus_id, shops={shop_id: shop})
+        reports.append(score(
+            products,
+            calls_primary=metrics["llm_calls_primary_model"],
+            calls_decision=metrics["llm_calls_decision_model"],
+            cost_usd=metrics["cost_total_usd"],
+        ))
+    return reports
 
 
 @main.command("evaluate")
@@ -433,8 +442,9 @@ def _report_from_results_dir(results_dir, truth) -> RunReport:
 def evaluate_cmd(results_dirs, truth_path, out_path, fmt):
     """Score run outputs against ground truth and write a report."""
     truth = load_truth(truth_path)
-    reports = [_report_from_results_dir(d, truth) for d in results_dirs]
-    merged = merge_reports(reports)
+    merged = merge_reports(
+        [report for d in results_dirs for report in _reports_from_results_dir(d, truth)]
+    )
     emit_report(merged, fmt, out_path)
     click.echo(f"mean accuracy {merged.mean_accuracy():.2f} -> {out_path}")
 

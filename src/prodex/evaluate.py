@@ -144,22 +144,29 @@ def evaluate(
 
 
 def merge_reports(reports: list[RunReport]) -> RunReport:
-    """Combine runs over the same corpus (e.g. both variants, repeated runs)."""
+    """Combine runs over the same corpus (e.g. both variants, repeated runs).
+
+    Each report counts as one run: a variant's accuracy is the mean of the
+    runs that scored it, in report order.
+    """
     if not reports:
         raise ValueError("nothing to merge")
     base = reports[0]
     merged = RunReport(strategy=base.strategy, corpus_id=base.corpus_id)
+    scored: dict[tuple[str, str], list[float]] = {}  # (shop_id, variant) -> accuracies
     for report in reports:
         if report.corpus_id != base.corpus_id:
             raise CorpusMismatch(f"{report.corpus_id} != {base.corpus_id}")
         for shop_id, shop in report.shops.items():
             target = merged.shops.setdefault(shop_id, ShopReport(shop_id=shop_id))
             for variant, acc in shop.accuracy_by_variant.items():
-                target.accuracy_by_variant[variant] = acc
+                scored.setdefault((shop_id, variant), []).append(acc)
             target.calls_primary += shop.calls_primary
             target.calls_decision += shop.calls_decision
             target.cost_usd = str(Decimal(target.cost_usd) + Decimal(shop.cost_usd))
             target.run_accuracies.extend(shop.run_accuracies)
+    for (shop_id, variant), accs in scored.items():
+        merged.shops[shop_id].accuracy_by_variant[variant] = sum(accs) / len(accs)
     for shop in merged.shops.values():
         if len(shop.run_accuracies) > 1:
             shop.distribution = summarize_runs(shop.run_accuracies)

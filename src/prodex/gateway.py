@@ -419,7 +419,8 @@ class LiveProvider:
 
 class RecordingProvider:
     """Wraps any provider and persists each exchange as ``<key>.json`` in a
-    session directory."""
+    session directory, written to ``<key>.json.tmp`` first and renamed, so an
+    interrupted write leaves no torn record behind."""
 
     def __init__(self, inner: Provider, session_dir):
         self.inner = inner
@@ -442,10 +443,11 @@ class RecordingProvider:
             "usage": exchange.usage.to_dict(),
             "timestamp": exchange.timestamp,
         }
+        path = self.session_dir / f"{key}.json"
+        tmp = path.with_name(path.name + ".tmp")
         with self._lock:
-            (self.session_dir / f"{key}.json").write_text(
-                json.dumps(record, indent=2, ensure_ascii=False), encoding="utf-8"
-            )
+            tmp.write_text(json.dumps(record, indent=2, ensure_ascii=False), encoding="utf-8")
+            os.replace(tmp, path)
         return exchange
 
 
@@ -498,27 +500,16 @@ def structured_call(
     prompt, so recorded sessions replay it under its own key.
     """
     check_schema(json_schema)
-    exchange = provider.complete_structured(model_id, system_prompt, user_prompt, json_schema)
-    if ledger is not None:
-        ledger.add(
-            exchange_key(model_id, system_prompt, user_prompt, json_schema),
-            model_id,
-            role_tag,
-            exchange.usage,
-            page_id=page_id,
-        )
-    if validates_against(exchange.response_text, json_schema):
-        return exchange
-    retry_prompt = user_prompt + CORRECTIVE_INSTRUCTION
-    exchange = provider.complete_structured(model_id, system_prompt, retry_prompt, json_schema)
-    if ledger is not None:
-        ledger.add(
-            exchange_key(model_id, system_prompt, retry_prompt, json_schema),
-            model_id,
-            role_tag,
-            exchange.usage,
-            page_id=page_id,
-        )
-    if validates_against(exchange.response_text, json_schema):
-        return exchange
+    for prompt in (user_prompt, user_prompt + CORRECTIVE_INSTRUCTION):
+        exchange = provider.complete_structured(model_id, system_prompt, prompt, json_schema)
+        if ledger is not None:
+            ledger.add(
+                exchange_key(model_id, system_prompt, prompt, json_schema),
+                model_id,
+                role_tag,
+                exchange.usage,
+                page_id=page_id,
+            )
+        if validates_against(exchange.response_text, json_schema):
+            return exchange
     raise SchemaViolation([("$", "provider output failed schema validation after retry")])

@@ -48,7 +48,6 @@ from .dsl import (
     run_decision,
     run_extraction_on_tree,
 )
-from .evaluate import page_accuracy
 from .gateway import (
     CostLedger,
     Provider,
@@ -57,7 +56,7 @@ from .gateway import (
     TransportError,
     structured_call,
 )
-from .htmltree import parse_html
+from .htmltree import Document, parse_html
 from .schema import (
     FoodProduct,
     SchemaDescriptor,
@@ -85,7 +84,6 @@ PRIMARY_ROLES = ("reference", "func_gen", "refine")
 @dataclass(frozen=True)
 class OrchestratorConfig:
     decision_ensemble_size: int = 5
-    bootstrap_sample_size: int = 10
     reference_fill_threshold: float = 0.8
     max_refinements: int = 5
     max_alternatives: int = 3
@@ -99,8 +97,6 @@ class OrchestratorConfig:
             raise ValueError("decision_ensemble_size must be odd and positive")
         if not (0.0 < self.reference_fill_threshold <= 1.0):
             raise ValueError("reference_fill_threshold must be in (0, 1]")
-        if self.bootstrap_sample_size < 2:
-            raise ValueError("bootstrap_sample_size must be at least 2")
 
 
 @dataclass
@@ -153,10 +149,10 @@ class ShopRunMetrics:
     refinements_performed: int
     reference_extractions: int
     seed: int
-    accuracy: Optional[float]
     cost_primary_usd: str
     cost_decision_usd: str
     cost_total_usd: str
+    accuracy: Optional[float] = None  # filled by whoever holds the ground truth
     synthesis_log: list[dict] = field(default_factory=list)
 
     def check_invariants(self) -> None:
@@ -250,10 +246,6 @@ def build_decision_ensemble(
     labels = [label for _, label in samples]
     if not any(labels) or all(labels):
         raise ValueError("bootstrap samples need at least one positive and one negative")
-    if len(samples) != config.bootstrap_sample_size:
-        raise ValueError(
-            f"expected {config.bootstrap_sample_size} bootstrap samples, got {len(samples)}"
-        )
     schema = decision_program_json_schema()
     schema_text = json.dumps(schema, indent=2, ensure_ascii=False)
     system = prompts.load("decision_system.txt")
@@ -347,6 +339,7 @@ class SynthesisResult:
 
 def synthesize_program(
     html_doc: CompressedDocument,
+    tree: Document,
     reference: FoodProduct,
     desc: SchemaDescriptor,
     provider: Provider,
@@ -356,6 +349,7 @@ def synthesize_program(
 ) -> SynthesisResult:
     """Generate-and-refine until the program reproduces the reference.
 
+    Candidate programs run on ``tree``, the parsed form of ``html_doc``.
     One initial generation plus up to `max_alternatives` fresh starts, each
     followed by up to `max_refinements` feedback-driven refinement calls;
     at most (1+max_refinements)*(1+max_alternatives) primary calls total,
@@ -367,7 +361,6 @@ def synthesize_program(
     gen_template = prompts.load("funcgen_user.txt")
     refine_template = prompts.load("refine_user.txt")
     reference_text = serialize_product(reference)
-    tree = parse_html(html_doc.content)
 
     best_program: Optional[ExtractionProgram] = None
     best_similarity = -1.0
@@ -446,7 +439,8 @@ def process_shop(
     gets an empty product and is listed in the result's ``failures``.
 
     Each run prices its calls into a fresh ledger, and every call count in
-    the run's metrics is read off it.
+    the run's metrics is read off it. The run never reads ``corpus.truth``:
+    ``metrics.accuracy`` stays None for the caller to score.
     """
     desc = desc or food_product_descriptor()
     ledger = CostLedger()
@@ -477,15 +471,7 @@ def process_shop(
         for page_id, label in sorted(corpus.labels.items())
         if page_id in compressed
     ]
-    ensemble_config = config
-    unparsable_labeled = sum(1 for page_id in corpus.labels if page_id in failures)
-    if unparsable_labeled:  # left out of the bootstrap sample
-        ensemble_config = replace(
-            config, bootstrap_sample_size=config.bootstrap_sample_size - unparsable_labeled
-        )
-    ensemble = build_decision_ensemble(
-        samples, provider, ensemble_config, ledger, token_prefix
-    )
+    ensemble = build_decision_ensemble(samples, provider, config, ledger, token_prefix)
 
     order = [doc.page_id for doc in corpus.pages]
     random.Random(config.rng_seed).shuffle(order)
@@ -501,6 +487,8 @@ def process_shop(
         return decision_cache[page_id]
 
     def best_library_result(tree) -> tuple[Optional[LibraryEntry], FoodProduct, int]:
+        """The library's best result on a page; the entry is None unless it
+        extracts at least ``min_valid_attributes`` attributes."""
         best_entry: Optional[LibraryEntry] = None
         best_product = FoodProduct()
         best_key = (-1, -1.0, 0.0)
@@ -512,34 +500,22 @@ def process_shop(
                 best_key = key
                 best_entry = entry
                 best_product = outcome.product
-        return best_entry, best_product, max(best_key[0], 0)
+        count = max(best_key[0], 0)
+        if count < config.min_valid_attributes:
+            best_entry = None
+        return best_entry, best_product, count
 
-    for page_id in order:
-        if page_id in compressed:
-            tree = parse_html(compressed[page_id][0].content)
-        else:
-            tree = compress_page(page_id)
-            if tree is None:
-                page_results[page_id] = PageResult(page_id, FoodProduct(), "none", 0)
-                continue
+    def synthesis_episode(page_id: str, tree) -> Optional[ExtractionProgram]:
+        """Reference acquisition, then generate-and-refine; logs the episode
+        with its call counts (the ledger entries it added, by role) and
+        returns the best program, if any."""
         html_doc, text_doc = compressed[page_id]
-        entry, product, count = best_library_result(tree)
-        if entry is not None and count >= config.min_valid_attributes:
-            entry.pages_matched += 1
-            entry.attrs_total += count
-            page_results[page_id] = PageResult(page_id, product, entry.program.program_id, count)
-            continue
-        if not page_decision(page_id):
-            page_results[page_id] = PageResult(page_id, FoodProduct(), "no-info", 0)
-            continue
-        # Synthesis episode: reference acquisition, then generate-and-refine.
-        # Its call counts are the ledger entries it added, by role.
         start = len(ledger.entries)
         synthesis = None
         try:
             reference = acquire_reference(html_doc, text_doc, desc, provider, config, ledger)
             synthesis = synthesize_program(
-                html_doc, reference, desc, provider, config, ledger, token_prefix
+                html_doc, tree, reference, desc, provider, config, ledger, token_prefix
             )
         except ReferenceUnattainable:
             log = {"page_id": page_id, "outcome": "reference_unattainable"}
@@ -556,27 +532,36 @@ def process_shop(
                        refinements=roles["refine"])
         synthesis_log.append(log)
         if synthesis is None:
-            page_results[page_id] = PageResult(page_id, product, "none", count)
-            continue
+            return None
         log["best_similarity"] = synthesis.best_similarity
         log["program_id"] = synthesis.best_program.program_id if synthesis.best_program else None
-        if synthesis.best_program is not None:
-            library.add(replace(
-                synthesis.best_program,
-                program_id=f"{synthesis.best_program.program_id}-{len(library.entries):02d}",
-            ))
+        return synthesis.best_program
+
+    for page_id in order:
+        if page_id in compressed:
+            tree = parse_html(compressed[page_id][0].content)
+        else:
+            tree = compress_page(page_id)
+            if tree is None:
+                page_results[page_id] = PageResult(page_id, FoodProduct(), "none", 0)
+                continue
         entry, product, count = best_library_result(tree)
-        if entry is not None and count >= config.min_valid_attributes:
+        if entry is None:
+            if not page_decision(page_id):
+                page_results[page_id] = PageResult(page_id, FoodProduct(), "no-info", 0)
+                continue
+            program = synthesis_episode(page_id, tree)
+            if program is not None:
+                library.add(replace(
+                    program, program_id=f"{program.program_id}-{len(library.entries):02d}",
+                ))
+                entry, product, count = best_library_result(tree)
+        if entry is None:
+            page_results[page_id] = PageResult(page_id, product, "none", count)
+        else:
             entry.pages_matched += 1
             entry.attrs_total += count
             page_results[page_id] = PageResult(page_id, product, entry.program.program_id, count)
-        else:
-            page_results[page_id] = PageResult(page_id, product, "none", count)
-
-    accuracy = None
-    if corpus.truth and page_results:  # an unparsable page scores 0
-        products = {page_id: r.product for page_id, r in page_results.items()}
-        accuracy, _ = page_accuracy(products, corpus.truth, desc, failed=failures)
 
     by_role_cost = ledger.total_by_role()
     primary_cost = sum((by_role_cost.get(role, Decimal(0)) for role in PRIMARY_ROLES), Decimal(0))
@@ -590,7 +575,6 @@ def process_shop(
         refinements_performed=by_role_count.get("refine", 0),
         reference_extractions=by_role_count.get("reference", 0),
         seed=config.rng_seed,
-        accuracy=accuracy,
         cost_primary_usd=str(primary_cost),
         cost_decision_usd=str(by_role_cost.get("decision_gen", Decimal(0))),
         cost_total_usd=str(ledger.total_usd),

@@ -15,6 +15,7 @@ from prodex.cli import main as cli_main
 from prodex.compress import BANNED_ELEMENTS, compress_both, count_tokens
 from prodex.corpus import generate_shop, preset_spec, write_corpus
 from prodex.direct import extract_direct_batch
+from prodex.evaluate import page_accuracy
 from prodex.gateway import CostLedger, RecordingProvider, ReplayProvider, Usage, cost
 from prodex.htmltree import parse_html
 from prodex.indirect import OrchestratorConfig, build_decision_ensemble, decide, process_shop
@@ -144,11 +145,9 @@ def test_criterion_4_call_reduction_scaled():
     def indirect_calls(n_pages: int) -> int:
         corpus = generate_shop(preset_spec("gamma", n_pages, seed=11))
         oracle = OracleProvider(corpus, OracleConfig(imperfections_per_generation=1))
-        config = OrchestratorConfig(
-            rng_seed=42, bootstrap_sample_size=len(corpus.labels)
-        )
-        result = process_shop(corpus, oracle, config)
-        assert result.metrics.accuracy == 100.0
+        result = process_shop(corpus, oracle, OrchestratorConfig(rng_seed=42))
+        products = {page_id: r.product for page_id, r in result.page_results.items()}
+        assert page_accuracy(products, corpus.truth, failed=result.failures)[0] == 100.0
         return result.metrics.llm_calls_primary_model
 
     calls_300 = indirect_calls(300)
@@ -172,7 +171,7 @@ def test_criterion_4_call_reduction_scaled():
 def test_criterion_5_synthesis_budget_law(tmp_path):
     corpus = generate_shop(preset_spec("beta", 60, seed=5))
     oracle = OracleProvider(corpus, OracleConfig(unreparable_templates=frozenset({"liste"})))
-    config = OrchestratorConfig(rng_seed=3, bootstrap_sample_size=len(corpus.labels))
+    config = OrchestratorConfig(rng_seed=3)
 
     session = tmp_path / "session"
     recorded = process_shop(corpus, RecordingProvider(oracle, session), config)
@@ -213,7 +212,7 @@ def test_criterion_6_decision_ensemble_accuracy():
     corpus = generate_shop(preset_spec("alpha", 1000, seed=7))
     compressed = {doc.page_id: compress_both(doc)[:2] for doc in corpus.pages}
     oracle = OracleProvider(corpus, OracleConfig())
-    config = OrchestratorConfig(rng_seed=1, bootstrap_sample_size=len(corpus.labels))
+    config = OrchestratorConfig(rng_seed=1)
     samples = [
         (compressed[page_id][1], label)
         for page_id, label in sorted(corpus.labels.items())

@@ -225,6 +225,93 @@ def test_config_file_feeds_orchestrator(workspace, runner, tmp_path):
             assert entry["refinements"] <= 4
 
 
+@pytest.mark.parametrize("config, message", [
+    ({"max_refinement": 2}, "unknown key 'max_refinement'"),
+    ({"rng_seed": 5}, "'rng_seed' is set by --seed and --runs"),
+    ([1, 2], "the file must hold a JSON object"),
+], ids=["unknown-key", "key-set-by-command", "not-an-object"])
+def test_config_file_with_bad_key_is_a_usage_error(workspace, runner, tmp_path, config, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    result = runner.invoke(
+        main,
+        ["--config", str(path), "extract", "indirect", "--corpus", str(workspace / "corpus"),
+         "--out", str(tmp_path / "out"), "--provider", "oracle", "--runs", "1"],
+    )
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+    assert not (tmp_path / "out").exists()
+
+
+def test_invalid_orchestrator_setting_is_a_usage_error(workspace, runner, tmp_path):
+    result = runner.invoke(
+        main,
+        ["extract", "indirect", "--corpus", str(workspace / "corpus"),
+         "--out", str(tmp_path / "out"), "--ensemble-size", "4", "--runs", "1"],
+    )
+    assert result.exit_code == 2, result.output
+    assert "decision_ensemble_size must be odd and positive" in result.output
+
+
+@pytest.mark.parametrize("labels, message", [
+    ({"beta-0000": True, "nope-1": False, "nope-0": True},
+     "labels name pages not in the corpus: nope-0, nope-1"),
+    ({"beta-0000": True, "beta-0001": True},
+     "labels need at least one positive and one negative page"),
+], ids=["unknown-pages", "one-class"])
+def test_bad_labels_file_is_a_usage_error(workspace, runner, tmp_path, labels, message):
+    path = tmp_path / "labels.json"
+    path.write_text(json.dumps(labels))
+    result = runner.invoke(
+        main,
+        ["extract", "indirect", "--corpus", str(workspace / "corpus"),
+         "--out", str(tmp_path / "out"), "--labels", str(path), "--runs", "1"],
+    )
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+    assert not (tmp_path / "out").exists()
+
+
+def test_zero_runs_is_a_usage_error(workspace, runner, tmp_path):
+    result = runner.invoke(
+        main,
+        ["extract", "indirect", "--corpus", str(workspace / "corpus"),
+         "--out", str(tmp_path / "out"), "--runs", "0"],
+    )
+    assert result.exit_code == 2, result.output
+    assert not (tmp_path / "out").exists()
+
+
+def test_evaluate_averages_every_run_of_every_indirect_directory(workspace, runner, tmp_path):
+    results = []
+    for seed in ("1", "2"):
+        out = tmp_path / f"indirect-{seed}"
+        result = runner.invoke(
+            main,
+            ["extract", "indirect", "--corpus", str(workspace / "corpus"), "--out", str(out),
+             "--provider", "oracle", "--seed", seed, "--runs", "2",
+             "--oracle-imperfections", "1"],
+        )
+        assert result.exit_code == 0, result.output
+        results += ["--results", str(out)]
+    report_path = tmp_path / "report.json"
+    result = runner.invoke(
+        main,
+        ["evaluate", *results, "--truth", str(workspace / "corpus"), "--out", str(report_path)],
+    )
+    assert result.exit_code == 0, result.output
+    shop = json.loads(report_path.read_text())["shops"]["beta"]
+    runs = shop["run_accuracies"]
+    assert len(runs) == 4
+    assert sum(runs[:2]) != sum(runs[2:])  # the two directories score differently
+    assert shop["accuracy_by_variant"] == {"HTML_COMPRESSED": sum(runs) / len(runs)}
+    metrics = [json.loads(path.read_text())
+               for path in sorted(tmp_path.glob("indirect-*/run-*/metrics.json"))]
+    assert [m["accuracy"] for m in metrics] == pytest.approx(runs)
+    assert shop["calls_primary"] == sum(m["llm_calls_primary_model"] for m in metrics)
+    assert shop["calls_decision"] == sum(m["llm_calls_decision_model"] for m in metrics)
+
+
 @pytest.fixture(scope="module")
 def broken_corpus(tmp_path_factory, runner):
     """A 20-page beta corpus whose first labeled page is emptied."""

@@ -137,6 +137,16 @@ class TestEvaluateAndMerge:
         }
         assert merged.shops["alpha"].calls_primary == 8
 
+    def test_merge_averages_a_variant_over_its_runs(self):
+        def run(accuracy):
+            shop = ShopReport(shop_id="s", accuracy_by_variant={"HTML_COMPRESSED": accuracy},
+                              run_accuracies=[accuracy])
+            return RunReport(strategy="indirect", corpus_id="c1", shops={"s": shop})
+
+        merged = merge_reports([run(90.0), run(100.0)]).shops["s"]
+        assert merged.accuracy_by_variant == {"HTML_COMPRESSED": 95.0}
+        assert merged.run_accuracies == [90.0, 100.0]
+
     def test_merge_rejects_corpus_mismatch(self):
         products = {"p0": _full_product()}
         truth = _truth_for(products)

@@ -1,5 +1,6 @@
 import json
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -240,6 +241,26 @@ class TestRecordReplay:
         key = exchange_key("m", "sys", "user-1", SCHEMA)
         assert [p.name for p in (tmp_path / "session").iterdir()] == [f"{key}.json"]
         replay = ReplayProvider(tmp_path / "session")
+        assert replay.complete_structured("m", "sys", "user-1", SCHEMA).response_text == '{"a": 1}'
+
+    def test_interrupted_write_leaves_no_torn_record(self, tmp_path, monkeypatch):
+        real_write_text = Path.write_text
+
+        def torn_write(path, data, *args, **kwargs):
+            real_write_text(path, data[: len(data) // 2], *args, **kwargs)
+            raise OSError("disk full")
+
+        recorder = RecordingProvider(_ScriptedProvider(['{"a": 1}', '{"a": 1}']),
+                                     tmp_path / "session")
+        monkeypatch.setattr(Path, "write_text", torn_write)
+        with pytest.raises(OSError):
+            recorder.complete_structured("m", "sys", "user-1", SCHEMA)
+        monkeypatch.undo()
+        replay = ReplayProvider(tmp_path / "session")
+        with pytest.raises(ReplayMiss):
+            replay.complete_structured("m", "sys", "user-1", SCHEMA)
+
+        recorder.complete_structured("m", "sys", "user-1", SCHEMA)
         assert replay.complete_structured("m", "sys", "user-1", SCHEMA).response_text == '{"a": 1}'
 
     def test_missing_session_dir(self, tmp_path):

@@ -1,5 +1,6 @@
 import json
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import replace
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from prodex.compress import CompressedDocument, Variant, compress_both
 from prodex.corpus import MissingRates, ShopSpec, builtin_templates, generate_shop
 from prodex.dsl import DecisionProgram, Predicate
+from prodex.evaluate import page_accuracy
 from prodex.gateway import CostLedger
 from prodex.indirect import (
     FunctionLibrary,
@@ -32,9 +34,10 @@ def _sample_docs(corpus):
     return compressed, samples
 
 
-def _config(corpus, **overrides):
-    overrides.setdefault("bootstrap_sample_size", len(corpus.labels))
-    return OrchestratorConfig(**overrides)
+def _accuracy(result, corpus):
+    """A run's accuracy as `extract indirect` scores it."""
+    products = {page_id: r.product for page_id, r in result.page_results.items()}
+    return page_accuracy(products, corpus.truth, failed=result.failures)[0]
 
 
 def _roles(entries):
@@ -46,7 +49,7 @@ class TestDecisionEnsemble:
         _, samples = _sample_docs(small_alpha)
         oracle = OracleProvider(small_alpha, OracleConfig())
         ledger = CostLedger()
-        config = _config(small_alpha)
+        config = OrchestratorConfig()
         ensemble = build_decision_ensemble(samples, oracle, config, ledger)
         assert len(ensemble) == 5
         from prodex.dsl import run_decision
@@ -63,15 +66,8 @@ class TestDecisionEnsemble:
         oracle = OracleProvider(small_alpha, OracleConfig())
         with pytest.raises(ValueError):
             build_decision_ensemble(
-                negatives, oracle, _config(small_alpha), CostLedger()
+                negatives, oracle, OrchestratorConfig(), CostLedger()
             )
-
-    def test_sample_count_must_match_config(self, small_alpha):
-        _, samples = _sample_docs(small_alpha)
-        oracle = OracleProvider(small_alpha, OracleConfig())
-        config = _config(small_alpha, bootstrap_sample_size=len(samples) + 2)
-        with pytest.raises(ValueError):
-            build_decision_ensemble(samples, oracle, config, CostLedger())
 
 
 def _const_program(result: bool, ident: str) -> DecisionProgram:
@@ -107,7 +103,7 @@ class TestMajorityVote:
         _, samples = _sample_docs(small_alpha)
         oracle = OracleProvider(small_alpha, OracleConfig())
         ensemble = build_decision_ensemble(
-            samples, oracle, _config(small_alpha), CostLedger()
+            samples, oracle, OrchestratorConfig(), CostLedger()
         )
         from prodex.dsl import run_decision
 
@@ -129,7 +125,7 @@ class TestAcquireReference:
         ledger = CostLedger()
         reference = acquire_reference(
             html_doc, text_doc, food_product_descriptor(), oracle,
-            _config(small_gamma), ledger,
+            OrchestratorConfig(), ledger,
         )
         assert _roles(ledger.entries) == {"reference": 1}
         assert compare(reference, small_gamma.truth[page.page_id].product).overall == 1.0
@@ -146,7 +142,7 @@ class TestAcquireReference:
         ledger = CostLedger()
         reference = acquire_reference(
             html_doc, text_doc, food_product_descriptor(), oracle,
-            _config(small_alpha), ledger,
+            OrchestratorConfig(), ledger,
         )
         assert len(reference.populated_fields()) == 7
         assert _roles(ledger.entries) == {"reference": 1}
@@ -163,7 +159,7 @@ class TestAcquireReference:
         with pytest.raises(ReferenceUnattainable):
             acquire_reference(
                 html_doc, text_doc, food_product_descriptor(), oracle,
-                _config(small_alpha), ledger,
+                OrchestratorConfig(), ledger,
             )
         assert len(ledger.entries) == 2
         assert all(e.role_tag == "reference" for e in ledger.entries)
@@ -177,16 +173,16 @@ class TestSynthesizeProgram:
             if corpus.truth[d.page_id].has_nutrition
             and corpus.truth[d.page_id].has_ingredients
         )
-        html_doc, _, _ = compress_both(page)
+        html_doc, _, tree = compress_both(page)
         reference = corpus.truth[page.page_id].product
-        return oracle, html_doc, reference
+        return oracle, html_doc, tree, reference
 
     def test_cooperative_oracle_accepts_on_first_attempt(self, small_gamma):
-        oracle, html_doc, reference = self._setup(small_gamma)
+        oracle, html_doc, tree, reference = self._setup(small_gamma)
         ledger = CostLedger()
         result = synthesize_program(
-            html_doc, reference, food_product_descriptor(), oracle,
-            _config(small_gamma), ledger,
+            html_doc, tree, reference, food_product_descriptor(), oracle,
+            OrchestratorConfig(), ledger,
         )
         assert result.accepted is True
         assert result.best_similarity == 1.0
@@ -195,13 +191,13 @@ class TestSynthesizeProgram:
         assert result.best_program.generation == 0
 
     def test_two_imperfections_need_two_refinements(self, small_gamma):
-        oracle, html_doc, reference = self._setup(
+        oracle, html_doc, tree, reference = self._setup(
             small_gamma, imperfections_per_generation=2
         )
         ledger = CostLedger()
         result = synthesize_program(
-            html_doc, reference, food_product_descriptor(), oracle,
-            _config(small_gamma), ledger,
+            html_doc, tree, reference, food_product_descriptor(), oracle,
+            OrchestratorConfig(), ledger,
         )
         assert result.accepted is True
         assert _roles(ledger.entries)["func_gen"] == 1
@@ -210,13 +206,13 @@ class TestSynthesizeProgram:
         assert len(ledger.entries) == 3
 
     def test_unreparable_exhausts_budget_and_keeps_best(self, small_gamma):
-        oracle, html_doc, reference = self._setup(
+        oracle, html_doc, tree, reference = self._setup(
             small_gamma, unreparable_templates=frozenset({"tafel", "liste", "kacheln"})
         )
-        config = _config(small_gamma)
+        config = OrchestratorConfig()
         ledger = CostLedger()
         result = synthesize_program(
-            html_doc, reference, food_product_descriptor(), oracle, config, ledger,
+            html_doc, tree, reference, food_product_descriptor(), oracle, config, ledger,
         )
         budget = (1 + config.max_refinements) * (1 + config.max_alternatives)
         assert result.accepted is False
@@ -231,7 +227,7 @@ class TestProcessShop:
     def test_single_template_shop_generates_one_function(self, full_single_template):
         corpus = full_single_template
         oracle = OracleProvider(corpus, OracleConfig())
-        config = _config(corpus, rng_seed=5)
+        config = OrchestratorConfig(rng_seed=5)
         result = process_shop(corpus, oracle, config)
         m = result.metrics
         assert m.functions_generated == 1
@@ -247,7 +243,7 @@ class TestProcessShop:
         self, small_gamma
     ):
         oracle = OracleProvider(small_gamma, OracleConfig())
-        config = _config(small_gamma, rng_seed=8)
+        config = OrchestratorConfig(rng_seed=8)
         result = process_shop(small_gamma, oracle, config)
         assert result.metrics.functions_generated <= 3 + config.max_alternatives
         assert len(result.library.entries) == 3
@@ -260,7 +256,7 @@ class TestProcessShop:
 
     def test_decision_negative_pages_cost_nothing(self, small_alpha):
         oracle = OracleProvider(small_alpha, OracleConfig())
-        config = _config(small_alpha, rng_seed=2)
+        config = OrchestratorConfig(rng_seed=2)
         result = process_shop(small_alpha, oracle, config)
         negative_pages = {
             r.page_id
@@ -276,16 +272,16 @@ class TestProcessShop:
 
     def test_metrics_invariant_and_accuracy(self, small_gamma):
         oracle = OracleProvider(small_gamma, OracleConfig(imperfections_per_generation=1))
-        result = process_shop(small_gamma, oracle, _config(small_gamma, rng_seed=4))
+        result = process_shop(small_gamma, oracle, OrchestratorConfig(rng_seed=4))
         m = result.metrics
         m.check_invariants()
-        assert m.accuracy == 100.0
+        assert _accuracy(result, small_gamma) == 100.0
         assert m.llm_calls_decision_model == 5
         assert m.pages_total == len(small_gamma.pages)
 
     def test_check_invariants_catches_one_generation_too_many(self, small_gamma):
         oracle = OracleProvider(small_gamma, OracleConfig(imperfections_per_generation=1))
-        m = process_shop(small_gamma, oracle, _config(small_gamma, rng_seed=4)).metrics
+        m = process_shop(small_gamma, oracle, OrchestratorConfig(rng_seed=4)).metrics
         episode = next(i for i, e in enumerate(m.synthesis_log) if "generations" in e)
         log = [dict(e) for e in m.synthesis_log]
         log[episode]["generations"] += 1
@@ -294,17 +290,17 @@ class TestProcessShop:
 
     def test_deterministic_same_seed(self, small_gamma):
         oracle = OracleProvider(small_gamma, OracleConfig(imperfections_per_generation=1))
-        first = process_shop(small_gamma, oracle, _config(small_gamma, rng_seed=9))
-        second = process_shop(small_gamma, oracle, _config(small_gamma, rng_seed=9))
+        first = process_shop(small_gamma, oracle, OrchestratorConfig(rng_seed=9))
+        second = process_shop(small_gamma, oracle, OrchestratorConfig(rng_seed=9))
         assert first.metrics.to_json() == second.metrics.to_json()
         assert first.ledger.to_json() == second.ledger.to_json()
         assert first.library.to_json() == second.library.to_json()
 
     def test_different_seed_changes_visit_order_not_correctness(self, small_gamma):
         oracle = OracleProvider(small_gamma, OracleConfig())
-        first = process_shop(small_gamma, oracle, _config(small_gamma, rng_seed=1))
-        second = process_shop(small_gamma, oracle, _config(small_gamma, rng_seed=2))
-        assert first.metrics.accuracy == second.metrics.accuracy == 100.0
+        first = process_shop(small_gamma, oracle, OrchestratorConfig(rng_seed=1))
+        second = process_shop(small_gamma, oracle, OrchestratorConfig(rng_seed=2))
+        assert _accuracy(first, small_gamma) == _accuracy(second, small_gamma) == 100.0
 
     def test_reference_unattainable_pages_skip_and_continue(self):
         templates = builtin_templates()
@@ -317,7 +313,7 @@ class TestProcessShop:
         )
         corpus = generate_shop(spec)
         oracle = OracleProvider(corpus, OracleConfig())
-        config = _config(corpus, rng_seed=1)
+        config = OrchestratorConfig(rng_seed=1)
         result = process_shop(corpus, oracle, config)
         m = result.metrics
         m.check_invariants()
@@ -331,7 +327,7 @@ class TestProcessShop:
         from prodex.dsl import count_extracted, run_extraction
 
         oracle = OracleProvider(small_gamma, OracleConfig())
-        result = process_shop(small_gamma, oracle, _config(small_gamma, rng_seed=6))
+        result = process_shop(small_gamma, oracle, OrchestratorConfig(rng_seed=6))
         compressed = {d.page_id: compress_both(d)[:2] for d in small_gamma.pages}
         for page_id, page_result in result.page_results.items():
             best = 0
@@ -360,18 +356,18 @@ class TestProcessShop:
         monkeypatch.setattr(indirect, "parse_html", counting_parse)
         oracle = OracleProvider(small_gamma, OracleConfig())
         precompressed = {}
-        first = process_shop(small_gamma, oracle, _config(small_gamma, rng_seed=2),
+        first = process_shop(small_gamma, oracle, OrchestratorConfig(rng_seed=2),
                              precompressed=precompressed)
-        syntheses = sum(1 for e in first.metrics.synthesis_log if "generations" in e)
-        assert calls == {"compress": len(small_gamma.pages),
-                         "parse": len(small_gamma.labels) + syntheses}
+        # Synthesis runs on the tree the page loop holds, so it parses nothing.
+        assert any("generations" in e for e in first.metrics.synthesis_log)
+        assert calls == {"compress": len(small_gamma.pages), "parse": len(small_gamma.labels)}
         assert set(precompressed) == {d.page_id for d in small_gamma.pages}
         assert all(len(docs) == 2 for docs in precompressed.values())
 
         calls.update(compress=0, parse=0)
-        second = process_shop(small_gamma, oracle, _config(small_gamma, rng_seed=2),
+        second = process_shop(small_gamma, oracle, OrchestratorConfig(rng_seed=2),
                               precompressed=precompressed)
-        assert calls == {"compress": 0, "parse": len(small_gamma.pages) + syntheses}
+        assert calls == {"compress": 0, "parse": len(small_gamma.pages)}
         assert second.metrics.to_json() == first.metrics.to_json()
 
     def test_unparsable_labeled_page_is_a_failure(self, small_gamma, monkeypatch):
@@ -392,7 +388,7 @@ class TestProcessShop:
 
         monkeypatch.setattr(indirect, "build_decision_ensemble", recording_build)
         result = process_shop(corpus, OracleProvider(corpus, OracleConfig()),
-                              _config(corpus, rng_seed=2))
+                              OrchestratorConfig(rng_seed=2))
         assert sample_sizes == [len(corpus.labels) - 1]
         assert list(result.failures) == [empty]
         assert result.page_results[empty].count_extracted == 0
@@ -400,7 +396,37 @@ class TestProcessShop:
             compare(r.product, corpus.truth[page_id].product).overall
             for page_id, r in result.page_results.items() if page_id != empty
         ]
-        assert result.metrics.accuracy == pytest.approx(100.0 * sum(scored) / len(corpus.pages))
+        assert _accuracy(result, corpus) == pytest.approx(100.0 * sum(scored) / len(corpus.pages))
+
+
+class _UnreadableTruth(Mapping):
+    """Ground truth that fails the test on any access."""
+
+    def __getitem__(self, page_id):
+        raise AssertionError(f"ground truth read for {page_id}")
+
+    def __iter__(self):
+        raise AssertionError("ground truth iterated")
+
+    def __len__(self):
+        raise AssertionError("ground truth sized")
+
+
+class TestNoGroundTruth:
+    def test_run_never_reads_ground_truth(self, small_gamma):
+        config = OrchestratorConfig(rng_seed=4)
+        oracle_config = OracleConfig(imperfections_per_generation=1)
+        expected = process_shop(small_gamma, OracleProvider(small_gamma, oracle_config), config)
+        blind = replace(small_gamma, truth=_UnreadableTruth())
+        result = process_shop(blind, OracleProvider(small_gamma, oracle_config), config)
+        assert result.metrics.accuracy is None
+        assert list(result.page_results) == list(expected.page_results)
+        assert [r.to_dict() for r in result.page_results.values()] == [
+            r.to_dict() for r in expected.page_results.values()
+        ]
+        assert result.library.to_json() == expected.library.to_json()
+        assert result.ledger.to_json() == expected.ledger.to_json()
+        assert result.metrics.to_json() == expected.metrics.to_json()
 
 
 class TestFunctionLibrary:
@@ -446,7 +472,7 @@ class _FlakyProvider:
 class TestProviderFailureResilience:
     def test_run_continues_and_accounting_stays_exact(self, full_single_template):
         corpus = full_single_template
-        config = _config(corpus, rng_seed=5)
+        config = OrchestratorConfig(rng_seed=5)
         # The page that triggers synthesis under this seed is the first
         # decision-positive page in visit order; make it flaky.
         clean = process_shop(corpus, OracleProvider(corpus, OracleConfig()), config)
@@ -470,7 +496,7 @@ class TestProviderFailureResilience:
 
     def test_calls_before_a_mid_episode_failure_are_logged(self, full_single_template):
         corpus = full_single_template
-        config = _config(corpus, rng_seed=5)
+        config = OrchestratorConfig(rng_seed=5)
         clean = process_shop(corpus, OracleProvider(corpus, OracleConfig()), config)
         trigger = clean.metrics.synthesis_log[0]["page_id"]
 

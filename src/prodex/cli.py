@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import fields, replace
+import typing
+from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -31,7 +32,7 @@ from .evaluate import (
 from .gateway import CostLedger, LiveProvider, RecordingProvider, ReplayProvider
 from .indirect import OrchestratorConfig, process_shop
 from .oracle import OracleConfig, OracleProvider
-from .schema import food_product_descriptor, parse_product
+from .schema import parse_product
 
 
 @click.group()
@@ -221,7 +222,7 @@ def extract_direct_cmd(corpus_dir, out_dir, variant, model, resume, workers, pro
     ledger.meta["prompt_bundle_hash"] = prompts.bundle_hash()
     ledger.meta["shop_id"] = shop.shop_id
     results, failures = extract_direct_batch(
-        docs, food_product_descriptor(), provider, model, ledger,
+        docs, provider, model, ledger,
         checkpoint_path=checkpoint, out_dir=out, workers=workers,
     )
     failures.update(unparsable)
@@ -279,12 +280,18 @@ def extract_indirect_cmd(ctx, corpus_dir, out_dir, labels_path, seed, runs,
         raise click.UsageError("labels need at least one positive and one negative page")
 
     file_config = dict(ctx.obj.get("config", {})) if ctx.obj else {}
-    settable = {f.name for f in fields(OrchestratorConfig)} - {"rng_seed"}
-    for key in file_config:
+    types = typing.get_type_hints(OrchestratorConfig)
+    for key, value in file_config.items():
         if key == "rng_seed":
             raise click.UsageError("--config: 'rng_seed' is set by --seed and --runs")
-        if key not in settable:
+        if key not in types:
             raise click.UsageError(f"--config: unknown key {key!r}")
+        expected = types[key]
+        accepted = (int, float) if expected is float else expected
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            raise click.UsageError(
+                f"--config: {key!r} must be {expected.__name__}, got {json.dumps(value)}"
+            )
     overrides = {
         "decision_ensemble_size": ensemble_size,
         "max_refinements": max_refinements,

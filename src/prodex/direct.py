@@ -22,9 +22,7 @@ from .gateway import (
 )
 from .schema import (
     FoodProduct,
-    SchemaDescriptor,
     SchemaViolation,
-    food_product_descriptor,
     parse_product,
     product_to_dict,
     to_json_schema,
@@ -44,10 +42,10 @@ class DirectResult:
     variant_used: Variant
 
 
-def build_direct_prompts(doc: CompressedDocument, desc: SchemaDescriptor) -> tuple[str, str]:
+def build_direct_prompts(doc: CompressedDocument) -> tuple[str, str]:
     system = prompts.load("direct_system.txt")
     user = prompts.load("direct_user.txt").format(
-        schema=to_json_schema(desc),
+        schema=to_json_schema(),
         variant=doc.variant.value,
         content=doc.content,
     )
@@ -56,22 +54,20 @@ def build_direct_prompts(doc: CompressedDocument, desc: SchemaDescriptor) -> tup
 
 def extract_direct(
     doc: CompressedDocument,
-    desc: Optional[SchemaDescriptor],
     provider: Provider,
     model_id: str,
     ledger: Optional[CostLedger] = None,
     role_tag: str = "direct",
 ) -> DirectResult:
     """Extract the product object from one compressed page."""
-    desc = desc or food_product_descriptor()
-    system, user = build_direct_prompts(doc, desc)
-    schema = to_json_schema_dict(desc)
+    system, user = build_direct_prompts(doc)
+    schema = to_json_schema_dict()
     try:
         exchange = structured_call(
             provider, model_id, system, user, schema,
             ledger=ledger, role_tag=role_tag, page_id=doc.page_id,
         )
-        product = parse_product(exchange.response_text, desc)
+        product = parse_product(exchange.response_text)
     except SchemaViolation as exc:
         raise ExtractionFailed(f"page {doc.page_id}: {exc}") from exc
     return DirectResult(
@@ -107,7 +103,6 @@ def _load_checkpoint(path: Path) -> dict[str, dict]:
 
 def extract_direct_batch(
     docs: list[CompressedDocument],
-    desc: Optional[SchemaDescriptor],
     provider: Provider,
     model_id: str,
     ledger: CostLedger,
@@ -124,7 +119,6 @@ def extract_direct_batch(
     in-flight semaphore still caps concurrency); ledger entries land in
     completion order, keyed by page_id.
     """
-    desc = desc or food_product_descriptor()
     checkpoint: dict[str, dict] = {}
     if checkpoint_path is not None:
         checkpoint_path = Path(checkpoint_path)
@@ -140,7 +134,7 @@ def extract_direct_batch(
     pending: list[CompressedDocument] = []
     for doc in docs:
         if doc.page_id in checkpoint:
-            product = parse_product(json.dumps(checkpoint[doc.page_id], ensure_ascii=False), desc)
+            product = parse_product(json.dumps(checkpoint[doc.page_id], ensure_ascii=False))
             results[doc.page_id] = DirectResult(
                 page_id=doc.page_id,
                 product=product,
@@ -172,7 +166,7 @@ def extract_direct_batch(
         if workers <= 1:
             for doc in pending:
                 try:
-                    finish(doc, extract_direct(doc, desc, provider, model_id, ledger=ledger))
+                    finish(doc, extract_direct(doc, provider, model_id, ledger=ledger))
                 except (ExtractionFailed, TransportError, ProviderRefusal, ReplayMiss) as exc:
                     failures[doc.page_id] = str(exc)
         else:
@@ -180,7 +174,7 @@ def extract_direct_batch(
 
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 futures = {
-                    pool.submit(extract_direct, doc, desc, provider, model_id, ledger): doc
+                    pool.submit(extract_direct, doc, provider, model_id, ledger): doc
                     for doc in pending
                 }
                 for future in as_completed(futures):

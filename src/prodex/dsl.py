@@ -33,13 +33,7 @@ from typing import Optional, Union
 
 from . import htmltree
 from .compress import CompressedDocument, Variant, WrongVariant
-from .schema import (
-    FieldKind,
-    FoodProduct,
-    QuantitativeValue,
-    SchemaDescriptor,
-    food_product_descriptor,
-)
+from .schema import FIELDS, FieldKind, FoodProduct, QuantitativeValue
 
 SELECTOR_MATCH_LIMIT = 10_000
 MAX_PREDICATE_DEPTH = 8
@@ -190,11 +184,8 @@ def _rule_to_dict(rule: FieldRule) -> dict:
 
 # --- Parsing ----------------------------------------------------------------
 
-def parse_program(
-    json_text: str, desc: Optional[SchemaDescriptor] = None
-) -> Union[ExtractionProgram, DecisionProgram]:
+def parse_program(json_text: str) -> Union[ExtractionProgram, DecisionProgram]:
     """Validate program JSON into a program object or raise ProgramParseError."""
-    desc = desc or food_product_descriptor()
     try:
         data = json.loads(json_text)
     except json.JSONDecodeError as exc:
@@ -203,7 +194,7 @@ def parse_program(
         raise ProgramParseError([ProgramIssue("$", "Malformed", "expected a JSON object")])
     kind = data.get("kind")
     if kind == "extraction":
-        return _parse_extraction(data, desc)
+        return _parse_extraction(data)
     if kind == "decision":
         return _parse_decision(data)
     raise ProgramParseError(
@@ -211,16 +202,19 @@ def parse_program(
     )
 
 
-def _leaf_paths(desc: SchemaDescriptor) -> dict[str, str]:
-    """Map of valid field paths to their leaf type: 'text'|'value'|'unit'."""
+def _leaf_paths() -> dict[str, str]:
     leaves: dict[str, str] = {}
-    for spec in desc.fields:
+    for spec in FIELDS:
         if spec.kind is FieldKind.TEXT:
             leaves[spec.name] = "text"
         else:
             leaves[f"{spec.name}.value"] = "value"
             leaves[f"{spec.name}.unit_code"] = "unit"
     return leaves
+
+
+#: Valid field paths and their leaf type: 'text'|'value'|'unit'.
+_LEAF_PATHS = _leaf_paths()
 
 
 _OPS_ALLOWED_BY_LEAF = {
@@ -230,9 +224,8 @@ _OPS_ALLOWED_BY_LEAF = {
 }
 
 
-def _parse_extraction(data: dict, desc: SchemaDescriptor) -> ExtractionProgram:
+def _parse_extraction(data: dict) -> ExtractionProgram:
     issues: list[ProgramIssue] = []
-    leaves = _leaf_paths(desc)
     rules_data = data.get("rules")
     if not isinstance(rules_data, list):
         raise ProgramParseError([ProgramIssue("rules", "Malformed", "rules must be a list")])
@@ -244,7 +237,7 @@ def _parse_extraction(data: dict, desc: SchemaDescriptor) -> ExtractionProgram:
             issues.append(ProgramIssue(where, "Malformed", "rule must be an object"))
             continue
         path = entry.get("field_path")
-        if not isinstance(path, str) or path not in leaves:
+        if not isinstance(path, str) or path not in _LEAF_PATHS:
             issues.append(
                 ProgramIssue(f"{where}.field_path", "UnknownField", f"unknown field path {path!r}")
             )
@@ -285,7 +278,7 @@ def _parse_extraction(data: dict, desc: SchemaDescriptor) -> ExtractionProgram:
                     ProgramIssue(f"{where}.capture", "InvalidRegex", "capture needs exactly one group")
                 )
                 continue
-        post_ops = _parse_post_ops(entry.get("post_ops", []), leaves[path], where, issues)
+        post_ops = _parse_post_ops(entry.get("post_ops", []), _LEAF_PATHS[path], where, issues)
         if post_ops is None:
             continue
         rules.append(
@@ -301,7 +294,7 @@ def _parse_extraction(data: dict, desc: SchemaDescriptor) -> ExtractionProgram:
         raise ProgramParseError(issues)
     return ExtractionProgram(
         program_id=str(data.get("program_id", "")) or "prog-unnamed",
-        target_schema_name=str(data.get("target_schema_name", desc.name)),
+        target_schema_name=str(data.get("target_schema_name", "FoodProduct")),
         rules=tuple(rules),
         created_by=str(data.get("created_by", "")),
         generation=int(data.get("generation", 0)),
@@ -420,25 +413,16 @@ class ExtractionOutcome:
     field_status: dict[str, str]  # field_path -> extracted | no_match | post_op_failed
 
 
-def run_extraction(
-    prog: ExtractionProgram,
-    doc: CompressedDocument,
-    desc: Optional[SchemaDescriptor] = None,
-) -> ExtractionOutcome:
+def run_extraction(prog: ExtractionProgram, doc: CompressedDocument) -> ExtractionOutcome:
     """Evaluate every rule independently; failures never abort other rules."""
     if doc.variant is not Variant.HTML_COMPRESSED:
         raise WrongVariant(f"extraction runs on HTML_COMPRESSED, got {doc.variant.value}")
     tree = htmltree.parse_html(doc.content)
-    return run_extraction_on_tree(prog, tree, desc)
+    return run_extraction_on_tree(prog, tree)
 
 
-def run_extraction_on_tree(
-    prog: ExtractionProgram,
-    tree,
-    desc: Optional[SchemaDescriptor] = None,
-) -> ExtractionOutcome:
+def run_extraction_on_tree(prog: ExtractionProgram, tree) -> ExtractionOutcome:
     """Like run_extraction, for callers that parsed the page tree already."""
-    desc = desc or food_product_descriptor()
     field_status: dict[str, str] = {}
     leaf_values: dict[str, str] = {}
     for rule in prog.rules:
@@ -446,7 +430,7 @@ def run_extraction_on_tree(
         field_status[rule.field_path] = status
         if status == "extracted":
             leaf_values[rule.field_path] = value
-    product = _assemble_product(leaf_values, desc)
+    product = _assemble_product(leaf_values)
     return ExtractionOutcome(product=product, field_status=field_status)
 
 
@@ -498,9 +482,9 @@ def _apply_post_op(post: PostOp, text: str) -> Optional[str]:
     raise AssertionError(f"unreachable post op {post.op}")
 
 
-def _assemble_product(leaf_values: dict[str, str], desc: SchemaDescriptor) -> FoodProduct:
+def _assemble_product(leaf_values: dict[str, str]) -> FoodProduct:
     values: dict[str, object] = {}
-    for spec in desc.fields:
+    for spec in FIELDS:
         if spec.kind is FieldKind.TEXT:
             if spec.name in leaf_values:
                 values[spec.name] = leaf_values[spec.name]
@@ -511,6 +495,8 @@ def _assemble_product(leaf_values: dict[str, str], desc: SchemaDescriptor) -> Fo
         try:
             value = Decimal(raw_value.strip().replace(",", "."))
         except InvalidOperation:
+            continue
+        if not value.is_finite():  # e.g. "inf" captured from "information"
             continue
         unit = leaf_values.get(f"{spec.name}.unit_code")
         values[spec.name] = QuantitativeValue(value=value, unit_code=unit)
@@ -545,9 +531,8 @@ def count_extracted(product: FoodProduct) -> int:
 
 # --- JSON Schemas for schema-constrained program generation ----------------
 
-def extraction_program_json_schema(desc: Optional[SchemaDescriptor] = None) -> dict:
-    desc = desc or food_product_descriptor()
-    paths = sorted(_leaf_paths(desc))
+def extraction_program_json_schema() -> dict:
+    paths = sorted(_LEAF_PATHS)
     return {
         "$schema": "https://json-schema.org/draft/2020-12/schema",
         "title": "ExtractionProgram",

@@ -11,7 +11,7 @@ from decimal import Decimal
 from typing import Iterable, Optional
 
 from .corpus import GroundTruthRecord
-from .schema import FoodProduct, SchemaDescriptor
+from .schema import FoodProduct
 from .similarity import compare
 
 
@@ -93,7 +93,6 @@ class RunReport:
 def page_accuracy(
     products: dict[str, FoodProduct],
     truth: dict[str, GroundTruthRecord],
-    desc: Optional[SchemaDescriptor] = None,
     failed: Iterable[str] = (),
 ) -> tuple[float, dict[str, float]]:
     """Mean similarity (x100) over pages plus the per-page breakdown.
@@ -105,7 +104,7 @@ def page_accuracy(
     for page_id, product in products.items():
         if page_id not in truth:
             raise MissingTruth(page_id)
-        per_page[page_id] = compare(product, truth[page_id].product, desc).overall
+        per_page[page_id] = compare(product, truth[page_id].product).overall
     for page_id in failed:
         if page_id not in truth:
             raise MissingTruth(page_id)
@@ -126,12 +125,11 @@ def evaluate(
     calls_primary: int = 0,
     calls_decision: int = 0,
     cost_usd: str = "0",
-    desc: Optional[SchemaDescriptor] = None,
     failed: Iterable[str] = (),
 ) -> RunReport:
     """Score one run's products against ground truth into a report; pages
     in ``failed`` score 0."""
-    accuracy, _ = page_accuracy(products, truth, desc, failed=failed)
+    accuracy, _ = page_accuracy(products, truth, failed=failed)
     shop = ShopReport(
         shop_id=shop_id,
         accuracy_by_variant={variant: accuracy},

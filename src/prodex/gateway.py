@@ -164,9 +164,6 @@ def cost(
 
 # --- Ledger -----------------------------------------------------------------
 
-ROLE_TAGS = ("direct", "reference", "decision_gen", "func_gen", "refine")
-
-
 @dataclass(frozen=True)
 class LedgerEntry:
     exchange_ref: str

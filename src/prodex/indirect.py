@@ -59,10 +59,8 @@ from .gateway import (
 from .htmltree import Document, parse_html
 from .schema import (
     FoodProduct,
-    SchemaDescriptor,
     SchemaViolation,
     filled_field_ratio,
-    food_product_descriptor,
     product_to_dict,
     serialize_product,
 )
@@ -304,7 +302,6 @@ def decide(ensemble: list[DecisionProgram], doc: CompressedDocument) -> bool:
 def acquire_reference(
     html_doc: CompressedDocument,
     text_doc: CompressedDocument,
-    desc: SchemaDescriptor,
     provider: Provider,
     config: OrchestratorConfig,
     ledger: CostLedger,
@@ -318,7 +315,7 @@ def acquire_reference(
     for doc in (html_doc, text_doc):
         try:
             result = extract_direct(
-                doc, desc, provider, config.primary_model,
+                doc, provider, config.primary_model,
                 ledger=ledger, role_tag="reference",
             )
         except ExtractionFailed:
@@ -341,7 +338,6 @@ def synthesize_program(
     html_doc: CompressedDocument,
     tree: Document,
     reference: FoodProduct,
-    desc: SchemaDescriptor,
     provider: Provider,
     config: OrchestratorConfig,
     ledger: CostLedger,
@@ -355,7 +351,7 @@ def synthesize_program(
     at most (1+max_refinements)*(1+max_alternatives) primary calls total,
     each in the ledger under the ``func_gen`` or ``refine`` role.
     """
-    schema = extraction_program_json_schema(desc)
+    schema = extraction_program_json_schema()
     schema_text = json.dumps(schema, indent=2, ensure_ascii=False)
     gen_system = prompts.load("funcgen_system.txt")
     gen_template = prompts.load("funcgen_user.txt")
@@ -371,7 +367,7 @@ def synthesize_program(
                 provider, config.primary_model, gen_system, user_prompt, schema,
                 ledger=ledger, role_tag=role, page_id=html_doc.page_id,
             )
-            program = parse_program(exchange.response_text, desc)
+            program = parse_program(exchange.response_text)
         except (SchemaViolation, ProgramParseError):
             return None
         return program if isinstance(program, ExtractionProgram) else None
@@ -388,8 +384,8 @@ def synthesize_program(
         if program is None:
             continue
         program = replace(program, generation=0)
-        outcome = run_extraction_on_tree(program, tree, desc)
-        report = compare(outcome.product, reference, desc)
+        outcome = run_extraction_on_tree(program, tree)
+        report = compare(outcome.product, reference)
         if report.overall > best_similarity:
             best_program, best_similarity = program, report.overall
 
@@ -409,8 +405,8 @@ def synthesize_program(
             if refined is None:
                 continue
             program = replace(refined, generation=round_no)
-            outcome = run_extraction_on_tree(program, tree, desc)
-            report = compare(outcome.product, reference, desc)
+            outcome = run_extraction_on_tree(program, tree)
+            report = compare(outcome.product, reference)
             if report.overall > best_similarity:
                 best_program, best_similarity = program, report.overall
         if report.overall == 1.0:
@@ -426,7 +422,6 @@ def process_shop(
     corpus: Corpus,
     provider: Provider,
     config: OrchestratorConfig,
-    desc: Optional[SchemaDescriptor] = None,
     precompressed: Optional[dict[str, tuple[CompressedDocument, CompressedDocument]]] = None,
 ) -> ShopRunResult:
     """Run the full indirect algorithm over one shop's corpus.
@@ -442,7 +437,6 @@ def process_shop(
     the run's metrics is read off it. The run never reads ``corpus.truth``:
     ``metrics.accuracy`` stays None for the caller to score.
     """
-    desc = desc or food_product_descriptor()
     ledger = CostLedger()
     ledger.meta["prompt_bundle_hash"] = prompts.bundle_hash()
     ledger.meta["shop_id"] = corpus.shop_id
@@ -478,13 +472,7 @@ def process_shop(
 
     library = FunctionLibrary()
     page_results: dict[str, PageResult] = {}
-    decision_cache: dict[str, bool] = {}
     synthesis_log: list[dict] = []
-
-    def page_decision(page_id: str) -> bool:
-        if page_id not in decision_cache:
-            decision_cache[page_id] = decide(ensemble, compressed[page_id][1])
-        return decision_cache[page_id]
 
     def best_library_result(tree) -> tuple[Optional[LibraryEntry], FoodProduct, int]:
         """The library's best result on a page; the entry is None unless it
@@ -493,7 +481,7 @@ def process_shop(
         best_product = FoodProduct()
         best_key = (-1, -1.0, 0.0)
         for index, entry in enumerate(library.entries):
-            outcome = run_extraction_on_tree(entry.program, tree, desc)
+            outcome = run_extraction_on_tree(entry.program, tree)
             count = count_extracted(outcome.product)
             key = (count, entry.mean_attributes_extracted, -float(index))
             if key > best_key:
@@ -513,9 +501,9 @@ def process_shop(
         start = len(ledger.entries)
         synthesis = None
         try:
-            reference = acquire_reference(html_doc, text_doc, desc, provider, config, ledger)
+            reference = acquire_reference(html_doc, text_doc, provider, config, ledger)
             synthesis = synthesize_program(
-                html_doc, tree, reference, desc, provider, config, ledger, token_prefix
+                html_doc, tree, reference, provider, config, ledger, token_prefix
             )
         except ReferenceUnattainable:
             log = {"page_id": page_id, "outcome": "reference_unattainable"}
@@ -547,7 +535,7 @@ def process_shop(
                 continue
         entry, product, count = best_library_result(tree)
         if entry is None:
-            if not page_decision(page_id):
+            if not decide(ensemble, compressed[page_id][1]):
                 page_results[page_id] = PageResult(page_id, FoodProduct(), "no-info", 0)
                 continue
             program = synthesis_episode(page_id, tree)

@@ -5,11 +5,10 @@ the EU mandatory nutrition declaration (energy, fat, saturated fat,
 carbohydrates, sugars, protein, salt), each a value/unit pair. All fields are
 optional; absence is meaningful and must never be fabricated.
 
-The field list and per-field descriptions live in a ``SchemaDescriptor`` that
-can also be loaded from JSON, so new target schemas work without code
-changes. ``to_json_schema`` emits the descriptor as JSON Schema text for
-prompts and response validation; ``parse_product`` is the inverse direction,
-turning (possibly messy) model output into a validated ``FoodProduct``.
+The field list and per-field descriptions are the constant ``FIELDS``.
+``to_json_schema`` emits them as JSON Schema text for prompts and response
+validation; ``parse_product`` is the inverse direction, turning (possibly
+messy) model output into a validated ``FoodProduct``.
 
 Numbers accept both decimal point and decimal comma on input and are held as
 ``Decimal``; canonical serialization uses the decimal point and string-encoded
@@ -23,8 +22,7 @@ import re
 from dataclasses import dataclass, fields as dc_fields
 from decimal import Decimal, InvalidOperation
 from enum import Enum
-from pathlib import Path
-from typing import Optional, Union
+from typing import Optional
 
 NUTRIENT_FIELDS = (
     "energy",
@@ -67,31 +65,6 @@ class FieldSpec:
     description: str
 
 
-@dataclass(frozen=True)
-class SchemaDescriptor:
-    name: str
-    fields: tuple[FieldSpec, ...]
-
-    def field_names(self) -> tuple[str, ...]:
-        return tuple(f.name for f in self.fields)
-
-    def field_map(self) -> dict[str, FieldSpec]:
-        return {f.name: f for f in self.fields}
-
-    @staticmethod
-    def from_json_file(path: Union[str, Path]) -> "SchemaDescriptor":
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        specs = tuple(
-            FieldSpec(
-                name=entry["name"],
-                kind=FieldKind(entry["kind"]),
-                description=entry.get("description", ""),
-            )
-            for entry in data["fields"]
-        )
-        return SchemaDescriptor(name=data["name"], fields=specs)
-
-
 _INGREDIENT_DESCRIPTION = (
     "Information on the constituent ingredient make up of the product "
     "specified as one string.\n\nAdditional description:\n"
@@ -108,13 +81,13 @@ _NUTRIENT_DESCRIPTIONS = {
     "salt": "Salt content of the product per reference quantity.",
 }
 
+#: The target schema: the ingredient statement, then the seven nutrients.
+FIELDS: tuple[FieldSpec, ...] = (
+    FieldSpec("ingredient_statement", FieldKind.TEXT, _INGREDIENT_DESCRIPTION),
+    *(FieldSpec(name, FieldKind.QUANTITY, _NUTRIENT_DESCRIPTIONS[name]) for name in NUTRIENT_FIELDS),
+)
 
-def food_product_descriptor() -> SchemaDescriptor:
-    """The default eight-field food product descriptor."""
-    specs = [FieldSpec("ingredient_statement", FieldKind.TEXT, _INGREDIENT_DESCRIPTION)]
-    for name in NUTRIENT_FIELDS:
-        specs.append(FieldSpec(name, FieldKind.QUANTITY, _NUTRIENT_DESCRIPTIONS[name]))
-    return SchemaDescriptor(name="FoodProduct", fields=tuple(specs))
+_FIELDS_BY_NAME = {spec.name: spec for spec in FIELDS}
 
 
 @dataclass(frozen=True)
@@ -163,22 +136,20 @@ def filled_field_ratio(product: FoodProduct) -> float:
 
 # --- JSON Schema emission -------------------------------------------------
 
-def to_json_schema(desc: SchemaDescriptor) -> str:
-    """Emit the descriptor as JSON Schema text (deterministic bytes)."""
-    return json.dumps(to_json_schema_dict(desc), indent=2, ensure_ascii=False)
+def to_json_schema() -> str:
+    """Emit the schema as JSON Schema text (deterministic bytes)."""
+    return json.dumps(to_json_schema_dict(), indent=2, ensure_ascii=False)
 
 
-def to_json_schema_dict(desc: SchemaDescriptor) -> dict:
+def to_json_schema_dict() -> dict:
     properties = {}
-    needs_quantity = False
-    for spec in desc.fields:
+    for spec in FIELDS:
         if spec.kind is FieldKind.TEXT:
             properties[spec.name] = {
                 "description": spec.description,
                 "anyOf": [{"type": "string"}, {"type": "null"}],
             }
         else:
-            needs_quantity = True
             properties[spec.name] = {
                 "description": spec.description,
                 "anyOf": [
@@ -186,15 +157,13 @@ def to_json_schema_dict(desc: SchemaDescriptor) -> dict:
                     {"type": "null"},
                 ],
             }
-    schema = {
+    return {
         "$schema": "https://json-schema.org/draft/2020-12/schema",
-        "title": desc.name,
+        "title": "FoodProduct",
         "type": "object",
         "additionalProperties": False,
         "properties": properties,
-    }
-    if needs_quantity:
-        schema["$defs"] = {
+        "$defs": {
             "QuantitativeValue": {
                 "type": "object",
                 "additionalProperties": False,
@@ -216,20 +185,22 @@ def to_json_schema_dict(desc: SchemaDescriptor) -> dict:
                     },
                 },
             }
-        }
-    return schema
+        },
+    }
 
 
 # --- Parsing and serialization ---------------------------------------------
 
 def parse_decimal(raw) -> Decimal:
-    """Decimal from a JSON number or a string using point or comma."""
+    """Finite Decimal from a JSON number or a string using point or comma."""
+    if isinstance(raw, float):
+        raw = Decimal(str(raw))
     if isinstance(raw, Decimal):
+        if not raw.is_finite():
+            raise InvalidOperation(f"not a finite number: {raw}")
         return raw
     if isinstance(raw, int):
         return Decimal(raw)
-    if isinstance(raw, float):
-        return Decimal(str(raw))
     if isinstance(raw, str):
         text = raw.strip()
         if not _DECIMAL_RE.match(text):
@@ -246,10 +217,9 @@ def strip_known_prefix(text: str) -> tuple[str, bool]:
 
 
 def validate_product_json(
-    json_text: str, desc: Optional[SchemaDescriptor] = None
+    json_text: str,
 ) -> tuple[Optional[FoodProduct], list[tuple[str, str]], list[str]]:
     """Validate and build a product; returns (product|None, errors, warnings)."""
-    desc = desc or food_product_descriptor()
     errors: list[tuple[str, str]] = []
     warnings: list[str] = []
     try:
@@ -259,15 +229,14 @@ def validate_product_json(
     if not isinstance(data, dict):
         return None, [("$", "top level must be a JSON object")], warnings
 
-    known = desc.field_map()
     values: dict[str, object] = {}
     for key, raw in data.items():
-        if key not in known:
+        spec = _FIELDS_BY_NAME.get(key)
+        if spec is None:
             errors.append((key, "unknown field"))
             continue
         if raw is None:
             continue
-        spec = known[key]
         if spec.kind is FieldKind.TEXT:
             if not isinstance(raw, str):
                 errors.append((key, f"expected string, got {type(raw).__name__}"))
@@ -313,9 +282,9 @@ def _parse_quantity(path, raw, errors, warnings) -> Optional[QuantitativeValue]:
     return QuantitativeValue(value=value, unit_code=unit)
 
 
-def parse_product(json_text: str, desc: Optional[SchemaDescriptor] = None) -> FoodProduct:
+def parse_product(json_text: str) -> FoodProduct:
     """Parse model output into a product; raises SchemaViolation on failure."""
-    product, errors, _ = validate_product_json(json_text, desc)
+    product, errors, _ = validate_product_json(json_text)
     if errors:
         raise SchemaViolation(errors)
     assert product is not None

@@ -19,13 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .schema import (
-    FieldKind,
-    FoodProduct,
-    QuantitativeValue,
-    SchemaDescriptor,
-    food_product_descriptor,
-)
+from .schema import FIELDS, FieldKind, FoodProduct, QuantitativeValue
 
 
 class MismatchKind(str, Enum):
@@ -101,16 +95,11 @@ def _display(value) -> Optional[str]:
     return str(value)
 
 
-def compare(
-    extracted: FoodProduct,
-    reference: FoodProduct,
-    desc: Optional[SchemaDescriptor] = None,
-) -> SimilarityReport:
+def compare(extracted: FoodProduct, reference: FoodProduct) -> SimilarityReport:
     """Score the extracted product against the reference."""
-    desc = desc or food_product_descriptor()
     per_attribute: dict[str, float] = {}
     mismatches: list[Mismatch] = []
-    for spec in desc.fields:
+    for spec in FIELDS:
         got = extracted.get(spec.name)
         want = reference.get(spec.name)
         if got is None and want is None:

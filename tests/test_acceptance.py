@@ -73,17 +73,10 @@ def test_criterion_2_similarity_oracle_equivalence():
     assert report.overall == 0.9375
 
     # Exhaustive 2-field table: quantity field x text field, 3 presence
-    # states per side each, scored against a hand-computed table.
-    from prodex.schema import FieldKind, FieldSpec, SchemaDescriptor
+    # states per side each, scored against a hand-computed table; the other
+    # six fields are absent on both sides and score 1 each.
     from prodex.similarity import string_similarity
 
-    desc = SchemaDescriptor(
-        name="TwoField",
-        fields=(
-            FieldSpec("ingredient_statement", FieldKind.TEXT, "t"),
-            FieldSpec("fat", FieldKind.QUANTITY, "q"),
-        ),
-    )
     text_a, text_b = "Zucker", "Salz"
     qty_a = QuantitativeValue(Decimal("1.0"), "GRM")
     qty_b = QuantitativeValue(Decimal("2.0"), "MGM")
@@ -108,9 +101,10 @@ def test_criterion_2_similarity_oracle_equivalence():
                     got = compare(
                         FoodProduct(ingredient_statement=tg, fat=qg),
                         FoodProduct(ingredient_statement=tw, fat=qw),
-                        desc,
                     )
-                    expected = (text_table[(tg, tw)] + qty_table[(qg, qw)]) / 2
+                    assert got.per_attribute["ingredient_statement"] == text_table[(tg, tw)]
+                    assert got.per_attribute["fat"] == qty_table[(qg, qw)]
+                    expected = (6 + text_table[(tg, tw)] + qty_table[(qg, qw)]) / 8
                     assert abs(got.overall - expected) < 1e-12
                     combos += 1
     elapsed = time.perf_counter() - started
@@ -125,7 +119,7 @@ def test_criterion_3_direct_strategy_correctness():
     oracle = OracleProvider(corpus, OracleConfig())
     docs = [compress_both(page)[0] for page in corpus.pages]
     ledger = CostLedger()
-    results, failures = extract_direct_batch(docs, None, oracle, "o3-mini", ledger)
+    results, failures = extract_direct_batch(docs, oracle, "o3-mini", ledger)
     assert not failures
     overall = [
         compare(r.product, corpus.truth[r.page_id].product).overall for r in results

@@ -229,7 +229,8 @@ def test_config_file_feeds_orchestrator(workspace, runner, tmp_path):
     ({"max_refinement": 2}, "unknown key 'max_refinement'"),
     ({"rng_seed": 5}, "'rng_seed' is set by --seed and --runs"),
     ([1, 2], "the file must hold a JSON object"),
-], ids=["unknown-key", "key-set-by-command", "not-an-object"])
+    ({"max_refinements": "2"}, "'max_refinements' must be int, got \"2\""),
+], ids=["unknown-key", "key-set-by-command", "not-an-object", "wrong-value-type"])
 def test_config_file_with_bad_key_is_a_usage_error(workspace, runner, tmp_path, config, message):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))

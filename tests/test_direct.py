@@ -8,7 +8,6 @@ from prodex.gateway import CostLedger, validates_against
 from prodex.oracle import OracleConfig, OracleProvider
 from prodex.schema import (
     filled_field_ratio,
-    food_product_descriptor,
     product_to_dict,
     to_json_schema_dict,
 )
@@ -28,7 +27,7 @@ class TestExtractDirect:
             and small_alpha.truth[d.page_id].has_ingredients
         )
         html_doc, _, _ = compress_both(page)
-        result = extract_direct(html_doc, None, oracle, "o3-mini")
+        result = extract_direct(html_doc, oracle, "o3-mini")
         truth = small_alpha.truth[page.page_id].product
         assert filled_field_ratio(result.product) >= 0.875
         assert compare(result.product, truth).overall == 1.0
@@ -41,27 +40,27 @@ class TestExtractDirect:
             and not small_alpha.truth[d.page_id].has_nutrition
         )
         html_doc, _, _ = compress_both(page)
-        result = extract_direct(html_doc, None, oracle, "o3-mini")
+        result = extract_direct(html_doc, oracle, "o3-mini")
         assert result.product.ingredient_statement is None
 
     def test_empty_text_document_yields_empty_product(self, oracle):
         doc = CompressedDocument("ghost", Variant.TEXT, "", 0)
-        result = extract_direct(doc, None, oracle, "o3-mini")
+        result = extract_direct(doc, oracle, "o3-mini")
         assert result.product.populated_fields() == ()
 
     def test_text_variant_works(self, small_alpha, oracle):
         page = small_alpha.pages[0]
         _, text_doc, _ = compress_both(page)
-        result = extract_direct(text_doc, None, oracle, "o3-mini")
+        result = extract_direct(text_doc, oracle, "o3-mini")
         truth = small_alpha.truth[page.page_id].product
         assert compare(result.product, truth).overall == 1.0
         assert result.variant_used is Variant.TEXT
 
     def test_result_revalidates_against_emitted_schema(self, small_alpha, oracle):
-        schema = to_json_schema_dict(food_product_descriptor())
+        schema = to_json_schema_dict()
         for page in small_alpha.pages[:5]:
             html_doc, _, _ = compress_both(page)
-            result = extract_direct(html_doc, None, oracle, "o3-mini")
+            result = extract_direct(html_doc, oracle, "o3-mini")
             payload = json.dumps(product_to_dict(result.product), ensure_ascii=False)
             assert validates_against(payload, schema)
 
@@ -91,6 +90,16 @@ class _FailingProvider:
         return self.inner.complete_structured(model_id, system_prompt, user_prompt, json_schema)
 
 
+class _NonFiniteProvider:
+    """Answers every page with a schema-valid product whose fat is NaN."""
+
+    def complete_structured(self, model_id, system_prompt, user_prompt, json_schema):
+        from prodex.gateway import ChatExchange, Usage
+
+        response = '{"fat": {"value": NaN, "unit_code": "GRM"}}'
+        return ChatExchange(model_id, system_prompt, user_prompt, response, Usage())
+
+
 class TestBatch:
     def _docs(self, corpus, n=None):
         docs = []
@@ -102,7 +111,7 @@ class TestBatch:
     def test_one_ledger_entry_per_page_tagged_direct(self, small_alpha, oracle):
         docs = self._docs(small_alpha, 20)
         ledger = CostLedger()
-        results, failures = extract_direct_batch(docs, None, oracle, "o3-mini", ledger)
+        results, failures = extract_direct_batch(docs, oracle, "o3-mini", ledger)
         assert len(results) == 20
         assert not failures
         assert len(ledger.entries) == 20
@@ -111,7 +120,7 @@ class TestBatch:
 
     def test_empty_corpus(self, oracle):
         ledger = CostLedger()
-        results, failures = extract_direct_batch([], None, oracle, "o3-mini", ledger)
+        results, failures = extract_direct_batch([], oracle, "o3-mini", ledger)
         assert results == []
         assert failures == {}
         assert ledger.entries == []
@@ -121,11 +130,11 @@ class TestBatch:
         checkpoint = tmp_path / "checkpoint.jsonl"
         counting = _CountingProvider(oracle)
         ledger = CostLedger()
-        extract_direct_batch(docs[:4], None, counting, "o3-mini", ledger, checkpoint_path=checkpoint)
+        extract_direct_batch(docs[:4], counting, "o3-mini", ledger, checkpoint_path=checkpoint)
         assert counting.calls == 4
 
         results, failures = extract_direct_batch(
-            docs, None, counting, "o3-mini", CostLedger(), checkpoint_path=checkpoint
+            docs, counting, "o3-mini", CostLedger(), checkpoint_path=checkpoint
         )
         assert counting.calls == 10  # only the remaining 6 pages hit the provider
         assert len(results) == 10
@@ -135,7 +144,7 @@ class TestBatch:
         docs = self._docs(small_alpha, 3)
         checkpoint = tmp_path / "checkpoint.jsonl"
         results, _ = extract_direct_batch(
-            docs, None, oracle, "o3-mini", CostLedger(), checkpoint_path=checkpoint
+            docs, oracle, "o3-mini", CostLedger(), checkpoint_path=checkpoint
         )
         lines = [json.loads(line) for line in checkpoint.read_text().splitlines()]
         assert [line["page_id"] for line in lines] == [d.page_id for d in docs]
@@ -147,7 +156,7 @@ class TestBatch:
         docs = self._docs(small_alpha, 5)
         checkpoint = tmp_path / "checkpoint.jsonl"
         first, _ = extract_direct_batch(
-            docs, None, oracle, "o3-mini", CostLedger(), checkpoint_path=checkpoint
+            docs, oracle, "o3-mini", CostLedger(), checkpoint_path=checkpoint
         )
         data = checkpoint.read_bytes()
         checkpoint.write_bytes(data[: len(data) - 20])  # interrupted mid-line
@@ -155,7 +164,7 @@ class TestBatch:
         counting = _CountingProvider(oracle)
         ledger = CostLedger()
         again, failures = extract_direct_batch(
-            docs, None, counting, "o3-mini", ledger, checkpoint_path=checkpoint
+            docs, counting, "o3-mini", ledger, checkpoint_path=checkpoint
         )
         assert counting.calls == 1
         assert [e.page_id for e in ledger.entries] == [docs[-1].page_id]
@@ -167,12 +176,12 @@ class TestBatch:
     def test_corrupt_inner_line_is_an_error(self, small_alpha, oracle, tmp_path):
         docs = self._docs(small_alpha, 3)
         checkpoint = tmp_path / "checkpoint.jsonl"
-        extract_direct_batch(docs, None, oracle, "o3-mini", CostLedger(), checkpoint_path=checkpoint)
+        extract_direct_batch(docs, oracle, "o3-mini", CostLedger(), checkpoint_path=checkpoint)
         lines = checkpoint.read_text().splitlines(keepends=True)
         checkpoint.write_text(lines[0] + "{not json\n" + "".join(lines[1:]))
         with pytest.raises(ValueError, match="line 2"):
             extract_direct_batch(
-                docs, None, oracle, "o3-mini", CostLedger(), checkpoint_path=checkpoint
+                docs, oracle, "o3-mini", CostLedger(), checkpoint_path=checkpoint
             )
 
     def test_per_page_failures_recorded_batch_continues(self, small_alpha, oracle):
@@ -180,14 +189,20 @@ class TestBatch:
         bad = {docs[2].page_id, docs[5].page_id}
         provider = _FailingProvider(oracle, bad)
         ledger = CostLedger()
-        results, failures = extract_direct_batch(docs, None, provider, "o3-mini", ledger)
+        results, failures = extract_direct_batch(docs, provider, "o3-mini", ledger)
         assert set(failures) == bad
         assert len(results) == 6
+
+    def test_non_finite_number_is_a_page_failure(self, small_alpha):
+        docs = self._docs(small_alpha, 2)
+        results, failures = extract_direct_batch(docs, _NonFiniteProvider(), "o3-mini", CostLedger())
+        assert results == []
+        assert set(failures) == {doc.page_id for doc in docs}
 
     def test_products_written_to_out_dir(self, small_alpha, oracle, tmp_path):
         docs = self._docs(small_alpha, 3)
         extract_direct_batch(
-            docs, None, oracle, "o3-mini", CostLedger(), out_dir=tmp_path
+            docs, oracle, "o3-mini", CostLedger(), out_dir=tmp_path
         )
         written = sorted(p.name for p in (tmp_path / "products").glob("*.json"))
         assert written == sorted(f"{d.page_id}.json" for d in docs)
@@ -200,7 +215,7 @@ class TestCallCountLaw:
             html_doc, _, _ = compress_both(page)
             docs.append(html_doc)
         counting = _CountingProvider(oracle)
-        results, failures = extract_direct_batch(docs, None, counting, "o3-mini", CostLedger())
+        results, failures = extract_direct_batch(docs, counting, "o3-mini", CostLedger())
         assert counting.calls == len(small_alpha.pages)
         assert len(results) + len(failures) == len(small_alpha.pages)
 
@@ -211,10 +226,10 @@ class TestParallelBatch:
         for page in small_alpha.pages[:16]:
             html_doc, _, _ = compress_both(page)
             docs.append(html_doc)
-        sequential, _ = extract_direct_batch(docs, None, oracle, "o3-mini", CostLedger())
+        sequential, _ = extract_direct_batch(docs, oracle, "o3-mini", CostLedger())
         ledger = CostLedger()
         parallel, failures = extract_direct_batch(
-            docs, None, oracle, "o3-mini", ledger, workers=4
+            docs, oracle, "o3-mini", ledger, workers=4
         )
         assert not failures
         assert len(ledger.entries) == 16
@@ -228,7 +243,7 @@ class TestParallelBatch:
             docs.append(html_doc)
         checkpoint = tmp_path / "checkpoint.jsonl"
         first, failures = extract_direct_batch(
-            docs, None, oracle, "o3-mini", CostLedger(), checkpoint_path=checkpoint, workers=4
+            docs, oracle, "o3-mini", CostLedger(), checkpoint_path=checkpoint, workers=4
         )
         assert not failures
         lines = [json.loads(line) for line in checkpoint.read_text().splitlines()]
@@ -236,7 +251,7 @@ class TestParallelBatch:
 
         counting = _CountingProvider(oracle)
         again, failures = extract_direct_batch(
-            docs, None, counting, "o3-mini", CostLedger(), checkpoint_path=checkpoint, workers=4
+            docs, counting, "o3-mini", CostLedger(), checkpoint_path=checkpoint, workers=4
         )
         assert counting.calls == 0
         assert not failures

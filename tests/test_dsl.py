@@ -196,6 +196,17 @@ class TestRunExtraction:
         assert outcome.field_status["fat.value"] == "post_op_failed"
         assert outcome.product.fat is None
 
+    @pytest.mark.parametrize("post_ops", [(), (PostOp(op="parse_decimal_comma"),)])
+    def test_non_finite_value_is_left_out(self, post_ops):
+        program = ExtractionProgram(
+            "p1",
+            "FoodProduct",
+            rules=(FieldRule(field_path="fat.value", selector="td.fat", capture=r"(inf)",
+                             post_ops=post_ops),),
+        )
+        outcome = run_extraction(program, _page('<td class="fat">information</td>'))
+        assert outcome.product.fat is None
+
     def test_rule_isolation_under_permutation(self):
         html = (
             '<div class="zutaten-bereich"><p class="zutaten-text">Zutaten: A, B</p></div>'

@@ -21,7 +21,6 @@ from prodex.indirect import (
     synthesize_program,
 )
 from prodex.oracle import OracleConfig, OracleProvider
-from prodex.schema import food_product_descriptor
 from prodex.similarity import compare
 
 
@@ -124,7 +123,7 @@ class TestAcquireReference:
         html_doc, text_doc = compressed_gamma[page.page_id]
         ledger = CostLedger()
         reference = acquire_reference(
-            html_doc, text_doc, food_product_descriptor(), oracle,
+            html_doc, text_doc, oracle,
             OrchestratorConfig(), ledger,
         )
         assert _roles(ledger.entries) == {"reference": 1}
@@ -141,7 +140,7 @@ class TestAcquireReference:
         html_doc, text_doc, _ = compress_both(page)
         ledger = CostLedger()
         reference = acquire_reference(
-            html_doc, text_doc, food_product_descriptor(), oracle,
+            html_doc, text_doc, oracle,
             OrchestratorConfig(), ledger,
         )
         assert len(reference.populated_fields()) == 7
@@ -158,7 +157,7 @@ class TestAcquireReference:
         ledger = CostLedger()
         with pytest.raises(ReferenceUnattainable):
             acquire_reference(
-                html_doc, text_doc, food_product_descriptor(), oracle,
+                html_doc, text_doc, oracle,
                 OrchestratorConfig(), ledger,
             )
         assert len(ledger.entries) == 2
@@ -181,7 +180,7 @@ class TestSynthesizeProgram:
         oracle, html_doc, tree, reference = self._setup(small_gamma)
         ledger = CostLedger()
         result = synthesize_program(
-            html_doc, tree, reference, food_product_descriptor(), oracle,
+            html_doc, tree, reference, oracle,
             OrchestratorConfig(), ledger,
         )
         assert result.accepted is True
@@ -196,7 +195,7 @@ class TestSynthesizeProgram:
         )
         ledger = CostLedger()
         result = synthesize_program(
-            html_doc, tree, reference, food_product_descriptor(), oracle,
+            html_doc, tree, reference, oracle,
             OrchestratorConfig(), ledger,
         )
         assert result.accepted is True
@@ -212,7 +211,7 @@ class TestSynthesizeProgram:
         config = OrchestratorConfig()
         ledger = CostLedger()
         result = synthesize_program(
-            html_doc, tree, reference, food_product_descriptor(), oracle, config, ledger,
+            html_doc, tree, reference, oracle, config, ledger,
         )
         budget = (1 + config.max_refinements) * (1 + config.max_alternatives)
         assert result.accepted is False

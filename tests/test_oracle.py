@@ -11,7 +11,6 @@ from prodex.dsl import (
 from prodex.gateway import validates_against
 from prodex.oracle import OracleConfig, OracleProvider
 from prodex.schema import (
-    food_product_descriptor,
     parse_product,
     to_json_schema_dict,
 )
@@ -25,7 +24,7 @@ def oracle(small_gamma):
 
 def _direct_prompts(corpus, compressed, page_id):
     html_doc, _ = compressed[page_id]
-    return build_direct_prompts(html_doc, food_product_descriptor())
+    return build_direct_prompts(html_doc)
 
 
 class TestDirectAnswers:
@@ -33,7 +32,7 @@ class TestDirectAnswers:
         for doc in small_gamma.pages[:6]:
             system, user = _direct_prompts(small_gamma, compressed_gamma, doc.page_id)
             exchange = oracle.complete_structured(
-                "o3-mini", system, user, to_json_schema_dict(food_product_descriptor())
+                "o3-mini", system, user, to_json_schema_dict()
             )
             product = parse_product(exchange.response_text)
             truth = small_gamma.truth[doc.page_id].product
@@ -42,13 +41,13 @@ class TestDirectAnswers:
     def test_unknown_page_yields_empty_product(self, oracle):
         exchange = oracle.complete_structured(
             "o3-mini", "s", "no page marker here",
-            to_json_schema_dict(food_product_descriptor()),
+            to_json_schema_dict(),
         )
         assert exchange.response_text == "{}"
         assert parse_product(exchange.response_text).populated_fields() == ()
 
     def test_never_returns_unparsable_json(self, small_gamma, compressed_gamma, oracle):
-        schema = to_json_schema_dict(food_product_descriptor())
+        schema = to_json_schema_dict()
         for doc in small_gamma.pages[:10]:
             system, user = _direct_prompts(small_gamma, compressed_gamma, doc.page_id)
             exchange = oracle.complete_structured("o3-mini", system, user, schema)
@@ -57,7 +56,7 @@ class TestDirectAnswers:
 
     def test_deterministic(self, small_gamma, compressed_gamma, oracle):
         system, user = _direct_prompts(small_gamma, compressed_gamma, small_gamma.pages[0].page_id)
-        schema = to_json_schema_dict(food_product_descriptor())
+        schema = to_json_schema_dict()
         a = oracle.complete_structured("o3-mini", system, user, schema)
         b = oracle.complete_structured("o3-mini", system, user, schema)
         assert a == b

@@ -6,15 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from prodex.schema import (
-    FieldKind,
-    FieldSpec,
+    FIELDS,
     FoodProduct,
     NUTRIENT_FIELDS,
     QuantitativeValue,
-    SchemaDescriptor,
     SchemaViolation,
     filled_field_ratio,
-    food_product_descriptor,
     parse_product,
     product_to_dict,
     serialize_product,
@@ -26,54 +23,26 @@ from prodex.schema import (
 
 class TestDescriptor:
     def test_eight_fields(self):
-        desc = food_product_descriptor()
-        assert len(desc.fields) == 8
-        assert desc.field_names() == ("ingredient_statement",) + NUTRIENT_FIELDS
-
-    def test_loadable_from_json_file(self, tmp_path):
-        path = tmp_path / "desc.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "name": "Snack",
-                    "fields": [
-                        {"name": "label", "kind": "text", "description": "d"},
-                        {"name": "weight", "kind": "quantity", "description": "w"},
-                    ],
-                }
-            )
-        )
-        desc = SchemaDescriptor.from_json_file(path)
-        assert desc.name == "Snack"
-        assert desc.fields[1].kind is FieldKind.QUANTITY
+        assert len(FIELDS) == 8
+        assert tuple(spec.name for spec in FIELDS) == ("ingredient_statement",) + NUTRIENT_FIELDS
 
 
 class TestJsonSchemaEmission:
     def test_ingredient_description_embeds_instruction(self):
-        text = to_json_schema(food_product_descriptor())
+        text = to_json_schema()
         data = json.loads(text)
         description = data["properties"]["ingredient_statement"]["description"]
         assert "Remove unnecessary prefixes" in description
 
-    def test_single_field_descriptor_has_one_property(self):
-        desc = SchemaDescriptor(
-            name="One", fields=(FieldSpec("only", FieldKind.TEXT, "d"),)
-        )
-        data = json.loads(to_json_schema(desc))
-        assert list(data["properties"]) == ["only"]
-
     def test_round_trip_reproduces_field_names(self):
-        desc = food_product_descriptor()
-        data = json.loads(to_json_schema(desc))
-        assert tuple(data["properties"]) == desc.field_names()
+        data = json.loads(to_json_schema())
+        assert tuple(data["properties"]) == FoodProduct.field_names()
 
     def test_deterministic_bytes(self):
-        assert to_json_schema(food_product_descriptor()) == to_json_schema(
-            food_product_descriptor()
-        )
+        assert to_json_schema() == to_json_schema()
 
     def test_emitted_schema_is_valid_jsonschema(self):
-        schema = to_json_schema_dict(food_product_descriptor())
+        schema = to_json_schema_dict()
         jsonschema.validators.validator_for(schema).check_schema(schema)
 
 
@@ -88,12 +57,18 @@ class TestParseProduct:
         product = parse_product(payload)
         assert product.fat == QuantitativeValue(Decimal("3.5"), "GRM")
         # independent check through the jsonschema library
-        jsonschema.validate(json.loads(payload), to_json_schema_dict(food_product_descriptor()))
+        jsonschema.validate(json.loads(payload), to_json_schema_dict())
 
     def test_type_error_reports_path(self):
         with pytest.raises(SchemaViolation) as err:
             parse_product('{"fat":{"value":"lots"}}')
         assert any(path == "fat.value" for path, _ in err.value.errors)
+
+    @pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_number_rejected(self, number):
+        with pytest.raises(SchemaViolation) as err:
+            parse_product('{"fat":{"value":%s,"unit_code":"GRM"}}' % number)
+        assert [path for path, _ in err.value.errors] == ["fat.value"]
 
     def test_unknown_field_rejected(self):
         with pytest.raises(SchemaViolation) as err:
@@ -227,7 +202,7 @@ def test_parser_agrees_with_independent_jsonschema_checker(doc):
     payload = json.dumps(doc, ensure_ascii=False)
     product, errors, _ = validate_product_json(payload)
     ours_ok = not errors
-    schema = to_json_schema_dict(food_product_descriptor())
+    schema = to_json_schema_dict()
     try:
         jsonschema.validate(json.loads(payload), schema)
         theirs_ok = True

@@ -30,7 +30,7 @@ from .evaluate import (
     summarize_runs,
 )
 from .gateway import CostLedger, LiveProvider, RecordingProvider, ReplayProvider
-from .indirect import OrchestratorConfig, process_shop
+from .indirect import OrchestratorConfig, PageCache, process_shop
 from .oracle import OracleConfig, OracleProvider
 from .schema import parse_product
 
@@ -314,8 +314,8 @@ def extract_indirect_cmd(ctx, corpus_dir, out_dir, labels_path, seed, runs,
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    # Filled by the first run as it compresses pages; later runs reuse it.
-    precompressed: dict = {}
+    # Compressed pages and library results, shared by every run.
+    cache = PageCache(shop)
     failures: dict[str, str] = {}
 
     run_seeds = []
@@ -325,7 +325,7 @@ def extract_indirect_cmd(ctx, corpus_dir, out_dir, labels_path, seed, runs,
         run_seed = seed if runs == 1 else seed * 1_000_003 + run_index
         run_seeds.append(run_seed)
         config = replace(base_config, rng_seed=run_seed)
-        result = process_shop(shop, provider, config, precompressed=precompressed)
+        result = process_shop(shop, provider, config, cache)
         if shop.truth:  # page_results is in visit order; metrics.json's sum follows it
             result.metrics.accuracy, _ = page_accuracy(
                 {page_id: r.product for page_id, r in result.page_results.items()},

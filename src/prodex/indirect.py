@@ -6,7 +6,9 @@ Per shop run:
      labeled bootstrap sample; a page is decision-positive when a strict
      majority of programs says so.
   2. Visit pages in a seed-shuffled order. Run every library program on the
-     page and keep the result with the most extracted attributes.
+     page and keep the result with the most extracted attributes. Results
+     are memoised by rule content in a PageCache that the runs over one
+     corpus share, so a library program runs on a page at most once.
   3. When no program extracts anything AND the page is decision-positive:
      acquire a reference object through direct extraction (it must fill at
      least the configured share of schema fields, with one text-variant
@@ -40,6 +42,7 @@ from .direct import ExtractionFailed, extract_direct
 from .dsl import (
     DecisionProgram,
     ExtractionProgram,
+    FieldRule,
     ProgramParseError,
     count_extracted,
     decision_program_json_schema,
@@ -418,92 +421,159 @@ def synthesize_program(
 
 # --- Whole-shop processing -------------------------------------------------------
 
+# The memo's value for a program that extracts nothing from a page: products
+# are frozen, so every such entry shares this one.
+_NOTHING: tuple[FoodProduct, int] = (FoodProduct(), 0)
+
+
+class PageCache:
+    """The work the runs over one corpus share.
+
+    It holds each page's compressed ``(html, text)`` documents, the reason a
+    page could not be parsed (so it is compressed once, not once per run),
+    and one extraction memo: ``results[program.rules][page_id]`` is the
+    ``(product, count)`` that program extracts from that page. The memo is
+    keyed by rule content (field path, selector, node index, capture and
+    post-ops), never by ``program_id``, so a program synthesized again in a
+    later run, under a new id, finds its results from the earlier one.
+    Trees are not kept: a run parses a page's compressed HTML only when a
+    memo miss or a synthesis episode needs it.
+    """
+
+    def __init__(self, corpus: Corpus):
+        self.pages = {doc.page_id: doc for doc in corpus.pages}
+        self.compressed: dict[str, tuple[CompressedDocument, CompressedDocument]] = {}
+        self.unparsable: dict[str, str] = {}
+        self.results: dict[tuple[FieldRule, ...], dict[str, tuple[FoodProduct, int]]] = {}
+
+    def serves(self, corpus: Corpus) -> bool:
+        """Whether ``corpus`` has exactly the pages this cache was built from."""
+        return self.pages == {doc.page_id: doc for doc in corpus.pages}
+
+    def documents(
+        self, page_id: str
+    ) -> tuple[CompressedDocument, CompressedDocument, Optional[Document]]:
+        """``compress_both`` of a page, once: later calls return the same
+        documents with None for the tree. Raises UnparsableDocument on every
+        call for a page that cannot be parsed."""
+        docs = self.compressed.get(page_id)
+        if docs is not None:
+            return *docs, None
+        if page_id in self.unparsable:
+            raise UnparsableDocument(self.unparsable[page_id])
+        try:
+            html_doc, text_doc, tree = compress_both(self.pages[page_id])
+        except UnparsableDocument as exc:
+            self.unparsable[page_id] = str(exc)
+            raise
+        self.compressed[page_id] = (html_doc, text_doc)
+        return html_doc, text_doc, tree
+
+
+class _PageTree:
+    """A page's tree: the one compression built, or else its compressed HTML
+    parsed on first use."""
+
+    def __init__(self, html: str, tree: Optional[Document]):
+        self._html = html
+        self._tree = tree
+
+    def __call__(self) -> Document:
+        if self._tree is None:
+            self._tree = parse_html(self._html)
+        return self._tree
+
+
 def process_shop(
     corpus: Corpus,
     provider: Provider,
     config: OrchestratorConfig,
-    precompressed: Optional[dict[str, tuple[CompressedDocument, CompressedDocument]]] = None,
+    cache: Optional[PageCache] = None,
 ) -> ShopRunResult:
     """Run the full indirect algorithm over one shop's corpus.
 
-    Pages are compressed as they are visited, and the pruned tree from
-    compression is the one extraction programs run on. A page whose
-    ``(html, text)`` documents are already in ``precompressed`` is parsed
-    from its HTML instead; pages compressed here are added to it, so a
-    caller can share the dict between runs. A page that cannot be parsed
-    gets an empty product and is listed in the result's ``failures``.
+    Pages are compressed on first visit, and the pruned tree from
+    compression is the one extraction programs run on. Runs that share a
+    ``cache`` share compressed pages and memoised library results, keyed by
+    rule content: a library program runs on a page only on a memo miss, and
+    a page's compressed HTML is parsed only when a miss or a synthesis
+    episode needs its tree. A cache built from a corpus with other pages is
+    refused with ValueError. A page that cannot be parsed gets an empty
+    product and is listed in the result's ``failures``, in every run.
 
     Each run prices its calls into a fresh ledger, and every call count in
     the run's metrics is read off it. The run never reads ``corpus.truth``:
     ``metrics.accuracy`` stays None for the caller to score.
     """
+    if cache is None:
+        cache = PageCache(corpus)
+    elif not cache.serves(corpus):
+        raise ValueError(f"page cache was built from other pages than shop {corpus.shop_id}'s")
     ledger = CostLedger()
     ledger.meta["prompt_bundle_hash"] = prompts.bundle_hash()
     ledger.meta["shop_id"] = corpus.shop_id
 
-    compressed = precompressed if precompressed is not None else {}
-    raw_pages = {doc.page_id: doc for doc in corpus.pages}
     failures: dict[str, str] = {}
-
-    def compress_page(page_id: str):
-        """Compress a page not compressed before; its tree, or None."""
-        try:
-            html_doc, text_doc, tree = compress_both(raw_pages[page_id])
-        except UnparsableDocument as exc:
-            failures[page_id] = str(exc)
-            return None
-        compressed[page_id] = (html_doc, text_doc)
-        return tree
-
     token_prefix = f"{corpus.shop_id}-s{config.rng_seed}"
 
-    for page_id in sorted(corpus.labels):
-        if page_id in raw_pages and page_id not in compressed:
-            compress_page(page_id)
-    samples = [
-        (compressed[page_id][1], label)
-        for page_id, label in sorted(corpus.labels.items())
-        if page_id in compressed
-    ]
+    samples = []
+    for page_id, label in sorted(corpus.labels.items()):
+        if page_id not in cache.pages:
+            continue
+        try:
+            _, text_doc, _ = cache.documents(page_id)
+        except UnparsableDocument as exc:
+            failures[page_id] = str(exc)
+            continue
+        samples.append((text_doc, label))
     ensemble = build_decision_ensemble(samples, provider, config, ledger, token_prefix)
 
     order = [doc.page_id for doc in corpus.pages]
     random.Random(config.rng_seed).shuffle(order)
 
     library = FunctionLibrary()
+    memos: list[dict[str, tuple[FoodProduct, int]]] = []  # the cache's, per library entry
     page_results: dict[str, PageResult] = {}
     synthesis_log: list[dict] = []
 
-    def best_library_result(tree) -> tuple[Optional[LibraryEntry], FoodProduct, int]:
+    def best_library_result(
+        page_id: str, tree: _PageTree
+    ) -> tuple[Optional[LibraryEntry], FoodProduct, int]:
         """The library's best result on a page; the entry is None unless it
         extracts at least ``min_valid_attributes`` attributes."""
         best_entry: Optional[LibraryEntry] = None
-        best_product = FoodProduct()
+        best_product = _NOTHING[0]
         best_key = (-1, -1.0, 0.0)
         for index, entry in enumerate(library.entries):
-            outcome = run_extraction_on_tree(entry.program, tree)
-            count = count_extracted(outcome.product)
-            key = (count, entry.mean_attributes_extracted, -float(index))
+            memo = memos[index]
+            result = memo.get(page_id)
+            if result is None:
+                product = run_extraction_on_tree(entry.program, tree()).product
+                count = count_extracted(product)
+                result = memo[page_id] = (product, count) if count else _NOTHING
+            key = (result[1], entry.mean_attributes_extracted, -float(index))
             if key > best_key:
                 best_key = key
                 best_entry = entry
-                best_product = outcome.product
+                best_product = result[0]
         count = max(best_key[0], 0)
         if count < config.min_valid_attributes:
             best_entry = None
         return best_entry, best_product, count
 
-    def synthesis_episode(page_id: str, tree) -> Optional[ExtractionProgram]:
+    def synthesis_episode(
+        page_id: str, html_doc: CompressedDocument, text_doc: CompressedDocument,
+        tree: _PageTree,
+    ) -> Optional[ExtractionProgram]:
         """Reference acquisition, then generate-and-refine; logs the episode
         with its call counts (the ledger entries it added, by role) and
         returns the best program, if any."""
-        html_doc, text_doc = compressed[page_id]
         start = len(ledger.entries)
         synthesis = None
         try:
             reference = acquire_reference(html_doc, text_doc, provider, config, ledger)
             synthesis = synthesize_program(
-                html_doc, tree, reference, provider, config, ledger, token_prefix
+                html_doc, tree(), reference, provider, config, ledger, token_prefix
             )
         except ReferenceUnattainable:
             log = {"page_id": page_id, "outcome": "reference_unattainable"}
@@ -526,24 +596,26 @@ def process_shop(
         return synthesis.best_program
 
     for page_id in order:
-        if page_id in compressed:
-            tree = parse_html(compressed[page_id][0].content)
-        else:
-            tree = compress_page(page_id)
-            if tree is None:
-                page_results[page_id] = PageResult(page_id, FoodProduct(), "none", 0)
-                continue
-        entry, product, count = best_library_result(tree)
+        try:
+            html_doc, text_doc, built = cache.documents(page_id)
+        except UnparsableDocument as exc:
+            failures[page_id] = str(exc)
+            page_results[page_id] = PageResult(page_id, FoodProduct(), "none", 0)
+            continue
+        tree = _PageTree(html_doc.content, built)
+        entry, product, count = best_library_result(page_id, tree)
         if entry is None:
-            if not decide(ensemble, compressed[page_id][1]):
+            if not decide(ensemble, text_doc):
                 page_results[page_id] = PageResult(page_id, FoodProduct(), "no-info", 0)
                 continue
-            program = synthesis_episode(page_id, tree)
+            program = synthesis_episode(page_id, html_doc, text_doc, tree)
             if program is not None:
                 library.add(replace(
                     program, program_id=f"{program.program_id}-{len(library.entries):02d}",
                 ))
-                entry, product, count = best_library_result(tree)
+                memos.append(cache.results.setdefault(program.rules, {}))
+                # Only the new program misses: the others ran on this page above.
+                entry, product, count = best_library_result(page_id, tree)
         if entry is None:
             page_results[page_id] = PageResult(page_id, product, "none", count)
         else:

@@ -17,6 +17,7 @@ numbers to avoid float round-tripping.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass, fields as dc_fields
@@ -136,8 +137,9 @@ def filled_field_ratio(product: FoodProduct) -> float:
 
 # --- JSON Schema emission -------------------------------------------------
 
+@functools.cache
 def to_json_schema() -> str:
-    """Emit the schema as JSON Schema text (deterministic bytes)."""
+    """Emit the schema as JSON Schema text (deterministic bytes, built once)."""
     return json.dumps(to_json_schema_dict(), indent=2, ensure_ascii=False)
 
 
@@ -193,6 +195,8 @@ def to_json_schema_dict() -> dict:
 
 def parse_decimal(raw) -> Decimal:
     """Finite Decimal from a JSON number or a string using point or comma."""
+    if isinstance(raw, bool):  # an int subclass, but a JSON boolean is no number
+        raise InvalidOperation(f"not a decimal: {raw!r}")
     if isinstance(raw, float):
         raw = Decimal(str(raw))
     if isinstance(raw, Decimal):

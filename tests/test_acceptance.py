@@ -18,7 +18,13 @@ from prodex.direct import extract_direct_batch
 from prodex.evaluate import page_accuracy
 from prodex.gateway import CostLedger, RecordingProvider, ReplayProvider, Usage, cost
 from prodex.htmltree import parse_html
-from prodex.indirect import OrchestratorConfig, build_decision_ensemble, decide, process_shop
+from prodex.indirect import (
+    OrchestratorConfig,
+    PageCache,
+    build_decision_ensemble,
+    decide,
+    process_shop,
+)
 from prodex.oracle import OracleConfig, OracleProvider
 from prodex.schema import FoodProduct, QuantitativeValue, NUTRIENT_FIELDS
 from prodex.similarity import compare
@@ -204,7 +210,8 @@ def test_criterion_5_synthesis_budget_law(tmp_path):
 def test_criterion_6_decision_ensemble_accuracy():
     started = time.perf_counter()
     corpus = generate_shop(preset_spec("alpha", 1000, seed=7))
-    compressed = {doc.page_id: compress_both(doc)[:2] for doc in corpus.pages}
+    cache = PageCache(corpus)
+    compressed = {doc.page_id: cache.documents(doc.page_id)[:2] for doc in corpus.pages}
     oracle = OracleProvider(corpus, OracleConfig())
     config = OrchestratorConfig(rng_seed=1)
     samples = [
@@ -227,7 +234,7 @@ def test_criterion_6_decision_ensemble_accuracy():
     assert accuracy >= 95.0
     assert len(negative_pages) == 184  # default quota at 1000 pages
 
-    result = process_shop(corpus, oracle, config, precompressed=compressed)
+    result = process_shop(corpus, oracle, config, cache)
     for entry in result.ledger.entries:
         if entry.page_id is not None:
             assert entry.page_id not in negative_pages

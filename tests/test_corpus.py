@@ -18,6 +18,7 @@ from prodex.corpus import (
 )
 from prodex.dsl import count_extracted, run_extraction
 from prodex.htmltree import parse_html
+from prodex.schema import SchemaViolation
 from prodex.similarity import compare
 
 
@@ -174,6 +175,17 @@ class TestOnDisk:
             k: v.to_dict() for k, v in shop.truth.items()
         }
         assert from_file.keys() == from_dir.keys()
+
+    def test_boolean_nutrient_value_in_truth_is_rejected(self, tmp_path):
+        spec = preset_spec("alpha", 5, seed=5)
+        write_corpus(generate_shop(spec), tmp_path / "c", preset="alpha", spec=spec)
+        truth_file = tmp_path / "c" / "truth.jsonl"
+        records = [json.loads(line) for line in truth_file.read_text().splitlines()]
+        records[0]["product"]["fat"] = {"value": True, "unit_code": "GRM"}
+        truth_file.write_text("".join(json.dumps(r) + "\n" for r in records))
+        with pytest.raises(SchemaViolation) as err:
+            load_truth(truth_file)
+        assert [path for path, _ in err.value.errors] == ["fat.value"]
 
     def test_layout_files_exist(self, tmp_path):
         spec = preset_spec("alpha", 5, seed=5)

@@ -7,12 +7,22 @@ import pytest
 
 from prodex.compress import CompressedDocument, Variant, compress_both
 from prodex.corpus import MissingRates, ShopSpec, builtin_templates, generate_shop
-from prodex.dsl import DecisionProgram, Predicate
+from prodex.dsl import (
+    DecisionProgram,
+    ExtractionProgram,
+    Predicate,
+    ProgramParseError,
+    count_extracted,
+    parse_program,
+    run_extraction_on_tree,
+)
 from prodex.evaluate import page_accuracy
 from prodex.gateway import CostLedger
+from prodex.htmltree import parse_html
 from prodex.indirect import (
     FunctionLibrary,
     OrchestratorConfig,
+    PageCache,
     ReferenceUnattainable,
     acquire_reference,
     build_decision_ensemble,
@@ -37,6 +47,14 @@ def _accuracy(result, corpus):
     """A run's accuracy as `extract indirect` scores it."""
     products = {page_id: r.product for page_id, r in result.page_results.items()}
     return page_accuracy(products, corpus.truth, failed=result.failures)[0]
+
+
+def _products_json(result):
+    """The run's products.json payload, as `extract indirect` writes it."""
+    return json.dumps(
+        [result.page_results[page_id].to_dict() for page_id in sorted(result.page_results)],
+        indent=2, ensure_ascii=False,
+    )
 
 
 def _roles(entries):
@@ -354,20 +372,23 @@ class TestProcessShop:
         monkeypatch.setattr(indirect, "compress_both", counting_compress)
         monkeypatch.setattr(indirect, "parse_html", counting_parse)
         oracle = OracleProvider(small_gamma, OracleConfig())
-        precompressed = {}
-        first = process_shop(small_gamma, oracle, OrchestratorConfig(rng_seed=2),
-                             precompressed=precompressed)
+        cache = PageCache(small_gamma)
+        first = process_shop(small_gamma, oracle, OrchestratorConfig(rng_seed=2), cache)
         # Synthesis runs on the tree the page loop holds, so it parses nothing.
         assert any("generations" in e for e in first.metrics.synthesis_log)
         assert calls == {"compress": len(small_gamma.pages), "parse": len(small_gamma.labels)}
-        assert set(precompressed) == {d.page_id for d in small_gamma.pages}
-        assert all(len(docs) == 2 for docs in precompressed.values())
+        assert set(cache.compressed) == {d.page_id for d in small_gamma.pages}
+        assert all(len(docs) == 2 for docs in cache.compressed.values())
 
         calls.update(compress=0, parse=0)
-        second = process_shop(small_gamma, oracle, OrchestratorConfig(rng_seed=2),
-                              precompressed=precompressed)
-        assert calls == {"compress": 0, "parse": len(small_gamma.pages)}
+        second = process_shop(small_gamma, oracle, OrchestratorConfig(rng_seed=2), cache)
+        # Every library result is memoised by the first run: only the trees
+        # the synthesis episodes work on are parsed.
+        episodes = second.metrics.synthesis_log
+        assert episodes and all("generations" in e for e in episodes)
+        assert calls == {"compress": 0, "parse": len(episodes)}
         assert second.metrics.to_json() == first.metrics.to_json()
+        assert _products_json(second) == _products_json(first)
 
     def test_unparsable_labeled_page_is_a_failure(self, small_gamma, monkeypatch):
         from dataclasses import replace
@@ -396,6 +417,142 @@ class TestProcessShop:
             for page_id, r in result.page_results.items() if page_id != empty
         ]
         assert _accuracy(result, corpus) == pytest.approx(100.0 * sum(scored) / len(corpus.pages))
+
+
+def _change_one_part(rules, kind):
+    """``rules`` with one rule changed in one respect: its node index, its
+    capture, or the unit map of its ``to_unit_code`` post-op."""
+    if not rules:
+        return rules
+    if kind == "node_index":
+        i = 0
+        changed = replace(rules[i], node_index=rules[i].node_index + 1)
+    elif kind == "capture":
+        i = next(i for i, rule in enumerate(rules) if rule.capture)
+        changed = replace(rules[i], capture="(.*)")
+    else:
+        i = next(i for i, rule in enumerate(rules)
+                 if any(op.op == "to_unit_code" for op in rule.post_ops))
+        changed = replace(rules[i], post_ops=tuple(
+            replace(op, unit_map=tuple((raw, code + "X") for raw, code in op.unit_map))
+            if op.op == "to_unit_code" else op
+            for op in rules[i].post_ops
+        ))
+    return rules[:i] + (changed,) + rules[i + 1:]
+
+
+class _RuleEditingProvider:
+    """Answers like ``inner``, except that every extraction program it returns
+    has one part of one rule changed; program ids stay as they are."""
+
+    def __init__(self, inner, kind):
+        self.inner = inner
+        self.kind = kind
+
+    def complete_structured(self, model_id, system_prompt, user_prompt, json_schema):
+        exchange = self.inner.complete_structured(
+            model_id, system_prompt, user_prompt, json_schema
+        )
+        try:
+            program = parse_program(exchange.response_text)
+        except ProgramParseError:
+            return exchange
+        if not isinstance(program, ExtractionProgram):
+            return exchange
+        edited = replace(program, rules=_change_one_part(program.rules, self.kind))
+        return replace(exchange, response_text=edited.to_json())
+
+
+class TestPageCache:
+    def test_equal_rules_share_one_memo_entry(self, small_gamma):
+        cache = PageCache(small_gamma)
+        oracle = OracleProvider(small_gamma, OracleConfig())
+        libraries = [
+            process_shop(small_gamma, oracle, OrchestratorConfig(rng_seed=seed), cache).library
+            for seed in (1, 2)
+        ]
+        programs = [e.program for library in libraries for e in library.entries]
+        ids = {program.program_id for program in programs}
+        rules = {program.rules for program in programs}
+        assert len(ids) == len(programs) > len(rules)
+        assert set(cache.results) == rules
+
+    @pytest.mark.parametrize("kind", ["node_index", "capture", "post_op"])
+    def test_a_rule_changed_in_one_part_is_a_miss(self, small_gamma, kind):
+        oracle = OracleProvider(small_gamma, OracleConfig())
+        edited = _RuleEditingProvider(oracle, kind)
+        config = OrchestratorConfig(rng_seed=3)
+        expected = process_shop(small_gamma, edited, config)
+        cache = PageCache(small_gamma)
+        unedited = process_shop(small_gamma, oracle, config, cache)
+        result = process_shop(small_gamma, edited, config, cache)
+        # The programs keep their ids, and only the change sets their results apart.
+        assert [e.program.program_id for e in result.library.entries] == [
+            e.program.program_id for e in unedited.library.entries
+        ]
+        assert _products_json(expected) != _products_json(unedited)
+        assert _products_json(result) == _products_json(expected)
+        assert result.metrics.to_json() == expected.metrics.to_json()
+
+    def test_memoised_products_equal_a_fresh_run(self, small_gamma):
+        cache = PageCache(small_gamma)
+        oracle = OracleProvider(small_gamma, OracleConfig(imperfections_per_generation=1))
+        for seed in (1, 2, 3):
+            process_shop(small_gamma, oracle, OrchestratorConfig(rng_seed=seed), cache)
+        empty_products = set()
+        for rules, memo in cache.results.items():
+            program = ExtractionProgram("fresh", "FoodProduct", rules)
+            assert set(memo) == set(cache.pages)
+            for page_id, (product, count) in memo.items():
+                tree = parse_html(cache.compressed[page_id][0].content)
+                fresh = run_extraction_on_tree(program, tree).product
+                assert product == fresh
+                assert count == count_extracted(fresh)
+                if count == 0:
+                    empty_products.add(id(product))
+        # Every result that extracts nothing shares one product.
+        assert len(empty_products) == 1
+
+    def test_unparsable_page_is_compressed_once_and_fails_every_run(
+        self, small_gamma, monkeypatch
+    ):
+        from prodex import indirect
+
+        labeled = sorted(small_gamma.labels)[0]
+        unlabeled = next(d.page_id for d in small_gamma.pages if d.page_id not in small_gamma.labels)
+        corpus = replace(small_gamma, pages=[
+            replace(doc, html="") if doc.page_id in (labeled, unlabeled) else doc
+            for doc in small_gamma.pages
+        ])
+        compressed = Counter()
+        real_compress = indirect.compress_both
+
+        def counting_compress(doc):
+            compressed[doc.page_id] += 1
+            return real_compress(doc)
+
+        monkeypatch.setattr(indirect, "compress_both", counting_compress)
+        cache = PageCache(corpus)
+        oracle = OracleProvider(corpus, OracleConfig())
+        for seed in (1, 2, 3):
+            result = process_shop(corpus, oracle, OrchestratorConfig(rng_seed=seed), cache)
+            assert list(result.failures) == [labeled, unlabeled]
+            assert result.page_results[unlabeled].source == "none"
+        assert set(compressed.values()) == {1}
+        assert len(compressed) == len(corpus.pages)
+
+    def test_cache_of_other_pages_is_refused(self, small_gamma, small_alpha):
+        cache = PageCache(small_gamma)
+        oracle = OracleProvider(small_alpha, OracleConfig())
+        with pytest.raises(ValueError, match="page cache"):
+            process_shop(small_alpha, oracle, OrchestratorConfig(), cache)
+        first = small_gamma.pages[0]
+        edited = replace(small_gamma, pages=[replace(first, html=first.html + " ")]
+                         + small_gamma.pages[1:])
+        with pytest.raises(ValueError, match="page cache"):
+            process_shop(edited, OracleProvider(edited, OracleConfig()), OrchestratorConfig(),
+                         cache)
+        assert cache.compressed == {}
 
 
 class _UnreadableTruth(Mapping):

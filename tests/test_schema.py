@@ -70,6 +70,17 @@ class TestParseProduct:
             parse_product('{"fat":{"value":%s,"unit_code":"GRM"}}' % number)
         assert [path for path, _ in err.value.errors] == ["fat.value"]
 
+    @pytest.mark.parametrize("value", ["true", "false"])
+    def test_boolean_is_not_a_number(self, value):
+        payload = '{"fat":{"value":%s,"unit_code":"GRM"}}' % value
+        with pytest.raises(SchemaViolation) as err:
+            parse_product(payload)
+        assert [path for path, _ in err.value.errors] == ["fat.value"]
+        # the emitted JSON Schema rejects it too
+        assert not jsonschema.Draft202012Validator(to_json_schema_dict()).is_valid(
+            json.loads(payload)
+        )
+
     def test_unknown_field_rejected(self):
         with pytest.raises(SchemaViolation) as err:
             parse_product('{"brand":"X"}')

@@ -18,9 +18,11 @@ import click
 
 from . import prompts
 from .compress import RawDocument, UnparsableDocument, Variant, compress_both, count_tokens
-from .corpus import Corpus, generate_shop, load_corpus, load_truth, preset_spec, write_corpus
+from .corpus import (Corpus, MalformedTruth, generate_shop, load_corpus, load_truth,
+                     preset_spec, write_corpus)
 from .direct import extract_direct_batch
 from .evaluate import (
+    MissingTruth,
     RunReport,
     compare_strategies,
     emit_report,
@@ -35,7 +37,19 @@ from .oracle import OracleConfig, OracleProvider
 from .schema import parse_product
 
 
-@click.group()
+class _Main(click.Group):
+    """Reports bad ground truth as a usage error, not a traceback."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except MalformedTruth as exc:
+            raise click.UsageError(f"ground truth: {exc}", ctx) from exc
+        except MissingTruth as exc:
+            raise click.UsageError(f"ground truth has no record for page {exc}", ctx) from exc
+
+
+@click.group(cls=_Main)
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None,
               help="JSON file of orchestrator settings for `extract indirect`; "
                    "its command-line options override them.")

@@ -3,8 +3,10 @@
 ``HTML_COMPRESSED`` drops a fixed set of boilerplate elements (head, footer,
 header, script, iframe, path, style, symbol, noscript, svg, g, use, option),
 strips every attribute except ``class`` and ``id``, and removes comments and
-whitespace between tags. ``TEXT`` is the plain-text projection of the
-compressed document with one line per block element.
+whitespace between tags. The pruning happens while the page is parsed
+(``htmltree.parse_pruned``), so dropped subtrees are never built. ``TEXT`` is
+the plain-text projection of the compressed document with one line per block
+element.
 
 Token counts use a deterministic proxy, ceil(utf8_bytes / 4), so cost
 accounting is reproducible without a vendor tokenizer; a live provider's
@@ -13,13 +15,11 @@ reported usage takes precedence in ledgers.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Union
 
 from . import htmltree
-from .htmltree import Document, Element, TextNode
+from .htmltree import Document
 
 BANNED_ELEMENTS = frozenset({
     "head", "footer", "header", "script", "iframe", "path", "style",
@@ -27,8 +27,6 @@ BANNED_ELEMENTS = frozenset({
 })
 
 KEPT_ATTRIBUTES = ("class", "id")
-
-_WS_RUN = re.compile(r"\s+")
 
 
 class Variant(str, Enum):
@@ -71,9 +69,13 @@ def compress_both(
     """Both variants and the pruned tree, from a single parse.
 
     The tree equals ``parse_html`` of the HTML variant, so a caller can run
-    extraction programs on it without parsing the page again.
+    extraction programs on it without parsing the page again. A page is
+    unparsable when its unpruned tree would be empty; a page holding only a
+    script is not.
     """
-    tree = _pruned_tree(doc)
+    tree = htmltree.parse_pruned(doc.html, BANNED_ELEMENTS, KEPT_ATTRIBUTES)
+    if tree is None:
+        raise UnparsableDocument(f"page {doc.page_id}: no parsable content")
     html_doc = _compressed(doc.page_id, Variant.HTML_COMPRESSED, htmltree.serialize(tree))
     text_doc = _compressed(
         doc.page_id, Variant.TEXT, "\n".join(htmltree.block_text_lines(tree))
@@ -88,43 +90,3 @@ def _compressed(page_id: str, variant: Variant, content: str) -> CompressedDocum
         content=content,
         token_count=count_tokens(content),
     )
-
-
-def _pruned_tree(doc: RawDocument) -> Document:
-    tree = htmltree.parse_html(doc.html)
-    if tree.is_empty():
-        raise UnparsableDocument(f"page {doc.page_id}: no parsable content")
-    _prune(tree)
-    return tree
-
-
-def _prune(root: Document) -> None:
-    """Remove banned elements, extra attributes and inter-tag whitespace.
-
-    Text runs left adjacent by a removed element or comment are merged, as
-    parsing the serialized result would merge them.
-    """
-    stack: list[Union[Document, Element]] = [root]
-    while stack:
-        node = stack.pop()
-        kept: list[Union[Element, TextNode]] = []
-        for child in node.children:
-            if isinstance(child, TextNode):
-                cleaned = _WS_RUN.sub(" ", child.text).strip()
-                if not cleaned:
-                    continue
-                if kept and isinstance(kept[-1], TextNode):
-                    kept[-1] = TextNode(text=kept[-1].text + cleaned)
-                else:
-                    kept.append(TextNode(text=cleaned))
-                continue
-            if child.tag in BANNED_ELEMENTS:
-                continue
-            child.attrs = {
-                name: value
-                for name, value in child.attrs.items()
-                if name in KEPT_ATTRIBUTES
-            }
-            stack.append(child)
-            kept.append(child)
-        node.children = kept

@@ -32,7 +32,8 @@ from typing import Optional
 
 from .compress import RawDocument
 from .dsl import ExtractionProgram, FieldRule, PostOp, parse_program
-from .schema import FoodProduct, QuantitativeValue, product_to_dict, product_from_dict
+from .schema import (FoodProduct, QuantitativeValue, SchemaViolation, product_from_dict,
+                     product_to_dict)
 
 
 class UnknownTemplate(Exception):
@@ -676,6 +677,14 @@ def write_corpus(corpus: Corpus, out_dir, preset: Optional[str] = None, spec: Op
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2), encoding="utf-8")
 
 
+class MalformedTruth(SchemaViolation):
+    """A ground-truth record that does not load; the message names its line."""
+
+    def __init__(self, location: str, errors: list[tuple[str, str]]):
+        super().__init__(errors)
+        self.args = (f"{location}: {self.args[0]}",)
+
+
 def load_truth(path) -> dict[str, GroundTruthRecord]:
     """Ground truth by page id, from a corpus directory or a truth.jsonl file."""
     path = Path(path)
@@ -683,10 +692,15 @@ def load_truth(path) -> dict[str, GroundTruthRecord]:
         path = path / "truth.jsonl"
     truth: dict[str, GroundTruthRecord] = {}
     with path.open(encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
+        for number, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
                 record = GroundTruthRecord.from_dict(json.loads(line))
-                truth[record.page_id] = record
+            except (SchemaViolation, KeyError, ValueError, TypeError) as exc:
+                errors = getattr(exc, "errors", None) or [("$", f"{type(exc).__name__}: {exc}")]
+                raise MalformedTruth(f"{path}:{number}", errors) from exc
+            truth[record.page_id] = record
     return truth
 
 

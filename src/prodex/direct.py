@@ -30,6 +30,10 @@ from .schema import (
 )
 
 
+# The product JSON Schema for the gateway, built once; the gateway only reads it.
+_RESPONSE_SCHEMA = to_json_schema_dict()
+
+
 class ExtractionFailed(Exception):
     """Direct extraction gave no schema-valid product for a page."""
 
@@ -61,10 +65,9 @@ def extract_direct(
 ) -> DirectResult:
     """Extract the product object from one compressed page."""
     system, user = build_direct_prompts(doc)
-    schema = to_json_schema_dict()
     try:
         exchange = structured_call(
-            provider, model_id, system, user, schema,
+            provider, model_id, system, user, _RESPONSE_SCHEMA,
             ledger=ledger, role_tag=role_tag, page_id=doc.page_id,
         )
         product = parse_product(exchange.response_text)

@@ -6,6 +6,13 @@ nodes with a tag, an attribute dict and children, plus plain text nodes.
 Everything downstream (compression, text projection, rule interpretation)
 works on this tree.
 
+One regex-driven tokenizer pass builds it. It reads markup exactly as the
+``html.parser`` of CPython 3.11.7 does when fed a whole page and closed (the
+tests keep that parser as the reference), except that it never raises, and
+it runs in linear time on hostile markup such as unterminated quotes.
+``parse_pruned`` builds the tree compression wants in the same pass: banned
+subtrees are tracked but never built, and only kept attributes are read.
+
 Selector support is the subset that survives attribute stripping: type
 selectors, ``*``, ``.class``, ``#id``, compounds thereof, and descendant /
 child (``>``) combinators. Attribute selectors, pseudo-classes and comma
@@ -19,8 +26,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from html import escape
-from html.parser import HTMLParser
+from html import escape, unescape
 from typing import Iterator, Optional, Union
 
 VOID_ELEMENTS = frozenset({
@@ -47,8 +53,6 @@ BLOCK_ELEMENTS = frozenset({
     "nav", "ol", "p", "pre", "section", "table", "tbody", "td", "tfoot",
     "th", "thead", "tr", "ul",
 })
-
-_WS_RUN = re.compile(r"\s+")
 
 
 @dataclass
@@ -135,75 +139,252 @@ def _descendants(node: Union[Document, Element]) -> Iterator[Element]:
         stack.extend(c for c in reversed(element.children) if isinstance(c, Element))
 
 
-class _TreeBuilder(HTMLParser):
-    def __init__(self) -> None:
-        super().__init__(convert_charrefs=True)
-        self.document = Document()
-        self._stack: list[Element] = []
+# --- tokenizer -------------------------------------------------------------
 
-    def _parent_children(self) -> list:
-        if self._stack:
-            return self._stack[-1].children
-        return self.document.children
+# Text, and the start and end tags that html.parser reads the plain way; any
+# other "<" goes through _Parser._markup.
+_TOKEN = re.compile(r"""
+    ([^<]+)                                                 # 1 text
+  | <([a-zA-Z][^\t\n\r\f />\x00<]*)                         # 2 start tag name
+    ((?:[\t\n\r\f ]+[a-zA-Z_:][-a-zA-Z0-9_:.]*              # 3 attributes
+      (?:=(?:"[^"<]*"|'[^'<]*'|[^\s"'=<>][^\s<>]*))?)*)
+    [\t\n\r\f ]*(/?)>                                       # 4 "/" of <tag/>
+  | </([a-zA-Z][-.a-zA-Z0-9:_]*)\s*>                        # 5 end tag
+""", re.VERBOSE)
+_ATTRIBUTE = re.compile(r"""([^\s=]+)(?:=("[^"]*"|'[^']*'|\S+))?""")
+_RAW_TEXT_END = {tag: re.compile(rf"</\s*{tag}\s*>", re.I) for tag in ("script", "style")}
+_TAG_NAME = re.compile(r"([a-zA-Z][^\t\n\r\f />\x00]*)")
+_TAG_NAME_END = re.compile(r"[\t\n\r\f />\x00]")
+_NAME_END, _VALUE_END = re.compile(r"[\s/=>]"), re.compile(r"[\s>]")
+_SEPARATOR = re.compile(r"(?:\s|/(?!>))*")
+_EQUALS = re.compile(r"\s*(=+)(\s*)")
+_END_TAG = re.compile(r"</\s*([a-zA-Z][-.a-zA-Z0-9:_]*)\s*>")
+_COMMENT_END = re.compile(r"--\s*>")
+_MARKED_SECTION = re.compile(
+    r"(temp|cdata|ignore|include|rcdata|if|else|endif)(?![-_.a-zA-Z0-9])", re.I | re.A
+)
+_MARKED_SECTION_END = {
+    **dict.fromkeys(("temp", "cdata", "ignore", "include", "rcdata"), re.compile(r"]\s*]\s*>")),
+    **dict.fromkeys(("if", "else", "endif"), re.compile(r"]\s*>")),
+}
+_LT, _GT = re.compile("<"), re.compile(">")
+_QUOTES = {"'": re.compile("'"), '"': re.compile('"')}
+_LETTERS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
 
-    def handle_starttag(self, tag, attrs):
-        if tag in IMPLICIT_CLOSE:
-            while self._stack and self._stack[-1].tag in IMPLICIT_CLOSE[tag]:
-                self._stack.pop()
-        attr_dict: dict[str, Optional[str]] = {}
-        for name, value in attrs:
-            if name not in attr_dict:  # keep first occurrence of duplicates
-                attr_dict[name] = value
-        element = Element(tag=tag, attrs=attr_dict)
-        self._parent_children().append(element)
-        if tag not in VOID_ELEMENTS:
-            self._stack.append(element)
 
-    def handle_startendtag(self, tag, attrs):
-        # The implicit close applies as to an open tag, so that serializing
-        # the tree and parsing it again gives the same tree.
-        if tag in IMPLICIT_CLOSE:
-            while self._stack and self._stack[-1].tag in IMPLICIT_CLOSE[tag]:
-                self._stack.pop()
-        attr_dict: dict[str, Optional[str]] = {}
-        for name, value in attrs:
-            if name not in attr_dict:
-                attr_dict[name] = value
-        self._parent_children().append(Element(tag=tag, attrs=attr_dict))
+class _Parser:
+    """One pass that reads a page as CPython 3.11's ``html.parser`` does when fed
+    the whole page and closed, and builds the tree; with ``kept`` given, the
+    pruned tree (see ``parse_pruned``). ``content`` tells whether the
+    unpruned tree would hold anything. Searches for a closer keep their
+    answer, and a start tag that never closes marks the attribute positions
+    it passed, so hostile markup is read in linear time.
+    """
 
-    def handle_endtag(self, tag):
-        if tag in VOID_ELEMENTS:
+    def __init__(self, html: str, banned=frozenset(), kept=None):
+        self.html, self.banned, self.kept = html, banned, kept
+        self.children: list[Union[Element, TextNode]] = []
+        self.stack: list[tuple] = []  # open elements: (tag, children, or None if not built)
+        self.open: dict[str, int] = {}  # open elements by tag
+        self.content = False
+        self.found: dict = {}  # pattern -> (position asked, (start, end) found)
+        self.dead: set[int] = set()  # attribute positions of start tags that never close
+        self.last_text: Optional[TextNode] = None  # the text node pruned text joins
+        self.pieces: list[str] = []
+        self._run()
+        self._join_text()
+
+    def _run(self) -> None:
+        s, n, pos = self.html, len(self.html), 0
+        token = _TOKEN.match
+        while pos < n:
+            m = token(s, pos)
+            if m is None:
+                pos = self._markup(pos)
+            elif m.lastindex == 1:
+                pos = m.end()
+                self.text(unescape(m.group(1)))
+            elif m.lastindex == 5:
+                pos = m.end()
+                self.end(m.group(5).lower())
+            else:
+                pos = self.start(m.group(2).lower(), m.group(3), m.group(4) == "/", m.end())
+
+    def start(self, tag: str, attrs, closed: bool, pos: int) -> int:
+        """Add an element, open unless ``closed``; return where reading goes
+        on. ``attrs``: a plain tag's attribute text, or (name, raw value) pairs."""
+        stack = self.stack
+        closes = IMPLICIT_CLOSE.get(tag)  # a <tag/> too, so a serialized tree parses back
+        while closes and stack and stack[-1][0] in closes:
+            self.open[stack.pop()[0]] -= 1
+        parent = stack[-1][1] if stack else self.children
+        self.content = self.content or not stack
+        built = parent is not None and tag not in self.banned
+        if built:
+            parent.append(Element(tag, self._attributes(attrs) if attrs else {}))
+        if closed or tag in VOID_ELEMENTS:
+            return pos
+        stack.append((tag, parent[-1].children if built else None))
+        self.open[tag] = self.open.get(tag, 0) + 1
+        return self._raw_text(tag, pos) if tag in _RAW_TEXT_END else pos
+
+    def end(self, tag: str) -> None:
+        if tag in VOID_ELEMENTS or not self.open.get(tag):
+            return  # a stray end tag is ignored
+        while (top := self.stack.pop()[0]) != tag:
+            self.open[top] -= 1
+        self.open[tag] -= 1
+
+    def text(self, data: str) -> None:
+        stack = self.stack
+        parent = stack[-1][1] if stack else self.children
+        if parent is None or not data:
             return
-        for i in range(len(self._stack) - 1, -1, -1):
-            if self._stack[i].tag == tag:
-                del self._stack[i:]
-                return
-        # Stray end tag: recovered by ignoring it.
+        if self.kept is None:
+            parent.append(TextNode(data))
+            return
+        data = " ".join(data.split())
+        if not data:
+            return
+        self.content = self.content or not stack
+        if parent and parent[-1] is self.last_text:
+            self.pieces.append(data)  # joined once the node is complete
+        else:
+            self._join_text()
+            self.last_text, self.pieces = TextNode(data), [data]
+            parent.append(self.last_text)
 
-    def handle_data(self, data):
-        if data:
-            self._parent_children().append(TextNode(text=data))
+    def _join_text(self) -> None:
+        if len(self.pieces) > 1:
+            self.last_text.text = "".join(self.pieces)
 
-    # Comments, doctype and other declarations are dropped on the floor.
-    def handle_comment(self, data):
-        pass
+    def _attributes(self, source) -> dict[str, Optional[str]]:
+        if isinstance(source, str):
+            source = (m.group(1, 2) for m in _ATTRIBUTE.finditer(source))
+        attrs: dict[str, Optional[str]] = {}
+        for name, raw in source:
+            name = name.lower()
+            if name in attrs or (self.kept is not None and name not in self.kept):
+                continue  # the first of duplicate attributes wins
+            if raw and raw[0] == raw[-1] and raw[0] in "'\"":
+                raw = raw[1:-1]
+            attrs[name] = unescape(raw) if raw else raw
+        return attrs
 
-    def handle_decl(self, decl):
-        pass
+    # html.parser's reading of any other markup.
 
-    def unknown_decl(self, data):
-        pass
+    def _markup(self, i: int) -> int:
+        """Read the markup at the "<" at ``i``; return where reading goes on."""
+        s = self.html
+        section = s.startswith("<![", i) and _MARKED_SECTION.match(s, i + 3)
+        if s[i + 1:i + 2] in _LETTERS:
+            k = self._start_tag(i)
+        elif s.startswith("</", i):  # anything but an end tag up to ">" is a comment
+            k = self._search(_GT, i + 1)[1]
+            m = k >= 0 and (_END_TAG.match(s, i) or _TAG_NAME.match(s, i + 2))
+            if m:
+                self.end(m.group(1).lower())
+        elif s.startswith("<!--", i):
+            k = self._search(_COMMENT_END, i + 4)[1]
+        elif section:
+            k = self._search(_MARKED_SECTION_END[section.group(1).lower()], i + 3)[1]
+        elif s[i + 1:i + 2] in ("!", "?"):  # a doctype, other declaration or
+            k = self._search(_GT, i + 2)[1]  # processing instruction ends at ">"
+        else:
+            self.text("<")
+            return i + 1
+        if k < 0:  # unterminated: text up to the next ">", or else the next "<"
+            k = self._search(_GT, i + 1)[1]
+            if k < 0:
+                k = self._search(_LT, i + 1)[0]
+                k = k if k < len(s) else i + 1
+            self.text(unescape(s[i:k]))
+        return k
 
-    def handle_pi(self, data):
-        pass
+    def _start_tag(self, i: int) -> int:
+        s = self.html
+        e = self._search(_TAG_NAME_END, i + 2)[0]
+        q = _SEPARATOR.match(s, e).end()
+        attrs, passed = [], [q]
+        while q not in self.dead and (attribute := self._attribute(q)):
+            attrs.append(attribute[:2])
+            q = attribute[2]
+            passed.append(q)
+        after = s[q:q + 1]
+        if q in self.dead or after in _LETTERS or after in ("", "="):
+            self.dead.update(passed)
+            return -1
+        if after == ">" or s.startswith("/>", q):
+            closed = after == "/"
+            return self.start(s[i + 1:e].lower(), attrs, closed, q + 1 + closed)
+        self.text(s[i:q])  # a tag cut short by a stray character is text
+        return q
+
+    def _attribute(self, q: int) -> Optional[tuple]:
+        """(name, raw value or None, where the next may start) of the
+        attribute at ``q``, or None where none can start."""
+        s = self.html
+        if q >= len(s) or s[q] in "/>" or s[q].isspace() or not (
+            s[q - 1] in "'\"/" or s[q - 1].isspace()
+        ):
+            return None
+        e = self._search(_NAME_END, q + 1)[0]
+        raw, end = None, e
+        eq = _EQUALS.match(s, e)
+        if eq:
+            w = eq.end()
+            value_end = self._value_end(w)
+            if value_end < 0 and eq.group(2):  # an unclosed quote after a space:
+                w = value_end = w - 1  # the value is empty
+            elif value_end < 0 and len(eq.group(1)) > 1:  # after "==": the
+                w = eq.end(1) - 1  # value starts at the last "="
+                value_end = self._value_end(w)
+            if value_end >= 0:
+                raw, end = s[w:value_end], value_end
+        return s[q:e], raw, _SEPARATOR.match(s, end).end()
+
+    def _value_end(self, w: int) -> int:
+        """Where the attribute value at ``w`` ends; -1 for an unclosed quote."""
+        quote = self.html[w:w + 1]
+        if quote in _QUOTES:
+            return self._search(_QUOTES[quote], w + 1)[1]
+        return self._search(_VALUE_END, w)[0]
+
+    def _raw_text(self, tag: str, pos: int) -> int:
+        """Read a script or style body; if it never ends, neither does the page."""
+        start, end = self._search(_RAW_TEXT_END[tag], pos)
+        if end < 0:
+            return len(self.html)
+        if start > pos:
+            self.text(self.html[pos:start])
+        self.end(tag)
+        return end
+
+    def _search(self, pattern: re.Pattern, pos: int) -> tuple[int, int]:
+        """(start, end) of the first match of ``pattern`` at or after ``pos``,
+        or (len(html), -1). The last answer for a pattern is reused while a
+        query lies between where it was asked and where it was found."""
+        asked, found = self.found.get(pattern, (len(self.html) + 1, None))
+        if asked <= pos <= found[0]:
+            return found
+        m = pattern.search(self.html, pos)
+        found = (m.start(), m.end()) if m else (len(self.html), -1)
+        self.found[pattern] = (pos, found)
+        return found
 
 
 def parse_html(html: str) -> Document:
     """Parse HTML into a Document, recovering from malformed markup."""
-    builder = _TreeBuilder()
-    builder.feed(html)
-    builder.close()
-    return builder.document
+    return Document(children=_Parser(html).children)
+
+
+def parse_pruned(html: str, banned: frozenset, kept: tuple) -> Optional[Document]:
+    """The tree of ``parse_html`` without the elements named in ``banned``
+    and their subtrees, with only the ``kept`` attributes, and with each text
+    node whitespace-folded and joined to a text node before it; None when
+    ``parse_html`` would give an empty tree."""
+    parser = _Parser(html, banned, kept)
+    return Document(children=parser.children) if parser.content else None
 
 
 def serialize(node: Union[Document, Element, TextNode]) -> str:
@@ -239,7 +420,7 @@ def text_content(node: Union[Document, Element, TextNode]) -> str:
     while stack:
         item = stack.pop()
         if isinstance(item, TextNode):
-            cleaned = _WS_RUN.sub(" ", item.text).strip()
+            cleaned = " ".join(item.text.split())
             if cleaned:
                 pieces.append(cleaned)
         else:
@@ -259,7 +440,7 @@ def block_text_lines(node: Union[Document, Element]) -> list[str]:
     while stack:
         item = stack.pop()
         if isinstance(item, TextNode):
-            cleaned = _WS_RUN.sub(" ", item.text).strip()
+            cleaned = " ".join(item.text.split())
             if cleaned:
                 current.append(cleaned)
             continue

@@ -386,3 +386,44 @@ def test_evaluate_scores_failed_pages_as_zero(broken_corpus, runner, tmp_path):
     )
     assert result.exit_code == 0, result.output
     assert "mean accuracy 95.00" in result.output
+
+
+def test_malformed_truth_record_is_a_usage_error(workspace, runner, tmp_path):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(workspace / "corpus", corpus)
+    truth = corpus / "truth.jsonl"
+    lines = truth.read_text().splitlines()
+    record = json.loads(lines[1])
+    record["product"]["fat"] = {"value": True}
+    lines[1] = json.dumps(record)
+    truth.write_text("\n".join(lines) + "\n")
+    for args in (
+        ["extract", "direct", "--corpus", str(corpus), "--out", str(tmp_path / "out"),
+         "--provider", "oracle"],
+        ["evaluate", "--results", str(tmp_path), "--truth", str(corpus),
+         "--out", str(tmp_path / "report.json")],
+    ):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert f"{truth}:2: fat.value: malformed number: True" in result.output
+    assert not (tmp_path / "out").exists()
+
+
+def test_truth_without_a_result_page_is_a_usage_error(workspace, runner, tmp_path):
+    out = tmp_path / "direct"
+    result = runner.invoke(
+        main,
+        ["extract", "direct", "--corpus", str(workspace / "corpus"),
+         "--out", str(out), "--provider", "oracle"],
+    )
+    assert result.exit_code == 0, result.output
+    truth = tmp_path / "truth.jsonl"
+    first = (workspace / "corpus" / "truth.jsonl").read_text().splitlines()[0]
+    truth.write_text(first + "\n")
+    result = runner.invoke(
+        main,
+        ["evaluate", "--results", str(out), "--truth", str(truth),
+         "--out", str(tmp_path / "report.json")],
+    )
+    assert result.exit_code == 2, result.output
+    assert "ground truth has no record for page beta-0001" in result.output

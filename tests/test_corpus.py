@@ -4,6 +4,7 @@ import pytest
 
 from prodex.compress import BANNED_ELEMENTS, compress_both
 from prodex.corpus import (
+    MalformedTruth,
     MissingRates,
     ShopSpec,
     UnknownTemplate,
@@ -186,6 +187,21 @@ class TestOnDisk:
         with pytest.raises(SchemaViolation) as err:
             load_truth(truth_file)
         assert [path for path, _ in err.value.errors] == ["fat.value"]
+
+    @pytest.mark.parametrize("line, reason", [
+        ("{not json", "JSONDecodeError"),
+        ('{"page_id": "x"}', "KeyError: 'template_id'"),
+        ("[1]", "TypeError"),
+    ])
+    def test_malformed_truth_record_names_file_and_line(self, tmp_path, line, reason):
+        spec = preset_spec("alpha", 5, seed=5)
+        write_corpus(generate_shop(spec), tmp_path / "c", preset="alpha", spec=spec)
+        truth_file = tmp_path / "c" / "truth.jsonl"
+        lines = truth_file.read_text().splitlines()
+        lines[2] = line
+        truth_file.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MalformedTruth, match=f"truth.jsonl:3: \\$: {reason}"):
+            load_truth(truth_file)
 
     def test_layout_files_exist(self, tmp_path):
         spec = preset_spec("alpha", 5, seed=5)

@@ -66,11 +66,10 @@ def extract_direct(
     """Extract the product object from one compressed page."""
     system, user = build_direct_prompts(doc)
     try:
-        exchange = structured_call(
-            provider, model_id, system, user, _RESPONSE_SCHEMA,
+        exchange, product = structured_call(
+            provider, model_id, system, user, _RESPONSE_SCHEMA, parse_product,
             ledger=ledger, role_tag=role_tag, page_id=doc.page_id,
         )
-        product = parse_product(exchange.response_text)
     except SchemaViolation as exc:
         raise ExtractionFailed(f"page {doc.page_id}: {exc}") from exc
     return DirectResult(

@@ -33,13 +33,22 @@ from typing import Optional, Union
 
 from . import htmltree
 from .compress import CompressedDocument, Variant, WrongVariant
-from .schema import FIELDS, FieldKind, FoodProduct, QuantitativeValue
+from .schema import (
+    FIELDS,
+    KNOWN_LABEL_PREFIXES,
+    FieldKind,
+    FoodProduct,
+    QuantitativeValue,
+    SchemaViolation,
+)
 
 SELECTOR_MATCH_LIMIT = 10_000
 MAX_PREDICATE_DEPTH = 8
 
-#: Default label prefixes for strip_label_prefix when none are given.
-DEFAULT_LABEL_PREFIXES = ("Zutaten:", "Zutatenliste:", "Ingredients:")
+#: What re.compile raises for a pattern it cannot build: re.error, or for
+#: some patterns ValueError (incompatible flags), OverflowError (a repeat
+#: count too large) or RecursionError (deep nesting).
+_REGEX_ERRORS = (re.error, ValueError, OverflowError, RecursionError)
 
 POST_OP_NAMES = ("trim", "strip_label_prefix", "parse_decimal_comma", "to_unit_code")
 
@@ -51,12 +60,12 @@ class ProgramIssue:
     message: str
 
 
-class ProgramParseError(Exception):
+class ProgramParseError(SchemaViolation):
     """Program rejected; issues are renderable as regeneration feedback."""
 
     def __init__(self, issues: list[ProgramIssue]):
         self.issues = issues
-        super().__init__("; ".join(f"{i.path}: {i.message}" for i in issues))
+        super().__init__([(i.path, i.message) for i in issues])
 
     def render_feedback(self) -> str:
         return "\n".join(f"- {i.path}: {i.kind}: {i.message}" for i in self.issues)
@@ -93,7 +102,7 @@ class FieldRule:
         if self.capture is not None:
             try:
                 capture = re.compile(self.capture)
-            except re.error:
+            except _REGEX_ERRORS:
                 pass
             if capture is not None and capture.groups != 1:
                 capture = None
@@ -188,8 +197,8 @@ def parse_program(json_text: str) -> Union[ExtractionProgram, DecisionProgram]:
     """Validate program JSON into a program object or raise ProgramParseError."""
     try:
         data = json.loads(json_text)
-    except json.JSONDecodeError as exc:
-        raise ProgramParseError([ProgramIssue("$", "Malformed", f"invalid JSON: {exc.msg}")])
+    except (ValueError, RecursionError) as exc:  # also too many digits, too deep
+        raise ProgramParseError([ProgramIssue("$", "Malformed", f"invalid JSON: {exc}")])
     if not isinstance(data, dict):
         raise ProgramParseError([ProgramIssue("$", "Malformed", "expected a JSON object")])
     kind = data.get("kind")
@@ -260,7 +269,7 @@ def _parse_extraction(data: dict) -> ExtractionProgram:
         node_index = entry.get("node_index", 0)
         if node_index is None:
             node_index = 0
-        if not isinstance(node_index, int) or node_index < 0:
+        if not _is_count(node_index):
             issues.append(ProgramIssue(f"{where}.node_index", "Malformed", "node_index must be a non-negative integer"))
             continue
         capture = entry.get("capture")
@@ -270,7 +279,7 @@ def _parse_extraction(data: dict) -> ExtractionProgram:
                 continue
             try:
                 compiled = re.compile(capture)
-            except re.error as exc:
+            except _REGEX_ERRORS as exc:
                 issues.append(ProgramIssue(f"{where}.capture", "InvalidRegex", str(exc)))
                 continue
             if compiled.groups != 1:
@@ -290,6 +299,9 @@ def _parse_extraction(data: dict) -> ExtractionProgram:
                 post_ops=post_ops,
             )
         )
+    generation = data.get("generation", 0)
+    if not _is_count(generation):
+        issues.append(ProgramIssue("generation", "Malformed", "generation must be a non-negative integer"))
     if issues:
         raise ProgramParseError(issues)
     return ExtractionProgram(
@@ -297,8 +309,13 @@ def _parse_extraction(data: dict) -> ExtractionProgram:
         target_schema_name=str(data.get("target_schema_name", "FoodProduct")),
         rules=tuple(rules),
         created_by=str(data.get("created_by", "")),
-        generation=int(data.get("generation", 0)),
+        generation=generation,
     )
+
+
+def _is_count(value) -> bool:
+    """A non-negative int; a JSON boolean is not one."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 def _parse_post_ops(raw, leaf_type: str, where: str, issues: list[ProgramIssue]):
@@ -327,7 +344,7 @@ def _parse_post_ops(raw, leaf_type: str, where: str, issues: list[ProgramIssue])
             ok = False
             continue
         if name == "strip_label_prefix":
-            prefixes = op_entry.get("prefixes") or list(DEFAULT_LABEL_PREFIXES)
+            prefixes = op_entry.get("prefixes") or list(KNOWN_LABEL_PREFIXES)
             if not isinstance(prefixes, list) or not all(isinstance(p, str) for p in prefixes):
                 issues.append(ProgramIssue(spot, "UnknownPostOp", "prefixes must be strings"))
                 ok = False
@@ -382,7 +399,7 @@ def _parse_predicate(raw, where: str, depth: int, issues: list[ProgramIssue]) ->
             return None
         try:
             re.compile(pattern)
-        except re.error as exc:
+        except _REGEX_ERRORS as exc:
             issues.append(ProgramIssue(where, "InvalidRegex", str(exc)))
             return None
         return Predicate(op=op, value=pattern)

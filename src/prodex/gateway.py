@@ -6,10 +6,10 @@ every exchange, and a replay provider that serves recorded exchanges keyed by
 a content hash of (model, system prompt, user prompt, schema). Replay makes
 every pipeline bit-deterministic offline.
 
-Every JSON Schema is compiled into a validator once per process: the
-validator is keyed by the schema's canonical JSON text, checked against its
-meta-schema when it is built, and kept in a small fixed-size cache that
-schema checks, response validation and the providers all share.
+The JSON Schema goes to the provider, which constrains its output with it.
+Locally a response is validated once, by the parser that builds the value
+from it (``parse_product`` or a program parser): a response the parser
+rejects gets one corrective retry.
 
 Cost accounting is exact: usage is priced from a per-model table using
 ``Decimal`` arithmetic, and a ledger's total is always the sum of its
@@ -18,7 +18,6 @@ entries with no floating-point drift.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import os
@@ -27,9 +26,7 @@ import time
 from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
-from typing import Optional, Protocol
-
-import jsonschema
+from typing import Callable, Optional, Protocol, TypeVar
 
 from .compress import count_tokens
 from .schema import SchemaViolation
@@ -267,36 +264,26 @@ class Provider(Protocol):
         ...
 
 
-@functools.lru_cache(maxsize=32)
-def _compile_schema(schema_text: str):
-    """The validator for one canonical schema text; failures are not cached."""
-    json_schema = json.loads(schema_text)
-    try:
-        validator_class = jsonschema.validators.validator_for(json_schema)
-        validator_class.check_schema(json_schema)
-    except jsonschema.SchemaError as exc:
-        raise SchemaViolation([("$schema", f"invalid JSON Schema: {exc.message}")])
-    if not isinstance(json_schema, dict) or "type" not in json_schema:
-        raise SchemaViolation([("$schema", "schema must be an object with a type")])
-    return validator_class(json_schema)
-
-
-def schema_validator(json_schema: dict):
-    """Compiled validator for ``json_schema``; raises SchemaViolation if malformed."""
-    return _compile_schema(json.dumps(json_schema, sort_keys=True, ensure_ascii=False))
+#: The type names of JSON Schema.
+_JSON_SCHEMA_TYPES = ("object", "array", "string", "number", "integer", "boolean", "null")
 
 
 def check_schema(json_schema: dict) -> None:
-    """Reject malformed schemas before any provider work."""
-    schema_validator(json_schema)
+    """Reject a schema that is not an object with a JSON Schema type, before
+    any provider work."""
+    if not isinstance(json_schema, dict) or json_schema.get("type") not in _JSON_SCHEMA_TYPES:
+        raise SchemaViolation([("$schema", "schema must be an object with a JSON Schema type")])
 
 
-def validates_against(json_text: str, json_schema: dict) -> bool:
+T = TypeVar("T")
+
+
+def validates_against(json_text: str, parse: Callable[[str], T]) -> Optional[T]:
+    """``parse(json_text)``, or None when the parser raises SchemaViolation."""
     try:
-        data = json.loads(json_text)
-    except json.JSONDecodeError:
-        return False
-    return schema_validator(json_schema).is_valid(data)
+        return parse(json_text)
+    except SchemaViolation:
+        return None
 
 
 def estimate_usage(system_prompt: str, user_prompt: str, response_text: str) -> Usage:
@@ -487,14 +474,17 @@ def structured_call(
     system_prompt: str,
     user_prompt: str,
     json_schema: dict,
+    parse: Callable[[str], T],
     ledger: Optional[CostLedger] = None,
     role_tag: str = "direct",
     page_id: Optional[str] = None,
-) -> ChatExchange:
+) -> tuple[ChatExchange, T]:
     """One schema-constrained call with a single corrective retry.
 
-    Every attempt is priced into the ledger. The retry uses an amended user
-    prompt, so recorded sessions replay it under its own key.
+    A response is accepted when ``parse`` builds a value from it, and retried
+    once when ``parse`` raises SchemaViolation. Returns the accepted exchange
+    and its value. Every attempt is priced into the ledger. The retry uses an
+    amended user prompt, so recorded sessions replay it under its own key.
     """
     check_schema(json_schema)
     for prompt in (user_prompt, user_prompt + CORRECTIVE_INSTRUCTION):
@@ -507,6 +497,7 @@ def structured_call(
                 exchange.usage,
                 page_id=page_id,
             )
-        if validates_against(exchange.response_text, json_schema):
-            return exchange
+        value = validates_against(exchange.response_text, parse)
+        if value is not None:
+            return exchange, value
     raise SchemaViolation([("$", "provider output failed schema validation after retry")])

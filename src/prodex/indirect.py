@@ -43,7 +43,6 @@ from .dsl import (
     DecisionProgram,
     ExtractionProgram,
     FieldRule,
-    ProgramParseError,
     count_extracted,
     decision_program_json_schema,
     extraction_program_json_schema,
@@ -235,6 +234,19 @@ def render_samples(samples: list[tuple[CompressedDocument, bool]]) -> str:
     return "\n\n".join(blocks)
 
 
+def _program_parser(kind: type):
+    """The structured_call parse step for a program of one kind: parse_program,
+    and a program of the other kind is rejected like any schema violation."""
+
+    def parse(json_text: str):
+        program = parse_program(json_text)
+        if not isinstance(program, kind):
+            raise SchemaViolation([("kind", f"expected a {kind.__name__}")])
+        return program
+
+    return parse
+
+
 def build_decision_ensemble(
     samples: list[tuple[CompressedDocument, bool]],
     provider: Provider,
@@ -265,14 +277,12 @@ def build_decision_ensemble(
                 samples=samples_text,
             )
             try:
-                exchange = structured_call(
+                _, program = structured_call(
                     provider, config.decision_model, system, user, schema,
+                    _program_parser(DecisionProgram),
                     ledger=ledger, role_tag="decision_gen",
                 )
-                program = parse_program(exchange.response_text)
-            except (SchemaViolation, ProgramParseError):
-                continue
-            if not isinstance(program, DecisionProgram):
+            except SchemaViolation:
                 continue
             score = sum(
                 1 for doc, label in samples if run_decision(program, doc) == label
@@ -366,14 +376,14 @@ def synthesize_program(
 
     def call_for_program(user_prompt: str, role: str) -> Optional[ExtractionProgram]:
         try:
-            exchange = structured_call(
+            _, program = structured_call(
                 provider, config.primary_model, gen_system, user_prompt, schema,
+                _program_parser(ExtractionProgram),
                 ledger=ledger, role_tag=role, page_id=html_doc.page_id,
             )
-            program = parse_program(exchange.response_text)
-        except (SchemaViolation, ProgramParseError):
+        except SchemaViolation:
             return None
-        return program if isinstance(program, ExtractionProgram) else None
+        return program
 
     for alternative in range(1 + config.max_alternatives):
         attempt_token = f"{token_prefix}-{html_doc.page_id}-alt{alternative}"

@@ -6,9 +6,10 @@ carbohydrates, sugars, protein, salt), each a value/unit pair. All fields are
 optional; absence is meaningful and must never be fabricated.
 
 The field list and per-field descriptions are the constant ``FIELDS``.
-``to_json_schema`` emits them as JSON Schema text for prompts and response
-validation; ``parse_product`` is the inverse direction, turning (possibly
-messy) model output into a validated ``FoodProduct``.
+``to_json_schema`` emits them as JSON Schema text for prompts and for the
+provider's structured output; ``parse_product`` is the inverse direction and
+the one local check of a response, turning (possibly messy) model output into
+a validated ``FoodProduct``.
 
 Numbers accept both decimal point and decimal comma on input and are held as
 ``Decimal``; canonical serialization uses the decimal point and string-encoded
@@ -34,9 +35,6 @@ NUTRIENT_FIELDS = (
     "protein",
     "salt",
 )
-
-#: Unit codes accepted without a warning (kilojoule, kilocalorie, gram, milligram).
-KNOWN_UNIT_CODES = frozenset({"KJO", "E14", "GRM", "MGM"})
 
 #: Label prefixes stripped from ingredient statements on parse.
 KNOWN_LABEL_PREFIXES = ("Zutaten:", "Zutatenliste:", "Ingredients:")
@@ -213,26 +211,23 @@ def parse_decimal(raw) -> Decimal:
     raise InvalidOperation(f"not a decimal: {raw!r}")
 
 
-def strip_known_prefix(text: str) -> tuple[str, bool]:
+def strip_known_prefix(text: str) -> str:
     for prefix in KNOWN_LABEL_PREFIXES:
         if text.lower().startswith(prefix.lower()):
-            return text[len(prefix):].lstrip(), True
-    return text, False
+            return text[len(prefix):].lstrip()
+    return text
 
 
-def validate_product_json(
-    json_text: str,
-) -> tuple[Optional[FoodProduct], list[tuple[str, str]], list[str]]:
-    """Validate and build a product; returns (product|None, errors, warnings)."""
-    errors: list[tuple[str, str]] = []
-    warnings: list[str] = []
+def parse_product(json_text: str) -> FoodProduct:
+    """Parse model output into a product; raises SchemaViolation on failure."""
     try:
         data = json.loads(json_text, parse_float=Decimal)
-    except json.JSONDecodeError as exc:
-        return None, [("$", f"invalid JSON: {exc.msg}")], warnings
+    except (ValueError, RecursionError) as exc:  # also too many digits, too deep
+        raise SchemaViolation([("$", f"invalid JSON: {exc}")])
     if not isinstance(data, dict):
-        return None, [("$", "top level must be a JSON object")], warnings
+        raise SchemaViolation([("$", "top level must be a JSON object")])
 
+    errors: list[tuple[str, str]] = []
     values: dict[str, object] = {}
     for key, raw in data.items():
         spec = _FIELDS_BY_NAME.get(key)
@@ -245,21 +240,19 @@ def validate_product_json(
             if not isinstance(raw, str):
                 errors.append((key, f"expected string, got {type(raw).__name__}"))
                 continue
-            text, stripped = strip_known_prefix(raw.strip())
-            if stripped:
-                warnings.append(f"{key}: removed label prefix from statement")
+            text = strip_known_prefix(raw.strip())
             if text:
                 values[key] = text
         else:
-            qv = _parse_quantity(key, raw, errors, warnings)
+            qv = _parse_quantity(key, raw, errors)
             if qv is not None:
                 values[key] = qv
     if errors:
-        return None, errors, warnings
-    return FoodProduct(**values), errors, warnings  # type: ignore[arg-type]
+        raise SchemaViolation(errors)
+    return FoodProduct(**values)  # type: ignore[arg-type]
 
 
-def _parse_quantity(path, raw, errors, warnings) -> Optional[QuantitativeValue]:
+def _parse_quantity(path, raw, errors) -> Optional[QuantitativeValue]:
     if not isinstance(raw, dict):
         errors.append((path, f"expected object, got {type(raw).__name__}"))
         return None
@@ -275,24 +268,12 @@ def _parse_quantity(path, raw, errors, warnings) -> Optional[QuantitativeValue]:
         errors.append((f"{path}.value", f"malformed number: {raw['value']!r}"))
         return None
     unit = raw.get("unit_code")
-    if unit is not None:
-        if not isinstance(unit, str) or not unit:
-            errors.append((f"{path}.unit_code", "must be a non-empty string"))
-            return None
-        if unit.upper() not in KNOWN_UNIT_CODES:
-            warnings.append(f"{path}.unit_code: unknown unit code {unit!r}")
+    if unit is not None and (not isinstance(unit, str) or not unit):
+        errors.append((f"{path}.unit_code", "must be a non-empty string"))
+        return None
     if unknown:
         return None
     return QuantitativeValue(value=value, unit_code=unit)
-
-
-def parse_product(json_text: str) -> FoodProduct:
-    """Parse model output into a product; raises SchemaViolation on failure."""
-    product, errors, _ = validate_product_json(json_text)
-    if errors:
-        raise SchemaViolation(errors)
-    assert product is not None
-    return product
 
 
 def product_to_dict(product: FoodProduct) -> dict:

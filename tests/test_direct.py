@@ -1,10 +1,11 @@
 import json
 
+import jsonschema
 import pytest
 
 from prodex.compress import CompressedDocument, Variant, compress_both
 from prodex.direct import extract_direct, extract_direct_batch
-from prodex.gateway import CostLedger, validates_against
+from prodex.gateway import CostLedger
 from prodex.oracle import OracleConfig, OracleProvider
 from prodex.schema import (
     filled_field_ratio,
@@ -62,7 +63,7 @@ class TestExtractDirect:
             html_doc, _, _ = compress_both(page)
             result = extract_direct(html_doc, oracle, "o3-mini")
             payload = json.dumps(product_to_dict(result.product), ensure_ascii=False)
-            assert validates_against(payload, schema)
+            assert jsonschema.Draft202012Validator(schema).is_valid(json.loads(payload))
 
 
 class _CountingProvider:
@@ -98,6 +99,21 @@ class _NonFiniteProvider:
 
         response = '{"fat": {"value": NaN, "unit_code": "GRM"}}'
         return ChatExchange(model_id, system_prompt, user_prompt, response, Usage())
+
+
+class _DeeplyNestedProvider:
+    """Answers pages in a scripted set with JSON nested past the recursion limit."""
+
+    def __init__(self, inner, bad_pages):
+        self.inner = inner
+        self.bad_pages = bad_pages
+
+    def complete_structured(self, model_id, system_prompt, user_prompt, json_schema):
+        from prodex.gateway import ChatExchange, Usage
+
+        if any(f"Art.-Nr. {p}" in user_prompt for p in self.bad_pages):
+            return ChatExchange(model_id, system_prompt, user_prompt, "[" * 100_000, Usage())
+        return self.inner.complete_structured(model_id, system_prompt, user_prompt, json_schema)
 
 
 class TestBatch:
@@ -198,6 +214,15 @@ class TestBatch:
         results, failures = extract_direct_batch(docs, _NonFiniteProvider(), "o3-mini", CostLedger())
         assert results == []
         assert set(failures) == {doc.page_id for doc in docs}
+
+    def test_deeply_nested_response_is_a_page_failure(self, small_alpha, oracle):
+        docs = self._docs(small_alpha, 3)
+        provider = _DeeplyNestedProvider(oracle, {docs[1].page_id})
+        ledger = CostLedger()
+        results, failures = extract_direct_batch(docs, provider, "o3-mini", ledger)
+        assert set(failures) == {docs[1].page_id}
+        assert [r.page_id for r in results] == [docs[0].page_id, docs[2].page_id]
+        assert [e.page_id for e in ledger.entries].count(docs[1].page_id) == 2  # one retry
 
     def test_products_written_to_out_dir(self, small_alpha, oracle, tmp_path):
         docs = self._docs(small_alpha, 3)

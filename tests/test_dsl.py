@@ -25,7 +25,7 @@ from prodex.dsl import (
     run_extraction,
     run_extraction_on_tree,
 )
-from prodex.schema import FoodProduct, QuantitativeValue
+from prodex.schema import FoodProduct, QuantitativeValue, SchemaViolation
 from prodex.similarity import compare
 
 
@@ -100,6 +100,51 @@ class TestParseProgram:
     def test_duplicate_field_path_rejected(self):
         with pytest.raises(ProgramParseError):
             parse_program(_program_json([_rule_json(), _rule_json()]))
+
+    @pytest.mark.parametrize("value", ["x", True, -1, None, 1.5])
+    def test_generation_must_be_a_non_negative_int(self, value):
+        data = {"kind": "extraction", "program_id": "p", "rules": [], "generation": value}
+        with pytest.raises(ProgramParseError) as err:
+            parse_program(json.dumps(data))
+        assert [issue.path for issue in err.value.issues] == ["generation"]
+
+    @pytest.mark.parametrize("value", [True, "1", -1, 1.0])
+    def test_node_index_must_be_a_non_negative_int(self, value):
+        with pytest.raises(ProgramParseError) as err:
+            parse_program(_program_json([_rule_json(node_index=value)]))
+        assert [issue.path for issue in err.value.issues] == ["rules[0].node_index"]
+
+    @pytest.mark.parametrize("pattern", [
+        "(" * 3000 + "a" + ")" * 3000,  # RecursionError inside re
+        "a{99999999999}",  # OverflowError
+        "(?a)(?u)(a)",  # ValueError
+    ], ids=["deep", "repeat", "flags"])
+    def test_regex_re_cannot_compile_is_an_invalid_regex(self, pattern):
+        with pytest.raises(ProgramParseError) as err:
+            parse_program(_program_json([_rule_json(capture=pattern)]))
+        assert err.value.issues[0].kind == "InvalidRegex"
+        decision = {"kind": "decision", "program_id": "d",
+                    "predicate": {"op": "matches_regex", "pattern": pattern}}
+        with pytest.raises(ProgramParseError) as err:
+            parse_program(json.dumps(decision))
+        assert err.value.issues[0].kind == "InvalidRegex"
+
+    @pytest.mark.parametrize("text", [
+        "[" * 100_000,
+        '{"kind": "extraction", "rules": [], "generation": %s}' % ("1" * 5000),
+    ], ids=["deep", "digits"])
+    def test_json_python_cannot_read_is_malformed(self, text):
+        with pytest.raises(ProgramParseError) as err:
+            parse_program(text)
+        assert [(i.path, i.kind) for i in err.value.issues] == [("$", "Malformed")]
+        assert err.value.errors[0][1].startswith("invalid JSON")
+
+    def test_parse_error_is_a_schema_violation_with_the_same_message(self):
+        with pytest.raises(SchemaViolation) as err:
+            parse_program(_program_json([_rule_json(selector="td[")]))
+        assert isinstance(err.value, ProgramParseError)
+        issue = err.value.issues[0]
+        assert str(err.value) == f"{issue.path}: {issue.message}"
 
     def test_round_trip_is_identity(self):
         program = true_program_for("tafel")

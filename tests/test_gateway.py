@@ -1,11 +1,20 @@
 import json
+import os
+import subprocess
+import sys
 from decimal import Decimal
 from pathlib import Path
 
+import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prodex import gateway
+import prodex
+from prodex.dsl import (
+    ExtractionProgram,
+    extraction_program_json_schema,
+    parse_program,
+)
 from prodex.gateway import (
     CORRECTIVE_INSTRUCTION,
     ChatExchange,
@@ -21,12 +30,23 @@ from prodex.gateway import (
     estimate_usage,
     exchange_key,
     load_price_table,
-    schema_validator,
     structured_call,
 )
+from prodex.indirect import _program_parser
 from prodex.schema import SchemaViolation
 
 SCHEMA = {"title": "T", "type": "object", "properties": {"a": {"type": "integer"}}}
+
+
+def _parse_a(json_text: str) -> int:
+    """The integer ``a`` of a response to SCHEMA; raises SchemaViolation otherwise."""
+    try:
+        value = json.loads(json_text)["a"]
+    except (ValueError, TypeError, KeyError):
+        raise SchemaViolation([("$", "expected an object with a")])
+    if not isinstance(value, int):
+        raise SchemaViolation([("a", "expected an integer")])
+    return value
 
 
 class TestCost:
@@ -130,69 +150,80 @@ class TestStructuredCall:
     def test_valid_response_single_call(self):
         provider = _ScriptedProvider(['{"a": 1}'])
         ledger = CostLedger()
-        exchange = structured_call(provider, "o3-mini", "s", "u", SCHEMA, ledger, "direct")
+        exchange, value = structured_call(
+            provider, "o3-mini", "s", "u", SCHEMA, _parse_a, ledger, "direct"
+        )
         assert exchange.response_text == '{"a": 1}'
+        assert value == 1
         assert len(ledger.entries) == 1
 
     def test_corrective_retry_on_invalid_output(self):
         provider = _ScriptedProvider(['{"a": "not an int"}', '{"a": 2}'])
         ledger = CostLedger()
-        exchange = structured_call(provider, "o3-mini", "s", "u", SCHEMA, ledger, "direct")
+        exchange, value = structured_call(
+            provider, "o3-mini", "s", "u", SCHEMA, _parse_a, ledger, "direct"
+        )
         assert exchange.response_text == '{"a": 2}'
+        assert value == 2
         assert len(ledger.entries) == 2
         assert provider.calls[1].endswith(CORRECTIVE_INSTRUCTION)
 
     def test_gives_up_after_one_retry(self):
         provider = _ScriptedProvider(["junk", "more junk"])
         with pytest.raises(SchemaViolation):
-            structured_call(provider, "o3-mini", "s", "u", SCHEMA, CostLedger(), "direct")
+            structured_call(provider, "o3-mini", "s", "u", SCHEMA, _parse_a, CostLedger(), "direct")
 
     def test_malformed_schema_rejected_before_any_call(self):
         provider = _ScriptedProvider([])
-        with pytest.raises(SchemaViolation):
-            structured_call(
-                provider, "o3-mini", "s", "u", {"type": "nonsense"}, CostLedger(), "direct"
-            )
-        assert provider.calls == []
-
-
-class TestValidatorCache:
-    @staticmethod
-    def _schema(title):
-        return {"title": title, "type": "object", "properties": {"a": {"type": "integer"}}}
-
-    def test_malformed_schema_rejected_on_every_call(self):
-        provider = _ScriptedProvider([])
-        before = gateway._compile_schema.cache_info()
-        for _ in range(2):
+        for _ in range(2):  # refused on every call, not only the first
             with pytest.raises(SchemaViolation):
                 structured_call(
-                    provider, "o3-mini", "s", "u", {"type": "nonsense"}, CostLedger(), "direct"
+                    provider, "o3-mini", "s", "u", {"type": "nonsense"}, _parse_a,
+                    CostLedger(), "direct",
                 )
-        after = gateway._compile_schema.cache_info()
         assert provider.calls == []
-        assert after.misses - before.misses == 2  # failures are not cached
-        assert after.currsize - before.currsize == 0
 
-    def test_equal_schemas_compile_once(self):
-        before = gateway._compile_schema.cache_info()
-        first = schema_validator(self._schema("CompileOnce"))
-        second = schema_validator(json.loads(json.dumps(self._schema("CompileOnce"))))
-        after = gateway._compile_schema.cache_info()
-        assert first is second
-        assert after.misses - before.misses == 1
-        assert after.hits - before.hits == 1
-
-    def test_invalid_output_retried_with_cached_validator(self):
-        schema = self._schema("CachedRetry")
-        structured_call(_ScriptedProvider(['{"a": 1}']), "o3-mini", "s", "u", schema)
-        provider = _ScriptedProvider(['{"a": "x"}', '{"a": 2}'])
+    def test_response_the_parser_rejects_is_retried(self):
+        # Valid against the JSON Schema, but a capture needs exactly one group.
+        no_group = json.dumps({"kind": "extraction", "program_id": "p", "rules": [
+            {"field_path": "fat.value", "selector": "p", "capture": "[0-9]+"}]})
+        one_group = json.dumps({"kind": "extraction", "program_id": "p", "rules": [
+            {"field_path": "fat.value", "selector": "p", "capture": "([0-9]+)"}]})
+        schema = extraction_program_json_schema()
+        assert jsonschema.Draft202012Validator(schema).is_valid(json.loads(no_group))
+        provider = _ScriptedProvider([no_group, one_group])
         ledger = CostLedger()
-        exchange = structured_call(provider, "o3-mini", "s", "u", self._schema("CachedRetry"),
-                                   ledger, "direct")
-        assert exchange.response_text == '{"a": 2}'
+        exchange, program = structured_call(
+            provider, "o3-mini", "s", "u", schema, parse_program, ledger, "func_gen"
+        )
+        assert exchange.response_text == one_group
+        assert program.rules[0].capture == "([0-9]+)"
         assert len(ledger.entries) == 2
         assert provider.calls[1].endswith(CORRECTIVE_INSTRUCTION)
+
+    def test_program_of_the_wrong_kind_is_retried(self):
+        decision = json.dumps({"kind": "decision", "program_id": "d",
+                               "predicate": {"op": "contains_keyword", "value": "Zutaten"}})
+        extraction = json.dumps({"kind": "extraction", "program_id": "p", "rules": []})
+        provider = _ScriptedProvider([decision, extraction])
+        ledger = CostLedger()
+        _, program = structured_call(
+            provider, "o3-mini", "s", "u", extraction_program_json_schema(),
+            _program_parser(ExtractionProgram), ledger, "func_gen",
+        )
+        assert isinstance(program, ExtractionProgram)
+        assert len(ledger.entries) == 2
+        assert provider.calls[1].endswith(CORRECTIVE_INSTRUCTION)
+
+
+def test_cli_import_does_not_load_jsonschema():
+    code = "import sys, prodex.cli; print('jsonschema' in sys.modules)"
+    src = str(Path(prodex.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "False"
 
 
 class TestRecordReplay:
@@ -223,12 +254,14 @@ class TestRecordReplay:
         recorder = RecordingProvider(inner, tmp_path / "session")
         ledger = CostLedger()
         for i in range(n):
-            structured_call(recorder, "o3-mini", "sys", f"user-{i}", SCHEMA, ledger, "direct")
+            structured_call(recorder, "o3-mini", "sys", f"user-{i}", SCHEMA, _parse_a,
+                            ledger, "direct")
         assert len(ledger.entries) == n
         replay = ReplayProvider(tmp_path / "session")
         replay_ledger = CostLedger()
         for i in range(n):
-            structured_call(replay, "o3-mini", "sys", f"user-{i}", SCHEMA, replay_ledger, "direct")
+            structured_call(replay, "o3-mini", "sys", f"user-{i}", SCHEMA, _parse_a,
+                            replay_ledger, "direct")
         assert replay_ledger.to_json() == ledger.to_json()
 
     def test_rerecorded_exchange_leaves_one_file(self, tmp_path):

@@ -625,6 +625,22 @@ class _FlakyProvider:
         return self.inner.complete_structured(model_id, system_prompt, user_prompt, json_schema)
 
 
+class _DeeplyNestedPrograms:
+    """Answers every extraction-program request about a scripted page with
+    JSON nested past the recursion limit."""
+
+    def __init__(self, inner, page_id):
+        self.inner = inner
+        self.page_id = page_id
+
+    def complete_structured(self, model_id, system_prompt, user_prompt, json_schema):
+        from prodex.gateway import ChatExchange, Usage
+
+        if json_schema["title"] == "ExtractionProgram" and f"Art.-Nr. {self.page_id}" in user_prompt:
+            return ChatExchange(model_id, system_prompt, user_prompt, "[" * 100_000, Usage())
+        return self.inner.complete_structured(model_id, system_prompt, user_prompt, json_schema)
+
+
 class TestProviderFailureResilience:
     def test_run_continues_and_accounting_stays_exact(self, full_single_template):
         corpus = full_single_template
@@ -664,3 +680,22 @@ class TestProviderFailureResilience:
             "page_id": trigger, "outcome": "provider_error", "error": "scripted outage",
             "reference_calls": 1, "generations": 0, "refinements": 0,
         }
+
+    def test_deeply_nested_program_is_a_logged_episode(self, full_single_template):
+        corpus = full_single_template
+        config = OrchestratorConfig(rng_seed=5)
+        clean = process_shop(corpus, OracleProvider(corpus, OracleConfig()), config)
+        trigger = clean.metrics.synthesis_log[0]["page_id"]
+
+        provider = _DeeplyNestedPrograms(OracleProvider(corpus, OracleConfig()), trigger)
+        result = process_shop(corpus, provider, config)
+        m = result.metrics
+        m.check_invariants()
+        # every generation is retried once and rejected again; no refinement follows
+        assert m.synthesis_log[0] == {
+            "page_id": trigger, "outcome": "best_imperfect",
+            "reference_calls": 1, "generations": 2 * (1 + config.max_alternatives),
+            "refinements": 0, "best_similarity": -1.0, "program_id": None,
+        }
+        assert len(result.page_results) == len(corpus.pages)
+        assert m.functions_generated >= 1

@@ -17,7 +17,6 @@ from prodex.schema import (
     serialize_product,
     to_json_schema,
     to_json_schema_dict,
-    validate_product_json,
 )
 
 
@@ -95,20 +94,12 @@ class TestParseProduct:
         assert product.populated_fields() == ()
 
     def test_prefix_stripped_with_warning(self):
-        product, errors, warnings = validate_product_json(
-            '{"ingredient_statement":"Zutaten: Zucker"}'
-        )
-        assert not errors
+        product = parse_product('{"ingredient_statement":"Zutaten: Zucker"}')
         assert product.ingredient_statement == "Zucker"
-        assert any("prefix" in w for w in warnings)
 
     def test_unknown_unit_code_preserved_but_flagged(self):
-        product, errors, warnings = validate_product_json(
-            '{"fat":{"value":1,"unit_code":"OZ"}}'
-        )
-        assert not errors
+        product = parse_product('{"fat":{"value":1,"unit_code":"OZ"}}')
         assert product.fat.unit_code == "OZ"
-        assert any("unknown unit code" in w for w in warnings)
 
     def test_quantity_without_value_rejected(self):
         with pytest.raises(SchemaViolation):
@@ -117,6 +108,15 @@ class TestParseProduct:
     def test_malformed_json(self):
         with pytest.raises(SchemaViolation):
             parse_product("{nope")
+
+    @pytest.mark.parametrize("text", [
+        "[" * 100_000,
+        '{"fat":{"value":%s}}' % ("1" * 5000),
+    ], ids=["deep", "digits"])
+    def test_json_python_cannot_read_is_malformed(self, text):
+        with pytest.raises(SchemaViolation) as err:
+            parse_product(text)
+        assert [path for path, _ in err.value.errors] == ["$"]
 
 
 class TestFilledFieldRatio:
@@ -211,8 +211,11 @@ def test_parser_agrees_with_independent_jsonschema_checker(doc):
     absent by the parser, accepted as a string by the schema) — both accept.
     """
     payload = json.dumps(doc, ensure_ascii=False)
-    product, errors, _ = validate_product_json(payload)
-    ours_ok = not errors
+    try:
+        parse_product(payload)
+        ours_ok = True
+    except SchemaViolation:
+        ours_ok = False
     schema = to_json_schema_dict()
     try:
         jsonschema.validate(json.loads(payload), schema)

@@ -9,6 +9,7 @@ them. Live-provider credentials come from PRODEX_API_BASE / PRODEX_API_KEY.
 from __future__ import annotations
 
 import json
+import shutil
 import sys
 import typing
 from dataclasses import replace
@@ -20,7 +21,7 @@ from . import prompts
 from .compress import RawDocument, UnparsableDocument, Variant, compress_both, count_tokens
 from .corpus import (Corpus, MalformedTruth, generate_shop, load_corpus, load_truth,
                      preset_spec, write_corpus)
-from .direct import extract_direct_batch
+from .direct import extract_direct_batch, read_products
 from .evaluate import (
     MissingTruth,
     RunReport,
@@ -132,11 +133,13 @@ def compress_cmd(variant, in_path, out_dir):
 
 
 def _write_failures(out: Path, failures: dict[str, str]) -> None:
-    """List failed pages, page_id -> reason, in failures.json (only if any)."""
+    """List this invocation's failed pages, page_id -> reason, in failures.json;
+    with none, remove the file an earlier invocation left."""
+    path = out / "failures.json"
     if failures:
-        (out / "failures.json").write_text(
-            json.dumps(failures, indent=2, sort_keys=True), encoding="utf-8"
-        )
+        path.write_text(json.dumps(failures, indent=2, sort_keys=True), encoding="utf-8")
+    else:
+        path.unlink(missing_ok=True)
 
 
 # --- providers -------------------------------------------------------------------
@@ -211,16 +214,15 @@ def extract():
 def extract_direct_cmd(corpus_dir, out_dir, variant, model, resume, workers, provider_name,
                        session, record, oracle_imperfections, oracle_unreparable_template,
                        oracle_unreparable_rate, oracle_seed):
-    """One structured model call per page (with resume checkpointing)."""
+    """One structured model call per page; resumes from the products written."""
     shop = load_corpus(corpus_dir)
     provider = _build_provider(provider_name, shop, session, record,
                                oracle_imperfections, oracle_unreparable_template,
                                oracle_unreparable_rate, oracle_seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    checkpoint = out / "checkpoint.jsonl"
-    if not resume and checkpoint.exists():
-        checkpoint.unlink()
+    if not resume and (out / "products").exists():
+        shutil.rmtree(out / "products")
 
     docs = []
     unparsable: dict[str, str] = {}
@@ -235,10 +237,8 @@ def extract_direct_cmd(corpus_dir, out_dir, variant, model, resume, workers, pro
     ledger = CostLedger()
     ledger.meta["prompt_bundle_hash"] = prompts.bundle_hash()
     ledger.meta["shop_id"] = shop.shop_id
-    results, failures = extract_direct_batch(
-        docs, provider, model, ledger,
-        checkpoint_path=checkpoint, out_dir=out, workers=workers,
-    )
+    results, failures = extract_direct_batch(docs, provider, model, ledger, out_dir=out,
+                                             workers=workers)
     failures.update(unparsable)
     (out / "ledger.json").write_text(ledger.to_json(), encoding="utf-8")
     _write_failures(out, failures)
@@ -429,9 +429,7 @@ def _reports_from_results_dir(results_dir, truth) -> list[RunReport]:
         )
 
     if manifest["strategy"] == "direct":
-        products = {}
-        for path in sorted((root / "products").glob("*.json")):
-            products[path.stem] = parse_product(path.read_text(encoding="utf-8"))
+        products = read_products(root / "products")
         ledger = CostLedger.from_json((root / "ledger.json").read_text(encoding="utf-8"))
         return [score(products, calls_primary=len(ledger.entries), cost_usd=str(ledger.total_usd))]
 

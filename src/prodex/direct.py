@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import contextlib
-import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -19,12 +16,13 @@ from .gateway import (
     TransportError,
     Usage,
     structured_call,
+    write_atomic,
 )
 from .schema import (
     FoodProduct,
     SchemaViolation,
     parse_product,
-    product_to_dict,
+    serialize_product,
     to_json_schema,
     to_json_schema_dict,
 )
@@ -80,27 +78,20 @@ def extract_direct(
     )
 
 
-def _load_checkpoint(path: Path) -> dict[str, dict]:
-    """Products of the finished pages in a JSONL checkpoint, by page_id.
+def read_products(products_dir) -> dict[str, FoodProduct]:
+    """The finished pages in a direct run's ``products/``, by page_id.
 
-    A line counts only once its newline is on disk: an unterminated final
-    line, torn by an interrupted write, is dropped from the file so that
-    appends start on a fresh line, and its page is extracted again.
+    Only ``*.json`` files are read: a ``*.json.tmp`` left by an interrupted
+    write is not a finished page. A file that does not parse is a ValueError
+    naming it.
     """
-    if not path.exists():
-        return {}
-    data = path.read_bytes()
-    whole = data.rfind(b"\n") + 1
-    if whole < len(data):
-        os.truncate(path, whole)
-    done: dict[str, dict] = {}
-    for number, line in enumerate(data[:whole].decode("utf-8").splitlines(), start=1):
+    products: dict[str, FoodProduct] = {}
+    for path in sorted(Path(products_dir).glob("*.json")):
         try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: line {number} is not valid JSON: {exc}") from exc
-        done[record["page_id"]] = record["product"]
-    return done
+            products[path.stem] = parse_product(path.read_text(encoding="utf-8"))
+        except (SchemaViolation, ValueError) as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+    return products
 
 
 def extract_direct_batch(
@@ -108,83 +99,65 @@ def extract_direct_batch(
     provider: Provider,
     model_id: str,
     ledger: CostLedger,
-    checkpoint_path=None,
     out_dir=None,
     workers: int = 1,
 ) -> tuple[list[DirectResult], dict[str, str]]:
     """Process a corpus page by page; failures are recorded, not fatal.
 
-    The checkpoint is JSONL: one ``{"page_id", "product"}`` line is appended
-    and flushed per finished page, so an interrupted run resumes without
-    re-calling the provider for done pages.
+    With ``out_dir``, each finished page is written once, atomically, to
+    ``out_dir/products/<page_id>.json``. That file is the page's only record:
+    a page that has one is not extracted again, so an interrupted run resumes
+    without re-calling the provider for done pages.
     With workers > 1, pages fan out over a thread pool (the live provider's
     in-flight semaphore still caps concurrency); ledger entries land in
     completion order, keyed by page_id.
     """
-    checkpoint: dict[str, dict] = {}
-    if checkpoint_path is not None:
-        checkpoint_path = Path(checkpoint_path)
-        checkpoint = _load_checkpoint(checkpoint_path)
-
+    done: dict[str, FoodProduct] = {}
     products_dir = None
     if out_dir is not None:
         products_dir = Path(out_dir) / "products"
         products_dir.mkdir(parents=True, exist_ok=True)
+        done = read_products(products_dir)
 
     results: dict[str, DirectResult] = {}
     failures: dict[str, str] = {}
     pending: list[CompressedDocument] = []
     for doc in docs:
-        if doc.page_id in checkpoint:
-            product = parse_product(json.dumps(checkpoint[doc.page_id], ensure_ascii=False))
+        if doc.page_id in done:
             results[doc.page_id] = DirectResult(
                 page_id=doc.page_id,
-                product=product,
+                product=done[doc.page_id],
                 usage=Usage(),
                 variant_used=doc.variant,
             )
         else:
             pending.append(doc)
 
-    opened = (
-        checkpoint_path.open("a", encoding="utf-8")
-        if checkpoint_path is not None
-        else contextlib.nullcontext()
-    )
-    with opened as sink:
-        def finish(doc: CompressedDocument, result: DirectResult) -> None:
-            results[doc.page_id] = result
-            product = product_to_dict(result.product)
-            if sink is not None:
-                sink.write(json.dumps({"page_id": doc.page_id, "product": product},
-                                      ensure_ascii=False) + "\n")
-                sink.flush()
-            if products_dir is not None:
-                (products_dir / f"{doc.page_id}.json").write_text(
-                    json.dumps(product, indent=2, ensure_ascii=False),
-                    encoding="utf-8",
-                )
+    def finish(result: DirectResult) -> None:
+        results[result.page_id] = result
+        if products_dir is not None:
+            write_atomic(products_dir / f"{result.page_id}.json",
+                         serialize_product(result.product))
 
-        if workers <= 1:
-            for doc in pending:
+    if workers <= 1:
+        for doc in pending:
+            try:
+                finish(extract_direct(doc, provider, model_id, ledger=ledger))
+            except (ExtractionFailed, TransportError, ProviderRefusal, ReplayMiss) as exc:
+                failures[doc.page_id] = str(exc)
+    else:
+        from concurrent.futures import ThreadPoolExecutor, as_completed
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = {
+                pool.submit(extract_direct, doc, provider, model_id, ledger): doc
+                for doc in pending
+            }
+            for future in as_completed(futures):
                 try:
-                    finish(doc, extract_direct(doc, provider, model_id, ledger=ledger))
+                    finish(future.result())
                 except (ExtractionFailed, TransportError, ProviderRefusal, ReplayMiss) as exc:
-                    failures[doc.page_id] = str(exc)
-        else:
-            from concurrent.futures import ThreadPoolExecutor, as_completed
-
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = {
-                    pool.submit(extract_direct, doc, provider, model_id, ledger): doc
-                    for doc in pending
-                }
-                for future in as_completed(futures):
-                    doc = futures[future]
-                    try:
-                        finish(doc, future.result())
-                    except (ExtractionFailed, TransportError, ProviderRefusal, ReplayMiss) as exc:
-                        failures[doc.page_id] = str(exc)
+                    failures[futures[future].page_id] = str(exc)
 
     ordered = [results[doc.page_id] for doc in docs if doc.page_id in results]
     return ordered, failures

@@ -14,7 +14,8 @@ is evaluated independently of the others.
 Post-ops:
     trim                      strip surrounding whitespace
     strip_label_prefix        drop a leading label such as "Zutaten:"
-    parse_decimal_comma       normalize "3,5" / "3.5" to a decimal string
+    parse_decimal_comma       normalize "3,5" / "3.5" to a decimal string; fail
+                              on anything ``schema.parse_decimal`` rejects
     to_unit_code              map raw unit text ("kJ", "g") to a unit code
 
 Field paths address schema leaves: a text field by name
@@ -28,7 +29,7 @@ import functools
 import json
 import re
 from dataclasses import dataclass, field
-from decimal import Decimal, InvalidOperation
+from decimal import InvalidOperation
 from typing import Optional, Union
 
 from . import htmltree
@@ -40,6 +41,7 @@ from .schema import (
     FoodProduct,
     QuantitativeValue,
     SchemaViolation,
+    parse_decimal,
 )
 
 SELECTOR_MATCH_LIMIT = 10_000
@@ -483,12 +485,11 @@ def _apply_post_op(post: PostOp, text: str) -> Optional[str]:
                 return text[len(prefix):].lstrip()
         return text
     if post.op == "parse_decimal_comma":
-        candidate = text.strip().replace(",", ".")
         try:
-            Decimal(candidate)
+            parse_decimal(text)
         except InvalidOperation:
             return None
-        return candidate
+        return text.strip().replace(",", ".")
     if post.op == "to_unit_code":
         key = text.strip()
         mapping = dict(post.unit_map)
@@ -510,10 +511,8 @@ def _assemble_product(leaf_values: dict[str, str]) -> FoodProduct:
         if raw_value is None:
             continue
         try:
-            value = Decimal(raw_value.strip().replace(",", "."))
+            value = parse_decimal(raw_value)
         except InvalidOperation:
-            continue
-        if not value.is_finite():  # e.g. "inf" captured from "information"
             continue
         unit = leaf_values.get(f"{spec.name}.unit_code")
         values[spec.name] = QuantitativeValue(value=value, unit_code=unit)

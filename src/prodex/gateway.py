@@ -401,10 +401,18 @@ class LiveProvider:
         )
 
 
+def write_atomic(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` through ``<name>.tmp`` and a rename, so an
+    interrupted write leaves at most a stray ``.tmp`` file, never a torn
+    ``path``."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text, encoding="utf-8")
+    os.replace(tmp, path)
+
+
 class RecordingProvider:
     """Wraps any provider and persists each exchange as ``<key>.json`` in a
-    session directory, written to ``<key>.json.tmp`` first and renamed, so an
-    interrupted write leaves no torn record behind."""
+    session directory, written with ``write_atomic``."""
 
     def __init__(self, inner: Provider, session_dir):
         self.inner = inner
@@ -427,11 +435,9 @@ class RecordingProvider:
             "usage": exchange.usage.to_dict(),
             "timestamp": exchange.timestamp,
         }
-        path = self.session_dir / f"{key}.json"
-        tmp = path.with_name(path.name + ".tmp")
+        text = json.dumps(record, indent=2, ensure_ascii=False)
         with self._lock:
-            tmp.write_text(json.dumps(record, indent=2, ensure_ascii=False), encoding="utf-8")
-            os.replace(tmp, path)
+            write_atomic(self.session_dir / f"{key}.json", text)
         return exchange
 
 

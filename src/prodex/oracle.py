@@ -22,7 +22,7 @@ import hashlib
 import json
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .corpus import Corpus, load_true_program
 from .dsl import ExtractionProgram, FieldRule, ProgramParseError, parse_program
@@ -183,20 +183,8 @@ class OracleProvider:
         indices = rng.sample(range(len(true_program.rules)), min(k, len(true_program.rules)))
         rules = list(true_program.rules)
         for i in indices:
-            rules[i] = FieldRule(
-                field_path=rules[i].field_path,
-                selector=f"div.zz-unfindbar-{i}",
-                node_index=rules[i].node_index,
-                capture=rules[i].capture,
-                post_ops=rules[i].post_ops,
-            )
-        return ExtractionProgram(
-            program_id=true_program.program_id,
-            target_schema_name=true_program.target_schema_name,
-            rules=tuple(rules),
-            created_by="oracle",
-            generation=0,
-        )
+            rules[i] = replace(rules[i], selector=f"div.zz-unfindbar-{i}")
+        return replace(true_program, rules=tuple(rules), created_by="oracle", generation=0)
 
     def _refine(
         self, prompt: str, true_program: ExtractionProgram, unreparable: bool
@@ -219,13 +207,7 @@ class OracleProvider:
                 fixed_one = True
             elif have is not None:
                 repaired.append(have)
-        return ExtractionProgram(
-            program_id=prior.program_id,
-            target_schema_name=prior.target_schema_name,
-            rules=tuple(repaired),
-            created_by="oracle",
-            generation=prior.generation,
-        )
+        return replace(prior, rules=tuple(repaired), created_by="oracle")
 
 
 def _parse_program_from_prompt(prompt: str):

@@ -41,6 +41,8 @@ KNOWN_LABEL_PREFIXES = ("Zutaten:", "Zutatenliste:", "Ingredients:")
 
 _DECIMAL_PATTERN = r"^-?[0-9]+(?:[.,][0-9]+)?$"
 _DECIMAL_RE = re.compile(_DECIMAL_PATTERN)
+#: Largest accepted ``abs(Decimal.adjusted())``: 1e20 and 1e-20 pass, 1e21 does not.
+MAX_DECIMAL_EXPONENT = 20
 
 
 class SchemaViolation(Exception):
@@ -192,23 +194,30 @@ def to_json_schema_dict() -> dict:
 # --- Parsing and serialization ---------------------------------------------
 
 def parse_decimal(raw) -> Decimal:
-    """Finite Decimal from a JSON number or a string using point or comma."""
+    """Finite Decimal from a JSON number or a string using point or comma.
+
+    The magnitude is bounded (``MAX_DECIMAL_EXPONENT``), so that writing the
+    value out with ``format(value, "f")`` stays about as long as its input:
+    ``1e1000000`` and ``0.000...1`` are rejected, not expanded digit by digit.
+    """
     if isinstance(raw, bool):  # an int subclass, but a JSON boolean is no number
         raise InvalidOperation(f"not a decimal: {raw!r}")
     if isinstance(raw, float):
         raw = Decimal(str(raw))
-    if isinstance(raw, Decimal):
-        if not raw.is_finite():
-            raise InvalidOperation(f"not a finite number: {raw}")
-        return raw
     if isinstance(raw, int):
-        return Decimal(raw)
-    if isinstance(raw, str):
+        raw = Decimal(raw)
+    elif isinstance(raw, str):
         text = raw.strip()
         if not _DECIMAL_RE.match(text):
             raise InvalidOperation(f"not a decimal: {raw!r}")
-        return Decimal(text.replace(",", "."))
-    raise InvalidOperation(f"not a decimal: {raw!r}")
+        raw = Decimal(text.replace(",", "."))
+    if not isinstance(raw, Decimal):
+        raise InvalidOperation(f"not a decimal: {raw!r}")
+    if not raw.is_finite():
+        raise InvalidOperation(f"not a finite number: {raw}")
+    if abs(raw.adjusted()) > MAX_DECIMAL_EXPONENT:
+        raise InvalidOperation(f"number out of range: exponent {raw.adjusted()}")
+    return raw
 
 
 def strip_known_prefix(text: str) -> str:

@@ -1,5 +1,6 @@
 import json
 import shutil
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -89,7 +90,7 @@ def test_extract_direct_resume_uses_checkpoint(workspace, runner):
     )
     assert result.exit_code == 0
     ledger = json.loads((out / "ledger.json").read_text())
-    assert len(ledger["entries"]) == 0  # all pages came from the checkpoint
+    assert len(ledger["entries"]) == 0  # every page has its product file
 
 
 def test_extract_direct_fresh_removes_checkpoint(workspace, runner, tmp_path):
@@ -97,11 +98,104 @@ def test_extract_direct_fresh_removes_checkpoint(workspace, runner, tmp_path):
     args = ["extract", "direct", "--corpus", str(workspace / "corpus"),
             "--out", str(out), "--provider", "oracle"]
     assert runner.invoke(main, args).exit_code == 0
-    assert len((out / "checkpoint.jsonl").read_text().splitlines()) == 40
+    assert len(list((out / "products").glob("*.json"))) == 40
     result = runner.invoke(main, args + ["--fresh"])
     assert result.exit_code == 0, result.output
     assert len(json.loads((out / "ledger.json").read_text())["entries"]) == 40
-    assert len((out / "checkpoint.jsonl").read_text().splitlines()) == 40
+    assert len(list((out / "products").glob("*.json"))) == 40
+    assert not (out / "checkpoint.jsonl").exists()
+
+
+def _direct_then_evaluate(runner, corpus, out, *extra):
+    """Run `extract direct` on the oracle and score it; the two outputs."""
+    extracted = runner.invoke(
+        main,
+        ["extract", "direct", "--corpus", str(corpus), "--out", str(out),
+         "--provider", "oracle", *extra],
+    )
+    assert extracted.exit_code == 0, extracted.output
+    scored = runner.invoke(
+        main,
+        ["evaluate", "--results", str(out), "--truth", str(corpus),
+         "--out", str(out.parent / "report.json")],
+    )
+    assert scored.exit_code == 0, scored.output
+    return extracted.output, scored.output
+
+
+def test_extract_direct_fresh_leaves_no_product_from_the_earlier_run(workspace, runner, tmp_path):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(workspace / "corpus", corpus)
+    out = tmp_path / "direct"
+    _direct_then_evaluate(runner, corpus, out)
+    empty = sorted((corpus / "pages").glob("*.html"))[5]
+    empty.write_text("")
+
+    extracted, scored = _direct_then_evaluate(runner, corpus, out, "--fresh")
+    assert "39 pages ok, 1 failed" in extracted
+    assert not (out / "products" / f"{empty.stem}.json").exists()
+    assert len(list((out / "products").glob("*.json"))) == 39
+    assert "mean accuracy 97.50" in scored
+
+
+@pytest.mark.parametrize("torn", [False, True], ids=["before-the-write", "midway"])
+def test_extract_direct_resumes_an_interrupted_product_write(
+    workspace, runner, tmp_path, monkeypatch, torn
+):
+    out = tmp_path / "direct"
+    real_write_text = Path.write_text
+    product_writes = []
+
+    def interrupted(path, data, *args, **kwargs):
+        if path.parent.name == "products":
+            product_writes.append(path)
+            if len(product_writes) == 10:
+                if torn:
+                    real_write_text(path, data[: len(data) // 2], *args, **kwargs)
+                raise KeyboardInterrupt
+        return real_write_text(path, data, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", interrupted)
+    result = runner.invoke(
+        main,
+        ["extract", "direct", "--corpus", str(workspace / "corpus"), "--out", str(out),
+         "--provider", "oracle"],
+    )
+    monkeypatch.undo()
+    assert result.exit_code != 0
+    assert len(list((out / "products").glob("*.json"))) == 9
+
+    extracted, scored = _direct_then_evaluate(runner, workspace / "corpus", out)
+    assert "40 pages ok, 0 failed" in extracted
+    assert len(json.loads((out / "ledger.json").read_text())["entries"]) == 31
+    assert sorted(p.name for p in (out / "products").iterdir()) == sorted(
+        f"{page.stem}.json" for page in (workspace / "corpus" / "pages").glob("*.html")
+    )
+    assert "mean accuracy 100.00" in scored
+
+
+def test_failures_json_describes_the_last_invocation(workspace, runner, tmp_path):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(workspace / "corpus", corpus)
+    page = sorted((corpus / "pages").glob("*.html"))[5]
+    html = page.read_text()
+    page.write_text("")
+    out = tmp_path / "direct"
+    compressed = tmp_path / "compressed"
+    compress = ["compress", "--in", str(corpus / "pages"), "--out", str(compressed)]
+    extracted, scored = _direct_then_evaluate(runner, corpus, out)
+    assert "39 pages ok, 1 failed" in extracted
+    assert "mean accuracy 97.50" in scored
+    assert runner.invoke(main, compress).exit_code == 0
+    assert (compressed / "failures.json").exists()
+
+    page.write_text(html)
+    extracted, scored = _direct_then_evaluate(runner, corpus, out)
+    assert "40 pages ok, 0 failed" in extracted
+    assert not (out / "failures.json").exists()
+    assert "mean accuracy 100.00" in scored
+    assert runner.invoke(main, compress).exit_code == 0
+    assert not (compressed / "failures.json").exists()
 
 
 def test_extract_direct_unparsable_page_is_a_failure(workspace, runner, tmp_path):

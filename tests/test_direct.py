@@ -1,15 +1,18 @@
 import json
+import re
+from pathlib import Path
 
 import jsonschema
 import pytest
 
 from prodex.compress import CompressedDocument, Variant, compress_both
-from prodex.direct import extract_direct, extract_direct_batch
+from prodex.direct import extract_direct, extract_direct_batch, read_products
 from prodex.gateway import CostLedger
 from prodex.oracle import OracleConfig, OracleProvider
 from prodex.schema import (
     filled_field_ratio,
     product_to_dict,
+    serialize_product,
     to_json_schema_dict,
 )
 from prodex.similarity import compare
@@ -91,14 +94,16 @@ class _FailingProvider:
         return self.inner.complete_structured(model_id, system_prompt, user_prompt, json_schema)
 
 
-class _NonFiniteProvider:
-    """Answers every page with a schema-valid product whose fat is NaN."""
+class _FixedAnswerProvider:
+    """Answers every page with the same response text."""
+
+    def __init__(self, response):
+        self.response = response
 
     def complete_structured(self, model_id, system_prompt, user_prompt, json_schema):
         from prodex.gateway import ChatExchange, Usage
 
-        response = '{"fat": {"value": NaN, "unit_code": "GRM"}}'
-        return ChatExchange(model_id, system_prompt, user_prompt, response, Usage())
+        return ChatExchange(model_id, system_prompt, user_prompt, self.response, Usage())
 
 
 class _DeeplyNestedProvider:
@@ -143,62 +148,73 @@ class TestBatch:
 
     def test_resume_skips_checkpointed_pages(self, small_alpha, oracle, tmp_path):
         docs = self._docs(small_alpha, 10)
-        checkpoint = tmp_path / "checkpoint.jsonl"
         counting = _CountingProvider(oracle)
         ledger = CostLedger()
-        extract_direct_batch(docs[:4], counting, "o3-mini", ledger, checkpoint_path=checkpoint)
+        extract_direct_batch(docs[:4], counting, "o3-mini", ledger, out_dir=tmp_path)
         assert counting.calls == 4
 
         results, failures = extract_direct_batch(
-            docs, counting, "o3-mini", CostLedger(), checkpoint_path=checkpoint
+            docs, counting, "o3-mini", CostLedger(), out_dir=tmp_path
         )
         assert counting.calls == 10  # only the remaining 6 pages hit the provider
         assert len(results) == 10
         assert not failures
 
-    def test_checkpoint_is_one_json_line_per_page(self, small_alpha, oracle, tmp_path):
+    def test_checkpoint_is_one_product_file_per_page(self, small_alpha, oracle, tmp_path):
         docs = self._docs(small_alpha, 3)
-        checkpoint = tmp_path / "checkpoint.jsonl"
-        results, _ = extract_direct_batch(
-            docs, oracle, "o3-mini", CostLedger(), checkpoint_path=checkpoint
+        results, _ = extract_direct_batch(docs, oracle, "o3-mini", CostLedger(), out_dir=tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["products"]
+        products = tmp_path / "products"
+        assert sorted(p.name for p in products.iterdir()) == sorted(
+            f"{d.page_id}.json" for d in docs
         )
-        lines = [json.loads(line) for line in checkpoint.read_text().splitlines()]
-        assert [line["page_id"] for line in lines] == [d.page_id for d in docs]
-        assert [line["product"] for line in lines] == [
-            product_to_dict(r.product) for r in results
-        ]
+        for result in results:
+            written = (products / f"{result.page_id}.json").read_text(encoding="utf-8")
+            assert written == serialize_product(result.product)
+        assert read_products(products) == {r.page_id: r.product for r in results}
 
-    def test_torn_final_line_re_extracts_only_that_page(self, small_alpha, oracle, tmp_path):
+    def test_interrupted_write_re_extracts_only_that_page(
+        self, small_alpha, oracle, tmp_path, monkeypatch
+    ):
         docs = self._docs(small_alpha, 5)
-        checkpoint = tmp_path / "checkpoint.jsonl"
-        first, _ = extract_direct_batch(
-            docs, oracle, "o3-mini", CostLedger(), checkpoint_path=checkpoint
-        )
-        data = checkpoint.read_bytes()
-        checkpoint.write_bytes(data[: len(data) - 20])  # interrupted mid-line
+        real_write_text = Path.write_text
+        writes = []
+
+        def torn_write(path, data, *args, **kwargs):
+            writes.append(path)
+            if len(writes) == len(docs):  # the last page's write stops midway
+                real_write_text(path, data[: len(data) // 2], *args, **kwargs)
+                raise KeyboardInterrupt
+            return real_write_text(path, data, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", torn_write)
+        with pytest.raises(KeyboardInterrupt):
+            extract_direct_batch(docs, oracle, "o3-mini", CostLedger(), out_dir=tmp_path)
+        monkeypatch.undo()
+        products = tmp_path / "products"
+        assert [p.name for p in products.glob("*.tmp")] == [f"{docs[-1].page_id}.json.tmp"]
 
         counting = _CountingProvider(oracle)
         ledger = CostLedger()
         again, failures = extract_direct_batch(
-            docs, counting, "o3-mini", ledger, checkpoint_path=checkpoint
+            docs, counting, "o3-mini", ledger, out_dir=tmp_path
         )
         assert counting.calls == 1
         assert [e.page_id for e in ledger.entries] == [docs[-1].page_id]
         assert not failures
+        first, _ = extract_direct_batch(docs, oracle, "o3-mini", CostLedger())
         assert [r.product for r in again] == [r.product for r in first]
-        lines = [json.loads(line) for line in checkpoint.read_text().splitlines()]
-        assert [line["page_id"] for line in lines] == [d.page_id for d in docs]
+        assert sorted(p.name for p in products.iterdir()) == sorted(
+            f"{d.page_id}.json" for d in docs
+        )
 
-    def test_corrupt_inner_line_is_an_error(self, small_alpha, oracle, tmp_path):
+    def test_unparsable_product_file_is_an_error(self, small_alpha, oracle, tmp_path):
         docs = self._docs(small_alpha, 3)
-        checkpoint = tmp_path / "checkpoint.jsonl"
-        extract_direct_batch(docs, oracle, "o3-mini", CostLedger(), checkpoint_path=checkpoint)
-        lines = checkpoint.read_text().splitlines(keepends=True)
-        checkpoint.write_text(lines[0] + "{not json\n" + "".join(lines[1:]))
-        with pytest.raises(ValueError, match="line 2"):
-            extract_direct_batch(
-                docs, oracle, "o3-mini", CostLedger(), checkpoint_path=checkpoint
-            )
+        extract_direct_batch(docs, oracle, "o3-mini", CostLedger(), out_dir=tmp_path)
+        bad = tmp_path / "products" / f"{docs[1].page_id}.json"
+        bad.write_text("{not json", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(bad.name)):
+            extract_direct_batch(docs, oracle, "o3-mini", CostLedger(), out_dir=tmp_path)
 
     def test_per_page_failures_recorded_batch_continues(self, small_alpha, oracle):
         docs = self._docs(small_alpha, 8)
@@ -211,9 +227,20 @@ class TestBatch:
 
     def test_non_finite_number_is_a_page_failure(self, small_alpha):
         docs = self._docs(small_alpha, 2)
-        results, failures = extract_direct_batch(docs, _NonFiniteProvider(), "o3-mini", CostLedger())
+        provider = _FixedAnswerProvider('{"fat": {"value": NaN, "unit_code": "GRM"}}')
+        results, failures = extract_direct_batch(docs, provider, "o3-mini", CostLedger())
         assert results == []
         assert set(failures) == {doc.page_id for doc in docs}
+
+    def test_out_of_range_number_is_a_page_failure(self, small_alpha, tmp_path):
+        docs = self._docs(small_alpha, 2)
+        provider = _FixedAnswerProvider('{"fat":{"value":1e1000000}}')
+        results, failures = extract_direct_batch(
+            docs, provider, "o3-mini", CostLedger(), out_dir=tmp_path
+        )
+        assert results == []
+        assert set(failures) == {doc.page_id for doc in docs}
+        assert list((tmp_path / "products").iterdir()) == []
 
     def test_deeply_nested_response_is_a_page_failure(self, small_alpha, oracle):
         docs = self._docs(small_alpha, 3)
@@ -266,17 +293,15 @@ class TestParallelBatch:
         for page in small_alpha.pages[:12]:
             html_doc, _, _ = compress_both(page)
             docs.append(html_doc)
-        checkpoint = tmp_path / "checkpoint.jsonl"
         first, failures = extract_direct_batch(
-            docs, oracle, "o3-mini", CostLedger(), checkpoint_path=checkpoint, workers=4
+            docs, oracle, "o3-mini", CostLedger(), out_dir=tmp_path, workers=4
         )
         assert not failures
-        lines = [json.loads(line) for line in checkpoint.read_text().splitlines()]
-        assert sorted(line["page_id"] for line in lines) == sorted(d.page_id for d in docs)
+        assert sorted(read_products(tmp_path / "products")) == sorted(d.page_id for d in docs)
 
         counting = _CountingProvider(oracle)
         again, failures = extract_direct_batch(
-            docs, counting, "o3-mini", CostLedger(), checkpoint_path=checkpoint, workers=4
+            docs, counting, "o3-mini", CostLedger(), out_dir=tmp_path, workers=4
         )
         assert counting.calls == 0
         assert not failures

@@ -1,6 +1,7 @@
 import itertools
 import json
 import re
+import time
 from decimal import Decimal
 
 import jsonschema
@@ -239,6 +240,23 @@ class TestRunExtraction:
         )
         outcome = run_extraction(program, _page('<table><tr><td class="fat">viel</td></tr></table>'))
         assert outcome.field_status["fat.value"] == "post_op_failed"
+        assert outcome.product.fat is None
+
+    def test_out_of_range_number_is_post_op_failed(self):
+        rule = FieldRule("fat.value", "td.fat", capture=r"(\S+)",
+                         post_ops=(PostOp("parse_decimal_comma"),))
+        start = time.perf_counter()
+        outcome = run_extraction(ExtractionProgram("big", "F", rules=(rule,)),
+                                 _page('<td class="fat">1e999999 g</td>'))
+        assert time.perf_counter() - start < 0.5
+        assert outcome.field_status["fat.value"] == "post_op_failed"
+        assert outcome.product.fat is None
+
+    def test_out_of_range_number_without_post_op_is_left_out(self):
+        rule = FieldRule("fat.value", "td.fat", capture=r"([0-9]+)")
+        outcome = run_extraction(ExtractionProgram("big", "F", rules=(rule,)),
+                                 _page('<td class="fat">%s g</td>' % ("9" * 100_000)))
+        assert outcome.field_status["fat.value"] == "extracted"
         assert outcome.product.fat is None
 
     @pytest.mark.parametrize("post_ops", [(), (PostOp(op="parse_decimal_comma"),)])

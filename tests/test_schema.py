@@ -1,4 +1,5 @@
 import json
+import time
 from decimal import Decimal
 
 import jsonschema
@@ -68,6 +69,21 @@ class TestParseProduct:
         with pytest.raises(SchemaViolation) as err:
             parse_product('{"fat":{"value":%s,"unit_code":"GRM"}}' % number)
         assert [path for path, _ in err.value.errors] == ["fat.value"]
+
+    @pytest.mark.parametrize(
+        "number", ["1e1000000", "-1e1000000", "1e-1000000", "0e-1000000", "1e21", "1" * 22]
+    )
+    def test_out_of_range_number_rejected_quickly(self, number):
+        start = time.perf_counter()
+        with pytest.raises(SchemaViolation) as err:
+            parse_product('{"fat":{"value":%s,"unit_code":"GRM"}}' % number)
+        assert time.perf_counter() - start < 0.5
+        assert [path for path, _ in err.value.errors] == ["fat.value"]
+
+    @pytest.mark.parametrize("number", ["1e20", "-9.9e20", "1e-20", "1" * 21, '"0,00000000000000000001"'])
+    def test_largest_magnitudes_accepted(self, number):
+        product = parse_product('{"fat":{"value":%s}}' % number)
+        assert abs(product.fat.value.adjusted()) <= 20
 
     @pytest.mark.parametrize("value", ["true", "false"])
     def test_boolean_is_not_a_number(self, value):

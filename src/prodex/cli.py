@@ -21,7 +21,7 @@ from . import prompts
 from .compress import RawDocument, UnparsableDocument, Variant, compress_both, count_tokens
 from .corpus import (Corpus, MalformedTruth, generate_shop, load_corpus, load_truth,
                      preset_spec, write_corpus)
-from .direct import extract_direct_batch, read_products
+from .direct import MalformedProduct, extract_direct_batch, read_products
 from .evaluate import (
     MissingTruth,
     RunReport,
@@ -32,14 +32,16 @@ from .evaluate import (
     page_accuracy,
     summarize_runs,
 )
-from .gateway import CostLedger, LiveProvider, RecordingProvider, ReplayProvider
+from .gateway import (CostLedger, LiveProvider, RecordingProvider, ReplayProvider,
+                      default_price_table)
 from .indirect import OrchestratorConfig, PageCache, process_shop
 from .oracle import OracleConfig, OracleProvider
 from .schema import parse_product
 
 
 class _Main(click.Group):
-    """Reports bad ground truth as a usage error, not a traceback."""
+    """Reports bad ground truth and bad product files as usage errors, not
+    tracebacks."""
 
     def invoke(self, ctx):
         try:
@@ -48,6 +50,8 @@ class _Main(click.Group):
             raise click.UsageError(f"ground truth: {exc}", ctx) from exc
         except MissingTruth as exc:
             raise click.UsageError(f"ground truth has no record for page {exc}", ctx) from exc
+        except MalformedProduct as exc:
+            raise click.UsageError(f"product file {exc}", ctx) from exc
 
 
 @click.group(cls=_Main)
@@ -144,6 +148,16 @@ def _write_failures(out: Path, failures: dict[str, str]) -> None:
 
 # --- providers -------------------------------------------------------------------
 
+def _check_priced(*models: str) -> None:
+    """Refuse a model the ledger cannot price, before anything is paid for."""
+    prices = default_price_table()
+    for model in models:
+        if model not in prices:
+            raise click.UsageError(
+                f"no price for model {model!r}; priced models: {', '.join(sorted(prices))}"
+            )
+
+
 def _build_provider(provider_name, shop: Corpus | None, session, record,
                     oracle_imperfections, oracle_unreparable_template,
                     oracle_unreparable_rate, oracle_seed):
@@ -215,6 +229,7 @@ def extract_direct_cmd(corpus_dir, out_dir, variant, model, resume, workers, pro
                        session, record, oracle_imperfections, oracle_unreparable_template,
                        oracle_unreparable_rate, oracle_seed):
     """One structured model call per page; resumes from the products written."""
+    _check_priced(model)
     shop = load_corpus(corpus_dir)
     provider = _build_provider(provider_name, shop, session, record,
                                oracle_imperfections, oracle_unreparable_template,
@@ -237,8 +252,8 @@ def extract_direct_cmd(corpus_dir, out_dir, variant, model, resume, workers, pro
     ledger = CostLedger()
     ledger.meta["prompt_bundle_hash"] = prompts.bundle_hash()
     ledger.meta["shop_id"] = shop.shop_id
-    results, failures = extract_direct_batch(docs, provider, model, ledger, out_dir=out,
-                                             workers=workers)
+    products, failures = extract_direct_batch(docs, provider, model, ledger, out_dir=out,
+                                              workers=workers)
     failures.update(unparsable)
     (out / "ledger.json").write_text(ledger.to_json(), encoding="utf-8")
     _write_failures(out, failures)
@@ -252,7 +267,7 @@ def extract_direct_cmd(corpus_dir, out_dir, variant, model, resume, workers, pro
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2), encoding="utf-8")
     click.echo(
-        f"direct extraction: {len(results)} pages ok, {len(failures)} failed, "
+        f"direct extraction: {len(products)} pages ok, {len(failures)} failed, "
         f"{len(ledger.entries)} calls, ${ledger.total_usd}"
     )
 
@@ -322,6 +337,7 @@ def extract_indirect_cmd(ctx, corpus_dir, out_dir, labels_path, seed, runs,
         base_config = OrchestratorConfig(**file_config)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
+    _check_priced(base_config.primary_model, base_config.decision_model)
     provider = _build_provider(provider_name, shop, session, record,
                                oracle_imperfections, oracle_unreparable_template,
                                oracle_unreparable_rate, oracle_seed)

@@ -1,20 +1,22 @@
-"""Direct strategy: one schema-constrained completion per product page."""
+"""Direct strategy: one schema-constrained completion per product page.
+
+Every call is priced into the caller's ledger, which is the only record of
+what the run paid; results are plain products.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 from . import prompts
-from .compress import CompressedDocument, Variant
+from .compress import CompressedDocument
 from .gateway import (
     CostLedger,
     Provider,
     ProviderRefusal,
     ReplayMiss,
     TransportError,
-    Usage,
     structured_call,
     write_atomic,
 )
@@ -36,12 +38,9 @@ class ExtractionFailed(Exception):
     """Direct extraction gave no schema-valid product for a page."""
 
 
-@dataclass(frozen=True)
-class DirectResult:
-    page_id: str
-    product: FoodProduct
-    usage: Usage
-    variant_used: Variant
+class MalformedProduct(ValueError):
+    """A product file in a run's ``products/`` that does not parse; the
+    message names the file."""
 
 
 def build_direct_prompts(doc: CompressedDocument) -> tuple[str, str]:
@@ -60,37 +59,32 @@ def extract_direct(
     model_id: str,
     ledger: Optional[CostLedger] = None,
     role_tag: str = "direct",
-) -> DirectResult:
+) -> FoodProduct:
     """Extract the product object from one compressed page."""
     system, user = build_direct_prompts(doc)
     try:
-        exchange, product = structured_call(
+        _, product = structured_call(
             provider, model_id, system, user, _RESPONSE_SCHEMA, parse_product,
             ledger=ledger, role_tag=role_tag, page_id=doc.page_id,
         )
     except SchemaViolation as exc:
         raise ExtractionFailed(f"page {doc.page_id}: {exc}") from exc
-    return DirectResult(
-        page_id=doc.page_id,
-        product=product,
-        usage=exchange.usage,
-        variant_used=doc.variant,
-    )
+    return product
 
 
 def read_products(products_dir) -> dict[str, FoodProduct]:
     """The finished pages in a direct run's ``products/``, by page_id.
 
     Only ``*.json`` files are read: a ``*.json.tmp`` left by an interrupted
-    write is not a finished page. A file that does not parse is a ValueError
-    naming it.
+    write is not a finished page. A file that does not parse raises
+    MalformedProduct.
     """
     products: dict[str, FoodProduct] = {}
     for path in sorted(Path(products_dir).glob("*.json")):
         try:
             products[path.stem] = parse_product(path.read_text(encoding="utf-8"))
         except (SchemaViolation, ValueError) as exc:
-            raise ValueError(f"{path}: {exc}") from exc
+            raise MalformedProduct(f"{path}: {exc}") from exc
     return products
 
 
@@ -101,9 +95,11 @@ def extract_direct_batch(
     ledger: CostLedger,
     out_dir=None,
     workers: int = 1,
-) -> tuple[list[DirectResult], dict[str, str]]:
+) -> tuple[dict[str, FoodProduct], dict[str, str]]:
     """Process a corpus page by page; failures are recorded, not fatal.
 
+    Returns the products by page_id, in document order, and the failed pages
+    with the reason each failed.
     With ``out_dir``, each finished page is written once, atomically, to
     ``out_dir/products/<page_id>.json``. That file is the page's only record:
     a page that has one is not extracted again, so an interrupted run resumes
@@ -119,30 +115,18 @@ def extract_direct_batch(
         products_dir.mkdir(parents=True, exist_ok=True)
         done = read_products(products_dir)
 
-    results: dict[str, DirectResult] = {}
+    pending = [doc for doc in docs if doc.page_id not in done]
     failures: dict[str, str] = {}
-    pending: list[CompressedDocument] = []
-    for doc in docs:
-        if doc.page_id in done:
-            results[doc.page_id] = DirectResult(
-                page_id=doc.page_id,
-                product=done[doc.page_id],
-                usage=Usage(),
-                variant_used=doc.variant,
-            )
-        else:
-            pending.append(doc)
 
-    def finish(result: DirectResult) -> None:
-        results[result.page_id] = result
+    def finish(page_id: str, product: FoodProduct) -> None:
+        done[page_id] = product
         if products_dir is not None:
-            write_atomic(products_dir / f"{result.page_id}.json",
-                         serialize_product(result.product))
+            write_atomic(products_dir / f"{page_id}.json", serialize_product(product))
 
     if workers <= 1:
         for doc in pending:
             try:
-                finish(extract_direct(doc, provider, model_id, ledger=ledger))
+                finish(doc.page_id, extract_direct(doc, provider, model_id, ledger=ledger))
             except (ExtractionFailed, TransportError, ProviderRefusal, ReplayMiss) as exc:
                 failures[doc.page_id] = str(exc)
     else:
@@ -154,10 +138,11 @@ def extract_direct_batch(
                 for doc in pending
             }
             for future in as_completed(futures):
+                page_id = futures[future].page_id
                 try:
-                    finish(future.result())
+                    finish(page_id, future.result())
                 except (ExtractionFailed, TransportError, ProviderRefusal, ReplayMiss) as exc:
-                    failures[futures[future].page_id] = str(exc)
+                    failures[page_id] = str(exc)
 
-    ordered = [results[doc.page_id] for doc in docs if doc.page_id in results]
-    return ordered, failures
+    products = {doc.page_id: done[doc.page_id] for doc in docs if doc.page_id in done}
+    return products, failures

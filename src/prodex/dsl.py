@@ -432,16 +432,9 @@ class ExtractionOutcome:
     field_status: dict[str, str]  # field_path -> extracted | no_match | post_op_failed
 
 
-def run_extraction(prog: ExtractionProgram, doc: CompressedDocument) -> ExtractionOutcome:
-    """Evaluate every rule independently; failures never abort other rules."""
-    if doc.variant is not Variant.HTML_COMPRESSED:
-        raise WrongVariant(f"extraction runs on HTML_COMPRESSED, got {doc.variant.value}")
-    tree = htmltree.parse_html(doc.content)
-    return run_extraction_on_tree(prog, tree)
-
-
 def run_extraction_on_tree(prog: ExtractionProgram, tree) -> ExtractionOutcome:
-    """Like run_extraction, for callers that parsed the page tree already."""
+    """Evaluate every rule on a page's parsed tree (``htmltree.parse_html`` of
+    its compressed HTML); a failing rule never aborts the others."""
     field_status: dict[str, str] = {}
     leaf_values: dict[str, str] = {}
     for rule in prog.rules:

@@ -126,18 +126,6 @@ def default_price_table() -> dict[str, ModelPrice]:
     }
 
 
-def load_price_table(path) -> dict[str, ModelPrice]:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    return {
-        model: ModelPrice(
-            input_usd_per_1m=Decimal(str(entry["input_usd_per_1m"])),
-            cached_input_usd_per_1m=Decimal(str(entry["cached_input_usd_per_1m"])),
-            output_usd_per_1m=Decimal(str(entry["output_usd_per_1m"])),
-        )
-        for model, entry in data.items()
-    }
-
-
 _MILLION = Decimal(1_000_000)
 
 

@@ -16,6 +16,8 @@ Per shop run:
      refine up to `max_refinements` times on similarity feedback, and fall
      back to up to `max_alternatives` fresh generations. The best program,
      perfect or not, joins the library and the page is re-evaluated.
+     Every step reads one Page per visit, so a candidate program runs on
+     the tree of the very HTML its prompt carried.
   4. Decision-negative pages produce an empty product and never reach the
      primary model.
 
@@ -310,11 +312,35 @@ def decide(ensemble: list[DecisionProgram], doc: CompressedDocument) -> bool:
     return votes * 2 > len(ensemble)
 
 
+# --- Pages ---------------------------------------------------------------------
+
+class Page:
+    """One visit to a compressed page: its HTML and TEXT documents, and the
+    pruned tree that the HTML document serialises."""
+
+    def __init__(self, html: CompressedDocument, text: CompressedDocument,
+                 tree: Optional[Document] = None):
+        self.html = html
+        self.text = text
+        self._tree = tree
+
+    @property
+    def page_id(self) -> str:
+        return self.html.page_id
+
+    @property
+    def tree(self) -> Document:
+        """The tree compression built on this visit, or else ``html.content``
+        parsed once, on first use."""
+        if self._tree is None:
+            self._tree = parse_html(self.html.content)
+        return self._tree
+
+
 # --- Reference acquisition ----------------------------------------------------
 
 def acquire_reference(
-    html_doc: CompressedDocument,
-    text_doc: CompressedDocument,
+    page: Page,
     provider: Provider,
     config: OrchestratorConfig,
     ledger: CostLedger,
@@ -325,17 +351,17 @@ def acquire_reference(
     the ``reference`` role. Raises ReferenceUnattainable when both attempts
     fall short.
     """
-    for doc in (html_doc, text_doc):
+    for doc in (page.html, page.text):
         try:
-            result = extract_direct(
+            product = extract_direct(
                 doc, provider, config.primary_model,
                 ledger=ledger, role_tag="reference",
             )
         except ExtractionFailed:
             continue
-        if filled_field_ratio(result.product) >= config.reference_fill_threshold:
-            return result.product
-    raise ReferenceUnattainable(f"page {html_doc.page_id}: no suitable reference object")
+        if filled_field_ratio(product) >= config.reference_fill_threshold:
+            return product
+    raise ReferenceUnattainable(f"page {page.page_id}: no suitable reference object")
 
 
 # --- Program synthesis ----------------------------------------------------------
@@ -348,8 +374,7 @@ class SynthesisResult:
 
 
 def synthesize_program(
-    html_doc: CompressedDocument,
-    tree: Document,
+    page: Page,
     reference: FoodProduct,
     provider: Provider,
     config: OrchestratorConfig,
@@ -358,7 +383,7 @@ def synthesize_program(
 ) -> SynthesisResult:
     """Generate-and-refine until the program reproduces the reference.
 
-    Candidate programs run on ``tree``, the parsed form of ``html_doc``.
+    Prompts carry ``page.html`` and candidate programs run on ``page.tree``.
     One initial generation plus up to `max_alternatives` fresh starts, each
     followed by up to `max_refinements` feedback-driven refinement calls;
     at most (1+max_refinements)*(1+max_alternatives) primary calls total,
@@ -379,25 +404,25 @@ def synthesize_program(
             _, program = structured_call(
                 provider, config.primary_model, gen_system, user_prompt, schema,
                 _program_parser(ExtractionProgram),
-                ledger=ledger, role_tag=role, page_id=html_doc.page_id,
+                ledger=ledger, role_tag=role, page_id=page.page_id,
             )
         except SchemaViolation:
             return None
         return program
 
     for alternative in range(1 + config.max_alternatives):
-        attempt_token = f"{token_prefix}-{html_doc.page_id}-alt{alternative}"
+        attempt_token = f"{token_prefix}-{page.page_id}-alt{alternative}"
         user = gen_template.format(
             schema=schema_text,
             attempt_token=attempt_token,
             reference=reference_text,
-            content=html_doc.content,
+            content=page.html.content,
         )
         program = call_for_program(user, "func_gen")
         if program is None:
             continue
         program = replace(program, generation=0)
-        outcome = run_extraction_on_tree(program, tree)
+        outcome = run_extraction_on_tree(program, page.tree)
         report = compare(outcome.product, reference)
         if report.overall > best_similarity:
             best_program, best_similarity = program, report.overall
@@ -412,13 +437,13 @@ def synthesize_program(
                 program=program.to_json(),
                 feedback=render_feedback(report),
                 reference=reference_text,
-                content=html_doc.content,
+                content=page.html.content,
             )
             refined = call_for_program(refine_user, "refine")
             if refined is None:
                 continue
             program = replace(refined, generation=round_no)
-            outcome = run_extraction_on_tree(program, tree)
+            outcome = run_extraction_on_tree(program, page.tree)
             report = compare(outcome.product, reference)
             if report.overall > best_similarity:
                 best_program, best_similarity = program, report.overall
@@ -446,8 +471,8 @@ class PageCache:
     keyed by rule content (field path, selector, node index, capture and
     post-ops), never by ``program_id``, so a program synthesized again in a
     later run, under a new id, finds its results from the earlier one.
-    Trees are not kept: a run parses a page's compressed HTML only when a
-    memo miss or a synthesis episode needs it.
+    Trees are not kept: a later visit's Page parses the compressed HTML only
+    when a memo miss or a synthesis episode asks for its tree.
     """
 
     def __init__(self, corpus: Corpus):
@@ -460,15 +485,13 @@ class PageCache:
         """Whether ``corpus`` has exactly the pages this cache was built from."""
         return self.pages == {doc.page_id: doc for doc in corpus.pages}
 
-    def documents(
-        self, page_id: str
-    ) -> tuple[CompressedDocument, CompressedDocument, Optional[Document]]:
-        """``compress_both`` of a page, once: later calls return the same
-        documents with None for the tree. Raises UnparsableDocument on every
+    def page(self, page_id: str) -> Page:
+        """A new visit to a page, compressed once: the first visit's Page
+        holds the tree compression built. Raises UnparsableDocument on every
         call for a page that cannot be parsed."""
         docs = self.compressed.get(page_id)
         if docs is not None:
-            return *docs, None
+            return Page(*docs)
         if page_id in self.unparsable:
             raise UnparsableDocument(self.unparsable[page_id])
         try:
@@ -477,21 +500,7 @@ class PageCache:
             self.unparsable[page_id] = str(exc)
             raise
         self.compressed[page_id] = (html_doc, text_doc)
-        return html_doc, text_doc, tree
-
-
-class _PageTree:
-    """A page's tree: the one compression built, or else its compressed HTML
-    parsed on first use."""
-
-    def __init__(self, html: str, tree: Optional[Document]):
-        self._html = html
-        self._tree = tree
-
-    def __call__(self) -> Document:
-        if self._tree is None:
-            self._tree = parse_html(self._html)
-        return self._tree
+        return Page(html_doc, text_doc, tree)
 
 
 def process_shop(
@@ -531,11 +540,9 @@ def process_shop(
         if page_id not in cache.pages:
             continue
         try:
-            _, text_doc, _ = cache.documents(page_id)
+            samples.append((cache.page(page_id).text, label))
         except UnparsableDocument as exc:
             failures[page_id] = str(exc)
-            continue
-        samples.append((text_doc, label))
     ensemble = build_decision_ensemble(samples, provider, config, ledger, token_prefix)
 
     order = [doc.page_id for doc in corpus.pages]
@@ -546,9 +553,7 @@ def process_shop(
     page_results: dict[str, PageResult] = {}
     synthesis_log: list[dict] = []
 
-    def best_library_result(
-        page_id: str, tree: _PageTree
-    ) -> tuple[Optional[LibraryEntry], FoodProduct, int]:
+    def best_library_result(page: Page) -> tuple[Optional[LibraryEntry], FoodProduct, int]:
         """The library's best result on a page; the entry is None unless it
         extracts at least ``min_valid_attributes`` attributes."""
         best_entry: Optional[LibraryEntry] = None
@@ -556,11 +561,11 @@ def process_shop(
         best_key = (-1, -1.0, 0.0)
         for index, entry in enumerate(library.entries):
             memo = memos[index]
-            result = memo.get(page_id)
+            result = memo.get(page.page_id)
             if result is None:
-                product = run_extraction_on_tree(entry.program, tree()).product
+                product = run_extraction_on_tree(entry.program, page.tree).product
                 count = count_extracted(product)
-                result = memo[page_id] = (product, count) if count else _NOTHING
+                result = memo[page.page_id] = (product, count) if count else _NOTHING
             key = (result[1], entry.mean_attributes_extracted, -float(index))
             if key > best_key:
                 best_key = key
@@ -571,20 +576,16 @@ def process_shop(
             best_entry = None
         return best_entry, best_product, count
 
-    def synthesis_episode(
-        page_id: str, html_doc: CompressedDocument, text_doc: CompressedDocument,
-        tree: _PageTree,
-    ) -> Optional[ExtractionProgram]:
+    def synthesis_episode(page: Page) -> Optional[ExtractionProgram]:
         """Reference acquisition, then generate-and-refine; logs the episode
         with its call counts (the ledger entries it added, by role) and
         returns the best program, if any."""
+        page_id = page.page_id
         start = len(ledger.entries)
         synthesis = None
         try:
-            reference = acquire_reference(html_doc, text_doc, provider, config, ledger)
-            synthesis = synthesize_program(
-                html_doc, tree(), reference, provider, config, ledger, token_prefix
-            )
+            reference = acquire_reference(page, provider, config, ledger)
+            synthesis = synthesize_program(page, reference, provider, config, ledger, token_prefix)
         except ReferenceUnattainable:
             log = {"page_id": page_id, "outcome": "reference_unattainable"}
         except (TransportError, ProviderRefusal, ReplayMiss) as exc:
@@ -607,25 +608,24 @@ def process_shop(
 
     for page_id in order:
         try:
-            html_doc, text_doc, built = cache.documents(page_id)
+            page = cache.page(page_id)
         except UnparsableDocument as exc:
             failures[page_id] = str(exc)
             page_results[page_id] = PageResult(page_id, FoodProduct(), "none", 0)
             continue
-        tree = _PageTree(html_doc.content, built)
-        entry, product, count = best_library_result(page_id, tree)
+        entry, product, count = best_library_result(page)
         if entry is None:
-            if not decide(ensemble, text_doc):
+            if not decide(ensemble, page.text):
                 page_results[page_id] = PageResult(page_id, FoodProduct(), "no-info", 0)
                 continue
-            program = synthesis_episode(page_id, html_doc, text_doc, tree)
+            program = synthesis_episode(page)
             if program is not None:
                 library.add(replace(
                     program, program_id=f"{program.program_id}-{len(library.entries):02d}",
                 ))
                 memos.append(cache.results.setdefault(program.rules, {}))
                 # Only the new program misses: the others ran on this page above.
-                entry, product, count = best_library_result(page_id, tree)
+                entry, product, count = best_library_result(page)
         if entry is None:
             page_results[page_id] = PageResult(page_id, product, "none", count)
         else:

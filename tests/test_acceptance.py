@@ -125,10 +125,11 @@ def test_criterion_3_direct_strategy_correctness():
     oracle = OracleProvider(corpus, OracleConfig())
     docs = [compress_both(page)[0] for page in corpus.pages]
     ledger = CostLedger()
-    results, failures = extract_direct_batch(docs, oracle, "o3-mini", ledger)
+    products, failures = extract_direct_batch(docs, oracle, "o3-mini", ledger)
     assert not failures
     overall = [
-        compare(r.product, corpus.truth[r.page_id].product).overall for r in results
+        compare(product, corpus.truth[page_id].product).overall
+        for page_id, product in products.items()
     ]
     accuracy = 100.0 * sum(overall) / len(overall)
     elapsed = time.perf_counter() - started
@@ -211,11 +212,11 @@ def test_criterion_6_decision_ensemble_accuracy():
     started = time.perf_counter()
     corpus = generate_shop(preset_spec("alpha", 1000, seed=7))
     cache = PageCache(corpus)
-    compressed = {doc.page_id: cache.documents(doc.page_id)[:2] for doc in corpus.pages}
+    texts = {doc.page_id: cache.page(doc.page_id).text for doc in corpus.pages}
     oracle = OracleProvider(corpus, OracleConfig())
     config = OrchestratorConfig(rng_seed=1)
     samples = [
-        (compressed[page_id][1], label)
+        (texts[page_id], label)
         for page_id, label in sorted(corpus.labels.items())
     ]
     ledger = CostLedger()
@@ -228,7 +229,7 @@ def test_criterion_6_decision_ensemble_accuracy():
         flag = record.has_nutrition or record.has_ingredients
         if not flag:
             negative_pages.add(page_id)
-        if decide(ensemble, compressed[page_id][1]) == flag:
+        if decide(ensemble, texts[page_id]) == flag:
             correct += 1
     accuracy = 100.0 * correct / len(corpus.truth)
     assert accuracy >= 95.0

@@ -521,3 +521,52 @@ def test_truth_without_a_result_page_is_a_usage_error(workspace, runner, tmp_pat
     )
     assert result.exit_code == 2, result.output
     assert "ground truth has no record for page beta-0001" in result.output
+
+
+def test_unparsable_product_file_is_a_usage_error(workspace, runner, tmp_path):
+    out = tmp_path / "direct"
+    args = ["extract", "direct", "--corpus", str(workspace / "corpus"),
+            "--out", str(out), "--provider", "oracle"]
+    assert runner.invoke(main, args).exit_code == 0
+    bad = out / "products" / "beta-0000.json"
+    bad.write_text("{bad", encoding="utf-8")
+    for command in (
+        args,
+        ["evaluate", "--results", str(out), "--truth", str(workspace / "corpus"),
+         "--out", str(tmp_path / "report.json")],
+    ):
+        result = runner.invoke(main, command)
+        assert result.exit_code == 2, result.output
+        assert f"product file {bad}: $: invalid JSON" in result.output
+        assert "Traceback" not in result.output
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("args, config", [
+    (["extract", "direct", "--model", "gpt-4.1"], None),
+    (["extract", "indirect", "--runs", "1", "--primary-model", "gpt-4.1"], None),
+    (["extract", "indirect", "--runs", "1", "--decision-model", "gpt-4.1"], None),
+    (["extract", "indirect", "--runs", "1"], {"decision_model": "gpt-4.1"}),
+], ids=["direct", "indirect-primary", "indirect-decision", "indirect-config"])
+def test_unpriced_model_is_refused_before_any_call(
+    workspace, runner, tmp_path, monkeypatch, args, config
+):
+    from prodex.oracle import OracleProvider
+
+    def no_call(*args, **kwargs):
+        raise AssertionError("a provider call was made for an unpriced model")
+
+    monkeypatch.setattr(OracleProvider, "complete_structured", no_call)
+    prefix = []
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        prefix = ["--config", str(path)]
+    result = runner.invoke(
+        main,
+        [*prefix, *args, "--corpus", str(workspace / "corpus"),
+         "--out", str(tmp_path / "out"), "--provider", "oracle"],
+    )
+    assert result.exit_code == 2, result.output
+    assert "no price for model 'gpt-4.1'; priced models: gpt-4o, o3-mini" in result.output
+    assert not (tmp_path / "out").exists()

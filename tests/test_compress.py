@@ -16,7 +16,6 @@ from prodex.dsl import (
     ExtractionProgram,
     FieldRule,
     PostOp,
-    run_extraction,
     run_extraction_on_tree,
 )
 from prodex.htmltree import TextNode, block_text_lines, parse_html
@@ -245,4 +244,5 @@ class TestCompressBothTree:
         )
         program = ExtractionProgram("deep", "FoodProduct", rules=(rule,))
         assert run_extraction_on_tree(program, tree).product.ingredient_statement == "Wasser"
-        assert run_extraction(program, html_doc).product.ingredient_statement == "Wasser"
+        reparsed = parse_html(html_doc.content)
+        assert run_extraction_on_tree(program, reparsed).product.ingredient_statement == "Wasser"

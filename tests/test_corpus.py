@@ -17,7 +17,7 @@ from prodex.corpus import (
     true_program_for,
     write_corpus,
 )
-from prodex.dsl import count_extracted, run_extraction
+from prodex.dsl import count_extracted, run_extraction_on_tree
 from prodex.htmltree import parse_html
 from prodex.schema import SchemaViolation
 from prodex.similarity import compare
@@ -103,7 +103,7 @@ class TestTruePrograms:
             record = shop.truth[doc.page_id]
             program = true_program_for(record.template_id)
             html_doc, _, _ = compress_both(doc)
-            outcome = run_extraction(program, html_doc)
+            outcome = run_extraction_on_tree(program, parse_html(html_doc.content))
             assert compare(outcome.product, record.product).overall == 1.0
 
     def test_cross_template_extraction_is_bounded(self):
@@ -114,7 +114,8 @@ class TestTruePrograms:
             own_count = None
             for template_id in templates:
                 html_doc, _, _ = compress_both(doc)
-                outcome = run_extraction(true_program_for(template_id), html_doc)
+                tree = parse_html(html_doc.content)
+                outcome = run_extraction_on_tree(true_program_for(template_id), tree)
                 count = count_extracted(outcome.product)
                 if template_id == record.template_id:
                     own_count = count
@@ -133,7 +134,8 @@ class TestTruePrograms:
             and not shop.truth[d.page_id].has_ingredients
         )
         html_doc, _, _ = compress_both(empty)
-        outcome = run_extraction(true_program_for("tafel"), html_doc)
+        tree = parse_html(html_doc.content)
+        outcome = run_extraction_on_tree(true_program_for("tafel"), tree)
         assert count_extracted(outcome.product) == 0
         assert compare(outcome.product, shop.truth[empty.page_id].product).overall == 1.0
 

@@ -6,7 +6,7 @@ import jsonschema
 import pytest
 
 from prodex.compress import CompressedDocument, Variant, compress_both
-from prodex.direct import extract_direct, extract_direct_batch, read_products
+from prodex.direct import MalformedProduct, extract_direct, extract_direct_batch, read_products
 from prodex.gateway import CostLedger
 from prodex.oracle import OracleConfig, OracleProvider
 from prodex.schema import (
@@ -31,11 +31,10 @@ class TestExtractDirect:
             and small_alpha.truth[d.page_id].has_ingredients
         )
         html_doc, _, _ = compress_both(page)
-        result = extract_direct(html_doc, oracle, "o3-mini")
+        product = extract_direct(html_doc, oracle, "o3-mini")
         truth = small_alpha.truth[page.page_id].product
-        assert filled_field_ratio(result.product) >= 0.875
-        assert compare(result.product, truth).overall == 1.0
-        assert result.variant_used is Variant.HTML_COMPRESSED
+        assert filled_field_ratio(product) >= 0.875
+        assert compare(product, truth).overall == 1.0
 
     def test_fresh_produce_page_has_no_ingredient_statement(self, small_alpha, oracle):
         page = next(
@@ -44,28 +43,27 @@ class TestExtractDirect:
             and not small_alpha.truth[d.page_id].has_nutrition
         )
         html_doc, _, _ = compress_both(page)
-        result = extract_direct(html_doc, oracle, "o3-mini")
-        assert result.product.ingredient_statement is None
+        product = extract_direct(html_doc, oracle, "o3-mini")
+        assert product.ingredient_statement is None
 
     def test_empty_text_document_yields_empty_product(self, oracle):
         doc = CompressedDocument("ghost", Variant.TEXT, "", 0)
-        result = extract_direct(doc, oracle, "o3-mini")
-        assert result.product.populated_fields() == ()
+        product = extract_direct(doc, oracle, "o3-mini")
+        assert product.populated_fields() == ()
 
     def test_text_variant_works(self, small_alpha, oracle):
         page = small_alpha.pages[0]
         _, text_doc, _ = compress_both(page)
-        result = extract_direct(text_doc, oracle, "o3-mini")
+        product = extract_direct(text_doc, oracle, "o3-mini")
         truth = small_alpha.truth[page.page_id].product
-        assert compare(result.product, truth).overall == 1.0
-        assert result.variant_used is Variant.TEXT
+        assert compare(product, truth).overall == 1.0
 
     def test_result_revalidates_against_emitted_schema(self, small_alpha, oracle):
         schema = to_json_schema_dict()
         for page in small_alpha.pages[:5]:
             html_doc, _, _ = compress_both(page)
-            result = extract_direct(html_doc, oracle, "o3-mini")
-            payload = json.dumps(product_to_dict(result.product), ensure_ascii=False)
+            product = extract_direct(html_doc, oracle, "o3-mini")
+            payload = json.dumps(product_to_dict(product), ensure_ascii=False)
             assert jsonschema.Draft202012Validator(schema).is_valid(json.loads(payload))
 
 
@@ -142,7 +140,7 @@ class TestBatch:
     def test_empty_corpus(self, oracle):
         ledger = CostLedger()
         results, failures = extract_direct_batch([], oracle, "o3-mini", ledger)
-        assert results == []
+        assert results == {}
         assert failures == {}
         assert ledger.entries == []
 
@@ -168,10 +166,10 @@ class TestBatch:
         assert sorted(p.name for p in products.iterdir()) == sorted(
             f"{d.page_id}.json" for d in docs
         )
-        for result in results:
-            written = (products / f"{result.page_id}.json").read_text(encoding="utf-8")
-            assert written == serialize_product(result.product)
-        assert read_products(products) == {r.page_id: r.product for r in results}
+        for page_id, product in results.items():
+            written = (products / f"{page_id}.json").read_text(encoding="utf-8")
+            assert written == serialize_product(product)
+        assert read_products(products) == results
 
     def test_interrupted_write_re_extracts_only_that_page(
         self, small_alpha, oracle, tmp_path, monkeypatch
@@ -203,7 +201,7 @@ class TestBatch:
         assert [e.page_id for e in ledger.entries] == [docs[-1].page_id]
         assert not failures
         first, _ = extract_direct_batch(docs, oracle, "o3-mini", CostLedger())
-        assert [r.product for r in again] == [r.product for r in first]
+        assert list(again.items()) == list(first.items())
         assert sorted(p.name for p in products.iterdir()) == sorted(
             f"{d.page_id}.json" for d in docs
         )
@@ -213,7 +211,7 @@ class TestBatch:
         extract_direct_batch(docs, oracle, "o3-mini", CostLedger(), out_dir=tmp_path)
         bad = tmp_path / "products" / f"{docs[1].page_id}.json"
         bad.write_text("{not json", encoding="utf-8")
-        with pytest.raises(ValueError, match=re.escape(bad.name)):
+        with pytest.raises(MalformedProduct, match=re.escape(bad.name)):
             extract_direct_batch(docs, oracle, "o3-mini", CostLedger(), out_dir=tmp_path)
 
     def test_per_page_failures_recorded_batch_continues(self, small_alpha, oracle):
@@ -229,7 +227,7 @@ class TestBatch:
         docs = self._docs(small_alpha, 2)
         provider = _FixedAnswerProvider('{"fat": {"value": NaN, "unit_code": "GRM"}}')
         results, failures = extract_direct_batch(docs, provider, "o3-mini", CostLedger())
-        assert results == []
+        assert results == {}
         assert set(failures) == {doc.page_id for doc in docs}
 
     def test_out_of_range_number_is_a_page_failure(self, small_alpha, tmp_path):
@@ -238,7 +236,7 @@ class TestBatch:
         results, failures = extract_direct_batch(
             docs, provider, "o3-mini", CostLedger(), out_dir=tmp_path
         )
-        assert results == []
+        assert results == {}
         assert set(failures) == {doc.page_id for doc in docs}
         assert list((tmp_path / "products").iterdir()) == []
 
@@ -248,7 +246,7 @@ class TestBatch:
         ledger = CostLedger()
         results, failures = extract_direct_batch(docs, provider, "o3-mini", ledger)
         assert set(failures) == {docs[1].page_id}
-        assert [r.page_id for r in results] == [docs[0].page_id, docs[2].page_id]
+        assert list(results) == [docs[0].page_id, docs[2].page_id]
         assert [e.page_id for e in ledger.entries].count(docs[1].page_id) == 2  # one retry
 
     def test_products_written_to_out_dir(self, small_alpha, oracle, tmp_path):
@@ -285,8 +283,7 @@ class TestParallelBatch:
         )
         assert not failures
         assert len(ledger.entries) == 16
-        assert [r.page_id for r in parallel] == [r.page_id for r in sequential]
-        assert [r.product for r in parallel] == [r.product for r in sequential]
+        assert list(parallel.items()) == list(sequential.items())
 
     def test_worker_pool_checkpoint_resumes_without_calls(self, small_alpha, oracle, tmp_path):
         docs = []
@@ -305,4 +302,4 @@ class TestParallelBatch:
         )
         assert counting.calls == 0
         assert not failures
-        assert [r.product for r in again] == [r.product for r in first]
+        assert list(again.items()) == list(first.items())

@@ -23,7 +23,6 @@ from prodex.dsl import (
     extraction_program_json_schema,
     parse_program,
     run_decision,
-    run_extraction,
     run_extraction_on_tree,
 )
 from prodex.schema import FoodProduct, QuantitativeValue, SchemaViolation
@@ -198,7 +197,7 @@ class TestParseProgram:
 
 
 def _page(html):
-    return CompressedDocument("p", Variant.HTML_COMPRESSED, html, 1)
+    return htmltree.parse_html(html)
 
 
 class TestRunExtraction:
@@ -206,7 +205,8 @@ class TestRunExtraction:
         for doc in small_gamma.pages[:12]:
             record = small_gamma.truth[doc.page_id]
             program = load_true_program(small_gamma, record.template_id)
-            outcome = run_extraction(program, compressed_gamma[doc.page_id][0])
+            tree = htmltree.parse_html(compressed_gamma[doc.page_id][0].content)
+            outcome = run_extraction_on_tree(program, tree)
             assert compare(outcome.product, record.product).overall == 1.0
 
     def test_cross_template_mostly_no_match(self, small_gamma, compressed_gamma):
@@ -216,13 +216,14 @@ class TestRunExtraction:
             and small_gamma.truth[doc.page_id].has_nutrition
         )
         program = true_program_for("tafel")
-        outcome = run_extraction(program, compressed_gamma[target.page_id][0])
+        tree = htmltree.parse_html(compressed_gamma[target.page_id][0].content)
+        outcome = run_extraction_on_tree(program, tree)
         assert count_extracted(outcome.product) == 0
         assert set(outcome.field_status.values()) == {"no_match"}
 
     def test_empty_program(self):
         program = ExtractionProgram("p0", "FoodProduct", rules=())
-        outcome = run_extraction(program, _page("<div>x</div>"))
+        outcome = run_extraction_on_tree(program, _page("<div>x</div>"))
         assert outcome.product == FoodProduct()
         assert outcome.field_status == {}
 
@@ -238,7 +239,8 @@ class TestRunExtraction:
                 ),
             ),
         )
-        outcome = run_extraction(program, _page('<table><tr><td class="fat">viel</td></tr></table>'))
+        tree = _page('<table><tr><td class="fat">viel</td></tr></table>')
+        outcome = run_extraction_on_tree(program, tree)
         assert outcome.field_status["fat.value"] == "post_op_failed"
         assert outcome.product.fat is None
 
@@ -246,16 +248,16 @@ class TestRunExtraction:
         rule = FieldRule("fat.value", "td.fat", capture=r"(\S+)",
                          post_ops=(PostOp("parse_decimal_comma"),))
         start = time.perf_counter()
-        outcome = run_extraction(ExtractionProgram("big", "F", rules=(rule,)),
-                                 _page('<td class="fat">1e999999 g</td>'))
+        outcome = run_extraction_on_tree(ExtractionProgram("big", "F", rules=(rule,)),
+                                         _page('<td class="fat">1e999999 g</td>'))
         assert time.perf_counter() - start < 0.5
         assert outcome.field_status["fat.value"] == "post_op_failed"
         assert outcome.product.fat is None
 
     def test_out_of_range_number_without_post_op_is_left_out(self):
         rule = FieldRule("fat.value", "td.fat", capture=r"([0-9]+)")
-        outcome = run_extraction(ExtractionProgram("big", "F", rules=(rule,)),
-                                 _page('<td class="fat">%s g</td>' % ("9" * 100_000)))
+        outcome = run_extraction_on_tree(ExtractionProgram("big", "F", rules=(rule,)),
+                                         _page('<td class="fat">%s g</td>' % ("9" * 100_000)))
         assert outcome.field_status["fat.value"] == "extracted"
         assert outcome.product.fat is None
 
@@ -267,7 +269,7 @@ class TestRunExtraction:
             rules=(FieldRule(field_path="fat.value", selector="td.fat", capture=r"(inf)",
                              post_ops=post_ops),),
         )
-        outcome = run_extraction(program, _page('<td class="fat">information</td>'))
+        outcome = run_extraction_on_tree(program, _page('<td class="fat">information</td>'))
         assert outcome.product.fat is None
 
     def test_rule_isolation_under_permutation(self):
@@ -285,7 +287,7 @@ class TestRunExtraction:
         outcomes = []
         for permutation in itertools.permutations(rules):
             program = ExtractionProgram("perm", "FoodProduct", rules=tuple(permutation))
-            outcome = run_extraction(program, _page(html))
+            outcome = run_extraction_on_tree(program, _page(html))
             outcomes.append((outcome.product, dict(sorted(outcome.field_status.items()))))
         assert all(o == outcomes[0] for o in outcomes)
         assert outcomes[0][0].ingredient_statement == "A, B"
@@ -297,23 +299,18 @@ class TestRunExtraction:
                           capture=r"([0-9]+)", post_ops=(PostOp("parse_decimal_comma"),))
         rule1 = FieldRule("energy.value", "td.nw-energie", node_index=1,
                           capture=r"([0-9]+)", post_ops=(PostOp("parse_decimal_comma"),))
-        first = run_extraction(ExtractionProgram("a", "F", rules=(rule0,)), _page(html))
-        second = run_extraction(ExtractionProgram("b", "F", rules=(rule1,)), _page(html))
+        first = run_extraction_on_tree(ExtractionProgram("a", "F", rules=(rule0,)), _page(html))
+        second = run_extraction_on_tree(ExtractionProgram("b", "F", rules=(rule1,)), _page(html))
         assert first.product.energy.value == Decimal("100")
         assert second.product.energy.value == Decimal("24")
 
     def test_node_index_out_of_range_is_no_match(self):
         rule = FieldRule("fat.value", "td.fat", node_index=5)
-        outcome = run_extraction(
+        outcome = run_extraction_on_tree(
             ExtractionProgram("c", "F", rules=(rule,)),
             _page('<td class="fat">1 g</td>'),
         )
         assert outcome.field_status["fat.value"] == "no_match"
-
-    def test_wrong_variant_rejected(self):
-        doc = CompressedDocument("p", Variant.TEXT, "text", 1)
-        with pytest.raises(WrongVariant):
-            run_extraction(ExtractionProgram("d", "F", rules=()), doc)
 
     def test_to_unit_code_maps_case_insensitively(self):
         rule = FieldRule(
@@ -324,7 +321,7 @@ class TestRunExtraction:
             "fat.value", "td.fat", capture=r"([0-9]+)",
             post_ops=(PostOp("parse_decimal_comma"),),
         )
-        outcome = run_extraction(
+        outcome = run_extraction_on_tree(
             ExtractionProgram("e", "F", rules=(value_rule, rule)),
             _page('<td class="fat">3 G</td>'),
         )
@@ -436,13 +433,13 @@ class TestCompiledRules:
         rule = FieldRule("fat.value", selector)
         assert rule.compiled_selector is None
         program = ExtractionProgram("bad", "FoodProduct", rules=(rule,))
-        outcome = run_extraction(program, _page('<td class="a">1 g</td>'))
+        outcome = run_extraction_on_tree(program, _page('<td class="a">1 g</td>'))
         assert outcome.field_status == {"fat.value": "no_match"}
 
     @pytest.mark.parametrize("capture", ["([0-9]", "[0-9]+", "([0-9])([a-z])"])
     def test_direct_rule_with_unusable_capture_is_no_match(self, capture):
         rule = FieldRule("fat.value", "td", capture=capture)
-        outcome = run_extraction(
+        outcome = run_extraction_on_tree(
             ExtractionProgram("bad", "FoodProduct", rules=(rule,)), _page("<td>1 g</td>")
         )
         assert outcome.field_status == {"fat.value": "no_match"}

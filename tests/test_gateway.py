@@ -29,7 +29,6 @@ from prodex.gateway import (
     cost,
     estimate_usage,
     exchange_key,
-    load_price_table,
     structured_call,
 )
 from prodex.indirect import _program_parser
@@ -73,15 +72,6 @@ class TestCost:
     def test_cached_portion_uses_cached_rate(self):
         usage = Usage(input_tokens=2_000_000, cached_input_tokens=1_000_000)
         assert cost(usage, "o3-mini") == Decimal("1.10") + Decimal("0.55")
-
-    def test_price_table_from_json(self, tmp_path):
-        path = tmp_path / "prices.json"
-        path.write_text(json.dumps({
-            "mini": {"input_usd_per_1m": "2.00", "cached_input_usd_per_1m": "1.00",
-                     "output_usd_per_1m": "8.00"}
-        }))
-        table = load_price_table(path)
-        assert cost(Usage(input_tokens=500_000), "mini", table) == Decimal("1.00")
 
 
 class TestUsage:

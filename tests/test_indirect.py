@@ -22,6 +22,7 @@ from prodex.htmltree import parse_html
 from prodex.indirect import (
     FunctionLibrary,
     OrchestratorConfig,
+    Page,
     PageCache,
     ReferenceUnattainable,
     acquire_reference,
@@ -138,11 +139,9 @@ class TestAcquireReference:
             if small_gamma.truth[d.page_id].has_nutrition
             and small_gamma.truth[d.page_id].has_ingredients
         )
-        html_doc, text_doc = compressed_gamma[page.page_id]
         ledger = CostLedger()
         reference = acquire_reference(
-            html_doc, text_doc, oracle,
-            OrchestratorConfig(), ledger,
+            Page(*compressed_gamma[page.page_id]), oracle, OrchestratorConfig(), ledger,
         )
         assert _roles(ledger.entries) == {"reference": 1}
         assert compare(reference, small_gamma.truth[page.page_id].product).overall == 1.0
@@ -155,11 +154,9 @@ class TestAcquireReference:
             and not small_alpha.truth[d.page_id].has_ingredients
             and len(small_alpha.truth[d.page_id].product.populated_fields()) == 7
         )
-        html_doc, text_doc, _ = compress_both(page)
         ledger = CostLedger()
         reference = acquire_reference(
-            html_doc, text_doc, oracle,
-            OrchestratorConfig(), ledger,
+            Page(*compress_both(page)), oracle, OrchestratorConfig(), ledger,
         )
         assert len(reference.populated_fields()) == 7
         assert _roles(ledger.entries) == {"reference": 1}
@@ -171,13 +168,9 @@ class TestAcquireReference:
             if not small_alpha.truth[d.page_id].has_nutrition
             and small_alpha.truth[d.page_id].has_ingredients
         )
-        html_doc, text_doc, _ = compress_both(page)
         ledger = CostLedger()
         with pytest.raises(ReferenceUnattainable):
-            acquire_reference(
-                html_doc, text_doc, oracle,
-                OrchestratorConfig(), ledger,
-            )
+            acquire_reference(Page(*compress_both(page)), oracle, OrchestratorConfig(), ledger)
         assert len(ledger.entries) == 2
         assert all(e.role_tag == "reference" for e in ledger.entries)
 
@@ -190,17 +183,13 @@ class TestSynthesizeProgram:
             if corpus.truth[d.page_id].has_nutrition
             and corpus.truth[d.page_id].has_ingredients
         )
-        html_doc, _, tree = compress_both(page)
         reference = corpus.truth[page.page_id].product
-        return oracle, html_doc, tree, reference
+        return oracle, Page(*compress_both(page)), reference
 
     def test_cooperative_oracle_accepts_on_first_attempt(self, small_gamma):
-        oracle, html_doc, tree, reference = self._setup(small_gamma)
+        oracle, page, reference = self._setup(small_gamma)
         ledger = CostLedger()
-        result = synthesize_program(
-            html_doc, tree, reference, oracle,
-            OrchestratorConfig(), ledger,
-        )
+        result = synthesize_program(page, reference, oracle, OrchestratorConfig(), ledger)
         assert result.accepted is True
         assert result.best_similarity == 1.0
         assert _roles(ledger.entries)["func_gen"] == 1
@@ -208,14 +197,11 @@ class TestSynthesizeProgram:
         assert result.best_program.generation == 0
 
     def test_two_imperfections_need_two_refinements(self, small_gamma):
-        oracle, html_doc, tree, reference = self._setup(
+        oracle, page, reference = self._setup(
             small_gamma, imperfections_per_generation=2
         )
         ledger = CostLedger()
-        result = synthesize_program(
-            html_doc, tree, reference, oracle,
-            OrchestratorConfig(), ledger,
-        )
+        result = synthesize_program(page, reference, oracle, OrchestratorConfig(), ledger)
         assert result.accepted is True
         assert _roles(ledger.entries)["func_gen"] == 1
         assert _roles(ledger.entries)["refine"] == 2
@@ -223,14 +209,12 @@ class TestSynthesizeProgram:
         assert len(ledger.entries) == 3
 
     def test_unreparable_exhausts_budget_and_keeps_best(self, small_gamma):
-        oracle, html_doc, tree, reference = self._setup(
+        oracle, page, reference = self._setup(
             small_gamma, unreparable_templates=frozenset({"tafel", "liste", "kacheln"})
         )
         config = OrchestratorConfig()
         ledger = CostLedger()
-        result = synthesize_program(
-            html_doc, tree, reference, oracle, config, ledger,
-        )
+        result = synthesize_program(page, reference, oracle, config, ledger)
         budget = (1 + config.max_refinements) * (1 + config.max_alternatives)
         assert result.accepted is False
         roles = _roles(ledger.entries)
@@ -341,15 +325,13 @@ class TestProcessShop:
         )
 
     def test_selection_count_is_stable_under_final_library(self, small_gamma):
-        from prodex.dsl import count_extracted, run_extraction
-
         oracle = OracleProvider(small_gamma, OracleConfig())
         result = process_shop(small_gamma, oracle, OrchestratorConfig(rng_seed=6))
-        compressed = {d.page_id: compress_both(d)[:2] for d in small_gamma.pages}
+        trees = {d.page_id: parse_html(compress_both(d)[0].content) for d in small_gamma.pages}
         for page_id, page_result in result.page_results.items():
             best = 0
             for entry in result.library.entries:
-                outcome = run_extraction(entry.program, compressed[page_id][0])
+                outcome = run_extraction_on_tree(entry.program, trees[page_id])
                 best = max(best, count_extracted(outcome.product))
             if page_result.source not in ("no-info", "none"):
                 assert page_result.count_extracted == best

@@ -9,8 +9,9 @@ from prodex.dsl import (
     extraction_program_json_schema,
     parse_program,
     run_decision,
-    run_extraction,
+    run_extraction_on_tree,
 )
+from prodex.htmltree import parse_html
 from prodex.oracle import OracleConfig, OracleProvider
 from prodex.schema import (
     parse_product,
@@ -119,7 +120,8 @@ class TestProgramGeneration:
         prompt = _funcgen_prompt(small_gamma, compressed_gamma, page.page_id)
         exchange = oracle.complete_structured("o3-mini", "sys", prompt, schema)
         program = parse_program(exchange.response_text)
-        outcome = run_extraction(program, compressed_gamma[page.page_id][0])
+        tree = parse_html(compressed_gamma[page.page_id][0].content)
+        outcome = run_extraction_on_tree(program, tree)
         truth = small_gamma.truth[page.page_id]
         assert compare(outcome.product, truth.product).overall == 1.0
 
@@ -131,21 +133,21 @@ class TestProgramGeneration:
             and small_gamma.truth[d.page_id].has_ingredients
         )
         record = small_gamma.truth[page.page_id]
-        html_doc = compressed_gamma[page.page_id][0]
+        tree = parse_html(compressed_gamma[page.page_id][0].content)
         schema = extraction_program_json_schema()
 
         prompt = _funcgen_prompt(small_gamma, compressed_gamma, page.page_id)
         program = parse_program(
             oracle.complete_structured("o3-mini", "sys", prompt, schema).response_text
         )
-        scores = [compare(run_extraction(program, html_doc).product, record.product).overall]
+        scores = [compare(run_extraction_on_tree(program, tree).product, record.product).overall]
         for _ in range(2):
             refine = _refine_prompt(small_gamma, compressed_gamma, page.page_id, program)
             program = parse_program(
                 oracle.complete_structured("o3-mini", "sys", refine, schema).response_text
             )
             scores.append(
-                compare(run_extraction(program, html_doc).product, record.product).overall
+                compare(run_extraction_on_tree(program, tree).product, record.product).overall
             )
         assert scores[0] < 1.0
         assert scores[0] <= scores[1] < 1.0 or scores[1] == 1.0
@@ -161,13 +163,13 @@ class TestProgramGeneration:
             and small_gamma.truth[d.page_id].has_nutrition
         )
         record = small_gamma.truth[page.page_id]
-        html_doc = compressed_gamma[page.page_id][0]
+        tree = parse_html(compressed_gamma[page.page_id][0].content)
         schema = extraction_program_json_schema()
         prompt = _funcgen_prompt(small_gamma, compressed_gamma, page.page_id)
         program = parse_program(
             oracle.complete_structured("o3-mini", "sys", prompt, schema).response_text
         )
-        first = compare(run_extraction(program, html_doc).product, record.product).overall
+        first = compare(run_extraction_on_tree(program, tree).product, record.product).overall
         assert first < 1.0
         refine = _refine_prompt(small_gamma, compressed_gamma, page.page_id, program)
         refined = parse_program(

@@ -32,11 +32,10 @@ from .evaluate import (
     page_accuracy,
     summarize_runs,
 )
-from .gateway import (CostLedger, LiveProvider, RecordingProvider, ReplayProvider,
-                      default_price_table)
+from .gateway import PRICES, CostLedger, LiveProvider, RecordingProvider, ReplayProvider
 from .indirect import OrchestratorConfig, PageCache, process_shop
 from .oracle import OracleConfig, OracleProvider
-from .schema import parse_product
+from .schema import SchemaViolation, parse_product
 
 
 class _Main(click.Group):
@@ -150,11 +149,10 @@ def _write_failures(out: Path, failures: dict[str, str]) -> None:
 
 def _check_priced(*models: str) -> None:
     """Refuse a model the ledger cannot price, before anything is paid for."""
-    prices = default_price_table()
     for model in models:
-        if model not in prices:
+        if model not in PRICES:
             raise click.UsageError(
-                f"no price for model {model!r}; priced models: {', '.join(sorted(prices))}"
+                f"no price for model {model!r}; priced models: {', '.join(sorted(PRICES))}"
             )
 
 
@@ -451,18 +449,22 @@ def _reports_from_results_dir(results_dir, truth) -> list[RunReport]:
 
     reports = []
     for run_dir in sorted(root.glob("run-*")) or [root]:
-        products = {}
-        for entry in json.loads((run_dir / "products.json").read_text(encoding="utf-8")):
-            products[entry["page_id"]] = parse_product(
-                json.dumps(entry["product"], ensure_ascii=False)
+        path = run_dir / "products.json"
+        try:
+            products = {
+                entry["page_id"]: parse_product(json.dumps(entry["product"], ensure_ascii=False))
+                for entry in json.loads(path.read_text(encoding="utf-8"))
+            }
+            path = run_dir / "metrics.json"
+            metrics = json.loads(path.read_text(encoding="utf-8"))
+            counts = dict(
+                calls_primary=metrics["llm_calls_primary_model"],
+                calls_decision=metrics["llm_calls_decision_model"],
+                cost_usd=metrics["cost_total_usd"],
             )
-        metrics = json.loads((run_dir / "metrics.json").read_text(encoding="utf-8"))
-        reports.append(score(
-            products,
-            calls_primary=metrics["llm_calls_primary_model"],
-            calls_decision=metrics["llm_calls_decision_model"],
-            cost_usd=metrics["cost_total_usd"],
-        ))
+        except (OSError, ValueError, KeyError, TypeError, SchemaViolation) as exc:
+            raise MalformedProduct(f"{path}: {type(exc).__name__}: {exc}") from exc
+        reports.append(score(products, **counts))
     return reports
 
 

@@ -131,7 +131,7 @@ class Corpus:
     labels: dict[str, bool]
     template_ids: tuple[str, ...]
     decision_keywords: tuple[str, ...]
-    true_programs: dict[str, dict]  # template_id -> serialized program
+    true_programs: dict[str, ExtractionProgram]  # by template_id
 
 
 # --- Content pools (must not leak decision keywords into filler) -----------
@@ -359,10 +359,7 @@ def generate_shop(spec: ShopSpec) -> Corpus:
         labels=labels,
         template_ids=tuple(t.template_id for t in spec.templates),
         decision_keywords=DECISION_KEYWORDS,
-        true_programs={
-            t.template_id: true_program_for(t.template_id).to_dict()
-            for t in spec.templates
-        },
+        true_programs={t.template_id: true_program_for(t.template_id) for t in spec.templates},
     )
 
 
@@ -657,7 +654,7 @@ def write_corpus(corpus: Corpus, out_dir, preset: Optional[str] = None, spec: Op
             {
                 "decision_keywords": list(corpus.decision_keywords),
                 "templates": [
-                    {"template_id": tid, "true_program": corpus.true_programs[tid]}
+                    {"template_id": tid, "true_program": corpus.true_programs[tid].to_dict()}
                     for tid in corpus.template_ids
                 ],
             },
@@ -721,7 +718,7 @@ def load_corpus(corpus_dir) -> Corpus:
     labels = json.loads((root / "labels.json").read_text(encoding="utf-8"))
     templates_data = json.loads((root / "templates.json").read_text(encoding="utf-8"))
     true_programs = {
-        entry["template_id"]: entry["true_program"]
+        entry["template_id"]: parse_program(json.dumps(entry["true_program"]))
         for entry in templates_data["templates"]
     }
     return Corpus(
@@ -739,6 +736,4 @@ def load_corpus(corpus_dir) -> Corpus:
 def load_true_program(corpus: Corpus, template_id: str) -> ExtractionProgram:
     if template_id not in corpus.true_programs:
         raise UnknownTemplate(template_id)
-    program = parse_program(json.dumps(corpus.true_programs[template_id]))
-    assert isinstance(program, ExtractionProgram)
-    return program
+    return corpus.true_programs[template_id]

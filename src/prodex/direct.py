@@ -39,8 +39,9 @@ class ExtractionFailed(Exception):
 
 
 class MalformedProduct(ValueError):
-    """A product file in a run's ``products/`` that does not parse; the
-    message names the file."""
+    """A run's product file that does not parse (one in a direct run's
+    ``products/``, or an indirect run's ``products.json`` or its
+    ``metrics.json``); the message names the file."""
 
 
 def build_direct_prompts(doc: CompressedDocument) -> tuple[str, str]:

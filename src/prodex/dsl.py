@@ -7,9 +7,13 @@ decision program is a boolean predicate tree over text atoms. Programs are
 emitted by a model as schema-constrained JSON, so the same refinement loop
 that fixes products can edit programs.
 
-The interpreter is pure and sandboxed by construction: it can only read the
-document tree it is given, selector matching is capped, and each field rule
-is evaluated independently of the others.
+Programs are valid by construction: a ``FieldRule`` or ``Predicate`` checks
+itself when built and raises ``ProgramParseError`` if it is not, so
+``parse_program`` checks only the JSON shape and the interpreter runs what
+exists without further checks. The interpreter is pure and sandboxed by
+construction: it can only read the document tree it is given, selector
+matching is capped, and each field rule is evaluated independently of the
+others.
 
 Post-ops:
     trim                      strip surrounding whitespace
@@ -28,9 +32,9 @@ from __future__ import annotations
 import functools
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from decimal import InvalidOperation
-from typing import Optional, Union
+from typing import NoReturn, Optional, Union
 
 from . import htmltree
 from .compress import CompressedDocument, Variant, WrongVariant
@@ -42,6 +46,7 @@ from .schema import (
     QuantitativeValue,
     SchemaViolation,
     parse_decimal,
+    strip_known_prefix,
 )
 
 SELECTOR_MATCH_LIMIT = 10_000
@@ -73,6 +78,16 @@ class ProgramParseError(SchemaViolation):
         return "\n".join(f"- {i.path}: {i.kind}: {i.message}" for i in self.issues)
 
 
+def _reject(path: str, kind: str, message: str) -> NoReturn:
+    raise ProgramParseError([ProgramIssue(path, kind, message)])
+
+
+def _rerooted(issues: list[ProgramIssue], root: str) -> list[ProgramIssue]:
+    """A rule's or predicate's own issues placed under its path in the
+    program; the path ``$`` is the node itself."""
+    return [replace(i, path=root if i.path == "$" else f"{root}.{i.path}") for i in issues]
+
+
 @dataclass(frozen=True)
 class PostOp:
     op: str
@@ -82,32 +97,40 @@ class PostOp:
 
 @dataclass(frozen=True)
 class FieldRule:
+    """One field's rule. Construction checks the field path, selector, node
+    index, capture and post-op applicability, and raises ProgramParseError at
+    a path relative to the rule (``selector``, ``post_ops[1]``) on the first
+    fault, so a rule that exists is valid."""
+
     field_path: str
     selector: str
     node_index: int = 0
     capture: Optional[str] = None
     post_ops: tuple[PostOp, ...] = ()
     # Derived from selector and capture on construction, so that running the
-    # rule compiles nothing. None when the text would not pass parse_program:
-    # the rule then never matches.
-    compiled_selector: Optional[htmltree.CompiledSelector] = field(
-        init=False, repr=False, compare=False
-    )
+    # rule compiles nothing.
+    compiled_selector: htmltree.CompiledSelector = field(init=False, repr=False, compare=False)
     compiled_capture: Optional[re.Pattern] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.field_path, str) or self.field_path not in _LEAF_PATHS:
+            _reject("field_path", "UnknownField", f"unknown field path {self.field_path!r}")
         try:
             selector = _compile_selector(self.selector)
-        except ValueError:
-            selector = None
+        except ValueError as exc:
+            _reject("selector", "InvalidSelector", str(exc))
+        if not _is_count(self.node_index):
+            _reject("node_index", "Malformed", "node_index must be a non-negative integer")
         capture = None
         if self.capture is not None:
-            try:
-                capture = re.compile(self.capture)
-            except _REGEX_ERRORS:
-                pass
-            if capture is not None and capture.groups != 1:
-                capture = None
+            capture = _compile_regex(self.capture, "capture")
+            if capture.groups != 1:
+                _reject("capture", "InvalidRegex", "capture needs exactly one group")
+        allowed = _OPS_ALLOWED_BY_LEAF[_LEAF_PATHS[self.field_path]]
+        for j, post in enumerate(self.post_ops):
+            if post.op not in allowed:
+                _reject(f"post_ops[{j}]", "UnknownPostOp",
+                        f"post op {post.op!r} not applicable to this field")
         object.__setattr__(self, "compiled_selector", selector)
         object.__setattr__(self, "compiled_capture", capture)
 
@@ -120,6 +143,16 @@ def _compile_selector(selector: str) -> htmltree.CompiledSelector:
     not cached and is raised again on every call.
     """
     return htmltree.parse_selector(selector)
+
+
+def _compile_regex(pattern: str, path: str) -> re.Pattern:
+    """The one compile of a regex a program carries (a rule's capture, a
+    matches_regex atom); a pattern re cannot build is an InvalidRegex at
+    ``path``."""
+    try:
+        return re.compile(pattern)
+    except _REGEX_ERRORS as exc:
+        _reject(path, "InvalidRegex", str(exc))
 
 
 @dataclass(frozen=True)
@@ -149,6 +182,14 @@ class Predicate:
     op: str  # and | or | not | contains_keyword | matches_regex
     args: tuple["Predicate", ...] = ()
     value: Optional[str] = None
+    # The matches_regex pattern, compiled on construction (a pattern that
+    # does not compile is an InvalidRegex at ``$``, the predicate itself);
+    # None for other ops.
+    compiled: Optional[re.Pattern] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        compiled = _compile_regex(self.value, "$") if self.op == "matches_regex" else None
+        object.__setattr__(self, "compiled", compiled)
 
     def to_dict(self) -> dict:
         if self.op in ("contains_keyword", "matches_regex"):
@@ -236,10 +277,10 @@ _OPS_ALLOWED_BY_LEAF = {
 
 
 def _parse_extraction(data: dict) -> ExtractionProgram:
-    issues: list[ProgramIssue] = []
     rules_data = data.get("rules")
     if not isinstance(rules_data, list):
-        raise ProgramParseError([ProgramIssue("rules", "Malformed", "rules must be a list")])
+        _reject("rules", "Malformed", "rules must be a list")
+    issues: list[ProgramIssue] = []
     seen_paths: set[str] = set()
     rules: list[FieldRule] = []
     for i, entry in enumerate(rules_data):
@@ -247,60 +288,10 @@ def _parse_extraction(data: dict) -> ExtractionProgram:
         if not isinstance(entry, dict):
             issues.append(ProgramIssue(where, "Malformed", "rule must be an object"))
             continue
-        path = entry.get("field_path")
-        if not isinstance(path, str) or path not in _LEAF_PATHS:
-            issues.append(
-                ProgramIssue(f"{where}.field_path", "UnknownField", f"unknown field path {path!r}")
-            )
-            continue
-        if path in seen_paths:
-            issues.append(
-                ProgramIssue(f"{where}.field_path", "Malformed", f"duplicate rule for {path}")
-            )
-            continue
-        seen_paths.add(path)
-        selector = entry.get("selector")
-        if not isinstance(selector, str):
-            issues.append(ProgramIssue(f"{where}.selector", "InvalidSelector", "selector must be a string"))
-            continue
         try:
-            _compile_selector(selector)
-        except ValueError as exc:
-            issues.append(ProgramIssue(f"{where}.selector", "InvalidSelector", str(exc)))
-            continue
-        node_index = entry.get("node_index", 0)
-        if node_index is None:
-            node_index = 0
-        if not _is_count(node_index):
-            issues.append(ProgramIssue(f"{where}.node_index", "Malformed", "node_index must be a non-negative integer"))
-            continue
-        capture = entry.get("capture")
-        if capture is not None:
-            if not isinstance(capture, str):
-                issues.append(ProgramIssue(f"{where}.capture", "InvalidRegex", "capture must be a string"))
-                continue
-            try:
-                compiled = re.compile(capture)
-            except _REGEX_ERRORS as exc:
-                issues.append(ProgramIssue(f"{where}.capture", "InvalidRegex", str(exc)))
-                continue
-            if compiled.groups != 1:
-                issues.append(
-                    ProgramIssue(f"{where}.capture", "InvalidRegex", "capture needs exactly one group")
-                )
-                continue
-        post_ops = _parse_post_ops(entry.get("post_ops", []), _LEAF_PATHS[path], where, issues)
-        if post_ops is None:
-            continue
-        rules.append(
-            FieldRule(
-                field_path=path,
-                selector=selector,
-                node_index=node_index,
-                capture=capture,
-                post_ops=post_ops,
-            )
-        )
+            rules.append(_parse_rule(entry, seen_paths))
+        except ProgramParseError as exc:
+            issues.extend(_rerooted(exc.issues, where))
     generation = data.get("generation", 0)
     if not _is_count(generation):
         issues.append(ProgramIssue("generation", "Malformed", "generation must be a non-negative integer"))
@@ -320,36 +311,50 @@ def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
-def _parse_post_ops(raw, leaf_type: str, where: str, issues: list[ProgramIssue]):
+def _parse_rule(entry: dict, seen_paths: set[str]) -> FieldRule:
+    """Check a rule's JSON shape and build it; FieldRule checks its values.
+    Issue paths are relative to the rule."""
+    path = entry.get("field_path")
+    if isinstance(path, str):
+        if path in seen_paths:
+            _reject("field_path", "Malformed", f"duplicate rule for {path}")
+        seen_paths.add(path)
+    selector = entry.get("selector")
+    if not isinstance(selector, str):
+        _reject("selector", "InvalidSelector", "selector must be a string")
+    capture = entry.get("capture")
+    if capture is not None and not isinstance(capture, str):
+        _reject("capture", "InvalidRegex", "capture must be a string")
+    node_index = entry.get("node_index")
+    return FieldRule(
+        field_path=path,
+        selector=selector,
+        node_index=0 if node_index is None else node_index,
+        capture=capture,
+        post_ops=_parse_post_ops(entry.get("post_ops", [])),
+    )
+
+
+def _parse_post_ops(raw) -> tuple[PostOp, ...]:
     if not isinstance(raw, list):
-        issues.append(ProgramIssue(f"{where}.post_ops", "Malformed", "post_ops must be a list"))
-        return None
+        _reject("post_ops", "Malformed", "post_ops must be a list")
+    issues: list[ProgramIssue] = []
     ops: list[PostOp] = []
-    ok = True
     for j, op_entry in enumerate(raw):
-        spot = f"{where}.post_ops[{j}]"
+        spot = f"post_ops[{j}]"
         if isinstance(op_entry, str):
             op_entry = {"op": op_entry}
         if not isinstance(op_entry, dict) or "op" not in op_entry:
             issues.append(ProgramIssue(spot, "UnknownPostOp", "post op must name an op"))
-            ok = False
             continue
         name = op_entry["op"]
         if name not in POST_OP_NAMES:
             issues.append(ProgramIssue(spot, "UnknownPostOp", f"unknown post op {name!r}"))
-            ok = False
-            continue
-        if name not in _OPS_ALLOWED_BY_LEAF[leaf_type]:
-            issues.append(
-                ProgramIssue(spot, "UnknownPostOp", f"post op {name!r} not applicable to this field")
-            )
-            ok = False
             continue
         if name == "strip_label_prefix":
             prefixes = op_entry.get("prefixes") or list(KNOWN_LABEL_PREFIXES)
             if not isinstance(prefixes, list) or not all(isinstance(p, str) for p in prefixes):
                 issues.append(ProgramIssue(spot, "UnknownPostOp", "prefixes must be strings"))
-                ok = False
                 continue
             ops.append(PostOp(op=name, prefixes=tuple(prefixes)))
         elif name == "to_unit_code":
@@ -358,12 +363,13 @@ def _parse_post_ops(raw, leaf_type: str, where: str, issues: list[ProgramIssue])
                 isinstance(k, str) and isinstance(v, str) for k, v in mapping.items()
             ):
                 issues.append(ProgramIssue(spot, "UnknownPostOp", "map must be string-to-string"))
-                ok = False
                 continue
             ops.append(PostOp(op=name, unit_map=tuple(sorted(mapping.items()))))
         else:
             ops.append(PostOp(op=name))
-    return tuple(ops) if ok else None
+    if issues:
+        raise ProgramParseError(issues)
+    return tuple(ops)
 
 
 def _parse_decision(data: dict) -> DecisionProgram:
@@ -400,11 +406,10 @@ def _parse_predicate(raw, where: str, depth: int, issues: list[ProgramIssue]) ->
             issues.append(ProgramIssue(where, "InvalidRegex", "matches_regex needs a pattern"))
             return None
         try:
-            re.compile(pattern)
-        except _REGEX_ERRORS as exc:
-            issues.append(ProgramIssue(where, "InvalidRegex", str(exc)))
+            return Predicate(op=op, value=pattern)
+        except ProgramParseError as exc:
+            issues.extend(_rerooted(exc.issues, where))
             return None
-        return Predicate(op=op, value=pattern)
     if op in ("and", "or", "not"):
         args_raw = raw.get("args")
         if not isinstance(args_raw, list) or not args_raw:
@@ -447,10 +452,6 @@ def run_extraction_on_tree(prog: ExtractionProgram, tree) -> ExtractionOutcome:
 
 
 def _run_rule(rule: FieldRule, tree) -> tuple[str, Optional[str]]:
-    if rule.compiled_selector is None or (
-        rule.capture is not None and rule.compiled_capture is None
-    ):
-        return "no_match", None
     nodes = htmltree.select(tree, rule.compiled_selector, limit=SELECTOR_MATCH_LIMIT)
     if rule.node_index >= len(nodes):
         return "no_match", None
@@ -473,10 +474,7 @@ def _apply_post_op(post: PostOp, text: str) -> Optional[str]:
     if post.op == "trim":
         return text.strip()
     if post.op == "strip_label_prefix":
-        for prefix in post.prefixes:
-            if text.lower().startswith(prefix.lower()):
-                return text[len(prefix):].lstrip()
-        return text
+        return strip_known_prefix(text, post.prefixes)
     if post.op == "parse_decimal_comma":
         try:
             parse_decimal(text)
@@ -523,7 +521,7 @@ def _eval_predicate(p: Predicate, text: str) -> bool:
     if p.op == "contains_keyword":
         return p.value.lower() in text.lower()
     if p.op == "matches_regex":
-        return re.search(p.value, text) is not None
+        return p.compiled.search(text) is not None
     if p.op == "and":
         return all(_eval_predicate(a, text) for a in p.args)
     if p.op == "or":

@@ -119,26 +119,21 @@ class ModelPrice:
                 raise ValueError("price rates must be non-negative")
 
 
-def default_price_table() -> dict[str, ModelPrice]:
-    return {
-        "o3-mini": ModelPrice(Decimal("1.10"), Decimal("0.55"), Decimal("4.40")),
-        "gpt-4o": ModelPrice(Decimal("2.50"), Decimal("1.25"), Decimal("10.00")),
-    }
+#: USD per million tokens, by model id.
+PRICES = {
+    "o3-mini": ModelPrice(Decimal("1.10"), Decimal("0.55"), Decimal("4.40")),
+    "gpt-4o": ModelPrice(Decimal("2.50"), Decimal("1.25"), Decimal("10.00")),
+}
 
 
 _MILLION = Decimal(1_000_000)
 
 
-def cost(
-    usage: Usage,
-    model_id: str,
-    price_table: Optional[dict[str, ModelPrice]] = None,
-) -> Decimal:
+def cost(usage: Usage, model_id: str) -> Decimal:
     """Exact USD cost of a usage record under the model's pricing."""
-    table = price_table if price_table is not None else default_price_table()
-    if model_id not in table:
+    if model_id not in PRICES:
         raise UnknownModel(model_id)
-    price = table[model_id]
+    price = PRICES[model_id]
     uncached = usage.input_tokens - usage.cached_input_tokens
     return (
         Decimal(uncached) * price.input_usd_per_1m / _MILLION
@@ -172,8 +167,7 @@ class LedgerEntry:
 class CostLedger:
     """Ordered record of priced LLM calls; appends are thread-safe."""
 
-    def __init__(self, price_table: Optional[dict[str, ModelPrice]] = None):
-        self.price_table = price_table if price_table is not None else default_price_table()
+    def __init__(self):
         self.entries: list[LedgerEntry] = []
         self.meta: dict[str, str] = {}
         self._lock = threading.Lock()
@@ -191,7 +185,7 @@ class CostLedger:
             model_id=model_id,
             role_tag=role_tag,
             usage=usage,
-            cost_usd=cost(usage, model_id, self.price_table),
+            cost_usd=cost(usage, model_id),
             page_id=page_id,
         )
         with self._lock:
@@ -225,9 +219,9 @@ class CostLedger:
         return json.dumps(self.to_dict(), indent=2, ensure_ascii=False)
 
     @staticmethod
-    def from_json(text: str, price_table: Optional[dict[str, ModelPrice]] = None) -> "CostLedger":
+    def from_json(text: str) -> "CostLedger":
         data = json.loads(text)
-        ledger = CostLedger(price_table)
+        ledger = CostLedger()
         ledger.meta = dict(data.get("meta", {}))
         for raw in data.get("entries", []):
             ledger.entries.append(

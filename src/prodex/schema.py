@@ -220,8 +220,9 @@ def parse_decimal(raw) -> Decimal:
     return raw
 
 
-def strip_known_prefix(text: str) -> str:
-    for prefix in KNOWN_LABEL_PREFIXES:
+def strip_known_prefix(text: str, prefixes: tuple[str, ...] = KNOWN_LABEL_PREFIXES) -> str:
+    """Drop the first of ``prefixes`` that starts ``text``, case-insensitively."""
+    for prefix in prefixes:
         if text.lower().startswith(prefix.lower()):
             return text[len(prefix):].lstrip()
     return text

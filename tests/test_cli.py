@@ -542,6 +542,32 @@ def test_unparsable_product_file_is_a_usage_error(workspace, runner, tmp_path):
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("name, text", [
+    ("products.json", "{bad"),
+    ("products.json", '[{"page_id": "beta-0000", "product": {"fat": {"value": "x"}}}]'),
+    ("metrics.json", "{}"),
+], ids=["products-invalid-json", "products-bad-product", "metrics-missing-key"])
+def test_unreadable_indirect_run_file_is_a_usage_error(workspace, runner, tmp_path, name, text):
+    out = tmp_path / "indirect"
+    result = runner.invoke(
+        main,
+        ["extract", "indirect", "--corpus", str(workspace / "corpus"), "--out", str(out),
+         "--provider", "oracle", "--runs", "1"],
+    )
+    assert result.exit_code == 0, result.output
+    bad = out / "run-00" / name
+    bad.write_text(text, encoding="utf-8")
+    result = runner.invoke(
+        main,
+        ["evaluate", "--results", str(out), "--truth", str(workspace / "corpus"),
+         "--out", str(tmp_path / "report.json")],
+    )
+    assert result.exit_code == 2, result.output
+    assert f"product file {bad}: " in result.output
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "report.json").exists()
+
+
 @pytest.mark.parametrize("args, config", [
     (["extract", "direct", "--model", "gpt-4.1"], None),
     (["extract", "indirect", "--runs", "1", "--primary-model", "gpt-4.1"], None),

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import re
@@ -409,8 +410,13 @@ class TestCompiledRules:
         assert direct.compiled_capture.pattern == r"([0-9]+)"
 
     def test_running_a_program_compiles_nothing(self, monkeypatch, small_gamma, compressed_gamma):
-        program = true_program_for(small_gamma.truth[small_gamma.pages[0].page_id].template_id)
-        tree = htmltree.parse_html(compressed_gamma[small_gamma.pages[0].page_id][0].content)
+        page_id = small_gamma.pages[0].page_id
+        program = true_program_for(small_gamma.truth[page_id].template_id)
+        html_doc, text_doc = compressed_gamma[page_id]
+        tree = htmltree.parse_html(html_doc.content)
+        decision = DecisionProgram("d", Predicate(op="not", args=(
+            Predicate(op="matches_regex", value=r"N[äa]hrwert|Zutaten"),
+        )))
 
         def refuse(*args, **kwargs):
             raise AssertionError("compiled during a run")
@@ -420,26 +426,37 @@ class TestCompiledRules:
         monkeypatch.setattr(re, "search", refuse)
         outcome = run_extraction_on_tree(program, tree)
         assert "extracted" in outcome.field_status.values()
+        assert run_decision(decision, text_doc) is False
 
     @settings(max_examples=100, deadline=None)
     @given(st.text(alphabet="ab.#>*[]:~, ", max_size=8))
     def test_direct_rule_with_invalid_selector_is_no_match(self, selector):
+        """Such a rule never runs: it is refused when built, directly or by replace."""
         try:
             htmltree.parse_selector(selector)
         except ValueError:
             pass
         else:
             assume(False)
-        rule = FieldRule("fat.value", selector)
-        assert rule.compiled_selector is None
-        program = ExtractionProgram("bad", "FoodProduct", rules=(rule,))
-        outcome = run_extraction_on_tree(program, _page('<td class="a">1 g</td>'))
-        assert outcome.field_status == {"fat.value": "no_match"}
+        valid = FieldRule("fat.value", "td")
+        for build in (lambda: FieldRule("fat.value", selector),
+                      lambda: dataclasses.replace(valid, selector=selector)):
+            with pytest.raises(ProgramParseError) as err:
+                build()
+            assert [(i.path, i.kind) for i in err.value.issues] == [("selector", "InvalidSelector")]
 
     @pytest.mark.parametrize("capture", ["([0-9]", "[0-9]+", "([0-9])([a-z])"])
     def test_direct_rule_with_unusable_capture_is_no_match(self, capture):
-        rule = FieldRule("fat.value", "td", capture=capture)
-        outcome = run_extraction_on_tree(
-            ExtractionProgram("bad", "FoodProduct", rules=(rule,)), _page("<td>1 g</td>")
-        )
-        assert outcome.field_status == {"fat.value": "no_match"}
+        """Such a rule never runs: it is refused when built, directly or by replace."""
+        valid = FieldRule("fat.value", "td", capture=r"([0-9]+)")
+        for build in (lambda: FieldRule("fat.value", "td", capture=capture),
+                      lambda: dataclasses.replace(valid, capture=capture)):
+            with pytest.raises(ProgramParseError) as err:
+                build()
+            assert [(i.path, i.kind) for i in err.value.issues] == [("capture", "InvalidRegex")]
+
+    def test_direct_rule_with_inapplicable_post_op_is_refused(self):
+        with pytest.raises(ProgramParseError) as err:
+            FieldRule("ingredient_statement", "p",
+                      post_ops=(PostOp("trim"), PostOp("parse_decimal_comma")))
+        assert [(i.path, i.kind) for i in err.value.issues] == [("post_ops[1]", "UnknownPostOp")]

@@ -12,6 +12,7 @@ import json
 import shutil
 import sys
 import typing
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -245,7 +246,7 @@ def extract_direct_cmd(corpus_dir, out_dir, variant, model, resume, workers, pro
         except UnparsableDocument as exc:
             unparsable[raw.page_id] = str(exc)
             continue
-        docs.append(text_doc if variant == "text" else html_doc)
+        docs.append((text_doc if variant == "text" else html_doc).rendered())
 
     ledger = CostLedger()
     ledger.meta["prompt_bundle_hash"] = prompts.bundle_hash()
@@ -425,45 +426,60 @@ def _read_failures(out: Path) -> dict[str, str]:
     path = out / "failures.json"
     if not path.exists():
         return {}
-    return json.loads(path.read_text(encoding="utf-8"))
+    with _reading(path):
+        return json.loads(path.read_text(encoding="utf-8"))
+
+
+@contextmanager
+def _reading(path: Path):
+    """Turns a fault in reading a run's file into a MalformedProduct that names it."""
+    try:
+        yield
+    except (OSError, ValueError, KeyError, TypeError, AttributeError, ArithmeticError,
+            SchemaViolation) as exc:
+        raise MalformedProduct(f"{path}: {type(exc).__name__}: {exc}") from exc
 
 
 def _reports_from_results_dir(results_dir, truth) -> list[RunReport]:
     """One scored report per run: a direct directory is one run, an indirect
-    one has a run per ``run-*`` subdirectory (or is itself the run)."""
+    one has a run per ``run-*`` subdirectory (or is itself the run). A run
+    file that cannot be read is a MalformedProduct naming it."""
     root = Path(results_dir)
-    manifest = json.loads((root / "manifest.json").read_text(encoding="utf-8"))
+    path = root / "manifest.json"
+    with _reading(path):
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        strategy, corpus_id, shop_id = (manifest["strategy"], manifest["corpus_id"],
+                                        manifest["shop_id"])
+        variant = manifest.get("variant", Variant.HTML_COMPRESSED.value)
     failed = _read_failures(root)
 
     def score(products, **counts) -> RunReport:
-        return evaluate(
-            products, truth, manifest["strategy"], manifest["corpus_id"], manifest["shop_id"],
-            variant=manifest.get("variant", Variant.HTML_COMPRESSED.value), failed=failed,
-            **counts,
-        )
+        return evaluate(products, truth, strategy, corpus_id, shop_id, variant=variant,
+                        failed=failed, **counts)
 
-    if manifest["strategy"] == "direct":
+    if strategy == "direct":
         products = read_products(root / "products")
-        ledger = CostLedger.from_json((root / "ledger.json").read_text(encoding="utf-8"))
+        path = root / "ledger.json"
+        with _reading(path):
+            ledger = CostLedger.from_json(path.read_text(encoding="utf-8"))
         return [score(products, calls_primary=len(ledger.entries), cost_usd=str(ledger.total_usd))]
 
     reports = []
     for run_dir in sorted(root.glob("run-*")) or [root]:
         path = run_dir / "products.json"
-        try:
+        with _reading(path):
             products = {
                 entry["page_id"]: parse_product(json.dumps(entry["product"], ensure_ascii=False))
                 for entry in json.loads(path.read_text(encoding="utf-8"))
             }
-            path = run_dir / "metrics.json"
+        path = run_dir / "metrics.json"
+        with _reading(path):
             metrics = json.loads(path.read_text(encoding="utf-8"))
             counts = dict(
                 calls_primary=metrics["llm_calls_primary_model"],
                 calls_decision=metrics["llm_calls_decision_model"],
                 cost_usd=metrics["cost_total_usd"],
             )
-        except (OSError, ValueError, KeyError, TypeError, SchemaViolation) as exc:
-            raise MalformedProduct(f"{path}: {type(exc).__name__}: {exc}") from exc
         reports.append(score(products, **counts))
     return reports
 

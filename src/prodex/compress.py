@@ -8,6 +8,12 @@ whitespace between tags. The pruning happens while the page is parsed
 the plain-text projection of the compressed document with one line per block
 element.
 
+``compress_both`` builds only the pruned tree. Each document it returns
+renders its ``content`` and ``token_count`` from that tree when one of them
+is first read, and then drops the tree, so a caller pays only for the
+variants it reads. A document that is kept should be ``rendered()`` first:
+until then it pins its tree.
+
 Token counts use a deterministic proxy, ceil(utf8_bytes / 4), so cost
 accounting is reproducible without a vendor tokenizer; a live provider's
 reported usage takes precedence in ledgers.
@@ -17,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Optional
 
 from . import htmltree
 from .htmltree import Document
@@ -49,12 +56,37 @@ class RawDocument:
     html: str
 
 
-@dataclass(frozen=True)
 class CompressedDocument:
-    page_id: str
-    variant: Variant
-    content: str
-    token_count: int
+    """One variant of a compressed page: given its ``content`` and
+    ``token_count``, or rendered from a pruned tree on first read."""
+
+    __slots__ = ("page_id", "variant", "_content", "_token_count", "_tree")
+
+    def __init__(self, page_id: str, variant: Variant, content: str = "",
+                 token_count: int = 0, tree: Optional[Document] = None):
+        self.page_id = page_id
+        self.variant = variant
+        self._content = content
+        self._token_count = token_count
+        self._tree = tree
+
+    @property
+    def content(self) -> str:
+        return self.rendered()._content
+
+    @property
+    def token_count(self) -> int:
+        return self.rendered()._token_count
+
+    def rendered(self) -> "CompressedDocument":
+        """This document with its content rendered, and its tree dropped."""
+        if self._tree is not None:
+            if self.variant is Variant.HTML_COMPRESSED:
+                content = htmltree.serialize(self._tree)
+            else:
+                content = "\n".join(htmltree.block_text_lines(self._tree))
+            self._content, self._token_count, self._tree = content, count_tokens(content), None
+        return self
 
 
 def count_tokens(content: str) -> int:
@@ -69,24 +101,15 @@ def compress_both(
     """Both variants and the pruned tree, from a single parse.
 
     The tree equals ``parse_html`` of the HTML variant, so a caller can run
-    extraction programs on it without parsing the page again. A page is
-    unparsable when its unpruned tree would be empty; a page holding only a
-    script is not.
+    extraction programs on it without parsing the page again. The variants
+    render from it when first read. A page is unparsable when its unpruned
+    tree would be empty; a page holding only a script is not.
     """
     tree = htmltree.parse_pruned(doc.html, BANNED_ELEMENTS, KEPT_ATTRIBUTES)
     if tree is None:
         raise UnparsableDocument(f"page {doc.page_id}: no parsable content")
-    html_doc = _compressed(doc.page_id, Variant.HTML_COMPRESSED, htmltree.serialize(tree))
-    text_doc = _compressed(
-        doc.page_id, Variant.TEXT, "\n".join(htmltree.block_text_lines(tree))
-    )
-    return html_doc, text_doc, tree
-
-
-def _compressed(page_id: str, variant: Variant, content: str) -> CompressedDocument:
-    return CompressedDocument(
-        page_id=page_id,
-        variant=variant,
-        content=content,
-        token_count=count_tokens(content),
+    return (
+        CompressedDocument(doc.page_id, Variant.HTML_COMPRESSED, tree=tree),
+        CompressedDocument(doc.page_id, Variant.TEXT, tree=tree),
+        tree,
     )

@@ -693,8 +693,8 @@ def load_truth(path) -> dict[str, GroundTruthRecord]:
             if not line.strip():
                 continue
             try:
-                record = GroundTruthRecord.from_dict(json.loads(line))
-            except (SchemaViolation, KeyError, ValueError, TypeError) as exc:
+                record = GroundTruthRecord.from_dict(json.loads(line, parse_float=Decimal))
+            except (SchemaViolation, KeyError, ValueError, TypeError, RecursionError) as exc:
                 errors = getattr(exc, "errors", None) or [("$", f"{type(exc).__name__}: {exc}")]
                 raise MalformedTruth(f"{path}:{number}", errors) from exc
             truth[record.page_id] = record

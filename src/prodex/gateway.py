@@ -23,7 +23,7 @@ import json
 import os
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from decimal import Decimal
 from pathlib import Path
 from typing import Callable, Optional, Protocol, TypeVar
@@ -84,6 +84,9 @@ class ChatExchange:
     response_text: str
     usage: Usage
     timestamp: float = 0.0
+    # The request's exchange_key, where the provider computed one (replay and
+    # recording do), so that structured_call does not compute it again.
+    key: Optional[str] = None
 
 
 def exchange_key(model_id: str, system_prompt: str, user_prompt: str, json_schema) -> str:
@@ -406,7 +409,7 @@ class RecordingProvider:
         exchange = self.inner.complete_structured(
             model_id, system_prompt, user_prompt, json_schema
         )
-        key = exchange_key(model_id, system_prompt, user_prompt, json_schema)
+        key = exchange.key or exchange_key(model_id, system_prompt, user_prompt, json_schema)
         record = {
             "key": key,
             "model_id": model_id,
@@ -420,7 +423,7 @@ class RecordingProvider:
         text = json.dumps(record, indent=2, ensure_ascii=False)
         with self._lock:
             write_atomic(self.session_dir / f"{key}.json", text)
-        return exchange
+        return replace(exchange, key=key)
 
 
 class ReplayProvider:
@@ -444,6 +447,7 @@ class ReplayProvider:
             response_text=record["response_text"],
             usage=Usage.from_dict(record["usage"]),
             timestamp=float(record.get("timestamp", 0.0)),
+            key=key,
         )
 
 
@@ -479,7 +483,7 @@ def structured_call(
         exchange = provider.complete_structured(model_id, system_prompt, prompt, json_schema)
         if ledger is not None:
             ledger.add(
-                exchange_key(model_id, system_prompt, prompt, json_schema),
+                exchange.key or exchange_key(model_id, system_prompt, prompt, json_schema),
                 model_id,
                 role_tag,
                 exchange.usage,

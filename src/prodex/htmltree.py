@@ -17,14 +17,24 @@ Selector support is the subset that survives attribute stripping: type
 selectors, ``*``, ``.class``, ``#id``, compounds thereof, and descendant /
 child (``>``) combinators. Attribute selectors, pseudo-classes and comma
 groups are rejected. Selection runs on an element index that a document
-builds once, in one walk, at its first ``select``; no walk recurses, so
-deeply nested markup cannot exhaust the call stack. That includes ``==``
-on trees, and ``repr`` shows a node's child count instead of its children.
+builds once, in one walk, at its first ``select``, and the index keeps each
+selector's result, so a repeated ``select`` on a document is a lookup. No
+walk recurses, so deeply nested markup cannot exhaust the call stack. That
+includes ``==`` on trees, and ``repr`` shows a node's child count instead of
+its children.
+
+A name signature folds the tag and class names of a document into one
+``SIGNATURE_BITS``-wide bit set. A selector needs the bits of its tags and
+classes; where one of them is clear, the document has no such name, so the
+selector matches nothing there, which a caller can know without the tree.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import re
+import zlib
 from dataclasses import dataclass, field
 from html import escape, unescape
 from typing import Iterator, Optional, Union
@@ -86,8 +96,9 @@ class Element:
 class Document:
     """Root container; its children are the document's top-level nodes.
 
-    The first ``select`` builds an element index and keeps it here, so a
-    document must not be changed once it has been selected from.
+    The first ``select`` builds an element index and keeps it here, with
+    each selector's result, so a document must not be changed once it has
+    been selected from.
     """
 
     children: list[Union[Element, TextNode]] = field(default_factory=list)
@@ -538,12 +549,13 @@ class ElementIndex:
     ``parents[i]`` is the position of element i's parent (-1 for a child of
     the root); ``by_tag`` and ``by_class`` map a tag or a class name to the
     ascending positions of the elements carrying it. Positions are preorder,
-    so an element's ancestors all sit at lower positions. The index refers to
-    elements only, never back to itself, so a tree and its index are freed
-    together by reference counting.
+    so an element's ancestors all sit at lower positions. ``selected`` maps
+    (selector source, limit) to what ``select`` returned for it. The index
+    refers to elements only, never back to itself, so a tree and its index
+    are freed together by reference counting.
     """
 
-    __slots__ = ("elements", "parents", "classes", "by_tag", "by_class")
+    __slots__ = ("elements", "parents", "classes", "by_tag", "by_class", "selected")
 
     def __init__(self, root: Union[Document, Element]):
         self.elements: list[Element] = []
@@ -551,6 +563,7 @@ class ElementIndex:
         self.classes: list[set[str]] = []
         self.by_tag: dict[str, list[int]] = {}
         self.by_class: dict[str, list[int]] = {}
+        self.selected: dict[tuple[str, int], list[Element]] = {}
         stack = [(c, -1) for c in reversed(root.children) if isinstance(c, Element)]
         while stack:
             element, parent = stack.pop()
@@ -625,16 +638,27 @@ def select(
 
     Only the first ``limit`` elements below ``root`` in document order are
     considered. The root itself is never a match nor an ancestor in a match.
-    A Document keeps its index for later calls; an Element root is indexed
-    on each call.
+    A Document keeps its index, and the result for each selector, for later
+    calls; an Element root is indexed on each call. The caller owns the list.
     """
     compiled = parse_selector(selector) if isinstance(selector, str) else selector
-    if isinstance(root, Document):
-        if root.index is None:
-            root.index = ElementIndex(root)
-        index = root.index
-    else:
-        index = ElementIndex(root)
+    if isinstance(root, Element):
+        return _select(ElementIndex(root), compiled, limit)
+    index = _document_index(root)
+    key = (compiled.source, limit)
+    matches = index.selected.get(key)
+    if matches is None:
+        matches = index.selected[key] = _select(index, compiled, limit)
+    return matches[:]
+
+
+def _document_index(document: Document) -> ElementIndex:
+    if document.index is None:
+        document.index = ElementIndex(document)
+    return document.index
+
+
+def _select(index: ElementIndex, compiled: CompiledSelector, limit: int) -> list[Element]:
     parts = compiled.parts
     subject = parts[-1][1]
     matches: list[Element] = []
@@ -646,3 +670,37 @@ def select(
         ):
             matches.append(index.elements[position])
     return matches
+
+
+# --- name signatures -------------------------------------------------------
+
+SIGNATURE_BITS = 1024
+
+
+@functools.lru_cache(maxsize=4096)
+def _name_bit(name: str) -> int:
+    """The signature bit of a tag or class name; crc32, so that it is the
+    same in every process."""
+    return 1 << (zlib.crc32(name.encode("utf-8")) % SIGNATURE_BITS)
+
+
+def name_signature(document: Document) -> int:
+    """The tag and class names of the document's elements as a bit set,
+    read off its element index (built here if no ``select`` built it)."""
+    index = _document_index(document)
+    signature = 0
+    for name in itertools.chain(index.by_tag, index.by_class):
+        signature |= _name_bit(name)
+    return signature
+
+
+def selector_needs(compiled: CompiledSelector) -> int:
+    """The signature bits of the tags and classes in the selector. Every
+    compound names an element below the root in each match, so on a
+    document whose signature lacks one of these bits it matches nothing."""
+    needs = 0
+    for _, simple in compiled.parts:
+        for name in (*simple.classes, simple.tag):
+            if name is not None:
+                needs |= _name_bit(name)
+    return needs

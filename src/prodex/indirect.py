@@ -8,7 +8,8 @@ Per shop run:
   2. Visit pages in a seed-shuffled order. Run every library program on the
      page and keep the result with the most extracted attributes. Results
      are memoised by rule content in a PageCache that the runs over one
-     corpus share, so a library program runs on a page at most once.
+     corpus share, so a library program runs on a page at most once, and
+     not at all where the page lacks a tag or class every rule needs.
   3. When no program extracts anything AND the page is decision-positive:
      acquire a reference object through direct extraction (it must fill at
      least the configured share of schema fields, with one text-variant
@@ -60,7 +61,7 @@ from .gateway import (
     TransportError,
     structured_call,
 )
-from .htmltree import Document, parse_html
+from .htmltree import Document, name_signature, parse_html, selector_needs
 from .schema import (
     FoodProduct,
     SchemaViolation,
@@ -315,26 +316,54 @@ def decide(ensemble: list[DecisionProgram], doc: CompressedDocument) -> bool:
 # --- Pages ---------------------------------------------------------------------
 
 class Page:
-    """One visit to a compressed page: its HTML and TEXT documents, and the
-    pruned tree that the HTML document serialises."""
+    """One visit to a compressed page: its HTML and TEXT documents, its name
+    signature, and the pruned tree that the HTML document serialises.
 
-    def __init__(self, html: CompressedDocument, text: CompressedDocument,
-                 tree: Optional[Document] = None):
-        self.html = html
-        self.text = text
-        self._tree = tree
+    Everything is derived when first read. The first visit holds what
+    compression built; a document it reads is rendered then, and the cache
+    keeps it. A later visit takes a kept document from the cache, parses the
+    kept HTML for a tree, and compresses the raw page again for anything
+    else it needs.
+    """
+
+    def __init__(self, cache: "PageCache", page_id: str, compressed: Optional[tuple] = None):
+        """``compressed``: what ``compress_both`` built on this visit, if it ran."""
+        self.page_id = page_id
+        self.signature = cache.signatures[page_id]  # see htmltree.name_signature
+        self._cache = cache
+        self._compressed = compressed
+        self._tree = compressed[2] if compressed else None
 
     @property
-    def page_id(self) -> str:
-        return self.html.page_id
+    def html(self) -> CompressedDocument:
+        return self._document(0, self._cache.html)
+
+    @property
+    def text(self) -> CompressedDocument:
+        return self._document(1, self._cache.text)
 
     @property
     def tree(self) -> Document:
-        """The tree compression built on this visit, or else ``html.content``
-        parsed once, on first use."""
+        """This visit's tree: the one compression built, or else the kept
+        HTML parsed once, on first use."""
         if self._tree is None:
-            self._tree = parse_html(self.html.content)
+            html = self._cache.html.get(self.page_id)
+            if html is None or self._compressed is not None:
+                self._tree = self._compression()[2]
+            else:
+                self._tree = parse_html(html.content)
         return self._tree
+
+    def _document(self, variant: int, kept: dict[str, CompressedDocument]) -> CompressedDocument:
+        doc = kept.get(self.page_id)
+        if doc is None:
+            doc = kept[self.page_id] = self._compression()[variant].rendered()
+        return doc
+
+    def _compression(self) -> tuple[CompressedDocument, CompressedDocument, Document]:
+        if self._compressed is None:
+            self._compressed = compress_both(self._cache.pages[self.page_id])
+        return self._compressed
 
 
 # --- Reference acquisition ----------------------------------------------------
@@ -464,20 +493,22 @@ _NOTHING: tuple[FoodProduct, int] = (FoodProduct(), 0)
 class PageCache:
     """The work the runs over one corpus share.
 
-    It holds each page's compressed ``(html, text)`` documents, the reason a
-    page could not be parsed (so it is compressed once, not once per run),
-    and one extraction memo: ``results[program.rules][page_id]`` is the
+    Per page it keeps only what is small: the name signature of its tree,
+    the HTML and TEXT documents that some visit read, rendered, and the
+    reason a page could not be parsed (so it is compressed once, not once
+    per run). It never keeps a tree or an unread document. It also holds
+    one extraction memo: ``results[program.rules][page_id]`` is the
     ``(product, count)`` that program extracts from that page. The memo is
     keyed by rule content (field path, selector, node index, capture and
     post-ops), never by ``program_id``, so a program synthesized again in a
     later run, under a new id, finds its results from the earlier one.
-    Trees are not kept: a later visit's Page parses the compressed HTML only
-    when a memo miss or a synthesis episode asks for its tree.
     """
 
     def __init__(self, corpus: Corpus):
         self.pages = {doc.page_id: doc for doc in corpus.pages}
-        self.compressed: dict[str, tuple[CompressedDocument, CompressedDocument]] = {}
+        self.signatures: dict[str, int] = {}
+        self.html: dict[str, CompressedDocument] = {}
+        self.text: dict[str, CompressedDocument] = {}
         self.unparsable: dict[str, str] = {}
         self.results: dict[tuple[FieldRule, ...], dict[str, tuple[FoodProduct, int]]] = {}
 
@@ -486,21 +517,20 @@ class PageCache:
         return self.pages == {doc.page_id: doc for doc in corpus.pages}
 
     def page(self, page_id: str) -> Page:
-        """A new visit to a page, compressed once: the first visit's Page
-        holds the tree compression built. Raises UnparsableDocument on every
-        call for a page that cannot be parsed."""
-        docs = self.compressed.get(page_id)
-        if docs is not None:
-            return Page(*docs)
+        """A new visit to a page. The first visit compresses it and takes its
+        signature; a page that cannot be parsed raises UnparsableDocument on
+        every call."""
+        if page_id in self.signatures:
+            return Page(self, page_id)
         if page_id in self.unparsable:
             raise UnparsableDocument(self.unparsable[page_id])
         try:
-            html_doc, text_doc, tree = compress_both(self.pages[page_id])
+            compressed = compress_both(self.pages[page_id])
         except UnparsableDocument as exc:
             self.unparsable[page_id] = str(exc)
             raise
-        self.compressed[page_id] = (html_doc, text_doc)
-        return Page(html_doc, text_doc, tree)
+        self.signatures[page_id] = name_signature(compressed[2])
+        return Page(self, page_id, compressed)
 
 
 def process_shop(
@@ -513,12 +543,13 @@ def process_shop(
 
     Pages are compressed on first visit, and the pruned tree from
     compression is the one extraction programs run on. Runs that share a
-    ``cache`` share compressed pages and memoised library results, keyed by
-    rule content: a library program runs on a page only on a memo miss, and
-    a page's compressed HTML is parsed only when a miss or a synthesis
-    episode needs its tree. A cache built from a corpus with other pages is
-    refused with ValueError. A page that cannot be parsed gets an empty
-    product and is listed in the result's ``failures``, in every run.
+    ``cache`` share what it keeps of each page and memoised library results,
+    keyed by rule content: a library program runs on a page only on a memo
+    miss that the page's signature does not settle, and a later visit
+    builds a tree only when such a miss or a synthesis episode needs it. A
+    cache built from a corpus with other pages is refused with ValueError.
+    A page that cannot be parsed gets an empty product and is listed in the
+    result's ``failures``, in every run.
 
     Each run prices its calls into a fresh ledger, and every call count in
     the run's metrics is read off it. The run never reads ``corpus.truth``:
@@ -550,12 +581,15 @@ def process_shop(
 
     library = FunctionLibrary()
     memos: list[dict[str, tuple[FoodProduct, int]]] = []  # the cache's, per library entry
+    needs: list[tuple[int, ...]] = []  # per library entry, the signature bits of each rule
     page_results: dict[str, PageResult] = {}
     synthesis_log: list[dict] = []
 
     def best_library_result(page: Page) -> tuple[Optional[LibraryEntry], FoodProduct, int]:
         """The library's best result on a page; the entry is None unless it
-        extracts at least ``min_valid_attributes`` attributes."""
+        extracts at least ``min_valid_attributes`` attributes. A program
+        whose every rule needs a name the page's signature lacks selects
+        nothing there, so it is not run."""
         best_entry: Optional[LibraryEntry] = None
         best_product = _NOTHING[0]
         best_key = (-1, -1.0, 0.0)
@@ -563,9 +597,13 @@ def process_shop(
             memo = memos[index]
             result = memo.get(page.page_id)
             if result is None:
-                product = run_extraction_on_tree(entry.program, page.tree).product
-                count = count_extracted(product)
-                result = memo[page.page_id] = (product, count) if count else _NOTHING
+                absent = ~page.signature
+                if all(bits & absent for bits in needs[index]):
+                    result = memo[page.page_id] = _NOTHING
+                else:
+                    product = run_extraction_on_tree(entry.program, page.tree).product
+                    count = count_extracted(product)
+                    result = memo[page.page_id] = (product, count) if count else _NOTHING
             key = (result[1], entry.mean_attributes_extracted, -float(index))
             if key > best_key:
                 best_key = key
@@ -624,6 +662,7 @@ def process_shop(
                     program, program_id=f"{program.program_id}-{len(library.entries):02d}",
                 ))
                 memos.append(cache.results.setdefault(program.rules, {}))
+                needs.append(tuple(selector_needs(r.compiled_selector) for r in program.rules))
                 # Only the new program misses: the others ran on this page above.
                 entry, product, count = best_library_result(page)
         if entry is None:

@@ -234,6 +234,12 @@ def parse_product(json_text: str) -> FoodProduct:
         data = json.loads(json_text, parse_float=Decimal)
     except (ValueError, RecursionError) as exc:  # also too many digits, too deep
         raise SchemaViolation([("$", f"invalid JSON: {exc}")])
+    return product_from_dict(data)
+
+
+def product_from_dict(data) -> FoodProduct:
+    """Validate decoded product JSON (numbers decoded as Decimal or float)
+    into a product; raises SchemaViolation on failure."""
     if not isinstance(data, dict):
         raise SchemaViolation([("$", "top level must be a JSON object")])
 
@@ -306,7 +312,3 @@ def product_to_dict(product: FoodProduct) -> dict:
 def serialize_product(product: FoodProduct) -> str:
     """Canonical product JSON (stable bytes for a given product)."""
     return json.dumps(product_to_dict(product), indent=2, ensure_ascii=False)
-
-
-def product_from_dict(data: dict) -> FoodProduct:
-    return parse_product(json.dumps(data, ensure_ascii=False, default=str))

@@ -568,6 +568,34 @@ def test_unreadable_indirect_run_file_is_a_usage_error(workspace, runner, tmp_pa
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("name, text", [
+    ("ledger.json", "{bad"),
+    ("ledger.json", '{"entries": [{"model_id": "o3-mini"}]}'),
+    ("manifest.json", "{bad"),
+    ("manifest.json", "{}"),
+], ids=["ledger-invalid-json", "ledger-missing-key", "manifest-invalid-json",
+        "manifest-missing-key"])
+def test_unreadable_direct_run_file_is_a_usage_error(workspace, runner, tmp_path, name, text):
+    out = tmp_path / "direct"
+    result = runner.invoke(
+        main,
+        ["extract", "direct", "--corpus", str(workspace / "corpus"), "--out", str(out),
+         "--provider", "oracle"],
+    )
+    assert result.exit_code == 0, result.output
+    bad = out / name
+    bad.write_text(text, encoding="utf-8")
+    result = runner.invoke(
+        main,
+        ["evaluate", "--results", str(out), "--truth", str(workspace / "corpus"),
+         "--out", str(tmp_path / "report.json")],
+    )
+    assert result.exit_code == 2, result.output
+    assert f"product file {bad}: " in result.output
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "report.json").exists()
+
+
 @pytest.mark.parametrize("args, config", [
     (["extract", "direct", "--model", "gpt-4.1"], None),
     (["extract", "indirect", "--runs", "1", "--primary-model", "gpt-4.1"], None),

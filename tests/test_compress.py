@@ -18,7 +18,7 @@ from prodex.dsl import (
     PostOp,
     run_extraction_on_tree,
 )
-from prodex.htmltree import TextNode, block_text_lines, parse_html
+from prodex.htmltree import TextNode, block_text_lines, parse_html, serialize
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
@@ -225,6 +225,13 @@ class TestCompressBothTree:
         except UnparsableDocument:
             assert parse_html(html).is_empty()
             return
+        # Each document renders its variant of the tree on first read, be it
+        # of token_count or of content.
+        text = "\n".join(block_text_lines(tree))
+        assert text_doc.token_count == count_tokens(text)
+        assert text_doc.content == text
+        assert html_doc.content == serialize(tree)
+        assert html_doc.token_count == count_tokens(html_doc.content)
         assert tree == parse_html(html_doc.content)
         assert text_doc.content == _text_of(html_doc)
 

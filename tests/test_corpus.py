@@ -205,6 +205,12 @@ class TestOnDisk:
         with pytest.raises(MalformedTruth, match=f"truth.jsonl:3: \\$: {reason}"):
             load_truth(truth_file)
 
+    def test_deeply_nested_truth_record_is_malformed(self, tmp_path):
+        truth_file = tmp_path / "truth.jsonl"
+        truth_file.write_text('{"page_id": ' + "[" * 100_000 + "\n")
+        with pytest.raises(MalformedTruth, match="truth.jsonl:1: \\$: RecursionError"):
+            load_truth(truth_file)
+
     def test_layout_files_exist(self, tmp_path):
         spec = preset_spec("alpha", 5, seed=5)
         write_corpus(generate_shop(spec), tmp_path / "c", preset="alpha", spec=spec)

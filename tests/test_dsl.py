@@ -7,7 +7,8 @@ from decimal import Decimal
 
 import jsonschema
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
+from markup import markup, selectors
 
 from prodex import htmltree
 from prodex.compress import CompressedDocument, Variant, WrongVariant
@@ -460,3 +461,31 @@ class TestCompiledRules:
             FieldRule("ingredient_statement", "p",
                       post_ops=(PostOp("trim"), PostOp("parse_decimal_comma")))
         assert [(i.path, i.kind) for i in err.value.issues] == [("post_ops[1]", "UnknownPostOp")]
+
+
+_SIGNATURE_PATHS = ("ingredient_statement", "fat.value", "fat.unit_code", "salt.value")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    markup(),
+    st.lists(st.tuples(st.sampled_from(_SIGNATURE_PATHS), selectors()),
+             min_size=1, max_size=4, unique_by=lambda rule: rule[0]),
+)
+@example("<div class='a'><p>Zucker</p></div>", [("ingredient_statement", "div.b p")])
+@example("<ul><li>1</li></ul>", [("fat.value", "li"), ("salt.value", "table li")])
+def test_a_program_the_signature_rules_out_extracts_nothing(html, rules):
+    """Where the page's name signature lacks a bit that every rule's selector
+    needs, running the program gives the empty product with count 0, and
+    each such rule selects nothing."""
+    tree = htmltree.parse_html(html)
+    program = ExtractionProgram("p", "FoodProduct", tuple(FieldRule(*rule) for rule in rules))
+    absent = ~htmltree.name_signature(tree)
+    ruled_out = [htmltree.selector_needs(rule.compiled_selector) & absent
+                 for rule in program.rules]
+    for rule, out in zip(program.rules, ruled_out):
+        if out:
+            assert htmltree.select(tree, rule.compiled_selector) == []
+    if all(ruled_out):
+        product = run_extraction_on_tree(program, tree).product
+        assert (product, count_extracted(product)) == (FoodProduct(), 0)

@@ -254,6 +254,30 @@ class TestRecordReplay:
                             replay_ledger, "direct")
         assert replay_ledger.to_json() == ledger.to_json()
 
+    def test_each_attempt_computes_its_key_once(self, tmp_path, monkeypatch):
+        from prodex import gateway
+
+        keys = []
+        real_key = gateway.exchange_key
+
+        def counting_key(*args):
+            keys.append(real_key(*args))
+            return keys[-1]
+
+        monkeypatch.setattr(gateway, "exchange_key", counting_key)
+        recorder = RecordingProvider(_ScriptedProvider(["[]", '{"a": 1}']), tmp_path / "session")
+        ledgers = []
+        for provider in (recorder, ReplayProvider(tmp_path / "session")):
+            keys.clear()
+            ledgers.append(CostLedger())
+            structured_call(provider, "o3-mini", "sys", "user", SCHEMA, _parse_a,
+                            ledgers[-1], "direct")
+            # The first answer fails to parse, so there are two attempts.
+            assert [e.exchange_ref for e in ledgers[-1].entries] == keys
+            assert len(set(keys)) == 2
+        assert sorted(p.stem for p in (tmp_path / "session").iterdir()) == sorted(keys)
+        assert ledgers[0].to_json() == ledgers[1].to_json()
+
     def test_rerecorded_exchange_leaves_one_file(self, tmp_path):
         inner = _ScriptedProvider(['{"a": 1}', '{"a": 1}'])
         recorder = RecordingProvider(inner, tmp_path / "session")

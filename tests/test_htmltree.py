@@ -211,6 +211,17 @@ def test_document_index_is_built_once():
     assert index.parents == [-1, 0]
 
 
+def test_a_mutated_result_does_not_change_the_next_select():
+    tree = parse_html('<div class="a"><p>x</p><p>y</p></div>')
+    first = select(tree, "div.a p")
+    first.clear()
+    first.append(tree.children[0])
+    again = select(tree, "div.a p")
+    assert [text_content(e) for e in again] == ["x", "y"]
+    again.pop()
+    assert len(select(tree, "div.a p")) == 2
+
+
 def test_element_root_is_neither_match_nor_ancestor():
     tree = parse_html("<div><div><p>x</p></div></div>")
     outer = select(tree, "div")[0]

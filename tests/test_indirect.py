@@ -132,7 +132,7 @@ class TestMajorityVote:
 
 
 class TestAcquireReference:
-    def test_full_page_accepted_with_one_call(self, small_gamma, compressed_gamma):
+    def test_full_page_accepted_with_one_call(self, small_gamma):
         oracle = OracleProvider(small_gamma, OracleConfig())
         page = next(
             d for d in small_gamma.pages
@@ -141,7 +141,7 @@ class TestAcquireReference:
         )
         ledger = CostLedger()
         reference = acquire_reference(
-            Page(*compressed_gamma[page.page_id]), oracle, OrchestratorConfig(), ledger,
+            PageCache(small_gamma).page(page.page_id), oracle, OrchestratorConfig(), ledger,
         )
         assert _roles(ledger.entries) == {"reference": 1}
         assert compare(reference, small_gamma.truth[page.page_id].product).overall == 1.0
@@ -156,7 +156,7 @@ class TestAcquireReference:
         )
         ledger = CostLedger()
         reference = acquire_reference(
-            Page(*compress_both(page)), oracle, OrchestratorConfig(), ledger,
+            PageCache(small_alpha).page(page.page_id), oracle, OrchestratorConfig(), ledger,
         )
         assert len(reference.populated_fields()) == 7
         assert _roles(ledger.entries) == {"reference": 1}
@@ -170,7 +170,8 @@ class TestAcquireReference:
         )
         ledger = CostLedger()
         with pytest.raises(ReferenceUnattainable):
-            acquire_reference(Page(*compress_both(page)), oracle, OrchestratorConfig(), ledger)
+            acquire_reference(PageCache(small_alpha).page(page.page_id), oracle,
+                              OrchestratorConfig(), ledger)
         assert len(ledger.entries) == 2
         assert all(e.role_tag == "reference" for e in ledger.entries)
 
@@ -184,7 +185,7 @@ class TestSynthesizeProgram:
             and corpus.truth[d.page_id].has_ingredients
         )
         reference = corpus.truth[page.page_id].product
-        return oracle, Page(*compress_both(page)), reference
+        return oracle, PageCache(corpus).page(page.page_id), reference
 
     def test_cooperative_oracle_accepts_on_first_attempt(self, small_gamma):
         oracle, page, reference = self._setup(small_gamma)
@@ -340,37 +341,126 @@ class TestProcessShop:
     def test_each_page_is_parsed_once_and_shared_between_runs(self, small_gamma, monkeypatch):
         from prodex import indirect
 
-        calls = {"compress": 0, "parse": 0}
+        compressed, trees, ran_on = Counter(), {}, set()
+        calls = {"parse": 0}
         real_compress, real_parse = indirect.compress_both, indirect.parse_html
+        real_run = indirect.run_extraction_on_tree
 
         def counting_compress(doc):
-            calls["compress"] += 1
-            return real_compress(doc)
+            compressed[doc.page_id] += 1
+            result = real_compress(doc)
+            trees[id(result[2])] = (doc.page_id, result[2])  # kept alive: ids stay unique
+            return result
 
         def counting_parse(html):
             calls["parse"] += 1
             return real_parse(html)
 
+        def recording_run(program, tree):
+            if id(tree) in trees:
+                ran_on.add(trees[id(tree)][0])
+            return real_run(program, tree)
+
         monkeypatch.setattr(indirect, "compress_both", counting_compress)
         monkeypatch.setattr(indirect, "parse_html", counting_parse)
+        monkeypatch.setattr(indirect, "run_extraction_on_tree", recording_run)
         oracle = OracleProvider(small_gamma, OracleConfig())
         cache = PageCache(small_gamma)
         first = process_shop(small_gamma, oracle, OrchestratorConfig(rng_seed=2), cache)
-        # Synthesis runs on the tree the page loop holds, so it parses nothing.
-        assert any("generations" in e for e in first.metrics.synthesis_log)
-        assert calls == {"compress": len(small_gamma.pages), "parse": len(small_gamma.labels)}
-        assert set(cache.compressed) == {d.page_id for d in small_gamma.pages}
-        assert all(len(docs) == 2 for docs in cache.compressed.values())
+        # Every page is compressed on its first visit, and nothing is parsed.
+        # A labelled page is first visited for its sample, which keeps only
+        # its TEXT, so its loop visit compresses it again exactly when a
+        # program runs on its tree.
+        episodes = first.metrics.synthesis_log
+        assert any("generations" in e for e in episodes)
+        assert calls["parse"] == 0
+        assert compressed == Counter({
+            d.page_id: 1 + (d.page_id in small_gamma.labels and d.page_id in ran_on)
+            for d in small_gamma.pages
+        })
+        assert any(compressed[page_id] == 2 for page_id in small_gamma.labels)
+        # The cache keeps a signature per page, and the contents some visit read:
+        # the HTML of the synthesis pages, the TEXT of the samples and of the
+        # pages the decision ensemble judged.
+        synthesized = {e["page_id"] for e in episodes}
+        judged = {page_id for page_id, r in first.page_results.items()
+                  if r.source in ("no-info", "none")} | synthesized
+        assert set(cache.signatures) == {d.page_id for d in small_gamma.pages}
+        assert set(cache.html) == synthesized
+        assert set(cache.text) == set(small_gamma.labels) | judged
 
-        calls.update(compress=0, parse=0)
+        compressed.clear()
+        calls.update(parse=0)
         second = process_shop(small_gamma, oracle, OrchestratorConfig(rng_seed=2), cache)
         # Every library result is memoised by the first run: only the trees
-        # the synthesis episodes work on are parsed.
+        # the synthesis episodes work on are parsed, from the kept HTML.
         episodes = second.metrics.synthesis_log
         assert episodes and all("generations" in e for e in episodes)
-        assert calls == {"compress": 0, "parse": len(episodes)}
+        assert compressed == Counter()
+        assert calls == {"parse": len(episodes)}
         assert second.metrics.to_json() == first.metrics.to_json()
         assert _products_json(second) == _products_json(first)
+
+    def test_a_run_renders_only_the_variants_it_reads(self, small_gamma, monkeypatch):
+        from prodex import htmltree, indirect
+
+        trees, rendered = {}, {"html": Counter(), "text": Counter()}
+        real_compress = indirect.compress_both
+        real_serialize, real_lines = htmltree.serialize, htmltree.block_text_lines
+        judged = set()
+        real_decide = indirect.decide
+
+        def recording_compress(doc):
+            result = real_compress(doc)
+            trees[id(result[2])] = (doc.page_id, result[2])
+            return result
+
+        def counting_serialize(node):
+            rendered["html"][trees[id(node)][0]] += 1
+            return real_serialize(node)
+
+        def counting_lines(node):
+            rendered["text"][trees[id(node)][0]] += 1
+            return real_lines(node)
+
+        def recording_decide(ensemble, doc):
+            judged.add(doc.page_id)
+            return real_decide(ensemble, doc)
+
+        monkeypatch.setattr(indirect, "compress_both", recording_compress)
+        monkeypatch.setattr(htmltree, "serialize", counting_serialize)
+        monkeypatch.setattr(htmltree, "block_text_lines", counting_lines)
+        monkeypatch.setattr(indirect, "decide", recording_decide)
+        result = process_shop(small_gamma, OracleProvider(small_gamma, OracleConfig()),
+                              OrchestratorConfig(rng_seed=2))
+        synthesized = {e["page_id"] for e in result.metrics.synthesis_log}
+        assert synthesized and len(judged) < len(small_gamma.pages)
+        assert rendered["html"] == Counter(dict.fromkeys(synthesized, 1))
+        assert rendered["text"] == Counter(dict.fromkeys(set(small_gamma.labels) | judged, 1))
+
+    def test_the_cache_keeps_no_tree_and_no_unread_document(self, small_gamma):
+        import gc
+        import types
+
+        from prodex.htmltree import Document, Element
+
+        cache = PageCache(small_gamma)
+        oracle = OracleProvider(small_gamma, OracleConfig(imperfections_per_generation=1))
+        for seed in (1, 2):
+            process_shop(small_gamma, oracle, OrchestratorConfig(rng_seed=seed), cache)
+        assert cache.html and cache.text
+        # An unread document would hold its tree, and so show up as a Document.
+        opaque = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType)
+        seen, stack, documents = set(), [cache], 0
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen or isinstance(obj, opaque):
+                continue
+            seen.add(id(obj))
+            assert not isinstance(obj, (Document, Element)), obj
+            documents += isinstance(obj, CompressedDocument)
+            stack.extend(gc.get_referents(obj))
+        assert documents == len(cache.html) + len(cache.text)
 
     def test_unparsable_labeled_page_is_a_failure(self, small_gamma, monkeypatch):
         from dataclasses import replace
@@ -486,7 +576,7 @@ class TestPageCache:
             program = ExtractionProgram("fresh", "FoodProduct", rules)
             assert set(memo) == set(cache.pages)
             for page_id, (product, count) in memo.items():
-                tree = parse_html(cache.compressed[page_id][0].content)
+                tree = parse_html(compress_both(cache.pages[page_id])[0].content)
                 fresh = run_extraction_on_tree(program, tree).product
                 assert product == fresh
                 assert count == count_extracted(fresh)
@@ -520,8 +610,11 @@ class TestPageCache:
             result = process_shop(corpus, oracle, OrchestratorConfig(rng_seed=seed), cache)
             assert list(result.failures) == [labeled, unlabeled]
             assert result.page_results[unlabeled].source == "none"
-        assert set(compressed.values()) == {1}
-        assert len(compressed) == len(corpus.pages)
+        # The unparsable pages are compressed once; every page is compressed.
+        assert compressed[labeled] == compressed[unlabeled] == 1
+        assert set(compressed) == {d.page_id for d in corpus.pages}
+        assert set(cache.unparsable) == {labeled, unlabeled}
+        assert {labeled, unlabeled}.isdisjoint({*cache.signatures, *cache.html, *cache.text})
 
     def test_cache_of_other_pages_is_refused(self, small_gamma, small_alpha):
         cache = PageCache(small_gamma)
@@ -534,7 +627,7 @@ class TestPageCache:
         with pytest.raises(ValueError, match="page cache"):
             process_shop(edited, OracleProvider(edited, OracleConfig()), OrchestratorConfig(),
                          cache)
-        assert cache.compressed == {}
+        assert (cache.signatures, cache.html, cache.text, cache.unparsable) == ({}, {}, {}, {})
 
 
 class _UnreadableTruth(Mapping):

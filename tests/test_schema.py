@@ -14,6 +14,7 @@ from prodex.schema import (
     SchemaViolation,
     filled_field_ratio,
     parse_product,
+    product_from_dict,
     product_to_dict,
     serialize_product,
     to_json_schema,
@@ -133,6 +134,64 @@ class TestParseProduct:
         with pytest.raises(SchemaViolation) as err:
             parse_product(text)
         assert [path for path, _ in err.value.errors] == ["$"]
+
+
+_DECODED = [
+    {},
+    {"ingredient_statement": "Zutaten: Zucker", "fat": {"value": "3,5", "unit_code": "GRM"}},
+    {"energy": {"value": 1.5}, "salt": {"value": 2}, "sugars": None, "protein": {"value": "0"}},
+    {"fat": {"value": 1e20}, "salt": {"value": -0.25, "unit_code": None}},
+    {"ingredient_statement": "   "},
+    [],
+    "product",
+    None,
+    {"colour": "red"},
+    {"ingredient_statement": 5},
+    {"ingredient_statement": ["Zucker"]},
+    {"fat": "3,5 g"},
+    {"fat": {"value": "3,5", "grams": 3}},
+    {"fat": {"unit_code": "GRM"}},
+    {"fat": {"value": None}},
+    {"fat": {"value": "drei"}},
+    {"fat": {"value": True}},
+    {"fat": {"value": "1e21"}},
+    {"fat": {"value": 1, "unit_code": ""}},
+    {"fat": {"value": 1, "unit_code": 7}},
+    {"colour": "red", "fat": {"value": "x"}, "salt": [], "ingredient_statement": {}},
+]
+
+
+@pytest.mark.parametrize("decoded", _DECODED, ids=range(len(_DECODED)))
+def test_validating_decoded_json_equals_parsing_its_text(decoded):
+    try:
+        want = parse_product(json.dumps(decoded))
+    except SchemaViolation as exc:
+        with pytest.raises(SchemaViolation) as err:
+            product_from_dict(decoded)
+        assert err.value.errors == exc.errors
+    else:
+        assert product_from_dict(decoded) == want
+
+
+def test_decoded_float_is_reported_by_its_decoded_type():
+    """parse_product decodes a float as Decimal, so where a message names a
+    value's type or repr, the two differ in that word and only there."""
+    decoded = {"ingredient_statement": 1.5, "fat": {"value": 1e30}}
+    with pytest.raises(SchemaViolation) as parsed:
+        parse_product(json.dumps(decoded))
+    with pytest.raises(SchemaViolation) as validated:
+        product_from_dict(decoded)
+    assert parsed.value.errors == [
+        ("ingredient_statement", "expected string, got Decimal"),
+        ("fat.value", "malformed number: Decimal('1E+30')"),
+    ]
+    assert validated.value.errors == [
+        ("ingredient_statement", "expected string, got float"),
+        ("fat.value", "malformed number: 1e+30"),
+    ]
+    with pytest.raises(SchemaViolation) as redecoded:
+        product_from_dict(json.loads(json.dumps(decoded), parse_float=Decimal))
+    assert redecoded.value.errors == parsed.value.errors
 
 
 class TestFilledFieldRatio:

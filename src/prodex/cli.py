@@ -362,14 +362,13 @@ def extract_indirect_cmd(ctx, corpus_dir, out_dir, labels_path, seed, runs,
             )
         run_dir = out / f"run-{run_index:02d}"
         run_dir.mkdir(parents=True, exist_ok=True)
-        (run_dir / "products.json").write_text(
-            json.dumps(
+        with open(run_dir / "products.json", "w", encoding="utf-8") as fh:
+            json.dump(
                 [result.page_results[pid].to_dict() for pid in sorted(result.page_results)],
+                fh,
                 indent=2,
                 ensure_ascii=False,
-            ),
-            encoding="utf-8",
-        )
+            )
         (run_dir / "library.json").write_text(result.library.to_json(), encoding="utf-8")
         (run_dir / "metrics.json").write_text(result.metrics.to_json(), encoding="utf-8")
         (run_dir / "ledger.json").write_text(result.ledger.to_json(), encoding="utf-8")

@@ -6,18 +6,23 @@ nodes with a tag, an attribute dict and children, plus plain text nodes.
 Everything downstream (compression, text projection, rule interpretation)
 works on this tree.
 
-One regex-driven tokenizer pass builds it. It reads markup exactly as the
+One tokenizer pass builds it: a single ``finditer`` scan over a pattern
+that matches every token, restarted only where other markup or a script or
+style body moves the position. It reads markup exactly as the
 ``html.parser`` of CPython 3.11.7 does when fed a whole page and closed (the
 tests keep that parser as the reference), except that it never raises, and
 it runs in linear time on hostile markup such as unterminated quotes.
 ``parse_pruned`` builds the tree compression wants in the same pass: banned
 subtrees are tracked but never built, and only kept attributes are read.
+The pass also records each element it builds, and its parent, in document
+order: the document's element index.
 
 Selector support is the subset that survives attribute stripping: type
 selectors, ``*``, ``.class``, ``#id``, compounds thereof, and descendant /
 child (``>``) combinators. Attribute selectors, pseudo-classes and comma
-groups are rejected. Selection runs on an element index that a document
-builds once, in one walk, at its first ``select``, and the index keeps each
+groups are rejected. Selection runs on the element index, whose tag and
+class maps are filled at the first ``select`` or ``name_signature``; a tree
+the parser did not build is indexed in one walk. The index keeps each
 selector's result, so a repeated ``select`` on a document is a lookup. No
 walk recurses, so deeply nested markup cannot exhaust the call stack. That
 includes ``==`` on trees, and ``repr`` shows a node's child count instead of
@@ -96,13 +101,14 @@ class Element:
 class Document:
     """Root container; its children are the document's top-level nodes.
 
-    The first ``select`` builds an element index and keeps it here, with
-    each selector's result, so a document must not be changed once it has
-    been selected from.
+    ``index`` is the document's element index, which keeps each selector's
+    result. A parsed document comes with the index its parse recorded; a
+    hand-built one gets it at its first ``select``. So a parsed document
+    must not be changed, nor a hand-built one once it has been selected from.
     """
 
     children: list[Union[Element, TextNode]] = field(default_factory=list)
-    index: Optional["ElementIndex"] = field(default=None, init=False)
+    index: Optional["ElementIndex"] = None
 
     def __eq__(self, other):
         return _same_tree(self, other) if type(other) is Document else NotImplemented
@@ -152,8 +158,9 @@ def _descendants(node: Union[Document, Element]) -> Iterator[Element]:
 
 # --- tokenizer -------------------------------------------------------------
 
-# Text, and the start and end tags that html.parser reads the plain way; any
-# other "<" goes through _Parser._markup.
+# Every token of a page: text, a start or end tag that html.parser reads the
+# plain way, or any other "<", which _Parser._markup reads. The pattern
+# matches at every position, so one finditer scan reads a page from end to end.
 _TOKEN = re.compile(r"""
     ([^<]+)                                                 # 1 text
   | <([a-zA-Z][^\t\n\r\f />\x00<]*)                         # 2 start tag name
@@ -161,6 +168,7 @@ _TOKEN = re.compile(r"""
       (?:=(?:"[^"<]*"|'[^'<]*'|[^\s"'=<>][^\s<>]*))?)*)
     [\t\n\r\f ]*(/?)>                                       # 4 "/" of <tag/>
   | </([a-zA-Z][-.a-zA-Z0-9:_]*)\s*>                        # 5 end tag
+  | <                                                       # other markup
 """, re.VERBOSE)
 _ATTRIBUTE = re.compile(r"""([^\s=]+)(?:=("[^"]*"|'[^']*'|\S+))?""")
 _RAW_TEXT_END = {tag: re.compile(rf"</\s*{tag}\s*>", re.I) for tag in ("script", "style")}
@@ -187,15 +195,20 @@ class _Parser:
     """One pass that reads a page as CPython 3.11's ``html.parser`` does when fed
     the whole page and closed, and builds the tree; with ``kept`` given, the
     pruned tree (see ``parse_pruned``). ``content`` tells whether the
-    unpruned tree would hold anything. Searches for a closer keep their
-    answer, and a start tag that never closes marks the attribute positions
-    it passed, so hostile markup is read in linear time.
+    unpruned tree would hold anything. ``elements`` and ``parents`` record
+    each built element and its parent's position as it is built, which is
+    the tree's element index (see ``ElementIndex``). Searches for a closer
+    keep their answer, and a start tag that never closes marks the attribute
+    positions it passed, so hostile markup is read in linear time.
     """
 
     def __init__(self, html: str, banned=frozenset(), kept=None):
         self.html, self.banned, self.kept = html, banned, kept
         self.children: list[Union[Element, TextNode]] = []
-        self.stack: list[tuple] = []  # open elements: (tag, children, or None if not built)
+        self.elements: list[Element] = []
+        self.parents: list[int] = []
+        # open elements: (tag, children, position), or (tag, None, -1) if not built
+        self.stack: list[tuple] = []
         self.open: dict[str, int] = {}  # open elements by tag
         self.content = False
         self.found: dict = {}  # pattern -> (position asked, (start, end) found)
@@ -205,21 +218,32 @@ class _Parser:
         self._run()
         self._join_text()
 
+    def document(self) -> Document:
+        return Document(self.children, ElementIndex(self.elements, self.parents))
+
     def _run(self) -> None:
-        s, n, pos = self.html, len(self.html), 0
-        token = _TOKEN.match
-        while pos < n:
-            m = token(s, pos)
-            if m is None:
-                pos = self._markup(pos)
-            elif m.lastindex == 1:
-                pos = m.end()
-                self.text(unescape(m.group(1)))
-            elif m.lastindex == 5:
-                pos = m.end()
-                self.end(m.group(5).lower())
+        s, pos = self.html, 0
+        text, start, end, markup = self.text, self.start, self.end, self._markup
+        pruned = self.kept is not None
+        while pos < len(s):
+            for m in _TOKEN.finditer(s, pos):
+                kind = m.lastindex
+                if kind == 1:
+                    data = m[1]
+                    if not (pruned and data.isspace()):  # else it folds to nothing
+                        text(unescape(data))
+                    continue
+                if kind == 5:
+                    end(m[5].lower())
+                    continue
+                if kind is None:
+                    pos = markup(m.start())
+                else:
+                    pos = start(m[2].lower(), m[3], m[4] == "/", m.end())
+                if pos != m.end():
+                    break  # the scan restarts where the markup or a script or style body ends
             else:
-                pos = self.start(m.group(2).lower(), m.group(3), m.group(4) == "/", m.end())
+                return
 
     def start(self, tag: str, attrs, closed: bool, pos: int) -> int:
         """Add an element, open unless ``closed``; return where reading goes
@@ -228,14 +252,21 @@ class _Parser:
         closes = IMPLICIT_CLOSE.get(tag)  # a <tag/> too, so a serialized tree parses back
         while closes and stack and stack[-1][0] in closes:
             self.open[stack.pop()[0]] -= 1
-        parent = stack[-1][1] if stack else self.children
-        self.content = self.content or not stack
-        built = parent is not None and tag not in self.banned
-        if built:
-            parent.append(Element(tag, self._attributes(attrs) if attrs else {}))
+        if stack:
+            _, parent, above = stack[-1]
+        else:
+            parent, above, self.content = self.children, -1, True
+        if parent is None or tag in self.banned:
+            entry = (tag, None, -1)
+        else:
+            element = Element(tag, self._attributes(attrs) if attrs else {})
+            parent.append(element)
+            entry = (tag, element.children, len(self.elements))
+            self.elements.append(element)
+            self.parents.append(above)
         if closed or tag in VOID_ELEMENTS:
             return pos
-        stack.append((tag, parent[-1].children if built else None))
+        stack.append(entry)
         self.open[tag] = self.open.get(tag, 0) + 1
         return self._raw_text(tag, pos) if tag in _RAW_TEXT_END else pos
 
@@ -270,15 +301,16 @@ class _Parser:
             self.last_text.text = "".join(self.pieces)
 
     def _attributes(self, source) -> dict[str, Optional[str]]:
-        if isinstance(source, str):
-            source = (m.group(1, 2) for m in _ATTRIBUTE.finditer(source))
+        plain = isinstance(source, str)
         attrs: dict[str, Optional[str]] = {}
-        for name, raw in source:
+        for name, raw in _ATTRIBUTE.findall(source) if plain else source:
             name = name.lower()
             if name in attrs or (self.kept is not None and name not in self.kept):
                 continue  # the first of duplicate attributes wins
             if raw and raw[0] == raw[-1] and raw[0] in "'\"":
                 raw = raw[1:-1]
+            elif plain and not raw:
+                raw = None  # a plain tag's value is never empty: "" means none
             attrs[name] = unescape(raw) if raw else raw
         return attrs
 
@@ -385,8 +417,9 @@ class _Parser:
 
 
 def parse_html(html: str) -> Document:
-    """Parse HTML into a Document, recovering from malformed markup."""
-    return Document(children=_Parser(html).children)
+    """Parse HTML into a Document, with its element index, recovering from
+    malformed markup."""
+    return _Parser(html).document()
 
 
 def parse_pruned(html: str, banned: frozenset, kept: tuple) -> Optional[Document]:
@@ -395,7 +428,7 @@ def parse_pruned(html: str, banned: frozenset, kept: tuple) -> Optional[Document
     node whitespace-folded and joined to a text node before it; None when
     ``parse_html`` would give an empty tree."""
     parser = _Parser(html, banned, kept)
-    return Document(children=parser.children) if parser.content else None
+    return parser.document() if parser.content else None
 
 
 def serialize(node: Union[Document, Element, TextNode]) -> str:
@@ -544,12 +577,16 @@ def _parse_simple(s: str, pos: int, full: str) -> tuple[SimpleSelector, int]:
 
 
 class ElementIndex:
-    """The elements below a root in document order, built in one walk.
+    """The elements below a root in document order, and the names they carry.
 
     ``parents[i]`` is the position of element i's parent (-1 for a child of
-    the root); ``by_tag`` and ``by_class`` map a tag or a class name to the
-    ascending positions of the elements carrying it. Positions are preorder,
-    so an element's ancestors all sit at lower positions. ``selected`` maps
+    the root). Positions are preorder, so an element's ancestors all sit at
+    lower positions. The parser records ``elements`` and ``parents`` as it
+    builds a tree; ``walk`` reads them off any other root. ``classes[i]`` is
+    element i's class set, and ``by_tag`` and ``by_class`` map a tag or a
+    class name to the ascending positions of the elements carrying it; the
+    three are None until ``with_names`` fills them from ``elements``, so a
+    tree that is never selected from never pays for them. ``selected`` maps
     (selector source, limit) to what ``select`` returned for it. The index
     refers to elements only, never back to itself, so a tree and its index
     are freed together by reference counting.
@@ -557,27 +594,44 @@ class ElementIndex:
 
     __slots__ = ("elements", "parents", "classes", "by_tag", "by_class", "selected")
 
-    def __init__(self, root: Union[Document, Element]):
-        self.elements: list[Element] = []
-        self.parents: list[int] = []
-        self.classes: list[set[str]] = []
-        self.by_tag: dict[str, list[int]] = {}
-        self.by_class: dict[str, list[int]] = {}
+    def __init__(self, elements: list[Element], parents: list[int]):
+        self.elements = elements
+        self.parents = parents
         self.selected: dict[tuple[str, int], list[Element]] = {}
+        self.classes: Optional[list[set[str]]] = None
+        self.by_tag: Optional[dict[str, list[int]]] = None
+        self.by_class: Optional[dict[str, list[int]]] = None
+
+    @classmethod
+    def walk(cls, root: Union[Document, Element]) -> "ElementIndex":
+        """The index of the elements below ``root``, in one walk."""
+        elements: list[Element] = []
+        parents: list[int] = []
         stack = [(c, -1) for c in reversed(root.children) if isinstance(c, Element)]
         while stack:
             element, parent = stack.pop()
-            position = len(self.elements)
-            self.elements.append(element)
-            self.parents.append(parent)
-            self.by_tag.setdefault(element.tag, []).append(position)
-            classes = element.classes()
-            self.classes.append(classes)
-            for name in classes:
-                self.by_class.setdefault(name, []).append(position)
+            position = len(elements)
+            elements.append(element)
+            parents.append(parent)
             stack.extend(
                 (c, position) for c in reversed(element.children) if isinstance(c, Element)
             )
+        return cls(elements, parents)
+
+    def with_names(self) -> "ElementIndex":
+        """This index, with ``classes``, ``by_tag`` and ``by_class`` filled."""
+        if self.by_tag is None:
+            classes: list[set[str]] = []
+            by_tag: dict[str, list[int]] = {}
+            by_class: dict[str, list[int]] = {}
+            for position, element in enumerate(self.elements):
+                by_tag.setdefault(element.tag, []).append(position)
+                names = element.classes()
+                classes.append(names)
+                for name in names:
+                    by_class.setdefault(name, []).append(position)
+            self.classes, self.by_tag, self.by_class = classes, by_tag, by_class
+        return self
 
     def candidates(self, simple: SimpleSelector):
         """Ascending positions that may match ``simple``: a superset of its matches."""
@@ -643,7 +697,7 @@ def select(
     """
     compiled = parse_selector(selector) if isinstance(selector, str) else selector
     if isinstance(root, Element):
-        return _select(ElementIndex(root), compiled, limit)
+        return _select(ElementIndex.walk(root).with_names(), compiled, limit)
     index = _document_index(root)
     key = (compiled.source, limit)
     matches = index.selected.get(key)
@@ -654,8 +708,8 @@ def select(
 
 def _document_index(document: Document) -> ElementIndex:
     if document.index is None:
-        document.index = ElementIndex(document)
-    return document.index
+        document.index = ElementIndex.walk(document)
+    return document.index.with_names()
 
 
 def _select(index: ElementIndex, compiled: CompiledSelector, limit: int) -> list[Element]:
@@ -686,7 +740,7 @@ def _name_bit(name: str) -> int:
 
 def name_signature(document: Document) -> int:
     """The tag and class names of the document's elements as a bit set,
-    read off its element index (built here if no ``select`` built it)."""
+    read off its element index."""
     index = _document_index(document)
     signature = 0
     for name in itertools.chain(index.by_tag, index.by_class):

@@ -542,7 +542,9 @@ def process_shop(
     """Run the full indirect algorithm over one shop's corpus.
 
     Pages are compressed on first visit, and the pruned tree from
-    compression is the one extraction programs run on. Runs that share a
+    compression is the one extraction programs run on; a labelled page's
+    first visit is its bootstrap sample's, which the loop's visit to it
+    continues, so a run compresses a page at most once. Runs that share a
     ``cache`` share what it keeps of each page and memoised library results,
     keyed by rule content: a library program runs on a page only on a memo
     miss that the page's signature does not settle, and a later visit
@@ -567,13 +569,16 @@ def process_shop(
     token_prefix = f"{corpus.shop_id}-s{config.rng_seed}"
 
     samples = []
+    sample_visits: dict[str, Page] = {}  # the loop's visit to a labelled page reuses these
     for page_id, label in sorted(corpus.labels.items()):
         if page_id not in cache.pages:
             continue
         try:
-            samples.append((cache.page(page_id).text, label))
+            page = sample_visits[page_id] = cache.page(page_id)
         except UnparsableDocument as exc:
             failures[page_id] = str(exc)
+            continue
+        samples.append((page.text, label))
     ensemble = build_decision_ensemble(samples, provider, config, ledger, token_prefix)
 
     order = [doc.page_id for doc in corpus.pages]
@@ -646,7 +651,7 @@ def process_shop(
 
     for page_id in order:
         try:
-            page = cache.page(page_id)
+            page = sample_visits.pop(page_id, None) or cache.page(page_id)
         except UnparsableDocument as exc:
             failures[page_id] = str(exc)
             page_results[page_id] = PageResult(page_id, FoodProduct(), "none", 0)

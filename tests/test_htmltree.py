@@ -2,12 +2,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from markup import markup, selectors
 
+from prodex.compress import BANNED_ELEMENTS, KEPT_ATTRIBUTES
 from prodex.htmltree import (
     Document,
     Element,
+    ElementIndex,
     TextNode,
     block_text_lines,
     parse_html,
+    parse_pruned,
     parse_selector,
     select,
     serialize,
@@ -203,12 +206,35 @@ def test_select_equals_reference_walk(html, selector, limit, element_root):
 
 def test_document_index_is_built_once():
     tree = parse_html('<div class="a"><p class="b">x</p></div>')
-    assert tree.index is None
-    select(tree, "p.b")
     index = tree.index
+    assert index is not None  # the parse attached it
+    select(tree, "p.b")
     select(tree, "div.a > p")
     assert tree.index is index
     assert index.parents == [-1, 0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(markup())
+def test_the_parse_records_the_index_a_walk_builds(html):
+    trees = [parse_html(html), parse_pruned(html, BANNED_ELEMENTS, KEPT_ATTRIBUTES)]
+    for tree in filter(None, trees):
+        recorded, walked = tree.index, ElementIndex.walk(tree)
+        assert [id(e) for e in recorded.elements] == [id(e) for e in walked.elements]
+        assert recorded.parents == walked.parents
+        recorded.with_names()
+        walked.with_names()
+        assert recorded.classes == walked.classes
+        assert recorded.by_tag == walked.by_tag
+        assert recorded.by_class == walked.by_class
+
+
+def test_a_hand_built_document_is_indexed_at_its_first_select():
+    p = Element("p", {"class": "b"})
+    tree = Document([Element("div", {"class": "a"}, [p])])
+    assert tree.index is None
+    assert select(tree, "div.a > p.b") == [p]
+    assert tree.index.parents == [-1, 0]
 
 
 def test_a_mutated_result_does_not_change_the_next_select():

@@ -367,18 +367,14 @@ class TestProcessShop:
         oracle = OracleProvider(small_gamma, OracleConfig())
         cache = PageCache(small_gamma)
         first = process_shop(small_gamma, oracle, OrchestratorConfig(rng_seed=2), cache)
-        # Every page is compressed on its first visit, and nothing is parsed.
-        # A labelled page is first visited for its sample, which keeps only
-        # its TEXT, so its loop visit compresses it again exactly when a
-        # program runs on its tree.
+        # Every page is compressed exactly once, and nothing is parsed. A
+        # labelled page is first visited for its sample, and the loop's visit
+        # continues that one: programs run on the tree its sample visit built.
         episodes = first.metrics.synthesis_log
         assert any("generations" in e for e in episodes)
         assert calls["parse"] == 0
-        assert compressed == Counter({
-            d.page_id: 1 + (d.page_id in small_gamma.labels and d.page_id in ran_on)
-            for d in small_gamma.pages
-        })
-        assert any(compressed[page_id] == 2 for page_id in small_gamma.labels)
+        assert compressed == Counter({d.page_id: 1 for d in small_gamma.pages})
+        assert ran_on & set(small_gamma.labels)
         # The cache keeps a signature per page, and the contents some visit read:
         # the HTML of the synthesis pages, the TEXT of the samples and of the
         # pages the decision ensemble judged.

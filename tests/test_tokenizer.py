@@ -110,6 +110,9 @@ HOSTILE = {
     "unterminated comment": "<!--",
     "run of <": "<",
     "nested div": "<div>",
+    "run of empty comments": "<!---->",
+    "run of empty scripts": "<script></script>",
+    "run of CDATA sections": "<![CDATA[x]]>",
 }
 
 

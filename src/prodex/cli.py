@@ -4,6 +4,11 @@ evaluation and strategy comparison.
 Run directories are self-describing: each carries a manifest.json naming the
 strategy, variant, corpus and models, so `evaluate` can consume any mix of
 them. Live-provider credentials come from PRODEX_API_BASE / PRODEX_API_KEY.
+
+Each command imports the modules it runs when it runs: `evaluate` and
+`compare` load neither the HTML tree nor the DSL, and `extract direct` loads
+the oracle only for the oracle provider, and never the orchestrator, the DSL
+or the corpus generator.
 """
 
 from __future__ import annotations
@@ -14,29 +19,36 @@ import sys
 import typing
 from contextlib import contextmanager
 from dataclasses import replace
+from decimal import Decimal
 from pathlib import Path
 
 import click
 
 from . import prompts
-from .compress import RawDocument, UnparsableDocument, Variant, compress_both, count_tokens
-from .corpus import (Corpus, MalformedTruth, generate_shop, load_corpus, load_truth,
-                     preset_spec, write_corpus)
 from .direct import MalformedProduct, extract_direct_batch, read_products
-from .evaluate import (
-    MissingTruth,
-    RunReport,
-    compare_strategies,
-    emit_report,
-    evaluate,
-    merge_reports,
-    page_accuracy,
-    summarize_runs,
-)
-from .gateway import PRICES, CostLedger, LiveProvider, RecordingProvider, ReplayProvider
-from .indirect import OrchestratorConfig, PageCache, process_shop
-from .oracle import OracleConfig, OracleProvider
-from .schema import SchemaViolation, parse_product
+from .gateway import (PRICES, CostLedger, LiveProvider, RecordingProvider, ReplayProvider,
+                      count_tokens)
+from .reader import Corpus, MalformedTruth, MissingTruth, RawDocument, load_corpus, load_truth
+# parse_product is not called here: it stays bound because the benchmark's
+# tracer wraps it at this site (perfbench/tracer.py, SITES).
+from .schema import SchemaViolation, parse_product, product_from_dict  # noqa: F401
+
+if typing.TYPE_CHECKING:
+    from .evaluate import RunReport
+
+
+def compress_both(raw):
+    """``compress.compress_both``; the tree and compressor load at the first call."""
+    from .compress import compress_both
+
+    return compress_both(raw)
+
+
+def process_shop(shop, provider, config, cache):
+    """``indirect.process_shop``; the orchestrator loads at the first call."""
+    from .indirect import process_shop
+
+    return process_shop(shop, provider, config, cache)
 
 
 class _Main(click.Group):
@@ -63,7 +75,10 @@ def main(ctx, config_path):
     """Schema-constrained product extraction: direct and indirect strategies."""
     ctx.ensure_object(dict)
     if config_path:
-        ctx.obj["config"] = json.loads(Path(config_path).read_text(encoding="utf-8"))
+        try:
+            ctx.obj["config"] = json.loads(Path(config_path).read_text(encoding="utf-8"))
+        except (OSError, ValueError, RecursionError) as exc:
+            raise click.UsageError(f"--config: {config_path}: {type(exc).__name__}: {exc}") from exc
         if not isinstance(ctx.obj["config"], dict):
             raise click.UsageError("--config: the file must hold a JSON object")
     else:
@@ -84,6 +99,8 @@ def corpus():
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 def corpus_generate(preset, pages, seed, out_dir):
     """Generate a deterministic synthetic shop with ground truth."""
+    from .corpus import generate_shop, preset_spec, write_corpus
+
     spec = preset_spec(preset, pages, seed)
     shop = generate_shop(spec)
     write_corpus(shop, out_dir, preset=preset, spec=spec)
@@ -98,6 +115,8 @@ def corpus_generate(preset, pages, seed, out_dir):
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 def compress_cmd(variant, in_path, out_dir):
     """Compress pages to HTML_COMPRESSED or TEXT plus a token manifest."""
+    from .compress import UnparsableDocument
+
     in_path = Path(in_path)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -163,6 +182,8 @@ def _build_provider(provider_name, shop: Corpus | None, session, record,
     if provider_name == "oracle":
         if shop is None:
             raise click.UsageError("oracle provider needs --corpus")
+        from .oracle import OracleConfig, OracleProvider
+
         provider = OracleProvider(
             shop,
             OracleConfig(
@@ -228,6 +249,8 @@ def extract_direct_cmd(corpus_dir, out_dir, variant, model, resume, workers, pro
                        session, record, oracle_imperfections, oracle_unreparable_template,
                        oracle_unreparable_rate, oracle_seed):
     """One structured model call per page; resumes from the products written."""
+    from .compress import UnparsableDocument, Variant
+
     _check_priced(model)
     shop = load_corpus(corpus_dir)
     provider = _build_provider(provider_name, shop, session, record,
@@ -295,6 +318,10 @@ def extract_indirect_cmd(ctx, corpus_dir, out_dir, labels_path, seed, runs,
                          oracle_imperfections, oracle_unreparable_template,
                          oracle_unreparable_rate, oracle_seed):
     """Generate extraction programs once per template, reuse them everywhere."""
+    from .compress import Variant
+    from .evaluate import page_accuracy, summarize_runs
+    from .indirect import OrchestratorConfig, PageCache
+
     shop = load_corpus(corpus_dir)
     if labels_path:
         shop.labels = {
@@ -443,13 +470,15 @@ def _reports_from_results_dir(results_dir, truth) -> list[RunReport]:
     """One scored report per run: a direct directory is one run, an indirect
     one has a run per ``run-*`` subdirectory (or is itself the run). A run
     file that cannot be read is a MalformedProduct naming it."""
+    from .evaluate import evaluate
+
     root = Path(results_dir)
     path = root / "manifest.json"
     with _reading(path):
         manifest = json.loads(path.read_text(encoding="utf-8"))
         strategy, corpus_id, shop_id = (manifest["strategy"], manifest["corpus_id"],
                                         manifest["shop_id"])
-        variant = manifest.get("variant", Variant.HTML_COMPRESSED.value)
+        variant = manifest.get("variant", "HTML_COMPRESSED")
     failed = _read_failures(root)
 
     def score(products, **counts) -> RunReport:
@@ -468,8 +497,8 @@ def _reports_from_results_dir(results_dir, truth) -> list[RunReport]:
         path = run_dir / "products.json"
         with _reading(path):
             products = {
-                entry["page_id"]: parse_product(json.dumps(entry["product"], ensure_ascii=False))
-                for entry in json.loads(path.read_text(encoding="utf-8"))
+                entry["page_id"]: product_from_dict(entry["product"])
+                for entry in json.loads(path.read_text(encoding="utf-8"), parse_float=Decimal)
             }
         path = run_dir / "metrics.json"
         with _reading(path):
@@ -493,6 +522,8 @@ def _reports_from_results_dir(results_dir, truth) -> list[RunReport]:
               default="json", show_default=True)
 def evaluate_cmd(results_dirs, truth_path, out_path, fmt):
     """Score run outputs against ground truth and write a report."""
+    from .evaluate import emit_report, merge_reports
+
     truth = load_truth(truth_path)
     merged = merge_reports(
         [report for d in results_dirs for report in _reports_from_results_dir(d, truth)]
@@ -501,15 +532,32 @@ def evaluate_cmd(results_dirs, truth_path, out_path, fmt):
     click.echo(f"mean accuracy {merged.mean_accuracy():.2f} -> {out_path}")
 
 
+def _read_report(path) -> RunReport:
+    """The report ``prodex evaluate`` wrote to ``path``; anything else is a
+    usage error naming the file."""
+    from .evaluate import RunReport
+
+    try:
+        return RunReport.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    except (OSError, ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
+        raise click.UsageError(
+            f"{path} is not a report: {type(exc).__name__}: {exc}"
+        ) from exc
+
+
 @main.command("compare")
 @click.option("--direct", "direct_path", type=click.Path(exists=True), required=True)
 @click.option("--indirect", "indirect_path", type=click.Path(exists=True), required=True)
 @click.option("--out", "out_path", type=click.Path(), required=True)
 def compare_cmd(direct_path, indirect_path, out_path):
     """Compare two strategy reports (accuracy delta, call reduction, cost)."""
-    direct = RunReport.from_dict(json.loads(Path(direct_path).read_text(encoding="utf-8")))
-    indirect = RunReport.from_dict(json.loads(Path(indirect_path).read_text(encoding="utf-8")))
-    summary = compare_strategies(direct, indirect)
+    from .evaluate import CorpusMismatch, compare_strategies
+
+    direct, indirect = _read_report(direct_path), _read_report(indirect_path)
+    try:
+        summary = compare_strategies(direct, indirect)
+    except CorpusMismatch as exc:
+        raise click.UsageError(f"the reports score different corpora: {exc}") from exc
     Path(out_path).write_text(
         json.dumps(summary, indent=2, ensure_ascii=False), encoding="utf-8"
     )

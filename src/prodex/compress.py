@@ -14,19 +14,21 @@ is first read, and then drops the tree, so a caller pays only for the
 variants it reads. A document that is kept should be ``rendered()`` first:
 until then it pins its tree.
 
-Token counts use a deterministic proxy, ceil(utf8_bytes / 4), so cost
+Token counts use a deterministic proxy, ceil(utf8_bytes / 4), defined with
+the rest of the call accounting in ``gateway.count_tokens``, so cost
 accounting is reproducible without a vendor tokenizer; a live provider's
 reported usage takes precedence in ledgers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
 from . import htmltree
+from .gateway import count_tokens
 from .htmltree import Document
+from .reader import RawDocument
 
 BANNED_ELEMENTS = frozenset({
     "head", "footer", "header", "script", "iframe", "path", "style",
@@ -47,13 +49,6 @@ class UnparsableDocument(Exception):
 
 class WrongVariant(Exception):
     """Raised when an operation receives the wrong document variant."""
-
-
-@dataclass(frozen=True)
-class RawDocument:
-    page_id: str
-    url: str
-    html: str
 
 
 class CompressedDocument:
@@ -87,12 +82,6 @@ class CompressedDocument:
                 content = "\n".join(htmltree.block_text_lines(self._tree))
             self._content, self._token_count, self._tree = content, count_tokens(content), None
         return self
-
-
-def count_tokens(content: str) -> int:
-    """Deterministic token estimate: ceil(len(utf8 bytes) / 4)."""
-    n = len(content.encode("utf-8"))
-    return (n + 3) // 4
 
 
 def compress_both(

@@ -17,6 +17,9 @@ Shop presets:
     gamma   3 templates, no single-missing pages and a small share of
             pages without any target data (keeps the cooperative-oracle
             call count independent of page count)
+
+``write_corpus`` lays a corpus out on disk; ``prodex.reader`` reads it back
+and its names are re-exported here.
 """
 
 from __future__ import annotations
@@ -30,14 +33,13 @@ from html import escape
 from pathlib import Path
 from typing import Optional
 
-from .compress import RawDocument
-from .dsl import ExtractionProgram, FieldRule, PostOp, parse_program
-from .schema import (FoodProduct, QuantitativeValue, SchemaViolation, product_from_dict,
-                     product_to_dict)
-
-
-class UnknownTemplate(Exception):
-    pass
+# parse_program is not called here: it stays bound because the benchmark's
+# tracer wraps it at this site (perfbench/tracer.py, SITES).
+from .dsl import ExtractionProgram, FieldRule, PostOp, parse_program  # noqa: F401
+from .reader import (DECISION_KEYWORDS, Corpus, GroundTruthRecord,  # noqa: F401
+                     MalformedTruth, RawDocument, UnknownTemplate, load_corpus,
+                     load_true_program, load_truth)
+from .schema import FoodProduct, QuantitativeValue
 
 
 DEFAULT_MISSING_RATES = {
@@ -94,46 +96,6 @@ class ShopSpec:
             raise ValueError("at least one template required")
 
 
-@dataclass(frozen=True)
-class GroundTruthRecord:
-    page_id: str
-    template_id: str
-    product: FoodProduct
-    has_nutrition: bool
-    has_ingredients: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "page_id": self.page_id,
-            "template_id": self.template_id,
-            "product": product_to_dict(self.product),
-            "has_nutrition": self.has_nutrition,
-            "has_ingredients": self.has_ingredients,
-        }
-
-    @staticmethod
-    def from_dict(data: dict) -> "GroundTruthRecord":
-        return GroundTruthRecord(
-            page_id=data["page_id"],
-            template_id=data["template_id"],
-            product=product_from_dict(data["product"]),
-            has_nutrition=bool(data["has_nutrition"]),
-            has_ingredients=bool(data["has_ingredients"]),
-        )
-
-
-@dataclass
-class Corpus:
-    shop_id: str
-    corpus_id: str
-    pages: list[RawDocument]
-    truth: dict[str, GroundTruthRecord]
-    labels: dict[str, bool]
-    template_ids: tuple[str, ...]
-    decision_keywords: tuple[str, ...]
-    true_programs: dict[str, ExtractionProgram]  # by template_id
-
-
 # --- Content pools (must not leak decision keywords into filler) -----------
 
 _PACKAGED_NAMES = (
@@ -172,8 +134,6 @@ _DESC_SENTENCES = (
 _NAV_ITEMS = ("Start", "Sortiment", "Angebote", "Marken", "Filialen", "Service")
 
 _CATEGORIES = ("Süßwaren", "Backwaren", "Molkerei", "Vorräte", "Obst und Gemüse")
-
-DECISION_KEYWORDS = ("Zutaten", "Nährwert")
 
 _NUTRIENT_ORDER = (
     ("energy", "Brennwert"),
@@ -654,7 +614,8 @@ def write_corpus(corpus: Corpus, out_dir, preset: Optional[str] = None, spec: Op
             {
                 "decision_keywords": list(corpus.decision_keywords),
                 "templates": [
-                    {"template_id": tid, "true_program": corpus.true_programs[tid].to_dict()}
+                    {"template_id": tid,
+                     "true_program": load_true_program(corpus, tid).to_dict()}
                     for tid in corpus.template_ids
                 ],
             },
@@ -672,68 +633,3 @@ def write_corpus(corpus: Corpus, out_dir, preset: Optional[str] = None, spec: Op
         "template_ids": list(corpus.template_ids),
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2), encoding="utf-8")
-
-
-class MalformedTruth(SchemaViolation):
-    """A ground-truth record that does not load; the message names its line."""
-
-    def __init__(self, location: str, errors: list[tuple[str, str]]):
-        super().__init__(errors)
-        self.args = (f"{location}: {self.args[0]}",)
-
-
-def load_truth(path) -> dict[str, GroundTruthRecord]:
-    """Ground truth by page id, from a corpus directory or a truth.jsonl file."""
-    path = Path(path)
-    if path.is_dir():
-        path = path / "truth.jsonl"
-    truth: dict[str, GroundTruthRecord] = {}
-    with path.open(encoding="utf-8") as fh:
-        for number, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = GroundTruthRecord.from_dict(json.loads(line, parse_float=Decimal))
-            except (SchemaViolation, KeyError, ValueError, TypeError, RecursionError) as exc:
-                errors = getattr(exc, "errors", None) or [("$", f"{type(exc).__name__}: {exc}")]
-                raise MalformedTruth(f"{path}:{number}", errors) from exc
-            truth[record.page_id] = record
-    return truth
-
-
-def load_corpus(corpus_dir) -> Corpus:
-    root = Path(corpus_dir)
-    manifest = json.loads((root / "manifest.json").read_text(encoding="utf-8"))
-    truth = load_truth(root)
-    pages = []
-    for path in sorted((root / "pages").glob("*.html")):
-        page_id = path.stem
-        pages.append(
-            RawDocument(
-                page_id=page_id,
-                url=f"https://shop-{manifest['shop_id']}.example/artikel/{page_id}",
-                html=path.read_text(encoding="utf-8"),
-            )
-        )
-    labels = json.loads((root / "labels.json").read_text(encoding="utf-8"))
-    templates_data = json.loads((root / "templates.json").read_text(encoding="utf-8"))
-    true_programs = {
-        entry["template_id"]: parse_program(json.dumps(entry["true_program"]))
-        for entry in templates_data["templates"]
-    }
-    return Corpus(
-        shop_id=manifest["shop_id"],
-        corpus_id=manifest["corpus_id"],
-        pages=pages,
-        truth=truth,
-        labels={k: bool(v) for k, v in labels.items()},
-        template_ids=tuple(manifest["template_ids"]),
-        decision_keywords=tuple(templates_data.get("decision_keywords", DECISION_KEYWORDS)),
-        true_programs=true_programs,
-    )
-
-
-def load_true_program(corpus: Corpus, template_id: str) -> ExtractionProgram:
-    if template_id not in corpus.true_programs:
-        raise UnknownTemplate(template_id)
-    return corpus.true_programs[template_id]

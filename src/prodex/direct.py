@@ -7,10 +7,9 @@ what the run paid; results are plain products.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from . import prompts
-from .compress import CompressedDocument
 from .gateway import (
     CostLedger,
     Provider,
@@ -28,6 +27,9 @@ from .schema import (
     to_json_schema,
     to_json_schema_dict,
 )
+
+if TYPE_CHECKING:
+    from .compress import CompressedDocument
 
 
 # The product JSON Schema for the gateway, built once; the gateway only reads it.

@@ -10,13 +10,9 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from typing import Iterable, Optional
 
-from .corpus import GroundTruthRecord
+from .reader import GroundTruthRecord, MissingTruth
 from .schema import FoodProduct
 from .similarity import compare
-
-
-class MissingTruth(Exception):
-    """A result page has no ground-truth record."""
 
 
 class CorpusMismatch(Exception):

@@ -28,7 +28,6 @@ from decimal import Decimal
 from pathlib import Path
 from typing import Callable, Optional, Protocol, TypeVar
 
-from .compress import count_tokens
 from .schema import SchemaViolation
 
 
@@ -271,6 +270,12 @@ def validates_against(json_text: str, parse: Callable[[str], T]) -> Optional[T]:
         return None
 
 
+def count_tokens(content: str) -> int:
+    """Deterministic token estimate: ceil(len(utf8 bytes) / 4)."""
+    n = len(content.encode("utf-8"))
+    return (n + 3) // 4
+
+
 def estimate_usage(system_prompt: str, user_prompt: str, response_text: str) -> Usage:
     return Usage(
         input_tokens=count_tokens(system_prompt) + count_tokens(user_prompt),
@@ -436,10 +441,11 @@ class ReplayProvider:
 
     def complete_structured(self, model_id, system_prompt, user_prompt, json_schema) -> ChatExchange:
         key = exchange_key(model_id, system_prompt, user_prompt, json_schema)
-        path = self.session_dir / f"{key}.json"
-        if not path.exists():
-            raise ReplayMiss(key)
-        record = json.loads(path.read_text(encoding="utf-8"))
+        try:
+            text = (self.session_dir / f"{key}.json").read_text(encoding="utf-8")
+        except FileNotFoundError:
+            raise ReplayMiss(key) from None
+        record = json.loads(text)
         return ChatExchange(
             model_id=record["model_id"],
             system_prompt=record["system_prompt"],

@@ -40,7 +40,7 @@ from typing import Optional
 
 from . import prompts
 from .compress import CompressedDocument, UnparsableDocument, compress_both
-from .corpus import Corpus
+from .reader import Corpus
 from .direct import ExtractionFailed, extract_direct
 from .dsl import (
     DecisionProgram,

@@ -24,7 +24,7 @@ import random
 import re
 from dataclasses import dataclass, replace
 
-from .corpus import Corpus, load_true_program
+from .reader import Corpus, load_true_program
 from .dsl import ExtractionProgram, FieldRule, ProgramParseError, parse_program
 from .gateway import ChatExchange, check_schema, estimate_usage
 from .schema import product_to_dict

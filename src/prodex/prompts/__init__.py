@@ -1,9 +1,14 @@
-"""Versioned prompt templates; hashes go into run ledgers."""
+"""Versioned prompt templates; hashes go into run ledgers.
+
+Each template is read from disk once per process, so the ledger's
+``bundle_hash`` covers exactly the bytes the prompts were built from.
+"""
 
 from __future__ import annotations
 
+import functools
 import hashlib
-from importlib import resources
+from pathlib import Path
 
 _TEMPLATE_NAMES = (
     "direct_system.txt",
@@ -16,8 +21,9 @@ _TEMPLATE_NAMES = (
 )
 
 
+@functools.cache
 def load(name: str) -> str:
-    return resources.files(__package__).joinpath(name).read_text(encoding="utf-8")
+    return Path(__file__).with_name(name).read_text(encoding="utf-8")
 
 
 def bundle_hash() -> str:

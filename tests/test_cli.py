@@ -624,3 +624,98 @@ def test_unpriced_model_is_refused_before_any_call(
     assert result.exit_code == 2, result.output
     assert "no price for model 'gpt-4.1'; priced models: gpt-4o, o3-mini" in result.output
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text", [
+    "{bad",
+    "[1, 2]",
+    '{"corpus_id": "c", "shops": {}}',
+    '{"strategy": "direct", "corpus_id": "c", "shops": [1]}',
+    '{"strategy": "direct", "corpus_id": "c", "shops": {"s": {"accuracy_by_variant": {"HTML_COMPRESSED": "x"}}}}',
+], ids=["invalid-json", "not-an-object", "missing-key", "shops-not-an-object", "bad-accuracy"])
+def test_compare_with_a_file_that_is_not_a_report_is_a_usage_error(runner, tmp_path, text):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"strategy": "direct", "corpus_id": "c", "shops": {}}))
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    for direct, indirect in ((bad, good), (good, bad)):
+        result = runner.invoke(
+            main,
+            ["compare", "--direct", str(direct), "--indirect", str(indirect),
+             "--out", str(tmp_path / "cmp.json")],
+        )
+        assert result.exit_code == 2, result.output
+        assert f"{bad} is not a report: " in result.output
+        assert "Traceback" not in result.output
+    assert not (tmp_path / "cmp.json").exists()
+
+
+def test_compare_of_reports_on_different_corpora_is_a_usage_error(runner, tmp_path):
+    for name in ("a", "b"):
+        (tmp_path / f"{name}.json").write_text(
+            json.dumps({"strategy": "direct", "corpus_id": name, "shops": {}})
+        )
+    result = runner.invoke(
+        main,
+        ["compare", "--direct", str(tmp_path / "a.json"), "--indirect", str(tmp_path / "b.json"),
+         "--out", str(tmp_path / "cmp.json")],
+    )
+    assert result.exit_code == 2, result.output
+    assert "the reports score different corpora: a != b" in result.output
+    assert not (tmp_path / "cmp.json").exists()
+
+
+@pytest.mark.parametrize("content", [b"{bad", b"\xff\xfe", b"[" * 100_000],
+                         ids=["invalid-json", "not-utf8", "too-deep"])
+def test_config_file_that_is_not_json_is_a_usage_error(workspace, runner, tmp_path, content):
+    path = tmp_path / "config.json"
+    path.write_bytes(content)
+    for command in (
+        ["evaluate", "--results", str(tmp_path), "--truth", str(workspace / "corpus"),
+         "--out", str(tmp_path / "report.json")],
+        ["extract", "indirect", "--corpus", str(workspace / "corpus"),
+         "--out", str(tmp_path / "out"), "--provider", "oracle", "--runs", "1"],
+    ):
+        result = runner.invoke(main, ["--config", str(path), *command])
+        assert result.exit_code == 2, result.output
+        assert f"Error: --config: {path}: " in result.output
+        assert "Traceback" not in result.output
+    assert not (tmp_path / "report.json").exists()
+    assert not (tmp_path / "out").exists()
+
+
+def test_evaluate_reads_indirect_products_as_exact_decimals(workspace, runner, tmp_path):
+    """A number in products.json is read as written, as a direct run's product
+    file is, not rounded through a float."""
+    corpus = workspace / "corpus"
+    out = tmp_path / "indirect"
+    result = runner.invoke(
+        main,
+        ["extract", "indirect", "--corpus", str(corpus), "--out", str(out),
+         "--provider", "oracle", "--runs", "1"],
+    )
+    assert result.exit_code == 0, result.output
+    products = out / "run-00" / "products.json"
+    entries = json.loads(products.read_text(encoding="utf-8"))
+    entry = next(e for e in entries if "fat" in e["product"])
+    value = entry["product"]["fat"]["value"]
+    assert "." in value
+    # One digit past a double's precision: equal as a float, unequal as a decimal.
+    text = products.read_text(encoding="utf-8").replace(
+        f'"value": "{value}"', f'"value": {value}00000000000000001', 1
+    )
+    products.write_text(text, encoding="utf-8")
+
+    def score():
+        result = runner.invoke(
+            main,
+            ["evaluate", "--results", str(out), "--truth", str(corpus),
+             "--out", str(tmp_path / "report.json")],
+        )
+        assert result.exit_code == 0, result.output
+        return json.loads((tmp_path / "report.json").read_text())["shops"]["beta"]
+
+    scored = score()["accuracy_by_variant"]["HTML_COMPRESSED"]
+    products.write_text(text.replace(f"{value}00000000000000001", f'"{value}"', 1),
+                        encoding="utf-8")
+    assert score()["accuracy_by_variant"]["HTML_COMPRESSED"] > scored

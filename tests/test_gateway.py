@@ -230,6 +230,32 @@ class TestRecordReplay:
         assert again_second.response_text == second.response_text
         assert again_first.usage == first.usage
 
+    def test_replay_reads_the_session_file_once_and_stats_nothing(self, tmp_path, monkeypatch):
+        recorder = RecordingProvider(_ScriptedProvider(['{"a": 1}']), tmp_path / "session")
+        recorder.complete_structured("m", "sys", "user-1", SCHEMA)
+        replay = ReplayProvider(tmp_path / "session")
+        calls = []
+
+        def counting(method):
+            real = getattr(Path, method)
+
+            def counted(self, *args, **kwargs):
+                calls.append((method, self.name))
+                return real(self, *args, **kwargs)
+
+            return counted
+
+        for method in ("read_text", "exists", "is_file", "stat"):
+            monkeypatch.setattr(Path, method, counting(method))
+        exchange = replay.complete_structured("m", "sys", "user-1", SCHEMA)
+        with pytest.raises(ReplayMiss) as miss:
+            replay.complete_structured("m", "sys", "user-2", SCHEMA)
+        missed = exchange_key("m", "sys", "user-2", SCHEMA)
+        monkeypatch.undo()
+        assert exchange.response_text == '{"a": 1}'
+        assert str(miss.value) == missed
+        assert calls == [("read_text", f"{exchange.key}.json"), ("read_text", f"{missed}.json")]
+
     def test_altered_prompt_misses(self, tmp_path):
         inner = _ScriptedProvider(['{"a": 1}'])
         recorder = RecordingProvider(inner, tmp_path / "session")

@@ -320,7 +320,7 @@ def extract_indirect_cmd(ctx, corpus_dir, out_dir, labels_path, seed, runs,
     """Generate extraction programs once per template, reuse them everywhere."""
     from .compress import Variant
     from .evaluate import page_accuracy, summarize_runs
-    from .indirect import OrchestratorConfig, PageCache
+    from .indirect import OrchestratorConfig, PageCache, write_products_json
 
     shop = load_corpus(corpus_dir)
     if labels_path:
@@ -390,12 +390,7 @@ def extract_indirect_cmd(ctx, corpus_dir, out_dir, labels_path, seed, runs,
         run_dir = out / f"run-{run_index:02d}"
         run_dir.mkdir(parents=True, exist_ok=True)
         with open(run_dir / "products.json", "w", encoding="utf-8") as fh:
-            json.dump(
-                [result.page_results[pid].to_dict() for pid in sorted(result.page_results)],
-                fh,
-                indent=2,
-                ensure_ascii=False,
-            )
+            write_products_json(fh, result.page_results)
         (run_dir / "library.json").write_text(result.library.to_json(), encoding="utf-8")
         (run_dir / "metrics.json").write_text(result.metrics.to_json(), encoding="utf-8")
         (run_dir / "ledger.json").write_text(result.ledger.to_json(), encoding="utf-8")

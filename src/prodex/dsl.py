@@ -34,6 +34,7 @@ import json
 import re
 from dataclasses import dataclass, field, replace
 from decimal import InvalidOperation
+from json.encoder import encode_basestring as json_string
 from typing import NoReturn, Optional, Union
 
 from . import htmltree
@@ -174,7 +175,18 @@ class ExtractionProgram:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, ensure_ascii=False, sort_keys=True)
+        """The program's JSON text: exactly ``json.dumps(self.to_dict(),
+        indent=2, ensure_ascii=False, sort_keys=True)``, written in that fixed
+        layout with the C escaper ``json_string`` that call uses."""
+        rules = [_rule_json(rule) for rule in self.rules]
+        return _json_block("{}", [
+            f'"created_by": {json_string(self.created_by)}',
+            f'"generation": {self.generation}',
+            '"kind": "extraction"',
+            f'"program_id": {json_string(self.program_id)}',
+            f'"rules": {_json_block("[]", rules, 2)}',
+            f'"target_schema_name": {json_string(self.target_schema_name)}',
+        ], 1)
 
 
 @dataclass(frozen=True)
@@ -214,6 +226,46 @@ class DecisionProgram:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, ensure_ascii=False, sort_keys=True)
+
+
+#: The line break and indent of each nesting level under ``indent=2``.
+_NEWLINES = tuple("\n" + "  " * level for level in range(7))
+
+
+def _json_block(brackets: str, items: list[str], level: int) -> str:
+    """A JSON object or array, ``brackets`` ``"{}"`` or ``"[]"``, whose
+    encoded items sit at nesting ``level``, laid out as ``indent=2`` does."""
+    if not items:
+        return brackets
+    newline = _NEWLINES[level]
+    return brackets[0] + newline + ("," + newline).join(items) + _NEWLINES[level - 1] + brackets[1]
+
+
+def _rule_json(rule: FieldRule) -> str:
+    """``_rule_to_dict(rule)`` as a rules item, keys sorted."""
+    ops = [_post_op_json(post) for post in rule.post_ops]
+    capture = "null" if rule.capture is None else json_string(rule.capture)
+    return _json_block("{}", [
+        f'"capture": {capture}',
+        f'"field_path": {json_string(rule.field_path)}',
+        f'"node_index": {rule.node_index}',
+        f'"post_ops": {_json_block("[]", ops, 4)}',
+        f'"selector": {json_string(rule.selector)}',
+    ], 3)
+
+
+def _post_op_json(post: PostOp) -> str:
+    """A post op as ``_rule_to_dict`` gives it, keys sorted: the map is
+    ``dict(post.unit_map)`` (a later duplicate key wins) in key order."""
+    op = f'"op": {json_string(post.op)}'
+    if post.op == "strip_label_prefix":
+        prefixes = [json_string(prefix) for prefix in post.prefixes]
+        return _json_block("{}", [op, f'"prefixes": {_json_block("[]", prefixes, 6)}'], 5)
+    if post.op == "to_unit_code":
+        entries = [f"{json_string(raw)}: {json_string(code)}"
+                   for raw, code in sorted(dict(post.unit_map).items())]
+        return _json_block("{}", [f'"map": {_json_block("{}", entries, 6)}', op], 5)
+    return _json_block("{}", [op], 5)
 
 
 def _rule_to_dict(rule: FieldRule) -> dict:

@@ -31,12 +31,14 @@ the episodes' sums equal the ledger's per-role totals.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from decimal import Decimal
-from typing import Optional
+from json.encoder import encode_basestring as json_string
+from typing import IO, Optional
 
 from . import prompts
 from .compress import CompressedDocument, UnparsableDocument, compress_both
@@ -216,6 +218,24 @@ class PageResult:
         }
 
 
+def write_products_json(fh: IO[str], page_results: dict[str, PageResult]) -> None:
+    """Stream a run's products.json to ``fh``, one write per item in page_id
+    order. The bytes are exactly those of ``json.dump([r.to_dict() for each
+    result in page_id order], fh, indent=2, ensure_ascii=False)``, in that
+    call's fixed layout with the C escaper ``json_string`` it uses."""
+    opening = "[\n  "
+    for page_id in sorted(page_results):
+        result = page_results[page_id]
+        fh.write(
+            f'{opening}{{\n    "page_id": {json_string(result.page_id)},'
+            f'\n    "source": {json_string(result.source)},'
+            f'\n    "count_extracted": {result.count_extracted},'
+            f'\n    "product": {serialize_product(result.product, "    ")}\n  }}'
+        )
+        opening = ",\n  "
+    fh.write("\n]" if page_results else "[]")
+
+
 @dataclass
 class ShopRunResult:
     page_results: dict[str, PageResult]
@@ -235,6 +255,15 @@ def render_samples(samples: list[tuple[CompressedDocument, bool]]) -> str:
             f"--- SAMPLE {j} (contains target information: {verdict}) ---\n{doc.content}"
         )
     return "\n\n".join(blocks)
+
+
+@functools.cache
+def _prompt_schema(build) -> tuple[dict, str]:
+    """A program JSON Schema and the indent=2 text prompts carry, built once
+    per process; ``build`` is one of the dsl schema functions. Every call
+    shares the one dict, which no caller changes."""
+    schema = build()
+    return schema, json.dumps(schema, indent=2, ensure_ascii=False)
 
 
 def _program_parser(kind: type):
@@ -262,8 +291,7 @@ def build_decision_ensemble(
     labels = [label for _, label in samples]
     if not any(labels) or all(labels):
         raise ValueError("bootstrap samples need at least one positive and one negative")
-    schema = decision_program_json_schema()
-    schema_text = json.dumps(schema, indent=2, ensure_ascii=False)
+    schema, schema_text = _prompt_schema(decision_program_json_schema)
     system = prompts.load("decision_system.txt")
     user_template = prompts.load("decision_user.txt")
     samples_text = render_samples(samples)
@@ -418,8 +446,7 @@ def synthesize_program(
     at most (1+max_refinements)*(1+max_alternatives) primary calls total,
     each in the ledger under the ``func_gen`` or ``refine`` role.
     """
-    schema = extraction_program_json_schema()
-    schema_text = json.dumps(schema, indent=2, ensure_ascii=False)
+    schema, schema_text = _prompt_schema(extraction_program_json_schema)
     gen_system = prompts.load("funcgen_system.txt")
     gen_template = prompts.load("funcgen_user.txt")
     refine_template = prompts.load("refine_user.txt")

@@ -13,7 +13,9 @@ a validated ``FoodProduct``.
 
 Numbers accept both decimal point and decimal comma on input and are held as
 ``Decimal``; canonical serialization uses the decimal point and string-encoded
-numbers to avoid float round-tripping.
+numbers to avoid float round-tripping. ``serialize_product`` writes that
+canonical JSON byte for byte as ``json.dumps(product_to_dict(p), indent=2,
+ensure_ascii=False)`` would, without the stdlib's pure-Python indent encoder.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import re
 from dataclasses import dataclass, fields as dc_fields
 from decimal import Decimal, InvalidOperation
 from enum import Enum
+from json.encoder import encode_basestring as json_string
 from typing import Optional
 
 NUTRIENT_FIELDS = (
@@ -309,6 +312,32 @@ def product_to_dict(product: FoodProduct) -> dict:
     return out
 
 
-def serialize_product(product: FoodProduct) -> str:
-    """Canonical product JSON (stable bytes for a given product)."""
-    return json.dumps(product_to_dict(product), indent=2, ensure_ascii=False)
+#: Each field's name and its JSON key text, in declaration order.
+_FIELD_KEYS = tuple((f.name, json_string(f.name) + ": ") for f in dc_fields(FoodProduct))
+
+
+def serialize_product(product: FoodProduct, prefix: str = "") -> str:
+    """Canonical product JSON (stable bytes for a given product).
+
+    The text is exactly ``json.dumps(product_to_dict(product), indent=2,
+    ensure_ascii=False)``: strings go through ``json_string``, the C escaper
+    that call uses, and the layout is fixed. ``prefix`` starts every line
+    after the first, which nests the product inside a larger document.
+    """
+    inner = "\n" + prefix + "  "
+    deeper = inner + "  "
+    items = []
+    for name, key in _FIELD_KEYS:
+        value = getattr(product, name)
+        if value is None:
+            continue
+        if isinstance(value, QuantitativeValue):
+            entry = f'{deeper}"value": {json_string(format(value.value, "f"))}'
+            if value.unit_code is not None:
+                entry += f',{deeper}"unit_code": {json_string(value.unit_code)}'
+            items.append(f"{key}{{{entry}{inner}}}")
+        else:
+            items.append(key + json_string(value))
+    if not items:
+        return "{}"
+    return "{" + inner + ("," + inner).join(items) + "\n" + prefix + "}"

@@ -62,21 +62,44 @@ class SimilarityReport:
 
 
 def levenshtein(a: str, b: str) -> int:
-    """Edit distance via the usual two-row dynamic program."""
+    """Edit distance by Myers' bit-parallel algorithm (JACM 1999), in Hyyrö's
+    formulation for the whole of both strings.
+
+    The shorter string is the pattern, one bit per character in a Python int;
+    each character of the longer string updates the column's vertical deltas
+    in a few word-parallel operations, so a 20,000-character text against a
+    300-character reference takes 20,000 loop steps, not six million. The
+    result is exactly the classic dynamic program's.
+    """
     if a == b:
         return 0
+    if len(a) > len(b):
+        a, b = b, a
     if not a:
         return len(b)
-    if not b:
-        return len(a)
-    previous = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        current = [i]
-        for j, cb in enumerate(b, start=1):
-            cost = 0 if ca == cb else 1
-            current.append(min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost))
-        previous = current
-    return previous[-1]
+    match_masks: dict[str, int] = {}
+    bit = 1
+    for ch in a:
+        match_masks[ch] = match_masks.get(ch, 0) | bit
+        bit <<= 1
+    mask = bit - 1
+    last = bit >> 1
+    plus, minus, distance = mask, 0, len(a)  # vertical +1 / -1 deltas, D[len(a)][j]
+    for ch in b:
+        eq = match_masks.get(ch, 0)
+        xv = eq | minus
+        xh = (((eq & plus) + plus) ^ plus) | eq
+        h_plus = minus | (~(xh | plus) & mask)
+        h_minus = plus & xh
+        if h_plus & last:
+            distance += 1
+        elif h_minus & last:
+            distance -= 1
+        h_plus = ((h_plus << 1) | 1) & mask  # row 0 grows by one per column
+        h_minus = (h_minus << 1) & mask
+        plus = h_minus | (~(xv | h_plus) & mask)
+        minus = h_plus & xv
+    return distance
 
 
 def string_similarity(a: str, b: str) -> float:

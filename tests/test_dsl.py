@@ -8,6 +8,7 @@ from decimal import Decimal
 import jsonschema
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
+import jsontext
 from markup import markup, selectors
 
 from prodex import htmltree
@@ -27,7 +28,7 @@ from prodex.dsl import (
     run_decision,
     run_extraction_on_tree,
 )
-from prodex.schema import FoodProduct, QuantitativeValue, SchemaViolation
+from prodex.schema import NUTRIENT_FIELDS, FoodProduct, QuantitativeValue, SchemaViolation
 from prodex.similarity import compare
 
 
@@ -489,3 +490,71 @@ def test_a_program_the_signature_rules_out_extracts_nothing(html, rules):
     if all(ruled_out):
         product = run_extraction_on_tree(program, tree).product
         assert (product, count_extracted(product)) == (FoodProduct(), 0)
+
+
+# --- Program JSON text --------------------------------------------------------
+
+#: Each leaf's field path and the post ops a rule on it may carry.
+_LEAF_OPS = (
+    (("ingredient_statement",), ("trim", "strip_label_prefix")),
+    (tuple(f"{n}.value" for n in NUTRIENT_FIELDS), ("trim", "parse_decimal_comma")),
+    (tuple(f"{n}.unit_code" for n in NUTRIENT_FIELDS), ("trim", "to_unit_code")),
+)
+# Few distinct keys, so drawn maps often repeat one.
+_unit_keys = st.one_of(st.sampled_from(["g", "G", "kJ", '"\\']), jsontext.texts)
+
+
+def _post_op(name):
+    if name == "strip_label_prefix":
+        return st.lists(jsontext.texts, max_size=3).map(
+            lambda prefixes: PostOp(name, prefixes=tuple(prefixes)))
+    if name == "to_unit_code":
+        return st.lists(st.tuples(_unit_keys, jsontext.texts), max_size=4).map(
+            lambda pairs: PostOp(name, unit_map=tuple(pairs)))
+    return st.just(PostOp(name))
+
+
+@st.composite
+def _field_rules(draw):
+    paths, ops = draw(st.sampled_from(_LEAF_OPS))
+    capture = draw(st.one_of(
+        st.none(),
+        st.sampled_from([r'"(\d+)"', r'\\(.+)\\', "(\u2028+)"]),
+        jsontext.texts.map(lambda text: re.escape(text) + "(.*)"),
+    ))
+    return FieldRule(
+        draw(st.sampled_from(paths)),
+        draw(selectors()),
+        draw(st.integers(0, 50)),
+        capture,
+        tuple(draw(st.lists(st.sampled_from(ops).flatmap(_post_op), max_size=3))),
+    )
+
+
+_programs = st.builds(
+    ExtractionProgram,
+    program_id=jsontext.texts,
+    target_schema_name=jsontext.texts,
+    rules=st.lists(_field_rules(), max_size=4).map(tuple),
+    created_by=jsontext.texts,
+    generation=st.integers(0, 10**6),
+)
+
+
+@given(_programs)
+@example(ExtractionProgram("prog-empty", "FoodProduct", ()))
+@example(ExtractionProgram("p\u2029", "", (
+    FieldRule("ingredient_statement", "div", capture='"(\\\\.*)"'),
+    FieldRule("ingredient_statement", "p", post_ops=(PostOp("strip_label_prefix"),)),
+    FieldRule("fat.unit_code", "td", post_ops=(
+        PostOp("to_unit_code"),
+        PostOp("to_unit_code", unit_map=(("kJ", "KJO"), ("g", "GRM"), ("kJ", "E14"), ("G", "X"))),
+        PostOp("trim"),
+    )),
+), created_by="\U0001f600", generation=3))
+@settings(max_examples=300, deadline=None)
+def test_program_json_is_byte_identical_to_json_dumps(program):
+    """The writer, on programs with no rules, empty post ops, prefixes and
+    maps, unsorted maps repeating a key, and awkward strings everywhere."""
+    expected = json.dumps(program.to_dict(), indent=2, ensure_ascii=False, sort_keys=True)
+    assert program.to_json() == expected

@@ -1,9 +1,12 @@
+import io
 import json
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
+import jsontext
 
 from prodex.compress import CompressedDocument, Variant, compress_both
 from prodex.corpus import MissingRates, ShopSpec, builtin_templates, generate_shop
@@ -13,6 +16,8 @@ from prodex.dsl import (
     Predicate,
     ProgramParseError,
     count_extracted,
+    decision_program_json_schema,
+    extraction_program_json_schema,
     parse_program,
     run_extraction_on_tree,
 )
@@ -24,14 +29,18 @@ from prodex.indirect import (
     OrchestratorConfig,
     Page,
     PageCache,
+    PageResult,
     ReferenceUnattainable,
+    _prompt_schema,
     acquire_reference,
     build_decision_ensemble,
     decide,
     process_shop,
     synthesize_program,
+    write_products_json,
 )
 from prodex.oracle import OracleConfig, OracleProvider
+from prodex.schema import FoodProduct
 from prodex.similarity import compare
 
 
@@ -770,3 +779,55 @@ class TestProviderFailureResilience:
         }
         assert len(result.page_results) == len(corpus.pages)
         assert m.functions_generated >= 1
+
+
+# --- products.json and prompt schema text ----------------------------------------
+
+_page_results = st.dictionaries(
+    jsontext.texts,
+    st.tuples(jsontext.products(), jsontext.texts, st.integers(0, 8)),
+    max_size=4,
+).map(lambda drawn: {
+    page_id: PageResult(page_id, product, source, count)
+    for page_id, (product, source, count) in drawn.items()
+})
+
+
+class _Writes(io.StringIO):
+    """A text file that keeps each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+@given(_page_results)
+@example({})
+@example({"ü-1": PageResult("ü-1", FoodProduct(), "none", 0)})
+@example({"p\u2028\"1": PageResult("p\u2028\"1", jsontext.FULL_PRODUCT, "prog-\\", 8),
+          "p0": PageResult("p0", FoodProduct(), "no-info", 0)})
+@settings(max_examples=200, deadline=None)
+def test_products_json_is_byte_identical_to_json_dump(page_results):
+    expected = io.StringIO()
+    json.dump(
+        [page_results[page_id].to_dict() for page_id in sorted(page_results)],
+        expected, indent=2, ensure_ascii=False,
+    )
+    written = _Writes()
+    write_products_json(written, page_results)
+    assert written.getvalue() == expected.getvalue()
+    # Streamed: no write holds more than one item (a JSON string holds no raw
+    # line break, so each item's page_id key appears once, at a line start).
+    assert all(text.count('\n    "page_id": ') <= 1 for text in written.writes)
+
+
+def test_program_schemas_and_their_prompt_text_are_built_once():
+    for build in (decision_program_json_schema, extraction_program_json_schema):
+        schema, text = _prompt_schema(build)
+        assert _prompt_schema(build)[0] is schema
+        assert schema == build() and build() is not build()
+        assert text == json.dumps(build(), indent=2, ensure_ascii=False)

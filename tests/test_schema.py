@@ -4,7 +4,8 @@ from decimal import Decimal
 
 import jsonschema
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+import jsontext
 
 from prodex.schema import (
     FIELDS,
@@ -303,3 +304,16 @@ def test_parser_agrees_with_independent_jsonschema_checker(doc):
 def test_product_to_dict_omits_absent_fields():
     product = FoodProduct(fat=QuantitativeValue(Decimal("3.5"), "GRM"))
     assert product_to_dict(product) == {"fat": {"value": "3.5", "unit_code": "GRM"}}
+
+
+@given(jsontext.products(), st.sampled_from(["", "  ", "    "]))
+@example(jsontext.FULL_PRODUCT, "")
+@example(jsontext.FULL_PRODUCT, "    ")
+@example(FoodProduct(), "    ")
+@example(FoodProduct(energy=QuantitativeValue(Decimal("-0E+20"))), "")
+@settings(max_examples=300, deadline=None)
+def test_serialize_product_is_byte_identical_to_json_dumps(product, prefix):
+    expected = json.dumps(product_to_dict(product), indent=2, ensure_ascii=False)
+    assert serialize_product(product) == expected
+    # JSON text holds no raw line break, so the prefix follows each "\n".
+    assert serialize_product(product, prefix) == expected.replace("\n", "\n" + prefix)

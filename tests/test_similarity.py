@@ -1,4 +1,5 @@
 import json
+import time
 from decimal import Decimal
 from pathlib import Path
 
@@ -251,6 +252,48 @@ def test_removing_a_matching_field_never_increases_overall(extracted, reference)
 def test_levenshtein_matches_independent_recursion(a, b):
     assert levenshtein(a, b) == _independent_edit_distance(a, b)
     assert 0.0 <= string_similarity(a, b) <= 1.0
+
+
+def _two_row_edit_distance(a: str, b: str) -> int:
+    """The usual two-row dynamic program: the reference for the bit-parallel
+    implementation, on strings too long for the recursion."""
+    previous = list(range(len(b) + 1))
+    for i, ca in enumerate(a, start=1):
+        current = [i]
+        for j, cb in enumerate(b, start=1):
+            cost = 0 if ca == cb else 1
+            current.append(min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost))
+        previous = current
+    return previous[-1]
+
+
+@given(st.one_of(st.text(max_size=80), st.text(alphabet="ab\u00e4\U0001f600", max_size=150)),
+       st.one_of(st.text(max_size=80), st.text(alphabet="ab\u00e4\U0001f600", max_size=150)))
+@settings(max_examples=300, deadline=None)
+def test_levenshtein_matches_the_two_row_dynamic_program(a, b):
+    """Arbitrary unicode, empty strings included; the small alphabet makes
+    long runs of matches across many bits of the pattern."""
+    assert levenshtein(a, b) == _two_row_edit_distance(a, b)
+    assert levenshtein(b, a) == levenshtein(a, b)
+
+
+def test_levenshtein_of_a_page_long_text_is_fast():
+    """A broad selector's 20,009-character extract against a 284-character
+    reference: the two-row program takes seconds here. The reference sits
+    inside the text, so the distance is exactly the length difference."""
+    reference = ("Zutaten: Weizenmehl, Zucker, Palmfett, Kakaobutter, Vollmilchpulver, "
+                 "Magermilchpulver, Haselnüsse, Emulgator Lecithine (Soja), Salz, "
+                 "Backtriebmittel Natriumcarbonate, Aroma. Kann Spuren von Erdnüssen, "
+                 "anderen Schalenfrüchten und Sesam enthalten. Kühl und trocken lagern. "
+                 "Mindestens haltbar bis: siehe")[:284]
+    boilerplate = "Warenkorb Anmelden Versandkostenfrei ab 50 € Newsletter Impressum "
+    head = (boilerplate * 300)[:12_000]
+    text = head + reference + (boilerplate * 200)[:20_009 - len(head) - len(reference)]
+    assert (len(reference), len(text)) == (284, 20_009)
+    start = time.perf_counter()
+    distance = levenshtein(text, reference)
+    assert time.perf_counter() - start < 1.0
+    assert distance == 20_009 - 284
 
 
 # --- Feedback rendering -----------------------------------------------------------

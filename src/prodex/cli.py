@@ -28,7 +28,8 @@ from . import prompts
 from .direct import MalformedProduct, extract_direct_batch, read_products
 from .gateway import (PRICES, CostLedger, LiveProvider, RecordingProvider, ReplayProvider,
                       count_tokens)
-from .reader import Corpus, MalformedTruth, MissingTruth, RawDocument, load_corpus, load_truth
+from .reader import (Corpus, MalformedCorpusFile, MalformedTruth, MissingTruth, RawDocument,
+                     load_corpus, load_labels, load_truth)
 # parse_product is not called here: it stays bound because the benchmark's
 # tracer wraps it at this site (perfbench/tracer.py, SITES).
 from .schema import SchemaViolation, parse_product, product_from_dict  # noqa: F401
@@ -52,12 +53,14 @@ def process_shop(shop, provider, config, cache):
 
 
 class _Main(click.Group):
-    """Reports bad ground truth and bad product files as usage errors, not
-    tracebacks."""
+    """Reports bad corpus files, bad ground truth and bad product files as
+    usage errors, not tracebacks."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
+        except MalformedCorpusFile as exc:
+            raise click.UsageError(f"corpus file {exc}", ctx) from exc
         except MalformedTruth as exc:
             raise click.UsageError(f"ground truth: {exc}", ctx) from exc
         except MissingTruth as exc:
@@ -324,10 +327,7 @@ def extract_indirect_cmd(ctx, corpus_dir, out_dir, labels_path, seed, runs,
 
     shop = load_corpus(corpus_dir)
     if labels_path:
-        shop.labels = {
-            k: bool(v)
-            for k, v in json.loads(Path(labels_path).read_text(encoding="utf-8")).items()
-        }
+        shop.labels = load_labels(labels_path)
     unknown = sorted(set(shop.labels) - {doc.page_id for doc in shop.pages})
     if unknown:
         raise click.UsageError(f"labels name pages not in the corpus: {', '.join(unknown)}")

@@ -15,18 +15,18 @@ it runs in linear time on hostile markup such as unterminated quotes.
 ``parse_pruned`` builds the tree compression wants in the same pass: banned
 subtrees are tracked but never built, and only kept attributes are read.
 The pass also records each element it builds, and its parent, in document
-order: the document's element index.
+order: the document's element index, the only record of its elements.
 
 Selector support is the subset that survives attribute stripping: type
 selectors, ``*``, ``.class``, ``#id``, compounds thereof, and descendant /
 child (``>``) combinators. Attribute selectors, pseudo-classes and comma
-groups are rejected. Selection runs on the element index, whose tag and
-class maps are filled at the first ``select`` or ``name_signature``; a tree
-the parser did not build is indexed in one walk. The index keeps each
-selector's result, so a repeated ``select`` on a document is a lookup. No
-walk recurses, so deeply nested markup cannot exhaust the call stack. That
-includes ``==`` on trees, and ``repr`` shows a node's child count instead of
-its children.
+groups are rejected. Selection runs on the element index the parse
+recorded, so ``select`` takes a parsed document; the index's tag and class
+maps are filled at the first ``select`` or ``name_signature``. The index
+keeps each selector's result, so a repeated ``select`` on a document is a
+lookup. No walk recurses, so deeply nested markup cannot exhaust the call
+stack. That includes ``==`` on trees, and ``repr`` shows a node's child
+count instead of its children.
 
 A name signature folds the tag and class names of a document into one
 ``SIGNATURE_BITS``-wide bit set. A selector needs the bits of its tags and
@@ -87,11 +87,6 @@ class Element:
     def __repr__(self) -> str:
         return f"Element(tag={self.tag!r}, attrs={self.attrs!r}, children={len(self.children)})"
 
-    def iter_elements(self) -> Iterator["Element"]:
-        """Yield this element and all descendant elements in document order."""
-        yield self
-        yield from _descendants(self)
-
     def classes(self) -> set[str]:
         raw = self.attrs.get("class") or ""
         return set(raw.split())
@@ -101,10 +96,10 @@ class Element:
 class Document:
     """Root container; its children are the document's top-level nodes.
 
-    ``index`` is the document's element index, which keeps each selector's
-    result. A parsed document comes with the index its parse recorded; a
-    hand-built one gets it at its first ``select``. So a parsed document
-    must not be changed, nor a hand-built one once it has been selected from.
+    ``index`` is the element index its parse recorded, which also keeps each
+    selector's result, so a parsed document must not be changed. ``select``,
+    ``name_signature`` and ``iter_elements`` read the index, so they need a
+    parsed document; a hand-built one has none.
     """
 
     children: list[Union[Element, TextNode]] = field(default_factory=list)
@@ -117,14 +112,8 @@ class Document:
         return f"Document(children={len(self.children)})"
 
     def iter_elements(self) -> Iterator[Element]:
-        return _descendants(self)
-
-    def is_empty(self) -> bool:
-        if any(isinstance(c, Element) for c in self.children):
-            return False
-        return not any(
-            isinstance(c, TextNode) and c.text.strip() for c in self.children
-        )
+        """The document's elements in document order (preorder)."""
+        return iter(self.index.elements)
 
 
 def _same_tree(a: Union[Document, Element], b: Union[Document, Element]) -> bool:
@@ -145,15 +134,6 @@ def _same_tree(a: Union[Document, Element], b: Union[Document, Element]) -> bool
             return False
         stack.extend(zip(x.children, y.children))
     return True
-
-
-def _descendants(node: Union[Document, Element]) -> Iterator[Element]:
-    """Elements below ``node`` in document order (preorder), without recursion."""
-    stack = [c for c in reversed(node.children) if isinstance(c, Element)]
-    while stack:
-        element = stack.pop()
-        yield element
-        stack.extend(c for c in reversed(element.children) if isinstance(c, Element))
 
 
 # --- tokenizer -------------------------------------------------------------
@@ -577,12 +557,12 @@ def _parse_simple(s: str, pos: int, full: str) -> tuple[SimpleSelector, int]:
 
 
 class ElementIndex:
-    """The elements below a root in document order, and the names they carry.
+    """A document's elements in document order, and the names they carry.
 
-    ``parents[i]`` is the position of element i's parent (-1 for a child of
-    the root). Positions are preorder, so an element's ancestors all sit at
-    lower positions. The parser records ``elements`` and ``parents`` as it
-    builds a tree; ``walk`` reads them off any other root. ``classes[i]`` is
+    ``parents[i]`` is the position of element i's parent (-1 for a top-level
+    element). Positions are preorder, so an element's ancestors all sit at
+    lower positions. The parse records ``elements`` and ``parents`` as it
+    builds the tree; nothing else builds an index. ``classes[i]`` is
     element i's class set, and ``by_tag`` and ``by_class`` map a tag or a
     class name to the ascending positions of the elements carrying it; the
     three are None until ``with_names`` fills them from ``elements``, so a
@@ -601,22 +581,6 @@ class ElementIndex:
         self.classes: Optional[list[set[str]]] = None
         self.by_tag: Optional[dict[str, list[int]]] = None
         self.by_class: Optional[dict[str, list[int]]] = None
-
-    @classmethod
-    def walk(cls, root: Union[Document, Element]) -> "ElementIndex":
-        """The index of the elements below ``root``, in one walk."""
-        elements: list[Element] = []
-        parents: list[int] = []
-        stack = [(c, -1) for c in reversed(root.children) if isinstance(c, Element)]
-        while stack:
-            element, parent = stack.pop()
-            position = len(elements)
-            elements.append(element)
-            parents.append(parent)
-            stack.extend(
-                (c, position) for c in reversed(element.children) if isinstance(c, Element)
-            )
-        return cls(elements, parents)
 
     def with_names(self) -> "ElementIndex":
         """This index, with ``classes``, ``by_tag`` and ``by_class`` filled."""
@@ -684,32 +648,24 @@ class ElementIndex:
 
 
 def select(
-    root: Union[Document, Element],
+    root: Document,
     selector: Union[str, CompiledSelector],
     limit: int = 10_000,
 ) -> list[Element]:
-    """All elements matching the selector, in document order, capped at limit.
+    """All elements of a parsed document matching the selector, in document
+    order, capped at limit.
 
-    Only the first ``limit`` elements below ``root`` in document order are
-    considered. The root itself is never a match nor an ancestor in a match.
-    A Document keeps its index, and the result for each selector, for later
-    calls; an Element root is indexed on each call. The caller owns the list.
+    Only the first ``limit`` elements in document order are considered. The
+    selection runs on the index the parse recorded, which keeps the result
+    for each selector for later calls. The caller owns the list.
     """
     compiled = parse_selector(selector) if isinstance(selector, str) else selector
-    if isinstance(root, Element):
-        return _select(ElementIndex.walk(root).with_names(), compiled, limit)
-    index = _document_index(root)
+    index = root.index.with_names()
     key = (compiled.source, limit)
     matches = index.selected.get(key)
     if matches is None:
         matches = index.selected[key] = _select(index, compiled, limit)
     return matches[:]
-
-
-def _document_index(document: Document) -> ElementIndex:
-    if document.index is None:
-        document.index = ElementIndex.walk(document)
-    return document.index.with_names()
 
 
 def _select(index: ElementIndex, compiled: CompiledSelector, limit: int) -> list[Element]:
@@ -741,7 +697,7 @@ def _name_bit(name: str) -> int:
 def name_signature(document: Document) -> int:
     """The tag and class names of the document's elements as a bit set,
     read off its element index."""
-    index = _document_index(document)
+    index = document.index.with_names()
     signature = 0
     for name in itertools.chain(index.by_tag, index.by_class):
         signature |= _name_bit(name)
@@ -750,7 +706,7 @@ def name_signature(document: Document) -> int:
 
 def selector_needs(compiled: CompiledSelector) -> int:
     """The signature bits of the tags and classes in the selector. Every
-    compound names an element below the root in each match, so on a
+    compound names an element of the document in each match, so on a
     document whose signature lacks one of these bits it matches nothing."""
     needs = 0
     for _, simple in compiled.parts:

@@ -12,6 +12,7 @@ commands, only the oracle makes one. The generator lives in
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
@@ -31,6 +32,19 @@ class UnknownTemplate(Exception):
 
 class MissingTruth(Exception):
     """A result page has no ground-truth record."""
+
+
+class MalformedCorpusFile(Exception):
+    """A corpus file that does not load; the message names the file."""
+
+
+@contextmanager
+def _reading(path):
+    """Raise any error in reading the file at ``path`` as MalformedCorpusFile."""
+    try:
+        yield
+    except (OSError, ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
+        raise MalformedCorpusFile(f"{path}: {type(exc).__name__}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -94,23 +108,39 @@ def load_truth(path) -> dict[str, GroundTruthRecord]:
     path = Path(path)
     if path.is_dir():
         path = path / "truth.jsonl"
+    with _reading(path):
+        lines = path.read_text(encoding="utf-8").split("\n")
     truth: dict[str, GroundTruthRecord] = {}
-    with path.open(encoding="utf-8") as fh:
-        for number, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = GroundTruthRecord.from_dict(json.loads(line, parse_float=Decimal))
-            except (SchemaViolation, KeyError, ValueError, TypeError, RecursionError) as exc:
-                errors = getattr(exc, "errors", None) or [("$", f"{type(exc).__name__}: {exc}")]
-                raise MalformedTruth(f"{path}:{number}", errors) from exc
-            truth[record.page_id] = record
+    for number, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            record = GroundTruthRecord.from_dict(json.loads(line, parse_float=Decimal))
+        except (SchemaViolation, KeyError, ValueError, TypeError, RecursionError) as exc:
+            errors = getattr(exc, "errors", None) or [("$", f"{type(exc).__name__}: {exc}")]
+            raise MalformedTruth(f"{path}:{number}", errors) from exc
+        truth[record.page_id] = record
     return truth
 
 
+def load_labels(path) -> dict[str, bool]:
+    """Bootstrap labels by page id, from a JSON object of page id to label."""
+    with _reading(path):
+        labels = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(labels, dict):
+            raise TypeError("the file must hold a JSON object")
+        return {k: bool(v) for k, v in labels.items()}
+
+
 def load_corpus(corpus_dir) -> Corpus:
+    """The corpus in ``corpus_dir``. A file that does not load raises
+    MalformedCorpusFile, and a bad truth.jsonl record MalformedTruth."""
     root = Path(corpus_dir)
-    manifest = json.loads((root / "manifest.json").read_text(encoding="utf-8"))
+    path = root / "manifest.json"
+    with _reading(path):
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        shop_id, corpus_id = manifest["shop_id"], manifest["corpus_id"]
+        template_ids = tuple(manifest["template_ids"])
     truth = load_truth(root)
     pages = []
     for path in sorted((root / "pages").glob("*.html")):
@@ -118,24 +148,28 @@ def load_corpus(corpus_dir) -> Corpus:
         pages.append(
             RawDocument(
                 page_id=page_id,
-                url=f"https://shop-{manifest['shop_id']}.example/artikel/{page_id}",
+                url=f"https://shop-{shop_id}.example/artikel/{page_id}",
                 html=path.read_text(encoding="utf-8"),
             )
         )
-    labels = json.loads((root / "labels.json").read_text(encoding="utf-8"))
-    templates_data = json.loads((root / "templates.json").read_text(encoding="utf-8"))
+    labels = load_labels(root / "labels.json")
+    path = root / "templates.json"
+    with _reading(path):
+        templates = json.loads(path.read_text(encoding="utf-8"))
+        decision_keywords = tuple(templates.get("decision_keywords", DECISION_KEYWORDS))
+        true_programs = {
+            entry["template_id"]: json.dumps(entry["true_program"])
+            for entry in templates["templates"]
+        }
     return Corpus(
-        shop_id=manifest["shop_id"],
-        corpus_id=manifest["corpus_id"],
+        shop_id=shop_id,
+        corpus_id=corpus_id,
         pages=pages,
         truth=truth,
-        labels={k: bool(v) for k, v in labels.items()},
-        template_ids=tuple(manifest["template_ids"]),
-        decision_keywords=tuple(templates_data.get("decision_keywords", DECISION_KEYWORDS)),
-        true_programs={
-            entry["template_id"]: json.dumps(entry["true_program"])
-            for entry in templates_data["templates"]
-        },
+        labels=labels,
+        template_ids=template_ids,
+        decision_keywords=decision_keywords,
+        true_programs=true_programs,
     )
 
 

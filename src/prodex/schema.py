@@ -126,16 +126,19 @@ class FoodProduct:
 
     @staticmethod
     def field_names() -> tuple[str, ...]:
-        return tuple(f.name for f in dc_fields(FoodProduct))
+        return _FIELD_NAMES
 
     def populated_fields(self) -> tuple[str, ...]:
-        return tuple(n for n in self.field_names() if getattr(self, n) is not None)
+        return tuple(n for n in _FIELD_NAMES if getattr(self, n) is not None)
+
+
+#: FoodProduct's field names in declaration order.
+_FIELD_NAMES = tuple(f.name for f in dc_fields(FoodProduct))
 
 
 def filled_field_ratio(product: FoodProduct) -> float:
     """Populated top-level fields over the schema's eight fields."""
-    names = product.field_names()
-    return len(product.populated_fields()) / len(names)
+    return len(product.populated_fields()) / len(_FIELD_NAMES)
 
 
 # --- JSON Schema emission -------------------------------------------------
@@ -298,7 +301,7 @@ def _parse_quantity(path, raw, errors) -> Optional[QuantitativeValue]:
 def product_to_dict(product: FoodProduct) -> dict:
     """JSON-ready dict; absent fields omitted, numbers as canonical strings."""
     out: dict[str, object] = {}
-    for name in product.field_names():
+    for name in _FIELD_NAMES:
         value = getattr(product, name)
         if value is None:
             continue
@@ -313,7 +316,7 @@ def product_to_dict(product: FoodProduct) -> dict:
 
 
 #: Each field's name and its JSON key text, in declaration order.
-_FIELD_KEYS = tuple((f.name, json_string(f.name) + ": ") for f in dc_fields(FoodProduct))
+_FIELD_KEYS = tuple((name, json_string(name) + ": ") for name in _FIELD_NAMES)
 
 
 def serialize_product(product: FoodProduct, prefix: str = "") -> str:

@@ -3,7 +3,8 @@ the after-the-fact pruning that ``prodex.htmltree``'s tokenizer must equal.
 
 ``reference_parse`` must equal ``htmltree.parse_html``, and
 ``reference_prune(reference_parse(html))`` must equal
-``htmltree.parse_pruned(html, BANNED_ELEMENTS, KEPT_ATTRIBUTES)``. Only tests
+``htmltree.parse_pruned(html, BANNED_ELEMENTS, KEPT_ATTRIBUTES)``, which is
+None exactly where ``reference_is_empty(reference_parse(html))``. Only tests
 import this module, so no runtime path falls back to ``html.parser``.
 """
 
@@ -73,6 +74,14 @@ def reference_parse(html):
     builder.feed(html)
     builder.close()
     return builder.document
+
+
+def reference_is_empty(document):
+    """Whether a tree has no top-level element and no top-level text but
+    whitespace."""
+    return not any(
+        isinstance(c, Element) or c.text.strip() for c in document.children
+    )
 
 
 def reference_prune(root, banned=BANNED_ELEMENTS, kept=KEPT_ATTRIBUTES):

@@ -348,15 +348,17 @@ def test_invalid_orchestrator_setting_is_a_usage_error(workspace, runner, tmp_pa
     assert "decision_ensemble_size must be odd and positive" in result.output
 
 
-@pytest.mark.parametrize("labels, message", [
-    ({"beta-0000": True, "nope-1": False, "nope-0": True},
+@pytest.mark.parametrize("text, message", [
+    (json.dumps({"beta-0000": True, "nope-1": False, "nope-0": True}),
      "labels name pages not in the corpus: nope-0, nope-1"),
-    ({"beta-0000": True, "beta-0001": True},
+    (json.dumps({"beta-0000": True, "beta-0001": True}),
      "labels need at least one positive and one negative page"),
-], ids=["unknown-pages", "one-class"])
-def test_bad_labels_file_is_a_usage_error(workspace, runner, tmp_path, labels, message):
+    ("{bad", "labels.json: JSONDecodeError"),
+    ("[]", "labels.json: TypeError: the file must hold a JSON object"),
+], ids=["unknown-pages", "one-class", "not-json", "a-list"])
+def test_bad_labels_file_is_a_usage_error(workspace, runner, tmp_path, text, message):
     path = tmp_path / "labels.json"
-    path.write_text(json.dumps(labels))
+    path.write_text(text)
     result = runner.invoke(
         main,
         ["extract", "indirect", "--corpus", str(workspace / "corpus"),
@@ -365,6 +367,52 @@ def test_bad_labels_file_is_a_usage_error(workspace, runner, tmp_path, labels, m
     assert result.exit_code == 2, result.output
     assert message in result.output
     assert not (tmp_path / "out").exists()
+
+
+def _without_corpus_id(text):
+    manifest = json.loads(text)
+    del manifest["corpus_id"]
+    return json.dumps(manifest)
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    ("labels.json", lambda text: "[]", "TypeError: the file must hold a JSON object"),
+    ("manifest.json", _without_corpus_id, "KeyError: 'corpus_id'"),
+    ("templates.json", lambda text: text[:-2], "JSONDecodeError"),
+    ("truth.jsonl", None, "FileNotFoundError"),
+], ids=["labels-a-list", "manifest-without-corpus-id", "templates-not-json", "no-truth"])
+def test_malformed_corpus_file_is_a_usage_error(workspace, runner, tmp_path, name, edit,
+                                                message):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(workspace / "corpus", corpus)
+    path = corpus / name
+    if edit is None:
+        path.unlink()
+    else:
+        path.write_text(edit(path.read_text()))
+    for command in (
+        ["extract", "indirect", "--corpus", str(corpus), "--out", str(tmp_path / "out"),
+         "--runs", "1"],
+        ["extract", "direct", "--corpus", str(corpus), "--out", str(tmp_path / "out"),
+         "--provider", "oracle"],
+    ):
+        result = runner.invoke(main, command)
+        assert result.exit_code == 2, result.output
+        assert f"corpus file {path}: {message}" in result.output
+        assert not (tmp_path / "out").exists()
+
+
+def test_a_corpus_without_ground_truth_is_a_usage_error_to_evaluate(workspace, runner,
+                                                                    tmp_path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    result = runner.invoke(
+        main,
+        ["evaluate", "--results", str(tmp_path), "--truth", str(corpus),
+         "--out", str(tmp_path / "report.json")],
+    )
+    assert result.exit_code == 2, result.output
+    assert f"corpus file {corpus / 'truth.jsonl'}: FileNotFoundError" in result.output
 
 
 def test_zero_runs_is_a_usage_error(workspace, runner, tmp_path):

@@ -6,7 +6,6 @@ from prodex.compress import BANNED_ELEMENTS, KEPT_ATTRIBUTES
 from prodex.htmltree import (
     Document,
     Element,
-    ElementIndex,
     TextNode,
     block_text_lines,
     parse_html,
@@ -184,24 +183,14 @@ def _reference_select(root, selector, limit):
 
 
 @settings(max_examples=300, deadline=None)
-@given(
-    markup(),
-    selectors(),
-    st.one_of(st.integers(0, 12), st.just(10_000)),
-    st.one_of(st.none(), st.integers(0, 50)),
-)
-def test_select_equals_reference_walk(html, selector, limit, element_root):
+@given(markup(), selectors(), st.one_of(st.integers(0, 12), st.just(10_000)))
+def test_select_equals_reference_walk(html, selector, limit):
     tree = parse_html(html)
-    elements = list(tree.iter_elements())
-    if element_root is None or not elements:
-        root = tree
-    else:
-        root = elements[element_root % len(elements)]
-    got = select(root, selector, limit=limit)
-    want = _reference_select(root, selector, limit)
+    got = select(tree, selector, limit=limit)
+    want = _reference_select(tree, selector, limit)
     assert [id(e) for e in got] == [id(e) for e in want]
     # A second call on the same document reuses its index.
-    assert [id(e) for e in select(root, selector, limit=limit)] == [id(e) for e in got]
+    assert [id(e) for e in select(tree, selector, limit=limit)] == [id(e) for e in got]
 
 
 def test_document_index_is_built_once():
@@ -214,27 +203,41 @@ def test_document_index_is_built_once():
     assert index.parents == [-1, 0]
 
 
+def _walked_index(root):
+    """The elements of a tree in preorder and their parents' positions, as
+    a recursive walk reads them."""
+    elements, parents = [], []
+
+    def walk(node, parent):
+        for child in node.children:
+            if isinstance(child, Element):
+                elements.append(child)
+                parents.append(parent)
+                walk(child, len(elements) - 1)
+
+    walk(root, -1)
+    return elements, parents
+
+
 @settings(max_examples=300, deadline=None)
 @given(markup())
 def test_the_parse_records_the_index_a_walk_builds(html):
     trees = [parse_html(html), parse_pruned(html, BANNED_ELEMENTS, KEPT_ATTRIBUTES)]
     for tree in filter(None, trees):
-        recorded, walked = tree.index, ElementIndex.walk(tree)
-        assert [id(e) for e in recorded.elements] == [id(e) for e in walked.elements]
-        assert recorded.parents == walked.parents
-        recorded.with_names()
-        walked.with_names()
-        assert recorded.classes == walked.classes
-        assert recorded.by_tag == walked.by_tag
-        assert recorded.by_class == walked.by_class
-
-
-def test_a_hand_built_document_is_indexed_at_its_first_select():
-    p = Element("p", {"class": "b"})
-    tree = Document([Element("div", {"class": "a"}, [p])])
-    assert tree.index is None
-    assert select(tree, "div.a > p.b") == [p]
-    assert tree.index.parents == [-1, 0]
+        elements, parents = _walked_index(tree)
+        recorded = tree.index.with_names()
+        assert [id(e) for e in recorded.elements] == [id(e) for e in elements]
+        assert recorded.parents == parents
+        assert [id(e) for e in tree.iter_elements()] == [id(e) for e in elements]
+        assert recorded.classes == [e.classes() for e in elements]
+        positions = list(enumerate(elements))
+        assert recorded.by_tag == {
+            tag: [i for i, e in positions if e.tag == tag] for tag in {e.tag for e in elements}
+        }
+        assert recorded.by_class == {
+            name: [i for i, e in positions if name in e.classes()]
+            for name in set().union(*recorded.classes)
+        }
 
 
 def test_a_mutated_result_does_not_change_the_next_select():
@@ -246,14 +249,6 @@ def test_a_mutated_result_does_not_change_the_next_select():
     assert [text_content(e) for e in again] == ["x", "y"]
     again.pop()
     assert len(select(tree, "div.a p")) == 2
-
-
-def test_element_root_is_neither_match_nor_ancestor():
-    tree = parse_html("<div><div><p>x</p></div></div>")
-    outer = select(tree, "div")[0]
-    assert len(select(outer, "div")) == 1
-    assert len(select(outer, "div > p")) == 1
-    assert select(outer, "div > div > p") == []
 
 
 def test_hostile_selector_on_deep_markup_is_bounded():

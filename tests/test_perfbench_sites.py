@@ -9,6 +9,9 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+from prodex.compress import BANNED_ELEMENTS, KEPT_ATTRIBUTES
+from prodex.htmltree import parse_html, parse_pruned
+
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
@@ -30,3 +33,18 @@ def test_every_tracer_site_resolves():
         if not callable(owner):
             missing.append(f"{name}: {module_name}.{path}")
     assert missing == []
+
+
+def test_the_tracer_counts_the_elements_the_parse_recorded():
+    """The tracer counts the elements of each document ``select`` is given
+    through ``Document.iter_elements``, a dependency ``SITES`` does not name."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    html = ('<div class="a"><script>x</script><p>y<br></p></div>'
+            '<footer><p>z</p></footer><ul><li>1<li>2</ul>')
+    parsed = parse_html(html)
+    pruned = parse_pruned(html, BANNED_ELEMENTS, KEPT_ATTRIBUTES)
+    assert len(pruned.index.elements) < len(parsed.index.elements)
+    for document in (parsed, pruned):
+        assert tracer.Tracer()._elements(document) == len(document.index.elements)

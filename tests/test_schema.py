@@ -40,6 +40,9 @@ class TestJsonSchemaEmission:
         data = json.loads(to_json_schema())
         assert tuple(data["properties"]) == FoodProduct.field_names()
 
+    def test_field_names_are_built_once(self):
+        assert FoodProduct.field_names() is FoodProduct().field_names()
+
     def test_deterministic_bytes(self):
         assert to_json_schema() == to_json_schema()
 

@@ -28,8 +28,8 @@ from . import prompts
 from .direct import MalformedProduct, extract_direct_batch, read_products
 from .gateway import (PRICES, CostLedger, LiveProvider, RecordingProvider, ReplayProvider,
                       count_tokens)
-from .reader import (Corpus, MalformedCorpusFile, MalformedTruth, MissingTruth, RawDocument,
-                     load_corpus, load_labels, load_truth)
+from .reader import (Corpus, MalformedCorpusFile, MalformedTruth, MissingTruth, load_corpus,
+                     load_labels, load_truth, read_page)
 # parse_product is not called here: it stays bound because the benchmark's
 # tracer wraps it at this site (perfbench/tracer.py, SITES).
 from .schema import SchemaViolation, parse_product, product_from_dict  # noqa: F401
@@ -130,7 +130,7 @@ def compress_cmd(variant, in_path, out_dir):
     manifest = []
     failures: dict[str, str] = {}
     for path in files:
-        raw = RawDocument(page_id=path.stem, url=str(path), html=path.read_text(encoding="utf-8"))
+        raw = read_page(path, str(path))
         try:
             html_doc, text_doc, _ = compress_both(raw)
         except UnparsableDocument as exc:

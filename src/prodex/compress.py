@@ -91,9 +91,12 @@ def compress_both(
 
     The tree equals ``parse_html`` of the HTML variant, so a caller can run
     extraction programs on it without parsing the page again. The variants
-    render from it when first read. A page is unparsable when its unpruned
-    tree would be empty; a page holding only a script is not.
+    render from it when first read. A page is unparsable when its file was
+    not text or its unpruned tree would be empty; a page holding only a
+    script is not.
     """
+    if doc.unreadable is not None:
+        raise UnparsableDocument(f"page {doc.page_id}: {doc.unreadable}")
     tree = htmltree.parse_pruned(doc.html, BANNED_ELEMENTS, KEPT_ATTRIBUTES)
     if tree is None:
         raise UnparsableDocument(f"page {doc.page_id}: no parsable content")

@@ -15,6 +15,7 @@ from .gateway import (
     Provider,
     ProviderRefusal,
     ReplayMiss,
+    RequestSchema,
     TransportError,
     structured_call,
     write_atomic,
@@ -33,7 +34,7 @@ if TYPE_CHECKING:
 
 
 # The product JSON Schema for the gateway, built once; the gateway only reads it.
-_RESPONSE_SCHEMA = to_json_schema_dict()
+_RESPONSE_SCHEMA = RequestSchema(to_json_schema_dict())
 
 
 class ExtractionFailed(Exception):

@@ -44,9 +44,9 @@ from .schema import (
     KNOWN_LABEL_PREFIXES,
     FieldKind,
     FoodProduct,
-    QuantitativeValue,
     SchemaViolation,
-    parse_decimal,
+    interned_decimal,
+    quantity,
     strip_known_prefix,
 )
 
@@ -528,11 +528,12 @@ def _apply_post_op(post: PostOp, text: str) -> Optional[str]:
     if post.op == "strip_label_prefix":
         return strip_known_prefix(text, post.prefixes)
     if post.op == "parse_decimal_comma":
+        text = text.strip().replace(",", ".")
         try:
-            parse_decimal(text)
+            interned_decimal(text)  # _assemble_product's quantity finds it checked
         except InvalidOperation:
             return None
-        return text.strip().replace(",", ".")
+        return text
     if post.op == "to_unit_code":
         key = text.strip()
         mapping = dict(post.unit_map)
@@ -554,11 +555,9 @@ def _assemble_product(leaf_values: dict[str, str]) -> FoodProduct:
         if raw_value is None:
             continue
         try:
-            value = parse_decimal(raw_value)
+            values[spec.name] = quantity(raw_value, leaf_values.get(f"{spec.name}.unit_code"))
         except InvalidOperation:
             continue
-        unit = leaf_values.get(f"{spec.name}.unit_code")
-        values[spec.name] = QuantitativeValue(value=value, unit_code=unit)
     return FoodProduct(**values)  # type: ignore[arg-type]
 
 

@@ -25,6 +25,7 @@ import threading
 import time
 from dataclasses import dataclass, replace
 from decimal import Decimal
+from json.encoder import encode_basestring as json_string
 from pathlib import Path
 from typing import Callable, Optional, Protocol, TypeVar
 
@@ -88,17 +89,33 @@ class ChatExchange:
     key: Optional[str] = None
 
 
+class RequestSchema(dict):
+    """A request's JSON Schema, built once where its calls are made, that
+    carries its ``exchange_key`` encoding; no caller changes it."""
+
+    __slots__ = ("key_text",)
+
+    def __init__(self, schema: dict):
+        super().__init__(schema)
+        self.key_text = json.dumps(schema, sort_keys=True, ensure_ascii=False)
+
+
 def exchange_key(model_id: str, system_prompt: str, user_prompt: str, json_schema) -> str:
-    """Content hash identifying an exchange for record/replay."""
-    payload = json.dumps(
-        {
-            "model_id": model_id,
-            "system_prompt": system_prompt,
-            "user_prompt": user_prompt,
-            "schema": json_schema,
-        },
-        sort_keys=True,
-        ensure_ascii=False,
+    """Content hash identifying an exchange for record/replay.
+
+    It hashes exactly ``json.dumps({"model_id": ..., "system_prompt": ...,
+    "user_prompt": ..., "schema": json_schema}, sort_keys=True,
+    ensure_ascii=False)``, spliced from the schema's text (a RequestSchema's
+    own) and the C escaper ``json_string`` that call uses.
+    """
+    if isinstance(json_schema, RequestSchema):
+        schema_text = json_schema.key_text
+    else:
+        schema_text = json.dumps(json_schema, sort_keys=True, ensure_ascii=False)
+    payload = (
+        f'{{"model_id": {json_string(model_id)}, "schema": {schema_text}, '
+        f'"system_prompt": {json_string(system_prompt)}, '
+        f'"user_prompt": {json_string(user_prompt)}}}'
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 

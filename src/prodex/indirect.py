@@ -60,6 +60,7 @@ from .gateway import (
     Provider,
     ProviderRefusal,
     ReplayMiss,
+    RequestSchema,
     TransportError,
     structured_call,
 )
@@ -259,10 +260,11 @@ def render_samples(samples: list[tuple[CompressedDocument, bool]]) -> str:
 
 @functools.cache
 def _prompt_schema(build) -> tuple[dict, str]:
-    """A program JSON Schema and the indent=2 text prompts carry, built once
-    per process; ``build`` is one of the dsl schema functions. Every call
-    shares the one dict, which no caller changes."""
-    schema = build()
+    """A program JSON Schema, as the RequestSchema the gateway keys, and the
+    indent=2 text prompts carry, built once per process; ``build`` is one of
+    the dsl schema functions. Every call shares the one dict, which no caller
+    changes."""
+    schema = RequestSchema(build())
     return schema, json.dumps(schema, indent=2, ensure_ascii=False)
 
 

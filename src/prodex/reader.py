@@ -16,7 +16,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from .schema import FoodProduct, SchemaViolation, product_from_dict, product_to_dict
 
@@ -52,6 +52,18 @@ class RawDocument:
     page_id: str
     url: str
     html: str
+    # Why the page file could not be read as text (its html is then empty);
+    # compression reports it as the page's failure.
+    unreadable: Optional[str] = None
+
+
+def read_page(path: Path, url: str) -> RawDocument:
+    """The page in the file ``path``, named by the file's stem. A file that
+    is not UTF-8 gives a document that names the decoding error."""
+    try:
+        return RawDocument(page_id=path.stem, url=url, html=path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        return RawDocument(page_id=path.stem, url=url, html="", unreadable=f"not UTF-8: {exc}")
 
 
 @dataclass(frozen=True)
@@ -142,16 +154,10 @@ def load_corpus(corpus_dir) -> Corpus:
         shop_id, corpus_id = manifest["shop_id"], manifest["corpus_id"]
         template_ids = tuple(manifest["template_ids"])
     truth = load_truth(root)
-    pages = []
-    for path in sorted((root / "pages").glob("*.html")):
-        page_id = path.stem
-        pages.append(
-            RawDocument(
-                page_id=page_id,
-                url=f"https://shop-{shop_id}.example/artikel/{page_id}",
-                html=path.read_text(encoding="utf-8"),
-            )
-        )
+    pages = [
+        read_page(path, f"https://shop-{shop_id}.example/artikel/{path.stem}")
+        for path in sorted((root / "pages").glob("*.html"))
+    ]
     labels = load_labels(root / "labels.json")
     path = root / "templates.json"
     with _reading(path):

@@ -13,7 +13,9 @@ a validated ``FoodProduct``.
 
 Numbers accept both decimal point and decimal comma on input and are held as
 ``Decimal``; canonical serialization uses the decimal point and string-encoded
-numbers to avoid float round-tripping. ``serialize_product`` writes that
+numbers to avoid float round-tripping. Every parsed quantity comes from
+``quantity``, which builds each distinct value text and unit once per process
+in a bounded memo, so equal quantities are one object. ``serialize_product`` writes that
 canonical JSON byte for byte as ``json.dumps(product_to_dict(p), indent=2,
 ensure_ascii=False)`` would, without the stdlib's pure-Python indent encoder.
 """
@@ -46,6 +48,13 @@ _DECIMAL_PATTERN = r"^-?[0-9]+(?:[.,][0-9]+)?$"
 _DECIMAL_RE = re.compile(_DECIMAL_PATTERN)
 #: Largest accepted ``abs(Decimal.adjusted())``: 1e20 and 1e-20 pass, 1e21 does not.
 MAX_DECIMAL_EXPONENT = 20
+#: Bound of each of the two memos behind ``quantity``: ``(value text, unit)``
+#: pairs and value texts. Declared nutrient values are rounded (whole kJ, one
+#: decimal for grams, two for salt), so a shop repeats few of them: 3000
+#: gamma pages hold about 3,100 distinct pairs and 2,900 distinct texts in
+#: 20,000 quantities.
+QUANTITY_MEMO_SIZE = 4096
+_QUANTITY_KEYS = frozenset(("value", "unit_code"))
 
 
 class SchemaViolation(Exception):
@@ -226,10 +235,40 @@ def parse_decimal(raw) -> Decimal:
     return raw
 
 
+def quantity(value, unit_code: Optional[str] = None) -> QuantitativeValue:
+    """The quantity ``value`` (text or a JSON number) in ``unit_code`` (None or
+    a non-empty string); raises InvalidOperation where ``parse_decimal`` does.
+
+    Value text is interned: the quantity of a ``(text, unit_code)`` pair is
+    built once per process, and equal pairs give the identical frozen object.
+    The key is the exact text, never the parsed number: ``"1.0"`` and
+    ``"1.00"`` are equal Decimals that print differently. A number is parsed
+    and built on every call.
+    """
+    if type(value) is str:
+        return _interned_quantity(value, unit_code)
+    return QuantitativeValue(parse_decimal(value), unit_code)
+
+
+@functools.lru_cache(maxsize=QUANTITY_MEMO_SIZE)
+def _interned_quantity(text: str, unit_code: Optional[str]) -> QuantitativeValue:
+    return QuantitativeValue(interned_decimal(text), unit_code)
+
+
+@functools.lru_cache(maxsize=QUANTITY_MEMO_SIZE)
+def interned_decimal(text: str) -> Decimal:
+    """``parse_decimal(text)``, checked once per distinct text per process.
+
+    A call that raises stores nothing, so only valid text is interned.
+    """
+    return parse_decimal(text)
+
+
 def strip_known_prefix(text: str, prefixes: tuple[str, ...] = KNOWN_LABEL_PREFIXES) -> str:
     """Drop the first of ``prefixes`` that starts ``text``, case-insensitively."""
+    lowered = text.lower()
     for prefix in prefixes:
-        if text.lower().startswith(prefix.lower()):
+        if lowered.startswith(prefix.lower()):
             return text[len(prefix):].lstrip()
     return text
 
@@ -278,24 +317,25 @@ def _parse_quantity(path, raw, errors) -> Optional[QuantitativeValue]:
     if not isinstance(raw, dict):
         errors.append((path, f"expected object, got {type(raw).__name__}"))
         return None
-    unknown = set(raw) - {"value", "unit_code"}
+    unknown = raw.keys() - _QUANTITY_KEYS
     for key in sorted(unknown):
         errors.append((f"{path}.{key}", "unknown field"))
-    if "value" not in raw or raw["value"] is None:
+    value = raw.get("value")
+    if value is None:
         errors.append((f"{path}.value", "missing value"))
         return None
-    try:
-        value = parse_decimal(raw["value"])
-    except InvalidOperation:
-        errors.append((f"{path}.value", f"malformed number: {raw['value']!r}"))
-        return None
     unit = raw.get("unit_code")
-    if unit is not None and (not isinstance(unit, str) or not unit):
+    unit_ok = unit is None or (isinstance(unit, str) and unit != "")
+    try:
+        if unit_ok and not unknown:
+            return quantity(value, unit)
+        parse_decimal(value)  # an invalid quantity is checked, never interned
+    except InvalidOperation:
+        errors.append((f"{path}.value", f"malformed number: {value!r}"))
+        return None
+    if not unit_ok:
         errors.append((f"{path}.unit_code", "must be a non-empty string"))
-        return None
-    if unknown:
-        return None
-    return QuantitativeValue(value=value, unit_code=unit)
+    return None
 
 
 def product_to_dict(product: FoodProduct) -> dict:

@@ -512,6 +512,70 @@ def test_compress_skips_unparsable_page(broken_corpus, runner, tmp_path):
     assert empty not in {entry["page_id"] for entry in manifest}
 
 
+@pytest.fixture(scope="module")
+def undecodable_corpus(tmp_path_factory, runner):
+    """A 20-page beta corpus whose first page is UTF-16 (bytes ff fe ...)."""
+    corpus = tmp_path_factory.mktemp("undecodable") / "corpus"
+    result = runner.invoke(
+        main,
+        ["corpus", "generate", "--preset", "beta", "--pages", "20",
+         "--seed", "3", "--out", str(corpus)],
+    )
+    assert result.exit_code == 0, result.output
+    page = sorted((corpus / "pages").glob("*.html"))[0]
+    page.write_bytes(page.read_text(encoding="utf-8").encode("utf-16"))
+    assert page.read_bytes()[:2] == b"\xff\xfe"
+    return corpus, page.stem
+
+
+def _undecodable_failure(out, page_id):
+    failures = json.loads((out / "failures.json").read_text())
+    assert list(failures) == [page_id]
+    assert "not UTF-8" in failures[page_id]
+    assert "codec can't decode byte 0xff in position 0" in failures[page_id]
+
+
+def test_extract_direct_undecodable_page_is_a_failure(undecodable_corpus, runner, tmp_path):
+    corpus, page_id = undecodable_corpus
+    out = tmp_path / "direct"
+    result = runner.invoke(
+        main,
+        ["extract", "direct", "--corpus", str(corpus), "--out", str(out), "--provider", "oracle"],
+    )
+    assert result.exit_code == 0, result.output
+    assert "19 pages ok, 1 failed" in result.output
+    _undecodable_failure(out, page_id)
+
+
+def test_extract_indirect_undecodable_page_is_a_failure(undecodable_corpus, runner, tmp_path):
+    corpus, page_id = undecodable_corpus
+    out = tmp_path / "indirect"
+    result = runner.invoke(
+        main,
+        ["extract", "indirect", "--corpus", str(corpus), "--out", str(out),
+         "--provider", "oracle", "--runs", "1"],
+    )
+    assert result.exit_code == 0, result.output
+    _undecodable_failure(out, page_id)
+    products = json.loads((out / "run-00" / "products.json").read_text())
+    assert len(products) == 20
+    assert next(p for p in products if p["page_id"] == page_id)["count_extracted"] == 0
+    assert (out / "run-00" / "metrics.json").exists()
+
+
+def test_compress_undecodable_page_is_a_failure(undecodable_corpus, runner, tmp_path):
+    corpus, page_id = undecodable_corpus
+    out = tmp_path / "compressed"
+    result = runner.invoke(
+        main, ["compress", "--variant", "html", "--in", str(corpus / "pages"), "--out", str(out)]
+    )
+    assert result.exit_code == 0, result.output
+    _undecodable_failure(out, page_id)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert len(manifest) == 19
+    assert page_id not in {entry["page_id"] for entry in manifest}
+
+
 def test_evaluate_scores_failed_pages_as_zero(broken_corpus, runner, tmp_path):
     corpus, empty = broken_corpus
     out = tmp_path / "direct"

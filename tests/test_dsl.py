@@ -296,6 +296,29 @@ class TestRunExtraction:
         assert outcomes[0][0].ingredient_statement == "A, B"
         assert outcomes[0][0].fat == QuantitativeValue(Decimal("3.5"), None)
 
+    def test_decimal_comma_is_checked_once_and_assembles_to_its_value(self, monkeypatch):
+        from prodex import schema
+
+        checked = []
+        real_parse = schema.parse_decimal
+        monkeypatch.setattr(schema, "parse_decimal", lambda raw: checked.append(raw) or real_parse(raw))
+        schema.interned_decimal.cache_clear()
+        schema._interned_quantity.cache_clear()
+        program = ExtractionProgram("comma", "F", rules=(
+            FieldRule("fat.value", "td.fat", capture=r"([0-9]+(?:[.,][0-9]+)?)",
+                      post_ops=(PostOp("parse_decimal_comma"),)),
+            FieldRule("fat.unit_code", "td.fat", capture=r"[0-9,.]+\s*([A-Za-z]+)",
+                      post_ops=(PostOp("to_unit_code", unit_map=(("g", "GRM"),)),)),
+        ))
+        outcomes = [run_extraction_on_tree(program, _page('<td class="fat">3,5 g</td>'))
+                    for _ in range(3)]
+        fat = outcomes[0].product.fat
+        assert fat == QuantitativeValue(Decimal("3.5"), "GRM")
+        assert str(fat.value) == "3.5"
+        assert all(o.product.fat is fat for o in outcomes)
+        assert outcomes[0].field_status == {"fat.value": "extracted", "fat.unit_code": "extracted"}
+        assert checked == ["3.5"]
+
     def test_node_index_disambiguates(self):
         html = '<tr><td class="nw-energie">100 kJ</td><td class="nw-energie">24 kcal</td></tr>'
         rule0 = FieldRule("energy.value", "td.nw-energie", node_index=0,

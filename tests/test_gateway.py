@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import prodex
 from prodex.dsl import (
@@ -23,6 +24,7 @@ from prodex.gateway import (
     RecordingProvider,
     ReplayMiss,
     ReplayProvider,
+    RequestSchema,
     TransportError,
     UnknownModel,
     Usage,
@@ -346,6 +348,66 @@ class TestRecordReplay:
         assert exchange_key("m", "s2", "u", SCHEMA) != base
         assert exchange_key("m", "s", "u2", SCHEMA) != base
         assert exchange_key("m", "s", "u", {"type": "object"}) != base
+
+
+def _reference_exchange_key(model_id, system_prompt, user_prompt, json_schema) -> str:
+    """exchange_key as it was before the schema text was spliced in; replay
+    finds recorded sessions by these keys, so they must not move."""
+    payload = json.dumps(
+        {
+            "model_id": model_id,
+            "system_prompt": system_prompt,
+            "user_prompt": user_prompt,
+            "schema": json_schema,
+        },
+        sort_keys=True,
+        ensure_ascii=False,
+    )
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                               max_size=4),
+    max_leaves=12,
+)
+
+
+@given(
+    st.text(max_size=12),
+    st.text(max_size=40),
+    st.text(max_size=40),
+    st.dictionaries(st.text(max_size=6), _json_values, max_size=5),
+)
+@example("o3-mini-ä", "Extrahiere das Produkt.", 'Nährwerte — "Fett" 3,5\u2028g 🍫\n\t\\',
+         {"z": {"b": [1, {"y": 2, "a": None}], "a": "é"}, "type": "object", "$defs": {}})
+@settings(max_examples=200, deadline=None)
+def test_exchange_key_is_the_json_dumps_formula(model_id, system_prompt, user_prompt, schema):
+    want = _reference_exchange_key(model_id, system_prompt, user_prompt, schema)
+    assert exchange_key(model_id, system_prompt, user_prompt, schema) == want
+    request_schema = RequestSchema(schema)
+    assert request_schema == schema
+    assert exchange_key(model_id, system_prompt, user_prompt, request_schema) == want
+
+
+def test_call_sites_key_their_schemas_as_json_dumps_does():
+    from prodex import direct, indirect
+    from prodex.dsl import decision_program_json_schema
+    from prodex.schema import to_json_schema_dict
+
+    built = [
+        (direct._RESPONSE_SCHEMA, to_json_schema_dict()),
+        (indirect._prompt_schema(extraction_program_json_schema)[0],
+         extraction_program_json_schema()),
+        (indirect._prompt_schema(decision_program_json_schema)[0],
+         decision_program_json_schema()),
+    ]
+    for schema, plain in built:
+        assert isinstance(schema, RequestSchema) and schema == plain
+        assert exchange_key("o3-mini", "sys", "Zutaten: Weizenmehl", schema) == (
+            _reference_exchange_key("o3-mini", "sys", "Zutaten: Weizenmehl", plain)
+        )
 
 
 class TestLiveProvider:

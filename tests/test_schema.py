@@ -1,23 +1,29 @@
 import json
 import time
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 
 import jsonschema
 import pytest
 from hypothesis import example, given, settings, strategies as st
 import jsontext
 
+from prodex import schema
 from prodex.schema import (
     FIELDS,
+    KNOWN_LABEL_PREFIXES,
+    QUANTITY_MEMO_SIZE,
     FoodProduct,
     NUTRIENT_FIELDS,
     QuantitativeValue,
     SchemaViolation,
     filled_field_ratio,
+    parse_decimal,
     parse_product,
     product_from_dict,
     product_to_dict,
+    quantity,
     serialize_product,
+    strip_known_prefix,
     to_json_schema,
     to_json_schema_dict,
 )
@@ -320,3 +326,207 @@ def test_serialize_product_is_byte_identical_to_json_dumps(product, prefix):
     assert serialize_product(product) == expected
     # JSON text holds no raw line break, so the prefix follows each "\n".
     assert serialize_product(product, prefix) == expected.replace("\n", "\n" + prefix)
+
+
+# --- the quantity memo ------------------------------------------------------------
+
+
+def _reference_parse_quantity(path, raw, errors):
+    """``schema._parse_quantity`` as it was before quantities were interned."""
+    if not isinstance(raw, dict):
+        errors.append((path, f"expected object, got {type(raw).__name__}"))
+        return None
+    unknown = set(raw) - {"value", "unit_code"}
+    for key in sorted(unknown):
+        errors.append((f"{path}.{key}", "unknown field"))
+    if "value" not in raw or raw["value"] is None:
+        errors.append((f"{path}.value", "missing value"))
+        return None
+    try:
+        value = parse_decimal(raw["value"])
+    except InvalidOperation:
+        errors.append((f"{path}.value", f"malformed number: {raw['value']!r}"))
+        return None
+    unit = raw.get("unit_code")
+    if unit is not None and (not isinstance(unit, str) or not unit):
+        errors.append((f"{path}.unit_code", "must be a non-empty string"))
+        return None
+    if unknown:
+        return None
+    return QuantitativeValue(value=value, unit_code=unit)
+
+
+def _reference_product(data: dict) -> FoodProduct:
+    errors = []
+    values = {}
+    for key, raw in data.items():
+        if raw is None:
+            continue
+        qv = _reference_parse_quantity(key, raw, errors)
+        if qv is not None:
+            values[key] = qv
+    if errors:
+        raise SchemaViolation(errors)
+    return FoodProduct(**values)
+
+
+_value_texts = st.one_of(
+    st.from_regex(r"\A[ \t\n]?-?[0-9]{1,4}(?:[.,][0-9]{1,3})?[ \n]?\Z"),
+    st.sampled_from(["1.0", "1.00", "3,5", " 3,5 ", "-0", "007", "1e5", "1E5", "0x1F", "",
+                     " ", "1.", ".5", "1,2,3", "1" * 21, "1" * 22, "0," + "0" * 19 + "1",
+                     "0." + "0" * 20 + "1", "NaN", "Infinity", "١٢", "drei"]),
+    st.text(max_size=6),
+)
+_values = st.one_of(
+    st.none(),
+    _value_texts,
+    st.booleans(),
+    st.integers(min_value=-(10 ** 25), max_value=10 ** 25),
+    st.floats(),
+    st.decimals(),
+    st.just([1]),
+)
+_unit_values = st.one_of(
+    st.none(), st.sampled_from(["GRM", "KJO", "", " ", "g"]), st.integers(0, 2), st.booleans(),
+    st.just(["GRM"]),
+)
+_quantity_dicts = st.one_of(
+    st.fixed_dictionaries(
+        {},
+        optional={"value": _values, "unit_code": _unit_values, "extra": st.just(1),
+                  "Value": st.just("1")},
+    ),
+    _values,
+)
+
+
+@given(st.dictionaries(st.sampled_from(NUTRIENT_FIELDS), _quantity_dicts, max_size=4))
+@example({"fat": {"value": "1.0"}, "salt": {"value": "1.00"}})
+@example({"fat": {"value": "3,5", "unit_code": "GRM"}, "salt": {"value": " 3,5 ", "extra": 1}})
+@example({"fat": {"value": "1e5", "unit_code": ""}, "sugars": {"value": True}})
+@example({"fat": {"value": "3.5", "unit_code": ""}, "salt": {"value": "3.5", "extra": 1}})
+@settings(max_examples=400, deadline=None)
+def test_interned_quantities_match_the_reference(data):
+    """Same product, value text for value text, or the same errors in the same
+    order, as before quantities were interned; and again once the memo holds
+    the texts."""
+    try:
+        want = _reference_product(data)
+    except SchemaViolation as exc:
+        for _ in range(2):
+            with pytest.raises(SchemaViolation) as err:
+                product_from_dict(data)
+            assert err.value.errors == exc.errors
+    else:
+        for _ in range(2):
+            assert repr(product_from_dict(data)) == repr(want)
+
+
+def test_equal_texts_give_the_identical_quantity():
+    first = product_from_dict({"fat": {"value": "3.5", "unit_code": "GRM"}})
+    second = parse_product('{"fat": {"value": "3.5", "unit_code": "GRM"}}')
+    assert second.fat is first.fat
+    assert quantity("3.5", "GRM") is first.fat
+    assert quantity("3.5") is not first.fat  # another unit
+    assert quantity("3.5") == QuantitativeValue(Decimal("3.5"))
+
+
+def test_texts_that_print_differently_stay_distinct():
+    one, two = quantity("1.0", "GRM"), quantity("1.00", "GRM")
+    assert one == two and one is not two
+    assert (str(one.value), str(two.value)) == ("1.0", "1.00")
+    product = product_from_dict({"fat": {"value": "1.00"}, "salt": {"value": "1.0"}})
+    assert (str(product.fat.value), str(product.salt.value)) == ("1.00", "1.0")
+
+
+def test_numbers_are_not_interned():
+    assert quantity(1) is not quantity(1)
+    assert str(quantity(1.0).value) == "1.0"
+    with pytest.raises(InvalidOperation):
+        quantity(True)
+
+
+def test_invalid_quantities_never_enter_the_memo():
+    schema.interned_decimal.cache_clear()
+    schema._interned_quantity.cache_clear()
+    for data in [
+        {"fat": {"value": "drei", "unit_code": "GRM"}},
+        {"fat": {"value": "1e21"}},
+        {"fat": {"value": "3.5", "unit_code": ""}},
+        {"fat": {"value": "3.5", "unit_code": 7}},
+        {"fat": {"value": "3.5", "unit_code": "GRM", "extra": 1}},
+        {"fat": {"value": "3.5", "Value": "3.5"}},
+    ]:
+        with pytest.raises(SchemaViolation):
+            product_from_dict(data)
+    assert schema._interned_quantity.cache_info().currsize == 0
+    assert schema.interned_decimal.cache_info().currsize == 0
+
+
+def test_memo_size_never_exceeds_its_bound():
+    for memo in (schema._interned_quantity, schema.interned_decimal):
+        assert memo.cache_info().maxsize == QUANTITY_MEMO_SIZE
+    for k in range(QUANTITY_MEMO_SIZE + 50):
+        product = product_from_dict({"fat": {"value": f"{k}.5", "unit_code": "GRM"}})
+        assert product.fat.value == Decimal(f"{k}.5")
+        for memo in (schema._interned_quantity, schema.interned_decimal):
+            assert memo.cache_info().currsize <= QUANTITY_MEMO_SIZE
+    assert schema._interned_quantity.cache_info().currsize == QUANTITY_MEMO_SIZE
+
+
+def test_threads_share_the_memo_without_losing_a_quantity():
+    """``extract direct --workers N`` parses answers on N threads at once."""
+    import sys
+    import threading
+
+    texts = [f"{k % 700}.{k % 7}" for k in range(3000)]
+    want = {text: _reference_product({"salt": {"value": text, "unit_code": "GRM"}})
+            for text in set(texts)}
+    wrong = []
+
+    def work(offset):
+        for text in texts[offset:] + texts[:offset]:
+            got = product_from_dict({"salt": {"value": text, "unit_code": "GRM"}})
+            if repr(got) != repr(want[text]):
+                wrong.append(text)
+
+    schema._interned_quantity.cache_clear()
+    schema.interned_decimal.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k * 97,)) for k in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+    assert schema._interned_quantity.cache_info().currsize == len(want)
+    assert quantity("1.1", "GRM") is quantity("1.1", "GRM")
+
+
+def _reference_strip_known_prefix(text, prefixes=KNOWN_LABEL_PREFIXES):
+    for prefix in prefixes:
+        if text.lower().startswith(prefix.lower()):
+            return text[len(prefix):].lstrip()
+    return text
+
+
+@given(
+    st.one_of(
+        st.text(max_size=20),
+        st.tuples(st.sampled_from(["", "İ", "ß", " "]),
+                  st.sampled_from(list(KNOWN_LABEL_PREFIXES) + ["ZUTATEN:", "zutaten:", "İngredients:"]),
+                  st.text(max_size=8)).map("".join),
+    ),
+    st.one_of(st.just(KNOWN_LABEL_PREFIXES),
+              st.lists(st.sampled_from(["İ", "i̇x", "Zutaten:", "ß", "SS", ""]), max_size=3).map(tuple)),
+)
+@example("İngredients: Zucker", ("i̇", "İngredients:"))
+@example("ZUTATEN: Zucker", KNOWN_LABEL_PREFIXES)
+@settings(max_examples=300, deadline=None)
+def test_strip_known_prefix_matches_the_reference(text, prefixes):
+    assert strip_known_prefix(text, prefixes) == _reference_strip_known_prefix(text, prefixes)

@@ -94,6 +94,16 @@ class PostOp:
     op: str
     prefixes: tuple[str, ...] = ()
     unit_map: tuple[tuple[str, str], ...] = ()
+    # Derived from unit_map on construction: lowered raw unit to code, where
+    # the first raw unit of a lowered form wins with the last code given for
+    # it, so that to_unit_code is one lookup.
+    lowered_units: dict[str, str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        lowered: dict[str, str] = {}
+        for raw, code in dict(self.unit_map).items():
+            lowered.setdefault(raw.lower(), code)
+        object.__setattr__(self, "lowered_units", lowered)
 
 
 @dataclass(frozen=True)
@@ -535,12 +545,7 @@ def _apply_post_op(post: PostOp, text: str) -> Optional[str]:
             return None
         return text
     if post.op == "to_unit_code":
-        key = text.strip()
-        mapping = dict(post.unit_map)
-        for raw, code in mapping.items():
-            if raw.lower() == key.lower():
-                return code
-        return None
+        return post.lowered_units.get(text.strip().lower())
     raise AssertionError(f"unreachable post op {post.op}")
 
 

@@ -2,31 +2,36 @@
 
 Shop pages are frequently invalid HTML, so parsing recovers from mismatched
 and unclosed tags instead of failing. The tree is deliberately small: element
-nodes with a tag, an attribute dict and children, plus plain text nodes.
-Everything downstream (compression, text projection, rule interpretation)
-works on this tree.
+nodes with a tag, an attribute dict and children, plus plain text nodes,
+both slots classes. Everything downstream (compression, text projection,
+rule interpretation) works on this tree.
 
 One tokenizer pass builds it: a single ``finditer`` scan over a pattern
 that matches every token, restarted only where other markup or a script or
-style body moves the position. It reads markup exactly as the
+style body moves the position. The scan loop itself reads text and plain
+start and end tags and builds the elements. It reads markup exactly as the
 ``html.parser`` of CPython 3.11.7 does when fed a whole page and closed (the
 tests keep that parser as the reference), except that it never raises, and
 it runs in linear time on hostile markup such as unterminated quotes.
 ``parse_pruned`` builds the tree compression wants in the same pass: banned
-subtrees are tracked but never built, and only kept attributes are read.
-The pass also records each element it builds, and its parent, in document
-order: the document's element index, the only record of its elements.
+subtrees are tracked but never built, their text is never unescaped, and
+only kept attributes are read. Template pages repeat their attribute texts,
+so each distinct text is read once into a bounded memo: at most
+``ATTRIBUTE_MEMO_SIZE`` entries, and no text longer than
+``ATTRIBUTE_MEMO_MAX_TEXT`` characters; every element still owns its
+attribute dict. The pass also records each element it builds, its parent,
+and its tag and class names, in document order: the document's element
+index, the only record of its elements.
 
 Selector support is the subset that survives attribute stripping: type
 selectors, ``*``, ``.class``, ``#id``, compounds thereof, and descendant /
 child (``>``) combinators. Attribute selectors, pseudo-classes and comma
 groups are rejected. Selection runs on the element index the parse
-recorded, so ``select`` takes a parsed document; the index's tag and class
-maps are filled at the first ``select`` or ``name_signature``. The index
-keeps each selector's result, so a repeated ``select`` on a document is a
-lookup. No walk recurses, so deeply nested markup cannot exhaust the call
-stack. That includes ``==`` on trees, and ``repr`` shows a node's child
-count instead of its children.
+recorded, with its tag and class maps, so ``select`` takes a parsed
+document. The index keeps each selector's result, so a repeated ``select``
+on a document is a lookup. No walk recurses, so deeply nested markup cannot
+exhaust the call stack. That includes ``==`` on trees, and ``repr`` shows a
+node's child count instead of its children.
 
 A name signature folds the tag and class names of a document into one
 ``SIGNATURE_BITS``-wide bit set. A selector needs the bits of its tags and
@@ -70,16 +75,27 @@ BLOCK_ELEMENTS = frozenset({
 })
 
 
-@dataclass
 class TextNode:
-    text: str
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
+
+    def __eq__(self, other):
+        return self.text == other.text if type(other) is TextNode else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"TextNode(text={self.text!r})"
 
 
-@dataclass(eq=False, repr=False)
 class Element:
-    tag: str
-    attrs: dict[str, Optional[str]] = field(default_factory=dict)
-    children: list[Union["Element", TextNode]] = field(default_factory=list)
+    __slots__ = ("tag", "attrs", "children")
+
+    def __init__(self, tag: str, attrs: Optional[dict[str, Optional[str]]] = None,
+                 children: Optional[list[Union["Element", TextNode]]] = None):
+        self.tag = tag
+        self.attrs = {} if attrs is None else attrs
+        self.children = [] if children is None else children
 
     def __eq__(self, other):
         return _same_tree(self, other) if type(other) is Element else NotImplemented
@@ -171,13 +187,43 @@ _QUOTES = {"'": re.compile("'"), '"': re.compile('"')}
 _LETTERS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
 
 
+# The attribute memo: template pages repeat the same attribute texts, so each
+# distinct text is read once. Both bounds cap the memory a page can pin.
+ATTRIBUTE_MEMO_SIZE = 4096  # entries
+ATTRIBUTE_MEMO_MAX_TEXT = 256  # characters; a longer text is read every time
+_NO_CLASSES: frozenset[str] = frozenset()
+
+
+def _read_attributes(source, kept) -> tuple[dict[str, Optional[str]], frozenset[str]]:
+    """The attribute dict of a start tag and its class-name set. ``source``:
+    a plain tag's attribute text, or (name, raw value) pairs; ``kept``: the
+    attribute names to keep, or None for all. The caller must not change the
+    dict of a memoised reading (``_memo_attributes``), only a copy of it."""
+    plain = isinstance(source, str)
+    attrs: dict[str, Optional[str]] = {}
+    for name, raw in _ATTRIBUTE.findall(source) if plain else source:
+        name = name.lower()
+        if name in attrs or (kept is not None and name not in kept):
+            continue  # the first of duplicate attributes wins
+        if raw and raw[0] == raw[-1] and raw[0] in "'\"":
+            raw = raw[1:-1]
+        elif plain and not raw:
+            raw = None  # a plain tag's value is never empty: "" means none
+        attrs[name] = unescape(raw) if raw else raw
+    names = attrs.get("class")
+    return attrs, frozenset(names.split()) if names else _NO_CLASSES
+
+
+_memo_attributes = functools.lru_cache(maxsize=ATTRIBUTE_MEMO_SIZE)(_read_attributes)
+
+
 class _Parser:
     """One pass that reads a page as CPython 3.11's ``html.parser`` does when fed
     the whole page and closed, and builds the tree; with ``kept`` given, the
     pruned tree (see ``parse_pruned``). ``content`` tells whether the
-    unpruned tree would hold anything. ``elements`` and ``parents`` record
-    each built element and its parent's position as it is built, which is
-    the tree's element index (see ``ElementIndex``). Searches for a closer
+    unpruned tree would hold anything. The pass records each element as it
+    builds it, with its parent's position and its tag and class names: the
+    tree's element index (see ``ElementIndex``). Searches for a closer
     keep their answer, and a start tag that never closes marks the attribute
     positions it passed, so hostile markup is read in linear time.
     """
@@ -185,8 +231,7 @@ class _Parser:
     def __init__(self, html: str, banned=frozenset(), kept=None):
         self.html, self.banned, self.kept = html, banned, kept
         self.children: list[Union[Element, TextNode]] = []
-        self.elements: list[Element] = []
-        self.parents: list[int] = []
+        self.index = ElementIndex([], [], [], {}, {})
         # open elements: (tag, children, position), or (tag, None, -1) if not built
         self.stack: list[tuple] = []
         self.open: dict[str, int] = {}  # open elements by tag
@@ -199,63 +244,100 @@ class _Parser:
         self._join_text()
 
     def document(self) -> Document:
-        return Document(self.children, ElementIndex(self.elements, self.parents))
+        return Document(self.children, self.index)
 
     def _run(self) -> None:
-        s, pos = self.html, 0
-        text, start, end, markup = self.text, self.start, self.end, self._markup
-        pruned = self.kept is not None
+        """The scan: text and plain start and end tags are read here; other
+        markup and script and style bodies move the position, and the scan
+        restarts there. A tag that ``_markup`` reads comes back to be built
+        or closed here."""
+        s, banned, kept, pruned = self.html, self.banned, self.kept, self.kept is not None
+        stack, open_, children = self.stack, self.open, self.children
+        index = self.index
+        elements, parents, classes = index.elements, index.parents, index.classes
+        by_tag, by_class = index.by_tag, index.by_class
+        markup, add_pruned = self._markup, self._add_pruned
+        memo, max_text = _memo_attributes, ATTRIBUTE_MEMO_MAX_TEXT
+        pos = 0
         while pos < len(s):
             for m in _TOKEN.finditer(s, pos):
                 kind = m.lastindex
                 if kind == 1:
-                    data = m[1]
-                    if not (pruned and data.isspace()):  # else it folds to nothing
-                        text(unescape(data))
+                    parent = stack[-1][1] if stack else children
+                    if parent is None:
+                        continue  # in a subtree that is not built
+                    if pruned:
+                        data = m[1]
+                        if not data.isspace():  # else it folds to nothing
+                            add_pruned(parent, unescape(data))
+                    else:
+                        data = unescape(m[1])
+                        if data:
+                            parent.append(TextNode(data))
                     continue
                 if kind == 5:
-                    end(m[5].lower())
-                    continue
-                if kind is None:
-                    pos = markup(m.start())
+                    tag, attrs = m[5].lower(), None
+                elif kind is None:
+                    pos, odd = markup(m.start())
+                    if odd is None:
+                        if pos != m.end():
+                            break  # the scan restarts where the markup ends
+                        continue
+                    tag, attrs, closed = odd
                 else:
-                    pos = start(m[2].lower(), m[3], m[4] == "/", m.end())
-                if pos != m.end():
-                    break  # the scan restarts where the markup or a script or style body ends
+                    tag, attrs, closed = m.group(2, 3, 4)
+                    tag = tag.lower()
+                if attrs is None:  # an end tag; a stray one is ignored
+                    if open_.get(tag) and tag not in VOID_ELEMENTS:
+                        while (top := stack.pop()[0]) != tag:
+                            open_[top] -= 1
+                        open_[tag] -= 1
+                else:  # a start tag: add an element, open unless closed
+                    closes = IMPLICIT_CLOSE.get(tag)  # a <tag/> too, so a serialized tree parses back
+                    while closes and stack and stack[-1][0] in closes:
+                        open_[stack.pop()[0]] -= 1
+                    if stack:
+                        _, parent, above = stack[-1]
+                    else:
+                        parent, above, self.content = children, -1, True
+                    if parent is None or tag in banned:
+                        entry = (tag, None, -1)
+                    else:
+                        if not attrs:
+                            attrs, names = {}, _NO_CLASSES
+                        elif type(attrs) is str and len(attrs) <= max_text:
+                            attrs, names = memo(attrs, kept)
+                            attrs = attrs.copy()
+                        else:
+                            attrs, names = _read_attributes(attrs, kept)
+                        element = Element(tag, attrs)
+                        parent.append(element)
+                        position = len(elements)
+                        elements.append(element)
+                        parents.append(above)
+                        classes.append(names)
+                        tagged = by_tag.get(tag)
+                        if tagged is None:
+                            by_tag[tag] = [position]
+                        else:
+                            tagged.append(position)
+                        for name in names:
+                            named = by_class.get(name)
+                            if named is None:
+                                by_class[name] = [position]
+                            else:
+                                named.append(position)
+                        entry = (tag, element.children, position)
+                    if not (closed or tag in VOID_ELEMENTS):
+                        stack.append(entry)
+                        open_[tag] = open_.get(tag, 0) + 1
+                        if tag in _RAW_TEXT_END:
+                            pos = self._raw_text(tag, pos if kind is None else m.end())
+                            break  # the scan restarts where the script or style body ends
+                if kind is None:
+                    break  # the scan restarts where the odd tag ends
             else:
                 return
-
-    def start(self, tag: str, attrs, closed: bool, pos: int) -> int:
-        """Add an element, open unless ``closed``; return where reading goes
-        on. ``attrs``: a plain tag's attribute text, or (name, raw value) pairs."""
-        stack = self.stack
-        closes = IMPLICIT_CLOSE.get(tag)  # a <tag/> too, so a serialized tree parses back
-        while closes and stack and stack[-1][0] in closes:
-            self.open[stack.pop()[0]] -= 1
-        if stack:
-            _, parent, above = stack[-1]
-        else:
-            parent, above, self.content = self.children, -1, True
-        if parent is None or tag in self.banned:
-            entry = (tag, None, -1)
-        else:
-            element = Element(tag, self._attributes(attrs) if attrs else {})
-            parent.append(element)
-            entry = (tag, element.children, len(self.elements))
-            self.elements.append(element)
-            self.parents.append(above)
-        if closed or tag in VOID_ELEMENTS:
-            return pos
-        stack.append(entry)
-        self.open[tag] = self.open.get(tag, 0) + 1
-        return self._raw_text(tag, pos) if tag in _RAW_TEXT_END else pos
-
-    def end(self, tag: str) -> None:
-        if tag in VOID_ELEMENTS or not self.open.get(tag):
-            return  # a stray end tag is ignored
-        while (top := self.stack.pop()[0]) != tag:
-            self.open[top] -= 1
-        self.open[tag] -= 1
 
     def text(self, data: str) -> None:
         stack = self.stack
@@ -264,11 +346,16 @@ class _Parser:
             return
         if self.kept is None:
             parent.append(TextNode(data))
-            return
+        else:
+            self._add_pruned(parent, data)
+
+    def _add_pruned(self, parent: list, data: str) -> None:
+        """Add text to a pruned tree: whitespace-folded, and joined to the
+        text node before it."""
         data = " ".join(data.split())
         if not data:
             return
-        self.content = self.content or not stack
+        self.content = self.content or parent is self.children
         if parent and parent[-1] is self.last_text:
             self.pieces.append(data)  # joined once the node is complete
         else:
@@ -280,33 +367,23 @@ class _Parser:
         if len(self.pieces) > 1:
             self.last_text.text = "".join(self.pieces)
 
-    def _attributes(self, source) -> dict[str, Optional[str]]:
-        plain = isinstance(source, str)
-        attrs: dict[str, Optional[str]] = {}
-        for name, raw in _ATTRIBUTE.findall(source) if plain else source:
-            name = name.lower()
-            if name in attrs or (self.kept is not None and name not in self.kept):
-                continue  # the first of duplicate attributes wins
-            if raw and raw[0] == raw[-1] and raw[0] in "'\"":
-                raw = raw[1:-1]
-            elif plain and not raw:
-                raw = None  # a plain tag's value is never empty: "" means none
-            attrs[name] = unescape(raw) if raw else raw
-        return attrs
-
     # html.parser's reading of any other markup.
 
-    def _markup(self, i: int) -> int:
-        """Read the markup at the "<" at ``i``; return where reading goes on."""
+    def _markup(self, i: int) -> tuple[int, Optional[tuple]]:
+        """Read the markup at the "<" at ``i``; return where reading goes on,
+        and a tag the scan must read: (tag, attribute pairs, closed) for a
+        start tag, (tag, None, False) for an end tag."""
         s = self.html
         section = s.startswith("<![", i) and _MARKED_SECTION.match(s, i + 3)
         if s[i + 1:i + 2] in _LETTERS:
-            k = self._start_tag(i)
+            k, odd = self._start_tag(i)
+            if k >= 0:
+                return k, odd
         elif s.startswith("</", i):  # anything but an end tag up to ">" is a comment
             k = self._search(_GT, i + 1)[1]
             m = k >= 0 and (_END_TAG.match(s, i) or _TAG_NAME.match(s, i + 2))
             if m:
-                self.end(m.group(1).lower())
+                return k, (m.group(1).lower(), None, False)
         elif s.startswith("<!--", i):
             k = self._search(_COMMENT_END, i + 4)[1]
         elif section:
@@ -315,16 +392,16 @@ class _Parser:
             k = self._search(_GT, i + 2)[1]  # processing instruction ends at ">"
         else:
             self.text("<")
-            return i + 1
+            return i + 1, None
         if k < 0:  # unterminated: text up to the next ">", or else the next "<"
             k = self._search(_GT, i + 1)[1]
             if k < 0:
                 k = self._search(_LT, i + 1)[0]
                 k = k if k < len(s) else i + 1
             self.text(unescape(s[i:k]))
-        return k
+        return k, None
 
-    def _start_tag(self, i: int) -> int:
+    def _start_tag(self, i: int) -> tuple[int, Optional[tuple]]:
         s = self.html
         e = self._search(_TAG_NAME_END, i + 2)[0]
         q = _SEPARATOR.match(s, e).end()
@@ -336,12 +413,12 @@ class _Parser:
         after = s[q:q + 1]
         if q in self.dead or after in _LETTERS or after in ("", "="):
             self.dead.update(passed)
-            return -1
+            return -1, None
         if after == ">" or s.startswith("/>", q):
             closed = after == "/"
-            return self.start(s[i + 1:e].lower(), attrs, closed, q + 1 + closed)
+            return q + 1 + closed, (s[i + 1:e].lower(), attrs, closed)
         self.text(s[i:q])  # a tag cut short by a stray character is text
-        return q
+        return q, None
 
     def _attribute(self, q: int) -> Optional[tuple]:
         """(name, raw value or None, where the next may start) of the
@@ -380,7 +457,8 @@ class _Parser:
             return len(self.html)
         if start > pos:
             self.text(self.html[pos:start])
-        self.end(tag)
+        self.stack.pop()  # the body's element, the innermost open one
+        self.open[tag] -= 1
         return end
 
     def _search(self, pattern: re.Pattern, pos: int) -> tuple[int, int]:
@@ -561,41 +639,26 @@ class ElementIndex:
 
     ``parents[i]`` is the position of element i's parent (-1 for a top-level
     element). Positions are preorder, so an element's ancestors all sit at
-    lower positions. The parse records ``elements`` and ``parents`` as it
-    builds the tree; nothing else builds an index. ``classes[i]`` is
-    element i's class set, and ``by_tag`` and ``by_class`` map a tag or a
-    class name to the ascending positions of the elements carrying it; the
-    three are None until ``with_names`` fills them from ``elements``, so a
-    tree that is never selected from never pays for them. ``selected`` maps
-    (selector source, limit) to what ``select`` returned for it. The index
-    refers to elements only, never back to itself, so a tree and its index
-    are freed together by reference counting.
+    lower positions. ``classes[i]`` is element i's class set, and ``by_tag``
+    and ``by_class`` map a tag or a class name to the ascending positions of
+    the elements carrying it. The parse records all five as it builds the
+    tree; nothing else builds an index. ``selected`` maps (selector source,
+    limit) to what ``select`` returned for it. The index refers to elements
+    only, never back to itself, so a tree and its index are freed together
+    by reference counting.
     """
 
     __slots__ = ("elements", "parents", "classes", "by_tag", "by_class", "selected")
 
-    def __init__(self, elements: list[Element], parents: list[int]):
+    def __init__(self, elements: list[Element], parents: list[int],
+                 classes: list[frozenset[str]], by_tag: dict[str, list[int]],
+                 by_class: dict[str, list[int]]):
         self.elements = elements
         self.parents = parents
+        self.classes = classes
+        self.by_tag = by_tag
+        self.by_class = by_class
         self.selected: dict[tuple[str, int], list[Element]] = {}
-        self.classes: Optional[list[set[str]]] = None
-        self.by_tag: Optional[dict[str, list[int]]] = None
-        self.by_class: Optional[dict[str, list[int]]] = None
-
-    def with_names(self) -> "ElementIndex":
-        """This index, with ``classes``, ``by_tag`` and ``by_class`` filled."""
-        if self.by_tag is None:
-            classes: list[set[str]] = []
-            by_tag: dict[str, list[int]] = {}
-            by_class: dict[str, list[int]] = {}
-            for position, element in enumerate(self.elements):
-                by_tag.setdefault(element.tag, []).append(position)
-                names = element.classes()
-                classes.append(names)
-                for name in names:
-                    by_class.setdefault(name, []).append(position)
-            self.classes, self.by_tag, self.by_class = classes, by_tag, by_class
-        return self
 
     def candidates(self, simple: SimpleSelector):
         """Ascending positions that may match ``simple``: a superset of its matches."""
@@ -660,7 +723,7 @@ def select(
     for each selector for later calls. The caller owns the list.
     """
     compiled = parse_selector(selector) if isinstance(selector, str) else selector
-    index = root.index.with_names()
+    index = root.index
     key = (compiled.source, limit)
     matches = index.selected.get(key)
     if matches is None:
@@ -697,7 +760,7 @@ def _name_bit(name: str) -> int:
 def name_signature(document: Document) -> int:
     """The tag and class names of the document's elements as a bit set,
     read off its element index."""
-    index = document.index.with_names()
+    index = document.index
     signature = 0
     for name in itertools.chain(index.by_tag, index.by_class):
         signature |= _name_bit(name)

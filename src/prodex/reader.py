@@ -115,6 +115,18 @@ class MalformedTruth(SchemaViolation):
         self.args = (f"{location}: {self.args[0]}",)
 
 
+# One decoder for every truth.jsonl line: json.loads would build one per line.
+_TRUTH_DECODER = json.JSONDecoder(parse_float=Decimal)
+
+
+def _decode_truth_line(line: str):
+    """``json.loads(line, parse_float=Decimal)``, with its check for a
+    leading byte order mark, which ``JSONDecoder.decode`` lacks."""
+    if line.startswith("\ufeff"):
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
+    return _TRUTH_DECODER.decode(line)
+
+
 def load_truth(path) -> dict[str, GroundTruthRecord]:
     """Ground truth by page id, from a corpus directory or a truth.jsonl file."""
     path = Path(path)
@@ -127,7 +139,7 @@ def load_truth(path) -> dict[str, GroundTruthRecord]:
         if not line.strip():
             continue
         try:
-            record = GroundTruthRecord.from_dict(json.loads(line, parse_float=Decimal))
+            record = GroundTruthRecord.from_dict(_decode_truth_line(line))
         except (SchemaViolation, KeyError, ValueError, TypeError, RecursionError) as exc:
             errors = getattr(exc, "errors", None) or [("$", f"{type(exc).__name__}: {exc}")]
             raise MalformedTruth(f"{path}:{number}", errors) from exc

@@ -3,33 +3,49 @@
 from hypothesis import strategies as st
 
 TAGS = ("div", "p", "span", "b", "ul", "li", "table", "tr", "td", "dt", "dd",
-        "br", "img", "script", "option", "footer")
+        "br", "img", "script", "option", "footer", "header", "svg", "g", "path")
 CLASSES = ("a", "b", "c")
 IDS = ("x", "y")
 
-_class_attr = st.lists(st.sampled_from(CLASSES), max_size=3).map(
-    lambda names: f' class="{" ".join(names)}"'
-)
-_attrs = st.lists(
-    st.one_of(
-        _class_attr,
-        st.sampled_from(IDS).map(lambda i: f' id="{i}"'),
-        st.just(' style="color: red"'),
-        st.just(" hidden"),
-    ),
-    max_size=2,
-).map("".join)
+
+@st.composite
+def _attribute(draw):
+    """One attribute in any letter case, its value double-, single- or
+    unquoted and perhaps bearing a character reference."""
+    name = draw(st.sampled_from(("class", "CLASS", "Class", "id", "ID", "style", "hidden", "HIDDEN")))
+    if name.lower() == "hidden":
+        return f" {name}"
+    if name.lower() == "class":
+        names = st.sampled_from(CLASSES + ("&#97;", "c&amp;d"))
+        value = " ".join(draw(st.lists(names, max_size=3)))
+    elif name.lower() == "id":
+        value = draw(st.sampled_from(IDS + ("&#120;", "x&lt;y")))
+    else:
+        value = "color: red"
+    quote = draw(st.sampled_from(('"', "'", "") if value and " " not in value else ('"', "'")))
+    return f" {name}={quote}{value}{quote}"
+
+
+_attrs = st.lists(_attribute(), max_size=3).map("".join)
 _start = st.builds(lambda tag, attrs: f"<{tag}{attrs}>", st.sampled_from(TAGS), _attrs)
 _self_closing = st.builds(lambda tag, attrs: f"<{tag}{attrs}/>", st.sampled_from(TAGS), _attrs)
 _end = st.sampled_from(TAGS).map(lambda tag: f"</{tag}>")
 _text = st.text(alphabet="ab &;<>\n\xa0", max_size=6)
 _comment = st.just("<!-- c -->")
+_svg = st.builds(  # an inline SVG icon, as shop pages carry them
+    lambda attrs, text: f'<svg{attrs}><g><path d="M0 0h24"/>{text}</g></svg>', _attrs, _text
+)
+
+
+def attribute_texts():
+    """The attribute text of a start tag: attributes, each after a space."""
+    return _attrs
 
 
 def markup():
     """Tag soup: unbalanced, unclosed, stray and self-closing tags among text."""
     return st.lists(
-        st.one_of(_start, _start, _end, _self_closing, _text, _comment), max_size=40
+        st.one_of(_start, _start, _end, _self_closing, _text, _comment, _svg), max_size=40
     ).map("".join)
 
 

@@ -1,4 +1,5 @@
 import json
+from decimal import Decimal
 
 import pytest
 
@@ -204,6 +205,22 @@ class TestOnDisk:
         truth_file.write_text("\n".join(lines) + "\n")
         with pytest.raises(MalformedTruth, match=f"truth.jsonl:3: \\$: {reason}"):
             load_truth(truth_file)
+
+    @pytest.mark.parametrize("line", [
+        '\ufeff{"page_id": "x"}',
+        "{not json",
+        '{"page_id": "x"} trailing',
+        "\ufeff",
+    ], ids=["BOM-led record", "not JSON", "extra data", "BOM alone"])
+    def test_malformed_truth_line_reads_as_json_loads_reads_it(self, tmp_path, line):
+        truth_file = tmp_path / "truth.jsonl"
+        truth_file.write_text(line + "\n", encoding="utf-8")
+        # The reference: json.loads, as every line was decoded before.
+        with pytest.raises(json.JSONDecodeError) as reference:
+            json.loads(line, parse_float=Decimal)
+        with pytest.raises(MalformedTruth) as err:
+            load_truth(truth_file)
+        assert str(err.value) == f"{truth_file}:1: $: JSONDecodeError: {reference.value}"
 
     def test_deeply_nested_truth_record_is_malformed(self, tmp_path):
         truth_file = tmp_path / "truth.jsonl"

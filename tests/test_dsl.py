@@ -27,6 +27,7 @@ from prodex.dsl import (
     parse_program,
     run_decision,
     run_extraction_on_tree,
+    _apply_post_op,
 )
 from prodex.schema import NUTRIENT_FIELDS, FoodProduct, QuantitativeValue, SchemaViolation
 from prodex.similarity import compare
@@ -352,6 +353,32 @@ class TestRunExtraction:
             _page('<td class="fat">3 G</td>'),
         )
         assert outcome.product.fat == QuantitativeValue(Decimal("3"), "GRM")
+
+
+def _reference_unit_code(unit_map, text):
+    """to_unit_code as a loop over ``dict(unit_map)``: the reference."""
+    key = text.strip()
+    for raw, code in dict(unit_map).items():
+        if raw.lower() == key.lower():
+            return code
+    return None
+
+
+_RAW_UNITS = st.sampled_from(["g", "G", " g", "kJ", "KJ", "kj", "İ", "i̇", "i", "I", "ml"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_RAW_UNITS, st.sampled_from(["GRM", "KJO", "MLT", "X"])), max_size=6),
+       st.one_of(_RAW_UNITS, st.text(max_size=3)))
+@example([("G", "A"), ("g", "B")], "g")
+@example([("g", "A"), ("G", "B"), ("g", "C")], "G")
+@example([("İ", "A"), ("i̇", "B")], "İ")
+def test_to_unit_code_equals_the_loop_over_the_map(unit_map, text):
+    post = PostOp("to_unit_code", unit_map=tuple(unit_map))
+    assert _apply_post_op(post, text) == _reference_unit_code(post.unit_map, text)
+    # The derived map takes no part in equality or hashing: rules are cache keys.
+    assert post == PostOp("to_unit_code", unit_map=tuple(unit_map))
+    assert hash(post) == hash((post.op, post.prefixes, post.unit_map))
 
 
 class TestRunDecision:

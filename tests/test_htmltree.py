@@ -225,7 +225,7 @@ def test_the_parse_records_the_index_a_walk_builds(html):
     trees = [parse_html(html), parse_pruned(html, BANNED_ELEMENTS, KEPT_ATTRIBUTES)]
     for tree in filter(None, trees):
         elements, parents = _walked_index(tree)
-        recorded = tree.index.with_names()
+        recorded = tree.index
         assert [id(e) for e in recorded.elements] == [id(e) for e in elements]
         assert recorded.parents == parents
         assert [id(e) for e in tree.iter_elements()] == [id(e) for e in elements]

@@ -3,7 +3,8 @@
 ``parse_html`` must give the tree ``html.parser`` gives, node for node, and
 ``parse_pruned`` must give that tree pruned after the fact
 (``tests/reference_html.py``), on tag soup and on each case the reference
-reads in a surprising way. On hostile markup both run in linear time.
+reads in a surprising way. On hostile markup both run in linear time. The
+memo of attribute readings agrees with a fresh reading and keeps its bounds.
 """
 
 import os
@@ -13,13 +14,23 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
-from markup import markup
+from hypothesis import example, given, settings, strategies as st
+from markup import attribute_texts, markup
 from reference_html import reference_is_empty, reference_parse, reference_prune
 
 import prodex
 from prodex.compress import BANNED_ELEMENTS, KEPT_ATTRIBUTES
-from prodex.htmltree import Element, TextNode, parse_html, parse_pruned, serialize
+from prodex.htmltree import (
+    ATTRIBUTE_MEMO_MAX_TEXT,
+    ATTRIBUTE_MEMO_SIZE,
+    Element,
+    TextNode,
+    _memo_attributes,
+    _read_attributes,
+    parse_html,
+    parse_pruned,
+    serialize,
+)
 
 
 def _pruned(html):
@@ -42,6 +53,7 @@ def _assert_matches_reference(html):
 @given(markup())
 @example("<p>a<b</p>c")
 @example("a<!-- c -->b")
+@example("<div CLASS=a class=b>x</div>")
 def test_parses_equal_the_reference_on_tag_soup(html):
     _assert_matches_reference(html)
 
@@ -75,6 +87,41 @@ PINNED = {
 @pytest.mark.parametrize("html", PINNED.values(), ids=PINNED.keys())
 def test_pinned_cases_equal_the_reference(html):
     _assert_matches_reference(html)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(attribute_texts(), st.sampled_from([None, KEPT_ATTRIBUTES])), max_size=6))
+def test_a_memoised_attribute_reading_equals_a_fresh_one(readings):
+    # Each text is read with kept None and with the kept names, cold and then
+    # warm, so a memo key without the kept names would be caught.
+    _memo_attributes.cache_clear()
+    for _ in ("cold", "warm"):
+        for text, kept in readings:
+            fresh = _read_attributes(text, kept)
+            assert _memo_attributes(text, kept) == fresh
+            assert fresh[1] == set((fresh[0].get("class") or "").split())
+    assert _memo_attributes.cache_info().hits >= len(readings)
+
+
+def test_elements_read_from_one_attribute_text_own_their_attrs():
+    first, second = parse_html('<p class="a">x</p><p class="a">y</p>').children
+    assert first.attrs == second.attrs == {"class": "a"}
+    first.attrs["class"] = "changed"
+    assert second.attrs == {"class": "a"}
+    assert parse_html('<p class="a">z</p>').children[0].attrs == {"class": "a"}
+
+
+def test_the_attribute_memo_keeps_its_bounds():
+    _memo_attributes.cache_clear()
+    parse_html("".join(f'<p class="c{i}">' for i in range(ATTRIBUTE_MEMO_SIZE + 100)))
+    assert _memo_attributes.cache_info().currsize == ATTRIBUTE_MEMO_SIZE
+    at_cap = ' class="' + "x" * (ATTRIBUTE_MEMO_MAX_TEXT - 9) + '"'
+    assert len(at_cap) == ATTRIBUTE_MEMO_MAX_TEXT
+    for text, stored in ((at_cap, 1), (at_cap[:-1] + 'x"', 0)):
+        _memo_attributes.cache_clear()
+        (p,) = parse_html(f"<p{text}>").children
+        assert p.attrs == {"class": text[8:-1]}
+        assert _memo_attributes.cache_info().currsize == stored
 
 
 def test_a_lt_1_is_three_text_nodes_joined_when_pruned():
@@ -113,6 +160,9 @@ HOSTILE = {
     "run of empty comments": "<!---->",
     "run of empty scripts": "<script></script>",
     "run of CDATA sections": "<![CDATA[x]]>",
+    "run of implicitly closed li": "<li>",
+    "run of implicitly closed td": "<td>",
+    "nested svg and g": "<svg><g>",
 }
 
 
@@ -125,6 +175,36 @@ def test_hostile_markup_matches_the_reference_when_small(unit):
 @pytest.mark.parametrize("unit", HOSTILE.values(), ids=HOSTILE.keys())
 def test_hostile_markup_parses_in_linear_time(unit):
     html = unit * (100_000 // len(unit))
+    for parse in (parse_html, _pruned):
+        started = time.perf_counter()
+        parse(html)
+        assert time.perf_counter() - started < 1.0
+
+
+def _distinct_attribute_texts(size):
+    """Start tags whose attribute texts all differ, so every memo lookup misses."""
+    return "".join(f'<p class="c{i}">' for i in range(size // 16))
+
+
+def _one_long_attribute(size):
+    return '<p class="' + "a" * size + '">x</p>'
+
+
+GROWN = {
+    "distinct attribute texts": _distinct_attribute_texts,
+    "one long attribute": _one_long_attribute,
+}
+
+
+@pytest.mark.parametrize("build", GROWN.values(), ids=GROWN.keys())
+def test_grown_markup_matches_the_reference_when_small(build):
+    for size in (16, 48, 800):
+        _assert_matches_reference(build(size))
+
+
+@pytest.mark.parametrize("build", GROWN.values(), ids=GROWN.keys())
+def test_grown_markup_parses_in_linear_time(build):
+    html = build(100_000)
     for parse in (parse_html, _pruned):
         started = time.perf_counter()
         parse(html)

@@ -12,7 +12,8 @@ element.
 renders its ``content`` and ``token_count`` from that tree when one of them
 is first read, and then drops the tree, so a caller pays only for the
 variants it reads. A document that is kept should be ``rendered()`` first:
-until then it pins its tree.
+until then it pins its tree. ``match_page`` reads what selectors match in
+that pruned tree without building it.
 
 Token counts use a deterministic proxy, ceil(utf8_bytes / 4), defined with
 the rest of the call accounting in ``gateway.count_tokens``, so cost
@@ -95,13 +96,29 @@ def compress_both(
     not text or its unpruned tree would be empty; a page holding only a
     script is not.
     """
-    if doc.unreadable is not None:
-        raise UnparsableDocument(f"page {doc.page_id}: {doc.unreadable}")
-    tree = htmltree.parse_pruned(doc.html, BANNED_ELEMENTS, KEPT_ATTRIBUTES)
-    if tree is None:
-        raise UnparsableDocument(f"page {doc.page_id}: no parsable content")
+    tree = _pruned(doc, htmltree.parse_pruned)
     return (
         CompressedDocument(doc.page_id, Variant.HTML_COMPRESSED, tree=tree),
         CompressedDocument(doc.page_id, Variant.TEXT, tree=tree),
         tree,
     )
+
+
+def match_page(doc: RawDocument, targets: htmltree.MatchSet,
+               limit: int) -> tuple[list[Optional[str]], int]:
+    """What ``targets`` select in the pruned tree ``compress_both`` builds,
+    and that tree's name signature, read in one scan that builds no tree
+    (``htmltree.match_pruned``). Raises UnparsableDocument where
+    ``compress_both`` does."""
+    return _pruned(doc, htmltree.match_pruned, targets, limit)
+
+
+def _pruned(doc: RawDocument, parse, *args):
+    """``parse(html, BANNED_ELEMENTS, KEPT_ATTRIBUTES, *args)`` of the page, or
+    UnparsableDocument where the file was not text or the parse gives None."""
+    if doc.unreadable is not None:
+        raise UnparsableDocument(f"page {doc.page_id}: {doc.unreadable}")
+    parsed = parse(doc.html, BANNED_ELEMENTS, KEPT_ATTRIBUTES, *args)
+    if parsed is None:
+        raise UnparsableDocument(f"page {doc.page_id}: no parsable content")
+    return parsed

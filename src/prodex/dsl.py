@@ -11,9 +11,16 @@ Programs are valid by construction: a ``FieldRule`` or ``Predicate`` checks
 itself when built and raises ``ProgramParseError`` if it is not, so
 ``parse_program`` checks only the JSON shape and the interpreter runs what
 exists without further checks. The interpreter is pure and sandboxed by
-construction: it can only read the document tree it is given, selector
-matching is capped, and each field rule is evaluated independently of the
-others.
+construction: it can only read the page it is given, selector matching is
+capped, and each field rule is evaluated independently of the others.
+
+A program runs on a page in one of two ways with one outcome.
+``run_extractions`` runs several programs on a raw page in one matching
+scan that builds no tree (``htmltree.match_pruned``): the library's way.
+``run_extraction_on_tree`` runs one program on a parsed tree with
+``htmltree.select``: synthesis's way, on the page its prompt carried. Both
+hand the text each rule selected to ``_outcome``, which applies the
+capture and post-ops and assembles the product.
 
 Post-ops:
     trim                      strip surrounding whitespace
@@ -38,7 +45,8 @@ from json.encoder import encode_basestring as json_string
 from typing import NoReturn, Optional, Union
 
 from . import htmltree
-from .compress import CompressedDocument, Variant, WrongVariant
+from .compress import CompressedDocument, Variant, WrongVariant, match_page
+from .reader import RawDocument
 from .schema import (
     FIELDS,
     KNOWN_LABEL_PREFIXES,
@@ -46,6 +54,7 @@ from .schema import (
     FoodProduct,
     SchemaViolation,
     interned_decimal,
+    json_block,
     quantity,
     strip_known_prefix,
 )
@@ -184,19 +193,21 @@ class ExtractionProgram:
             "rules": [_rule_to_dict(rule) for rule in self.rules],
         }
 
-    def to_json(self) -> str:
+    def to_json(self, level: int = 1, sort_keys: bool = True) -> str:
         """The program's JSON text: exactly ``json.dumps(self.to_dict(),
-        indent=2, ensure_ascii=False, sort_keys=True)``, written in that fixed
-        layout with the C escaper ``json_string`` that call uses."""
-        rules = [_rule_json(rule) for rule in self.rules]
-        return _json_block("{}", [
-            f'"created_by": {json_string(self.created_by)}',
-            f'"generation": {self.generation}',
+        indent=2, ensure_ascii=False, sort_keys=sort_keys)``, written in that
+        fixed layout with the C escaper ``json_string`` that call uses. Its
+        items sit at nesting ``level``: 1 for a document of its own, more
+        for a program inside a larger document."""
+        rules = [_rule_json(rule, level + 2, sort_keys) for rule in self.rules]
+        return _json_object([
             '"kind": "extraction"',
             f'"program_id": {json_string(self.program_id)}',
-            f'"rules": {_json_block("[]", rules, 2)}',
             f'"target_schema_name": {json_string(self.target_schema_name)}',
-        ], 1)
+            f'"created_by": {json_string(self.created_by)}',
+            f'"generation": {self.generation}',
+            f'"rules": {json_block("[]", rules, level + 1)}',
+        ], level, sort_keys)
 
 
 @dataclass(frozen=True)
@@ -213,12 +224,6 @@ class Predicate:
         compiled = _compile_regex(self.value, "$") if self.op == "matches_regex" else None
         object.__setattr__(self, "compiled", compiled)
 
-    def to_dict(self) -> dict:
-        if self.op in ("contains_keyword", "matches_regex"):
-            key = "value" if self.op == "contains_keyword" else "pattern"
-            return {"op": self.op, key: self.value}
-        return {"op": self.op, "args": [a.to_dict() for a in self.args]}
-
 
 @dataclass(frozen=True)
 class DecisionProgram:
@@ -226,56 +231,42 @@ class DecisionProgram:
     predicate: Predicate
     created_by: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "decision",
-            "program_id": self.program_id,
-            "created_by": self.created_by,
-            "predicate": self.predicate.to_dict(),
-        }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, ensure_ascii=False, sort_keys=True)
+def _json_object(members: list[str], level: int, sort_keys: bool) -> str:
+    """A JSON object of ``"key": value`` members in declaration order, at
+    nesting ``level`` as ``json_block`` lays it out. Its keys are names
+    that need no escaping, so sorting the members sorts them by key."""
+    return json_block("{}", sorted(members) if sort_keys else members, level)
 
 
-#: The line break and indent of each nesting level under ``indent=2``.
-_NEWLINES = tuple("\n" + "  " * level for level in range(7))
-
-
-def _json_block(brackets: str, items: list[str], level: int) -> str:
-    """A JSON object or array, ``brackets`` ``"{}"`` or ``"[]"``, whose
-    encoded items sit at nesting ``level``, laid out as ``indent=2`` does."""
-    if not items:
-        return brackets
-    newline = _NEWLINES[level]
-    return brackets[0] + newline + ("," + newline).join(items) + _NEWLINES[level - 1] + brackets[1]
-
-
-def _rule_json(rule: FieldRule) -> str:
-    """``_rule_to_dict(rule)`` as a rules item, keys sorted."""
-    ops = [_post_op_json(post) for post in rule.post_ops]
+def _rule_json(rule: FieldRule, level: int, sort_keys: bool) -> str:
+    """``_rule_to_dict(rule)`` as a rules item at nesting ``level``."""
+    ops = [_post_op_json(post, level + 2, sort_keys) for post in rule.post_ops]
     capture = "null" if rule.capture is None else json_string(rule.capture)
-    return _json_block("{}", [
-        f'"capture": {capture}',
+    return _json_object([
         f'"field_path": {json_string(rule.field_path)}',
-        f'"node_index": {rule.node_index}',
-        f'"post_ops": {_json_block("[]", ops, 4)}',
         f'"selector": {json_string(rule.selector)}',
-    ], 3)
+        f'"node_index": {rule.node_index}',
+        f'"capture": {capture}',
+        f'"post_ops": {json_block("[]", ops, level + 1)}',
+    ], level, sort_keys)
 
 
-def _post_op_json(post: PostOp) -> str:
-    """A post op as ``_rule_to_dict`` gives it, keys sorted: the map is
-    ``dict(post.unit_map)`` (a later duplicate key wins) in key order."""
+def _post_op_json(post: PostOp, level: int, sort_keys: bool) -> str:
+    """A post op as ``_rule_to_dict`` gives it, at nesting ``level``: the
+    map is ``dict(post.unit_map)`` (a later duplicate key wins)."""
     op = f'"op": {json_string(post.op)}'
     if post.op == "strip_label_prefix":
         prefixes = [json_string(prefix) for prefix in post.prefixes]
-        return _json_block("{}", [op, f'"prefixes": {_json_block("[]", prefixes, 6)}'], 5)
+        return _json_object([op, f'"prefixes": {json_block("[]", prefixes, level + 1)}'],
+                            level, sort_keys)
     if post.op == "to_unit_code":
+        units = dict(post.unit_map).items()
         entries = [f"{json_string(raw)}: {json_string(code)}"
-                   for raw, code in sorted(dict(post.unit_map).items())]
-        return _json_block("{}", [f'"map": {_json_block("{}", entries, 6)}', op], 5)
-    return _json_block("{}", [op], 5)
+                   for raw, code in (sorted(units) if sort_keys else units)]
+        return _json_object([op, f'"map": {json_block("{}", entries, level + 1)}'],
+                            level, sort_keys)
+    return json_block("{}", [op], level)
 
 
 def _rule_to_dict(rule: FieldRule) -> dict:
@@ -501,35 +492,79 @@ class ExtractionOutcome:
 
 def run_extraction_on_tree(prog: ExtractionProgram, tree) -> ExtractionOutcome:
     """Evaluate every rule on a page's parsed tree (``htmltree.parse_html`` of
-    its compressed HTML); a failing rule never aborts the others."""
+    its compressed HTML), all selectors in one walk of its element index;
+    a failing rule never aborts the others."""
+    scan = program_scan((prog.rules,))
+    nodes = htmltree.select_targets(tree, scan.targets, SELECTOR_MATCH_LIMIT)
+    return _outcome(prog.rules, [
+        None if nodes[slot] is None else htmltree.text_content(nodes[slot])
+        for slot in scan.slots[0]
+    ])
+
+
+class ProgramScan:
+    """The rules of extraction programs compiled to be matched together: the
+    distinct (selector, node index) pairs of the rules, as the targets of an
+    ``htmltree.MatchSet``, and for each program the target each of its
+    rules reads. ``rule_sets`` holds each program's rules."""
+
+    def __init__(self, rule_sets: tuple[tuple[FieldRule, ...], ...]):
+        self.rule_sets = rule_sets
+        slots: dict[tuple[htmltree.CompiledSelector, int], int] = {}
+        self.slots = tuple(
+            tuple(slots.setdefault((rule.compiled_selector, rule.node_index), len(slots))
+                  for rule in rules)
+            for rules in rule_sets
+        )
+        self.targets = htmltree.MatchSet(tuple(slots))
+
+
+#: The ProgramScan of some programs' rules, compiled once per process:
+#: each run of the ten-run protocol meets the same library programs again,
+#: and synthesis runs a program on its page again as it refines it.
+program_scan = functools.lru_cache(maxsize=256)(ProgramScan)
+
+
+def run_extractions(scan: ProgramScan, doc: RawDocument) -> tuple[list[FoodProduct], int]:
+    """Run the programs of ``scan`` on a raw page in one matching scan that
+    builds no tree; each product equals the one ``run_extraction_on_tree``
+    gives on the page's pruned tree. Also returns the pruned tree's name
+    signature. Raises UnparsableDocument where ``compress_both`` does."""
+    texts, signature = match_page(doc, scan.targets, SELECTOR_MATCH_LIMIT)
+    found = {slot for slot, text in enumerate(texts) if text is not None}
+    return [
+        _NO_PRODUCT if found.isdisjoint(slots)  # most programs on most pages
+        else _outcome(rules, [texts[slot] for slot in slots]).product
+        for rules, slots in zip(scan.rule_sets, scan.slots)
+    ], signature
+
+
+#: What a program whose every rule selects nothing extracts.
+_NO_PRODUCT = FoodProduct()
+
+
+def _outcome(rules: tuple[FieldRule, ...], texts: list[Optional[str]]) -> ExtractionOutcome:
+    """The capture, post-op and assembly half of running a program's rules,
+    which the tree and the matching scan share: ``texts[i]`` is the text of
+    the node rule i selected, or None where it selected none."""
     field_status: dict[str, str] = {}
     leaf_values: dict[str, str] = {}
-    for rule in prog.rules:
-        status, value = _run_rule(rule, tree)
+    for rule, text in zip(rules, texts):
+        if text is not None and rule.compiled_capture is not None:
+            match = rule.compiled_capture.search(text)
+            text = match.group(1) if match else None
+        status = "no_match"
+        if text is not None:
+            for post in rule.post_ops:
+                text = _apply_post_op(post, text)
+                if text is None:
+                    status = "post_op_failed"
+                    break
+            if text:
+                status = "extracted"
+                leaf_values[rule.field_path] = text
         field_status[rule.field_path] = status
-        if status == "extracted":
-            leaf_values[rule.field_path] = value
-    product = _assemble_product(leaf_values)
-    return ExtractionOutcome(product=product, field_status=field_status)
-
-
-def _run_rule(rule: FieldRule, tree) -> tuple[str, Optional[str]]:
-    nodes = htmltree.select(tree, rule.compiled_selector, limit=SELECTOR_MATCH_LIMIT)
-    if rule.node_index >= len(nodes):
-        return "no_match", None
-    text = htmltree.text_content(nodes[rule.node_index])
-    if rule.compiled_capture is not None:
-        match = rule.compiled_capture.search(text)
-        if not match or match.group(1) is None:
-            return "no_match", None
-        text = match.group(1)
-    for post in rule.post_ops:
-        text = _apply_post_op(post, text)
-        if text is None:
-            return "post_op_failed", None
-    if not text:
-        return "no_match", None
-    return "extracted", text
+    return ExtractionOutcome(product=_assemble_product(leaf_values), field_status=field_status)
 
 
 def _apply_post_op(post: PostOp, text: str) -> Optional[str]:

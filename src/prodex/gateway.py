@@ -29,7 +29,7 @@ from json.encoder import encode_basestring as json_string
 from pathlib import Path
 from typing import Callable, Optional, Protocol, TypeVar
 
-from .schema import SchemaViolation
+from .schema import SchemaViolation, json_block
 
 
 class TransportError(Exception):
@@ -172,16 +172,6 @@ class LedgerEntry:
     cost_usd: Decimal
     page_id: Optional[str] = None
 
-    def to_dict(self) -> dict:
-        return {
-            "exchange_ref": self.exchange_ref,
-            "model_id": self.model_id,
-            "role_tag": self.role_tag,
-            "usage": self.usage.to_dict(),
-            "cost_usd": str(self.cost_usd),
-            "page_id": self.page_id,
-        }
-
 
 class CostLedger:
     """Ordered record of priced LLM calls; appends are thread-safe."""
@@ -227,15 +217,31 @@ class CostLedger:
             counts[entry.role_tag] = counts.get(entry.role_tag, 0) + 1
         return counts
 
-    def to_dict(self) -> dict:
-        return {
-            "meta": dict(self.meta),
-            "total_usd": str(self.total_usd),
-            "entries": [e.to_dict() for e in self.entries],
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, ensure_ascii=False)
+        """ledger.json: ``meta``, ``total_usd`` and ``entries``, each entry
+        with its fields in declaration order, usage as a nested object and
+        the cost as a decimal string. The bytes are exactly those of
+        ``json.dumps`` of that object with ``indent=2, ensure_ascii=False``,
+        in that call's fixed layout with the C escaper ``json_string`` it
+        uses."""
+        meta = [f"{json_string(key)}: {json_string(value)}" for key, value in self.meta.items()]
+        entries = [json_block("{}", [
+            f'"exchange_ref": {json_string(e.exchange_ref)}',
+            f'"model_id": {json_string(e.model_id)}',
+            f'"role_tag": {json_string(e.role_tag)}',
+            '"usage": ' + json_block("{}", [
+                f'"input_tokens": {e.usage.input_tokens}',
+                f'"cached_input_tokens": {e.usage.cached_input_tokens}',
+                f'"output_tokens": {e.usage.output_tokens}',
+            ], 4),
+            f'"cost_usd": {json_string(str(e.cost_usd))}',
+            f'"page_id": {"null" if e.page_id is None else json_string(e.page_id)}',
+        ], 3) for e in self.entries]
+        return json_block("{}", [
+            f'"meta": {json_block("{}", meta, 2)}',
+            f'"total_usd": {json_string(str(self.total_usd))}',
+            f'"entries": {json_block("[]", entries, 2)}',
+        ], 1)
 
     @staticmethod
     def from_json(text: str) -> "CostLedger":

@@ -1,10 +1,11 @@
-"""Lenient HTML document tree with a small CSS selector engine.
+"""Lenient HTML document tree with a small CSS selector engine, and a scan
+that matches selectors without building the tree.
 
 Shop pages are frequently invalid HTML, so parsing recovers from mismatched
 and unclosed tags instead of failing. The tree is deliberately small: element
 nodes with a tag, an attribute dict and children, plus plain text nodes,
-both slots classes. Everything downstream (compression, text projection,
-rule interpretation) works on this tree.
+both slots classes. Compression, text projection and program synthesis work
+on this tree.
 
 One tokenizer pass builds it: a single ``finditer`` scan over a pattern
 that matches every token, restarted only where other markup or a script or
@@ -19,35 +20,39 @@ only kept attributes are read. Template pages repeat their attribute texts,
 so each distinct text is read once into a bounded memo: at most
 ``ATTRIBUTE_MEMO_SIZE`` entries, and no text longer than
 ``ATTRIBUTE_MEMO_MAX_TEXT`` characters; every element still owns its
-attribute dict. The pass also records each element it builds, its parent,
-and its tag and class names, in document order: the document's element
-index, the only record of its elements.
+attribute dict. The pass also records each element it builds, its parent
+and its class names, in document order: the document's element index, the
+only record of its elements. Pruned text follows one whitespace rule
+(``_Parser._add_pruned``).
 
 Selector support is the subset that survives attribute stripping: type
 selectors, ``*``, ``.class``, ``#id``, compounds thereof, and descendant /
 child (``>``) combinators. Attribute selectors, pseudo-classes and comma
-groups are rejected. Selection runs on the element index the parse
-recorded, with its tag and class maps, so ``select`` takes a parsed
-document. The index keeps each selector's result, so a repeated ``select``
-on a document is a lookup. No walk recurses, so deeply nested markup cannot
-exhaust the call stack. That includes ``==`` on trees, and ``repr`` shows a
-node's child count instead of its children.
+groups are rejected. Selectors run as one automaton over the open elements
+(``MatchSet``), in two places: ``match_pruned`` is the same scan loop in a
+matching mode that builds nothing, decides each start tag as it opens and
+collects the text of the matches it is asked for, and ``select`` runs the
+automaton over a parsed document's element index. No walk recurses, so
+deeply nested markup cannot exhaust the call stack. That includes ``==`` on
+trees, and ``repr`` shows a node's child count instead of its children.
 
 A name signature folds the tag and class names of a document into one
-``SIGNATURE_BITS``-wide bit set. A selector needs the bits of its tags and
-classes; where one of them is clear, the document has no such name, so the
-selector matches nothing there, which a caller can know without the tree.
+``SIGNATURE_BITS``-wide bit set; the matching scan gives it for the pruned
+tree too. A selector needs the bits of its tags and classes; where one of
+them is clear, the document has no such name, so the selector matches
+nothing there, which a caller can know without the tree.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import re
 import zlib
 from dataclasses import dataclass, field
 from html import escape, unescape
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional, Sequence, Union
 
 VOID_ELEMENTS = frozenset({
     "area", "base", "br", "col", "embed", "hr", "img", "input",
@@ -112,10 +117,10 @@ class Element:
 class Document:
     """Root container; its children are the document's top-level nodes.
 
-    ``index`` is the element index its parse recorded, which also keeps each
-    selector's result, so a parsed document must not be changed. ``select``,
-    ``name_signature`` and ``iter_elements`` read the index, so they need a
-    parsed document; a hand-built one has none.
+    ``index`` is the element index its parse recorded, so a parsed document
+    must not be changed. ``select``, ``name_signature`` and ``iter_elements``
+    read the index, so they need a parsed document; a hand-built one has
+    none.
     """
 
     children: list[Union[Element, TextNode]] = field(default_factory=list)
@@ -217,29 +222,51 @@ def _read_attributes(source, kept) -> tuple[dict[str, Optional[str]], frozenset[
 _memo_attributes = functools.lru_cache(maxsize=ATTRIBUTE_MEMO_SIZE)(_read_attributes)
 
 
+def _attributes(source, kept) -> tuple[dict[str, Optional[str]], frozenset[str]]:
+    """``_read_attributes``, through the memo where ``source`` is a text short
+    enough; the caller must copy the dict before changing it."""
+    if type(source) is str and len(source) <= ATTRIBUTE_MEMO_MAX_TEXT:
+        return _memo_attributes(source, kept)
+    return _read_attributes(source, kept)
+
+
 class _Parser:
     """One pass that reads a page as CPython 3.11's ``html.parser`` does when fed
     the whole page and closed, and builds the tree; with ``kept`` given, the
-    pruned tree (see ``parse_pruned``). ``content`` tells whether the
-    unpruned tree would hold anything. The pass records each element as it
-    builds it, with its parent's position and its tag and class names: the
-    tree's element index (see ``ElementIndex``). Searches for a closer
-    keep their answer, and a start tag that never closes marks the attribute
-    positions it passed, so hostile markup is read in linear time.
+    pruned tree (see ``parse_pruned``); with ``targets`` given too, no tree
+    but the text of each target's match in the pruned tree, and the pruned
+    tree's name signature (see ``match_pruned``). ``content`` tells whether
+    the unpruned tree would hold anything. A pass that builds records each
+    element as it builds it, with its parent's position and its class
+    names: the tree's element index (see ``ElementIndex``). Searches for a
+    closer keep their answer, and a start tag that never closes marks the
+    attribute positions it passed, so hostile markup is read in linear time.
     """
 
-    def __init__(self, html: str, banned=frozenset(), kept=None):
+    def __init__(self, html: str, banned=frozenset(), kept=None,
+                 targets: Optional["MatchSet"] = None, limit: int = 10_000):
         self.html, self.banned, self.kept = html, banned, kept
+        self.targets, self.limit = targets, limit
         self.children: list[Union[Element, TextNode]] = []
-        self.index = ElementIndex([], [], [], {}, {})
-        # open elements: (tag, children, position), or (tag, None, -1) if not built
+        self.index = ElementIndex([], [], []) if targets is None else None
+        # open elements: (tag, children, position) when building,
+        # (tag, pre, position, base) when matching (see MatchSet),
+        # or (tag, None, -1) if not built
         self.stack: list[tuple] = []
-        self.open: dict[str, int] = {}  # open elements by tag
+        self.open: dict[str, int] = collections.defaultdict(int)  # open elements by tag
         self.content = False
         self.found: dict = {}  # pattern -> (position asked, (start, end) found)
         self.dead: set[int] = set()  # attribute positions of start tags that never close
-        self.last_text: Optional[TextNode] = None  # the text node pruned text joins
-        self.pieces: list[str] = []
+        self.count = 0  # elements built or matched, as of the last markup read
+        self.text_at: Optional[tuple[int, int]] = None  # see _add_pruned
+        self.last_text: Optional[TextNode] = None  # the text node being built
+        self.pieces: list[str] = []  # its pruned text runs
+        if targets is not None:
+            self.counts = [0] * len(targets.wanted)  # matches per selector
+            self.collectors: list[tuple[int, int, list[int]]] = []  # see _hit
+            self.texts: list[str] = []  # text nodes since the outermost collector began
+            self.results: list[Optional[str]] = [None] * len(targets.targets)
+        self.signature = 0
         self._run()
         self._join_text()
 
@@ -250,26 +277,38 @@ class _Parser:
         """The scan: text and plain start and end tags are read here; other
         markup and script and style bodies move the position, and the scan
         restarts there. A tag that ``_markup`` reads comes back to be built
-        or closed here."""
+        or matched, or closed, here."""
         s, banned, kept, pruned = self.html, self.banned, self.kept, self.kept is not None
-        stack, open_, children = self.stack, self.open, self.children
-        index = self.index
-        elements, parents, classes = index.elements, index.parents, index.classes
-        by_tag, by_class = index.by_tag, index.by_class
+        stack, open_, targets = self.stack, self.open, self.targets
+        matching = targets is not None
+        if matching:
+            readings, read = targets.readings.setdefault(kept, {}), targets.reading
+            descend = targets.descend
+            root, limit = targets.first, self.limit
+        else:
+            root, index = self.children, self.index
+            elements, parents, classes = index.elements, index.parents, index.classes
         markup, add_pruned = self._markup, self._add_pruned
         memo, max_text = _memo_attributes, ATTRIBUTE_MEMO_MAX_TEXT
-        pos = 0
+        # watch: the depth of the innermost element whose text is collected, or -1
+        count, watch, signature, pos = 0, -1, 0, 0
         while pos < len(s):
             for m in _TOKEN.finditer(s, pos):
                 kind = m.lastindex
                 if kind == 1:
-                    parent = stack[-1][1] if stack else children
-                    if parent is None:
-                        continue  # in a subtree that is not built
+                    if stack:
+                        if matching and watch < 0:
+                            continue  # text no match reads
+                        top = stack[-1]
+                        if top[1] is None:
+                            continue  # in a subtree not built
+                        parent, above = top[1], top[2]
+                    else:
+                        parent, above = root, -1
                     if pruned:
                         data = m[1]
                         if not data.isspace():  # else it folds to nothing
-                            add_pruned(parent, unescape(data))
+                            add_pruned(parent, above, count, unescape(data))
                     else:
                         data = unescape(m[1])
                         if data:
@@ -278,6 +317,7 @@ class _Parser:
                 if kind == 5:
                     tag, attrs = m[5].lower(), None
                 elif kind is None:
+                    self.count = count
                     pos, odd = markup(m.start())
                     if odd is None:
                         if pos != m.end():
@@ -288,84 +328,150 @@ class _Parser:
                     tag, attrs, closed = m.group(2, 3, 4)
                     tag = tag.lower()
                 if attrs is None:  # an end tag; a stray one is ignored
-                    if open_.get(tag) and tag not in VOID_ELEMENTS:
+                    if stack and stack[-1][0] == tag:  # the innermost element's
+                        stack.pop()
+                        open_[tag] -= 1
+                    elif open_.get(tag) and tag not in VOID_ELEMENTS:
                         while (top := stack.pop()[0]) != tag:
                             open_[top] -= 1
                         open_[tag] -= 1
-                else:  # a start tag: add an element, open unless closed
+                    if len(stack) <= watch:
+                        watch = self._close(len(stack))
+                else:  # a start tag: add or match an element, open unless closed
                     closes = IMPLICIT_CLOSE.get(tag)  # a <tag/> too, so a serialized tree parses back
-                    while closes and stack and stack[-1][0] in closes:
-                        open_[stack.pop()[0]] -= 1
+                    if closes:
+                        while stack and stack[-1][0] in closes:
+                            open_[stack.pop()[0]] -= 1
+                        if len(stack) <= watch:
+                            watch = self._close(len(stack))
                     if stack:
-                        _, parent, above = stack[-1]
+                        top = stack[-1]
+                        parent = top[1]
                     else:
-                        parent, above, self.content = children, -1, True
+                        top, parent, self.content = None, root, True
+                    opens = not (closed or tag in VOID_ELEMENTS)
                     if parent is None or tag in banned:
                         entry = (tag, None, -1)
+                    elif matching:  # parent is the parent's pre
+                        key = m[0] if kind == 4 else None  # a plain start tag's text
+                        bits, eligible = key and readings.get(key) or read(tag, attrs, kept, key)
+                        signature |= bits
+                        base = top[3] if top else root
+                        if eligible & parent and count < limit:
+                            parent, base, hit = descend(parent, base, eligible)
+                            if hit:
+                                watch = self._hit(hit, len(stack), opens)
+                        else:
+                            parent = base
+                        entry = (tag, parent, count, base)
+                        count += 1
                     else:
                         if not attrs:
                             attrs, names = {}, _NO_CLASSES
-                        elif type(attrs) is str and len(attrs) <= max_text:
+                        elif type(attrs) is str and len(attrs) <= max_text:  # _attributes, inline
                             attrs, names = memo(attrs, kept)
                             attrs = attrs.copy()
                         else:
                             attrs, names = _read_attributes(attrs, kept)
                         element = Element(tag, attrs)
                         parent.append(element)
-                        position = len(elements)
                         elements.append(element)
-                        parents.append(above)
+                        parents.append(top[2] if top else -1)
                         classes.append(names)
-                        tagged = by_tag.get(tag)
-                        if tagged is None:
-                            by_tag[tag] = [position]
-                        else:
-                            tagged.append(position)
-                        for name in names:
-                            named = by_class.get(name)
-                            if named is None:
-                                by_class[name] = [position]
-                            else:
-                                named.append(position)
-                        entry = (tag, element.children, position)
-                    if not (closed or tag in VOID_ELEMENTS):
+                        entry = (tag, element.children, count)
+                        count += 1
+                    if opens:
                         stack.append(entry)
-                        open_[tag] = open_.get(tag, 0) + 1
+                        open_[tag] += 1
                         if tag in _RAW_TEXT_END:
+                            self.count = count
                             pos = self._raw_text(tag, pos if kind is None else m.end())
+                            if len(stack) <= watch:
+                                watch = self._close(len(stack))
                             break  # the scan restarts where the script or style body ends
                 if kind is None:
                     break  # the scan restarts where the odd tag ends
             else:
-                return
+                break
+        self.signature = signature
+        if watch >= 0:
+            self._close(0)  # elements the page never closes
 
     def text(self, data: str) -> None:
         stack = self.stack
-        parent = stack[-1][1] if stack else self.children
+        parent, above = stack[-1][1:3] if stack else (self.children, -1)
         if parent is None or not data:
             return
         if self.kept is None:
             parent.append(TextNode(data))
         else:
-            self._add_pruned(parent, data)
+            self._add_pruned(parent, above, self.count, data)
 
-    def _add_pruned(self, parent: list, data: str) -> None:
-        """Add text to a pruned tree: whitespace-folded, and joined to the
-        text node before it."""
+    def _add_pruned(self, parent, above: int, count: int, data: str) -> None:
+        """The pruned whitespace rule, for the tree and for the matcher alike.
+        Text is folded: each whitespace run becomes one space, and none is
+        left at either end. Text with no kept element started or ended since
+        the text before it joins that text without a space; other text starts
+        a new text node, in ``parent`` (the children of the element at
+        position ``above``, -1 for the top level) when building. Text nodes
+        are joined with one space (``text_content``, ``_close``). A matching
+        scan skips most text that no collector reads before it gets here,
+        and a collector ignores the nodes completed before it began."""
         data = " ".join(data.split())
         if not data:
             return
-        self.content = self.content or parent is self.children
-        if parent and parent[-1] is self.last_text:
+        if above < 0:
+            self.content = True
+        at = (above, count)
+        if at == self.text_at:
             self.pieces.append(data)  # joined once the node is complete
-        else:
-            self._join_text()
-            self.last_text, self.pieces = TextNode(data), [data]
+            return
+        self._join_text()
+        self.text_at, self.pieces = at, [data]
+        if self.targets is None:
+            self.last_text = TextNode(data)
             parent.append(self.last_text)
 
     def _join_text(self) -> None:
-        if len(self.pieces) > 1:
-            self.last_text.text = "".join(self.pieces)
+        """Complete the text node being built."""
+        if self.targets is None:
+            if len(self.pieces) > 1:
+                self.last_text.text = "".join(self.pieces)
+        elif self.pieces:
+            self.texts.append("".join(self.pieces))
+            self.pieces = []
+
+    def _hit(self, hit: int, depth: int, opens: bool) -> int:
+        """Count a match of each selector whose last state is in ``hit``, at
+        an element ``depth`` deep. Where a target wants this match, a
+        collector of the element's text begins, or the text is "" if the
+        element is not opened. Returns the depth of the innermost collector,
+        or -1."""
+        slots = self.targets.count(hit, self.counts)
+        collectors = self.collectors
+        if slots:
+            if opens:
+                self._join_text()
+                collectors.append((depth, len(self.texts), slots))
+            else:
+                for slot in slots:
+                    self.results[slot] = ""
+        return collectors[-1][0] if collectors else -1
+
+    def _close(self, depth: int) -> int:
+        """Complete the collectors of elements ``depth`` or more deep, which
+        have closed; returns the depth of the innermost collector left, or -1."""
+        self._join_text()
+        collectors, texts, results = self.collectors, self.texts, self.results
+        while collectors and collectors[-1][0] >= depth:
+            _, first, slots = collectors.pop()
+            text = " ".join(texts[first:])
+            for slot in slots:
+                results[slot] = text
+        if collectors:
+            return collectors[-1][0]
+        texts.clear()
+        return -1
 
     # html.parser's reading of any other markup.
 
@@ -482,15 +588,37 @@ def parse_html(html: str) -> Document:
 
 def parse_pruned(html: str, banned: frozenset, kept: tuple) -> Optional[Document]:
     """The tree of ``parse_html`` without the elements named in ``banned``
-    and their subtrees, with only the ``kept`` attributes, and with each text
-    node whitespace-folded and joined to a text node before it; None when
+    and their subtrees, with only the ``kept`` attributes, and with its text
+    under the pruned whitespace rule (``_Parser._add_pruned``); None when
     ``parse_html`` would give an empty tree."""
     parser = _Parser(html, banned, kept)
     return parser.document() if parser.content else None
 
 
+def match_pruned(html: str, banned: frozenset, kept: tuple, targets: "MatchSet",
+                 limit: int = 10_000) -> Optional[tuple[list[Optional[str]], int]]:
+    """What ``targets`` select in the tree of ``parse_pruned``, read in one
+    scan that builds no tree: for each (selector, node index) target, the
+    ``text_content`` of ``select(tree, selector, limit)[node index]``, or
+    None where there is no such match; and the tree's ``name_signature``.
+    None where ``parse_pruned`` gives None."""
+    parser = _Parser(html, banned, kept, targets, limit)
+    return (parser.results, parser.signature) if parser.content else None
+
+
+@functools.lru_cache(maxsize=256)
+def _closable(tag: str) -> bool:
+    """Whether ``</tag>`` reads back as the end tag of ``tag``. It may not:
+    ``\\s`` in the end tag pattern also matches characters that a start tag
+    name may hold, such as U+00A0."""
+    end = f"</{tag}>"
+    return (_END_TAG.match(end) or _TAG_NAME.match(end, 2)).group(1).lower() == tag
+
+
 def serialize(node: Union[Document, Element, TextNode]) -> str:
-    """Serialize a tree back to HTML with no whitespace added between tags."""
+    """Serialize a tree back to HTML with no whitespace added between tags.
+    An element without children whose end tag would read back as another
+    tag's is written self-closed, ``<name .../>``."""
     parts: list[str] = []
     stack: list = [node]  # nodes, and closing tags as strings
     while stack:
@@ -508,8 +636,12 @@ def serialize(node: Union[Document, Element, TextNode]) -> str:
                     parts.append(f" {name}")
                 else:
                     parts.append(f' {name}="{escape(value)}"')
-            parts.append(">")
-            if item.tag not in VOID_ELEMENTS:
+            if item.tag in VOID_ELEMENTS:
+                parts.append(">")
+            elif not item.children and not _closable(item.tag):
+                parts.append("/>")
+            else:
+                parts.append(">")
                 stack.append(f"</{item.tag}>")
                 stack.extend(reversed(item.children))
     return "".join(parts)
@@ -639,75 +771,133 @@ class ElementIndex:
 
     ``parents[i]`` is the position of element i's parent (-1 for a top-level
     element). Positions are preorder, so an element's ancestors all sit at
-    lower positions. ``classes[i]`` is element i's class set, and ``by_tag``
-    and ``by_class`` map a tag or a class name to the ascending positions of
-    the elements carrying it. The parse records all five as it builds the
-    tree; nothing else builds an index. ``selected`` maps (selector source,
-    limit) to what ``select`` returned for it. The index refers to elements
-    only, never back to itself, so a tree and its index are freed together
-    by reference counting.
+    lower positions. ``classes[i]`` is element i's class set. The parse
+    records all three as it builds the tree; nothing else builds an index.
+    The index refers to elements only, never back to itself, so a tree and
+    its index are freed together by reference counting.
     """
 
-    __slots__ = ("elements", "parents", "classes", "by_tag", "by_class", "selected")
+    __slots__ = ("elements", "parents", "classes")
 
     def __init__(self, elements: list[Element], parents: list[int],
-                 classes: list[frozenset[str]], by_tag: dict[str, list[int]],
-                 by_class: dict[str, list[int]]):
+                 classes: list[frozenset[str]]):
         self.elements = elements
         self.parents = parents
         self.classes = classes
-        self.by_tag = by_tag
-        self.by_class = by_class
-        self.selected: dict[tuple[str, int], list[Element]] = {}
 
-    def candidates(self, simple: SimpleSelector):
-        """Ascending positions that may match ``simple``: a superset of its matches."""
-        if simple.classes:
-            return min((self.by_class.get(name, ()) for name in simple.classes), key=len)
-        if simple.tag is not None:
-            return self.by_tag.get(simple.tag, ())
-        return range(len(self.elements))
 
-    def matches(self, simple: SimpleSelector, position: int) -> bool:
-        element = self.elements[position]
-        if simple.tag is not None and element.tag != simple.tag:
-            return False
-        if simple.ids and element.attrs.get("id") not in simple.ids:
-            return False
-        return simple.classes <= self.classes[position]
+class MatchSet:
+    """Selectors compiled to match elements as they open, and the node index
+    wanted of each: ``targets[i]`` is a (selector, node index) pair, and a
+    matching scan (``match_pruned``) gives the text of that match as its
+    i-th result.
 
-    def ancestors_match(self, parts, position: int) -> bool:
-        """Whether ``parts[:-1]`` match above ``position``, where ``parts[-1]``
-        matched.
+    The selectors run as one automaton over the open elements, as YFilter
+    shares path matching between many queries (Diao et al., ACM TODS 28(4),
+    2003). A selector of n compounds owns n states, one bit each: an element
+    is in state k when compounds 0 to k match it and its ancestors as the
+    combinators between them require, so the selector matches where its
+    last state holds. Each element carries two state sets: ``pre``, the
+    states a child of it may enter, and ``base``, those any descendant may
+    enter. An element enters the states of the compounds it matches (its
+    eligible states) that its parent's ``pre`` allows. A step is a few
+    operations on ints however deep the element, so matching takes time
+    linear in the number of elements. ``select`` runs the same automaton
+    over a tree's element index.
+    """
 
-        A depth-first search over states, nearest ancestor first. A state is
-        (k, p, False): parts[k] matched at p; or (k, p, True): parts[k - 1]
-        may match at p or above it. Failed states are not explored twice, so
-        the work is bounded by parts x depth even on hostile selectors.
-        """
-        parents = self.parents
-        stack = [(len(parts) - 1, position, False)]
-        seen = set()
-        while stack:
-            state = stack.pop()
-            if state in seen:
-                continue
-            seen.add(state)
-            k, p, scanning = state
-            if scanning:
-                if p >= 0:
-                    stack.append((k, parents[p], True))
-                    if self.matches(parts[k - 1][1], p):
-                        stack.append((k - 1, p, False))
-                continue
-            if k == 0:
-                return True
-            above = parents[p]
-            if parts[k][0] == "descendant":
-                stack.append((k, above, True))
-            elif above >= 0 and self.matches(parts[k - 1][1], above):
-                stack.append((k - 1, above, False))
-        return False
+    def __init__(self, targets: Sequence[tuple[CompiledSelector, int]]):
+        self.targets = tuple(targets)
+        selectors = list(dict.fromkeys(selector for selector, _ in self.targets))
+        at = {selector: i for i, selector in enumerate(selectors)}
+        # per selector: node index -> the targets wanting that match
+        self.wanted: list[dict[int, list[int]]] = [{} for _ in selectors]
+        for slot, (selector, node_index) in enumerate(self.targets):
+            self.wanted[at[selector]].setdefault(node_index, []).append(slot)
+        compounds: dict[SimpleSelector, int] = {}  # compound -> its states
+        self.subject_of: dict[int, int] = {}  # last state -> its selector
+        first = child = descendant = 0
+        state = 1
+        for i, selector in enumerate(selectors):
+            for k, (combinator, simple) in enumerate(selector.parts):
+                compounds[simple] = compounds.get(simple, 0) | state
+                if k == 0:
+                    first |= state
+                elif combinator == "child":
+                    child |= state
+                else:
+                    descendant |= state
+                state <<= 1
+            self.subject_of[state >> 1] = i
+        # the compounds naming each tag, and those naming none
+        self.by_tag: dict[Optional[str], tuple[tuple[SimpleSelector, int], ...]] = {
+            tag: tuple(item for item in compounds.items() if item[0].tag == tag)
+            for tag in {simple.tag for simple in compounds}
+        }
+        self.any_tag = self.by_tag.pop(None, ())
+        self.first, self.child, self.descendant = first, child, descendant
+        self.subjects = sum(self.subject_of)
+        # kept attribute names -> start tag text -> (signature bits,
+        # eligible states), see reading; (tag, class set, id) -> eligible
+        # states, see _walk. Both bounded as the attribute memo is.
+        self.readings: dict[tuple, dict[str, tuple[int, int]]] = {}
+        self.kinds: dict[tuple, int] = {}
+
+    def eligible(self, tag: str, classes: frozenset[str], ident: Optional[str]) -> int:
+        """The states of the compounds an element with this tag, class set
+        and ``id`` attribute matches."""
+        states = 0
+        for simple, own in itertools.chain(self.by_tag.get(tag, ()), self.any_tag):
+            if (not simple.ids or ident in simple.ids) and simple.classes <= classes:
+                states |= own
+        return states
+
+    def descend(self, pre: int, base: int, eligible: int) -> tuple[int, int, int]:
+        """An element's ``pre`` and ``base`` from its parent's and its
+        eligible states, and the last states it is in: the selectors that
+        match it. The top level's ``pre`` and ``base`` are ``first``."""
+        entered = eligible & pre
+        if not entered:
+            return base, base, 0
+        shifted = entered << 1
+        base |= shifted & self.descendant
+        return base | (shifted & self.child), base, entered & self.subjects
+
+    def count(self, hit: int, counts: list[int]) -> list[int]:
+        """Count a match of each selector whose last state is in ``hit``,
+        in ``counts`` (matches so far per selector); the targets that want
+        this match."""
+        slots: list[int] = []
+        while hit:
+            state = hit & -hit
+            hit ^= state
+            selector = self.subject_of[state]
+            wanted = self.wanted[selector].get(counts[selector])
+            counts[selector] += 1
+            if wanted:
+                slots += wanted
+        return slots
+
+    def reading(self, tag: str, attrs, kept, key: Optional[str]) -> tuple[int, int]:
+        """The signature bits of a start tag's tag and class names, and its
+        eligible states, from its attribute text or (name, raw value) pairs.
+        The reading of a plain start tag is kept under its text ``key``, if
+        that is short, for the next start tag written alike."""
+        attributes, names = _attributes(attrs, kept) if attrs else ({}, _NO_CLASSES)
+        bits = _name_bit(tag)
+        for name in names:
+            bits |= _name_bit(name)
+        reading = bits, self.eligible(tag, names, attributes.get("id"))
+        readings = self.readings[kept]
+        if (key is not None and len(key) <= ATTRIBUTE_MEMO_MAX_TEXT
+                and len(readings) < ATTRIBUTE_MEMO_SIZE):
+            readings[key] = reading
+        return reading
+
+
+@functools.lru_cache(maxsize=1024)
+def _automaton(compiled: CompiledSelector) -> MatchSet:
+    return MatchSet(((compiled, 0),))
 
 
 def select(
@@ -719,30 +909,48 @@ def select(
     order, capped at limit.
 
     Only the first ``limit`` elements in document order are considered. The
-    selection runs on the index the parse recorded, which keeps the result
-    for each selector for later calls. The caller owns the list.
+    selection runs ``MatchSet``'s automaton, the one a matching scan runs,
+    over the element index the parse recorded.
     """
     compiled = parse_selector(selector) if isinstance(selector, str) else selector
+    return [element for element, hit in _walk(root, _automaton(compiled), limit) if hit]
+
+
+def select_targets(root: Document, targets: MatchSet,
+                   limit: int = 10_000) -> list[Optional[Element]]:
+    """For each (selector, node index) target, the element
+    ``select(root, selector, limit)[node index]``, or None where there is
+    none: all the targets in one walk of the element index."""
+    found: list[Optional[Element]] = [None] * len(targets.targets)
+    counts = [0] * len(targets.wanted)
+    for element, hit in _walk(root, targets, limit):
+        if hit:
+            for slot in targets.count(hit, counts):
+                found[slot] = element
+    return found
+
+
+def _walk(root: Document, automaton: MatchSet, limit: int) -> Iterator[tuple[Element, int]]:
+    """Each of the first ``limit`` elements of a parsed document, in
+    document order, with the last states of ``automaton`` it is in."""
+    eligible, descend = automaton.eligible, automaton.descend
     index = root.index
-    key = (compiled.source, limit)
-    matches = index.selected.get(key)
-    if matches is None:
-        matches = index.selected[key] = _select(index, compiled, limit)
-    return matches[:]
-
-
-def _select(index: ElementIndex, compiled: CompiledSelector, limit: int) -> list[Element]:
-    parts = compiled.parts
-    subject = parts[-1][1]
-    matches: list[Element] = []
-    for position in index.candidates(subject):
-        if position >= limit:
-            break
-        if index.matches(subject, position) and (
-            len(parts) == 1 or index.ancestors_match(parts, position)
-        ):
-            matches.append(index.elements[position])
-    return matches
+    parents, classes = index.parents, index.classes
+    top = (automaton.first, automaton.first)
+    states: list[tuple[int, int]] = []  # per position: (pre, base)
+    kinds = automaton.kinds
+    for position, element in enumerate(itertools.islice(index.elements, max(limit, 0))):
+        above = parents[position]
+        pre, base = states[above] if above >= 0 else top
+        names = (element.tag, classes[position], element.attrs.get("id"))
+        own = kinds.get(names)
+        if own is None:
+            own = eligible(*names)
+            if len(kinds) < ATTRIBUTE_MEMO_SIZE:
+                kinds[names] = own
+        pre, base, hit = descend(pre, base, own)
+        states.append((pre, base))
+        yield element, hit
 
 
 # --- name signatures -------------------------------------------------------
@@ -762,8 +970,10 @@ def name_signature(document: Document) -> int:
     read off its element index."""
     index = document.index
     signature = 0
-    for name in itertools.chain(index.by_tag, index.by_class):
-        signature |= _name_bit(name)
+    for element, names in zip(index.elements, index.classes):
+        signature |= _name_bit(element.tag)
+        for name in names:
+            signature |= _name_bit(name)
     return signature
 
 

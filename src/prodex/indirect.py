@@ -6,7 +6,10 @@ Per shop run:
      labeled bootstrap sample; a page is decision-positive when a strict
      majority of programs says so.
   2. Visit pages in a seed-shuffled order. Run every library program on the
-     page and keep the result with the most extracted attributes. Results
+     page and keep the result with the most extracted attributes. The
+     programs run together in one matching scan of the raw page that
+     builds no tree (``dsl.run_extractions``); a page is compressed only
+     when it is rendered into a prompt or judged by the ensemble. Results
      are memoised by rule content in a PageCache that the runs over one
      corpus share, so a library program runs on a page at most once, and
      not at all where the page lacks a tag or class every rule needs.
@@ -48,12 +51,15 @@ from .dsl import (
     DecisionProgram,
     ExtractionProgram,
     FieldRule,
+    ProgramScan,
     count_extracted,
     decision_program_json_schema,
     extraction_program_json_schema,
     parse_program,
+    program_scan,
     run_decision,
     run_extraction_on_tree,
+    run_extractions,
 )
 from .gateway import (
     CostLedger,
@@ -64,11 +70,12 @@ from .gateway import (
     TransportError,
     structured_call,
 )
-from .htmltree import Document, name_signature, parse_html, selector_needs
+from .htmltree import Document, parse_html, selector_needs
 from .schema import (
     FoodProduct,
     SchemaViolation,
     filled_field_ratio,
+    json_block,
     product_to_dict,
     serialize_product,
 )
@@ -117,12 +124,14 @@ class LibraryEntry:
             return 0.0
         return self.attrs_total / self.pages_matched
 
-    def to_dict(self) -> dict:
-        return {
-            "program": self.program.to_dict(),
-            "pages_matched": self.pages_matched,
-            "mean_attributes_extracted": self.mean_attributes_extracted,
-        }
+    def to_json(self, level: int) -> str:
+        """The entry as a JSON object whose items sit at nesting ``level``:
+        ``program``, ``pages_matched`` and ``mean_attributes_extracted``."""
+        return json_block("{}", [
+            f'"program": {self.program.to_json(level + 1, sort_keys=False)}',
+            f'"pages_matched": {self.pages_matched}',
+            f'"mean_attributes_extracted": {self.mean_attributes_extracted!r}',
+        ], level)
 
 
 class FunctionLibrary:
@@ -138,11 +147,13 @@ class FunctionLibrary:
         self.entries.append(entry)
         return entry
 
-    def to_dict(self) -> dict:
-        return {"programs": [e.to_dict() for e in self.entries]}
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, ensure_ascii=False)
+        """library.json: ``{"programs": [entry, ...]}``, each program as its
+        ``to_dict`` gives it. The bytes are exactly those of ``json.dumps``
+        of that object with ``indent=2, ensure_ascii=False``, in that call's
+        fixed layout with the C escaper ``json_string`` it uses."""
+        entries = [entry.to_json(3) for entry in self.entries]
+        return json_block("{}", [f'"programs": {json_block("[]", entries, 2)}'], 1)
 
 
 @dataclass
@@ -346,23 +357,23 @@ def decide(ensemble: list[DecisionProgram], doc: CompressedDocument) -> bool:
 # --- Pages ---------------------------------------------------------------------
 
 class Page:
-    """One visit to a compressed page: its HTML and TEXT documents, its name
-    signature, and the pruned tree that the HTML document serialises.
+    """One visit to a page: its HTML and TEXT documents, and the pruned tree
+    that the HTML document serialises.
 
-    Everything is derived when first read. The first visit holds what
-    compression built; a document it reads is rendered then, and the cache
-    keeps it. A later visit takes a kept document from the cache, parses the
-    kept HTML for a tree, and compresses the raw page again for anything
-    else it needs.
+    Each is derived when first read, and only a page that is rendered (a
+    bootstrap sample, a page the decision ensemble judges, a synthesis
+    page) is ever compressed; library programs run on the raw page in a
+    matching scan that builds no tree. A document a visit reads is rendered
+    then, and the cache keeps it. A later visit takes a kept document from
+    the cache, parses the kept HTML for a tree, and compresses the raw page
+    again for anything else it needs.
     """
 
-    def __init__(self, cache: "PageCache", page_id: str, compressed: Optional[tuple] = None):
-        """``compressed``: what ``compress_both`` built on this visit, if it ran."""
+    def __init__(self, cache: "PageCache", page_id: str):
         self.page_id = page_id
-        self.signature = cache.signatures[page_id]  # see htmltree.name_signature
         self._cache = cache
-        self._compressed = compressed
-        self._tree = compressed[2] if compressed else None
+        self._compressed: Optional[tuple] = None  # what compress_both built on this visit
+        self._tree: Optional[Document] = None
 
     @property
     def html(self) -> CompressedDocument:
@@ -392,7 +403,7 @@ class Page:
 
     def _compression(self) -> tuple[CompressedDocument, CompressedDocument, Document]:
         if self._compressed is None:
-            self._compressed = compress_both(self._cache.pages[self.page_id])
+            self._compressed = self._cache.read(self.page_id, compress_both)
         return self._compressed
 
 
@@ -522,10 +533,10 @@ _NOTHING: tuple[FoodProduct, int] = (FoodProduct(), 0)
 class PageCache:
     """The work the runs over one corpus share.
 
-    Per page it keeps only what is small: the name signature of its tree,
-    the HTML and TEXT documents that some visit read, rendered, and the
-    reason a page could not be parsed (so it is compressed once, not once
-    per run). It never keeps a tree or an unread document. It also holds
+    Per page it keeps only what is small: the name signature of its pruned
+    tree, the HTML and TEXT documents that some visit read, rendered, and
+    the reason a page could not be parsed (so it is read once, not once per
+    run). It never keeps a tree or an unread document. It also holds
     one extraction memo: ``results[program.rules][page_id]`` is the
     ``(product, count)`` that program extracts from that page. The memo is
     keyed by rule content (field path, selector, node index, capture and
@@ -546,20 +557,20 @@ class PageCache:
         return self.pages == {doc.page_id: doc for doc in corpus.pages}
 
     def page(self, page_id: str) -> Page:
-        """A new visit to a page. The first visit compresses it and takes its
-        signature; a page that cannot be parsed raises UnparsableDocument on
-        every call."""
-        if page_id in self.signatures:
-            return Page(self, page_id)
+        """A new visit to a page; one that a read found unparsable raises
+        UnparsableDocument on every call."""
         if page_id in self.unparsable:
             raise UnparsableDocument(self.unparsable[page_id])
+        return Page(self, page_id)
+
+    def read(self, page_id: str, read, *args):
+        """``read(*args, raw page)``: ``compress_both`` or a matching scan.
+        A page it finds unparsable is recorded, so it is read only once."""
         try:
-            compressed = compress_both(self.pages[page_id])
+            return read(*args, self.pages[page_id])
         except UnparsableDocument as exc:
             self.unparsable[page_id] = str(exc)
             raise
-        self.signatures[page_id] = name_signature(compressed[2])
-        return Page(self, page_id, compressed)
 
 
 def process_shop(
@@ -570,14 +581,16 @@ def process_shop(
 ) -> ShopRunResult:
     """Run the full indirect algorithm over one shop's corpus.
 
-    Pages are compressed on first visit, and the pruned tree from
-    compression is the one extraction programs run on; a labelled page's
-    first visit is its bootstrap sample's, which the loop's visit to it
-    continues, so a run compresses a page at most once. Runs that share a
-    ``cache`` share what it keeps of each page and memoised library results,
-    keyed by rule content: a library program runs on a page only on a memo
-    miss that the page's signature does not settle, and a later visit
-    builds a tree only when such a miss or a synthesis episode needs it. A
+    Library programs run on a page in one matching scan of the raw page
+    (``run_extractions``), which builds no tree and also gives the page's
+    name signature. A page is compressed only to be rendered: for its
+    bootstrap sample, for the decision ensemble, or for a synthesis
+    episode; a labelled page's first visit is its sample's, which the
+    loop's visit to it continues, so a run compresses a page at most once.
+    Runs that share a ``cache`` share what it keeps of each page and
+    memoised library results, keyed by rule content: a library program
+    runs on a page only on a memo miss that the page's signature does not
+    settle, and a visit scans the page once for all such programs. A
     cache built from a corpus with other pages is refused with ValueError.
     A page that cannot be parsed gets an empty product and is listed in the
     result's ``failures``, in every run.
@@ -603,11 +616,12 @@ def process_shop(
         if page_id not in cache.pages:
             continue
         try:
-            page = sample_visits[page_id] = cache.page(page_id)
+            page = cache.page(page_id)
+            samples.append((page.text, label))
         except UnparsableDocument as exc:
             failures[page_id] = str(exc)
             continue
-        samples.append((page.text, label))
+        sample_visits[page_id] = page
     ensemble = build_decision_ensemble(samples, provider, config, ledger, token_prefix)
 
     order = [doc.page_id for doc in corpus.pages]
@@ -616,6 +630,7 @@ def process_shop(
     library = FunctionLibrary()
     memos: list[dict[str, tuple[FoodProduct, int]]] = []  # the cache's, per library entry
     needs: list[tuple[int, ...]] = []  # per library entry, the signature bits of each rule
+    scans: dict[tuple[int, ...], ProgramScan] = {}  # by the library entries they run
     page_results: dict[str, PageResult] = {}
     synthesis_log: list[dict] = []
 
@@ -623,21 +638,32 @@ def process_shop(
         """The library's best result on a page; the entry is None unless it
         extracts at least ``min_valid_attributes`` attributes. A program
         whose every rule needs a name the page's signature lacks selects
-        nothing there, so it is not run."""
+        nothing there, so it is not run; the others that miss the memo run
+        in one scan, which a page not scanned before needs anyway for its
+        signature. Raises UnparsableDocument for a page the scan finds so."""
+        page_id = page.page_id
+        signature = cache.signatures.get(page_id)
+        missing = [index for index, memo in enumerate(memos) if page_id not in memo]
+        if missing and signature is not None:
+            absent = ~signature
+            for index in missing:
+                if all(bits & absent for bits in needs[index]):
+                    memos[index][page_id] = _NOTHING
+            missing = [index for index in missing if page_id not in memos[index]]
+        if missing or signature is None:
+            key = tuple(missing)
+            scan = scans.get(key)
+            if scan is None:
+                scan = scans[key] = program_scan(tuple(library.entries[i].program.rules for i in key))
+            products, cache.signatures[page_id] = cache.read(page_id, run_extractions, scan)
+            for index, product in zip(missing, products):
+                count = count_extracted(product)
+                memos[index][page_id] = (product, count) if count else _NOTHING
         best_entry: Optional[LibraryEntry] = None
         best_product = _NOTHING[0]
         best_key = (-1, -1.0, 0.0)
         for index, entry in enumerate(library.entries):
-            memo = memos[index]
-            result = memo.get(page.page_id)
-            if result is None:
-                absent = ~page.signature
-                if all(bits & absent for bits in needs[index]):
-                    result = memo[page.page_id] = _NOTHING
-                else:
-                    product = run_extraction_on_tree(entry.program, page.tree).product
-                    count = count_extracted(product)
-                    result = memo[page.page_id] = (product, count) if count else _NOTHING
+            result = memos[index][page_id]
             key = (result[1], entry.mean_attributes_extracted, -float(index))
             if key > best_key:
                 best_key = key
@@ -681,11 +707,11 @@ def process_shop(
     for page_id in order:
         try:
             page = sample_visits.pop(page_id, None) or cache.page(page_id)
+            entry, product, count = best_library_result(page)
         except UnparsableDocument as exc:
             failures[page_id] = str(exc)
             page_results[page_id] = PageResult(page_id, FoodProduct(), "none", 0)
             continue
-        entry, product, count = best_library_result(page)
         if entry is None:
             if not decide(ensemble, page.text):
                 page_results[page_id] = PageResult(page_id, FoodProduct(), "no-info", 0)

@@ -133,10 +133,6 @@ class FoodProduct:
     def get(self, name: str):
         return getattr(self, name)
 
-    @staticmethod
-    def field_names() -> tuple[str, ...]:
-        return _FIELD_NAMES
-
     def populated_fields(self) -> tuple[str, ...]:
         return tuple(n for n in _FIELD_NAMES if getattr(self, n) is not None)
 
@@ -357,6 +353,21 @@ def product_to_dict(product: FoodProduct) -> dict:
 
 #: Each field's name and its JSON key text, in declaration order.
 _FIELD_KEYS = tuple((name, json_string(name) + ": ") for name in _FIELD_NAMES)
+
+
+#: The line break and indent of each nesting level under ``indent=2``.
+_NEWLINES = tuple("\n" + "  " * level for level in range(12))
+
+
+def json_block(brackets: str, items: list[str], level: int) -> str:
+    """A JSON object or array, ``brackets`` ``"{}"`` or ``"[]"``, whose
+    encoded items sit at nesting ``level``, laid out as ``indent=2`` does:
+    the fixed layout in which the writers of program, library and ledger
+    JSON produce ``json.dumps``' bytes without its pure-Python encoder."""
+    if not items:
+        return brackets
+    newline = _NEWLINES[level]
+    return brackets[0] + newline + ("," + newline).join(items) + _NEWLINES[level - 1] + brackets[1]
 
 
 def serialize_product(product: FoodProduct, prefix: str = "") -> str:

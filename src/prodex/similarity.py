@@ -14,7 +14,6 @@ is exact after decimal normalization; unit codes compare case-insensitively.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -41,24 +40,6 @@ class SimilarityReport:
     overall: float
     per_attribute: dict[str, float]
     mismatches: tuple[Mismatch, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "overall": self.overall,
-            "per_attribute": dict(self.per_attribute),
-            "mismatches": [
-                {
-                    "field_path": m.field_path,
-                    "kind": m.kind.value,
-                    "extracted_value": m.extracted_value,
-                    "expected_value": m.expected_value,
-                }
-                for m in self.mismatches
-            ],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, ensure_ascii=False)
 
 
 def levenshtein(a: str, b: str) -> int:

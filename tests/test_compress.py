@@ -219,6 +219,7 @@ class TestCompressBothTree:
     @example("a<!-- c -->b")
     @example("<p>a < b</p>")
     @example("<li>a<li/>b")
+    @example("<a\xa0 <div/><div>")  # "</a\xa0>" would read as "</a>": self-closed
     def test_tree_and_text_match_the_reparsed_html(self, html):
         raw = _raw(html)
         try:

@@ -29,6 +29,7 @@ from prodex.dsl import (
     run_extraction_on_tree,
     _apply_post_op,
 )
+from prodex.oracle import OracleConfig, OracleProvider
 from prodex.schema import NUTRIENT_FIELDS, FoodProduct, QuantitativeValue, SchemaViolation
 from prodex.similarity import compare
 
@@ -175,8 +176,13 @@ class TestParseProgram:
                 ),
             ),
         )
-        again = parse_program(program.to_json())
-        assert again == program
+        # Decision programs are only read, never written: the JSON a model
+        # gives for this program parses back to it.
+        text = json.dumps({"kind": "decision", "program_id": "dec-1", "predicate": {
+            "op": "or", "args": [{"op": "contains_keyword", "value": "Zutaten"},
+                                 {"op": "matches_regex", "pattern": "N[äa]hrwert"}],
+        }})
+        assert parse_program(text) == program
 
     def test_predicate_depth_limit(self):
         node = {"op": "contains_keyword", "value": "x"}
@@ -185,19 +191,17 @@ class TestParseProgram:
         with pytest.raises(ProgramParseError):
             parse_program(json.dumps({"kind": "decision", "program_id": "d", "predicate": node}))
 
-    def test_generated_programs_validate_against_emitted_schema(self):
+    def test_generated_programs_validate_against_emitted_schema(self, small_gamma):
         program = true_program_for("liste")
         jsonschema.validate(json.loads(program.to_json()), extraction_program_json_schema())
-        decision = parse_program(
-            json.dumps(
-                {
-                    "kind": "decision",
-                    "program_id": "d",
-                    "predicate": {"op": "contains_keyword", "value": "x"},
-                }
-            )
-        )
-        jsonschema.validate(json.loads(decision.to_json()), decision_program_json_schema())
+        # Decision programs are only ever read: what the oracle generates
+        # validates, and parses.
+        schema = decision_program_json_schema()
+        oracle = OracleProvider(small_gamma, OracleConfig())
+        for member in range(10):
+            text = oracle.complete_structured("m", "", f"-m{member}a0", schema).response_text
+            jsonschema.validate(json.loads(text), schema)
+            assert isinstance(parse_program(text), DecisionProgram)
 
 
 def _page(html):

@@ -9,6 +9,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 from hypothesis import example, given, settings, strategies as st
+import jsontext
 
 import prodex
 from prodex.dsl import (
@@ -20,6 +21,7 @@ from prodex.gateway import (
     CORRECTIVE_INSTRUCTION,
     ChatExchange,
     CostLedger,
+    LedgerEntry,
     LiveProvider,
     RecordingProvider,
     ReplayMiss,
@@ -109,6 +111,39 @@ class TestLedger:
         assert again.total_usd == ledger.total_usd
         assert again.meta == ledger.meta
         assert len(again.entries) == 1
+
+    @given(
+        st.dictionaries(jsontext.texts, jsontext.texts, max_size=3),
+        st.lists(st.builds(
+            LedgerEntry,
+            exchange_ref=jsontext.texts,
+            model_id=jsontext.texts,
+            role_tag=jsontext.texts,
+            usage=st.tuples(*[st.integers(0, 10**12)] * 3).map(
+                lambda n: Usage(max(n[:2]), min(n[:2]), n[2])),
+            cost_usd=jsontext.decimals,
+            page_id=st.one_of(st.none(), jsontext.texts),
+        ), max_size=4),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_json_is_byte_identical_to_json_dumps(self, meta, entries):
+        """ledger.json on empty and awkward meta, entries and page ids."""
+        ledger = CostLedger()
+        ledger.meta.update(meta)
+        ledger.entries.extend(entries)
+        reference = {
+            "meta": dict(ledger.meta),
+            "total_usd": str(ledger.total_usd),
+            "entries": [{
+                "exchange_ref": e.exchange_ref,
+                "model_id": e.model_id,
+                "role_tag": e.role_tag,
+                "usage": e.usage.to_dict(),
+                "cost_usd": str(e.cost_usd),
+                "page_id": e.page_id,
+            } for e in ledger.entries],
+        }
+        assert ledger.to_json() == json.dumps(reference, indent=2, ensure_ascii=False)
 
     def test_counts_by_role(self):
         ledger = CostLedger()

@@ -1,17 +1,21 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from markup import markup, selectors
 
 from prodex.compress import BANNED_ELEMENTS, KEPT_ATTRIBUTES
 from prodex.htmltree import (
     Document,
     Element,
+    MatchSet,
     TextNode,
     block_text_lines,
+    match_pruned,
+    name_signature,
     parse_html,
     parse_pruned,
     parse_selector,
     select,
+    select_targets,
     serialize,
     text_content,
 )
@@ -230,14 +234,6 @@ def test_the_parse_records_the_index_a_walk_builds(html):
         assert recorded.parents == parents
         assert [id(e) for e in tree.iter_elements()] == [id(e) for e in elements]
         assert recorded.classes == [e.classes() for e in elements]
-        positions = list(enumerate(elements))
-        assert recorded.by_tag == {
-            tag: [i for i, e in positions if e.tag == tag] for tag in {e.tag for e in elements}
-        }
-        assert recorded.by_class == {
-            name: [i for i, e in positions if name in e.classes()]
-            for name in set().union(*recorded.classes)
-        }
 
 
 def test_a_mutated_result_does_not_change_the_next_select():
@@ -291,3 +287,53 @@ def test_walks_survive_deep_nesting():
     assert block_text_lines(tree) == ["x"]
     assert [e.tag for e in select(tree, "div > span.bottom")] == ["span"]
     assert [e.tag for e in select(tree, "div div .bottom")] == ["span"]
+
+
+# --- Matching scan ---------------------------------------------------------------
+
+def _selected_nodes(tree, targets, limit):
+    """The reference: the node select gives for each (selector, node index)
+    target, or None."""
+    nodes = []
+    for selector, node_index in targets:
+        matches = select(tree, selector, limit)
+        nodes.append(matches[node_index] if node_index < len(matches) else None)
+    return nodes
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    markup(),
+    st.lists(st.tuples(selectors(), st.integers(0, 3)), max_size=4),
+    st.one_of(st.integers(0, 12), st.just(10_000)),
+)
+@example("<div class=a>x<p>y</p>z</div>", [("div.a", 0), ("div p", 0), ("*", 1)], 10_000)
+@example("<p>a<br>b <!-- c --> c<script>x</script>d<svg>e</svg> f", [("p", 0), ("br", 0)], 10_000)
+@example("<ul><li>1<li>2<li/>3</ul>4", [("li", 1), ("ul li", 2), ("ul > li", 0)], 3)
+@example("<div><div><p>x</div>y", [("div div", 0), ("div > p", 0), ("div", 0)], 10_000)
+def test_the_matching_scan_equals_select_on_the_pruned_tree(html, drawn, limit):
+    """One scan that builds no tree gives, for each target, the text of its
+    match in the pruned tree, the tree's name signature, and None exactly
+    where parse_pruned gives None; a MatchSet gives the same again with its
+    readings kept. One walk of the tree finds every target's node."""
+    targets = [(parse_selector(selector), node_index) for selector, node_index in drawn]
+    match_set = MatchSet(targets)
+    found = match_pruned(html, BANNED_ELEMENTS, KEPT_ATTRIBUTES, match_set, limit)
+    tree = parse_pruned(html, BANNED_ELEMENTS, KEPT_ATTRIBUTES)
+    if tree is None:
+        assert found is None
+        return
+    texts, signature = found
+    nodes = _selected_nodes(tree, targets, limit)
+    assert signature == name_signature(tree)
+    assert texts == [None if node is None else text_content(node) for node in nodes]
+    assert match_pruned(html, BANNED_ELEMENTS, KEPT_ATTRIBUTES, match_set, limit) == found
+    assert [id(node) for node in select_targets(tree, match_set, limit)] == list(map(id, nodes))
+
+
+def test_targets_sharing_a_selector_count_its_matches_once():
+    html = '<table><tr><td class="v">1</td><td class="v">2 g</td></tr></table>'
+    cell = parse_selector("td.v")
+    match_set = MatchSet([(cell, 1), (parse_selector("tr > td"), 0), (cell, 1), (cell, 0)])
+    texts, _ = match_pruned(html, BANNED_ELEMENTS, KEPT_ATTRIBUTES, match_set)
+    assert texts == ["2 g", "1", "2 g", "1"]

@@ -7,6 +7,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 import jsontext
+from test_dsl import _programs
 
 from prodex.compress import CompressedDocument, Variant, compress_both
 from prodex.corpus import MissingRates, ShopSpec, builtin_templates, generate_shop
@@ -350,61 +351,110 @@ class TestProcessShop:
     def test_each_page_is_parsed_once_and_shared_between_runs(self, small_gamma, monkeypatch):
         from prodex import indirect
 
-        compressed, trees, ran_on = Counter(), {}, set()
+        compressed, scanned = Counter(), Counter()
         calls = {"parse": 0}
         real_compress, real_parse = indirect.compress_both, indirect.parse_html
-        real_run = indirect.run_extraction_on_tree
+        real_scan = indirect.run_extractions
 
         def counting_compress(doc):
             compressed[doc.page_id] += 1
-            result = real_compress(doc)
-            trees[id(result[2])] = (doc.page_id, result[2])  # kept alive: ids stay unique
-            return result
+            return real_compress(doc)
 
         def counting_parse(html):
             calls["parse"] += 1
             return real_parse(html)
 
-        def recording_run(program, tree):
-            if id(tree) in trees:
-                ran_on.add(trees[id(tree)][0])
-            return real_run(program, tree)
+        def counting_scan(scan, doc):
+            scanned[doc.page_id] += 1
+            return real_scan(scan, doc)
 
         monkeypatch.setattr(indirect, "compress_both", counting_compress)
         monkeypatch.setattr(indirect, "parse_html", counting_parse)
-        monkeypatch.setattr(indirect, "run_extraction_on_tree", recording_run)
+        monkeypatch.setattr(indirect, "run_extractions", counting_scan)
         oracle = OracleProvider(small_gamma, OracleConfig())
         cache = PageCache(small_gamma)
         first = process_shop(small_gamma, oracle, OrchestratorConfig(rng_seed=2), cache)
-        # Every page is compressed exactly once, and nothing is parsed. A
-        # labelled page is first visited for its sample, and the loop's visit
-        # continues that one: programs run on the tree its sample visit built.
+        # Every page is scanned once for the library's programs, and a page
+        # whose synthesis episode added a program once more, for that one.
+        # Only the pages that are rendered are compressed, each once: the
+        # samples, and the pages the decision ensemble judged. A labelled
+        # page is first visited for its sample, and the loop's visit
+        # continues that one. Nothing is parsed.
         episodes = first.metrics.synthesis_log
         assert any("generations" in e for e in episodes)
+        synthesized = {e["page_id"] for e in episodes}
+        added = {e["page_id"] for e in episodes if e.get("program_id")}
+        judged = {page_id for page_id, r in first.page_results.items()
+                  if r.source in ("no-info", "none")} | synthesized
         assert calls["parse"] == 0
-        assert compressed == Counter({d.page_id: 1 for d in small_gamma.pages})
-        assert ran_on & set(small_gamma.labels)
+        assert scanned == Counter({d.page_id: 1 + (d.page_id in added) for d in small_gamma.pages})
+        assert compressed == Counter(dict.fromkeys(set(small_gamma.labels) | judged, 1))
         # The cache keeps a signature per page, and the contents some visit read:
         # the HTML of the synthesis pages, the TEXT of the samples and of the
         # pages the decision ensemble judged.
-        synthesized = {e["page_id"] for e in episodes}
-        judged = {page_id for page_id, r in first.page_results.items()
-                  if r.source in ("no-info", "none")} | synthesized
         assert set(cache.signatures) == {d.page_id for d in small_gamma.pages}
         assert set(cache.html) == synthesized
         assert set(cache.text) == set(small_gamma.labels) | judged
 
         compressed.clear()
+        scanned.clear()
         calls.update(parse=0)
         second = process_shop(small_gamma, oracle, OrchestratorConfig(rng_seed=2), cache)
         # Every library result is memoised by the first run: only the trees
         # the synthesis episodes work on are parsed, from the kept HTML.
         episodes = second.metrics.synthesis_log
         assert episodes and all("generations" in e for e in episodes)
-        assert compressed == Counter()
+        assert compressed == scanned == Counter()
         assert calls == {"parse": len(episodes)}
         assert second.metrics.to_json() == first.metrics.to_json()
         assert _products_json(second) == _products_json(first)
+
+    @pytest.mark.parametrize("seeds", [(2,), (1, 3)])
+    def test_the_library_scan_equals_a_run_built_from_trees(self, small_gamma, monkeypatch, seeds):
+        """Library programs run in a matching scan of the raw page, and a page
+        is compressed only to be rendered: for its bootstrap sample, for the
+        decision ensemble, or for a synthesis episode. The runs, sharing one
+        cache, equal runs whose library programs run on each page's tree."""
+        from prodex import indirect
+        from prodex.htmltree import name_signature
+
+        def on_trees(scan, doc):
+            tree = compress_both(doc)[2]
+            products = [run_extraction_on_tree(ExtractionProgram("p", "FoodProduct", rules), tree)
+                        .product for rules in scan.rule_sets]
+            return products, name_signature(tree)
+
+        oracle = OracleProvider(small_gamma, OracleConfig(imperfections_per_generation=1))
+
+        def runs():
+            cache = PageCache(small_gamma)
+            return [process_shop(small_gamma, oracle, OrchestratorConfig(rng_seed=seed), cache)
+                    for seed in seeds]
+
+        compressed, judged = Counter(), set()
+        real_compress, real_decide = indirect.compress_both, indirect.decide
+
+        def counting_compress(doc):
+            compressed[doc.page_id] += 1
+            return real_compress(doc)
+
+        def recording_decide(ensemble, doc):
+            judged.add(doc.page_id)
+            return real_decide(ensemble, doc)
+
+        monkeypatch.setattr(indirect, "compress_both", counting_compress)
+        monkeypatch.setattr(indirect, "decide", recording_decide)
+        scanned = runs()
+        synthesized = {e["page_id"] for result in scanned for e in result.metrics.synthesis_log}
+        assert synthesized and len(judged) < len(small_gamma.pages)
+        assert set(compressed) == set(small_gamma.labels) | judged | synthesized
+        monkeypatch.setattr(indirect, "run_extractions", on_trees)
+        for scan_run, tree_run in zip(scanned, runs(), strict=True):
+            assert _products_json(scan_run) == _products_json(tree_run)
+            assert scan_run.metrics.to_json() == tree_run.metrics.to_json()
+            assert scan_run.ledger.to_json() == tree_run.ledger.to_json()
+            assert scan_run.library.to_json() == tree_run.library.to_json()
+            assert scan_run.failures == tree_run.failures
 
     def test_a_run_renders_only_the_variants_it_reads(self, small_gamma, monkeypatch):
         from prodex import htmltree, indirect
@@ -590,9 +640,7 @@ class TestPageCache:
         # Every result that extracts nothing shares one product.
         assert len(empty_products) == 1
 
-    def test_unparsable_page_is_compressed_once_and_fails_every_run(
-        self, small_gamma, monkeypatch
-    ):
+    def test_unparsable_page_is_read_once_and_fails_every_run(self, small_gamma, monkeypatch):
         from prodex import indirect
 
         labeled = sorted(small_gamma.labels)[0]
@@ -601,23 +649,30 @@ class TestPageCache:
             replace(doc, html="") if doc.page_id in (labeled, unlabeled) else doc
             for doc in small_gamma.pages
         ])
-        compressed = Counter()
-        real_compress = indirect.compress_both
+        compressed, scanned = Counter(), Counter()
+        real_compress, real_scan = indirect.compress_both, indirect.run_extractions
 
         def counting_compress(doc):
             compressed[doc.page_id] += 1
             return real_compress(doc)
 
+        def counting_scan(scan, doc):
+            scanned[doc.page_id] += 1
+            return real_scan(scan, doc)
+
         monkeypatch.setattr(indirect, "compress_both", counting_compress)
+        monkeypatch.setattr(indirect, "run_extractions", counting_scan)
         cache = PageCache(corpus)
         oracle = OracleProvider(corpus, OracleConfig())
         for seed in (1, 2, 3):
             result = process_shop(corpus, oracle, OrchestratorConfig(rng_seed=seed), cache)
             assert list(result.failures) == [labeled, unlabeled]
             assert result.page_results[unlabeled].source == "none"
-        # The unparsable pages are compressed once; every page is compressed.
-        assert compressed[labeled] == compressed[unlabeled] == 1
-        assert set(compressed) == {d.page_id for d in corpus.pages}
+        # The unparsable pages are read once: the labelled one compressed for
+        # its sample, the other scanned for the library. Every page is read.
+        assert (compressed[labeled], scanned[labeled]) == (1, 0)
+        assert (compressed[unlabeled], scanned[unlabeled]) == (0, 1)
+        assert {*compressed, *scanned} == {d.page_id for d in corpus.pages}
         assert set(cache.unparsable) == {labeled, unlabeled}
         assert {labeled, unlabeled}.isdisjoint({*cache.signatures, *cache.html, *cache.text})
 
@@ -684,6 +739,22 @@ class TestFunctionLibrary:
         data = json.loads(library.to_json())
         assert data["programs"][0]["pages_matched"] == 4
         assert data["programs"][0]["mean_attributes_extracted"] == 7.5
+
+    @given(st.lists(st.tuples(_programs, st.integers(0, 10**6), st.integers(0, 10**9)), max_size=3))
+    @settings(max_examples=100, deadline=None)
+    def test_json_is_byte_identical_to_json_dumps(self, drawn):
+        """library.json on programs with awkward strings, unsorted maps and
+        no rules, and on ratios that are not whole."""
+        library = FunctionLibrary()
+        for i, (program, matched, attrs) in enumerate(drawn):
+            entry = library.add(replace(program, program_id=f"{program.program_id}-{i}"))
+            entry.pages_matched, entry.attrs_total = matched, attrs
+        reference = {"programs": [{
+            "program": entry.program.to_dict(),
+            "pages_matched": entry.pages_matched,
+            "mean_attributes_extracted": entry.mean_attributes_extracted,
+        } for entry in library.entries]}
+        assert library.to_json() == json.dumps(reference, indent=2, ensure_ascii=False)
 
 
 class _FlakyProvider:

@@ -24,17 +24,35 @@ from prodex.htmltree import (
     ATTRIBUTE_MEMO_MAX_TEXT,
     ATTRIBUTE_MEMO_SIZE,
     Element,
+    MatchSet,
     TextNode,
     _memo_attributes,
     _read_attributes,
+    match_pruned,
     parse_html,
     parse_pruned,
+    parse_selector,
     serialize,
 )
 
 
 def _pruned(html):
     return parse_pruned(html, BANNED_ELEMENTS, KEPT_ATTRIBUTES)
+
+
+#: Targets for the hostile pages: early and late matches, text collected
+#: over the whole page, chains over deep nesting, and a chain that fails
+#: on every element.
+_HOSTILE_TARGETS = MatchSet([
+    (parse_selector(selector), node_index) for selector, node_index in (
+        ("div", 0), ("div", 999), ("div div > div", 3), ("span div", 0), ("* *", 50),
+        ("li", 1), ("td", 2), ("svg g", 0), ("p.c", 0), ("a", 0),
+    )
+])
+
+
+def _matched(html):
+    return match_pruned(html, BANNED_ELEMENTS, KEPT_ATTRIBUTES, _HOSTILE_TARGETS)
 
 
 def _assert_matches_reference(html):
@@ -124,6 +142,18 @@ def test_the_attribute_memo_keeps_its_bounds():
         assert _memo_attributes.cache_info().currsize == stored
 
 
+def test_the_readings_a_match_set_keeps_stay_within_the_memo_bounds():
+    targets = MatchSet([(parse_selector("p.c1"), 0)])
+    long_tag = '<p class="' + "x" * ATTRIBUTE_MEMO_MAX_TEXT + '">y'
+    html = "".join(f'<p class="c{i}">' for i in range(ATTRIBUTE_MEMO_SIZE + 100))
+    assert _matched(long_tag) is not None
+    assert match_pruned(html, BANNED_ELEMENTS, KEPT_ATTRIBUTES, targets)[0] == [""]
+    readings = targets.readings[KEPT_ATTRIBUTES]
+    assert len(readings) == ATTRIBUTE_MEMO_SIZE
+    assert all(len(key) <= ATTRIBUTE_MEMO_MAX_TEXT
+               for kept in (_HOSTILE_TARGETS, targets) for key in kept.readings[KEPT_ATTRIBUTES])
+
+
 def test_a_lt_1_is_three_text_nodes_joined_when_pruned():
     assert parse_html("a < 1").children == [TextNode("a "), TextNode("<"), TextNode(" 1")]
     assert _pruned("a < 1").children == [TextNode("a<1")]
@@ -175,7 +205,7 @@ def test_hostile_markup_matches_the_reference_when_small(unit):
 @pytest.mark.parametrize("unit", HOSTILE.values(), ids=HOSTILE.keys())
 def test_hostile_markup_parses_in_linear_time(unit):
     html = unit * (100_000 // len(unit))
-    for parse in (parse_html, _pruned):
+    for parse in (parse_html, _pruned, _matched):
         started = time.perf_counter()
         parse(html)
         assert time.perf_counter() - started < 1.0
@@ -205,7 +235,7 @@ def test_grown_markup_matches_the_reference_when_small(build):
 @pytest.mark.parametrize("build", GROWN.values(), ids=GROWN.keys())
 def test_grown_markup_parses_in_linear_time(build):
     html = build(100_000)
-    for parse in (parse_html, _pruned):
+    for parse in (parse_html, _pruned, _matched):
         started = time.perf_counter()
         parse(html)
         assert time.perf_counter() - started < 1.0

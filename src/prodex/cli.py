@@ -1,9 +1,9 @@
 """Command-line interface: corpus generation, compression, extraction runs,
 evaluation and strategy comparison.
 
-Run directories are self-describing: each carries a manifest.json naming the
-strategy, variant, corpus and models, so `evaluate` can consume any mix of
-them. Live-provider credentials come from PRODEX_API_BASE / PRODEX_API_KEY.
+Run directories (``prodex.rundir``) are self-describing, so `evaluate` can
+consume any mix of them. Live-provider credentials come from PRODEX_API_BASE /
+PRODEX_API_KEY.
 
 Each command imports the modules it runs when it runs: `evaluate` and
 `compare` load neither the HTML tree nor the DSL, and `extract direct` loads
@@ -14,25 +14,22 @@ or the corpus generator.
 from __future__ import annotations
 
 import json
-import shutil
 import sys
 import typing
-from contextlib import contextmanager
 from dataclasses import replace
-from decimal import Decimal
 from pathlib import Path
 
 import click
 
-from . import prompts
-from .direct import MalformedProduct, extract_direct_batch, read_products
+from . import prompts, rundir
+from .direct import extract_direct_batch
 from .gateway import (PRICES, CostLedger, LiveProvider, RecordingProvider, ReplayProvider,
                       count_tokens)
-from .reader import (Corpus, MalformedCorpusFile, MalformedTruth, MissingTruth, load_corpus,
-                     load_labels, load_truth, read_page)
+from .reader import (READ_ERRORS, Corpus, MalformedCorpusFile, MalformedTruth, MissingTruth,
+                     load_corpus, load_labels, load_truth, read_page)
 # parse_product is not called here: it stays bound because the benchmark's
 # tracer wraps it at this site (perfbench/tracer.py, SITES).
-from .schema import SchemaViolation, parse_product, product_from_dict  # noqa: F401
+from .schema import parse_product  # noqa: F401
 
 if typing.TYPE_CHECKING:
     from .evaluate import RunReport
@@ -65,7 +62,7 @@ class _Main(click.Group):
             raise click.UsageError(f"ground truth: {exc}", ctx) from exc
         except MissingTruth as exc:
             raise click.UsageError(f"ground truth has no record for page {exc}", ctx) from exc
-        except MalformedProduct as exc:
+        except rundir.MalformedProduct as exc:
             raise click.UsageError(f"product file {exc}", ctx) from exc
 
 
@@ -121,8 +118,7 @@ def compress_cmd(variant, in_path, out_dir):
     from .compress import UnparsableDocument
 
     in_path = Path(in_path)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
     if in_path.is_dir():
         files = sorted(in_path.glob("*.html"))
     else:
@@ -136,36 +132,15 @@ def compress_cmd(variant, in_path, out_dir):
         except UnparsableDocument as exc:
             failures[raw.page_id] = str(exc)
             continue
-        if variant == "text":
-            compressed = text_doc
-            out_file = out / f"{raw.page_id}.txt"
-        else:
-            compressed = html_doc
-            out_file = out / f"{raw.page_id}.html"
-        out_file.write_text(compressed.content, encoding="utf-8")
-        manifest.append(
-            {
-                "page_id": raw.page_id,
-                "variant": compressed.variant.value,
-                "token_count": compressed.token_count,
-                "original_token_count": count_tokens(raw.html),
-            }
-        )
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2), encoding="utf-8")
-    _write_failures(out, failures)
+        compressed = text_doc if variant == "text" else html_doc
+        rundir.write_compressed(out_dir, compressed)
+        manifest.append((raw.page_id, compressed.variant.value, compressed.token_count,
+                         count_tokens(raw.html)))
+    rundir.write_token_manifest(out_dir, manifest)
+    rundir.write_failures(out_dir, failures)
     click.echo(
-        f"compressed {len(manifest)} page(s) into {out}, {len(failures)} unparsable"
+        f"compressed {len(manifest)} page(s) into {out_dir}, {len(failures)} unparsable"
     )
-
-
-def _write_failures(out: Path, failures: dict[str, str]) -> None:
-    """List this invocation's failed pages, page_id -> reason, in failures.json;
-    with none, remove the file an earlier invocation left."""
-    path = out / "failures.json"
-    if failures:
-        path.write_text(json.dumps(failures, indent=2, sort_keys=True), encoding="utf-8")
-    else:
-        path.unlink(missing_ok=True)
 
 
 # --- providers -------------------------------------------------------------------
@@ -259,10 +234,8 @@ def extract_direct_cmd(corpus_dir, out_dir, variant, model, resume, workers, pro
     provider = _build_provider(provider_name, shop, session, record,
                                oracle_imperfections, oracle_unreparable_template,
                                oracle_unreparable_rate, oracle_seed)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    if not resume and (out / "products").exists():
-        shutil.rmtree(out / "products")
+    if not resume:
+        rundir.remove_products(out_dir)
 
     docs = []
     unparsable: dict[str, str] = {}
@@ -277,20 +250,13 @@ def extract_direct_cmd(corpus_dir, out_dir, variant, model, resume, workers, pro
     ledger = CostLedger()
     ledger.meta["prompt_bundle_hash"] = prompts.bundle_hash()
     ledger.meta["shop_id"] = shop.shop_id
-    products, failures = extract_direct_batch(docs, provider, model, ledger, out_dir=out,
+    products, failures = extract_direct_batch(docs, provider, model, ledger, out_dir=out_dir,
                                               workers=workers)
     failures.update(unparsable)
-    (out / "ledger.json").write_text(ledger.to_json(), encoding="utf-8")
-    _write_failures(out, failures)
-    manifest = {
-        "strategy": "direct",
-        "variant": Variant.TEXT.value if variant == "text" else Variant.HTML_COMPRESSED.value,
-        "shop_id": shop.shop_id,
-        "corpus_id": shop.corpus_id,
-        "model": model,
-        "provider": provider_name,
-    }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2), encoding="utf-8")
+    rundir.write_ledger(out_dir, ledger)
+    rundir.write_failures(out_dir, failures)
+    rundir.write_manifest(out_dir, "direct", (Variant.TEXT if variant == "text" else
+                          Variant.HTML_COMPRESSED).value, shop, model=model, provider=provider_name)
     click.echo(
         f"direct extraction: {len(products)} pages ok, {len(failures)} failed, "
         f"{len(ledger.entries)} calls, ${ledger.total_usd}"
@@ -323,7 +289,7 @@ def extract_indirect_cmd(ctx, corpus_dir, out_dir, labels_path, seed, runs,
     """Generate extraction programs once per template, reuse them everywhere."""
     from .compress import Variant
     from .evaluate import page_accuracy, summarize_runs
-    from .indirect import OrchestratorConfig, PageCache, write_products_json
+    from .indirect import OrchestratorConfig, PageCache
 
     shop = load_corpus(corpus_dir)
     if labels_path:
@@ -368,15 +334,11 @@ def extract_indirect_cmd(ctx, corpus_dir, out_dir, labels_path, seed, runs,
                                oracle_imperfections, oracle_unreparable_template,
                                oracle_unreparable_rate, oracle_seed)
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     # Compressed pages and library results, shared by every run.
     cache = PageCache(shop)
     failures: dict[str, str] = {}
 
-    run_seeds = []
-    accuracies = []
-    primary_calls = []
+    run_seeds, metrics = [], []
     for run_index in range(runs):
         run_seed = seed if runs == 1 else seed * 1_000_003 + run_index
         run_seeds.append(run_seed)
@@ -387,125 +349,25 @@ def extract_indirect_cmd(ctx, corpus_dir, out_dir, labels_path, seed, runs,
                 {page_id: r.product for page_id, r in result.page_results.items()},
                 shop.truth, failed=result.failures,
             )
-        run_dir = out / f"run-{run_index:02d}"
-        run_dir.mkdir(parents=True, exist_ok=True)
-        with open(run_dir / "products.json", "w", encoding="utf-8") as fh:
-            write_products_json(fh, result.page_results)
-        (run_dir / "library.json").write_text(result.library.to_json(), encoding="utf-8")
-        (run_dir / "metrics.json").write_text(result.metrics.to_json(), encoding="utf-8")
-        (run_dir / "ledger.json").write_text(result.ledger.to_json(), encoding="utf-8")
+        rundir.write_run(out_dir, run_index, result)
         failures.update(result.failures)
-        accuracies.append(result.metrics.accuracy)
-        primary_calls.append(result.metrics.llm_calls_primary_model)
+        metrics.append(result.metrics)
         click.echo(
             f"run {run_index}: seed {run_seed}, accuracy "
             f"{result.metrics.accuracy}, primary calls "
             f"{result.metrics.llm_calls_primary_model}, unparsable pages "
             f"{len(result.failures)}"
         )
-    _write_failures(out, failures)
+    rundir.write_failures(out_dir, failures)
 
-    distribution = (
-        summarize_runs([a for a in accuracies if a is not None])
-        if any(a is not None for a in accuracies)
-        else None
-    )
-    summary = {
-        "master_seed": seed,
-        "runs": runs,
-        "run_seeds": run_seeds,
-        "accuracies": accuracies,
-        "primary_calls": primary_calls,
-        "distribution": distribution,
-    }
-    (out / "summary.json").write_text(
-        json.dumps(summary, indent=2, ensure_ascii=False), encoding="utf-8"
-    )
-    if distribution is not None:
-        (out / "summary.csv").write_text(
-            "shop_id,runs,min,mean,max,stddev\n"
-            f"{shop.shop_id},{distribution['n']},{distribution['min']:.4f},"
-            f"{distribution['mean']:.4f},{distribution['max']:.4f},"
-            f"{distribution['stddev']:.4f}\n",
-            encoding="utf-8",
-        )
-    manifest = {
-        "strategy": "indirect",
-        "variant": Variant.HTML_COMPRESSED.value,
-        "shop_id": shop.shop_id,
-        "corpus_id": shop.corpus_id,
-        "provider": provider_name,
-        "master_seed": seed,
-        "runs": runs,
-    }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2), encoding="utf-8")
+    scored = [m.accuracy for m in metrics if m.accuracy is not None]
+    distribution = summarize_runs(scored) if scored else None
+    rundir.write_summary(out_dir, shop.shop_id, seed, run_seeds, metrics, distribution)
+    rundir.write_manifest(out_dir, "indirect", Variant.HTML_COMPRESSED.value, shop,
+                          provider=provider_name, master_seed=seed, runs=runs)
 
 
 # --- evaluate / compare -----------------------------------------------------------
-
-def _read_failures(out: Path) -> dict[str, str]:
-    path = out / "failures.json"
-    if not path.exists():
-        return {}
-    with _reading(path):
-        return json.loads(path.read_text(encoding="utf-8"))
-
-
-@contextmanager
-def _reading(path: Path):
-    """Turns a fault in reading a run's file into a MalformedProduct that names it."""
-    try:
-        yield
-    except (OSError, ValueError, KeyError, TypeError, AttributeError, ArithmeticError,
-            SchemaViolation) as exc:
-        raise MalformedProduct(f"{path}: {type(exc).__name__}: {exc}") from exc
-
-
-def _reports_from_results_dir(results_dir, truth) -> list[RunReport]:
-    """One scored report per run: a direct directory is one run, an indirect
-    one has a run per ``run-*`` subdirectory (or is itself the run). A run
-    file that cannot be read is a MalformedProduct naming it."""
-    from .evaluate import evaluate
-
-    root = Path(results_dir)
-    path = root / "manifest.json"
-    with _reading(path):
-        manifest = json.loads(path.read_text(encoding="utf-8"))
-        strategy, corpus_id, shop_id = (manifest["strategy"], manifest["corpus_id"],
-                                        manifest["shop_id"])
-        variant = manifest.get("variant", "HTML_COMPRESSED")
-    failed = _read_failures(root)
-
-    def score(products, **counts) -> RunReport:
-        return evaluate(products, truth, strategy, corpus_id, shop_id, variant=variant,
-                        failed=failed, **counts)
-
-    if strategy == "direct":
-        products = read_products(root / "products")
-        path = root / "ledger.json"
-        with _reading(path):
-            ledger = CostLedger.from_json(path.read_text(encoding="utf-8"))
-        return [score(products, calls_primary=len(ledger.entries), cost_usd=str(ledger.total_usd))]
-
-    reports = []
-    for run_dir in sorted(root.glob("run-*")) or [root]:
-        path = run_dir / "products.json"
-        with _reading(path):
-            products = {
-                entry["page_id"]: product_from_dict(entry["product"])
-                for entry in json.loads(path.read_text(encoding="utf-8"), parse_float=Decimal)
-            }
-        path = run_dir / "metrics.json"
-        with _reading(path):
-            metrics = json.loads(path.read_text(encoding="utf-8"))
-            counts = dict(
-                calls_primary=metrics["llm_calls_primary_model"],
-                calls_decision=metrics["llm_calls_decision_model"],
-                cost_usd=metrics["cost_total_usd"],
-            )
-        reports.append(score(products, **counts))
-    return reports
-
 
 @main.command("evaluate")
 @click.option("--results", "results_dirs", type=click.Path(exists=True), multiple=True,
@@ -517,12 +379,12 @@ def _reports_from_results_dir(results_dir, truth) -> list[RunReport]:
               default="json", show_default=True)
 def evaluate_cmd(results_dirs, truth_path, out_path, fmt):
     """Score run outputs against ground truth and write a report."""
-    from .evaluate import emit_report, merge_reports
+    from .evaluate import emit_report, evaluate, merge_reports
 
     truth = load_truth(truth_path)
-    merged = merge_reports(
-        [report for d in results_dirs for report in _reports_from_results_dir(d, truth)]
-    )
+    merged = merge_reports([evaluate(products, truth, **scoring, **counts)
+                            for scoring, runs in map(rundir.read_results, results_dirs)
+                            for products, counts in runs])
     emit_report(merged, fmt, out_path)
     click.echo(f"mean accuracy {merged.mean_accuracy():.2f} -> {out_path}")
 
@@ -534,7 +396,7 @@ def _read_report(path) -> RunReport:
 
     try:
         return RunReport.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-    except (OSError, ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
+    except READ_ERRORS as exc:
         raise click.UsageError(
             f"{path} is not a report: {type(exc).__name__}: {exc}"
         ) from exc

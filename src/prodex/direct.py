@@ -6,10 +6,9 @@ what the run paid; results are plain products.
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
-from . import prompts
+from . import prompts, rundir
 from .gateway import (
     CostLedger,
     Provider,
@@ -18,13 +17,11 @@ from .gateway import (
     RequestSchema,
     TransportError,
     structured_call,
-    write_atomic,
 )
 from .schema import (
     FoodProduct,
     SchemaViolation,
     parse_product,
-    serialize_product,
     to_json_schema,
     to_json_schema_dict,
 )
@@ -39,12 +36,6 @@ _RESPONSE_SCHEMA = RequestSchema(to_json_schema_dict())
 
 class ExtractionFailed(Exception):
     """Direct extraction gave no schema-valid product for a page."""
-
-
-class MalformedProduct(ValueError):
-    """A run's product file that does not parse (one in a direct run's
-    ``products/``, or an indirect run's ``products.json`` or its
-    ``metrics.json``); the message names the file."""
 
 
 def build_direct_prompts(doc: CompressedDocument) -> tuple[str, str]:
@@ -76,22 +67,6 @@ def extract_direct(
     return product
 
 
-def read_products(products_dir) -> dict[str, FoodProduct]:
-    """The finished pages in a direct run's ``products/``, by page_id.
-
-    Only ``*.json`` files are read: a ``*.json.tmp`` left by an interrupted
-    write is not a finished page. A file that does not parse raises
-    MalformedProduct.
-    """
-    products: dict[str, FoodProduct] = {}
-    for path in sorted(Path(products_dir).glob("*.json")):
-        try:
-            products[path.stem] = parse_product(path.read_text(encoding="utf-8"))
-        except (SchemaViolation, ValueError) as exc:
-            raise MalformedProduct(f"{path}: {exc}") from exc
-    return products
-
-
 def extract_direct_batch(
     docs: list[CompressedDocument],
     provider: Provider,
@@ -104,28 +79,23 @@ def extract_direct_batch(
 
     Returns the products by page_id, in document order, and the failed pages
     with the reason each failed.
-    With ``out_dir``, each finished page is written once, atomically, to
-    ``out_dir/products/<page_id>.json``. That file is the page's only record:
+    With ``out_dir``, each finished page is written once, atomically, to its
+    product file in that run directory (``prodex.rundir``), its only record:
     a page that has one is not extracted again, so an interrupted run resumes
     without re-calling the provider for done pages.
     With workers > 1, pages fan out over a thread pool (the live provider's
     in-flight semaphore still caps concurrency); ledger entries land in
     completion order, keyed by page_id.
     """
-    done: dict[str, FoodProduct] = {}
-    products_dir = None
-    if out_dir is not None:
-        products_dir = Path(out_dir) / "products"
-        products_dir.mkdir(parents=True, exist_ok=True)
-        done = read_products(products_dir)
+    done = rundir.resume_products(out_dir) if out_dir is not None else {}
 
     pending = [doc for doc in docs if doc.page_id not in done]
     failures: dict[str, str] = {}
 
     def finish(page_id: str, product: FoodProduct) -> None:
         done[page_id] = product
-        if products_dir is not None:
-            write_atomic(products_dir / f"{page_id}.json", serialize_product(product))
+        if out_dir is not None:
+            rundir.write_product(out_dir, page_id, product)
 
     if workers <= 1:
         for doc in pending:

@@ -40,8 +40,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from decimal import Decimal
-from json.encoder import encode_basestring as json_string
-from typing import IO, Optional
+from typing import Optional
 
 from . import prompts
 from .compress import CompressedDocument, UnparsableDocument, compress_both
@@ -228,24 +227,6 @@ class PageResult:
             "count_extracted": self.count_extracted,
             "product": product_to_dict(self.product),
         }
-
-
-def write_products_json(fh: IO[str], page_results: dict[str, PageResult]) -> None:
-    """Stream a run's products.json to ``fh``, one write per item in page_id
-    order. The bytes are exactly those of ``json.dump([r.to_dict() for each
-    result in page_id order], fh, indent=2, ensure_ascii=False)``, in that
-    call's fixed layout with the C escaper ``json_string`` it uses."""
-    opening = "[\n  "
-    for page_id in sorted(page_results):
-        result = page_results[page_id]
-        fh.write(
-            f'{opening}{{\n    "page_id": {json_string(result.page_id)},'
-            f'\n    "source": {json_string(result.source)},'
-            f'\n    "count_extracted": {result.count_extracted},'
-            f'\n    "product": {serialize_product(result.product, "    ")}\n  }}'
-        )
-        opening = ",\n  "
-    fh.write("\n]" if page_results else "[]")
 
 
 @dataclass

@@ -38,12 +38,16 @@ class MalformedCorpusFile(Exception):
     """A corpus file that does not load; the message names the file."""
 
 
+# What reading a JSON file of the wrong shape can raise (prodex.rundir too).
+READ_ERRORS = (OSError, ValueError, KeyError, TypeError, AttributeError, RecursionError)
+
+
 @contextmanager
 def _reading(path):
     """Raise any error in reading the file at ``path`` as MalformedCorpusFile."""
     try:
         yield
-    except (OSError, ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
+    except READ_ERRORS as exc:
         raise MalformedCorpusFile(f"{path}: {type(exc).__name__}: {exc}") from exc
 
 

@@ -1,0 +1,183 @@
+"""The run directory: the one module that names, writes and reads the files a
+command leaves in its ``--out`` (the corpus directory is ``prodex.reader``'s).
+Each is written whole to ``<name>.tmp`` and renamed into place, so an
+interrupted command leaves no torn file. A run file ``prodex evaluate`` cannot
+read, or of the wrong shape, raises MalformedProduct naming it.
+"""
+
+import json
+import os
+import shutil
+from decimal import Decimal
+from json.encoder import encode_basestring as json_string
+from pathlib import Path
+
+from .gateway import CostLedger, write_atomic
+from .reader import READ_ERRORS
+from .schema import (FoodProduct, SchemaViolation, parse_product, product_from_dict,
+                     serialize_product)
+
+MANIFEST, FAILURES = "manifest.json", "failures.json"  # every command's
+LEDGER, PRODUCTS = "ledger.json", "products"  # extract direct's; products/<page_id>.json
+SUMMARY, SUMMARY_CSV, RUNS = "summary.json", "summary.csv", "run-*"  # extract indirect's
+RUN_PRODUCTS, LIBRARY, METRICS = "products.json", "library.json", "metrics.json"  # in run-NN/
+# compress leaves <page_id>.html, or .txt for the TEXT variant, per page.
+# What reruns under the oracle and replay providers reproduce byte for byte, as fnmatch patterns.
+BIT_EXACT = (MANIFEST, LEDGER, f"{PRODUCTS}/*.json", SUMMARY,
+             *(f"{RUNS}/{name}" for name in (RUN_PRODUCTS, LIBRARY, METRICS, LEDGER)))
+
+
+class MalformedProduct(ValueError):
+    """A run file that does not read; the message names the file."""
+
+
+def write_failures(out, failures: dict[str, str]) -> None:
+    """List this invocation's failed pages, page_id -> reason, in failures.json;
+    with none, remove the file an earlier invocation left."""
+    path = Path(out) / FAILURES
+    if failures:
+        write_atomic(path, json.dumps(failures, indent=2, sort_keys=True))
+    else:
+        path.unlink(missing_ok=True)
+
+
+def write_manifest(out, strategy: str, variant: str, shop, **fields) -> None:
+    """manifest.json: what ``prodex evaluate`` scores the directory as, then ``fields``."""
+    manifest = {"strategy": strategy, "variant": variant, "shop_id": shop.shop_id,
+                "corpus_id": shop.corpus_id, **fields}
+    write_atomic(Path(out) / MANIFEST, json.dumps(manifest, indent=2))
+
+
+def write_ledger(out, ledger: CostLedger) -> None:
+    write_atomic(Path(out) / LEDGER, ledger.to_json())
+
+
+def remove_products(out) -> None:
+    if (Path(out) / PRODUCTS).exists():
+        shutil.rmtree(Path(out) / PRODUCTS)
+
+
+def resume_products(out) -> dict[str, FoodProduct]:
+    """Make a direct run's ``products/`` and return the pages finished in it."""
+    (Path(out) / PRODUCTS).mkdir(parents=True, exist_ok=True)
+    return read_products(out)
+
+
+def write_product(out, page_id: str, product: FoodProduct) -> None:
+    """A finished direct page's only record."""
+    write_atomic(Path(out) / PRODUCTS / f"{page_id}.json", serialize_product(product))
+
+
+def write_products_json(fh, page_results) -> None:
+    """Stream a run's products.json to ``fh``, one write per item in page_id
+    order. The bytes are exactly those of ``json.dump([r.to_dict() for each
+    result in page_id order], fh, indent=2, ensure_ascii=False)``, in that
+    call's fixed layout with the C escaper ``json_string`` it uses."""
+    opening = "[\n  "
+    for page_id in sorted(page_results):
+        result = page_results[page_id]
+        fh.write(
+            f'{opening}{{\n    "page_id": {json_string(result.page_id)},'
+            f'\n    "source": {json_string(result.source)},'
+            f'\n    "count_extracted": {result.count_extracted},'
+            f'\n    "product": {serialize_product(result.product, "    ")}\n  }}'
+        )
+        opening = ",\n  "
+    fh.write("\n]" if page_results else "[]")
+
+
+def write_run(out, index: int, result) -> None:
+    """A ``ShopRunResult``'s ``run-NN/``; products.json streams to its ``.tmp``."""
+    run = Path(out) / f"run-{index:02d}"
+    run.mkdir(parents=True, exist_ok=True)
+    tmp = run / f"{RUN_PRODUCTS}.tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        write_products_json(fh, result.page_results)
+    os.replace(tmp, run / RUN_PRODUCTS)
+    write_atomic(run / LIBRARY, result.library.to_json())
+    write_atomic(run / METRICS, result.metrics.to_json())
+    write_ledger(run, result.ledger)
+
+
+def write_summary(out, shop_id: str, master_seed: int, run_seeds: list[int], metrics: list,
+                  dist) -> None:
+    """summary.json over the runs' metrics and, with an accuracy distribution, summary.csv."""
+    summary = dict(master_seed=master_seed, runs=len(run_seeds), run_seeds=run_seeds,
+                   accuracies=[m.accuracy for m in metrics],
+                   primary_calls=[m.llm_calls_primary_model for m in metrics], distribution=dist)
+    write_atomic(Path(out) / SUMMARY, json.dumps(summary, indent=2, ensure_ascii=False))
+    if dist is not None:
+        write_atomic(Path(out) / SUMMARY_CSV, "shop_id,runs,min,mean,max,stddev\n"
+                     f"{shop_id},{dist['n']},{dist['min']:.4f},{dist['mean']:.4f},"
+                     f"{dist['max']:.4f},{dist['stddev']:.4f}\n")
+
+
+def write_compressed(out, doc) -> None:
+    suffix = ".txt" if doc.variant.value == "TEXT" else ".html"  # evaluate loads no compress
+    write_atomic(Path(out) / f"{doc.page_id}{suffix}", doc.content)
+
+
+def write_token_manifest(out, counts: list[tuple[str, str, int, int]]) -> None:
+    keys = ("page_id", "variant", "token_count", "original_token_count")
+    write_atomic(Path(out) / MANIFEST, json.dumps([dict(zip(keys, c)) for c in counts], indent=2))
+
+
+def _read(path: Path, parse):
+    """``parse`` of the text of ``path``; any fault is a MalformedProduct naming it."""
+    try:
+        return parse(path.read_text(encoding="utf-8"))
+    except (*READ_ERRORS, SchemaViolation, ArithmeticError) as exc:
+        detail = exc if isinstance(exc, SchemaViolation) else f"{type(exc).__name__}: {exc}"
+        raise MalformedProduct(f"{path}: {detail}") from exc
+
+
+def _manifest(text: str) -> dict:
+    manifest = json.loads(text)
+    scoring = {key: manifest[key] for key in ("strategy", "corpus_id", "shop_id")}
+    scoring["variant"] = manifest.get("variant", "HTML_COMPRESSED")
+    if scoring["strategy"] not in ("direct", "indirect") or not all(
+            isinstance(value, str) for value in scoring.values()):
+        raise ValueError(f"want strategy direct or indirect and string ids, got {scoring}")
+    return scoring
+
+
+def _metrics_counts(text: str) -> dict:
+    metrics = json.loads(text)
+    calls = (metrics["llm_calls_primary_model"], metrics["llm_calls_decision_model"])
+    cost = metrics["cost_total_usd"]
+    if any(type(n) is not int or n < 0 for n in calls) or not isinstance(cost, str):
+        raise TypeError(f"want call counts and a cost string, got {calls} and {cost!r}")
+    Decimal(cost)  # raises InvalidOperation for a cost that is not a decimal
+    return {"calls_primary": calls[0], "calls_decision": calls[1], "cost_usd": cost}
+
+
+def _run_products(text: str) -> dict[str, FoodProduct]:
+    return {entry["page_id"]: product_from_dict(entry["product"])
+            for entry in json.loads(text, parse_float=Decimal)}
+
+
+def read_products(out) -> dict[str, FoodProduct]:
+    """A direct run's finished pages by page_id (a stray ``*.json.tmp`` is not one)."""
+    return {path.stem: _read(path, parse_product)
+            for path in sorted((Path(out) / PRODUCTS).glob("*.json"))}
+
+
+def read_results(root):
+    """``evaluate``'s scoring arguments for the run directory, and per run (a direct
+    directory is one) its products and counts, read as the iteration reaches it."""
+    root = Path(root)
+    scoring = _read(root / MANIFEST, _manifest)
+    failed = _read(root / FAILURES, json.loads) if (root / FAILURES).exists() else {}
+    if not isinstance(failed, dict):
+        raise MalformedProduct(f"{root / FAILURES}: want a JSON object of page_id to reason,"
+                               f" not {failed!r:.40}")
+    scoring["failed"] = failed
+    if scoring["strategy"] == "direct":
+        products, ledger = read_products(root), _read(root / LEDGER, CostLedger.from_json)
+        counts = {"calls_primary": len(ledger.entries), "cost_usd": str(ledger.total_usd)}
+        return scoring, iter([(products, counts)])
+    run_dirs = sorted(root.glob(RUNS))
+    if not run_dirs:
+        raise MalformedProduct(f"{root}: an indirect run directory holds no {RUNS} run")
+    return scoring, ((_read(run / RUN_PRODUCTS, _run_products),
+                      _read(run / METRICS, _metrics_counts)) for run in run_dirs)

@@ -658,7 +658,15 @@ def test_unparsable_product_file_is_a_usage_error(workspace, runner, tmp_path):
     ("products.json", "{bad"),
     ("products.json", '[{"page_id": "beta-0000", "product": {"fat": {"value": "x"}}}]'),
     ("metrics.json", "{}"),
-], ids=["products-invalid-json", "products-bad-product", "metrics-missing-key"])
+    ("products.json", "[" * 100_000),
+    ("metrics.json", "[" * 100_000),
+    ("metrics.json", '{"llm_calls_primary_model": "abc", "llm_calls_decision_model": 0,'
+                     ' "cost_total_usd": "0"}'),
+    ("metrics.json", '{"llm_calls_primary_model": 1, "llm_calls_decision_model": 0,'
+                     ' "cost_total_usd": "abc"}'),
+], ids=["products-invalid-json", "products-bad-product", "metrics-missing-key",
+        "products-deeply-nested", "metrics-deeply-nested", "metrics-count-not-a-number",
+        "metrics-cost-not-a-decimal"])
 def test_unreadable_indirect_run_file_is_a_usage_error(workspace, runner, tmp_path, name, text):
     out = tmp_path / "indirect"
     result = runner.invoke(
@@ -685,8 +693,14 @@ def test_unreadable_indirect_run_file_is_a_usage_error(workspace, runner, tmp_pa
     ("ledger.json", '{"entries": [{"model_id": "o3-mini"}]}'),
     ("manifest.json", "{bad"),
     ("manifest.json", "{}"),
+    ("ledger.json", "[" * 100_000),
+    ("manifest.json", "[" * 100_000),
+    ("failures.json", "[" * 100_000),
+    ("failures.json", '"abc"'),
+    ("manifest.json", '{"strategy": "both", "corpus_id": "c", "shop_id": "s"}'),
 ], ids=["ledger-invalid-json", "ledger-missing-key", "manifest-invalid-json",
-        "manifest-missing-key"])
+        "manifest-missing-key", "ledger-deeply-nested", "manifest-deeply-nested",
+        "failures-deeply-nested", "failures-not-an-object", "manifest-unknown-strategy"])
 def test_unreadable_direct_run_file_is_a_usage_error(workspace, runner, tmp_path, name, text):
     out = tmp_path / "direct"
     result = runner.invoke(
@@ -704,6 +718,28 @@ def test_unreadable_direct_run_file_is_a_usage_error(workspace, runner, tmp_path
     )
     assert result.exit_code == 2, result.output
     assert f"product file {bad}: " in result.output
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_an_indirect_directory_without_runs_is_a_usage_error(workspace, runner, tmp_path):
+    out = tmp_path / "indirect"
+    result = runner.invoke(
+        main,
+        ["extract", "indirect", "--corpus", str(workspace / "corpus"), "--out", str(out),
+         "--provider", "oracle", "--runs", "1"],
+    )
+    assert result.exit_code == 0, result.output
+    for path in (out / "run-00").iterdir():
+        path.rename(out / path.name)
+    (out / "run-00").rmdir()
+    result = runner.invoke(
+        main,
+        ["evaluate", "--results", str(out), "--truth", str(workspace / "corpus"),
+         "--out", str(tmp_path / "report.json")],
+    )
+    assert result.exit_code == 2, result.output
+    assert f"product file {out}: " in result.output
     assert "Traceback" not in result.output
     assert not (tmp_path / "report.json").exists()
 

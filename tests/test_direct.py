@@ -6,7 +6,8 @@ import jsonschema
 import pytest
 
 from prodex.compress import CompressedDocument, Variant, compress_both
-from prodex.direct import MalformedProduct, extract_direct, extract_direct_batch, read_products
+from prodex.direct import extract_direct, extract_direct_batch
+from prodex.rundir import MalformedProduct, read_products
 from prodex.gateway import CostLedger
 from prodex.oracle import OracleConfig, OracleProvider
 from prodex.schema import (
@@ -169,7 +170,7 @@ class TestBatch:
         for page_id, product in results.items():
             written = (products / f"{page_id}.json").read_text(encoding="utf-8")
             assert written == serialize_product(product)
-        assert read_products(products) == results
+        assert read_products(tmp_path) == results
 
     def test_interrupted_write_re_extracts_only_that_page(
         self, small_alpha, oracle, tmp_path, monkeypatch
@@ -294,7 +295,7 @@ class TestParallelBatch:
             docs, oracle, "o3-mini", CostLedger(), out_dir=tmp_path, workers=4
         )
         assert not failures
-        assert sorted(read_products(tmp_path / "products")) == sorted(d.page_id for d in docs)
+        assert sorted(read_products(tmp_path)) == sorted(d.page_id for d in docs)
 
         counting = _CountingProvider(oracle)
         again, failures = extract_direct_batch(

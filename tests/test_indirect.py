@@ -38,9 +38,9 @@ from prodex.indirect import (
     decide,
     process_shop,
     synthesize_program,
-    write_products_json,
 )
 from prodex.oracle import OracleConfig, OracleProvider
+from prodex.rundir import write_products_json
 from prodex.schema import FoodProduct
 from prodex.similarity import compare
 

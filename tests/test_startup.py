@@ -62,7 +62,7 @@ def test_evaluate_loads_neither_the_tree_nor_the_dsl_nor_the_orchestrator(record
     assert json.loads((recorded / "report.json").read_text())["shops"]
     assert loaded == {
         "prodex", "prodex.cli", "prodex.reader", "prodex.schema", "prodex.similarity",
-        "prodex.evaluate", "prodex.gateway", "prodex.direct", "prodex.prompts",
+        "prodex.evaluate", "prodex.gateway", "prodex.direct", "prodex.prompts", "prodex.rundir",
     }
     assert not loaded & {"prodex.indirect", "prodex.htmltree", "prodex.dsl", "prodex.oracle"}
 

@@ -120,7 +120,7 @@ def compress_cmd(variant, in_path, out_dir):
     in_path = Path(in_path)
     Path(out_dir).mkdir(parents=True, exist_ok=True)
     if in_path.is_dir():
-        files = sorted(in_path.glob("*.html"))
+        files = sorted(in_path.glob("*.html"), key=lambda path: path.name)
     else:
         files = [in_path]
     manifest = []
@@ -174,6 +174,8 @@ def _build_provider(provider_name, shop: Corpus | None, session, record,
     elif provider_name == "replay":
         if not session:
             raise click.UsageError("replay provider needs --session")
+        if not Path(session).is_dir():
+            raise click.UsageError(f"replay provider: no session directory {session}")
         provider = ReplayProvider(session)
     elif provider_name == "live":
         provider = LiveProvider()

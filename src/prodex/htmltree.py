@@ -16,14 +16,23 @@ tests keep that parser as the reference), except that it never raises, and
 it runs in linear time on hostile markup such as unterminated quotes.
 ``parse_pruned`` builds the tree compression wants in the same pass: banned
 subtrees are tracked but never built, their text is never unescaped, and
-only kept attributes are read. Template pages repeat their attribute texts,
-so each distinct text is read once into a bounded memo: at most
-``ATTRIBUTE_MEMO_SIZE`` entries, and no text longer than
-``ATTRIBUTE_MEMO_MAX_TEXT`` characters; every element still owns its
-attribute dict. The pass also records each element it builds, its parent
-and its class names, in document order: the document's element index, the
-only record of its elements. Pruned text follows one whitespace rule
-(``_Parser._add_pruned``).
+only kept attributes are read. The pass also records each element it
+builds, its parent and its class names, in document order: the document's
+element index, the only record of its elements. Pruned text follows one
+whitespace rule (``_Parser._add_pruned``).
+
+Template pages repeat their markup, so the scan reads it once per process,
+into two bounded memos keyed on exact text. Each distinct plain start tag
+is read once (``_start_tag``): its lowered tag, the tags it closes
+implicitly, whether it opens and whether a raw-text body follows, and its
+attributes; at most ``ATTRIBUTE_MEMO_SIZE`` entries, and no start tag
+longer than ``ATTRIBUTE_MEMO_MAX_TEXT`` characters; every element still
+owns its attribute dict. A banned subtree whose body proved self-contained
+is recorded under its start tag, and where a page repeats the start tag and
+the body, the pruning scans jump over the body with one comparison
+(``_Bodies``; at most ``SUBTREE_MEMO_BODIES`` bodies per start tag and
+``SUBTREE_MEMO_CHARS`` characters in all). Neither memo changes what a
+scan gives.
 
 Selector support is the subset that survives attribute stripping: type
 selectors, ``*``, ``.class``, ``#id``, compounds thereof, and descendant /
@@ -192,18 +201,27 @@ _QUOTES = {"'": re.compile("'"), '"': re.compile('"')}
 _LETTERS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
 
 
-# The attribute memo: template pages repeat the same attribute texts, so each
-# distinct text is read once. Both bounds cap the memory a page can pin.
+# The start-tag memo: template pages repeat the same start tags, so each
+# distinct plain start-tag text is read once per process and per set of kept
+# attributes (see _start_tag). Both bounds cap the memory pages can pin; a
+# MatchSet keeps its readings under the same bounds.
 ATTRIBUTE_MEMO_SIZE = 4096  # entries
-ATTRIBUTE_MEMO_MAX_TEXT = 256  # characters; a longer text is read every time
+ATTRIBUTE_MEMO_MAX_TEXT = 256  # characters; a longer start tag is read every time
 _NO_CLASSES: frozenset[str] = frozenset()
+# kept attribute names -> plain start-tag text -> its reading (see _start_tag)
+_start_tags: dict[Optional[tuple], dict[str, tuple]] = {}
+
+# The subtree memo: template pages repeat their banned boilerplate (header,
+# footer, options) byte for byte, so a banned subtree whose body was read
+# once is jumped over where a page repeats it (see _Bodies).
+SUBTREE_MEMO_BODIES = 4  # bodies per start-tag text
+SUBTREE_MEMO_CHARS = 1 << 20  # characters of all bodies and their start tags
 
 
 def _read_attributes(source, kept) -> tuple[dict[str, Optional[str]], frozenset[str]]:
     """The attribute dict of a start tag and its class-name set. ``source``:
     a plain tag's attribute text, or (name, raw value) pairs; ``kept``: the
-    attribute names to keep, or None for all. The caller must not change the
-    dict of a memoised reading (``_memo_attributes``), only a copy of it."""
+    attribute names to keep, or None for all."""
     plain = isinstance(source, str)
     attrs: dict[str, Optional[str]] = {}
     for name, raw in _ATTRIBUTE.findall(source) if plain else source:
@@ -219,15 +237,83 @@ def _read_attributes(source, kept) -> tuple[dict[str, Optional[str]], frozenset[
     return attrs, frozenset(names.split()) if names else _NO_CLASSES
 
 
-_memo_attributes = functools.lru_cache(maxsize=ATTRIBUTE_MEMO_SIZE)(_read_attributes)
+def _start_tag(source, kept) -> tuple:
+    """What the scan needs of a start tag: (lowered tag, the tags it closes
+    implicitly or None, whether it opens, whether a raw-text body follows,
+    attribute dict, class-name set). ``source``: the match of a plain start
+    tag, whose reading is kept under its text if that is short and the memo
+    has room; or a tag ``_markup`` read, (tag, attribute pairs, closed).
+    The caller must not change the attribute dict, only a copy of it."""
+    if type(source) is tuple:
+        tag, attrs, closed = source
+    else:
+        memo = _start_tags.setdefault(kept, {})
+        key = source[0]
+        reading = memo.get(key)
+        if reading is not None:
+            return reading
+        tag, attrs, closed = source.group(2, 3, 4)
+        tag = tag.lower()
+    attributes, names = _read_attributes(attrs, kept) if attrs else ({}, _NO_CLASSES)
+    opens = not (closed or tag in VOID_ELEMENTS)
+    # a <tag/> closes implicitly too, so a serialized tree parses back
+    reading = (tag, IMPLICIT_CLOSE.get(tag), opens, opens and tag in _RAW_TEXT_END,
+               attributes, names)
+    if (type(source) is not tuple and len(key) <= ATTRIBUTE_MEMO_MAX_TEXT
+            and len(memo) < ATTRIBUTE_MEMO_SIZE):
+        memo[key] = reading
+    return reading
 
 
-def _attributes(source, kept) -> tuple[dict[str, Optional[str]], frozenset[str]]:
-    """``_read_attributes``, through the memo where ``source`` is a text short
-    enough; the caller must copy the dict before changing it."""
-    if type(source) is str and len(source) <= ATTRIBUTE_MEMO_MAX_TEXT:
-        return _memo_attributes(source, kept)
-    return _read_attributes(source, kept)
+class _Bodies:
+    """The subtree memo: the bodies of banned elements, from after a plain
+    start tag through the element's own end tag, by the start tag's text.
+
+    A body is recorded only where the scan read it without depending on
+    anything outside it: no token went through ``_Parser._markup`` (comments,
+    odd tags and unterminated quotes can search past the body), no non-void
+    end tag was ignored, and the element was popped only by its own plain
+    end tag, before the page ended (no implicit close, and no end tag that
+    also closed an outer element). Then each token of the body is read
+    alike wherever the body follows its start tag, since a plain token reads
+    no character past its own end (a text run past the "<" that ends it),
+    and it only opens and closes elements inside the subtree, which is never
+    built or matched, so skipping the body changes nothing the scan gives.
+    Bodies are looked up at the outermost banned element of a subtree only,
+    and a lookup that fails compares no further than the page's own subtree
+    reaches, give or take one token, so a page's lookups take time linear
+    in its length.
+    """
+
+    def __init__(self):
+        self.by_tag: dict[str, list[str]] = {}
+        self.chars = 0
+
+    def end(self, html: str, start_tag: str, at: int) -> int:
+        """Where the body ends that ``html`` repeats at ``at``, after
+        ``start_tag``; -1 if it repeats none."""
+        for body in self.by_tag.get(start_tag, ()):
+            if html.startswith(body, at):
+                return at + len(body)
+        return -1
+
+    def room(self, start_tag: str) -> bool:
+        """Whether a body of ``start_tag`` may still be recorded."""
+        return (len(self.by_tag.get(start_tag, ())) < SUBTREE_MEMO_BODIES
+                and self.chars < SUBTREE_MEMO_CHARS)
+
+    def record(self, start_tag: str, body: str) -> None:
+        size = len(body) + (0 if start_tag in self.by_tag else len(start_tag))
+        if self.chars + size <= SUBTREE_MEMO_CHARS:
+            self.by_tag.setdefault(start_tag, []).append(body)
+            self.chars += size
+
+    def clear(self) -> None:
+        self.by_tag.clear()
+        self.chars = 0
+
+
+_bodies = _Bodies()
 
 
 class _Parser:
@@ -277,21 +363,25 @@ class _Parser:
         """The scan: text and plain start and end tags are read here; other
         markup and script and style bodies move the position, and the scan
         restarts there. A tag that ``_markup`` reads comes back to be built
-        or matched, or closed, here."""
-        s, banned, kept, pruned = self.html, self.banned, self.kept, self.kept is not None
+        or matched, or closed, here. A banned subtree whose body the subtree
+        memo knows is jumped over; one whose body may be recorded is
+        followed until it closes (``_Bodies``)."""
+        s, banned, kept = self.html, self.banned, self.kept
+        pruned = kept is not None
         stack, open_, targets = self.stack, self.open, self.targets
         matching = targets is not None
         if matching:
-            readings, read = targets.readings.setdefault(kept, {}), targets.reading
+            tags, read = targets.readings.setdefault(kept, {}), targets.reading
             descend = targets.descend
             root, limit = targets.first, self.limit
         else:
+            tags, read = _start_tags.setdefault(kept, {}), _start_tag
             root, index = self.children, self.index
             elements, parents, classes = index.elements, index.parents, index.classes
-        markup, add_pruned = self._markup, self._add_pruned
-        memo, max_text = _memo_attributes, ATTRIBUTE_MEMO_MAX_TEXT
-        # watch: the depth of the innermost element whose text is collected, or -1
-        count, watch, signature, pos = 0, -1, 0, 0
+        markup, add_pruned, bodies = self._markup, self._add_pruned, _bodies
+        # watch: the depth of the innermost element whose text is collected, or -1;
+        # recording: the depth of the banned element whose body is recorded, or 0
+        count, watch, signature, pos, recording = 0, -1, 0, 0, 0
         while pos < len(s):
             for m in _TOKEN.finditer(s, pos):
                 kind = m.lastindex
@@ -314,20 +404,20 @@ class _Parser:
                         if data:
                             parent.append(TextNode(data))
                     continue
-                if kind == 5:
-                    tag, attrs = m[5].lower(), None
-                elif kind is None:
-                    self.count = count
+                if kind == 4:
+                    start = tags.get(m[0]) or read(m, kept)
+                elif kind == 5:
+                    tag, start = m[5].lower(), None
+                else:
+                    self.count, recording = count, 0
                     pos, odd = markup(m.start())
                     if odd is None:
                         if pos != m.end():
                             break  # the scan restarts where the markup ends
                         continue
-                    tag, attrs, closed = odd
-                else:
-                    tag, attrs, closed = m.group(2, 3, 4)
-                    tag = tag.lower()
-                if attrs is None:  # an end tag; a stray one is ignored
+                    tag, attrs, _ = odd
+                    start = None if attrs is None else read(odd, kept)
+                if start is None:  # an end tag; a stray one is ignored
                     if stack and stack[-1][0] == tag:  # the innermost element's
                         stack.pop()
                         open_[tag] -= 1
@@ -335,13 +425,21 @@ class _Parser:
                         while (top := stack.pop()[0]) != tag:
                             open_[top] -= 1
                         open_[tag] -= 1
+                    elif tag not in VOID_ELEMENTS:
+                        recording = 0  # an ignored end tag: the body is not recorded
+                    if len(stack) < recording:
+                        if len(stack) == recording - 1:  # closed by its own end tag
+                            bodies.record(body_tag, s[body_at:m.end()])
+                        recording = 0
                     if len(stack) <= watch:
                         watch = self._close(len(stack))
                 else:  # a start tag: add or match an element, open unless closed
-                    closes = IMPLICIT_CLOSE.get(tag)  # a <tag/> too, so a serialized tree parses back
+                    tag, closes, opens, raw, first, second = start
                     if closes:
                         while stack and stack[-1][0] in closes:
                             open_[stack.pop()[0]] -= 1
+                        if len(stack) < recording:
+                            recording = 0  # closed implicitly
                         if len(stack) <= watch:
                             watch = self._close(len(stack))
                     if stack:
@@ -349,41 +447,40 @@ class _Parser:
                         parent = top[1]
                     else:
                         top, parent, self.content = None, root, True
-                    opens = not (closed or tag in VOID_ELEMENTS)
-                    if parent is None or tag in banned:
+                    if parent is None:
                         entry = (tag, None, -1)
-                    elif matching:  # parent is the parent's pre
-                        key = m[0] if kind == 4 else None  # a plain start tag's text
-                        bits, eligible = key and readings.get(key) or read(tag, attrs, kept, key)
-                        signature |= bits
+                    elif tag in banned:  # the outermost element of a subtree not built
+                        entry = (tag, None, -1)
+                        if kind == 4 and opens and not raw:
+                            end = bodies.end(s, m[0], m.end())
+                            if end >= 0:
+                                pos = end
+                                break  # the scan restarts after the known body
+                            if bodies.room(m[0]):
+                                recording, body_tag, body_at = len(stack) + 1, m[0], m.end()
+                    elif matching:  # parent is the parent's pre; first: signature
+                        signature |= first  # bits, second: eligible states
                         base = top[3] if top else root
-                        if eligible & parent and count < limit:
-                            parent, base, hit = descend(parent, base, eligible)
+                        if second & parent and count < limit:
+                            parent, base, hit = descend(parent, base, second)
                             if hit:
                                 watch = self._hit(hit, len(stack), opens)
                         else:
                             parent = base
                         entry = (tag, parent, count, base)
                         count += 1
-                    else:
-                        if not attrs:
-                            attrs, names = {}, _NO_CLASSES
-                        elif type(attrs) is str and len(attrs) <= max_text:  # _attributes, inline
-                            attrs, names = memo(attrs, kept)
-                            attrs = attrs.copy()
-                        else:
-                            attrs, names = _read_attributes(attrs, kept)
-                        element = Element(tag, attrs)
+                    else:  # first: the attribute dict, second: the class names
+                        element = Element(tag, first.copy())
                         parent.append(element)
                         elements.append(element)
                         parents.append(top[2] if top else -1)
-                        classes.append(names)
+                        classes.append(second)
                         entry = (tag, element.children, count)
                         count += 1
                     if opens:
                         stack.append(entry)
                         open_[tag] += 1
-                        if tag in _RAW_TEXT_END:
+                        if raw:
                             self.count = count
                             pos = self._raw_text(tag, pos if kind is None else m.end())
                             if len(stack) <= watch:
@@ -837,10 +934,10 @@ class MatchSet:
         self.any_tag = self.by_tag.pop(None, ())
         self.first, self.child, self.descendant = first, child, descendant
         self.subjects = sum(self.subject_of)
-        # kept attribute names -> start tag text -> (signature bits,
-        # eligible states), see reading; (tag, class set, id) -> eligible
-        # states, see _walk. Both bounded as the attribute memo is.
-        self.readings: dict[tuple, dict[str, tuple[int, int]]] = {}
+        # kept attribute names -> start tag text -> its reading, see
+        # reading; (tag, class set, id) -> eligible states, see _walk. Both
+        # bounded as the start-tag memo is.
+        self.readings: dict[Optional[tuple], dict[str, tuple]] = {}
         self.kinds: dict[tuple, int] = {}
 
     def eligible(self, tag: str, classes: frozenset[str], ident: Optional[str]) -> int:
@@ -878,20 +975,21 @@ class MatchSet:
                 slots += wanted
         return slots
 
-    def reading(self, tag: str, attrs, kept, key: Optional[str]) -> tuple[int, int]:
-        """The signature bits of a start tag's tag and class names, and its
-        eligible states, from its attribute text or (name, raw value) pairs.
-        The reading of a plain start tag is kept under its text ``key``, if
-        that is short, for the next start tag written alike."""
-        attributes, names = _attributes(attrs, kept) if attrs else ({}, _NO_CLASSES)
+    def reading(self, source, kept) -> tuple:
+        """``_start_tag`` of a start tag, with its attribute dict and class
+        names replaced by the signature bits of its tag and class names and
+        its eligible states. The reading of a plain start tag is kept under
+        its text, as ``_start_tag`` keeps it, for the next tag written alike."""
+        tag, closes, opens, raw, attributes, names = _start_tag(source, kept)
         bits = _name_bit(tag)
         for name in names:
             bits |= _name_bit(name)
-        reading = bits, self.eligible(tag, names, attributes.get("id"))
-        readings = self.readings[kept]
-        if (key is not None and len(key) <= ATTRIBUTE_MEMO_MAX_TEXT
-                and len(readings) < ATTRIBUTE_MEMO_SIZE):
-            readings[key] = reading
+        reading = (tag, closes, opens, raw, bits,
+                   self.eligible(tag, names, attributes.get("id")))
+        if type(source) is not tuple:
+            readings, key = self.readings[kept], source[0]
+            if len(key) <= ATTRIBUTE_MEMO_MAX_TEXT and len(readings) < ATTRIBUTE_MEMO_SIZE:
+                readings[key] = reading
         return reading
 
 

@@ -71,6 +71,7 @@ from .gateway import (
 )
 from .htmltree import Document, parse_html, selector_needs
 from .schema import (
+    FIELDS,
     FoodProduct,
     SchemaViolation,
     filled_field_ratio,
@@ -109,6 +110,12 @@ class OrchestratorConfig:
             raise ValueError("decision_ensemble_size must be odd and positive")
         if not (0.0 < self.reference_fill_threshold <= 1.0):
             raise ValueError("reference_fill_threshold must be in (0, 1]")
+        if self.max_refinements < 0:
+            raise ValueError("max_refinements must not be negative")
+        if self.max_alternatives < 0:
+            raise ValueError("max_alternatives must not be negative")
+        if not 1 <= self.min_valid_attributes <= len(FIELDS):  # count_extracted's range
+            raise ValueError(f"min_valid_attributes must be in 1..{len(FIELDS)}")
 
 
 @dataclass

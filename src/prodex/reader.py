@@ -172,7 +172,7 @@ def load_corpus(corpus_dir) -> Corpus:
     truth = load_truth(root)
     pages = [
         read_page(path, f"https://shop-{shop_id}.example/artikel/{path.stem}")
-        for path in sorted((root / "pages").glob("*.html"))
+        for path in sorted((root / "pages").glob("*.html"), key=lambda path: path.name)
     ]
     labels = load_labels(root / "labels.json")
     path = root / "templates.json"

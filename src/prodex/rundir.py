@@ -159,7 +159,7 @@ def _run_products(text: str) -> dict[str, FoodProduct]:
 def read_products(out) -> dict[str, FoodProduct]:
     """A direct run's finished pages by page_id (a stray ``*.json.tmp`` is not one)."""
     return {path.stem: _read(path, parse_product)
-            for path in sorted((Path(out) / PRODUCTS).glob("*.json"))}
+            for path in sorted((Path(out) / PRODUCTS).glob("*.json"), key=lambda path: path.name)}
 
 
 def read_results(root):

@@ -49,6 +49,38 @@ def markup():
     ).map("".join)
 
 
+#: Banned elements written alike on many pages, and what their bodies may
+#: hold that makes a body depend on the markup around it: an end tag that
+#: closes an outer element, an implicit close of the banned element, an
+#: unterminated quote that runs past the body, a comment, a nested banned
+#: element of the same name, and a script.
+_BANNED_STARTS = ("<footer>", '<footer class="a">', "<option>", "<header id=x>", "<noscript>",
+                  "<script>", "<option/>")
+_HAZARDS = ("</div>", "</p>", "<option>b", "<option/>", '<b c="d>', "<!-- c -->", "<a \"",
+            "</footer>", "<footer>a</footer>", "<script>x</script>", "<br></br>")
+
+
+@st.composite
+def template_pages(draw):
+    """Pages built from one pool of banned-element bodies, so that bodies
+    repeat from page to page: each page is tag soup among banned elements,
+    each a start tag with a body from the pool, perhaps cut short, and then
+    the element's end tag or a different tail."""
+    fragments = st.one_of(_text, _start, _end, st.sampled_from(_HAZARDS))
+    pool = draw(st.lists(st.lists(fragments, max_size=5).map("".join), min_size=1, max_size=3))
+
+    @st.composite
+    def banned(draw):
+        start = draw(st.sampled_from(_BANNED_STARTS))
+        body = draw(st.sampled_from(pool))
+        body = body[:draw(st.integers(0, len(body)))] if draw(st.booleans()) else body
+        end = "</" + start[1:].split(">")[0].split()[0].rstrip("/") + ">"
+        return start + body + draw(st.sampled_from((end, end, "x" + end, "", "<p>")))
+
+    page = st.lists(st.one_of(_start, _end, _text, banned(), banned()), max_size=12).map("".join)
+    return draw(st.lists(page, min_size=1, max_size=4))
+
+
 _compound = st.builds(
     lambda tag, classes, ident: tag + "".join(f".{c}" for c in classes)
     + (f"#{ident}" if ident else ""),

@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from prodex.cli import main
+from prodex.schema import FIELDS
 
 
 @pytest.fixture(scope="module")
@@ -338,14 +339,55 @@ def test_config_file_with_bad_key_is_a_usage_error(workspace, runner, tmp_path, 
     assert not (tmp_path / "out").exists()
 
 
+_INVALID_SETTINGS = {
+    ("--ensemble-size", "4"): "decision_ensemble_size must be odd and positive",
+    ("--max-refinements", "-1"): "max_refinements must not be negative",
+    ("--max-alternatives", "-1"): "max_alternatives must not be negative",
+    ("--min-valid-attributes", "0"): f"min_valid_attributes must be in 1..{len(FIELDS)}",
+    ("--min-valid-attributes", "-3"): f"min_valid_attributes must be in 1..{len(FIELDS)}",
+    ("--min-valid-attributes", str(len(FIELDS) + 1)): f"min_valid_attributes must be in 1..{len(FIELDS)}",
+}
+
+
 def test_invalid_orchestrator_setting_is_a_usage_error(workspace, runner, tmp_path):
+    for (option, value), message in _INVALID_SETTINGS.items():
+        result = runner.invoke(
+            main,
+            ["extract", "indirect", "--corpus", str(workspace / "corpus"),
+             "--out", str(tmp_path / "out"), option, value, "--runs", "1"],
+        )
+        assert result.exit_code == 2, (option, value, result.output)
+        assert message in result.output
+        assert not (tmp_path / "out").exists()
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"min_valid_attributes": 99}))
     result = runner.invoke(
         main,
-        ["extract", "indirect", "--corpus", str(workspace / "corpus"),
-         "--out", str(tmp_path / "out"), "--ensemble-size", "4", "--runs", "1"],
+        ["--config", str(config), "extract", "indirect", "--corpus", str(workspace / "corpus"),
+         "--out", str(tmp_path / "out"), "--runs", "1"],
     )
     assert result.exit_code == 2, result.output
-    assert "decision_ensemble_size must be odd and positive" in result.output
+    assert f"min_valid_attributes must be in 1..{len(FIELDS)}" in result.output
+
+
+def test_bounds_of_the_orchestrator_settings_are_accepted():
+    from prodex.indirect import OrchestratorConfig
+
+    OrchestratorConfig(max_refinements=0, max_alternatives=0, min_valid_attributes=1)
+    OrchestratorConfig(min_valid_attributes=len(FIELDS))
+
+
+@pytest.mark.parametrize("strategy", ["direct", "indirect"])
+def test_missing_replay_session_is_a_usage_error(workspace, runner, tmp_path, strategy):
+    session = tmp_path / "no-session"
+    result = runner.invoke(
+        main,
+        ["extract", strategy, "--corpus", str(workspace / "corpus"),
+         "--out", str(tmp_path / "out"), "--provider", "replay", "--session", str(session)],
+    )
+    assert result.exit_code == 2, result.output
+    assert f"no session directory {session}" in result.output
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("text, message", [

@@ -4,9 +4,10 @@
 ``parse_pruned`` must give that tree pruned after the fact
 (``tests/reference_html.py``), on tag soup and on each case the reference
 reads in a surprising way. On hostile markup both run in linear time. The
-memo of attribute readings agrees with a fresh reading and keeps its bounds.
+memo of start-tag readings agrees with a fresh reading and keeps its bounds.
 """
 
+import contextlib
 import os
 import subprocess
 import sys
@@ -15,19 +16,26 @@ from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from markup import attribute_texts, markup
+from markup import attribute_texts, markup, selectors, template_pages
 from reference_html import reference_is_empty, reference_parse, reference_prune
 
 import prodex
+from prodex import htmltree
 from prodex.compress import BANNED_ELEMENTS, KEPT_ATTRIBUTES
 from prodex.htmltree import (
     ATTRIBUTE_MEMO_MAX_TEXT,
     ATTRIBUTE_MEMO_SIZE,
+    IMPLICIT_CLOSE,
+    SUBTREE_MEMO_BODIES,
+    SUBTREE_MEMO_CHARS,
     Element,
     MatchSet,
     TextNode,
-    _memo_attributes,
+    _TOKEN,
+    _bodies,
     _read_attributes,
+    _start_tag,
+    _start_tags,
     match_pruned,
     parse_html,
     parse_pruned,
@@ -110,15 +118,20 @@ def test_pinned_cases_equal_the_reference(html):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(attribute_texts(), st.sampled_from([None, KEPT_ATTRIBUTES])), max_size=6))
 def test_a_memoised_attribute_reading_equals_a_fresh_one(readings):
-    # Each text is read with kept None and with the kept names, cold and then
-    # warm, so a memo key without the kept names would be caught.
-    _memo_attributes.cache_clear()
+    # Each start tag is read with kept None and with the kept names, cold and
+    # then warm, so a memo key without the kept names would be caught.
+    _start_tags.clear()
+    memoised = {}
     for _ in ("cold", "warm"):
         for text, kept in readings:
+            start_tag = _TOKEN.match(f"<p{text}>")
+            assert start_tag.lastindex == 4  # a plain start tag
             fresh = _read_attributes(text, kept)
-            assert _memo_attributes(text, kept) == fresh
+            reading = _start_tag(start_tag, kept)
+            assert reading == ("p", IMPLICIT_CLOSE["p"], True, False, *fresh)
             assert fresh[1] == set((fresh[0].get("class") or "").split())
-    assert _memo_attributes.cache_info().hits >= len(readings)
+            assert memoised.setdefault((text, kept), reading) is reading
+    assert sum(map(len, _start_tags.values())) == len(memoised)
 
 
 def test_elements_read_from_one_attribute_text_own_their_attrs():
@@ -130,16 +143,16 @@ def test_elements_read_from_one_attribute_text_own_their_attrs():
 
 
 def test_the_attribute_memo_keeps_its_bounds():
-    _memo_attributes.cache_clear()
+    _start_tags.clear()
     parse_html("".join(f'<p class="c{i}">' for i in range(ATTRIBUTE_MEMO_SIZE + 100)))
-    assert _memo_attributes.cache_info().currsize == ATTRIBUTE_MEMO_SIZE
-    at_cap = ' class="' + "x" * (ATTRIBUTE_MEMO_MAX_TEXT - 9) + '"'
+    assert len(_start_tags[None]) == ATTRIBUTE_MEMO_SIZE
+    at_cap = '<p class="' + "x" * (ATTRIBUTE_MEMO_MAX_TEXT - 12) + '">'
     assert len(at_cap) == ATTRIBUTE_MEMO_MAX_TEXT
-    for text, stored in ((at_cap, 1), (at_cap[:-1] + 'x"', 0)):
-        _memo_attributes.cache_clear()
-        (p,) = parse_html(f"<p{text}>").children
-        assert p.attrs == {"class": text[8:-1]}
-        assert _memo_attributes.cache_info().currsize == stored
+    for text, stored in ((at_cap, 1), (at_cap[:-2] + 'x">', 0)):
+        _start_tags.clear()
+        (p,) = parse_html(text).children
+        assert p.attrs == {"class": text[10:-2]}
+        assert len(_start_tags[None]) == stored
 
 
 def test_the_readings_a_match_set_keeps_stay_within_the_memo_bounds():
@@ -152,6 +165,73 @@ def test_the_readings_a_match_set_keeps_stay_within_the_memo_bounds():
     assert len(readings) == ATTRIBUTE_MEMO_SIZE
     assert all(len(key) <= ATTRIBUTE_MEMO_MAX_TEXT
                for kept in (_HOSTILE_TARGETS, targets) for key in kept.readings[KEPT_ATTRIBUTES])
+
+
+def _clear_memos():
+    _start_tags.clear()
+    _bodies.clear()
+
+
+@contextlib.contextmanager
+def _no_memos():
+    """The scan with its process-wide memos empty, and kept empty."""
+    saved = htmltree.ATTRIBUTE_MEMO_SIZE, htmltree.SUBTREE_MEMO_BODIES
+    htmltree.ATTRIBUTE_MEMO_SIZE = htmltree.SUBTREE_MEMO_BODIES = 0
+    _clear_memos()
+    try:
+        yield
+    finally:
+        htmltree.ATTRIBUTE_MEMO_SIZE, htmltree.SUBTREE_MEMO_BODIES = saved
+
+
+@settings(max_examples=300, deadline=None)
+@given(template_pages(), st.lists(st.tuples(selectors(), st.integers(0, 3)), max_size=3))
+@example(["<footer>a<p>b</p></footer>", "<div><footer>a<p>b</p>c</footer>d</div>"], [("div", 0)])
+@example(["<footer>a</div>b</footer>", "<div><footer>a</div>b</footer>c</div>d"], [("div", 0)])
+@example(["<select><option>a<option>b</select>", "<option>a</option><option>b<p>c"], [("p", 0)])
+@example(['<footer><b c="d>e</footer>', '<footer><b c="d>e</footer>f"g>h<p>i'], [("p", 0)])
+@example(["<div><p><option>a<option/><b>c</b>d</p>", "<p><option>a<option/><b>c</b>"], [("b", 0)])
+@example(["<div><script>x</script><b>c</b>", "<div><script>x</script><b>c</b>"], [("b", 0)])
+@example(["<footer>a<!--b</footer>", "<footer>a<!--b</footer>c-->d</footer>e"], [("*", 0)])
+@example(["<footer>a<!-- b --></footer>c", "<footer>a<!-- b --></footer>c"], [("*", 0)])
+def test_the_memos_change_nothing_a_scan_gives(pages, drawn):
+    """The pruned tree, the matching scan's texts and signature, and whether
+    the page has content are the same with the memos cleared before each
+    page and after the other pages filled them as without the memos."""
+    targets = [(parse_selector(selector), node_index) for selector, node_index in drawn]
+
+    def read(html, match_set):
+        tree = _pruned(html)
+        found = match_pruned(html, BANNED_ELEMENTS, KEPT_ATTRIBUTES, match_set)
+        return tree, tree and serialize(tree), found
+
+    with _no_memos():
+        expected = [read(html, MatchSet(targets)) for html in pages]
+    for html, want in zip(pages, expected):
+        _clear_memos()
+        assert read(html, MatchSet(targets)) == want
+    _clear_memos()
+    warm = MatchSet(targets)
+    for _ in ("filling", "filled"):
+        for html, want in zip(pages, expected):
+            assert read(html, warm) == want
+
+
+def test_the_subtree_memo_keeps_its_bounds():
+    _clear_memos()
+    bodies = [f"{i}<p>x</p></footer>" for i in range(SUBTREE_MEMO_BODIES + 2)]
+    page = "".join("<footer>" + body for body in bodies)
+    assert _pruned(page).children == []
+    assert _bodies.by_tag == {"<footer>": bodies[:SUBTREE_MEMO_BODIES]}
+    assert _pruned(page + "y").children == [TextNode("y")]  # every body known or read
+    long_body = "x" * 1000 + "</footer>"
+    page = "".join(f'<footer class="c{i}">{long_body}' for i in range(SUBTREE_MEMO_CHARS // 1000))
+    _clear_memos()
+    assert _matched(page)[1] == 0  # no kept element: an empty signature
+    assert SUBTREE_MEMO_CHARS - 1100 < _bodies.chars <= SUBTREE_MEMO_CHARS
+    assert _bodies.chars == sum(len(key) + sum(map(len, known))
+                                for key, known in _bodies.by_tag.items())
+    assert all(known == [long_body] for known in _bodies.by_tag.values())
 
 
 def test_a_lt_1_is_three_text_nodes_joined_when_pruned():
@@ -193,6 +273,9 @@ HOSTILE = {
     "run of implicitly closed li": "<li>",
     "run of implicitly closed td": "<td>",
     "nested svg and g": "<svg><g>",
+    "banned bodies alike for a long prefix": "".join(
+        f"<footer>{'a' * 100}{tail}</footer>" for tail in "bcdef"
+    ),
 }
 
 

@@ -336,8 +336,10 @@ def extract_indirect_cmd(ctx, corpus_dir, out_dir, labels_path, seed, runs,
                                oracle_imperfections, oracle_unreparable_template,
                                oracle_unreparable_rate, oracle_seed)
 
-    # Compressed pages and library results, shared by every run.
+    # Compressed pages and library results, shared by every run; with more
+    # than one run, the products.json texts of the last run written.
     cache = PageCache(shop)
+    texts = {} if runs > 1 else None
     failures: dict[str, str] = {}
 
     run_seeds, metrics = [], []
@@ -351,7 +353,7 @@ def extract_indirect_cmd(ctx, corpus_dir, out_dir, labels_path, seed, runs,
                 {page_id: r.product for page_id, r in result.page_results.items()},
                 shop.truth, failed=result.failures,
             )
-        rundir.write_run(out_dir, run_index, result)
+        rundir.write_run(out_dir, run_index, result, texts)
         failures.update(result.failures)
         metrics.append(result.metrics)
         click.echo(

@@ -219,10 +219,14 @@ class Predicate:
     # does not compile is an InvalidRegex at ``$``, the predicate itself);
     # None for other ops.
     compiled: Optional[re.Pattern] = field(init=False, repr=False, compare=False)
+    # The contains_keyword keyword, lowercased on construction; None for other ops.
+    keyword: Optional[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         compiled = _compile_regex(self.value, "$") if self.op == "matches_regex" else None
         object.__setattr__(self, "compiled", compiled)
+        keyword = self.value.lower() if self.op == "contains_keyword" else None
+        object.__setattr__(self, "keyword", keyword)
 
 
 @dataclass(frozen=True)
@@ -603,22 +607,30 @@ def _assemble_product(leaf_values: dict[str, str]) -> FoodProduct:
 
 def run_decision(prog: DecisionProgram, doc: CompressedDocument) -> bool:
     """Evaluate the predicate over a TEXT document."""
+    return decision_votes((prog,), doc) == 1
+
+
+def decision_votes(programs, doc: CompressedDocument) -> int:
+    """How many of ``programs`` decide yes on a TEXT document; its text is
+    lowercased once for all their keywords."""
     if doc.variant is not Variant.TEXT:
         raise WrongVariant(f"decision runs on TEXT, got {doc.variant.value}")
-    return _eval_predicate(prog.predicate, doc.content)
+    text = doc.content
+    lowered = text.lower()
+    return sum(1 for prog in programs if _eval_predicate(prog.predicate, text, lowered))
 
 
-def _eval_predicate(p: Predicate, text: str) -> bool:
+def _eval_predicate(p: Predicate, text: str, lowered: str) -> bool:
     if p.op == "contains_keyword":
-        return p.value.lower() in text.lower()
+        return p.keyword in lowered
     if p.op == "matches_regex":
         return p.compiled.search(text) is not None
     if p.op == "and":
-        return all(_eval_predicate(a, text) for a in p.args)
+        return all(_eval_predicate(a, text, lowered) for a in p.args)
     if p.op == "or":
-        return any(_eval_predicate(a, text) for a in p.args)
+        return any(_eval_predicate(a, text, lowered) for a in p.args)
     if p.op == "not":
-        return not _eval_predicate(p.args[0], text)
+        return not _eval_predicate(p.args[0], text, lowered)
     raise AssertionError(f"unreachable predicate op {p.op}")
 
 

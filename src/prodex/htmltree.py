@@ -25,14 +25,14 @@ Template pages repeat their markup, so the scan reads it once per process,
 into two bounded memos keyed on exact text. Each distinct plain start tag
 is read once (``_start_tag``): its lowered tag, the tags it closes
 implicitly, whether it opens and whether a raw-text body follows, and its
-attributes; at most ``ATTRIBUTE_MEMO_SIZE`` entries, and no start tag
-longer than ``ATTRIBUTE_MEMO_MAX_TEXT`` characters; every element still
-owns its attribute dict. A banned subtree whose body proved self-contained
-is recorded under its start tag, and where a page repeats the start tag and
-the body, the pruning scans jump over the body with one comparison
-(``_Bodies``; at most ``SUBTREE_MEMO_BODIES`` bodies per start tag and
-``SUBTREE_MEMO_CHARS`` characters in all). Neither memo changes what a
-scan gives.
+attributes; at most ``ATTRIBUTE_MEMO_SIZE`` entries, the oldest dropped
+first, and no start tag longer than ``ATTRIBUTE_MEMO_MAX_TEXT`` characters;
+every element still owns its attribute dict. A banned subtree whose body
+proved self-contained is recorded under its start tag, and where a page
+repeats the start tag and the body, the pruning scans jump over the body
+with one comparison (``_Bodies``; at most ``SUBTREE_MEMO_BODIES`` bodies
+per start tag and ``SUBTREE_MEMO_CHARS`` characters in all). Neither memo
+changes what a scan gives.
 
 Selector support is the subset that survives attribute stripping: type
 selectors, ``*``, ``.class``, ``#id``, compounds thereof, and descendant /
@@ -259,10 +259,21 @@ def _start_tag(source, kept) -> tuple:
     # a <tag/> closes implicitly too, so a serialized tree parses back
     reading = (tag, IMPLICIT_CLOSE.get(tag), opens, opens and tag in _RAW_TEXT_END,
                attributes, names)
-    if (type(source) is not tuple and len(key) <= ATTRIBUTE_MEMO_MAX_TEXT
-            and len(memo) < ATTRIBUTE_MEMO_SIZE):
-        memo[key] = reading
+    if type(source) is not tuple and len(key) <= ATTRIBUTE_MEMO_MAX_TEXT:
+        _remember(memo, key, reading)
     return reading
+
+
+def _remember(memo: dict, key: str, reading: tuple) -> None:
+    """Keep ``reading`` under ``key`` in a start-tag memo. A full memo first
+    drops its oldest entry (insertion order), so tags a page alone holds
+    cannot crowd out a later template's."""
+    if len(memo) >= ATTRIBUTE_MEMO_SIZE:
+        try:
+            del memo[next(iter(memo))]
+        except (StopIteration, RuntimeError, KeyError):  # empty, or changed by another thread
+            return
+    memo[key] = reading
 
 
 class _Bodies:
@@ -987,9 +998,9 @@ class MatchSet:
         reading = (tag, closes, opens, raw, bits,
                    self.eligible(tag, names, attributes.get("id")))
         if type(source) is not tuple:
-            readings, key = self.readings[kept], source[0]
-            if len(key) <= ATTRIBUTE_MEMO_MAX_TEXT and len(readings) < ATTRIBUTE_MEMO_SIZE:
-                readings[key] = reading
+            key = source[0]
+            if len(key) <= ATTRIBUTE_MEMO_MAX_TEXT:
+                _remember(self.readings[kept], key, reading)
         return reading
 
 

@@ -53,6 +53,7 @@ from .dsl import (
     ProgramScan,
     count_extracted,
     decision_program_json_schema,
+    decision_votes,
     extraction_program_json_schema,
     parse_program,
     program_scan,
@@ -338,8 +339,7 @@ def decide(ensemble: list[DecisionProgram], doc: CompressedDocument) -> bool:
     """Strict majority vote over the ensemble's individual decisions."""
     if not ensemble or len(ensemble) % 2 == 0:
         raise ValueError("ensemble must be non-empty and odd-sized")
-    votes = sum(1 for program in ensemble if run_decision(program, doc))
-    return votes * 2 > len(ensemble)
+    return decision_votes(ensemble, doc) * 2 > len(ensemble)
 
 
 # --- Pages ---------------------------------------------------------------------

@@ -132,7 +132,9 @@ def _decode_truth_line(line: str):
 
 
 def load_truth(path) -> dict[str, GroundTruthRecord]:
-    """Ground truth by page id, from a corpus directory or a truth.jsonl file."""
+    """Ground truth by page id, from a corpus directory or a truth.jsonl file.
+    A record that does not load, or names a page an earlier line names,
+    raises MalformedTruth naming its line."""
     path = Path(path)
     if path.is_dir():
         path = path / "truth.jsonl"
@@ -147,6 +149,9 @@ def load_truth(path) -> dict[str, GroundTruthRecord]:
         except (SchemaViolation, KeyError, ValueError, TypeError, RecursionError) as exc:
             errors = getattr(exc, "errors", None) or [("$", f"{type(exc).__name__}: {exc}")]
             raise MalformedTruth(f"{path}:{number}", errors) from exc
+        if record.page_id in truth:
+            raise MalformedTruth(f"{path}:{number}",
+                                 [("page_id", f"{record.page_id!r} is on an earlier line too")])
         truth[record.page_id] = record
     return truth
 

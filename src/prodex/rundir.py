@@ -2,7 +2,8 @@
 command leaves in its ``--out`` (the corpus directory is ``prodex.reader``'s).
 Each is written whole to ``<name>.tmp`` and renamed into place, so an
 interrupted command leaves no torn file. A run file ``prodex evaluate`` cannot
-read, or of the wrong shape, raises MalformedProduct naming it.
+read, of the wrong shape or listing a page twice raises MalformedProduct
+naming it.
 """
 
 import json
@@ -68,31 +69,50 @@ def write_product(out, page_id: str, product: FoodProduct) -> None:
     write_atomic(Path(out) / PRODUCTS / f"{page_id}.json", serialize_product(product))
 
 
-def write_products_json(fh, page_results) -> None:
+def write_products_json(fh, page_results, texts=None) -> None:
     """Stream a run's products.json to ``fh``, one write per item in page_id
     order. The bytes are exactly those of ``json.dump([r.to_dict() for each
     result in page_id order], fh, indent=2, ensure_ascii=False)``, in that
-    call's fixed layout with the C escaper ``json_string`` it uses."""
+    call's fixed layout with the C escaper ``json_string`` it uses.
+
+    ``texts``, if given, maps page_id to (product, its text) as the previous
+    write for the same pages left it, and is left holding this write's: a
+    page whose product is the very object written before reuses its text,
+    so a run revisiting pages serializes only what changed. Identity, never
+    ``==``, decides: ``Decimal("1.0") == Decimal("1.00")``, but they print
+    apart. Without ``texts`` every product is serialized and none is kept."""
     opening = "[\n  "
     for page_id in sorted(page_results):
         result = page_results[page_id]
+        product = result.product
+        kept = None if texts is None else texts.get(page_id)
+        if kept is not None and kept[0] is product:
+            text = kept[1]
+        else:
+            text = serialize_product(product, "    ")
+            if texts is not None:
+                texts[page_id] = (product, text)
         fh.write(
             f'{opening}{{\n    "page_id": {json_string(result.page_id)},'
             f'\n    "source": {json_string(result.source)},'
             f'\n    "count_extracted": {result.count_extracted},'
-            f'\n    "product": {serialize_product(result.product, "    ")}\n  }}'
+            f'\n    "product": {text}\n  }}'
         )
         opening = ",\n  "
     fh.write("\n]" if page_results else "[]")
+    if texts is not None and len(texts) > len(page_results):  # pages this write lacks
+        for page_id in texts.keys() - page_results.keys():
+            del texts[page_id]
 
 
-def write_run(out, index: int, result) -> None:
-    """A ``ShopRunResult``'s ``run-NN/``; products.json streams to its ``.tmp``."""
+def write_run(out, index: int, result, texts=None) -> None:
+    """A ``ShopRunResult``'s ``run-NN/``; products.json streams to its ``.tmp``,
+    reusing and then holding ``texts`` as ``write_products_json`` does."""
     run = Path(out) / f"run-{index:02d}"
     run.mkdir(parents=True, exist_ok=True)
     tmp = run / f"{RUN_PRODUCTS}.tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        write_products_json(fh, result.page_results)
+        write_products_json(fh, result.page_results, texts)
     os.replace(tmp, run / RUN_PRODUCTS)
     write_atomic(run / LIBRARY, result.library.to_json())
     write_atomic(run / METRICS, result.metrics.to_json())
@@ -152,8 +172,13 @@ def _metrics_counts(text: str) -> dict:
 
 
 def _run_products(text: str) -> dict[str, FoodProduct]:
-    return {entry["page_id"]: product_from_dict(entry["product"])
-            for entry in json.loads(text, parse_float=Decimal)}
+    products: dict[str, FoodProduct] = {}
+    for entry in json.loads(text, parse_float=Decimal):
+        page_id = entry["page_id"]
+        if page_id in products:
+            raise ValueError(f"page {page_id!r} is listed twice")
+        products[page_id] = product_from_dict(entry["product"])
+    return products
 
 
 def read_products(out) -> dict[str, FoodProduct]:

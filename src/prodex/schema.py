@@ -100,8 +100,6 @@ FIELDS: tuple[FieldSpec, ...] = (
     *(FieldSpec(name, FieldKind.QUANTITY, _NUTRIENT_DESCRIPTIONS[name]) for name in NUTRIENT_FIELDS),
 )
 
-_FIELDS_BY_NAME = {spec.name: spec for spec in FIELDS}
-
 
 @dataclass(frozen=True)
 class QuantitativeValue:
@@ -137,8 +135,11 @@ class FoodProduct:
         return tuple(n for n in _FIELD_NAMES if getattr(self, n) is not None)
 
 
-#: FoodProduct's field names in declaration order.
+#: FoodProduct's field names in declaration order, which is ``FIELDS``' order.
 _FIELD_NAMES = tuple(f.name for f in dc_fields(FoodProduct))
+#: Each field's position in FoodProduct: 0 is the ingredient statement, the
+#: one text field, and the nutrients follow.
+_SLOTS = {name: slot for slot, name in enumerate(_FIELD_NAMES)}
 
 
 def filled_field_ratio(product: FoodProduct) -> float:
@@ -280,58 +281,73 @@ def parse_product(json_text: str) -> FoodProduct:
 
 def product_from_dict(data) -> FoodProduct:
     """Validate decoded product JSON (numbers decoded as Decimal or float)
-    into a product; raises SchemaViolation on failure."""
+    into a product; raises SchemaViolation on failure.
+
+    One pass over the fields: a valid field costs only its conversion, and
+    the errors are listed only from the first field that fails a check, in
+    the order of ``data``'s keys."""
     if not isinstance(data, dict):
         raise SchemaViolation([("$", "top level must be a JSON object")])
-
-    errors: list[tuple[str, str]] = []
-    values: dict[str, object] = {}
+    values: list = [None] * len(_FIELD_NAMES)
+    errors = None
     for key, raw in data.items():
-        spec = _FIELDS_BY_NAME.get(key)
-        if spec is None:
-            errors.append((key, "unknown field"))
+        slot = _SLOTS.get(key)
+        if raw is None and slot is not None:
             continue
-        if raw is None:
-            continue
-        if spec.kind is FieldKind.TEXT:
-            if not isinstance(raw, str):
-                errors.append((key, f"expected string, got {type(raw).__name__}"))
+        if slot:  # a nutrient
+            value = _valid_quantity(raw)
+            if value is not None:
+                values[slot] = value
                 continue
-            text = strip_known_prefix(raw.strip())
-            if text:
-                values[key] = text
+            found = _quantity_errors(key, raw)
+        elif slot is None:
+            found = [(key, "unknown field")]
+        elif isinstance(raw, str):
+            values[0] = strip_known_prefix(raw.strip()) or None
+            continue
         else:
-            qv = _parse_quantity(key, raw, errors)
-            if qv is not None:
-                values[key] = qv
+            found = [(key, f"expected string, got {type(raw).__name__}")]
+        errors = found if errors is None else errors + found
     if errors:
         raise SchemaViolation(errors)
-    return FoodProduct(**values)  # type: ignore[arg-type]
+    return FoodProduct(*values)
 
 
-def _parse_quantity(path, raw, errors) -> Optional[QuantitativeValue]:
+def _valid_quantity(raw) -> Optional[QuantitativeValue]:
+    """The quantity of a valid quantity object, or None where a check
+    fails; ``_quantity_errors`` then says which."""
     if not isinstance(raw, dict):
-        errors.append((path, f"expected object, got {type(raw).__name__}"))
         return None
-    unknown = raw.keys() - _QUANTITY_KEYS
-    for key in sorted(unknown):
-        errors.append((f"{path}.{key}", "unknown field"))
+    value, unit = raw.get("value"), raw.get("unit_code")
+    if (value is None or len(raw) != 1 + ("unit_code" in raw)
+            or not (unit is None or (isinstance(unit, str) and unit))):
+        return None
+    try:
+        return quantity(value, unit)
+    except InvalidOperation:
+        return None
+
+
+def _quantity_errors(path, raw) -> list[tuple[str, str]]:
+    """Why ``raw`` is no valid quantity at ``path``: unknown keys in sorted
+    order, then a missing or malformed value or else a bad unit. An invalid
+    quantity is checked, never interned."""
+    if not isinstance(raw, dict):
+        return [(path, f"expected object, got {type(raw).__name__}")]
+    errors = [(f"{path}.{key}", "unknown field") for key in sorted(raw.keys() - _QUANTITY_KEYS)]
     value = raw.get("value")
     if value is None:
         errors.append((f"{path}.value", "missing value"))
-        return None
-    unit = raw.get("unit_code")
-    unit_ok = unit is None or (isinstance(unit, str) and unit != "")
+        return errors
     try:
-        if unit_ok and not unknown:
-            return quantity(value, unit)
-        parse_decimal(value)  # an invalid quantity is checked, never interned
+        parse_decimal(value)
     except InvalidOperation:
         errors.append((f"{path}.value", f"malformed number: {value!r}"))
-        return None
-    if not unit_ok:
+        return errors
+    unit = raw.get("unit_code")
+    if not (unit is None or (isinstance(unit, str) and unit != "")):
         errors.append((f"{path}.unit_code", "must be a non-empty string"))
-    return None
+    return errors
 
 
 def product_to_dict(product: FoodProduct) -> dict:

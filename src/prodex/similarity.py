@@ -10,6 +10,8 @@ attribute score being the mean of the two nested comparisons.
 Free-text fields earn partial credit through normalized Levenshtein
 similarity; every other primitive is scored all-or-nothing. Numeric equality
 is exact after decimal normalization; unit codes compare case-insensitively.
+A pair of equal products, the common case in a run, is scored without the
+walk.
 """
 
 from __future__ import annotations
@@ -99,8 +101,19 @@ def _display(value) -> Optional[str]:
     return str(value)
 
 
+#: The top-level attributes in ``FIELDS`` order, the order of every report.
+_FIELD_NAMES = tuple(spec.name for spec in FIELDS)
+
+
 def compare(extracted: FoodProduct, reference: FoodProduct) -> SimilarityReport:
-    """Score the extracted product against the reference."""
+    """Score the extracted product against the reference.
+
+    Equal products get the report the field walk gives them, at once: every
+    attribute 1.0, overall 1.0 and no mismatches. Equality is the product's
+    own, so quantities compare by value (``1.0`` equals ``1.00``) and unit
+    codes exactly, which the walk scores 1.0 too."""
+    if extracted == reference:
+        return SimilarityReport(1.0, dict.fromkeys(_FIELD_NAMES, 1.0), ())
     per_attribute: dict[str, float] = {}
     mismatches: list[Mismatch] = []
     for spec in FIELDS:

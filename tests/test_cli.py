@@ -657,6 +657,47 @@ def test_malformed_truth_record_is_a_usage_error(workspace, runner, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_a_page_listed_twice_in_truth_is_a_usage_error(workspace, runner, tmp_path):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(workspace / "corpus", corpus)
+    truth = corpus / "truth.jsonl"
+    lines = truth.read_text().splitlines()
+    page_id = json.loads(lines[0])["page_id"]
+    truth.write_text("\n".join([*lines, lines[0]]) + "\n")
+    for args in (
+        ["extract", "direct", "--corpus", str(corpus), "--out", str(tmp_path / "out"),
+         "--provider", "oracle"],
+        ["evaluate", "--results", str(tmp_path), "--truth", str(truth),
+         "--out", str(tmp_path / "report.json")],
+    ):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert f"{truth}:{len(lines) + 1}: page_id: {page_id!r}" in result.output
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_page_listed_twice_in_products_json_is_a_usage_error(workspace, runner, tmp_path):
+    out = tmp_path / "indirect"
+    result = runner.invoke(
+        main,
+        ["extract", "indirect", "--corpus", str(workspace / "corpus"), "--out", str(out),
+         "--provider", "oracle", "--runs", "1"],
+    )
+    assert result.exit_code == 0, result.output
+    products = out / "run-00" / "products.json"
+    entries = json.loads(products.read_text(encoding="utf-8"))
+    products.write_text(json.dumps([*entries, entries[0]]), encoding="utf-8")
+    result = runner.invoke(
+        main,
+        ["evaluate", "--results", str(out), "--truth", str(workspace / "corpus"),
+         "--out", str(tmp_path / "report.json")],
+    )
+    assert result.exit_code == 2, result.output
+    assert f"product file {products}: " in result.output
+    assert f"{entries[0]['page_id']!r} is listed twice" in result.output
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_truth_without_a_result_page_is_a_usage_error(workspace, runner, tmp_path):
     out = tmp_path / "direct"
     result = runner.invoke(

@@ -435,6 +435,61 @@ class TestRunDecision:
             run_decision(program, CompressedDocument("p", Variant.HTML_COMPRESSED, "<p>x</p>", 1))
 
 
+def _reference_eval(p: Predicate, text: str) -> bool:
+    """Predicate evaluation as it was: text and keyword lowercased per atom."""
+    if p.op == "contains_keyword":
+        return p.value.lower() in text.lower()
+    if p.op == "matches_regex":
+        return p.compiled.search(text) is not None
+    if p.op == "and":
+        return all(_reference_eval(a, text) for a in p.args)
+    if p.op == "or":
+        return any(_reference_eval(a, text) for a in p.args)
+    return not _reference_eval(p.args[0], text)
+
+
+# Keywords whose lowercase differs in length or depends on context (İ, Σ),
+# or folds two ways (ß, K), beside ones the corpora use.
+_keywords = st.one_of(
+    st.sampled_from(["Zutaten", "zutaten", "NÄHRWERT", "İ", "i̇", "ß", "SS", "Σ", "σς", "K", "k"]),
+    st.text(min_size=1, max_size=3),
+)
+_predicates = st.recursive(
+    st.one_of(
+        st.builds(lambda value: Predicate(op="contains_keyword", value=value), _keywords),
+        st.builds(lambda value: Predicate(op="matches_regex", value=value),
+                  st.sampled_from([r"N[äa]hrwert", r"(?i)zutaten", r"^a", "ß", "Σ"])),
+    ),
+    lambda inner: st.one_of(
+        st.builds(lambda op, args: Predicate(op=op, args=tuple(args)),
+                  st.sampled_from(["and", "or"]), st.lists(inner, min_size=1, max_size=3)),
+        st.builds(lambda arg: Predicate(op="not", args=(arg,)), inner),
+    ),
+    max_leaves=6,
+)
+
+
+@given(st.lists(_predicates, min_size=1, max_size=5),
+       st.lists(st.one_of(_keywords, st.sampled_from([" ", "a", "Zucker", "ΑΣ"])),
+                max_size=8).map("".join))
+@example([Predicate(op="contains_keyword", value="Zutaten")], "ZUTATEN: Zucker")
+@example([Predicate(op="contains_keyword", value="σ")], "ΑΣ")
+@settings(max_examples=300, deadline=None)
+def test_the_votes_equal_lowercasing_per_keyword(predicates, text):
+    """Each program's decision, the vote count and the majority are the
+    same as when each keyword atom lowercased the text and itself."""
+    from prodex.dsl import decision_votes
+    from prodex.indirect import decide
+
+    doc = CompressedDocument("p", Variant.TEXT, text, 1)
+    programs = [DecisionProgram(f"d{k}", predicate) for k, predicate in enumerate(predicates)]
+    want = [_reference_eval(predicate, text) for predicate in predicates]
+    assert [run_decision(program, doc) for program in programs] == want
+    assert decision_votes(programs, doc) == sum(want)
+    if len(programs) % 2:
+        assert decide(programs, doc) == (sum(want) * 2 > len(programs))
+
+
 class TestCountExtracted:
     def test_empty(self):
         assert count_extracted(FoodProduct()) == 0

@@ -2,7 +2,9 @@
 the bit-exact set covers every pinned artifact, and an interrupted write
 leaves no torn file."""
 
+import io
 import shutil
+from decimal import Decimal
 from fnmatch import fnmatchcase
 from pathlib import Path
 from types import SimpleNamespace
@@ -17,7 +19,7 @@ from prodex.cli import main
 from prodex.corpus import generate_shop, preset_spec, write_corpus
 from prodex.gateway import CostLedger
 from prodex.indirect import PageResult
-from prodex.schema import FoodProduct
+from prodex.schema import FoodProduct, QuantitativeValue
 
 # Every file the extract commands leave, as rundir names it.
 RUN_FILES = (
@@ -141,3 +143,45 @@ def test_an_interrupted_products_json_keeps_the_previous_file(tmp_path, monkeypa
     left = _files(tmp_path)
     assert left.pop("run-00/products.json.tmp").startswith(b'[\n  {\n    "page_id": "p0"')
     assert left == previous
+
+
+def test_products_json_reuses_the_text_of_the_same_product_object_only(monkeypatch):
+    """Over three runs, page a keeps its product object; b gets an equal
+    product whose value has another exponent, then keeps it; c keeps its
+    object, then gets a changed product; d leaves after the first run and
+    comes back. Each run's bytes equal a fresh write's, and only products
+    that are not the object written for the page last run are serialized."""
+    def grams(text):
+        return QuantitativeValue(Decimal(text), "GRM")
+
+    a, c = FoodProduct(fat=grams("1.5")), FoodProduct(sugars=grams("2"))
+    b, b_again = FoodProduct(salt=grams("1.0")), FoodProduct(salt=grams("1.00"))
+    d = FoodProduct(ingredient_statement="Zucker")
+    assert b == b_again
+    runs = [
+        {"a": a, "b": b, "c": c, "d": d},
+        {"a": a, "b": b_again, "c": c},
+        {"a": a, "b": b_again, "c": FoodProduct(sugars=grams("3")), "d": d},
+    ]
+    serialized = []
+    real_serialize = rundir.serialize_product
+
+    def counting_serialize(product, prefix=""):
+        serialized[-1].append(product)
+        return real_serialize(product, prefix)
+
+    texts = {}
+    for products in runs:
+        page_results = {page_id: PageResult(page_id, product, "library", 1)
+                        for page_id, product in products.items()}
+        fresh = io.StringIO()
+        rundir.write_products_json(fresh, page_results)
+        monkeypatch.setattr(rundir, "serialize_product", counting_serialize)
+        serialized.append([])
+        written = io.StringIO()
+        rundir.write_products_json(written, page_results, texts)
+        monkeypatch.setattr(rundir, "serialize_product", real_serialize)
+        assert written.getvalue() == fresh.getvalue()
+        assert sorted(texts) == sorted(products)
+        assert all(texts[page_id][0] is product for page_id, product in products.items())
+    assert serialized == [[a, b, c, d], [b_again], [runs[2]["c"], d]]

@@ -7,11 +7,13 @@ import jsonschema
 import pytest
 from hypothesis import example, given, settings, strategies as st
 import jsontext
+import reference_schema
 
 from prodex import schema
 from prodex.schema import (
     FIELDS,
     KNOWN_LABEL_PREFIXES,
+    FieldKind,
     QUANTITY_MEMO_SIZE,
     FoodProduct,
     NUTRIENT_FIELDS,
@@ -34,6 +36,13 @@ class TestDescriptor:
     def test_eight_fields(self):
         assert len(FIELDS) == 8
         assert tuple(spec.name for spec in FIELDS) == ("ingredient_statement",) + NUTRIENT_FIELDS
+
+    def test_the_product_declares_the_fields_in_schema_order(self):
+        """product_from_dict fills FoodProduct by position: the text field
+        first, the nutrients after it."""
+        assert tuple(f.name for f in dataclasses.fields(FoodProduct)) == tuple(
+            spec.name for spec in FIELDS)
+        assert [spec.kind for spec in FIELDS] == [FieldKind.TEXT] + [FieldKind.QUANTITY] * 7
 
 
 class TestJsonSchemaEmission:
@@ -528,3 +537,90 @@ def _reference_strip_known_prefix(text, prefixes=KNOWN_LABEL_PREFIXES):
 @settings(max_examples=300, deadline=None)
 def test_strip_known_prefix_matches_the_reference(text, prefixes):
     assert strip_known_prefix(text, prefixes) == _reference_strip_known_prefix(text, prefixes)
+
+
+# Decoded product JSON as a model, a truth file or a run file may hold it.
+_junk = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.just([1]), st.just({}),
+                  st.text(max_size=3))
+_decoded_numbers = st.one_of(
+    st.booleans(),
+    st.integers(min_value=-(10 ** 22), max_value=10 ** 22),
+    st.floats(),
+    st.decimals(),
+    st.from_regex(r"\A[ \t]?-?[0-9]{1,3}(?:[.,][0-9]{1,3})?[ \n]?\Z"),
+    st.sampled_from(["1.0", "1.00", "3,50", "1" * 21, "1e5", "", "drei"]),
+    _junk,
+)
+_decoded_units = st.one_of(st.none(), st.sampled_from(["GRM", "KJO", "", " "]),
+                           st.integers(0, 1), st.booleans(), st.just(["GRM"]))
+_decoded_quantities = st.one_of(
+    st.fixed_dictionaries({}, optional={"value": _decoded_numbers, "unit_code": _decoded_units,
+                                        "extra": _junk, "Value": st.just("1")}),
+    _junk,
+)
+_decoded_statements = st.one_of(
+    st.tuples(st.sampled_from(["", " ", "\n\t"]),
+              st.sampled_from(["", *KNOWN_LABEL_PREFIXES, "ZUTATEN:", "İngredients:"]),
+              st.sampled_from(["", " ", "Zucker, Salz", "Zutaten: x"]),
+              st.sampled_from(["", " \n"])).map("".join),
+    st.text(max_size=6),
+    _junk,
+)
+_valid_quantities = st.fixed_dictionaries(
+    {"value": st.one_of(
+        st.integers(-999, 99999), st.floats(-1e6, 1e6), st.decimals(-1000, 1000, places=3),
+        st.from_regex(r"\A[ \t]?-?[0-9]{1,3}(?:[.,][0-9]{1,3})?[ \n]?\Z"),
+        st.sampled_from(["1.0", "1.00", "3,50", "-0"]))},
+    optional={"unit_code": st.one_of(st.none(), st.sampled_from(["GRM", "KJO", " "]))},
+)
+
+
+@st.composite
+def _decoded_products(draw):
+    """An object of valid fields in drawn key order, where up to two fields
+    may hold anything instead and unknown keys may be added."""
+    names = ("ingredient_statement", *NUTRIENT_FIELDS)
+    messy = draw(st.sets(st.sampled_from(names), max_size=2)) if draw(st.booleans()) else ()
+    fields = {}
+    for name in names:
+        if name in messy:
+            fields[name] = draw(
+                _decoded_statements if name == "ingredient_statement" else _decoded_quantities)
+        elif draw(st.booleans()):
+            fields[name] = draw(
+                _decoded_statements.filter(lambda raw: isinstance(raw, (str, type(None))))
+                if name == "ingredient_statement" else _valid_quantities)
+    if draw(st.integers(0, 3)) == 3:
+        for name in draw(st.lists(st.sampled_from(["colour", "Fat", ""]), min_size=1,
+                                  max_size=2, unique=True)):
+            fields[name] = draw(_junk)
+    return dict(draw(st.permutations(list(fields.items()))))
+
+
+@given(st.one_of(_decoded_products(), _junk))
+@example({"colour": "red", "fat": {"value": "x", "extra": 1}, "salt": [],
+          "ingredient_statement": {}})
+@example({"fat": {"value": "1.00", "unit_code": "GRM"}, "salt": {"value": "1.0"},
+          "ingredient_statement": " Zutaten: Zucker "})
+@example({"fat": {"value": True, "unit_code": ""}, "sugars": {"unit_code": "GRM", "b": 1, "a": 2}})
+@example({"protein": {"value": 1.5, "unit_code": None}, "energy": {"value": Decimal("2E+3")}})
+@example({"salt": {"value": "1", "unit_code": 1}})
+@settings(max_examples=500, deadline=None)
+def test_one_pass_validation_equals_the_reference(data):
+    """The same product, its quantities the interned objects and its text the
+    same bytes, or the same errors in the same order, as the validation that
+    built an error list and a values dict for every product."""
+    try:
+        want = reference_schema.product_from_dict(data)
+    except SchemaViolation as exc:
+        with pytest.raises(SchemaViolation) as err:
+            product_from_dict(data)
+        assert err.value.errors == exc.errors
+        return
+    got = product_from_dict(data)
+    assert serialize_product(got) == serialize_product(want)
+    assert repr(got) == repr(want)
+    for name in NUTRIENT_FIELDS:
+        raw = data.get(name)
+        if isinstance(raw, dict) and type(raw.get("value")) is str:  # an interned quantity
+            assert getattr(got, name) is getattr(want, name)

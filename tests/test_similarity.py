@@ -2,15 +2,23 @@ import time
 from decimal import Decimal
 from pathlib import Path
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+import jsontext
 
 from prodex.schema import (
+    FIELDS,
+    FieldKind,
     FoodProduct,
     NUTRIENT_FIELDS,
     QuantitativeValue,
 )
 from prodex.similarity import (
+    Mismatch,
     MismatchKind,
+    SimilarityReport,
+    _display,
+    _score_quantity,
+    _score_text,
     compare,
     levenshtein,
     render_feedback,
@@ -212,6 +220,81 @@ def test_reflexivity(product):
     report = compare(product, product)
     assert report.overall == 1.0
     assert report.mismatches == ()
+
+
+def _field_walk(extracted: FoodProduct, reference: FoodProduct) -> SimilarityReport:
+    """The report by its definition: each attribute in FIELDS order scored by
+    presence and, where both have it, by the text or quantity scorer."""
+    per_attribute, mismatches = {}, []
+    for spec in FIELDS:
+        got, want = extracted.get(spec.name), reference.get(spec.name)
+        if got is None or want is None:
+            per_attribute[spec.name] = 1.0 if got is None and want is None else 0.0
+            if got is not None:
+                mismatches.append(Mismatch(spec.name, MismatchKind.ADDITIONAL_ATTRIBUTE,
+                                           _display(got), None))
+            elif want is not None:
+                mismatches.append(Mismatch(spec.name, MismatchKind.MISSING_ATTRIBUTE,
+                                           None, _display(want)))
+        elif spec.kind is FieldKind.TEXT:
+            per_attribute[spec.name] = _score_text(spec.name, got, want, mismatches)
+        else:
+            per_attribute[spec.name] = _score_quantity(spec.name, got, want, mismatches)
+    return SimilarityReport(sum(per_attribute.values()) / len(per_attribute), per_attribute,
+                            tuple(mismatches))
+
+
+@st.composite
+def _variants(draw, product):
+    """``product`` with some quantities written with one more digit (an
+    equal value of another exponent) and some unit codes in another case."""
+    fields = {}
+    for name in product.populated_fields():
+        value = product.get(name)
+        if isinstance(value, QuantitativeValue):
+            if draw(st.booleans()):
+                sign, digits, exponent = value.value.as_tuple()
+                value = QuantitativeValue(Decimal((sign, digits + (0,), exponent - 1)),
+                                          value.unit_code)
+            if value.unit_code and draw(st.booleans()):
+                value = QuantitativeValue(value.value, value.unit_code.swapcase())
+        fields[name] = value
+    return FoodProduct(**fields)
+
+
+@st.composite
+def _pairs(draw):
+    """Two drawn products, a product and itself, or a product and a variant."""
+    product = draw(st.one_of(products(), jsontext.products()))
+    other = draw(st.one_of(
+        st.just(product),
+        st.just(FoodProduct(**{name: product.get(name) for name in product.populated_fields()})),
+        _variants(product),
+        products(),
+    ))
+    return (product, other) if draw(st.booleans()) else (other, product)
+
+
+@given(_pairs())
+@example((_full_product(), _full_product(fat=QuantitativeValue(Decimal("3.50"), "GRM"))))
+@example((_full_product(), _full_product(fat=QuantitativeValue(Decimal("3.5"), "grm"))))
+@example((_full_product(), _full_product(fat=QuantitativeValue(Decimal("4.5"), "GRM"))))
+@settings(max_examples=300, deadline=None)
+def test_compare_equals_the_field_walk(pair):
+    """Scores in FIELDS order and mismatches as the walk gives them, also
+    where ``compare`` finds the products equal and skips the walk."""
+    extracted, reference = pair
+    fast, walked = compare(extracted, reference), _field_walk(extracted, reference)
+    assert fast.overall == walked.overall
+    assert list(fast.per_attribute.items()) == list(walked.per_attribute.items())
+    assert fast.mismatches == walked.mismatches
+
+
+def test_a_perfect_report_is_a_fresh_one():
+    product = _full_product()
+    first = compare(product, product)
+    first.per_attribute["fat"] = 0.0
+    assert compare(product, product).per_attribute["fat"] == 1.0
 
 
 @given(products(), products())

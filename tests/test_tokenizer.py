@@ -167,6 +167,35 @@ def test_the_readings_a_match_set_keeps_stay_within_the_memo_bounds():
                for kept in (_HOSTILE_TARGETS, targets) for key in kept.readings[KEPT_ATTRIBUTES])
 
 
+def test_a_full_start_tag_memo_makes_room_for_a_new_tag(monkeypatch):
+    """Once page-unique tags fill a memo, a tag written twice on a later
+    page is still read once: the memo drops its oldest entry for it."""
+    late = '<p class="late">'
+    filler = "".join(f'<p class="c{i}">' for i in range(ATTRIBUTE_MEMO_SIZE + 100))
+    reads = []
+    read_attributes = htmltree._read_attributes
+    monkeypatch.setattr(htmltree, "_read_attributes",
+                        lambda *args: reads.append(args[0]) or read_attributes(*args))
+    _start_tags.clear()
+    parse_html(filler)
+    reads.clear()
+    assert [p.attrs for p in parse_html(f"{late}a{late}b").children] == [{"class": "late"}] * 2
+    assert reads == [' class="late"']
+    memo = _start_tags[None]
+    assert len(memo) == ATTRIBUTE_MEMO_SIZE
+    assert late in memo and '<p class="c0">' not in memo
+    assert f'<p class="c{ATTRIBUTE_MEMO_SIZE + 99}">' in memo
+
+    targets = MatchSet([(parse_selector("p.late"), 0)])
+    match_pruned(filler, BANNED_ELEMENTS, KEPT_ATTRIBUTES, targets)
+    eligible = []
+    monkeypatch.setattr(targets, "eligible", lambda *args: eligible.append(args) or 0)
+    match_pruned(f"{late}a{late}b", BANNED_ELEMENTS, KEPT_ATTRIBUTES, targets)
+    assert len(eligible) == 1
+    readings = targets.readings[KEPT_ATTRIBUTES]
+    assert len(readings) == ATTRIBUTE_MEMO_SIZE and late in readings
+
+
 def _clear_memos():
     _start_tags.clear()
     _bodies.clear()

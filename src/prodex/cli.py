@@ -36,7 +36,7 @@ if typing.TYPE_CHECKING:
 
 
 def compress_both(raw):
-    """``compress.compress_both``; the tree and compressor load at the first call."""
+    """``compress.compress_both``; the compressor loads at the first call."""
     from .compress import compress_both
 
     return compress_both(raw)
@@ -128,7 +128,7 @@ def compress_cmd(variant, in_path, out_dir):
     for path in files:
         raw = read_page(path, str(path))
         try:
-            html_doc, text_doc, _ = compress_both(raw)
+            html_doc, text_doc = compress_both(raw)
         except UnparsableDocument as exc:
             failures[raw.page_id] = str(exc)
             continue
@@ -243,11 +243,11 @@ def extract_direct_cmd(corpus_dir, out_dir, variant, model, resume, workers, pro
     unparsable: dict[str, str] = {}
     for raw in shop.pages:
         try:
-            html_doc, text_doc, _ = compress_both(raw)
+            html_doc, text_doc = compress_both(raw)
         except UnparsableDocument as exc:
             unparsable[raw.page_id] = str(exc)
             continue
-        docs.append((text_doc if variant == "text" else html_doc).rendered())
+        docs.append(text_doc if variant == "text" else html_doc)
 
     ledger = CostLedger()
     ledger.meta["prompt_bundle_hash"] = prompts.bundle_hash()

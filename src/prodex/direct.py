@@ -84,8 +84,10 @@ def extract_direct_batch(
     a page that has one is not extracted again, so an interrupted run resumes
     without re-calling the provider for done pages.
     With workers > 1, pages fan out over a thread pool (the live provider's
-    in-flight semaphore still caps concurrency); ledger entries land in
-    completion order, keyed by page_id.
+    in-flight semaphore still caps concurrency). Each page prices its calls
+    into a ledger of its own, and those entries join ``ledger`` in document
+    order once every page is done, so the ledger does not depend on the
+    order in which calls complete.
     """
     done = rundir.resume_products(out_dir) if out_dir is not None else {}
 
@@ -106,10 +108,11 @@ def extract_direct_batch(
     else:
         from concurrent.futures import ThreadPoolExecutor, as_completed
 
+        page_ledgers = [CostLedger() for _ in pending]
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = {
-                pool.submit(extract_direct, doc, provider, model_id, ledger): doc
-                for doc in pending
+                pool.submit(extract_direct, doc, provider, model_id, page_ledger): doc
+                for doc, page_ledger in zip(pending, page_ledgers)
             }
             for future in as_completed(futures):
                 page_id = futures[future].page_id
@@ -117,6 +120,8 @@ def extract_direct_batch(
                     finish(page_id, future.result())
                 except (ExtractionFailed, TransportError, ProviderRefusal, ReplayMiss) as exc:
                     failures[page_id] = str(exc)
+        for page_ledger in page_ledgers:
+            ledger.entries.extend(page_ledger.entries)
 
     products = {doc.page_id: done[doc.page_id] for doc in docs if doc.page_id in done}
     return products, failures

@@ -67,6 +67,16 @@ MAX_PREDICATE_DEPTH = 8
 #: count too large) or RecursionError (deep nesting).
 _REGEX_ERRORS = (re.error, ValueError, OverflowError, RecursionError)
 
+# The stdlib's regex parser, whose parse tree shows a pattern's shape.
+try:
+    from re import _parser as _sre  # CPython 3.11+
+except ImportError:  # pragma: no cover - CPython 3.10
+    import sre_parse as _sre
+
+_REPEATS = frozenset((_sre.MAX_REPEAT, _sre.MIN_REPEAT, getattr(_sre, "POSSESSIVE_REPEAT", None)))
+_BACKREFERENCES = frozenset((_sre.GROUPREF, _sre.GROUPREF_EXISTS))
+_ATOMIC_GROUP = getattr(_sre, "ATOMIC_GROUP", None)  # CPython 3.11+
+
 POST_OP_NAMES = ("trim", "strip_label_prefix", "parse_decimal_comma", "to_unit_code")
 
 
@@ -167,12 +177,45 @@ def _compile_selector(selector: str) -> htmltree.CompiledSelector:
 
 def _compile_regex(pattern: str, path: str) -> re.Pattern:
     """The one compile of a regex a program carries (a rule's capture, a
-    matches_regex atom); a pattern re cannot build is an InvalidRegex at
-    ``path``."""
+    matches_regex atom); a pattern re cannot build, or whose shape can make
+    a backtracking search take exponential time (``_backtracking_hazard``),
+    is an InvalidRegex at ``path``."""
     try:
-        return re.compile(pattern)
+        compiled = re.compile(pattern)
     except _REGEX_ERRORS as exc:
         _reject(path, "InvalidRegex", str(exc))
+    hazard = _backtracking_hazard(pattern)
+    if hazard:
+        _reject(path, "InvalidRegex", f"{hazard} can backtrack catastrophically")
+    return compiled
+
+
+@functools.lru_cache(maxsize=1024)
+def _backtracking_hazard(pattern: str) -> Optional[str]:
+    """What in a compilable pattern can make a search backtrack for time
+    exponential in the text (Davis et al., ESEC/FSE 2018): a backreference,
+    or an unbounded repeat inside another, possessive or not, as in
+    ``(?:a+)+``. None for a pattern with neither."""
+    stack = [(_sre.parse(pattern), False)]  # (items, whether inside an unbounded repeat)
+    while stack:
+        items, repeated = stack.pop()
+        for op, av in items:
+            if op in _BACKREFERENCES:
+                return "a backreference"
+            if op in _REPEATS:
+                unbounded = av[1] == _sre.MAXREPEAT
+                if unbounded and repeated:
+                    return "an unbounded repeat inside another"
+                stack.append((av[2], repeated or unbounded))
+            elif op is _sre.SUBPATTERN:
+                stack.append((av[-1], repeated))
+            elif op is _sre.BRANCH:
+                stack.extend((branch, repeated) for branch in av[1])
+            elif op in (_sre.ASSERT, _sre.ASSERT_NOT):
+                stack.append((av[1], repeated))
+            elif op is _ATOMIC_GROUP:
+                stack.append((av, repeated))
+    return None
 
 
 @dataclass(frozen=True)
@@ -532,8 +575,9 @@ program_scan = functools.lru_cache(maxsize=256)(ProgramScan)
 def run_extractions(scan: ProgramScan, doc: RawDocument) -> tuple[list[FoodProduct], int]:
     """Run the programs of ``scan`` on a raw page in one matching scan that
     builds no tree; each product equals the one ``run_extraction_on_tree``
-    gives on the page's pruned tree. Also returns the pruned tree's name
-    signature. Raises UnparsableDocument where ``compress_both`` does."""
+    gives on the page's pruned tree, ``parse_html`` of its compressed HTML.
+    Also returns the pruned tree's name signature. Raises
+    UnparsableDocument where ``compress_both`` does."""
     texts, signature = match_page(doc, scan.targets, SELECTOR_MATCH_LIMIT)
     found = {slot for slot, text in enumerate(texts) if text is not None}
     return [

@@ -91,13 +91,28 @@ class ChatExchange:
 
 class RequestSchema(dict):
     """A request's JSON Schema, built once where its calls are made, that
-    carries its ``exchange_key`` encoding; no caller changes it."""
+    carries its ``exchange_key`` encoding and, once a call is recorded, its
+    session-record text; no caller changes it."""
 
-    __slots__ = ("key_text",)
+    __slots__ = ("key_text", "_record_text")
 
     def __init__(self, schema: dict):
         super().__init__(schema)
         self.key_text = json.dumps(schema, sort_keys=True, ensure_ascii=False)
+        self._record_text: Optional[str] = None
+
+    def record_text(self) -> str:
+        """``_record_schema_text`` of this schema, encoded once."""
+        if self._record_text is None:
+            self._record_text = _record_schema_text(self)
+        return self._record_text
+
+
+def _record_schema_text(json_schema) -> str:
+    """A schema as ``json.dumps(..., indent=2, ensure_ascii=False)`` writes
+    it one level deep in a session record. Strings escape their line
+    breaks, so every line break in that text is layout."""
+    return json.dumps(json_schema, indent=2, ensure_ascii=False).replace("\n", "\n  ")
 
 
 def exchange_key(model_id: str, system_prompt: str, user_prompt: str, json_schema) -> str:
@@ -425,7 +440,8 @@ def write_atomic(path: Path, text: str) -> None:
 
 class RecordingProvider:
     """Wraps any provider and persists each exchange as ``<key>.json`` in a
-    session directory, written with ``write_atomic``."""
+    session directory, written with ``write_atomic``: the bytes of
+    ``json.dumps`` of the record with ``indent=2, ensure_ascii=False``."""
 
     def __init__(self, inner: Provider, session_dir):
         self.inner = inner
@@ -438,17 +454,24 @@ class RecordingProvider:
             model_id, system_prompt, user_prompt, json_schema
         )
         key = exchange.key or exchange_key(model_id, system_prompt, user_prompt, json_schema)
-        record = {
-            "key": key,
-            "model_id": model_id,
-            "system_prompt": system_prompt,
-            "user_prompt": user_prompt,
-            "schema": json_schema,
-            "response_text": exchange.response_text,
-            "usage": exchange.usage.to_dict(),
-            "timestamp": exchange.timestamp,
-        }
-        text = json.dumps(record, indent=2, ensure_ascii=False)
+        if isinstance(json_schema, RequestSchema):
+            schema_text = json_schema.record_text()
+        else:
+            schema_text = _record_schema_text(json_schema)
+        usage = [f"{json_string(name)}: {json.dumps(value)}"
+                 for name, value in exchange.usage.to_dict().items()]
+        # json.dumps(record, indent=2, ensure_ascii=False) of the record, in
+        # that fixed layout with the C escaper json_string it uses
+        text = json_block("{}", [
+            f'"key": {json_string(key)}',
+            f'"model_id": {json_string(model_id)}',
+            f'"system_prompt": {json_string(system_prompt)}',
+            f'"user_prompt": {json_string(user_prompt)}',
+            f'"schema": {schema_text}',
+            f'"response_text": {json_string(exchange.response_text)}',
+            f'"usage": {json_block("{}", usage, 2)}',
+            f'"timestamp": {json.dumps(exchange.timestamp)}',
+        ], 1)
         with self._lock:
             write_atomic(self.session_dir / f"{key}.json", text)
         return replace(exchange, key=key)

@@ -1,53 +1,48 @@
 """Lenient HTML document tree with a small CSS selector engine, and a scan
-that matches selectors without building the tree.
+that renders and matches the pruned page without building a tree.
 
 Shop pages are frequently invalid HTML, so parsing recovers from mismatched
 and unclosed tags instead of failing. The tree is deliberately small: element
 nodes with a tag, an attribute dict and children, plus plain text nodes,
-both slots classes. Compression, text projection and program synthesis work
-on this tree.
+both slots classes. Program synthesis runs candidate programs on this tree.
 
-One tokenizer pass builds it: a single ``finditer`` scan over a pattern
+One tokenizer pass reads a page: a single ``finditer`` scan over a pattern
 that matches every token, restarted only where other markup or a script or
-style body moves the position. The scan loop itself reads text and plain
-start and end tags and builds the elements. It reads markup exactly as the
+style body moves the position. It reads markup exactly as the
 ``html.parser`` of CPython 3.11.7 does when fed a whole page and closed (the
 tests keep that parser as the reference), except that it never raises, and
 it runs in linear time on hostile markup such as unterminated quotes.
-``parse_pruned`` builds the tree compression wants in the same pass: banned
-subtrees are tracked but never built, their text is never unescaped, and
-only kept attributes are read. The pass also records each element it
-builds, its parent and its class names, in document order: the document's
-element index, the only record of its elements. Pruned text follows one
-whitespace rule (``_Parser._add_pruned``).
+``parse_html`` builds the tree and records its element index. The pruned
+page drops banned subtrees, whose text is never unescaped, keeps only the
+kept attributes, and folds its text under one whitespace rule
+(``_Parser._add_pruned``); ``render_pruned`` writes it as compressed HTML
+and TEXT and ``match_pruned`` matches selectors in it, as the open elements
+open and close, and neither builds anything.
 
 Template pages repeat their markup, so the scan reads it once per process,
-into two bounded memos keyed on exact text. Each distinct plain start tag
-is read once (``_start_tag``): its lowered tag, the tags it closes
-implicitly, whether it opens and whether a raw-text body follows, and its
-attributes; at most ``ATTRIBUTE_MEMO_SIZE`` entries, the oldest dropped
-first, and no start tag longer than ``ATTRIBUTE_MEMO_MAX_TEXT`` characters;
-every element still owns its attribute dict. A banned subtree whose body
-proved self-contained is recorded under its start tag, and where a page
-repeats the start tag and the body, the pruning scans jump over the body
-with one comparison (``_Bodies``; at most ``SUBTREE_MEMO_BODIES`` bodies
-per start tag and ``SUBTREE_MEMO_CHARS`` characters in all). Neither memo
-changes what a scan gives.
+into bounded memos keyed on exact text. Each distinct plain start tag is
+read once per mode (``_start_tag``, ``_rendering``, ``MatchSet.reading``);
+at most ``ATTRIBUTE_MEMO_SIZE`` entries, the oldest dropped first, and no
+start tag longer than ``ATTRIBUTE_MEMO_MAX_TEXT`` characters; every element
+still owns its attribute dict. A banned subtree whose body proved
+self-contained is recorded under its start tag, and where a page repeats
+the start tag and the body, the pruning scans jump over the body with one
+comparison (``_Bodies``; at most ``SUBTREE_MEMO_BODIES`` bodies per start
+tag and ``SUBTREE_MEMO_CHARS`` characters in all). No memo changes what a
+scan gives.
 
 Selector support is the subset that survives attribute stripping: type
 selectors, ``*``, ``.class``, ``#id``, compounds thereof, and descendant /
 child (``>``) combinators. Attribute selectors, pseudo-classes and comma
 groups are rejected. Selectors run as one automaton over the open elements
-(``MatchSet``), in two places: ``match_pruned`` is the same scan loop in a
-matching mode that builds nothing, decides each start tag as it opens and
-collects the text of the matches it is asked for, and ``select`` runs the
-automaton over a parsed document's element index. No walk recurses, so
-deeply nested markup cannot exhaust the call stack. That includes ``==`` on
-trees, and ``repr`` shows a node's child count instead of its children.
+(``MatchSet``), in the matching scan and in ``select`` over a parsed
+document's element index. No walk recurses, so deeply nested markup cannot
+exhaust the call stack. That includes ``==`` on trees, and ``repr`` shows a
+node's child count instead of its children.
 
 A name signature folds the tag and class names of a document into one
 ``SIGNATURE_BITS``-wide bit set; the matching scan gives it for the pruned
-tree too. A selector needs the bits of its tags and classes; where one of
+page too. A selector needs the bits of its tags and classes; where one of
 them is clear, the document has no such name, so the selector matches
 nothing there, which a caller can know without the tree.
 """
@@ -244,12 +239,11 @@ def _start_tag(source, kept) -> tuple:
     tag, whose reading is kept under its text if that is short and the memo
     has room; or a tag ``_markup`` read, (tag, attribute pairs, closed).
     The caller must not change the attribute dict, only a copy of it."""
+    memo = _start_tags.setdefault(kept, {})
     if type(source) is tuple:
         tag, attrs, closed = source
     else:
-        memo = _start_tags.setdefault(kept, {})
-        key = source[0]
-        reading = memo.get(key)
+        reading = memo.get(source[0])
         if reading is not None:
             return reading
         tag, attrs, closed = source.group(2, 3, 4)
@@ -259,21 +253,61 @@ def _start_tag(source, kept) -> tuple:
     # a <tag/> closes implicitly too, so a serialized tree parses back
     reading = (tag, IMPLICIT_CLOSE.get(tag), opens, opens and tag in _RAW_TEXT_END,
                attributes, names)
-    if type(source) is not tuple and len(key) <= ATTRIBUTE_MEMO_MAX_TEXT:
-        _remember(memo, key, reading)
+    _remember(memo, source, reading)
     return reading
 
 
-def _remember(memo: dict, key: str, reading: tuple) -> None:
-    """Keep ``reading`` under ``key`` in a start-tag memo. A full memo first
-    drops its oldest entry (insertion order), so tags a page alone holds
-    cannot crowd out a later template's."""
+def _remember(memo: dict, source, reading: tuple) -> None:
+    """Keep ``reading`` in a start-tag memo under the text of ``source``,
+    if that is a plain start tag no longer than ``ATTRIBUTE_MEMO_MAX_TEXT``.
+    A full memo first drops its oldest entry (insertion order), so tags a
+    page alone holds cannot crowd out a later template's."""
+    if type(source) is tuple or len(source[0]) > ATTRIBUTE_MEMO_MAX_TEXT:
+        return
     if len(memo) >= ATTRIBUTE_MEMO_SIZE:
         try:
             del memo[next(iter(memo))]
         except (StopIteration, RuntimeError, KeyError):  # empty, or changed by another thread
             return
-    memo[key] = reading
+    memo[source[0]] = reading
+
+
+# kept attribute names -> plain start-tag text -> its rendering (see _rendering)
+_renderings: dict[tuple, dict[str, tuple]] = {}
+
+
+def _rendering(source, kept) -> tuple:
+    """``_start_tag`` of a start tag, with its attribute dict and class
+    names replaced by what the rendering scan writes of the element: its
+    start tag, whole where the element does not open; and (its end tag,
+    whether that is held back, whether the element breaks a TEXT line), see
+    ``_Parser._render``. Kept under the text of a plain start tag, as
+    ``_start_tag`` keeps its reading."""
+    tag, closes, opens, raw, attributes, _ = _start_tag(source, kept)
+    start = "<" + tag + "".join(
+        f" {name}" if value is None else f' {name}="{escape(value)}"'
+        for name, value in attributes.items()
+    )
+    end, closable = f"</{tag}>", _closable(tag)
+    if tag in VOID_ELEMENTS:
+        start += ">"
+    elif not opens:
+        start += ">" + end if closable else "/>"
+    elif closable:
+        start += ">"
+    reading = (tag, closes, opens, raw, start,
+               (end, opens and not closable, tag in BLOCK_ELEMENTS or tag == "br"))
+    _remember(_renderings[kept], source, reading)
+    return reading
+
+
+@functools.lru_cache(maxsize=256)
+def _closable(tag: str) -> bool:
+    """Whether ``</tag>`` reads back as the end tag of ``tag``. It may not:
+    ``\\s`` in the end tag pattern also matches characters that a start tag
+    name may hold, such as U+00A0."""
+    end = f"</{tag}>"
+    return (_END_TAG.match(end) or _TAG_NAME.match(end, 2)).group(1).lower() == tag
 
 
 class _Bodies:
@@ -329,14 +363,15 @@ _bodies = _Bodies()
 
 class _Parser:
     """One pass that reads a page as CPython 3.11's ``html.parser`` does when fed
-    the whole page and closed, and builds the tree; with ``kept`` given, the
-    pruned tree (see ``parse_pruned``); with ``targets`` given too, no tree
-    but the text of each target's match in the pruned tree, and the pruned
-    tree's name signature (see ``match_pruned``). ``content`` tells whether
-    the unpruned tree would hold anything. A pass that builds records each
-    element as it builds it, with its parent's position and its class
-    names: the tree's element index (see ``ElementIndex``). Searches for a
-    closer keep their answer, and a start tag that never closes marks the
+    the whole page and closed. Without ``kept`` it builds the tree, and
+    records each element as it builds it, with its parent's position and its
+    class names: the tree's element index (see ``ElementIndex``). With
+    ``kept`` given it reads the pruned page and builds nothing: it writes
+    the page as compressed HTML and TEXT lines (see ``render_pruned``), or,
+    with ``targets`` given too, it gives the text of each target's match and
+    the page's name signature (see ``match_pruned``). ``content`` tells
+    whether the unpruned tree would hold anything. Searches for a closer
+    keep their answer, and a start tag that never closes marks the
     attribute positions it passed, so hostile markup is read in linear time.
     """
 
@@ -345,37 +380,41 @@ class _Parser:
         self.html, self.banned, self.kept = html, banned, kept
         self.targets, self.limit = targets, limit
         self.children: list[Union[Element, TextNode]] = []
-        self.index = ElementIndex([], [], []) if targets is None else None
-        # open elements: (tag, children, position) when building,
-        # (tag, pre, position, base) when matching (see MatchSet),
-        # or (tag, None, -1) if not built
+        self.index = ElementIndex([], [], []) if kept is None else None
+        # open elements: (tag, children, position) when building, (tag, True,
+        # position) when rendering, (tag, pre, position, base) when matching
+        # (see MatchSet), or (tag, None, -1) if not built
         self.stack: list[tuple] = []
         self.open: dict[str, int] = collections.defaultdict(int)  # open elements by tag
         self.content = False
         self.found: dict = {}  # pattern -> (position asked, (start, end) found)
         self.dead: set[int] = set()  # attribute positions of start tags that never close
-        self.count = 0  # elements built or matched, as of the last markup read
+        self.count = 0  # elements built, rendered or matched, as of the last markup read
         self.text_at: Optional[tuple[int, int]] = None  # see _add_pruned
-        self.last_text: Optional[TextNode] = None  # the text node being built
-        self.pieces: list[str] = []  # its pruned text runs
+        self.pieces: list[str] = []  # the pruned text runs of the text node being read
+        # completed text nodes: since the outermost collector began when
+        # matching, of the current line when rendering
+        self.texts: list[str] = []
+        self.out: Optional[list[str]] = None
         if targets is not None:
             self.counts = [0] * len(targets.wanted)  # matches per selector
             self.collectors: list[tuple[int, int, list[int]]] = []  # see _hit
-            self.texts: list[str] = []  # text nodes since the outermost collector began
             self.results: list[Optional[str]] = [None] * len(targets.targets)
+        elif kept is not None:
+            self.out = []  # the compressed HTML, in pieces
+            self.lines: list[str] = []  # the TEXT lines completed
+            self.renders: list[tuple[int, str, bool]] = []  # see _render
+            self.bare = False  # whether the last start tag written still lacks its ">"
         self.signature = 0
         self._run()
         self._join_text()
 
-    def document(self) -> Document:
-        return Document(self.children, self.index)
-
     def _run(self) -> None:
         """The scan: text and plain start and end tags are read here; other
         markup and script and style bodies move the position, and the scan
-        restarts there. A tag that ``_markup`` reads comes back to be built
-        or matched, or closed, here. A banned subtree whose body the subtree
-        memo knows is jumped over; one whose body may be recorded is
+        restarts there. A tag that ``_markup`` reads comes back to be built,
+        rendered or matched, or closed, here. A banned subtree whose body the
+        subtree memo knows is jumped over; one whose body may be recorded is
         followed until it closes (``_Bodies``)."""
         s, banned, kept = self.html, self.banned, self.kept
         pruned = kept is not None
@@ -385,13 +424,20 @@ class _Parser:
             tags, read = targets.readings.setdefault(kept, {}), targets.reading
             descend = targets.descend
             root, limit = targets.first, self.limit
-        else:
-            tags, read = _start_tags.setdefault(kept, {}), _start_tag
+            add_pruned, close = self._add_pruned, self._close
+        elif pruned:
+            tags, read = _renderings.setdefault(kept, {}), _rendering
+            root, render = True, self._render
+            add_pruned, close = self._add_rendered, self._end
+        else:  # no text is pruned and no element is watched
+            tags, read = _start_tags.setdefault(None, {}), _start_tag
             root, index = self.children, self.index
             elements, parents, classes = index.elements, index.parents, index.classes
-        markup, add_pruned, bodies = self._markup, self._add_pruned, _bodies
-        # watch: the depth of the innermost element whose text is collected, or -1;
-        # recording: the depth of the banned element whose body is recorded, or 0
+            add_pruned = close = None
+        markup, bodies = self._markup, _bodies
+        # watch: the depth of the innermost element whose text is collected,
+        # or that is rendered, or -1; recording: the depth of the banned
+        # element whose body is recorded, or 0
         count, watch, signature, pos, recording = 0, -1, 0, 0, 0
         while pos < len(s):
             for m in _TOKEN.finditer(s, pos):
@@ -409,7 +455,7 @@ class _Parser:
                     if pruned:
                         data = m[1]
                         if not data.isspace():  # else it folds to nothing
-                            add_pruned(parent, above, count, unescape(data))
+                            add_pruned(above, count, unescape(data))
                     else:
                         data = unescape(m[1])
                         if data:
@@ -443,8 +489,8 @@ class _Parser:
                             bodies.record(body_tag, s[body_at:m.end()])
                         recording = 0
                     if len(stack) <= watch:
-                        watch = self._close(len(stack))
-                else:  # a start tag: add or match an element, open unless closed
+                        watch = close(len(stack))
+                else:  # a start tag: add, render or match an element, open unless closed
                     tag, closes, opens, raw, first, second = start
                     if closes:
                         while stack and stack[-1][0] in closes:
@@ -452,7 +498,7 @@ class _Parser:
                         if len(stack) < recording:
                             recording = 0  # closed implicitly
                         if len(stack) <= watch:
-                            watch = self._close(len(stack))
+                            watch = close(len(stack))
                     if stack:
                         top = stack[-1]
                         parent = top[1]
@@ -480,6 +526,10 @@ class _Parser:
                             parent = base
                         entry = (tag, parent, count, base)
                         count += 1
+                    elif pruned:  # first: the start tag's markup, second: its close
+                        watch = render(first, second, len(stack), opens)
+                        entry = (tag, True, count)
+                        count += 1
                     else:  # first: the attribute dict, second: the class names
                         element = Element(tag, first.copy())
                         parent.append(element)
@@ -495,7 +545,7 @@ class _Parser:
                             self.count = count
                             pos = self._raw_text(tag, pos if kind is None else m.end())
                             if len(stack) <= watch:
-                                watch = self._close(len(stack))
+                                watch = close(len(stack))
                             break  # the scan restarts where the script or style body ends
                 if kind is None:
                     break  # the scan restarts where the odd tag ends
@@ -503,51 +553,84 @@ class _Parser:
                 break
         self.signature = signature
         if watch >= 0:
-            self._close(0)  # elements the page never closes
+            close(0)  # elements the page never closes
 
     def text(self, data: str) -> None:
         stack = self.stack
-        parent, above = stack[-1][1:3] if stack else (self.children, -1)
-        if parent is None or not data:
-            return
+        if not data or (stack and stack[-1][1] is None):
+            return  # nothing, or in a subtree not built
         if self.kept is None:
-            parent.append(TextNode(data))
+            (stack[-1][1] if stack else self.children).append(TextNode(data))
         else:
-            self._add_pruned(parent, above, self.count, data)
+            add = self._add_pruned if self.out is None else self._add_rendered
+            add(stack[-1][2] if stack else -1, self.count, data)
 
-    def _add_pruned(self, parent, above: int, count: int, data: str) -> None:
-        """The pruned whitespace rule, for the tree and for the matcher alike.
+    def _add_pruned(self, above: int, count: int, data: str) -> str:
+        """The pruned whitespace rule, for rendering and matching alike.
         Text is folded: each whitespace run becomes one space, and none is
         left at either end. Text with no kept element started or ended since
         the text before it joins that text without a space; other text starts
-        a new text node, in ``parent`` (the children of the element at
-        position ``above``, -1 for the top level) when building. Text nodes
-        are joined with one space (``text_content``, ``_close``). A matching
-        scan skips most text that no collector reads before it gets here,
-        and a collector ignores the nodes completed before it began."""
+        a new text node (in the children of the element at position
+        ``above``, -1 for the top level). Text nodes are joined with one
+        space (``text_content``, ``_close``, ``_break``). A matching scan
+        skips most text that no collector reads before it gets here, and a
+        collector ignores the nodes completed before it began. Returns the
+        folded text."""
         data = " ".join(data.split())
         if not data:
-            return
+            return data
         if above < 0:
             self.content = True
         at = (above, count)
         if at == self.text_at:
             self.pieces.append(data)  # joined once the node is complete
-            return
+            return data
         self._join_text()
         self.text_at, self.pieces = at, [data]
-        if self.targets is None:
-            self.last_text = TextNode(data)
-            parent.append(self.last_text)
+        return data
+
+    def _add_rendered(self, above: int, count: int, data: str) -> None:
+        """``_add_pruned``, and the folded text written as HTML."""
+        data = self._add_pruned(above, count, data)
+        if data:
+            if self.bare:
+                self.out.append(">")  # the first child of the innermost element
+                self.bare = False
+            self.out.append(escape(data, quote=False))
 
     def _join_text(self) -> None:
-        """Complete the text node being built."""
-        if self.targets is None:
-            if len(self.pieces) > 1:
-                self.last_text.text = "".join(self.pieces)
-        elif self.pieces:
+        """Complete the text node being read."""
+        if self.pieces:
             self.texts.append("".join(self.pieces))
             self.pieces = []
+
+    def _render(self, start: str, close: tuple[str, bool, bool], depth: int,
+                opens: bool) -> int:
+        """Write a kept element's start tag, ``depth`` deep; ``close`` is
+        its end tag, whether that is held back, and whether the element
+        breaks a TEXT line. An element that opens is closed by ``_end``;
+        another is written whole. An end tag is held back where it would
+        not read back as this element's (``_closable``): the start tag's
+        ">" waits for a first child, and a childless element is written
+        self-closed. Returns the depth of the innermost element rendered."""
+        end, bare, block = close
+        out, renders = self.out, self.renders
+        if self.bare:
+            out.append(">")  # the first child of the innermost element
+        if block:
+            self._break()
+        out.append(start)
+        self.bare = bare
+        if opens:
+            renders.append((depth, end, block))
+        return renders[-1][0] if renders else -1
+
+    def _break(self) -> None:
+        """Complete the current TEXT line, if it holds any text."""
+        self._join_text()
+        if self.texts:
+            self.lines.append(" ".join(self.texts))
+            self.texts.clear()
 
     def _hit(self, hit: int, depth: int, opens: bool) -> int:
         """Count a match of each selector whose last state is in ``hit``, at
@@ -580,6 +663,19 @@ class _Parser:
             return collectors[-1][0]
         texts.clear()
         return -1
+
+    def _end(self, depth: int) -> int:
+        """Write the end tags of rendered elements ``depth`` or more deep,
+        which have closed; returns the depth of the innermost rendered
+        element left, or -1."""
+        out, renders = self.out, self.renders
+        while renders and renders[-1][0] >= depth:
+            _, end, block = renders.pop()
+            out.append("/>" if self.bare else end)
+            self.bare = False
+            if block:
+                self._break()
+        return renders[-1][0] if renders else -1
 
     # html.parser's reading of any other markup.
 
@@ -691,68 +787,35 @@ class _Parser:
 def parse_html(html: str) -> Document:
     """Parse HTML into a Document, with its element index, recovering from
     malformed markup."""
-    return _Parser(html).document()
+    parser = _Parser(html)
+    return Document(parser.children, parser.index)
 
 
-def parse_pruned(html: str, banned: frozenset, kept: tuple) -> Optional[Document]:
+def render_pruned(html: str, banned: frozenset, kept: tuple) -> Optional[tuple[str, str]]:
     """The tree of ``parse_html`` without the elements named in ``banned``
     and their subtrees, with only the ``kept`` attributes, and with its text
-    under the pruned whitespace rule (``_Parser._add_pruned``); None when
-    ``parse_html`` would give an empty tree."""
+    under the pruned whitespace rule (``_Parser._add_pruned``), written in
+    one scan that builds no tree: as HTML with no whitespace added between
+    tags, which ``parse_html`` reads back as that tree, and as TEXT, one
+    line per run of text between the starts and ends of block elements and
+    ``br``, text nodes joined with single spaces. None when ``parse_html``
+    would give an empty tree."""
     parser = _Parser(html, banned, kept)
-    return parser.document() if parser.content else None
+    if not parser.content:
+        return None
+    parser._break()
+    return "".join(parser.out), "\n".join(parser.lines)
 
 
 def match_pruned(html: str, banned: frozenset, kept: tuple, targets: "MatchSet",
                  limit: int = 10_000) -> Optional[tuple[list[Optional[str]], int]]:
-    """What ``targets`` select in the tree of ``parse_pruned``, read in one
-    scan that builds no tree: for each (selector, node index) target, the
-    ``text_content`` of ``select(tree, selector, limit)[node index]``, or
-    None where there is no such match; and the tree's ``name_signature``.
-    None where ``parse_pruned`` gives None."""
+    """What ``targets`` select in the pruned tree ``render_pruned`` writes,
+    read in one scan that builds no tree: for each (selector, node index)
+    target, the ``text_content`` of ``select(tree, selector, limit)[node
+    index]``, or None where there is no such match; and the tree's
+    ``name_signature``. None where ``render_pruned`` gives None."""
     parser = _Parser(html, banned, kept, targets, limit)
     return (parser.results, parser.signature) if parser.content else None
-
-
-@functools.lru_cache(maxsize=256)
-def _closable(tag: str) -> bool:
-    """Whether ``</tag>`` reads back as the end tag of ``tag``. It may not:
-    ``\\s`` in the end tag pattern also matches characters that a start tag
-    name may hold, such as U+00A0."""
-    end = f"</{tag}>"
-    return (_END_TAG.match(end) or _TAG_NAME.match(end, 2)).group(1).lower() == tag
-
-
-def serialize(node: Union[Document, Element, TextNode]) -> str:
-    """Serialize a tree back to HTML with no whitespace added between tags.
-    An element without children whose end tag would read back as another
-    tag's is written self-closed, ``<name .../>``."""
-    parts: list[str] = []
-    stack: list = [node]  # nodes, and closing tags as strings
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            parts.append(item)
-        elif isinstance(item, TextNode):
-            parts.append(escape(item.text, quote=False))
-        elif isinstance(item, Document):
-            stack.extend(reversed(item.children))
-        else:
-            parts.append(f"<{item.tag}")
-            for name, value in item.attrs.items():
-                if value is None:
-                    parts.append(f" {name}")
-                else:
-                    parts.append(f' {name}="{escape(value)}"')
-            if item.tag in VOID_ELEMENTS:
-                parts.append(">")
-            elif not item.children and not _closable(item.tag):
-                parts.append("/>")
-            else:
-                parts.append(">")
-                stack.append(f"</{item.tag}>")
-                stack.extend(reversed(item.children))
-    return "".join(parts)
 
 
 def text_content(node: Union[Document, Element, TextNode]) -> str:
@@ -768,37 +831,6 @@ def text_content(node: Union[Document, Element, TextNode]) -> str:
         else:
             stack.extend(reversed(item.children))
     return " ".join(pieces)
-
-
-_BLOCK_END = object()
-
-
-def block_text_lines(node: Union[Document, Element]) -> list[str]:
-    """Visible text as lines: block elements separate lines, inline runs
-    within a block are joined with single spaces."""
-    lines: list[str] = []
-    current: list[str] = []
-    stack: list = [node]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, TextNode):
-            cleaned = " ".join(item.text.split())
-            if cleaned:
-                current.append(cleaned)
-            continue
-        if item is _BLOCK_END or (
-            isinstance(item, Element) and (item.tag in BLOCK_ELEMENTS or item.tag == "br")
-        ):
-            if current:
-                lines.append(" ".join(current))
-                current.clear()
-            if item is _BLOCK_END:
-                continue
-            stack.append(_BLOCK_END)
-        stack.extend(reversed(item.children))
-    if current:
-        lines.append(" ".join(current))
-    return lines
 
 
 # --- CSS selector subset -------------------------------------------------
@@ -997,10 +1029,7 @@ class MatchSet:
             bits |= _name_bit(name)
         reading = (tag, closes, opens, raw, bits,
                    self.eligible(tag, names, attributes.get("id")))
-        if type(source) is not tuple:
-            key = source[0]
-            if len(key) <= ATTRIBUTE_MEMO_MAX_TEXT:
-                _remember(self.readings[kept], key, reading)
+        _remember(self.readings[kept], source, reading)
         return reading
 
 

@@ -345,22 +345,23 @@ def decide(ensemble: list[DecisionProgram], doc: CompressedDocument) -> bool:
 # --- Pages ---------------------------------------------------------------------
 
 class Page:
-    """One visit to a page: its HTML and TEXT documents, and the pruned tree
-    that the HTML document serialises.
+    """One visit to a page: its HTML and TEXT documents, and the tree of
+    its HTML document.
 
     Each is derived when first read, and only a page that is rendered (a
     bootstrap sample, a page the decision ensemble judges, a synthesis
     page) is ever compressed; library programs run on the raw page in a
-    matching scan that builds no tree. A document a visit reads is rendered
-    then, and the cache keeps it. A later visit takes a kept document from
-    the cache, parses the kept HTML for a tree, and compresses the raw page
-    again for anything else it needs.
+    matching scan that builds no tree. A document a visit reads is kept in
+    the cache. A later visit takes a kept document from the cache, and
+    compresses the raw page again for anything else it needs. The tree is
+    ``parse_html`` of the HTML document, the page a candidate program's
+    prompt carried, parsed once per visit.
     """
 
     def __init__(self, cache: "PageCache", page_id: str):
         self.page_id = page_id
         self._cache = cache
-        self._compressed: Optional[tuple] = None  # what compress_both built on this visit
+        self._compressed: Optional[tuple] = None  # what compress_both wrote on this visit
         self._tree: Optional[Document] = None
 
     @property
@@ -373,26 +374,17 @@ class Page:
 
     @property
     def tree(self) -> Document:
-        """This visit's tree: the one compression built, or else the kept
-        HTML parsed once, on first use."""
         if self._tree is None:
-            html = self._cache.html.get(self.page_id)
-            if html is None or self._compressed is not None:
-                self._tree = self._compression()[2]
-            else:
-                self._tree = parse_html(html.content)
+            self._tree = parse_html(self.html.content)
         return self._tree
 
     def _document(self, variant: int, kept: dict[str, CompressedDocument]) -> CompressedDocument:
         doc = kept.get(self.page_id)
         if doc is None:
-            doc = kept[self.page_id] = self._compression()[variant].rendered()
+            if self._compressed is None:
+                self._compressed = self._cache.read(self.page_id, compress_both)
+            doc = kept[self.page_id] = self._compressed[variant]
         return doc
-
-    def _compression(self) -> tuple[CompressedDocument, CompressedDocument, Document]:
-        if self._compressed is None:
-            self._compressed = self._cache.read(self.page_id, compress_both)
-        return self._compressed
 
 
 # --- Reference acquisition ----------------------------------------------------
@@ -522,7 +514,7 @@ class PageCache:
     """The work the runs over one corpus share.
 
     Per page it keeps only what is small: the name signature of its pruned
-    tree, the HTML and TEXT documents that some visit read, rendered, and
+    tree, the HTML and TEXT documents that some visit read, and
     the reason a page could not be parsed (so it is read once, not once per
     run). It never keeps a tree or an unread document. It also holds
     one extraction memo: ``results[program.rules][page_id]`` is the

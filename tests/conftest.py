@@ -34,4 +34,4 @@ def full_single_template():
 
 @pytest.fixture(scope="session")
 def compressed_gamma(small_gamma):
-    return {doc.page_id: compress_both(doc)[:2] for doc in small_gamma.pages}
+    return {doc.page_id: compress_both(doc) for doc in small_gamma.pages}

@@ -49,6 +49,21 @@ def markup():
     ).map("".join)
 
 
+#: Tags named with a trailing U+00A0, whose end tag reads back as another
+#: tag's ("</a\xa0>" as "</a>"), so that a childless one is written
+#: self-closed.
+_nbsp = st.sampled_from(("a\xa0", "b\xa0", "li\xa0")).flatmap(
+    lambda tag: st.sampled_from((f"<{tag}>", f"</{tag}>", f"<{tag}/>", f'<{tag} class="a">'))
+)
+
+
+def nbsp_markup():
+    """Tag soup with U+00A0 tag names among the tags, text and comments."""
+    return st.lists(
+        st.one_of(_start, _end, _self_closing, _text, _comment, _svg, _nbsp), max_size=40
+    ).map("".join)
+
+
 #: Banned elements written alike on many pages, and what their bodies may
 #: hold that makes a body depend on the markup around it: an end tag that
 #: closes an outer element, an implicit close of the banned element, an
@@ -98,3 +113,22 @@ def selectors(draw):
     for part in parts[1:]:
         text += draw(st.sampled_from((" ", " > "))) + part
     return text
+
+
+#: Markup that a careless tokenizer reads in quadratic time, each unit
+#: repeated to make a page.
+HOSTILE = {
+    "unterminated quotes": '<a "',
+    "unterminated comment": "<!--",
+    "run of <": "<",
+    "nested div": "<div>",
+    "run of empty comments": "<!---->",
+    "run of empty scripts": "<script></script>",
+    "run of CDATA sections": "<![CDATA[x]]>",
+    "run of implicitly closed li": "<li>",
+    "run of implicitly closed td": "<td>",
+    "nested svg and g": "<svg><g>",
+    "banned bodies alike for a long prefix": "".join(
+        f"<footer>{'a' * 100}{tail}</footer>" for tail in "bcdef"
+    ),
+}

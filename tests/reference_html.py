@@ -1,18 +1,29 @@
-"""The reference reading of HTML: the stdlib ``html.parser`` tree builder and
-the after-the-fact pruning that ``prodex.htmltree``'s tokenizer must equal.
+"""The reference reading of HTML: the stdlib ``html.parser`` tree builder,
+the after-the-fact pruning, and the tree walks that write a pruned tree as
+compressed HTML and TEXT, which ``prodex.htmltree``'s tokenizer must equal.
 
-``reference_parse`` must equal ``htmltree.parse_html``, and
-``reference_prune(reference_parse(html))`` must equal
-``htmltree.parse_pruned(html, BANNED_ELEMENTS, KEPT_ATTRIBUTES)``, which is
+``reference_parse`` must equal ``htmltree.parse_html``. For the pruned tree
+``reference_prune(reference_parse(html))``,
+``htmltree.render_pruned(html, BANNED_ELEMENTS, KEPT_ATTRIBUTES)`` must give
+its ``serialize`` and its ``block_text_lines`` joined with newlines, and is
 None exactly where ``reference_is_empty(reference_parse(html))``. Only tests
 import this module, so no runtime path falls back to ``html.parser``.
 """
 
 import re
+from html import escape
 from html.parser import HTMLParser
 
 from prodex.compress import BANNED_ELEMENTS, KEPT_ATTRIBUTES
-from prodex.htmltree import IMPLICIT_CLOSE, VOID_ELEMENTS, Document, Element, TextNode
+from prodex.htmltree import (
+    BLOCK_ELEMENTS,
+    IMPLICIT_CLOSE,
+    VOID_ELEMENTS,
+    Document,
+    Element,
+    TextNode,
+    _closable,
+)
 
 _WS_RUN = re.compile(r"\s+")
 
@@ -108,3 +119,76 @@ def reference_prune(root, banned=BANNED_ELEMENTS, kept=KEPT_ATTRIBUTES):
             kept_children.append(child)
         node.children = kept_children
     return root
+
+
+def serialize(node):
+    """Serialize a tree back to HTML with no whitespace added between tags.
+    An element without children whose end tag would read back as another
+    tag's is written self-closed, ``<name .../>``."""
+    parts = []
+    stack = [node]  # nodes, and closing tags as strings
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+        elif isinstance(item, TextNode):
+            parts.append(escape(item.text, quote=False))
+        elif isinstance(item, Document):
+            stack.extend(reversed(item.children))
+        else:
+            parts.append(f"<{item.tag}")
+            for name, value in item.attrs.items():
+                if value is None:
+                    parts.append(f" {name}")
+                else:
+                    parts.append(f' {name}="{escape(value)}"')
+            if item.tag in VOID_ELEMENTS:
+                parts.append(">")
+            elif not item.children and not _closable(item.tag):
+                parts.append("/>")
+            else:
+                parts.append(">")
+                stack.append(f"</{item.tag}>")
+                stack.extend(reversed(item.children))
+    return "".join(parts)
+
+
+_BLOCK_END = object()
+
+
+def block_text_lines(node):
+    """Visible text as lines: block elements separate lines, inline runs
+    within a block are joined with single spaces."""
+    lines = []
+    current = []
+    stack = [node]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, TextNode):
+            cleaned = " ".join(item.text.split())
+            if cleaned:
+                current.append(cleaned)
+            continue
+        if item is _BLOCK_END or (
+            isinstance(item, Element) and (item.tag in BLOCK_ELEMENTS or item.tag == "br")
+        ):
+            if current:
+                lines.append(" ".join(current))
+                current.clear()
+            if item is _BLOCK_END:
+                continue
+            stack.append(_BLOCK_END)
+        stack.extend(reversed(item.children))
+    if current:
+        lines.append(" ".join(current))
+    return lines
+
+
+def reference_render(html):
+    """The compressed HTML and TEXT of a page, read off the reference's
+    pruned tree; None where that tree is empty."""
+    tree = reference_parse(html)
+    if reference_is_empty(tree):
+        return None
+    pruned = reference_prune(tree)
+    return serialize(pruned), "\n".join(block_text_lines(pruned))

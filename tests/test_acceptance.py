@@ -49,7 +49,7 @@ def test_criterion_1_compression_invariants():
     for preset in ("alpha", "beta", "gamma"):
         corpus = generate_shop(preset_spec(preset, 100, seed=41))
         for raw in corpus.pages:
-            html_doc, text_doc, _ = compress_both(raw)
+            html_doc, text_doc = compress_both(raw)
             tree = parse_html(html_doc.content)
             for element in tree.iter_elements():
                 assert element.tag not in BANNED_ELEMENTS

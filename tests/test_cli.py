@@ -1,5 +1,8 @@
 import json
+import random
 import shutil
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -80,6 +83,42 @@ def test_extract_direct_then_evaluate(workspace, runner):
     report = json.loads(report_path.read_text())
     assert report["strategy"] == "direct"
     assert report["shops"]["beta"]["accuracy_by_variant"]["HTML_COMPRESSED"] == 100.0
+
+
+class _Sleeping:
+    """A provider that answers as ``inner`` does, each call after a few
+    milliseconds drawn from a seeded schedule, so that calls made together
+    complete in a drawn order."""
+
+    def __init__(self, inner, seed):
+        self.inner, self.rng, self.lock = inner, random.Random(seed), threading.Lock()
+
+    def complete_structured(self, *args):
+        with self.lock:
+            delay = self.rng.uniform(0, 0.004)
+        time.sleep(delay)
+        return self.inner.complete_structured(*args)
+
+
+def test_extract_direct_ledger_is_byte_identical_under_workers(workspace, runner, tmp_path,
+                                                               monkeypatch):
+    from prodex import cli
+
+    build_provider, seeds = cli._build_provider, iter(range(3))
+    monkeypatch.setattr(cli, "_build_provider",
+                        lambda *args: _Sleeping(build_provider(*args), next(seeds)))
+    ledgers = []
+    for run, workers in enumerate((4, 4, 1)):
+        out = tmp_path / f"run{run}"
+        result = runner.invoke(
+            main,
+            ["extract", "direct", "--corpus", str(workspace / "corpus"), "--out", str(out),
+             "--provider", "oracle", "--workers", str(workers)],
+        )
+        assert result.exit_code == 0, result.output
+        ledgers.append((out / "ledger.json").read_bytes())
+    assert len(json.loads(ledgers[0])["entries"]) == 40
+    assert ledgers[0] == ledgers[1] == ledgers[2]
 
 
 def test_extract_direct_resume_uses_checkpoint(workspace, runner):

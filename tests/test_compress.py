@@ -2,8 +2,16 @@ from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from markup import markup
-from reference_html import reference_is_empty, reference_parse
+from markup import HOSTILE, markup, nbsp_markup
+from reference_html import (
+    block_text_lines,
+    reference_is_empty,
+    reference_parse,
+    reference_prune,
+    serialize,
+)
+
+from prodex import htmltree
 
 from prodex.compress import (
     BANNED_ELEMENTS,
@@ -17,9 +25,11 @@ from prodex.dsl import (
     ExtractionProgram,
     FieldRule,
     PostOp,
+    program_scan,
     run_extraction_on_tree,
+    run_extractions,
 )
-from prodex.htmltree import TextNode, block_text_lines, parse_html, serialize
+from prodex.htmltree import TextNode, parse_html
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
@@ -124,7 +134,7 @@ class TestExtractText:
 
     def test_text_preservation_in_order(self):
         html = (FIXTURES / "globus_like_01.html").read_text(encoding="utf-8")
-        compressed, text, _ = compress_both(_raw(html))
+        compressed, text = compress_both(_raw(html))
         pieces = []
         for node in _walk_text(parse_html(compressed.content)):
             pieces.append(node)
@@ -200,16 +210,37 @@ class TestInvariantsOnGeneratedHtml:
     @given(_html_fragment())
     def test_monotone_shrinkage(self, fragment):
         html = f"<html><body>{fragment}</body></html>"
-        html_doc, text_doc, _ = compress_both(_raw(html))
+        html_doc, text_doc = compress_both(_raw(html))
         assert text_doc.token_count <= html_doc.token_count
         assert html_doc.token_count <= count_tokens(html)
 
 
 def test_compress_both_matches_two_step_path(small_alpha):
     doc = small_alpha.pages[0]
-    html_doc, text_doc, _ = compress_both(doc)
+    html_doc, text_doc = compress_both(doc)
     assert _html(_raw(html_doc.content)).content == html_doc.content
     assert text_doc.content == _text_of(html_doc)
+
+
+def _assert_renders_the_reference(html):
+    """compress_both writes the reference's pruned tree: its ``serialize``
+    and ``block_text_lines``, and HTML that ``parse_html`` reads back as
+    that tree; a page whose tree is empty is unparsable. Returns the two
+    documents, or None for an unparsable page."""
+    reference = reference_parse(html)
+    try:
+        html_doc, text_doc = compress_both(_raw(html))
+    except UnparsableDocument:
+        assert reference_is_empty(reference)
+        return None
+    assert not reference_is_empty(reference)
+    tree = reference_prune(reference)
+    assert html_doc.content == serialize(tree)
+    assert text_doc.content == "\n".join(block_text_lines(tree))
+    assert parse_html(html_doc.content) == tree
+    assert html_doc.token_count == count_tokens(html_doc.content)
+    assert text_doc.token_count == count_tokens(text_doc.content)
+    return html_doc, text_doc
 
 
 class TestCompressBothTree:
@@ -221,37 +252,56 @@ class TestCompressBothTree:
     @example("<li>a<li/>b")
     @example("<a\xa0 <div/><div>")  # "</a\xa0>" would read as "</a>": self-closed
     def test_tree_and_text_match_the_reparsed_html(self, html):
-        raw = _raw(html)
-        try:
-            html_doc, text_doc, tree = compress_both(raw)
-        except UnparsableDocument:
-            assert reference_is_empty(reference_parse(html))
-            return
-        # Each document renders its variant of the tree on first read, be it
-        # of token_count or of content.
-        text = "\n".join(block_text_lines(tree))
-        assert text_doc.token_count == count_tokens(text)
-        assert text_doc.content == text
-        assert html_doc.content == serialize(tree)
-        assert html_doc.token_count == count_tokens(html_doc.content)
-        assert tree == parse_html(html_doc.content)
-        assert text_doc.content == _text_of(html_doc)
+        docs = _assert_renders_the_reference(html)
+        if docs:
+            html_doc, text_doc = docs
+            assert text_doc.content == _text_of(html_doc)
+
+    @settings(max_examples=300, deadline=None)
+    @given(nbsp_markup())
+    @example("<a\xa0>x</a\xa0>y<b\xa0/><li\xa0 class=a>")
+    @example("<ul><li>a<li>b<a\xa0><li>c</ul></p>d<td>e")
+    @example("<div><p>a</span>b<br>c</div></div>d<p>")
+    def test_the_render_equals_the_reference_on_tag_soup(self, html):
+        _assert_renders_the_reference(html)
+
+    @pytest.mark.parametrize("unit", HOSTILE.values(), ids=HOSTILE.keys())
+    def test_hostile_pages_render_as_the_reference(self, unit):
+        for n in (1, 2, 3, 50):
+            _assert_renders_the_reference(unit * n)
+
+    def test_compress_both_builds_no_tree(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("compress_both built a tree node")
+
+        html = (FIXTURES / "globus_like_01.html").read_text(encoding="utf-8")
+        expected = compress_both(_raw(html))
+        for name in ("Element", "TextNode", "Document", "ElementIndex"):
+            monkeypatch.setattr(htmltree, name, refused)
+        assert compress_both(_raw(html)) == expected
+        soup = "<ul><li>a<li>b</ul><p>x<br>y<a\xa0><script>s</script>" + HOSTILE["nested div"] * 50
+        html_doc, text_doc = compress_both(_raw(soup))
+        assert text_doc.content == "a\nb\nx\ny"
 
     def test_adjacent_text_runs_merge(self):
-        _, text_doc, tree = compress_both(_raw("a<script>x</script>b<!-- c --> c"))
-        assert tree.children == [TextNode("abc")]
+        html_doc, text_doc = compress_both(_raw("a<script>x</script>b<!-- c --> c"))
+        assert reference_prune(reference_parse("a<script>x</script>b<!-- c --> c")).children == [
+            TextNode("abc")
+        ]
+        assert parse_html(html_doc.content).children == [TextNode("abc")]
         assert text_doc.content == "abc"
 
     def test_deeply_nested_page_compresses_and_extracts(self):
         depth = 5000
         html = "<div>" * depth + '<span class="bottom">Zutaten: Wasser</span>'
-        html_doc, text_doc, tree = compress_both(_raw(html))
+        html_doc, text_doc = compress_both(_raw(html))
         assert text_doc.content == "Zutaten: Wasser"
         rule = FieldRule(
             "ingredient_statement", "div > span.bottom",
             post_ops=(PostOp("strip_label_prefix", prefixes=("Zutaten:",)),),
         )
         program = ExtractionProgram("deep", "FoodProduct", rules=(rule,))
-        assert run_extraction_on_tree(program, tree).product.ingredient_statement == "Wasser"
         reparsed = parse_html(html_doc.content)
         assert run_extraction_on_tree(program, reparsed).product.ingredient_statement == "Wasser"
+        (product,), _ = run_extractions(program_scan(((rule,),)), _raw(html))
+        assert product.ingredient_statement == "Wasser"

@@ -80,7 +80,7 @@ class TestPagesSurviveCompression:
         doc = small_alpha.pages[0]
         assert "<script" in doc.html
         assert "<footer" in doc.html
-        html_doc, _, _ = compress_both(doc)
+        html_doc, _ = compress_both(doc)
         tree = parse_html(html_doc.content)
         for element in tree.iter_elements():
             assert element.tag not in BANNED_ELEMENTS
@@ -92,7 +92,7 @@ class TestPagesSurviveCompression:
             if small_alpha.truth[d.page_id].has_nutrition
             and small_alpha.truth[d.page_id].has_ingredients
         )
-        html_doc, text_doc, _ = compress_both(full_page)
+        html_doc, text_doc = compress_both(full_page)
         assert "nw-fett" in html_doc.content
         assert "Zutaten" in text_doc.content
 
@@ -103,7 +103,7 @@ class TestTruePrograms:
         for doc in shop.pages:
             record = shop.truth[doc.page_id]
             program = true_program_for(record.template_id)
-            html_doc, _, _ = compress_both(doc)
+            html_doc, _ = compress_both(doc)
             outcome = run_extraction_on_tree(program, parse_html(html_doc.content))
             assert compare(outcome.product, record.product).overall == 1.0
 
@@ -114,7 +114,7 @@ class TestTruePrograms:
             record = shop.truth[doc.page_id]
             own_count = None
             for template_id in templates:
-                html_doc, _, _ = compress_both(doc)
+                html_doc, _ = compress_both(doc)
                 tree = parse_html(html_doc.content)
                 outcome = run_extraction_on_tree(true_program_for(template_id), tree)
                 count = count_extracted(outcome.product)
@@ -134,7 +134,7 @@ class TestTruePrograms:
             if not shop.truth[d.page_id].has_nutrition
             and not shop.truth[d.page_id].has_ingredients
         )
-        html_doc, _, _ = compress_both(empty)
+        html_doc, _ = compress_both(empty)
         tree = parse_html(html_doc.content)
         outcome = run_extraction_on_tree(true_program_for("tafel"), tree)
         assert count_extracted(outcome.product) == 0

@@ -31,7 +31,7 @@ class TestExtractDirect:
             if small_alpha.truth[d.page_id].has_nutrition
             and small_alpha.truth[d.page_id].has_ingredients
         )
-        html_doc, _, _ = compress_both(page)
+        html_doc, _ = compress_both(page)
         product = extract_direct(html_doc, oracle, "o3-mini")
         truth = small_alpha.truth[page.page_id].product
         assert filled_field_ratio(product) >= 0.875
@@ -43,7 +43,7 @@ class TestExtractDirect:
             if not small_alpha.truth[d.page_id].has_ingredients
             and not small_alpha.truth[d.page_id].has_nutrition
         )
-        html_doc, _, _ = compress_both(page)
+        html_doc, _ = compress_both(page)
         product = extract_direct(html_doc, oracle, "o3-mini")
         assert product.ingredient_statement is None
 
@@ -54,7 +54,7 @@ class TestExtractDirect:
 
     def test_text_variant_works(self, small_alpha, oracle):
         page = small_alpha.pages[0]
-        _, text_doc, _ = compress_both(page)
+        _, text_doc = compress_both(page)
         product = extract_direct(text_doc, oracle, "o3-mini")
         truth = small_alpha.truth[page.page_id].product
         assert compare(product, truth).overall == 1.0
@@ -62,7 +62,7 @@ class TestExtractDirect:
     def test_result_revalidates_against_emitted_schema(self, small_alpha, oracle):
         schema = to_json_schema_dict()
         for page in small_alpha.pages[:5]:
-            html_doc, _, _ = compress_both(page)
+            html_doc, _ = compress_both(page)
             product = extract_direct(html_doc, oracle, "o3-mini")
             payload = json.dumps(product_to_dict(product), ensure_ascii=False)
             assert jsonschema.Draft202012Validator(schema).is_valid(json.loads(payload))
@@ -124,7 +124,7 @@ class TestBatch:
     def _docs(self, corpus, n=None):
         docs = []
         for page in corpus.pages[: n or len(corpus.pages)]:
-            html_doc, _, _ = compress_both(page)
+            html_doc, _ = compress_both(page)
             docs.append(html_doc)
         return docs
 
@@ -263,7 +263,7 @@ class TestCallCountLaw:
     def test_exactly_n_calls_for_n_pages(self, small_alpha, oracle):
         docs = []
         for page in small_alpha.pages:
-            html_doc, _, _ = compress_both(page)
+            html_doc, _ = compress_both(page)
             docs.append(html_doc)
         counting = _CountingProvider(oracle)
         results, failures = extract_direct_batch(docs, counting, "o3-mini", CostLedger())
@@ -275,7 +275,7 @@ class TestParallelBatch:
     def test_worker_pool_matches_sequential_results(self, small_alpha, oracle):
         docs = []
         for page in small_alpha.pages[:16]:
-            html_doc, _, _ = compress_both(page)
+            html_doc, _ = compress_both(page)
             docs.append(html_doc)
         sequential, _ = extract_direct_batch(docs, oracle, "o3-mini", CostLedger())
         ledger = CostLedger()
@@ -289,7 +289,7 @@ class TestParallelBatch:
     def test_worker_pool_checkpoint_resumes_without_calls(self, small_alpha, oracle, tmp_path):
         docs = []
         for page in small_alpha.pages[:12]:
-            html_doc, _, _ = compress_both(page)
+            html_doc, _ = compress_both(page)
             docs.append(html_doc)
         first, failures = extract_direct_batch(
             docs, oracle, "o3-mini", CostLedger(), out_dir=tmp_path, workers=4

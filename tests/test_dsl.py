@@ -134,6 +134,40 @@ class TestParseProgram:
             parse_program(json.dumps(decision))
         assert err.value.issues[0].kind == "InvalidRegex"
 
+    @pytest.mark.parametrize("pattern", [
+        r"^(?:a+)+(b)$",  # an unbounded repeat inside another
+        r"(?:x|(a*))*",  # the inner repeat in a branch
+        r"(?=(a+)+)",  # in a lookahead
+        r"(a)\1",  # a backreference
+        r"(a)?(?(1)b|c)",  # a conditional on a group
+    ], ids=["nested", "branch", "lookahead", "backreference", "conditional"])
+    def test_catastrophic_regex_shapes_are_refused_at_every_entry_point(self, pattern):
+        refused = [
+            lambda: FieldRule("fat.value", "td", capture=pattern),
+            lambda: Predicate(op="matches_regex", value=pattern),
+            lambda: parse_program(_program_json([_rule_json(capture=pattern)])),
+            lambda: parse_program(json.dumps({
+                "kind": "decision", "program_id": "d",
+                "predicate": {"op": "matches_regex", "pattern": pattern}})),
+        ]
+        for build in refused:
+            with pytest.raises(ProgramParseError) as err:
+                build()
+            assert err.value.issues[0].kind == "InvalidRegex"
+            assert "backtrack" in err.value.issues[0].message
+
+    def test_the_preset_and_oracle_regexes_still_compile(self):
+        from prodex.corpus import _NUMBER_CAPTURE, _UNIT_CAPTURE
+        from prodex.reader import DECISION_KEYWORDS
+
+        assert _NUMBER_CAPTURE == r"([0-9]+(?:[.,][0-9]+)?)"
+        assert _UNIT_CAPTURE == r"[0-9.,]+\s*([A-Za-z]+)"
+        for capture in (_NUMBER_CAPTURE, _UNIT_CAPTURE):
+            assert FieldRule("fat.value", "td", capture=capture).compiled_capture.pattern == capture
+        for keyword in (*DECISION_KEYWORDS, "Zutaten", "Nährwert"):
+            pattern = f"(?i){re.escape(keyword)}"
+            assert Predicate(op="matches_regex", value=pattern).compiled.pattern == pattern
+
     @pytest.mark.parametrize("text", [
         "[" * 100_000,
         '{"kind": "extraction", "rules": [], "generation": %s}' % ("1" * 5000),

@@ -267,6 +267,55 @@ class TestRecordReplay:
         assert again_second.response_text == second.response_text
         assert again_first.usage == first.usage
 
+    # A session file is UTF-8, which holds no lone surrogate: such a text
+    # cannot be recorded by either writer.
+    _encodable = jsontext.texts.filter(lambda text: not any("\ud800" <= c <= "\udfff"
+                                                            for c in text))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.tuples(_encodable, _encodable, _encodable, _encodable),
+        st.tuples(st.integers(0, 10**9), st.integers(0, 10**9), st.integers(0, 10**9)),
+        st.floats(),
+        st.one_of(
+            st.just(SCHEMA),
+            st.dictionaries(_encodable, st.one_of(_encodable, st.integers(),
+                                                  st.lists(_encodable)), max_size=4),
+        ),
+        st.booleans(),
+    )
+    @example(("o3-mini", "sys", "user", '{"a": 1}'), (5, 2, 1), 1.5, SCHEMA, True)
+    def test_a_session_record_is_byte_identical_to_json_dumps(self, texts, tokens, timestamp,
+                                                              schema, request_schema):
+        """Drawn prompts, responses, usages and timestamps, with a plain-dict
+        schema or a RequestSchema, whose record text is encoded once."""
+        import tempfile
+
+        model_id, system, user, response = texts
+        inputs, cached, outputs = tokens
+        usage = Usage(max(inputs, cached), min(inputs, cached), outputs)
+
+        class Answering:
+            def complete_structured(self, *args):
+                return ChatExchange(model_id, system, user, response, usage, timestamp)
+
+        json_schema = RequestSchema(schema) if request_schema else schema
+        with tempfile.TemporaryDirectory() as session:
+            recorder = RecordingProvider(Answering(), session)
+            for _ in range(2):  # a RequestSchema's record text is reused
+                key = recorder.complete_structured(model_id, system, user, json_schema).key
+                written = (Path(session) / f"{key}.json").read_text(encoding="utf-8")
+                assert written == json.dumps({
+                    "key": key,
+                    "model_id": model_id,
+                    "system_prompt": system,
+                    "user_prompt": user,
+                    "schema": schema,
+                    "response_text": response,
+                    "usage": usage.to_dict(),
+                    "timestamp": timestamp,
+                }, indent=2, ensure_ascii=False)
+
     def test_replay_reads_the_session_file_once_and_stats_nothing(self, tmp_path, monkeypatch):
         recorder = RecordingProvider(_ScriptedProvider(['{"a": 1}']), tmp_path / "session")
         recorder.complete_structured("m", "sys", "user-1", SCHEMA)

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from markup import markup, selectors
+from reference_html import block_text_lines, serialize
 
 from prodex.compress import BANNED_ELEMENTS, KEPT_ATTRIBUTES
 from prodex.htmltree import (
@@ -8,17 +9,26 @@ from prodex.htmltree import (
     Element,
     MatchSet,
     TextNode,
-    block_text_lines,
     match_pruned,
     name_signature,
     parse_html,
-    parse_pruned,
     parse_selector,
+    render_pruned,
     select,
     select_targets,
-    serialize,
     text_content,
 )
+
+
+def _rendered(html):
+    return render_pruned(html, BANNED_ELEMENTS, KEPT_ATTRIBUTES)
+
+
+def _pruned_tree(html):
+    """The pruned tree, read back from the rendered HTML; None where the
+    page has no content."""
+    rendered = _rendered(html)
+    return rendered and parse_html(rendered[0])
 
 
 def test_parse_builds_tree_with_attrs():
@@ -60,6 +70,7 @@ def test_entities_round_trip_through_serialize():
     out = serialize(tree)
     assert out == "<p>a &amp; b &lt;c&gt;</p>"
     assert serialize(parse_html(out)) == out
+    assert _rendered(out) == (out, "a & b <c>")
 
 
 def test_duplicate_attributes_keep_first():
@@ -75,11 +86,13 @@ def test_text_content_joins_with_single_spaces():
 def test_block_text_lines_separate_blocks():
     tree = parse_html("<div><p>Zutaten:</p><p>Zucker</p></div>")
     assert block_text_lines(tree) == ["Zutaten:", "Zucker"]
+    assert _rendered("<div><p>Zutaten:</p><p>Zucker</p></div>")[1] == "Zutaten:\nZucker"
 
 
 def test_block_text_lines_br_breaks():
     tree = parse_html("<p>one<br>two</p>")
     assert block_text_lines(tree) == ["one", "two"]
+    assert _rendered("<p>one<br>two</p>") == ("<p>one<br>two</p>", "one\ntwo")
 
 
 class TestSelectors:
@@ -226,7 +239,7 @@ def _walked_index(root):
 @settings(max_examples=300, deadline=None)
 @given(markup())
 def test_the_parse_records_the_index_a_walk_builds(html):
-    trees = [parse_html(html), parse_pruned(html, BANNED_ELEMENTS, KEPT_ATTRIBUTES)]
+    trees = [parse_html(html), _pruned_tree(html)]
     for tree in filter(None, trees):
         elements, parents = _walked_index(tree)
         recorded = tree.index
@@ -280,9 +293,11 @@ def test_tree_equality_compares_tags_attrs_and_text():
 
 def test_walks_survive_deep_nesting():
     depth = 5000
-    tree = parse_html("<div>" * depth + '<span class="bottom">x</span>' + "</div>" * depth)
+    html = "<div>" * depth + '<span class="bottom">x</span>' + "</div>" * depth
+    tree = parse_html(html)
     assert sum(1 for _ in tree.iter_elements()) == depth + 1
     assert serialize(tree).endswith('<span class="bottom">x</span>' + "</div>" * depth)
+    assert _rendered(html) == (html, "x")
     assert text_content(tree) == "x"
     assert block_text_lines(tree) == ["x"]
     assert [e.tag for e in select(tree, "div > span.bottom")] == ["span"]
@@ -314,12 +329,12 @@ def _selected_nodes(tree, targets, limit):
 def test_the_matching_scan_equals_select_on_the_pruned_tree(html, drawn, limit):
     """One scan that builds no tree gives, for each target, the text of its
     match in the pruned tree, the tree's name signature, and None exactly
-    where parse_pruned gives None; a MatchSet gives the same again with its
+    where render_pruned gives None; a MatchSet gives the same again with its
     readings kept. One walk of the tree finds every target's node."""
     targets = [(parse_selector(selector), node_index) for selector, node_index in drawn]
     match_set = MatchSet(targets)
     found = match_pruned(html, BANNED_ELEMENTS, KEPT_ATTRIBUTES, match_set, limit)
-    tree = parse_pruned(html, BANNED_ELEMENTS, KEPT_ATTRIBUTES)
+    tree = _pruned_tree(html)
     if tree is None:
         assert found is None
         return

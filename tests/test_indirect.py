@@ -46,7 +46,7 @@ from prodex.similarity import compare
 
 
 def _sample_docs(corpus):
-    compressed = {d.page_id: compress_both(d)[:2] for d in corpus.pages}
+    compressed = {d.page_id: compress_both(d) for d in corpus.pages}
     samples = [
         (compressed[page_id][1], label)
         for page_id, label in sorted(corpus.labels.items())
@@ -379,14 +379,15 @@ class TestProcessShop:
         # Only the pages that are rendered are compressed, each once: the
         # samples, and the pages the decision ensemble judged. A labelled
         # page is first visited for its sample, and the loop's visit
-        # continues that one. Nothing is parsed.
+        # continues that one. Only the trees the synthesis episodes work on
+        # are parsed, each once, from the compressed HTML.
         episodes = first.metrics.synthesis_log
         assert any("generations" in e for e in episodes)
         synthesized = {e["page_id"] for e in episodes}
         added = {e["page_id"] for e in episodes if e.get("program_id")}
         judged = {page_id for page_id, r in first.page_results.items()
                   if r.source in ("no-info", "none")} | synthesized
-        assert calls["parse"] == 0
+        assert calls["parse"] == len(episodes)
         assert scanned == Counter({d.page_id: 1 + (d.page_id in added) for d in small_gamma.pages})
         assert compressed == Counter(dict.fromkeys(set(small_gamma.labels) | judged, 1))
         # The cache keeps a signature per page, and the contents some visit read:
@@ -419,7 +420,7 @@ class TestProcessShop:
         from prodex.htmltree import name_signature
 
         def on_trees(scan, doc):
-            tree = compress_both(doc)[2]
+            tree = parse_html(compress_both(doc)[0].content)
             products = [run_extraction_on_tree(ExtractionProgram("p", "FoodProduct", rules), tree)
                         .product for rules in scan.rule_sets]
             return products, name_signature(tree)
@@ -457,41 +458,33 @@ class TestProcessShop:
             assert scan_run.failures == tree_run.failures
 
     def test_a_run_renders_only_the_variants_it_reads(self, small_gamma, monkeypatch):
+        """A page is rendered, both variants in one scan, only where a visit
+        reads one of them, and once per run; the cache keeps only the
+        variants some visit read."""
         from prodex import htmltree, indirect
 
-        trees, rendered = {}, {"html": Counter(), "text": Counter()}
-        real_compress = indirect.compress_both
-        real_serialize, real_lines = htmltree.serialize, htmltree.block_text_lines
-        judged = set()
-        real_decide = indirect.decide
+        rendered, judged = Counter(), set()
+        page_ids = {d.html: d.page_id for d in small_gamma.pages}
+        real_render, real_decide = htmltree.render_pruned, indirect.decide
 
-        def recording_compress(doc):
-            result = real_compress(doc)
-            trees[id(result[2])] = (doc.page_id, result[2])
-            return result
-
-        def counting_serialize(node):
-            rendered["html"][trees[id(node)][0]] += 1
-            return real_serialize(node)
-
-        def counting_lines(node):
-            rendered["text"][trees[id(node)][0]] += 1
-            return real_lines(node)
+        def counting_render(html, *args):
+            rendered[page_ids[html]] += 1
+            return real_render(html, *args)
 
         def recording_decide(ensemble, doc):
             judged.add(doc.page_id)
             return real_decide(ensemble, doc)
 
-        monkeypatch.setattr(indirect, "compress_both", recording_compress)
-        monkeypatch.setattr(htmltree, "serialize", counting_serialize)
-        monkeypatch.setattr(htmltree, "block_text_lines", counting_lines)
+        monkeypatch.setattr(htmltree, "render_pruned", counting_render)
         monkeypatch.setattr(indirect, "decide", recording_decide)
+        cache = PageCache(small_gamma)
         result = process_shop(small_gamma, OracleProvider(small_gamma, OracleConfig()),
-                              OrchestratorConfig(rng_seed=2))
+                              OrchestratorConfig(rng_seed=2), cache)
         synthesized = {e["page_id"] for e in result.metrics.synthesis_log}
         assert synthesized and len(judged) < len(small_gamma.pages)
-        assert rendered["html"] == Counter(dict.fromkeys(synthesized, 1))
-        assert rendered["text"] == Counter(dict.fromkeys(set(small_gamma.labels) | judged, 1))
+        assert rendered == Counter(dict.fromkeys(set(small_gamma.labels) | judged, 1))
+        assert set(cache.html) == synthesized
+        assert set(cache.text) == set(small_gamma.labels) | judged
 
     def test_the_cache_keeps_no_tree_and_no_unread_document(self, small_gamma):
         import gc

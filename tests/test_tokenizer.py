@@ -1,7 +1,7 @@
 """The tokenizer in ``prodex.htmltree`` against the stdlib reference reading.
 
 ``parse_html`` must give the tree ``html.parser`` gives, node for node, and
-``parse_pruned`` must give that tree pruned after the fact
+``render_pruned`` must write that tree pruned after the fact
 (``tests/reference_html.py``), on tag soup and on each case the reference
 reads in a surprising way. On hostile markup both run in linear time. The
 memo of start-tag readings agrees with a fresh reading and keeps its bounds.
@@ -16,8 +16,14 @@ from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from markup import attribute_texts, markup, selectors, template_pages
-from reference_html import reference_is_empty, reference_parse, reference_prune
+from markup import HOSTILE, attribute_texts, markup, selectors, template_pages
+from reference_html import (
+    block_text_lines,
+    reference_is_empty,
+    reference_parse,
+    reference_prune,
+    serialize,
+)
 
 import prodex
 from prodex import htmltree
@@ -34,18 +40,25 @@ from prodex.htmltree import (
     _TOKEN,
     _bodies,
     _read_attributes,
+    _renderings,
     _start_tag,
     _start_tags,
     match_pruned,
     parse_html,
-    parse_pruned,
     parse_selector,
-    serialize,
+    render_pruned,
 )
 
 
+def _rendered(html):
+    return render_pruned(html, BANNED_ELEMENTS, KEPT_ATTRIBUTES)
+
+
 def _pruned(html):
-    return parse_pruned(html, BANNED_ELEMENTS, KEPT_ATTRIBUTES)
+    """The pruned tree the render writes, read back; None where the page
+    has no content."""
+    rendered = _rendered(html)
+    return rendered and parse_html(rendered[0])
 
 
 #: Targets for the hostile pages: early and late matches, text collected
@@ -66,13 +79,13 @@ def _matched(html):
 def _assert_matches_reference(html):
     reference = reference_parse(html)
     assert parse_html(html) == reference
-    pruned = _pruned(html)
+    rendered = _rendered(html)
     if reference_is_empty(reference):
-        assert pruned is None
+        assert rendered is None
     else:
         expected = reference_prune(reference)
-        assert pruned == expected
-        assert serialize(pruned) == serialize(expected)
+        assert rendered == (serialize(expected), "\n".join(block_text_lines(expected)))
+        assert parse_html(rendered[0]) == expected
 
 
 @settings(max_examples=300, deadline=None)
@@ -143,9 +156,13 @@ def test_elements_read_from_one_attribute_text_own_their_attrs():
 
 
 def test_the_attribute_memo_keeps_its_bounds():
-    _start_tags.clear()
-    parse_html("".join(f'<p class="c{i}">' for i in range(ATTRIBUTE_MEMO_SIZE + 100)))
+    _clear_memos()
+    many = "".join(f'<p class="c{i}">' for i in range(ATTRIBUTE_MEMO_SIZE + 100))
+    parse_html(many)
     assert len(_start_tags[None]) == ATTRIBUTE_MEMO_SIZE
+    _rendered(many + '<p class="' + "x" * ATTRIBUTE_MEMO_MAX_TEXT + '">')
+    assert len(_renderings[KEPT_ATTRIBUTES]) == ATTRIBUTE_MEMO_SIZE
+    assert all(len(key) <= ATTRIBUTE_MEMO_MAX_TEXT for key in _renderings[KEPT_ATTRIBUTES])
     at_cap = '<p class="' + "x" * (ATTRIBUTE_MEMO_MAX_TEXT - 12) + '">'
     assert len(at_cap) == ATTRIBUTE_MEMO_MAX_TEXT
     for text, stored in ((at_cap, 1), (at_cap[:-2] + 'x">', 0)):
@@ -198,6 +215,7 @@ def test_a_full_start_tag_memo_makes_room_for_a_new_tag(monkeypatch):
 
 def _clear_memos():
     _start_tags.clear()
+    _renderings.clear()
     _bodies.clear()
 
 
@@ -224,15 +242,16 @@ def _no_memos():
 @example(["<footer>a<!--b</footer>", "<footer>a<!--b</footer>c-->d</footer>e"], [("*", 0)])
 @example(["<footer>a<!-- b --></footer>c", "<footer>a<!-- b --></footer>c"], [("*", 0)])
 def test_the_memos_change_nothing_a_scan_gives(pages, drawn):
-    """The pruned tree, the matching scan's texts and signature, and whether
-    the page has content are the same with the memos cleared before each
-    page and after the other pages filled them as without the memos."""
+    """The rendering scan's HTML and TEXT, the matching scan's texts and
+    signature, and whether the page has content are the same with the memos
+    cleared before each page and after the other pages filled them as
+    without the memos."""
     targets = [(parse_selector(selector), node_index) for selector, node_index in drawn]
 
     def read(html, match_set):
-        tree = _pruned(html)
+        rendered = _rendered(html)
         found = match_pruned(html, BANNED_ELEMENTS, KEPT_ATTRIBUTES, match_set)
-        return tree, tree and serialize(tree), found
+        return rendered, found
 
     with _no_memos():
         expected = [read(html, MatchSet(targets)) for html in pages]
@@ -250,9 +269,9 @@ def test_the_subtree_memo_keeps_its_bounds():
     _clear_memos()
     bodies = [f"{i}<p>x</p></footer>" for i in range(SUBTREE_MEMO_BODIES + 2)]
     page = "".join("<footer>" + body for body in bodies)
-    assert _pruned(page).children == []
+    assert _rendered(page) == ("", "")
     assert _bodies.by_tag == {"<footer>": bodies[:SUBTREE_MEMO_BODIES]}
-    assert _pruned(page + "y").children == [TextNode("y")]  # every body known or read
+    assert _rendered(page + "y") == ("y", "y")  # every body known or read
     long_body = "x" * 1000 + "</footer>"
     page = "".join(f'<footer class="c{i}">{long_body}' for i in range(SUBTREE_MEMO_CHARS // 1000))
     _clear_memos()
@@ -266,6 +285,7 @@ def test_the_subtree_memo_keeps_its_bounds():
 def test_a_lt_1_is_three_text_nodes_joined_when_pruned():
     assert parse_html("a < 1").children == [TextNode("a "), TextNode("<"), TextNode(" 1")]
     assert _pruned("a < 1").children == [TextNode("a<1")]
+    assert _rendered("a < 1") == ("a&lt;1", "a<1")
 
 
 def test_p_a_lt_b_quirk_opens_a_b_lt_element():
@@ -275,11 +295,12 @@ def test_p_a_lt_b_quirk_opens_a_b_lt_element():
 
 
 def test_script_only_page_is_parsable_and_empty_when_pruned():
-    assert _pruned("<script>x</script>").children == []
-    assert _pruned("  <!-- x -->  ") is None
+    assert _rendered("<script>x</script>") == ("", "")
+    assert _rendered("  <!-- x -->  ") is None
 
 
 def test_banned_subtree_is_not_built_but_closes_implicitly():
+    assert _rendered("<ul><li>a<option>b<li>c</ul>d") == ("<ul><li>a</li></ul>d", "a\nd")
     tree = _pruned("<ul><li>a<option>b<li>c</ul>d")
     ul, text = tree.children
     assert ul == Element("ul", children=[Element("li", children=[TextNode("a")])])
@@ -291,23 +312,6 @@ def test_unknown_marked_section_is_read_as_a_comment():
     assert parse_html("a<![foo]>b<![ x>c").children == [TextNode("a"), TextNode("b"), TextNode("c")]
 
 
-HOSTILE = {
-    "unterminated quotes": '<a "',
-    "unterminated comment": "<!--",
-    "run of <": "<",
-    "nested div": "<div>",
-    "run of empty comments": "<!---->",
-    "run of empty scripts": "<script></script>",
-    "run of CDATA sections": "<![CDATA[x]]>",
-    "run of implicitly closed li": "<li>",
-    "run of implicitly closed td": "<td>",
-    "nested svg and g": "<svg><g>",
-    "banned bodies alike for a long prefix": "".join(
-        f"<footer>{'a' * 100}{tail}</footer>" for tail in "bcdef"
-    ),
-}
-
-
 @pytest.mark.parametrize("unit", HOSTILE.values(), ids=HOSTILE.keys())
 def test_hostile_markup_matches_the_reference_when_small(unit):
     for n in (1, 2, 3, 50):
@@ -317,7 +321,7 @@ def test_hostile_markup_matches_the_reference_when_small(unit):
 @pytest.mark.parametrize("unit", HOSTILE.values(), ids=HOSTILE.keys())
 def test_hostile_markup_parses_in_linear_time(unit):
     html = unit * (100_000 // len(unit))
-    for parse in (parse_html, _pruned, _matched):
+    for parse in (parse_html, _rendered, _matched):
         started = time.perf_counter()
         parse(html)
         assert time.perf_counter() - started < 1.0
@@ -347,7 +351,7 @@ def test_grown_markup_matches_the_reference_when_small(build):
 @pytest.mark.parametrize("build", GROWN.values(), ids=GROWN.keys())
 def test_grown_markup_parses_in_linear_time(build):
     html = build(100_000)
-    for parse in (parse_html, _pruned, _matched):
+    for parse in (parse_html, _rendered, _matched):
         started = time.perf_counter()
         parse(html)
         assert time.perf_counter() - started < 1.0

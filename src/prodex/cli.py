@@ -222,8 +222,8 @@ def extract():
 @click.option("--variant", type=click.Choice(["html", "text"]), default="html", show_default=True)
 @click.option("--model", default="o3-mini", show_default=True)
 @click.option("--resume/--fresh", default=True, show_default=True)
-@click.option("--workers", type=int, default=1, show_default=True,
-              help="Parallel page requests (useful with the live provider).")
+@click.option("--workers", type=click.IntRange(1, 32), default=1, show_default=True,
+              help="Pages requested at once, 1-32: the only limit on calls in flight.")
 @_with_provider_options
 def extract_direct_cmd(corpus_dir, out_dir, variant, model, resume, workers, provider_name,
                        session, record, oracle_imperfections, oracle_unreparable_template,

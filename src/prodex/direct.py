@@ -9,29 +9,11 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from . import prompts, rundir
-from .gateway import (
-    CostLedger,
-    Provider,
-    ProviderRefusal,
-    ReplayMiss,
-    RequestSchema,
-    TransportError,
-    structured_call,
-)
-from .schema import (
-    FoodProduct,
-    SchemaViolation,
-    parse_product,
-    to_json_schema,
-    to_json_schema_dict,
-)
+from .gateway import PROVIDER_FAILURES, CostLedger, Provider, request_schema, structured_call
+from .schema import FoodProduct, SchemaViolation, parse_product, to_json_schema_dict
 
 if TYPE_CHECKING:
     from .compress import CompressedDocument
-
-
-# The product JSON Schema for the gateway, built once; the gateway only reads it.
-_RESPONSE_SCHEMA = RequestSchema(to_json_schema_dict())
 
 
 class ExtractionFailed(Exception):
@@ -41,7 +23,7 @@ class ExtractionFailed(Exception):
 def build_direct_prompts(doc: CompressedDocument) -> tuple[str, str]:
     system = prompts.load("direct_system.txt")
     user = prompts.load("direct_user.txt").format(
-        schema=to_json_schema(),
+        schema=request_schema(to_json_schema_dict).text,
         variant=doc.variant.value,
         content=doc.content,
     )
@@ -59,7 +41,7 @@ def extract_direct(
     system, user = build_direct_prompts(doc)
     try:
         _, product = structured_call(
-            provider, model_id, system, user, _RESPONSE_SCHEMA, parse_product,
+            provider, model_id, system, user, request_schema(to_json_schema_dict), parse_product,
             ledger=ledger, role_tag=role_tag, page_id=doc.page_id,
         )
     except SchemaViolation as exc:
@@ -83,11 +65,11 @@ def extract_direct_batch(
     product file in that run directory (``prodex.rundir``), its only record:
     a page that has one is not extracted again, so an interrupted run resumes
     without re-calling the provider for done pages.
-    With workers > 1, pages fan out over a thread pool (the live provider's
-    in-flight semaphore still caps concurrency). Each page prices its calls
-    into a ledger of its own, and those entries join ``ledger`` in document
-    order once every page is done, so the ledger does not depend on the
-    order in which calls complete.
+    With workers > 1, pages fan out over a pool of that many threads, the
+    only code that calls a provider from more than one thread. Each page
+    prices its calls into a ledger of its own, and those entries join
+    ``ledger`` in document order once every page is done, so the ledger
+    does not depend on the order in which calls complete.
     """
     done = rundir.resume_products(out_dir) if out_dir is not None else {}
 
@@ -103,7 +85,7 @@ def extract_direct_batch(
         for doc in pending:
             try:
                 finish(doc.page_id, extract_direct(doc, provider, model_id, ledger=ledger))
-            except (ExtractionFailed, TransportError, ProviderRefusal, ReplayMiss) as exc:
+            except (ExtractionFailed, *PROVIDER_FAILURES) as exc:
                 failures[doc.page_id] = str(exc)
     else:
         from concurrent.futures import ThreadPoolExecutor, as_completed
@@ -118,7 +100,7 @@ def extract_direct_batch(
                 page_id = futures[future].page_id
                 try:
                     finish(page_id, future.result())
-                except (ExtractionFailed, TransportError, ProviderRefusal, ReplayMiss) as exc:
+                except (ExtractionFailed, *PROVIDER_FAILURES) as exc:
                     failures[page_id] = str(exc)
         for page_ledger in page_ledgers:
             ledger.entries.extend(page_ledger.entries)

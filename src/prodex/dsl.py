@@ -194,8 +194,12 @@ def _compile_regex(pattern: str, path: str) -> re.Pattern:
 def _backtracking_hazard(pattern: str) -> Optional[str]:
     """What in a compilable pattern can make a search backtrack for time
     exponential in the text (Davis et al., ESEC/FSE 2018): a backreference,
-    or an unbounded repeat inside another, possessive or not, as in
-    ``(?:a+)+``. None for a pattern with neither."""
+    or an unbounded repeat whose body can match strings of more than one
+    length (``(?:a+)+``, ``(?:a|aa)+``, ``(?:a{1,5})+``) or holds a branch
+    that the parser could not fold into a character set (``(?:a|a)+``,
+    ``(?:ab|a.)+``), since either lets the repeat split one text in many
+    ways. None for a pattern with neither: ``(.*)``, ``(\\S+)`` and
+    ``(?:a|b)+`` pass."""
     stack = [(_sre.parse(pattern), False)]  # (items, whether inside an unbounded repeat)
     while stack:
         items, repeated = stack.pop()
@@ -204,12 +208,16 @@ def _backtracking_hazard(pattern: str) -> Optional[str]:
                 return "a backreference"
             if op in _REPEATS:
                 unbounded = av[1] == _sre.MAXREPEAT
-                if unbounded and repeated:
-                    return "an unbounded repeat inside another"
+                if unbounded:
+                    low, high = av[2].getwidth()
+                    if low != high:
+                        return "an unbounded repeat of a variable-length body"
                 stack.append((av[2], repeated or unbounded))
             elif op is _sre.SUBPATTERN:
                 stack.append((av[-1], repeated))
             elif op is _sre.BRANCH:
+                if repeated:
+                    return "a branch inside an unbounded repeat"
                 stack.extend((branch, repeated) for branch in av[1])
             elif op in (_sre.ASSERT, _sre.ASSERT_NOT):
                 stack.append((av[1], repeated))

@@ -6,10 +6,12 @@ every exchange, and a replay provider that serves recorded exchanges keyed by
 a content hash of (model, system prompt, user prompt, schema). Replay makes
 every pipeline bit-deterministic offline.
 
-The JSON Schema goes to the provider, which constrains its output with it.
+Each request's JSON Schema is encoded once per process
+(``request_schema``), for the prompt that shows it and the call that sends
+it. The schema goes to the provider, which constrains its output with it.
 Locally a response is validated once, by the parser that builds the value
 from it (``parse_product`` or a program parser): a response the parser
-rejects gets one corrective retry.
+rejects, or whose JSON holds a lone surrogate, gets one corrective retry.
 
 Cost accounting is exact: usage is priced from a per-model table using
 ``Decimal`` arithmetic, and a ledger's total is always the sum of its
@@ -18,9 +20,11 @@ entries with no floating-point drift.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
+import re
 import threading
 import time
 from dataclasses import dataclass, replace
@@ -42,6 +46,11 @@ class ProviderRefusal(Exception):
 
 class ReplayMiss(Exception):
     """No recorded exchange for the requested prompt key."""
+
+
+#: What a provider raises when it gives no answer; a caller turns each into
+#: a failure record for the page or episode, never into a crash.
+PROVIDER_FAILURES = (TransportError, ProviderRefusal, ReplayMiss)
 
 
 class UnknownModel(Exception):
@@ -90,29 +99,25 @@ class ChatExchange:
 
 
 class RequestSchema(dict):
-    """A request's JSON Schema, built once where its calls are made, that
-    carries its ``exchange_key`` encoding and, once a call is recorded, its
-    session-record text; no caller changes it."""
+    """A request's JSON Schema with its two encodings, made once: ``text``,
+    the ``indent=2`` text that prompts carry and session records nest, and
+    ``key_text``, the sorted text ``exchange_key`` hashes. No caller changes
+    it."""
 
-    __slots__ = ("key_text", "_record_text")
+    __slots__ = ("text", "key_text")
 
     def __init__(self, schema: dict):
         super().__init__(schema)
+        self.text = json.dumps(schema, indent=2, ensure_ascii=False)
         self.key_text = json.dumps(schema, sort_keys=True, ensure_ascii=False)
-        self._record_text: Optional[str] = None
-
-    def record_text(self) -> str:
-        """``_record_schema_text`` of this schema, encoded once."""
-        if self._record_text is None:
-            self._record_text = _record_schema_text(self)
-        return self._record_text
 
 
-def _record_schema_text(json_schema) -> str:
-    """A schema as ``json.dumps(..., indent=2, ensure_ascii=False)`` writes
-    it one level deep in a session record. Strings escape their line
-    breaks, so every line break in that text is layout."""
-    return json.dumps(json_schema, indent=2, ensure_ascii=False).replace("\n", "\n  ")
+@functools.cache
+def request_schema(build: Callable[[], dict]) -> RequestSchema:
+    """The RequestSchema of a schema builder (``schema.to_json_schema_dict``
+    or a dsl program schema function), built once per process, which the
+    call sites read for the prompt and the call alike."""
+    return RequestSchema(build())
 
 
 def exchange_key(model_id: str, system_prompt: str, user_prompt: str, json_schema) -> str:
@@ -120,15 +125,14 @@ def exchange_key(model_id: str, system_prompt: str, user_prompt: str, json_schem
 
     It hashes exactly ``json.dumps({"model_id": ..., "system_prompt": ...,
     "user_prompt": ..., "schema": json_schema}, sort_keys=True,
-    ensure_ascii=False)``, spliced from the schema's text (a RequestSchema's
-    own) and the C escaper ``json_string`` that call uses.
+    ensure_ascii=False)``, spliced from the schema's ``key_text`` (a plain
+    dict is read as ``RequestSchema(dict)``) and the C escaper
+    ``json_string`` that call uses.
     """
-    if isinstance(json_schema, RequestSchema):
-        schema_text = json_schema.key_text
-    else:
-        schema_text = json.dumps(json_schema, sort_keys=True, ensure_ascii=False)
+    if not isinstance(json_schema, RequestSchema):
+        json_schema = RequestSchema(json_schema)
     payload = (
-        f'{{"model_id": {json_string(model_id)}, "schema": {schema_text}, '
+        f'{{"model_id": {json_string(model_id)}, "schema": {json_schema.key_text}, '
         f'"system_prompt": {json_string(system_prompt)}, '
         f'"user_prompt": {json_string(user_prompt)}}}'
     )
@@ -301,16 +305,45 @@ T = TypeVar("T")
 
 
 def validates_against(json_text: str, parse: Callable[[str], T]) -> Optional[T]:
-    """``parse(json_text)``, or None when the parser raises SchemaViolation."""
+    """``parse(json_text)``, or None when the parser raises SchemaViolation
+    or the text's JSON holds a lone surrogate."""
+    if _holds_lone_surrogate(json_text):
+        return None
     try:
         return parse(json_text)
     except SchemaViolation:
         return None
 
 
+#: A JSON escape of a surrogate code point (U+D800-U+DFFF).
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
+def _holds_lone_surrogate(json_text: str) -> bool:
+    """Whether ``json_text``, raw or once its JSON is decoded, holds a lone
+    surrogate, which UTF-8 cannot encode, so that no prompt, session record
+    or product file could carry the answer; an escaped pair such as
+    ``\\ud83d\\ude00`` decodes to one character and passes."""
+    if not json_text.isascii():
+        try:
+            json_text.encode("utf-8")
+        except UnicodeEncodeError:
+            return True
+    if _SURROGATE_ESCAPE.search(json_text) is None:
+        return False
+    try:
+        json.dumps(json.loads(json_text), ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError:
+        return True
+    except (ValueError, RecursionError):  # not JSON: the parser refuses it
+        pass
+    return False
+
+
 def count_tokens(content: str) -> int:
-    """Deterministic token estimate: ceil(len(utf8 bytes) / 4)."""
-    n = len(content.encode("utf-8"))
+    """Deterministic token estimate: ceil(len(utf8 bytes) / 4), where a lone
+    surrogate counts as the three bytes it would take."""
+    n = len(content.encode("utf-8", "surrogatepass"))
     return (n + 3) // 4
 
 
@@ -327,8 +360,8 @@ class LiveProvider:
 
     Base URL and API key come from the environment (PRODEX_API_BASE,
     PRODEX_API_KEY) unless given explicitly. Transient transport failures are
-    retried up to 3 times with exponential backoff; concurrent requests are
-    capped by a semaphore.
+    retried up to 3 times with exponential backoff. It holds no limit on
+    calls in flight: ``extract direct --workers`` (1-32) is that limit.
     """
 
     RETRIES = 3
@@ -338,7 +371,6 @@ class LiveProvider:
         self,
         base_url: Optional[str] = None,
         api_key: Optional[str] = None,
-        max_in_flight: int = 4,
         timeout_seconds: float = 120.0,
     ):
         self.base_url = (base_url or os.environ.get("PRODEX_API_BASE", "")).rstrip("/")
@@ -346,7 +378,6 @@ class LiveProvider:
         if not self.base_url:
             raise ValueError("live provider needs a base URL (PRODEX_API_BASE)")
         self.timeout_seconds = timeout_seconds
-        self._slots = threading.Semaphore(max_in_flight)
 
     def complete_structured(
         self, model_id: str, system_prompt: str, user_prompt: str, json_schema: dict
@@ -396,14 +427,13 @@ class LiveProvider:
         for attempt in range(self.RETRIES):
             if attempt:
                 time.sleep(self.BACKOFF_BASE_SECONDS * (2 ** (attempt - 1)))
-            with self._slots:
-                try:
-                    response = requests.post(
-                        url, json=payload, headers=headers, timeout=self.timeout_seconds
-                    )
-                except requests.RequestException as exc:
-                    last_error = exc
-                    continue
+            try:
+                response = requests.post(
+                    url, json=payload, headers=headers, timeout=self.timeout_seconds
+                )
+            except requests.RequestException as exc:
+                last_error = exc
+                continue
             if response.status_code in (429,) or response.status_code >= 500:
                 last_error = TransportError(f"HTTP {response.status_code}: {response.text[:200]}")
                 continue
@@ -432,9 +462,11 @@ class LiveProvider:
 def write_atomic(path: Path, text: str) -> None:
     """Write ``text`` to ``path`` through ``<name>.tmp`` and a rename, so an
     interrupted write leaves at most a stray ``.tmp`` file, never a torn
-    ``path``."""
+    ``path``. A lone surrogate, which UTF-8 cannot hold, is written as its
+    ``\\udXXX`` escape, which JSON text, the only text written with one,
+    reads back as the same character."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
+    tmp.write_text(text, encoding="utf-8", errors="backslashreplace")
     os.replace(tmp, path)
 
 
@@ -450,14 +482,15 @@ class RecordingProvider:
         self._lock = threading.Lock()
 
     def complete_structured(self, model_id, system_prompt, user_prompt, json_schema) -> ChatExchange:
+        if not isinstance(json_schema, RequestSchema):
+            json_schema = RequestSchema(json_schema)
         exchange = self.inner.complete_structured(
             model_id, system_prompt, user_prompt, json_schema
         )
         key = exchange.key or exchange_key(model_id, system_prompt, user_prompt, json_schema)
-        if isinstance(json_schema, RequestSchema):
-            schema_text = json_schema.record_text()
-        else:
-            schema_text = _record_schema_text(json_schema)
+        # The schema's text one level deep: strings escape their line breaks,
+        # so each one in the text is layout.
+        schema_text = json_schema.text.replace("\n", "\n  ")
         usage = [f"{json_string(name)}: {json.dumps(value)}"
                  for name, value in exchange.usage.to_dict().items()]
         # json.dumps(record, indent=2, ensure_ascii=False) of the record, in

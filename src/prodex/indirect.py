@@ -34,7 +34,6 @@ the episodes' sums equal the ledger's per-role totals.
 
 from __future__ import annotations
 
-import functools
 import json
 import random
 from collections import Counter
@@ -61,15 +60,7 @@ from .dsl import (
     run_extraction_on_tree,
     run_extractions,
 )
-from .gateway import (
-    CostLedger,
-    Provider,
-    ProviderRefusal,
-    ReplayMiss,
-    RequestSchema,
-    TransportError,
-    structured_call,
-)
+from .gateway import PROVIDER_FAILURES, CostLedger, Provider, request_schema, structured_call
 from .htmltree import Document, parse_html, selector_needs
 from .schema import (
     FIELDS,
@@ -258,16 +249,6 @@ def render_samples(samples: list[tuple[CompressedDocument, bool]]) -> str:
     return "\n\n".join(blocks)
 
 
-@functools.cache
-def _prompt_schema(build) -> tuple[dict, str]:
-    """A program JSON Schema, as the RequestSchema the gateway keys, and the
-    indent=2 text prompts carry, built once per process; ``build`` is one of
-    the dsl schema functions. Every call shares the one dict, which no caller
-    changes."""
-    schema = RequestSchema(build())
-    return schema, json.dumps(schema, indent=2, ensure_ascii=False)
-
-
 def _program_parser(kind: type):
     """The structured_call parse step for a program of one kind: parse_program,
     and a program of the other kind is rejected like any schema violation."""
@@ -293,7 +274,7 @@ def build_decision_ensemble(
     labels = [label for _, label in samples]
     if not any(labels) or all(labels):
         raise ValueError("bootstrap samples need at least one positive and one negative")
-    schema, schema_text = _prompt_schema(decision_program_json_schema)
+    schema = request_schema(decision_program_json_schema)
     system = prompts.load("decision_system.txt")
     user_template = prompts.load("decision_user.txt")
     samples_text = render_samples(samples)
@@ -305,7 +286,7 @@ def build_decision_ensemble(
         best_score = -1
         for attempt in range(3):
             user = user_template.format(
-                schema=schema_text,
+                schema=schema.text,
                 member_token=f"{token_prefix}-m{member}a{attempt}",
                 samples=samples_text,
             )
@@ -439,7 +420,7 @@ def synthesize_program(
     at most (1+max_refinements)*(1+max_alternatives) primary calls total,
     each in the ledger under the ``func_gen`` or ``refine`` role.
     """
-    schema, schema_text = _prompt_schema(extraction_program_json_schema)
+    schema = request_schema(extraction_program_json_schema)
     gen_system = prompts.load("funcgen_system.txt")
     gen_template = prompts.load("funcgen_user.txt")
     refine_template = prompts.load("refine_user.txt")
@@ -462,7 +443,7 @@ def synthesize_program(
     for alternative in range(1 + config.max_alternatives):
         attempt_token = f"{token_prefix}-{page.page_id}-alt{alternative}"
         user = gen_template.format(
-            schema=schema_text,
+            schema=schema.text,
             attempt_token=attempt_token,
             reference=reference_text,
             content=page.html.content,
@@ -480,7 +461,7 @@ def synthesize_program(
             if report.overall == 1.0:
                 break
             refine_user = refine_template.format(
-                schema=schema_text,
+                schema=schema.text,
                 attempt_token=attempt_token,
                 round=round_no,
                 program=program.to_json(),
@@ -666,7 +647,7 @@ def process_shop(
             synthesis = synthesize_program(page, reference, provider, config, ledger, token_prefix)
         except ReferenceUnattainable:
             log = {"page_id": page_id, "outcome": "reference_unattainable"}
-        except (TransportError, ProviderRefusal, ReplayMiss) as exc:
+        except PROVIDER_FAILURES as exc:
             log = {"page_id": page_id, "outcome": "provider_error", "error": str(exc)}
         else:
             log = {"page_id": page_id,

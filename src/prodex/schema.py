@@ -6,7 +6,7 @@ carbohydrates, sugars, protein, salt), each a value/unit pair. All fields are
 optional; absence is meaningful and must never be fabricated.
 
 The field list and per-field descriptions are the constant ``FIELDS``.
-``to_json_schema`` emits them as JSON Schema text for prompts and for the
+``to_json_schema_dict`` gives them as the JSON Schema of prompts and of the
 provider's structured output; ``parse_product`` is the inverse direction and
 the one local check of a response, turning (possibly messy) model output into
 a validated ``FoodProduct``.
@@ -149,13 +149,9 @@ def filled_field_ratio(product: FoodProduct) -> float:
 
 # --- JSON Schema emission -------------------------------------------------
 
-@functools.cache
-def to_json_schema() -> str:
-    """Emit the schema as JSON Schema text (deterministic bytes, built once)."""
-    return json.dumps(to_json_schema_dict(), indent=2, ensure_ascii=False)
-
-
 def to_json_schema_dict() -> dict:
+    """The schema as a JSON Schema; ``gateway.request_schema`` encodes it
+    once for prompts and for the provider."""
     properties = {}
     for spec in FIELDS:
         if spec.kind is FieldKind.TEXT:

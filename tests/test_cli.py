@@ -989,3 +989,106 @@ def test_evaluate_reads_indirect_products_as_exact_decimals(workspace, runner, t
     products.write_text(text.replace(f"{value}00000000000000001", f'"{value}"', 1),
                         encoding="utf-8")
     assert score()["accuracy_by_variant"]["HTML_COMPRESSED"] > scored
+
+
+@pytest.mark.parametrize("workers", ["0", "33"])
+def test_workers_out_of_range_is_a_usage_error_before_any_provider(workspace, runner, tmp_path,
+                                                                   monkeypatch, workers):
+    """``--workers`` bounds the calls in flight, so a value outside 1-32 is
+    refused before a provider is built or a thread started."""
+    from concurrent import futures
+
+    from prodex import oracle
+
+    class Unbuildable:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a provider was built")
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+    monkeypatch.setattr(oracle, "OracleProvider", Unbuildable)
+    monkeypatch.setattr(futures, "ThreadPoolExecutor", no_pool)
+    result = runner.invoke(
+        main,
+        ["extract", "direct", "--corpus", str(workspace / "corpus"),
+         "--out", str(tmp_path / "out"), "--provider", "oracle", "--workers", workers],
+    )
+    assert result.exit_code == 2, result.output
+    assert "--workers" in result.output and f"{workers} is not in the range" in result.output
+    assert not (tmp_path / "out").exists()
+
+
+# How the surrogate comes in a product answer: as its JSON escape, as a live
+# model could send it, or as the character itself.
+_SURROGATE_FORMS = {"escaped": True, "raw": False}  # json.dumps' ensure_ascii
+
+
+@pytest.fixture(scope="module")
+def small_beta(runner, tmp_path_factory):
+    corpus = tmp_path_factory.mktemp("small-beta") / "corpus"
+    result = runner.invoke(main, ["corpus", "generate", "--preset", "beta", "--pages", "6",
+                                  "--seed", "3", "--out", str(corpus)])
+    assert result.exit_code == 0, result.output
+    return corpus
+
+
+def _surrogate_oracle(monkeypatch, ensure_ascii, victim=None):
+    """Make the oracle answer product requests about ``victim`` (every page
+    where None) with the true product, its ingredient statement ending in a
+    lone surrogate; the recorder wraps it, so sessions hold the answer."""
+    from prodex import oracle
+
+    class SurrogateOracle(oracle.OracleProvider):
+        def _direct_product(self, prompt):
+            answer = super()._direct_product(prompt)
+            if victim is None or self._find_page_id(prompt) == victim:
+                product = json.loads(answer)
+                product["ingredient_statement"] = "Zucker \ud800"
+                answer = json.dumps(product, ensure_ascii=ensure_ascii)
+            return answer
+
+    monkeypatch.setattr(oracle, "OracleProvider", SurrogateOracle)
+
+
+def _run_files(out: Path) -> dict[str, bytes]:
+    """Every file a command wrote to ``out`` but its manifest, which names
+    the provider."""
+    return {str(path.relative_to(out)): path.read_bytes()
+            for path in sorted(out.rglob("*")) if path.is_file() and path.name != "manifest.json"}
+
+
+@pytest.mark.parametrize("form", sorted(_SURROGATE_FORMS))
+@pytest.mark.parametrize("strategy", ["direct", "indirect"])
+def test_an_answer_holding_a_lone_surrogate_is_refused_and_replays(small_beta, runner, tmp_path,
+                                                                   monkeypatch, form, strategy):
+    """The gateway refuses such an answer like a schema violation: the
+    direct page is a failure record and the indirect reference is
+    unattainable, with no traceback, recorded or not; a replay of the
+    recorded session writes the same files byte for byte."""
+    victim = "beta-0000" if strategy == "direct" else None
+    _surrogate_oracle(monkeypatch, _SURROGATE_FORMS[form], victim)
+    args = ["extract", strategy, "--corpus", str(small_beta)]
+    if strategy == "indirect":
+        args += ["--runs", "1"]
+    outs = {}
+    for name, provider in (("plain", ["--provider", "oracle"]),
+                           ("recorded", ["--provider", "oracle", "--record",
+                                         str(tmp_path / "session")]),
+                           ("replayed", ["--provider", "replay", "--session",
+                                         str(tmp_path / "session")])):
+        outs[name] = out = tmp_path / name
+        result = runner.invoke(main, [*args, "--out", str(out), *provider])
+        assert result.exit_code == 0, result.output
+        assert result.exception is None
+        assert not list(out.rglob("*.tmp"))
+    files = _run_files(outs["plain"])
+    assert _run_files(outs["recorded"]) == _run_files(outs["replayed"]) == files
+    if strategy == "direct":
+        assert list(json.loads(files["failures.json"])) == [victim]
+        assert "products/beta-0000.json" not in files and "products/beta-0001.json" in files
+        assert len(json.loads(files["ledger.json"])["entries"]) == 5 + 2  # one retry
+    else:
+        log = json.loads(files["run-00/metrics.json"])["synthesis_log"]
+        assert log and {entry["outcome"] for entry in log} == {"reference_unattainable"}
+    assert not list((tmp_path / "session").glob("*.tmp"))

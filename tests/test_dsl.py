@@ -1,7 +1,9 @@
+import contextlib
 import dataclasses
 import itertools
 import json
 import re
+import signal
 import time
 from decimal import Decimal
 
@@ -140,7 +142,12 @@ class TestParseProgram:
         r"(?=(a+)+)",  # in a lookahead
         r"(a)\1",  # a backreference
         r"(a)?(?(1)b|c)",  # a conditional on a group
-    ], ids=["nested", "branch", "lookahead", "backreference", "conditional"])
+        r"^((?:a|aa)+)$",  # overlapping alternatives of two lengths
+        r"(?:a{1,5})+",  # a bounded variable repeat inside an unbounded one
+        r"(?:a|a)+",  # equal alternatives, one length
+        r"(?:ab|a.)+",  # overlapping alternatives the parser cannot fold
+    ], ids=["nested", "branch", "lookahead", "backreference", "conditional",
+            "overlap", "bounded", "equal", "unfolded"])
     def test_catastrophic_regex_shapes_are_refused_at_every_entry_point(self, pattern):
         refused = [
             lambda: FieldRule("fat.value", "td", capture=pattern),
@@ -155,6 +162,11 @@ class TestParseProgram:
                 build()
             assert err.value.issues[0].kind == "InvalidRegex"
             assert "backtrack" in err.value.issues[0].message
+
+    @pytest.mark.parametrize("pattern", [r"(.*)", r"(\S+)", r"(?:a|b)+", r"(?:\d{3})+"])
+    def test_repeats_of_one_length_without_a_branch_compile(self, pattern):
+        """re's parser folds ``a|b`` into a set, so its repeat has no branch."""
+        assert Predicate(op="matches_regex", value=pattern).compiled.pattern == pattern
 
     def test_the_preset_and_oracle_regexes_still_compile(self):
         from prodex.corpus import _NUMBER_CAPTURE, _UNIT_CAPTURE
@@ -701,3 +713,151 @@ def test_program_json_is_byte_identical_to_json_dumps(program):
     maps, unsorted maps repeating a key, and awkward strings everywhere."""
     expected = json.dumps(program.to_dict(), indent=2, ensure_ascii=False, sort_keys=True)
     assert program.to_json() == expected
+
+
+# --- The interpreter on drawn programs ------------------------------------------
+
+_RULE_PROPERTIES = extraction_program_json_schema()["properties"]["rules"]["items"]["properties"]
+#: Captures a model might write: linear ones, the exponential shapes the
+#: compile refuses, and ones re cannot build or that hold no or two groups.
+_CAPTURES = (r"(.*)", r"(\S+)", r"\s*(.*)\s*$", r"([0-9]+(?:[.,][0-9]+)?)",
+             r"[0-9.,]+\s*([A-Za-z]+)", r"(?:a|b)+(.)", r"(a+)b", r"(?i)(zutaten)",
+             r"^((?:a|aa)+)$", r"((?:a{1,5})+)b", r"((?:a|a)+)$", r"((?:ab|a.)+)$",
+             r"^(?:a+)+(b)$", r"(a)\1", r"(", r"a", r"(a)(b)")
+_WORDS = st.sampled_from(["Zutaten:", "a", " ", "g", "kJ", "GRM", "3,5", "b"])
+#: Field paths with selectors that the product fragments of _drawn_pages match,
+#: and one selector outside the supported subset.
+_AIMED = (("ingredient_statement", "p.b"), ("ingredient_statement", "div.c"),
+          ("ingredient_statement", "*"), ("fat.value", "td.b"), ("fat.value", "td.a"),
+          ("fat.unit_code", "td.a"), ("salt.value", "td"), ("fat.value", "td:first"))
+
+
+def _allowed_ops(field_path):
+    """The post ops a rule on the leaf at ``field_path`` may carry."""
+    if field_path.endswith(".value"):
+        return ["trim", "parse_decimal_comma"]
+    if field_path.endswith(".unit_code"):
+        return ["trim", "to_unit_code"]
+    return ["trim", "strip_label_prefix"]
+
+
+@st.composite
+def _drawn_post_op(draw, field_path):
+    ops = st.sampled_from(_RULE_PROPERTIES["post_ops"]["items"]["properties"]["op"]["enum"])
+    entry = {"op": draw(st.sampled_from(_allowed_ops(field_path)) | ops)}
+    if draw(st.booleans()):
+        entry["prefixes"] = draw(st.lists(_WORDS, max_size=3))
+    if entry["op"] == "to_unit_code" or draw(st.booleans()):
+        entry["map"] = draw(st.dictionaries(_WORDS, _WORDS, max_size=3))
+    return entry
+
+
+@st.composite
+def _drawn_rule(draw):
+    """A rule as extraction_program_json_schema describes it: a field path
+    from its enum, a selector over the tag soup's names, and optional node
+    index, capture and post ops."""
+    field_path, selector = draw(st.sampled_from(_AIMED) | st.tuples(
+        st.sampled_from(_RULE_PROPERTIES["field_path"]["enum"]), selectors()))
+    rule = {"field_path": field_path, "selector": selector}
+    if draw(st.booleans()):
+        rule["node_index"] = draw(st.integers(0, 3))
+    if draw(st.booleans()):
+        rule["capture"] = draw(st.none() | st.sampled_from(_CAPTURES))
+    if draw(st.booleans()):
+        rule["post_ops"] = draw(st.lists(_drawn_post_op(field_path), max_size=3))
+    return rule
+
+
+_drawn_extractions = st.builds(
+    lambda rules, generation: {"kind": "extraction", "program_id": "p", "rules": rules,
+                               "generation": generation},
+    st.lists(_drawn_rule(), min_size=1, max_size=4), st.integers(0, 3),
+)
+_drawn_predicates = st.recursive(
+    st.builds(lambda value: {"op": "contains_keyword", "value": value}, _WORDS)
+    | st.builds(lambda pattern: {"op": "matches_regex", "pattern": pattern},
+                st.sampled_from(_CAPTURES)),
+    lambda inner: st.builds(lambda op, args: {"op": op, "args": args},
+                            st.sampled_from(["and", "or", "not"]),
+                            st.lists(inner, min_size=1, max_size=3)),
+    max_leaves=8,
+)
+_drawn_decisions = st.builds(lambda predicate: {"kind": "decision", "program_id": "d",
+                                               "predicate": predicate}, _drawn_predicates)
+#: A run of a's that no pattern in _CAPTURES can end with its anchor or b:
+#: the text on which the refused shapes backtrack for seconds to hours.
+_BACKTRACK_BAIT = "a" * 40 + "c"
+#: Tag soup with the product fragments put in, in a drawn order, at a drawn
+#: place, perhaps inside a tag or a comment.
+_drawn_pages = st.builds(
+    lambda soup, fragments, at: soup[:at] + "".join(fragments) + soup[at:],
+    markup(),
+    st.permutations(('<td class="a">3,5 g</td>', '<td class="b">7,2</td>',
+                     '<p class="b">Zutaten: Zucker</p>', f"<div class=c>{_BACKTRACK_BAIT}</div>")),
+    st.just(0) | st.integers(0, 300),  # an unclosed script or footer in the soup hides them
+)
+#: Seconds one drawn program may take on one page, both ways.
+_EXAMPLE_BOUND_S = 1.0
+
+
+@contextlib.contextmanager
+def _time_bound(seconds):
+    """Fail the block with TimeoutError once it has run ``seconds``: a timer
+    interrupts it, and re's matching loop checks for signals."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"over {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_drawn_pages, _drawn_extractions | _drawn_decisions)
+@example(f"<div class=c>{_BACKTRACK_BAIT}</div>", {
+    "kind": "extraction", "program_id": "p",
+    "rules": [{"field_path": "ingredient_statement", "selector": "div.c",
+               "capture": r"^((?:a|aa)+)$"}]})
+@example('<p class="b">Zutaten: Zucker</p><td class="a">3,5 g</td>', {
+    "kind": "extraction", "program_id": "p",
+    "rules": [{"field_path": "ingredient_statement", "selector": "p.b",
+               "post_ops": [{"op": "strip_label_prefix"}]},
+              {"field_path": "fat.value", "selector": "td.a",
+               "capture": r"([0-9]+(?:[.,][0-9]+)?)", "post_ops": [{"op": "parse_decimal_comma"}]},
+              {"field_path": "fat.unit_code", "selector": "td",
+               "capture": r"[0-9.,]+\s*([A-Za-z]+)",
+               "post_ops": [{"op": "to_unit_code", "map": {"g": "GRM"}}]}]})
+def test_a_drawn_program_is_refused_or_runs_alike_on_the_page_and_its_tree(html, data):
+    """A program drawn from the schema a model writes to is refused by
+    parse_program, or runs within a time bound: an extraction program gives
+    the same product from the matching scan of the raw tag soup as from the
+    tree of the HTML its prompt would carry, and a decision program votes."""
+    from prodex.compress import UnparsableDocument, compress_both
+    from prodex.dsl import decision_votes, program_scan, run_extractions
+    from prodex.reader import RawDocument
+
+    with _time_bound(_EXAMPLE_BOUND_S):
+        try:
+            program = parse_program(json.dumps(data))
+        except ProgramParseError:
+            return
+        raw = RawDocument("p", "test", html)
+        try:
+            html_doc, text_doc = compress_both(raw)
+        except UnparsableDocument:
+            if isinstance(program, ExtractionProgram):
+                with pytest.raises(UnparsableDocument):
+                    run_extractions(program_scan((program.rules,)), raw)
+            return
+        if isinstance(program, DecisionProgram):
+            assert decision_votes((program,), text_doc) in (0, 1)
+        else:
+            (scanned,), _ = run_extractions(program_scan((program.rules,)), raw)
+            tree = htmltree.parse_html(html_doc.content)
+            assert scanned == run_extraction_on_tree(program, tree).product

@@ -31,8 +31,10 @@ from prodex.gateway import (
     UnknownModel,
     Usage,
     cost,
+    count_tokens,
     estimate_usage,
     exchange_key,
+    request_schema,
     structured_call,
 )
 from prodex.indirect import _program_parser
@@ -174,6 +176,24 @@ class _ScriptedProvider:
 
 
 class TestStructuredCall:
+    @pytest.mark.parametrize("answer, accepted", [
+        ('{"a": 1, "b": "\\ud83d\\ude00"}', True),  # an escaped pair: one character
+        ('{"a": 1, "b": "\\\\ud800"}', True),  # an escaped backslash, then text
+        ('{"a": 1, "b": "Zucker \\ud800"}', False),
+        ('{"a": 1, "b": "\\uDC00\\ud800"}', False),  # a pair in the wrong order
+        ('{"a": 1, "\\ud800": 0}', False),  # in a key
+        ('{"a": 1, "b": "Zucker \ud800"}', False),  # the character itself
+    ])
+    def test_an_answer_holding_a_lone_surrogate_gets_the_corrective_retry(self, answer,
+                                                                        accepted):
+        """No prompt, session record or product file could carry such a
+        text, so the gateway refuses it as a schema violation."""
+        provider = _ScriptedProvider([answer, '{"a": 2}'])
+        ledger = CostLedger()
+        _, value = structured_call(provider, "o3-mini", "s", "u", SCHEMA, _parse_a, ledger)
+        assert value == (1 if accepted else 2)
+        assert len(ledger.entries) == (1 if accepted else 2)
+
     def test_valid_response_single_call(self):
         provider = _ScriptedProvider(['{"a": 1}'])
         ledger = CostLedger()
@@ -267,8 +287,9 @@ class TestRecordReplay:
         assert again_second.response_text == second.response_text
         assert again_first.usage == first.usage
 
-    # A session file is UTF-8, which holds no lone surrogate: such a text
-    # cannot be recorded by either writer.
+    # A session file is UTF-8, which holds no lone surrogate: write_atomic
+    # writes one as its escape, so that record differs from json.dumps' text
+    # (test_a_lone_surrogate_is_recorded_as_its_escape_and_replays).
     _encodable = jsontext.texts.filter(lambda text: not any("\ud800" <= c <= "\udfff"
                                                             for c in text))
 
@@ -288,7 +309,7 @@ class TestRecordReplay:
     def test_a_session_record_is_byte_identical_to_json_dumps(self, texts, tokens, timestamp,
                                                               schema, request_schema):
         """Drawn prompts, responses, usages and timestamps, with a plain-dict
-        schema or a RequestSchema, whose record text is encoded once."""
+        schema or a RequestSchema, whose text the record nests."""
         import tempfile
 
         model_id, system, user, response = texts
@@ -302,7 +323,7 @@ class TestRecordReplay:
         json_schema = RequestSchema(schema) if request_schema else schema
         with tempfile.TemporaryDirectory() as session:
             recorder = RecordingProvider(Answering(), session)
-            for _ in range(2):  # a RequestSchema's record text is reused
+            for _ in range(2):  # a RequestSchema's text is reused
                 key = recorder.complete_structured(model_id, system, user, json_schema).key
                 written = (Path(session) / f"{key}.json").read_text(encoding="utf-8")
                 assert written == json.dumps({
@@ -315,6 +336,19 @@ class TestRecordReplay:
                     "usage": usage.to_dict(),
                     "timestamp": timestamp,
                 }, indent=2, ensure_ascii=False)
+
+    def test_a_lone_surrogate_is_recorded_as_its_escape_and_replays(self, tmp_path):
+        """UTF-8 cannot hold the character, so the record file holds its JSON
+        escape, which reads back as the same text."""
+        answer = '{"a": "Zucker \ud800"}'
+        recorder = RecordingProvider(_ScriptedProvider([answer]), tmp_path / "session")
+        key = recorder.complete_structured("m", "sys", "user", SCHEMA).key
+        assert '"response_text": "{\\"a\\": \\"Zucker \\ud800\\"}"' in (
+            tmp_path / "session" / f"{key}.json").read_text(encoding="utf-8")
+        replayed = ReplayProvider(tmp_path / "session").complete_structured(
+            "m", "sys", "user", SCHEMA)
+        assert replayed.response_text == answer
+        assert count_tokens("Zucker \ud800") == 3  # the surrogate as its three bytes
 
     def test_replay_reads_the_session_file_once_and_stats_nothing(self, tmp_path, monkeypatch):
         recorder = RecordingProvider(_ScriptedProvider(['{"a": 1}']), tmp_path / "session")
@@ -476,19 +510,15 @@ def test_exchange_key_is_the_json_dumps_formula(model_id, system_prompt, user_pr
 
 
 def test_call_sites_key_their_schemas_as_json_dumps_does():
-    from prodex import direct, indirect
     from prodex.dsl import decision_program_json_schema
     from prodex.schema import to_json_schema_dict
 
-    built = [
-        (direct._RESPONSE_SCHEMA, to_json_schema_dict()),
-        (indirect._prompt_schema(extraction_program_json_schema)[0],
-         extraction_program_json_schema()),
-        (indirect._prompt_schema(decision_program_json_schema)[0],
-         decision_program_json_schema()),
-    ]
-    for schema, plain in built:
+    for build in (to_json_schema_dict, extraction_program_json_schema,
+                  decision_program_json_schema):
+        schema, plain = request_schema(build), build()
+        assert request_schema(build) is schema  # built once
         assert isinstance(schema, RequestSchema) and schema == plain
+        assert schema.text == json.dumps(plain, indent=2, ensure_ascii=False)
         assert exchange_key("o3-mini", "sys", "Zutaten: Weizenmehl", schema) == (
             _reference_exchange_key("o3-mini", "sys", "Zutaten: Weizenmehl", plain)
         )

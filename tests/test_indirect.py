@@ -23,7 +23,7 @@ from prodex.dsl import (
     run_extraction_on_tree,
 )
 from prodex.evaluate import page_accuracy
-from prodex.gateway import CostLedger
+from prodex.gateway import CostLedger, request_schema
 from prodex.htmltree import parse_html
 from prodex.indirect import (
     FunctionLibrary,
@@ -32,7 +32,6 @@ from prodex.indirect import (
     PageCache,
     PageResult,
     ReferenceUnattainable,
-    _prompt_schema,
     acquire_reference,
     build_decision_ensemble,
     decide,
@@ -891,7 +890,7 @@ def test_products_json_is_byte_identical_to_json_dump(page_results):
 
 def test_program_schemas_and_their_prompt_text_are_built_once():
     for build in (decision_program_json_schema, extraction_program_json_schema):
-        schema, text = _prompt_schema(build)
-        assert _prompt_schema(build)[0] is schema
+        schema = request_schema(build)
+        assert request_schema(build) is schema
         assert schema == build() and build() is not build()
-        assert text == json.dumps(build(), indent=2, ensure_ascii=False)
+        assert schema.text == json.dumps(build(), indent=2, ensure_ascii=False)

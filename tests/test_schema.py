@@ -10,6 +10,7 @@ import jsontext
 import reference_schema
 
 from prodex import schema
+from prodex.gateway import request_schema
 from prodex.schema import (
     FIELDS,
     KNOWN_LABEL_PREFIXES,
@@ -27,7 +28,6 @@ from prodex.schema import (
     quantity,
     serialize_product,
     strip_known_prefix,
-    to_json_schema,
     to_json_schema_dict,
 )
 
@@ -46,18 +46,26 @@ class TestDescriptor:
 
 
 class TestJsonSchemaEmission:
+    """The product schema as the gateway encodes it, once, for prompts and
+    for the provider."""
+
     def test_ingredient_description_embeds_instruction(self):
-        text = to_json_schema()
+        text = request_schema(to_json_schema_dict).text
         data = json.loads(text)
         description = data["properties"]["ingredient_statement"]["description"]
         assert "Remove unnecessary prefixes" in description
 
     def test_round_trip_reproduces_field_names(self):
-        data = json.loads(to_json_schema())
+        data = json.loads(request_schema(to_json_schema_dict).text)
         assert tuple(data["properties"]) == tuple(f.name for f in dataclasses.fields(FoodProduct))
 
     def test_deterministic_bytes(self):
-        assert to_json_schema() == to_json_schema()
+        schema = request_schema(to_json_schema_dict)
+        assert request_schema(to_json_schema_dict) is schema  # built once
+        assert schema == to_json_schema_dict()
+        assert schema.text == json.dumps(to_json_schema_dict(), indent=2, ensure_ascii=False)
+        assert schema.key_text == json.dumps(to_json_schema_dict(), sort_keys=True,
+                                             ensure_ascii=False)
 
     def test_emitted_schema_is_valid_jsonschema(self):
         schema = to_json_schema_dict()

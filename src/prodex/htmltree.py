@@ -28,8 +28,15 @@ still owns its attribute dict. A banned subtree whose body proved
 self-contained is recorded under its start tag, and where a page repeats
 the start tag and the body, the pruning scans jump over the body with one
 comparison (``_Bodies``; at most ``SUBTREE_MEMO_BODIES`` bodies per start
-tag and ``SUBTREE_MEMO_CHARS`` characters in all). No memo changes what a
-scan gives.
+tag and ``SUBTREE_MEMO_CHARS`` characters in all). The pages of one
+template share a skeleton: their markup once text runs, script and style
+bodies, and attribute values other than ``class`` are taken out. A page
+that ``match_pruned`` scanned is recorded as a skeleton of literal runs and
+holes, and a later page that walks a recorded skeleton to its end gets its
+texts and signature from a recipe, one scan of the recorded page per
+``MatchSet`` (``_Skeletons``; at most ``SKELETON_MEMO_SIZE`` skeletons,
+``SKELETON_MEMO_ALIKE`` per number of "<", ``SKELETON_MEMO_CHARS``
+characters in all). No memo changes what a scan gives.
 
 Selector support is the subset that survives attribute stripping: type
 selectors, ``*``, ``.class``, ``#id``, compounds thereof, and descendant /
@@ -204,7 +211,8 @@ ATTRIBUTE_MEMO_SIZE = 4096  # entries
 ATTRIBUTE_MEMO_MAX_TEXT = 256  # characters; a longer start tag is read every time
 _NO_CLASSES: frozenset[str] = frozenset()
 # kept attribute names -> plain start-tag text -> its reading (see _start_tag)
-_start_tags: dict[Optional[tuple], dict[str, tuple]] = {}
+_start_tags: dict[Optional[tuple], dict[str, tuple]] = collections.defaultdict(
+    collections.OrderedDict)
 
 # The subtree memo: template pages repeat their banned boilerplate (header,
 # footer, options) byte for byte, so a banned subtree whose body was read
@@ -239,41 +247,48 @@ def _start_tag(source, kept) -> tuple:
     tag, whose reading is kept under its text if that is short and the memo
     has room; or a tag ``_markup`` read, (tag, attribute pairs, closed).
     The caller must not change the attribute dict, only a copy of it."""
-    memo = _start_tags.setdefault(kept, {})
-    if type(source) is tuple:
-        tag, attrs, closed = source
-    else:
+    memo = _start_tags[kept]
+    if type(source) is not tuple:
         reading = memo.get(source[0])
         if reading is not None:
             return reading
+    reading = _read_start_tag(source, kept)
+    _remember(memo, source, reading)
+    return reading
+
+
+def _read_start_tag(source, kept) -> tuple:
+    """``_start_tag`` of a start tag, read afresh and kept in no memo."""
+    if type(source) is tuple:
+        tag, attrs, closed = source
+    else:
         tag, attrs, closed = source.group(2, 3, 4)
         tag = tag.lower()
     attributes, names = _read_attributes(attrs, kept) if attrs else ({}, _NO_CLASSES)
     opens = not (closed or tag in VOID_ELEMENTS)
     # a <tag/> closes implicitly too, so a serialized tree parses back
-    reading = (tag, IMPLICIT_CLOSE.get(tag), opens, opens and tag in _RAW_TEXT_END,
-               attributes, names)
-    _remember(memo, source, reading)
-    return reading
+    return (tag, IMPLICIT_CLOSE.get(tag), opens, opens and tag in _RAW_TEXT_END,
+            attributes, names)
 
 
 def _remember(memo: dict, source, reading: tuple) -> None:
     """Keep ``reading`` in a start-tag memo under the text of ``source``,
     if that is a plain start tag no longer than ``ATTRIBUTE_MEMO_MAX_TEXT``.
-    A full memo first drops its oldest entry (insertion order), so tags a
-    page alone holds cannot crowd out a later template's."""
+    A full memo (an ``OrderedDict``) first drops its oldest entry, in
+    constant time, so tags a page alone holds cannot crowd out a later
+    template's."""
     if type(source) is tuple or len(source[0]) > ATTRIBUTE_MEMO_MAX_TEXT:
         return
     if len(memo) >= ATTRIBUTE_MEMO_SIZE:
         try:
-            del memo[next(iter(memo))]
-        except (StopIteration, RuntimeError, KeyError):  # empty, or changed by another thread
+            memo.popitem(last=False)
+        except KeyError:  # empty, or emptied by another thread
             return
     memo[source[0]] = reading
 
 
 # kept attribute names -> plain start-tag text -> its rendering (see _rendering)
-_renderings: dict[tuple, dict[str, tuple]] = {}
+_renderings: dict[tuple, dict[str, tuple]] = collections.defaultdict(collections.OrderedDict)
 
 
 def _rendering(source, kept) -> tuple:
@@ -421,20 +436,20 @@ class _Parser:
         stack, open_, targets = self.stack, self.open, self.targets
         matching = targets is not None
         if matching:
-            tags, read = targets.readings.setdefault(kept, {}), targets.reading
+            tags, read = targets.readings[kept], targets.reading
             descend = targets.descend
             root, limit = targets.first, self.limit
             add_pruned, close = self._add_pruned, self._close
         elif pruned:
-            tags, read = _renderings.setdefault(kept, {}), _rendering
+            tags, read = _renderings[kept], _rendering
             root, render = True, self._render
             add_pruned, close = self._add_rendered, self._end
         else:  # no text is pruned and no element is watched
-            tags, read = _start_tags.setdefault(None, {}), _start_tag
+            tags, read = _start_tags[None], _start_tag
             root, index = self.children, self.index
             elements, parents, classes = index.elements, index.parents, index.classes
             add_pruned = close = None
-        markup, bodies = self._markup, _bodies
+        markup, bodies, known = self._markup, _bodies, tags.get
         # watch: the depth of the innermost element whose text is collected,
         # or that is rendered, or -1; recording: the depth of the banned
         # element whose body is recorded, or 0
@@ -462,7 +477,7 @@ class _Parser:
                             parent.append(TextNode(data))
                     continue
                 if kind == 4:
-                    start = tags.get(m[0]) or read(m, kept)
+                    start = known(m[0]) or read(m, kept)
                 elif kind == 5:
                     tag, start = m[5].lower(), None
                 else:
@@ -813,9 +828,262 @@ def match_pruned(html: str, banned: frozenset, kept: tuple, targets: "MatchSet",
     read in one scan that builds no tree: for each (selector, node index)
     target, the ``text_content`` of ``select(tree, selector, limit)[node
     index]``, or None where there is no such match; and the tree's
-    ``name_signature``. None where ``render_pruned`` gives None."""
+    ``name_signature``. None where ``render_pruned`` gives None. A page that
+    walks a recorded skeleton is read from its recipe instead, and a page
+    scanned may be recorded (``_Skeletons``)."""
+    skeletons = _skeletons.get((banned, kept))
+    if skeletons is None:
+        skeletons = _skeletons.setdefault((banned, kept), _Skeletons(banned, kept))
+    lts = html.count("<")
+    found = skeletons.match(html, lts, targets, limit)
+    if found is not None:
+        return found
     parser = _Parser(html, banned, kept, targets, limit)
-    return (parser.results, parser.signature) if parser.content else None
+    if not parser.content:
+        return None
+    skeletons.record(html, lts)
+    return parser.results, parser.signature
+
+
+# The skeleton memo: the pages of one template differ in their texts, their
+# script and style bodies and some attribute values, and in little else, so
+# a page that walks the skeleton of a page read before is matched from a
+# recipe, without a scan (see _Skeletons).
+SKELETON_MEMO_SIZE = 64  # skeletons; also recipes per MatchSet
+SKELETON_MEMO_ALIKE = 4  # skeletons of pages with the same number of "<"
+SKELETON_MEMO_CHARS = 1 << 20  # characters of all skeletons' literal runs
+# A text hole's marker: a private use character of plane 15, one per hole.
+_MARKER, _MARKERS = 0xF0000, 0xFFFFE - 0xF0000
+_TEXT, _RAW, _TAG = 1, 2, 3  # the holes of a skeleton
+
+
+class _Skeleton:
+    """A recorded page as literal runs and holes. A text hole (``_TEXT``)
+    is a non-whitespace text run there, and any run without a "<" on
+    another page; a raw hole (``_RAW``, its value the tag) a script or
+    style body through its end tag; a tag hole (``_TAG``) a plain start tag
+    with an attribute other than ``class``, its recorded text in ``tags``.
+    ``steps`` holds, per text or raw hole and for the end of the page, (the
+    text before it with each tag hole as recorded, None or that text's
+    (literal, tag hole number) parts, the last with None, hole kind, hole
+    value)."""
+
+    __slots__ = ("steps", "tags")
+
+    def __init__(self, items: list):
+        """``items``: the page's literal texts and (hole kind, value) pairs."""
+        steps, tags, parts, whole, literal = [], [], [], [], []
+        for item in (*items, (None, None)):
+            if type(item) is str:
+                literal.append(item)
+                whole.append(item)
+            elif item[0] == _TAG:
+                parts.append(("".join(literal), len(tags)))
+                tags.append(item[1])
+                whole.append(item[1])
+                literal = []
+            else:
+                parts.append(("".join(literal), None))
+                steps.append(("".join(whole), tuple(parts) if len(parts) > 1 else None, *item))
+                parts, whole, literal = [], [], []
+        self.steps, self.tags = tuple(steps), tuple(tags)
+
+    def marked(self) -> str:
+        """The recorded page with each text hole replaced by its own marker
+        and each script or style body emptied."""
+        pieces, texts = [], 0
+        for whole, _, kind, value in self.steps:
+            pieces.append(whole)
+            if kind == _TEXT:
+                pieces.append(chr(_MARKER + texts))
+                texts += 1
+            elif kind == _RAW:
+                pieces.append(f"</{value}>")
+        return "".join(pieces)
+
+    def walk(self, html: str) -> Optional[tuple[list[str], list[tuple[int, re.Match]]]]:
+        """The text holes' runs, and (number, match) of each tag hole whose
+        text differs from the recorded one, of a page that walks this
+        skeleton to its end; None for any other page. Each step compares no
+        further than its literal or hole reaches, so a walk takes time
+        linear in the page."""
+        pos, runs, tags = 0, [], []
+        startswith, find = html.startswith, html.find
+        for whole, parts, kind, value in self.steps:
+            if startswith(whole, pos):
+                pos += len(whole)
+            elif parts is None or (pos := self._tags(html, pos, parts, tags)) < 0:
+                return None
+            if kind == _TEXT:
+                end = find("<", pos)
+                if end < 0:
+                    end = len(html)
+                runs.append(html[pos:end])
+                pos = end
+            elif kind == _RAW:
+                end = _RAW_TEXT_END[value].search(html, pos)
+                if end is None:
+                    return None
+                pos = end.end()
+        return (runs, tags) if pos == len(html) else None
+
+    def _tags(self, html: str, pos: int, parts: tuple, tags: list) -> int:
+        """Walk literals and tag holes, one of which differs from the
+        recorded text, from ``pos``; where the walk ends, or -1."""
+        for literal, number in parts:
+            if not html.startswith(literal, pos):
+                return -1
+            pos += len(literal)
+            if number is None:
+                break
+            text = self.tags[number]
+            if html.startswith(text, pos):
+                pos += len(text)
+                continue
+            tag = _TOKEN.match(html, pos)
+            if tag is None or tag.lastindex != 4:  # the page's end, or not a plain start tag
+                return -1
+            tags.append((number, tag))
+            pos = tag.end()
+        return pos
+
+
+def _record(html: str, banned: frozenset) -> Optional[_Skeleton]:
+    """The skeleton of a page, or None where the page holds no start tag,
+    more text holes than there are markers, or a token other than text, a
+    plain start or end tag, a script or style body closed by its end tag
+    whose element is in ``banned``, a comment closed by ``--\\s*>``, or a
+    ``<!`` or ``<?`` declaration closed by ">" (not ``<![``). The tokens
+    are read as ``_Parser._run`` reads them."""
+    items, starts, pos, texts = [], False, 0, 0
+    while pos < len(html):
+        for m in _TOKEN.finditer(html, pos):
+            kind, token = m.lastindex, m[0]
+            if kind == 1 and not token.isspace():
+                if texts == _MARKERS:
+                    return None
+                items.append((_TEXT, None))
+                texts += 1
+                continue
+            if kind == 1 or kind == 5:
+                items.append(token)
+                continue
+            if kind == 4:
+                starts, tag = True, m[2].lower()
+                plain = all(name.lower() == "class" for name, _ in _ATTRIBUTE.findall(m[3]))
+                items.append(token if plain else (_TAG, token))
+                if m[4] or tag not in _RAW_TEXT_END:
+                    continue
+                end = _RAW_TEXT_END[tag].search(html, m.end())
+                if tag not in banned or end is None:
+                    return None
+                items.append((_RAW, tag))
+            else:  # other markup: only a closed comment or declaration is taken
+                i = m.start()
+                if html.startswith("<!--", i):
+                    end = _COMMENT_END.search(html, i + 4)
+                elif html.startswith(("<!", "<?"), i) and not html.startswith("<![", i):
+                    end = _GT.search(html, i + 2)
+                else:
+                    return None
+                if end is None:
+                    return None
+                items.append(html[i:end.end()])
+            pos = end.end()
+            break  # the scan restarts where the body or the markup ends
+        else:
+            break
+    return _Skeleton(items) if starts else None
+
+
+class _Skeletons:
+    """The skeleton memo of one (banned, kept) pair: pages recorded as
+    skeletons (``_Skeleton``), by their number of "<".
+
+    A page is recorded only after a scan read it in full, and only where
+    each of its tokens is one ``_record`` takes. Pages that walk a
+    skeleton tokenize alike: each token of a literal reads no character
+    past its own end, a text hole runs to the next "<" as a text token
+    does, a raw hole ends at the first end tag as ``_Parser._raw_text``
+    reads it, and a tag hole is verified to be a plain start tag that
+    ``MatchSet.reading`` reads as the recorded one. So the scan opens and
+    closes the same elements, collects text from the same holes and signs
+    the same names. A text hole's text enters only through
+    ``_Parser._add_pruned``, unescaped and folded, and a script or style
+    body of a banned element never does. Hence the recipe: one scan of
+    the recorded page with each text hole replaced by its own marker (and
+    each script or style body emptied) gives,
+    per target, the holes of each text node (a node's pieces joined
+    without a space, nodes with one), and the signature; on another page a
+    hole folded to nothing adds no piece and a node of none no node. Every
+    skeleton holds a start tag, so the page has content.
+
+    A lookup tries the skeletons of pages with as many "<", at most
+    ``SKELETON_MEMO_ALIKE``, each walk linear in the page. At most
+    ``SKELETON_MEMO_SIZE`` pages are recorded, and as many refused, within
+    ``SKELETON_MEMO_CHARS`` characters; none is dropped.
+    """
+
+    def __init__(self, banned: frozenset, kept: tuple):
+        self.banned, self.kept = banned, kept
+        self.by_count: dict[int, list[_Skeleton]] = {}
+        self.size = self.refused = self.chars = 0
+
+    def match(self, html: str, lts: int, targets: "MatchSet",
+              limit: int) -> Optional[tuple[list[Optional[str]], int]]:
+        """``match_pruned`` of a page with ``lts`` "<" that walks a recorded
+        skeleton, from its recipe; None where it walks none."""
+        for skeleton in self.by_count.get(lts, ()):
+            walked = skeleton.walk(html)
+            if walked is None:
+                continue
+            runs, tags = walked
+            recipe = targets.recipes.get((skeleton, limit)) or self.recipe(skeleton, targets, limit)
+            nodes, signature, readings = recipe
+            known = targets.readings[self.kept].get
+            if all((known(tag[0]) or targets.reading(tag, self.kept, False)) == readings[number]
+                   for number, tag in tags):
+                return [None if holes is None else " ".join(filter(None, [
+                    "".join([" ".join(unescape(runs[i]).split()) for i in node])
+                    for node in holes])) for holes in nodes], signature
+        return None
+
+    def recipe(self, skeleton: _Skeleton, targets: "MatchSet", limit: int) -> tuple:
+        """(per target, None or the hole numbers of each text node, the
+        signature, each tag hole's reading) from one scan of the marked
+        page; kept in ``targets.recipes``."""
+        parser = _Parser(skeleton.marked(), self.banned, self.kept, targets, limit)
+        nodes = tuple(
+            None if text is None else tuple(
+                tuple(ord(marker) - _MARKER for marker in node) for node in text.split(" ")
+            ) if text else () for text in parser.results
+        )
+        readings = tuple(targets.reading(_TOKEN.match(text), self.kept, False)
+                         for text in skeleton.tags)
+        recipes = targets.recipes
+        if len(recipes) >= SKELETON_MEMO_SIZE:
+            recipes.clear()
+        recipe = recipes[skeleton, limit] = (nodes, parser.signature, readings)
+        return recipe
+
+    def record(self, html: str, lts: int) -> None:
+        """Record a page just scanned, with ``lts`` "<", if there is room."""
+        if (len(self.by_count.get(lts, ())) >= SKELETON_MEMO_ALIKE
+                or max(self.size, self.refused) >= SKELETON_MEMO_SIZE
+                or self.chars + 2 * len(html) > SKELETON_MEMO_CHARS):
+            return
+        skeleton = _record(html, self.banned)
+        if skeleton is None:
+            self.refused += 1
+            return
+        self.by_count.setdefault(lts, []).append(skeleton)
+        self.size += 1
+        self.chars += sum(len(whole) + sum(len(literal) for literal, _ in parts or ())
+                          for whole, parts, _, _ in skeleton.steps)
+
+
+# (banned, kept) -> its skeleton memo
+_skeletons: dict[tuple, _Skeletons] = {}
 
 
 def text_content(node: Union[Document, Element, TextNode]) -> str:
@@ -980,8 +1248,12 @@ class MatchSet:
         # kept attribute names -> start tag text -> its reading, see
         # reading; (tag, class set, id) -> eligible states, see _walk. Both
         # bounded as the start-tag memo is.
-        self.readings: dict[Optional[tuple], dict[str, tuple]] = {}
+        self.readings: dict[Optional[tuple], dict[str, tuple]] = collections.defaultdict(
+            collections.OrderedDict)
         self.kinds: dict[tuple, int] = {}
+        # (skeleton, limit) -> what a page walking the skeleton gives, see
+        # _Skeletons.recipe; at most SKELETON_MEMO_SIZE entries
+        self.recipes: dict[tuple, tuple] = {}
 
     def eligible(self, tag: str, classes: frozenset[str], ident: Optional[str]) -> int:
         """The states of the compounds an element with this tag, class set
@@ -1018,18 +1290,21 @@ class MatchSet:
                 slots += wanted
         return slots
 
-    def reading(self, source, kept) -> tuple:
+    def reading(self, source, kept, remember: bool = True) -> tuple:
         """``_start_tag`` of a start tag, with its attribute dict and class
         names replaced by the signature bits of its tag and class names and
         its eligible states. The reading of a plain start tag is kept under
-        its text, as ``_start_tag`` keeps it, for the next tag written alike."""
-        tag, closes, opens, raw, attributes, names = _start_tag(source, kept)
+        its text, as ``_start_tag`` keeps it, for the next tag written alike;
+        without ``remember`` the tag is read afresh and kept in no memo."""
+        tag, closes, opens, raw, attributes, names = (
+            _start_tag if remember else _read_start_tag)(source, kept)
         bits = _name_bit(tag)
         for name in names:
             bits |= _name_bit(name)
         reading = (tag, closes, opens, raw, bits,
                    self.eligible(tag, names, attributes.get("id")))
-        _remember(self.readings[kept], source, reading)
+        if remember:
+            _remember(self.readings[kept], source, reading)
         return reading
 
 

@@ -8,6 +8,7 @@ naming it.
 
 import json
 import os
+import re
 import shutil
 from decimal import Decimal
 from json.encoder import encode_basestring as json_string
@@ -171,14 +172,54 @@ def _metrics_counts(text: str) -> dict:
     return {"calls_primary": calls[0], "calls_decision": calls[1], "cost_usd": cost}
 
 
-def _run_products(text: str) -> dict[str, FoodProduct]:
+def _run_products(text: str, read: dict) -> dict[str, FoodProduct]:
+    """A run's products.json, product by page_id. ``read`` holds (page_id,
+    product) by the exact text of each item read before, so an item the runs
+    repeat is validated once; the key is the text, never the decoded value,
+    which takes ``true`` for 1."""
     products: dict[str, FoodProduct] = {}
-    for entry in json.loads(text, parse_float=Decimal):
-        page_id = entry["page_id"]
+    for item, entry in _array_items(text):
+        known = read.get(item)
+        if known is None:
+            known = read[item] = (entry["page_id"], product_from_dict(entry["product"]))
+        page_id, product = known
         if page_id in products:
             raise ValueError(f"page {page_id!r} is listed twice")
-        products[page_id] = product_from_dict(entry["product"])
+        products[page_id] = product
     return products
+
+
+_DECODER = json.JSONDecoder(parse_float=Decimal)
+_SPACE = re.compile(r"[ \t\n\r]*")
+
+
+def _array_items(text: str) -> list[tuple[str, object]]:
+    """(exact text, value) of each item of the JSON array ``text``, decoded
+    as ``json.loads(text, parse_float=Decimal)`` decodes it; a text it
+    refuses raises ValueError. Any other JSON value gives what iterating it
+    gives (an object's keys, a string's characters), each under the whole
+    text: no such item is a products.json entry."""
+    scan, space = _DECODER.scan_once, _SPACE.match
+    at = space(text, 0).end()
+    if not text.startswith("[", at):
+        return [(text, value) for value in json.loads(text, parse_float=Decimal)]
+    items, at = [], space(text, at + 1).end()
+    if not text.startswith("]", at):
+        while True:
+            try:
+                value, end = scan(text, at)
+            except StopIteration:
+                raise ValueError(f"want a JSON value at character {at}") from None
+            items.append((text[at:end], value))
+            at = space(text, end).end()
+            if not text.startswith(",", at):
+                break
+            at = space(text, at + 1).end()
+        if not text.startswith("]", at):
+            raise ValueError(f"want ',' or ']' at character {at}")
+    if space(text, at + 1).end() != len(text):
+        raise ValueError(f"extra data at character {at + 1}")
+    return items
 
 
 def read_products(out) -> dict[str, FoodProduct]:
@@ -204,5 +245,6 @@ def read_results(root):
     run_dirs = sorted(root.glob(RUNS))
     if not run_dirs:
         raise MalformedProduct(f"{root}: an indirect run directory holds no {RUNS} run")
-    return scoring, ((_read(run / RUN_PRODUCTS, _run_products),
+    read: dict = {}  # see _run_products
+    return scoring, ((_read(run / RUN_PRODUCTS, lambda text: _run_products(text, read)),
                       _read(run / METRICS, _metrics_counts)) for run in run_dirs)

@@ -49,6 +49,33 @@ def markup():
     ).map("".join)
 
 
+#: Script and style elements with their bodies, closed by an end tag in any
+#: of the ways the raw-text end pattern reads.
+_RAW_BODIES = ("", "x", "var a = '<p>';", "if (a </b) {}", "<!-- c -->", "</scrip")
+_raw_element = st.builds(
+    lambda tag, body, end, case: f"<{tag}>{body}{end.format(case(tag))}",
+    st.sampled_from(("script", "style")), st.sampled_from(_RAW_BODIES),
+    st.sampled_from(("</{}>", "</{} >", "</ {}>")), st.sampled_from((str, str.upper)),
+)
+_declaration = st.sampled_from(("<!DOCTYPE html>", "<?xml version='1.0'?>", "<!x>"))
+
+
+def template_markup():
+    """Tag soup of the tokens template pages are made of: plain start, end
+    and self-closing tags, text without "<", comments, declarations,
+    inline SVG, and script and style elements with their bodies."""
+    text = st.text(alphabet="ab &;>\n\xa0", max_size=6)
+    return st.lists(
+        st.one_of(_start, _start, _end, _self_closing, text, _comment, _svg, _raw_element,
+                  _declaration), min_size=1, max_size=30
+    ).map("".join)
+
+
+def raw_bodies():
+    """Script or style bodies: text that holds no end tag of either."""
+    return st.sampled_from(_RAW_BODIES)
+
+
 #: Tags named with a trailing U+00A0, whose end tag reads back as another
 #: tag's ("</a\xa0>" as "</a>"), so that a childless one is written
 #: self-closed.

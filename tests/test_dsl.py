@@ -861,3 +861,46 @@ def test_a_drawn_program_is_refused_or_runs_alike_on_the_page_and_its_tree(html,
             (scanned,), _ = run_extractions(program_scan((program.rules,)), raw)
             tree = htmltree.parse_html(html_doc.content)
             assert scanned == run_extraction_on_tree(program, tree).product
+
+
+def test_a_capture_reads_at_most_the_capped_text_of_a_huge_element():
+    """A 100,000-character text under a targeted element: a capture that
+    backtracks for time quadratic in its text runs within 1 s on the raw
+    page, cold and from the page's recorded skeleton, and on the tree, as it
+    reads only the first CAPTURE_TEXT_LIMIT characters."""
+    from prodex.compress import BANNED_ELEMENTS, KEPT_ATTRIBUTES, compress_both
+    from prodex.dsl import program_scan, run_extractions
+    from prodex.reader import RawDocument
+
+    rule = FieldRule("fat.value", "td.fat", capture=r"(\d+)\s*g")
+    program = ExtractionProgram("p", "FoodProduct", (rule,))
+    scan = program_scan((program.rules,))
+    html = '<td class="fat">' + "1" * 100_000 + "</td>"
+    raw = RawDocument("p", "test", html)
+
+    def run():
+        with _time_bound(_EXAMPLE_BOUND_S):
+            (product,), _ = run_extractions(scan, raw)
+        assert product == FoodProduct()
+
+    run()
+    htmltree._skeletons.clear()  # so that a cold scan records the page
+    run()
+    skeletons = htmltree._skeletons[BANNED_ELEMENTS, KEPT_ATTRIBUTES]
+    assert skeletons.match(html, 2, scan.targets, 10_000) is not None
+    run()  # from the page's skeleton
+    tree = htmltree.parse_html(compress_both(raw)[0].content)
+    with _time_bound(_EXAMPLE_BOUND_S):
+        outcome = run_extraction_on_tree(program, tree)
+    assert outcome.field_status == {"fat.value": "no_match"}
+
+    from prodex.dsl import CAPTURE_TEXT_LIMIT
+
+    def fat(text):
+        page = htmltree.parse_html(f'<td class="fat">{text}</td>')
+        return run_extraction_on_tree(program, page).product.fat
+
+    pad = "x" * CAPTURE_TEXT_LIMIT
+    assert fat("5 g" + pad) == QuantitativeValue(Decimal("5"))
+    assert fat(pad[:-3] + "5 g") == QuantitativeValue(Decimal("5"))
+    assert fat(pad[:-2] + "5 g") is None

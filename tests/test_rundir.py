@@ -3,6 +3,7 @@ the bit-exact set covers every pinned artifact, and an interrupted write
 leaves no torn file."""
 
 import io
+import json
 import shutil
 from decimal import Decimal
 from fnmatch import fnmatchcase
@@ -11,6 +12,7 @@ from types import SimpleNamespace
 
 import pytest
 import test_golden
+from hypothesis import example, given, settings, strategies as st
 import test_golden_direct
 from click.testing import CliRunner
 
@@ -19,7 +21,8 @@ from prodex.cli import main
 from prodex.corpus import generate_shop, preset_spec, write_corpus
 from prodex.gateway import CostLedger
 from prodex.indirect import PageResult
-from prodex.schema import FoodProduct, QuantitativeValue
+from prodex.reader import READ_ERRORS
+from prodex.schema import FoodProduct, QuantitativeValue, SchemaViolation, product_from_dict
 
 # Every file the extract commands leave, as rundir names it.
 RUN_FILES = (
@@ -185,3 +188,57 @@ def test_products_json_reuses_the_text_of_the_same_product_object_only(monkeypat
         assert sorted(texts) == sorted(products)
         assert all(texts[page_id][0] is product for page_id, product in products.items())
     assert serialized == [[a, b, c, d], [b_again], [runs[2]["c"], d]]
+
+
+def _products_without_memo(text):
+    """products.json read as it was before items were memoised: each item
+    decoded and validated on its own."""
+    products = {}
+    for entry in json.loads(text, parse_float=Decimal):
+        page_id = entry["page_id"]
+        if page_id in products:
+            raise ValueError(f"page {page_id!r} is listed twice")
+        products[page_id] = product_from_dict(entry["product"])
+    return products
+
+
+#: Product texts, valid and not; a JSON boolean is no number even where it
+#: decodes equal to one (true == 1).
+_PRODUCT_TEXTS = ('{"fat": {"value": 1, "unit_code": "GRM"}}',
+                  '{"fat": {"value": true, "unit_code": "GRM"}}',
+                  '{"fat": {"value": "1.5", "unit_code": "GRM"}}',
+                  '{"fat": {"value": 1.50, "unit_code": "GRM"}}',
+                  '{"ingredient_statement": "Zucker"}', '{"ingredient_statement": true}',
+                  '{}', '[]', '{"x": 1}', 'null')
+_SPACES = st.sampled_from(("", " ", "\n  "))
+_ITEMS = st.one_of(
+    st.builds(lambda page_id, product, space: f'{{"page_id": "{page_id}",{space}"product": {product}}}',
+              st.sampled_from("abc"), st.sampled_from(_PRODUCT_TEXTS), _SPACES),
+    st.sampled_from(('{"product": {}}', '{"page_id": ["a"], "product": {}}', "[1]", '"a"', "1")),
+)
+_PRODUCTS_JSON = st.one_of(
+    st.builds(lambda items, space: "[" + space + ("," + space).join(items) + space + "]",
+              st.lists(_ITEMS, max_size=4), _SPACES),
+    st.sampled_from(("[", "[1,]", "{}", "[] x", "", "[]  ", " [ ] ")),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_PRODUCTS_JSON, min_size=1, max_size=4))
+@example(['[{"page_id": "a", "product": {"fat": {"value": 1, "unit_code": "GRM"}}}]',
+          '[{"page_id": "a", "product": {"fat": {"value": true, "unit_code": "GRM"}}}]'])
+@example(['[{"page_id": "a", "product": {}}]', '[{"page_id": "a", "product": {}},'
+          ' {"page_id": "a", "product": {}}]'])
+def test_products_json_items_read_once_give_what_each_read_gives(texts):
+    """Run files read with one memo of their items give the products, or
+    refuse the file, as each file read on its own without the memo does;
+    booleans and malformed items are still refused."""
+    read = {}
+    for text in texts:
+        try:
+            expected = _products_without_memo(text)
+        except (*READ_ERRORS, SchemaViolation, ArithmeticError):
+            with pytest.raises((*READ_ERRORS, SchemaViolation, ArithmeticError)):
+                rundir._run_products(text, read)
+        else:
+            assert rundir._run_products(text, read) == expected

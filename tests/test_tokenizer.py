@@ -9,6 +9,7 @@ memo of start-tag readings agrees with a fresh reading and keeps its bounds.
 
 import contextlib
 import os
+import re
 import subprocess
 import sys
 import time
@@ -16,7 +17,15 @@ from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from markup import HOSTILE, attribute_texts, markup, selectors, template_pages
+from markup import (
+    HOSTILE,
+    attribute_texts,
+    markup,
+    raw_bodies,
+    selectors,
+    template_markup,
+    template_pages,
+)
 from reference_html import (
     block_text_lines,
     reference_is_empty,
@@ -32,6 +41,9 @@ from prodex.htmltree import (
     ATTRIBUTE_MEMO_MAX_TEXT,
     ATTRIBUTE_MEMO_SIZE,
     IMPLICIT_CLOSE,
+    SKELETON_MEMO_ALIKE,
+    SKELETON_MEMO_CHARS,
+    SKELETON_MEMO_SIZE,
     SUBTREE_MEMO_BODIES,
     SUBTREE_MEMO_CHARS,
     Element,
@@ -41,6 +53,7 @@ from prodex.htmltree import (
     _bodies,
     _read_attributes,
     _renderings,
+    _skeletons,
     _start_tag,
     _start_tags,
     match_pruned,
@@ -217,18 +230,22 @@ def _clear_memos():
     _start_tags.clear()
     _renderings.clear()
     _bodies.clear()
+    _skeletons.clear()
 
 
 @contextlib.contextmanager
 def _no_memos():
     """The scan with its process-wide memos empty, and kept empty."""
-    saved = htmltree.ATTRIBUTE_MEMO_SIZE, htmltree.SUBTREE_MEMO_BODIES
+    saved = (htmltree.ATTRIBUTE_MEMO_SIZE, htmltree.SUBTREE_MEMO_BODIES,
+             htmltree.SKELETON_MEMO_SIZE)
     htmltree.ATTRIBUTE_MEMO_SIZE = htmltree.SUBTREE_MEMO_BODIES = 0
+    htmltree.SKELETON_MEMO_SIZE = 0
     _clear_memos()
     try:
         yield
     finally:
-        htmltree.ATTRIBUTE_MEMO_SIZE, htmltree.SUBTREE_MEMO_BODIES = saved
+        (htmltree.ATTRIBUTE_MEMO_SIZE, htmltree.SUBTREE_MEMO_BODIES,
+         htmltree.SKELETON_MEMO_SIZE) = saved
 
 
 @settings(max_examples=300, deadline=None)
@@ -280,6 +297,178 @@ def test_the_subtree_memo_keeps_its_bounds():
     assert _bodies.chars == sum(len(key) + sum(map(len, known))
                                 for key, known in _bodies.by_tag.items())
     assert all(known == [long_body] for known in _bodies.by_tag.values())
+
+
+_KEY = (BANNED_ELEMENTS, KEPT_ATTRIBUTES)
+#: Fillings of a text hole: entities, whitespace only, empty, and text that
+#: folds; none holds a "<".
+_HOLE_TEXTS = ("", " ", "\n  ", "a", "b  b", "&lt;", "&amp;", "x &lt;p&gt; &amp;y",
+               "&#60;b&#62;", "\xa0", "a\xa0 \xa0b", "&bogus;", "&", ">")
+#: Values of an attribute other than class: the ids selectors name, and others.
+_VALUES = ('"x"', "y", '"x&lt;y"', "'&#120;'", '"a b"', '""', "z")
+_OTHER_VALUE = re.compile(
+    r"""(?<=[\t\n\r\f ])(?!class\b)([a-zA-Z_:][-a-zA-Z0-9_:.]*)=("[^"]*"|'[^']*'|[^\s"'=<>][^\s<>]*)""",
+    re.I,
+)
+#: Changes to the markup a skeleton holds literally: a tag name, a class
+#: value, an attribute name, the whitespace between tags, a comment.
+_MUTATIONS = (
+    (re.compile(r"(?<=<)([a-zA-Z][^\s/>]*)"), r"\1x"),
+    (re.compile(r"(?i)(?<=class=)(['\"]?)"), r"\1z"),
+    (re.compile(r"(?i)\bclass="), "klass="),
+    (re.compile(r"(?<=>)(\s*)(?=<)"), r"\1 "),
+    (re.compile(r"(?<=<!-- )c"), "d"),
+)
+
+
+def _pieces(skeleton):
+    """The literal texts and (hole kind, value) holes of a skeleton, in page
+    order; a tag hole's value is its recorded text."""
+    pieces = []
+    for whole, parts, kind, value in skeleton.steps:
+        for literal, number in parts or ((whole, None),):
+            pieces.append(literal)
+            if number is not None:
+                pieces.append((htmltree._TAG, skeleton.tags[number]))
+        if kind is not None:
+            pieces.append((kind, value))
+    return pieces
+
+
+@st.composite
+def _filled(draw, pieces, tags):
+    """A page of ``pieces`` with each hole filled anew: a text hole with one
+    of _HOLE_TEXTS, a raw hole with another body and end tag, and, where
+    ``tags``, a tag hole with other values of attributes other than class."""
+    page = []
+    for piece in pieces:
+        if isinstance(piece, str):
+            page.append(piece)
+            continue
+        kind, value = piece
+        if kind == htmltree._TEXT:
+            page.append(draw(st.sampled_from(_HOLE_TEXTS)))
+        elif kind == htmltree._RAW:
+            tag = draw(st.sampled_from((str, str.upper)))(value)
+            end = draw(st.sampled_from(("</{}>", "</{} >", "</ {}>")))
+            page.append(draw(raw_bodies()) + end.format(tag))
+        elif tags:
+            page.append(_OTHER_VALUE.sub(
+                lambda m: m[1] + "=" + draw(st.sampled_from(_VALUES)), value))
+        else:
+            page.append(value)
+    return "".join(page)
+
+
+@st.composite
+def _skeleton_cases(draw):
+    """A page, pages that fill its holes anew ((page, whether only text and
+    raw holes changed) pairs), and pages that change one of its literals;
+    no others where the skeleton recorder refuses the page."""
+    page = draw(template_markup() | markup())
+    skeleton = htmltree._record(page, BANNED_ELEMENTS)
+    if skeleton is None:
+        return page, [], []
+    pieces = _pieces(skeleton)
+    filled = [(draw(_filled(pieces, tags)), not tags) for tags in (False, True, True)]
+    sites = [(i, pattern, repl) for i, piece in enumerate(pieces) if isinstance(piece, str)
+             for pattern, repl in _MUTATIONS if pattern.search(piece)]
+    mutated = []
+    for i, pattern, repl in draw(st.lists(st.sampled_from(sites), max_size=2)) if sites else ():
+        changed = pieces[:i] + [pattern.sub(repl, pieces[i], count=1)] + pieces[i + 1:]
+        mutated.append(draw(_filled(changed, False)))
+    return page, filled, mutated
+
+
+@settings(max_examples=300, deadline=None)
+@given(_skeleton_cases(), st.lists(st.tuples(selectors(), st.integers(0, 3)), max_size=3))
+@example(('<html lang="de"><body id="p-1"><p class="a">x &amp; y</p>'
+          '<script>t("1")</script><p class=b>z</p></body>',
+          [('<html lang="de"><body id="p-2"><p class="a"> &lt;q </p>'
+            '<script>t("2")</script><p class=b></p></body>', True),
+           ('<html lang="en"><body id="x"><p class="a">x</p>'
+            '<SCRIPT>t("1")</script ><p class=b>  </p></body>', False)],
+          ['<html lang="de"><body id="p-1"><p class="z">x</p><script></script><p class=b>z</p>'
+           '</body>']),
+         [("#x p", 0), ("p", 1), ("body", 0)])
+@example(("<p>a<!-- c --><br>b", [("<p><!-- c --><br>", True)], ["<p>a<!-- d --><br>b"]),
+         [("p", 0)])
+@example(("<p>a < b</p>", [], []), [("p", 0)])
+@example(("<script></script><p id=x>y", [], ["<script><</script>"]), [("p", 0)])
+def test_a_page_walking_a_recorded_skeleton_gives_what_a_scan_gives(case, drawn):
+    """After the skeleton memo recorded a page, a page that fills its text,
+    script and style holes anew is matched from the skeleton's recipe; one
+    that also changes attribute values other than class is, or falls back
+    to the scan; one that changes markup the skeleton holds literally falls
+    back. Either way the texts, signature and content are a cold scan's.
+    A page the recorder refuses is not recorded."""
+    page, filled, mutated = case
+    targets = [(parse_selector(selector), node_index) for selector, node_index in drawn]
+
+    def match(html, match_set):
+        return match_pruned(html, BANNED_ELEMENTS, KEPT_ATTRIBUTES, match_set)
+
+    pages = [page, *(html for html, _ in filled), *mutated]
+    with _no_memos():
+        expected = {html: match(html, MatchSet(targets)) for html in pages}
+    _clear_memos()
+    match_set = MatchSet(targets)
+    assert match(page, match_set) == expected[page]
+    memo = _skeletons[_KEY]
+    recorded = htmltree._record(page, BANNED_ELEMENTS) is not None
+    assert (memo.size, memo.refused) == (recorded, not recorded and expected[page] is not None)
+
+    def walked(html):
+        return memo.match(html, html.count("<"), match_set, 10_000)
+
+    for html in mutated:
+        assert walked(html) is None
+    for html, holes_only in filled:
+        found = walked(html)
+        # a lookup tries the skeletons of pages with as many "<" only
+        assert found is not None or not holes_only or html.count("<") != page.count("<")
+        assert found in (None, expected[html])
+        assert match(html, match_set) == expected[html]
+    for html in mutated:
+        assert match(html, match_set) == expected[html]
+
+
+def test_the_skeleton_memo_keeps_its_bounds(monkeypatch):
+    targets = MatchSet([(parse_selector("p"), 0)])
+
+    def match(html):
+        return match_pruned(html, BANNED_ELEMENTS, KEPT_ATTRIBUTES, targets)
+
+    _clear_memos()
+    for i in range(SKELETON_MEMO_ALIKE + 2):  # as many "<", a skeleton each
+        match(f'<p class="c{i}">x</p>')
+    memo = _skeletons[_KEY]
+    assert memo.size == SKELETON_MEMO_ALIKE and list(memo.by_count) == [2]
+    for i in range(SKELETON_MEMO_SIZE):
+        match("<p>x" * (i + 3))
+    assert memo.size == SKELETON_MEMO_SIZE
+    assert len(targets.recipes) <= SKELETON_MEMO_SIZE
+    page = '<p class="c0">y &amp; z</p>'
+    assert memo.match(page, 2, targets, 10_000) == match(page) == (["y & z"], match(page)[1])
+
+    _clear_memos()
+    big = "<p>" + "x" * (SKELETON_MEMO_CHARS // 2)
+    match(big)
+    memo = _skeletons[_KEY]
+    assert memo.size == 0 and memo.refused == 0
+    for i in range(SKELETON_MEMO_SIZE):
+        match("<br>" * (SKELETON_MEMO_CHARS // 40 + i))
+    assert 0 < memo.size < SKELETON_MEMO_SIZE
+    assert SKELETON_MEMO_CHARS // 2 < memo.chars <= SKELETON_MEMO_CHARS
+
+    _clear_memos()
+    tries = []
+    record = htmltree._record
+    monkeypatch.setattr(htmltree, "_record", lambda *args: tries.append(args) or record(*args))
+    for i in range(SKELETON_MEMO_SIZE + 10):
+        match("<p>a < b" + "<br>" * i)  # a stray "<": refused
+    assert len(tries) == _skeletons[_KEY].refused == SKELETON_MEMO_SIZE
+    assert _skeletons[_KEY].size == 0
 
 
 def test_a_lt_1_is_three_text_nodes_joined_when_pruned():

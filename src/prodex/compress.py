@@ -8,9 +8,10 @@ compressed document with one line per block element.
 
 ``compress_both`` writes both in one scan of the page that builds no tree
 (``htmltree.render_pruned``): dropped subtrees are skipped, and each kept
-element's tags and text are written as the scan opens and closes it.
-``match_page`` reads what selectors match in the same pruned page, in a
-scan that builds nothing either.
+element's tags and text are written as the scan opens and closes it; a
+page that walks a recorded skeleton of its template is written from the
+skeleton's recipe instead. ``match_page`` reads what selectors match in the
+same pruned page, alike.
 
 Token counts use a deterministic proxy, ceil(utf8_bytes / 4), defined with
 the rest of the call accounting in ``gateway.count_tokens``, so cost

@@ -24,19 +24,17 @@ into bounded memos keyed on exact text. Each distinct plain start tag is
 read once per mode (``_start_tag``, ``_rendering``, ``MatchSet.reading``);
 at most ``ATTRIBUTE_MEMO_SIZE`` entries, the oldest dropped first, and no
 start tag longer than ``ATTRIBUTE_MEMO_MAX_TEXT`` characters; every element
-still owns its attribute dict. A banned subtree whose body proved
-self-contained is recorded under its start tag, and where a page repeats
-the start tag and the body, the pruning scans jump over the body with one
-comparison (``_Bodies``; at most ``SUBTREE_MEMO_BODIES`` bodies per start
-tag and ``SUBTREE_MEMO_CHARS`` characters in all). The pages of one
-template share a skeleton: their markup once text runs, script and style
-bodies, and attribute values other than ``class`` are taken out. A page
-that ``match_pruned`` scanned is recorded as a skeleton of literal runs and
-holes, and a later page that walks a recorded skeleton to its end gets its
-texts and signature from a recipe, one scan of the recorded page per
-``MatchSet`` (``_Skeletons``; at most ``SKELETON_MEMO_SIZE`` skeletons,
-``SKELETON_MEMO_ALIKE`` per number of "<", ``SKELETON_MEMO_CHARS``
-characters in all). No memo changes what a scan gives.
+still owns its attribute dict. The pages of one template share a skeleton:
+their markup once text runs, script and style bodies, and attribute values
+other than ``class`` are taken out. A page that ``render_pruned`` or
+``match_pruned`` scanned is recorded as a skeleton of literal runs and
+holes, and a later page that walks a recorded skeleton to its end is
+written, or gets its texts and signature, from a recipe: one scan of the
+recorded page, once per skeleton for rendering and per skeleton and
+``MatchSet`` for matching (``_Skeletons``; at most ``SKELETON_MEMO_SIZE``
+skeletons, ``SKELETON_MEMO_ALIKE`` per number of "<",
+``SKELETON_MEMO_CHARS`` characters in all). No memo changes what a scan
+gives.
 
 Selector support is the subset that survives attribute stripping: type
 selectors, ``*``, ``.class``, ``#id``, compounds thereof, and descendant /
@@ -60,6 +58,7 @@ import collections
 import functools
 import itertools
 import re
+import threading
 import zlib
 from dataclasses import dataclass, field
 from html import escape, unescape
@@ -204,21 +203,14 @@ _LETTERS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
 
 
 # The start-tag memo: template pages repeat the same start tags, so each
-# distinct plain start-tag text is read once per process and per set of kept
-# attributes (see _start_tag). Both bounds cap the memory pages can pin; a
-# MatchSet keeps its readings under the same bounds.
+# distinct plain start-tag text is read once per process and per mode (see
+# _start_tag, _rendering, MatchSet.reading). Both bounds cap the memory pages
+# can pin.
 ATTRIBUTE_MEMO_SIZE = 4096  # entries
 ATTRIBUTE_MEMO_MAX_TEXT = 256  # characters; a longer start tag is read every time
 _NO_CLASSES: frozenset[str] = frozenset()
-# kept attribute names -> plain start-tag text -> its reading (see _start_tag)
-_start_tags: dict[Optional[tuple], dict[str, tuple]] = collections.defaultdict(
-    collections.OrderedDict)
-
-# The subtree memo: template pages repeat their banned boilerplate (header,
-# footer, options) byte for byte, so a banned subtree whose body was read
-# once is jumped over where a page repeats it (see _Bodies).
-SUBTREE_MEMO_BODIES = 4  # bodies per start-tag text
-SUBTREE_MEMO_CHARS = 1 << 20  # characters of all bodies and their start tags
+# plain start-tag text -> its reading for the tree (see _start_tag)
+_start_tags: dict[str, tuple] = collections.OrderedDict()
 
 
 def _read_attributes(source, kept) -> tuple[dict[str, Optional[str]], frozenset[str]]:
@@ -240,25 +232,21 @@ def _read_attributes(source, kept) -> tuple[dict[str, Optional[str]], frozenset[
     return attrs, frozenset(names.split()) if names else _NO_CLASSES
 
 
-def _start_tag(source, kept) -> tuple:
-    """What the scan needs of a start tag: (lowered tag, the tags it closes
-    implicitly or None, whether it opens, whether a raw-text body follows,
-    attribute dict, class-name set). ``source``: the match of a plain start
-    tag, whose reading is kept under its text if that is short and the memo
-    has room; or a tag ``_markup`` read, (tag, attribute pairs, closed).
-    The caller must not change the attribute dict, only a copy of it."""
-    memo = _start_tags[kept]
-    if type(source) is not tuple:
-        reading = memo.get(source[0])
-        if reading is not None:
-            return reading
-    reading = _read_start_tag(source, kept)
-    _remember(memo, source, reading)
+def _start_tag(source) -> tuple:
+    """``_read_start_tag`` of a start tag for the tree, kept under the text
+    of a plain start tag, where the tree's scan looks it up first."""
+    reading = _read_start_tag(source, None)
+    _remember(_start_tags, source, reading)
     return reading
 
 
 def _read_start_tag(source, kept) -> tuple:
-    """``_start_tag`` of a start tag, read afresh and kept in no memo."""
+    """What the scan needs of a start tag: (lowered tag, the tags it closes
+    implicitly or None, whether it opens, whether a raw-text body follows,
+    attribute dict, class-name set), with only the ``kept`` attributes (all
+    where None), read afresh. ``source``: the match of a plain start tag,
+    or a tag ``_markup`` read, (tag, attribute pairs, closed). A reading a
+    memo keeps is shared: change a copy of its attribute dict only."""
     if type(source) is tuple:
         tag, attrs, closed = source
     else:
@@ -291,14 +279,14 @@ def _remember(memo: dict, source, reading: tuple) -> None:
 _renderings: dict[tuple, dict[str, tuple]] = collections.defaultdict(collections.OrderedDict)
 
 
-def _rendering(source, kept) -> tuple:
-    """``_start_tag`` of a start tag, with its attribute dict and class
+def _rendering(source, kept, remember: bool = True) -> tuple:
+    """``_read_start_tag`` of a start tag, with its attribute dict and class
     names replaced by what the rendering scan writes of the element: its
     start tag, whole where the element does not open; and (its end tag,
     whether that is held back, whether the element breaks a TEXT line), see
     ``_Parser._render``. Kept under the text of a plain start tag, as
-    ``_start_tag`` keeps its reading."""
-    tag, closes, opens, raw, attributes, _ = _start_tag(source, kept)
+    ``_start_tag`` keeps its reading; without ``remember``, kept in no memo."""
+    tag, closes, opens, raw, attributes, _ = _read_start_tag(source, kept)
     start = "<" + tag + "".join(
         f" {name}" if value is None else f' {name}="{escape(value)}"'
         for name, value in attributes.items()
@@ -312,7 +300,8 @@ def _rendering(source, kept) -> tuple:
         start += ">"
     reading = (tag, closes, opens, raw, start,
                (end, opens and not closable, tag in BLOCK_ELEMENTS or tag == "br"))
-    _remember(_renderings[kept], source, reading)
+    if remember:
+        _remember(_renderings[kept], source, reading)
     return reading
 
 
@@ -325,57 +314,6 @@ def _closable(tag: str) -> bool:
     return (_END_TAG.match(end) or _TAG_NAME.match(end, 2)).group(1).lower() == tag
 
 
-class _Bodies:
-    """The subtree memo: the bodies of banned elements, from after a plain
-    start tag through the element's own end tag, by the start tag's text.
-
-    A body is recorded only where the scan read it without depending on
-    anything outside it: no token went through ``_Parser._markup`` (comments,
-    odd tags and unterminated quotes can search past the body), no non-void
-    end tag was ignored, and the element was popped only by its own plain
-    end tag, before the page ended (no implicit close, and no end tag that
-    also closed an outer element). Then each token of the body is read
-    alike wherever the body follows its start tag, since a plain token reads
-    no character past its own end (a text run past the "<" that ends it),
-    and it only opens and closes elements inside the subtree, which is never
-    built or matched, so skipping the body changes nothing the scan gives.
-    Bodies are looked up at the outermost banned element of a subtree only,
-    and a lookup that fails compares no further than the page's own subtree
-    reaches, give or take one token, so a page's lookups take time linear
-    in its length.
-    """
-
-    def __init__(self):
-        self.by_tag: dict[str, list[str]] = {}
-        self.chars = 0
-
-    def end(self, html: str, start_tag: str, at: int) -> int:
-        """Where the body ends that ``html`` repeats at ``at``, after
-        ``start_tag``; -1 if it repeats none."""
-        for body in self.by_tag.get(start_tag, ()):
-            if html.startswith(body, at):
-                return at + len(body)
-        return -1
-
-    def room(self, start_tag: str) -> bool:
-        """Whether a body of ``start_tag`` may still be recorded."""
-        return (len(self.by_tag.get(start_tag, ())) < SUBTREE_MEMO_BODIES
-                and self.chars < SUBTREE_MEMO_CHARS)
-
-    def record(self, start_tag: str, body: str) -> None:
-        size = len(body) + (0 if start_tag in self.by_tag else len(start_tag))
-        if self.chars + size <= SUBTREE_MEMO_CHARS:
-            self.by_tag.setdefault(start_tag, []).append(body)
-            self.chars += size
-
-    def clear(self) -> None:
-        self.by_tag.clear()
-        self.chars = 0
-
-
-_bodies = _Bodies()
-
-
 class _Parser:
     """One pass that reads a page as CPython 3.11's ``html.parser`` does when fed
     the whole page and closed. Without ``kept`` it builds the tree, and
@@ -384,14 +322,17 @@ class _Parser:
     ``kept`` given it reads the pruned page and builds nothing: it writes
     the page as compressed HTML and TEXT lines (see ``render_pruned``), or,
     with ``targets`` given too, it gives the text of each target's match and
-    the page's name signature (see ``match_pruned``). ``content`` tells
-    whether the unpruned tree would hold anything. Searches for a closer
+    the page's name signature (see ``match_pruned``). ``readings``, where
+    given, maps plain start-tag texts to their readings ahead of the mode's
+    memo (see ``_Skeletons``). ``content`` tells whether the
+    unpruned tree would hold anything. Searches for a closer
     keep their answer, and a start tag that never closes marks the
     attribute positions it passed, so hostile markup is read in linear time.
     """
 
     def __init__(self, html: str, banned=frozenset(), kept=None,
-                 targets: Optional["MatchSet"] = None, limit: int = 10_000):
+                 targets: Optional["MatchSet"] = None, limit: int = 10_000,
+                 readings: Optional[dict[str, tuple]] = None):
         self.html, self.banned, self.kept = html, banned, kept
         self.targets, self.limit = targets, limit
         self.children: list[Union[Element, TextNode]] = []
@@ -421,39 +362,38 @@ class _Parser:
             self.renders: list[tuple[int, str, bool]] = []  # see _render
             self.bare = False  # whether the last start tag written still lacks its ">"
         self.signature = 0
-        self._run()
+        self._run(readings)
         self._join_text()
 
-    def _run(self) -> None:
+    def _run(self, readings: Optional[dict[str, tuple]]) -> None:
         """The scan: text and plain start and end tags are read here; other
         markup and script and style bodies move the position, and the scan
         restarts there. A tag that ``_markup`` reads comes back to be built,
-        rendered or matched, or closed, here. A banned subtree whose body the
-        subtree memo knows is jumped over; one whose body may be recorded is
-        followed until it closes (``_Bodies``)."""
+        rendered or matched, or closed, here."""
         s, banned, kept = self.html, self.banned, self.kept
         pruned = kept is not None
         stack, open_, targets = self.stack, self.open, self.targets
         matching = targets is not None
         if matching:
-            tags, read = targets.readings[kept], targets.reading
+            tags, read = targets.readings[kept], functools.partial(targets.reading, kept=kept)
             descend = targets.descend
             root, limit = targets.first, self.limit
             add_pruned, close = self._add_pruned, self._close
         elif pruned:
-            tags, read = _renderings[kept], _rendering
+            tags, read = _renderings[kept], functools.partial(_rendering, kept=kept)
             root, render = True, self._render
             add_pruned, close = self._add_rendered, self._end
         else:  # no text is pruned and no element is watched
-            tags, read = _start_tags[None], _start_tag
+            tags, read = _start_tags, _start_tag
             root, index = self.children, self.index
             elements, parents, classes = index.elements, index.parents, index.classes
             add_pruned = close = None
-        markup, bodies, known = self._markup, _bodies, tags.get
+        if readings is not None:  # a copy, so that they come first
+            tags = {**tags, **readings}
+        markup, known = self._markup, tags.get
         # watch: the depth of the innermost element whose text is collected,
-        # or that is rendered, or -1; recording: the depth of the banned
-        # element whose body is recorded, or 0
-        count, watch, signature, pos, recording = 0, -1, 0, 0, 0
+        # or that is rendered, or -1
+        count, watch, signature, pos = 0, -1, 0, 0
         while pos < len(s):
             for m in _TOKEN.finditer(s, pos):
                 kind = m.lastindex
@@ -477,18 +417,18 @@ class _Parser:
                             parent.append(TextNode(data))
                     continue
                 if kind == 4:
-                    start = known(m[0]) or read(m, kept)
+                    start = known(m[0]) or read(m)
                 elif kind == 5:
                     tag, start = m[5].lower(), None
                 else:
-                    self.count, recording = count, 0
+                    self.count = count
                     pos, odd = markup(m.start())
                     if odd is None:
                         if pos != m.end():
                             break  # the scan restarts where the markup ends
                         continue
                     tag, attrs, _ = odd
-                    start = None if attrs is None else read(odd, kept)
+                    start = None if attrs is None else read(odd)
                 if start is None:  # an end tag; a stray one is ignored
                     if stack and stack[-1][0] == tag:  # the innermost element's
                         stack.pop()
@@ -497,12 +437,6 @@ class _Parser:
                         while (top := stack.pop()[0]) != tag:
                             open_[top] -= 1
                         open_[tag] -= 1
-                    elif tag not in VOID_ELEMENTS:
-                        recording = 0  # an ignored end tag: the body is not recorded
-                    if len(stack) < recording:
-                        if len(stack) == recording - 1:  # closed by its own end tag
-                            bodies.record(body_tag, s[body_at:m.end()])
-                        recording = 0
                     if len(stack) <= watch:
                         watch = close(len(stack))
                 else:  # a start tag: add, render or match an element, open unless closed
@@ -510,8 +444,6 @@ class _Parser:
                     if closes:
                         while stack and stack[-1][0] in closes:
                             open_[stack.pop()[0]] -= 1
-                        if len(stack) < recording:
-                            recording = 0  # closed implicitly
                         if len(stack) <= watch:
                             watch = close(len(stack))
                     if stack:
@@ -519,17 +451,8 @@ class _Parser:
                         parent = top[1]
                     else:
                         top, parent, self.content = None, root, True
-                    if parent is None:
+                    if parent is None or tag in banned:  # in or atop a subtree not built
                         entry = (tag, None, -1)
-                    elif tag in banned:  # the outermost element of a subtree not built
-                        entry = (tag, None, -1)
-                        if kind == 4 and opens and not raw:
-                            end = bodies.end(s, m[0], m.end())
-                            if end >= 0:
-                                pos = end
-                                break  # the scan restarts after the known body
-                            if bodies.room(m[0]):
-                                recording, body_tag, body_at = len(stack) + 1, m[0], m.end()
                     elif matching:  # parent is the parent's pre; first: signature
                         signature |= first  # bits, second: eligible states
                         base = top[3] if top else root
@@ -814,10 +737,17 @@ def render_pruned(html: str, banned: frozenset, kept: tuple) -> Optional[tuple[s
     tags, which ``parse_html`` reads back as that tree, and as TEXT, one
     line per run of text between the starts and ends of block elements and
     ``br``, text nodes joined with single spaces. None when ``parse_html``
-    would give an empty tree."""
+    would give an empty tree. A page that walks a recorded skeleton is
+    written from its recipe instead, and a page scanned may be recorded
+    (``_Skeletons``)."""
+    skeletons, lts = _skeleton_memo(banned, kept), html.count("<")
+    found = skeletons.render(html, lts)
+    if found is not None:
+        return found
     parser = _Parser(html, banned, kept)
     if not parser.content:
         return None
+    skeletons.record(html, lts)
     parser._break()
     return "".join(parser.out), "\n".join(parser.lines)
 
@@ -831,10 +761,7 @@ def match_pruned(html: str, banned: frozenset, kept: tuple, targets: "MatchSet",
     ``name_signature``. None where ``render_pruned`` gives None. A page that
     walks a recorded skeleton is read from its recipe instead, and a page
     scanned may be recorded (``_Skeletons``)."""
-    skeletons = _skeletons.get((banned, kept))
-    if skeletons is None:
-        skeletons = _skeletons.setdefault((banned, kept), _Skeletons(banned, kept))
-    lts = html.count("<")
+    skeletons, lts = _skeleton_memo(banned, kept), html.count("<")
     found = skeletons.match(html, lts, targets, limit)
     if found is not None:
         return found
@@ -847,13 +774,15 @@ def match_pruned(html: str, banned: frozenset, kept: tuple, targets: "MatchSet",
 
 # The skeleton memo: the pages of one template differ in their texts, their
 # script and style bodies and some attribute values, and in little else, so
-# a page that walks the skeleton of a page read before is matched from a
-# recipe, without a scan (see _Skeletons).
+# a page that walks the skeleton of a page read before is rendered or
+# matched from a recipe, without a scan (see _Skeletons).
 SKELETON_MEMO_SIZE = 64  # skeletons; also recipes per MatchSet
 SKELETON_MEMO_ALIKE = 4  # skeletons of pages with the same number of "<"
 SKELETON_MEMO_CHARS = 1 << 20  # characters of all skeletons' literal runs
-# A text hole's marker: a private use character of plane 15, one per hole.
-_MARKER, _MARKERS = 0xF0000, 0xFFFFE - 0xF0000
+# A hole's marker, one per hole: a private use character, of plane 15 for a
+# text hole and of plane 16 for a tag hole. A recorded page holds none.
+_MARKER, _TAG_MARKER, _MARKERS = 0xF0000, 0x100000, 0xFFFFE - 0xF0000
+_MARKED = re.compile("([\U000F0000-\U0010FFFF])")
 _TEXT, _RAW, _TAG = 1, 2, 3  # the holes of a skeleton
 
 
@@ -862,11 +791,11 @@ class _Skeleton:
     is a non-whitespace text run there, and any run without a "<" on
     another page; a raw hole (``_RAW``, its value the tag) a script or
     style body through its end tag; a tag hole (``_TAG``) a plain start tag
-    with an attribute other than ``class``, its recorded text in ``tags``.
-    ``steps`` holds, per text or raw hole and for the end of the page, (the
-    text before it with each tag hole as recorded, None or that text's
-    (literal, tag hole number) parts, the last with None, hole kind, hole
-    value)."""
+    with an attribute other than ``class``, or with a "&" in its attributes,
+    its recorded text in ``tags``. ``steps`` holds, per text or raw hole and
+    for the end of the page, (the text before it with each tag hole as
+    recorded, None or that text's (literal, tag hole number) parts, the last
+    with None, hole kind, hole value)."""
 
     __slots__ = ("steps", "tags")
 
@@ -888,18 +817,23 @@ class _Skeleton:
                 parts, whole, literal = [], [], []
         self.steps, self.tags = tuple(steps), tuple(tags)
 
-    def marked(self) -> str:
-        """The recorded page with each text hole replaced by its own marker
-        and each script or style body emptied."""
+    def marked(self) -> tuple[str, list[str]]:
+        """The recorded page with each text hole replaced by its own marker,
+        each script or style body emptied, and tag hole k by the placeholder
+        ``<name hk>``, closed as recorded; and the placeholders."""
+        holes = [f"<{tag[2]} h{k}{tag[4]}>" for k, tag in enumerate(map(_TOKEN.match, self.tags))]
         pieces, texts = [], 0
-        for whole, _, kind, value in self.steps:
-            pieces.append(whole)
+        for whole, parts, kind, value in self.steps:
+            for literal, number in parts or ((whole, None),):
+                pieces.append(literal)
+                if number is not None:
+                    pieces.append(holes[number])
             if kind == _TEXT:
                 pieces.append(chr(_MARKER + texts))
                 texts += 1
             elif kind == _RAW:
                 pieces.append(f"</{value}>")
-        return "".join(pieces)
+        return "".join(pieces), holes
 
     def walk(self, html: str) -> Optional[tuple[list[str], list[tuple[int, re.Match]]]]:
         """The text holes' runs, and (number, match) of each tag hole whose
@@ -949,28 +883,29 @@ class _Skeleton:
 
 
 def _record(html: str, banned: frozenset) -> Optional[_Skeleton]:
-    """The skeleton of a page, or None where the page holds no start tag,
-    more text holes than there are markers, or a token other than text, a
-    plain start or end tag, a script or style body closed by its end tag
+    """The skeleton of a page, or None where the page holds no start tag, a
+    marker, more holes than there are markers, or a token other than text,
+    a plain start or end tag, a script or style body closed by its end tag
     whose element is in ``banned``, a comment closed by ``--\\s*>``, or a
     ``<!`` or ``<?`` declaration closed by ">" (not ``<![``). The tokens
     are read as ``_Parser._run`` reads them."""
-    items, starts, pos, texts = [], False, 0, 0
+    if _MARKED.search(html):
+        return None
+    items, starts, pos = [], False, 0
     while pos < len(html):
         for m in _TOKEN.finditer(html, pos):
             kind, token = m.lastindex, m[0]
             if kind == 1 and not token.isspace():
-                if texts == _MARKERS:
-                    return None
                 items.append((_TEXT, None))
-                texts += 1
                 continue
             if kind == 1 or kind == 5:
                 items.append(token)
                 continue
             if kind == 4:
-                starts, tag = True, m[2].lower()
-                plain = all(name.lower() == "class" for name, _ in _ATTRIBUTE.findall(m[3]))
+                starts, tag, attrs = True, m[2].lower(), m[3]
+                # a character reference in a literal could render as a marker
+                plain = "&" not in attrs and all(
+                    name.lower() == "class" for name, _ in _ATTRIBUTE.findall(attrs))
                 items.append(token if plain else (_TAG, token))
                 if m[4] or tag not in _RAW_TEXT_END:
                     continue
@@ -993,30 +928,39 @@ def _record(html: str, banned: frozenset) -> Optional[_Skeleton]:
             break  # the scan restarts where the body or the markup ends
         else:
             break
-    return _Skeleton(items) if starts else None
+    if not starts or sum(type(item) is tuple for item in items) > _MARKERS:
+        return None
+    return _Skeleton(items)
 
 
 class _Skeletons:
     """The skeleton memo of one (banned, kept) pair: pages recorded as
-    skeletons (``_Skeleton``), by their number of "<".
+    skeletons (``_Skeleton``), by their number of "<", and their recipes.
 
     A page is recorded only after a scan read it in full, and only where
     each of its tokens is one ``_record`` takes. Pages that walk a
     skeleton tokenize alike: each token of a literal reads no character
     past its own end, a text hole runs to the next "<" as a text token
     does, a raw hole ends at the first end tag as ``_Parser._raw_text``
-    reads it, and a tag hole is verified to be a plain start tag that
-    ``MatchSet.reading`` reads as the recorded one. So the scan opens and
-    closes the same elements, collects text from the same holes and signs
-    the same names. A text hole's text enters only through
-    ``_Parser._add_pruned``, unescaped and folded, and a script or style
-    body of a banned element never does. Hence the recipe: one scan of
-    the recorded page with each text hole replaced by its own marker (and
-    each script or style body emptied) gives,
-    per target, the holes of each text node (a node's pieces joined
-    without a space, nodes with one), and the signature; on another page a
-    hole folded to nothing adds no piece and a node of none no node. Every
-    skeleton holds a start tag, so the page has content.
+    reads it, and a tag hole is verified to be a plain start tag that reads
+    as the recorded one, but for the start tag the rendering writes. So a
+    scan opens and closes the same elements, collects and writes text from
+    the same holes and signs the same names. A text hole's text enters only
+    through ``_Parser._add_pruned``, unescaped and folded, and a script or
+    style body of a banned element never does. Hence the recipes, each one
+    scan of the marked page (``_Skeleton.marked``) with each placeholder
+    read as its tag hole. The matching recipe, one per ``MatchSet``, gives
+    per target the holes of each text node (a node's pieces joined without
+    a space, nodes with one), and the signature. The rendering recipe, one
+    per skeleton, writes each tag hole as its own marker, and gives the
+    HTML between markers and the holes of each TEXT line's nodes. On
+    another page a hole folded to nothing adds no piece, a node of none no
+    node and a line of none no line, and a tag hole writes its own start
+    tag. No literal renders a marker: a recorded page holds none, and a
+    start tag with a "&" in its attributes is a tag hole. A skeleton whose
+    scan held a start tag's ">" back has no rendering recipe, since a text
+    hole can change whether a first child comes. Every skeleton holds a
+    start tag, so the page has content.
 
     A lookup tries the skeletons of pages with as many "<", at most
     ``SKELETON_MEMO_ALIKE``, each walk linear in the page. At most
@@ -1027,7 +971,62 @@ class _Skeletons:
     def __init__(self, banned: frozenset, kept: tuple):
         self.banned, self.kept = banned, kept
         self.by_count: dict[int, list[_Skeleton]] = {}
+        self.renders: dict[_Skeleton, tuple] = {}  # see rendering
         self.size = self.refused = self.chars = 0
+        self.lock = threading.Lock()  # direct extraction renders on worker threads
+
+    def render(self, html: str, lts: int) -> Optional[tuple[str, str]]:
+        """``render_pruned`` of a page with ``lts`` "<" that walks a recorded
+        skeleton, from its rendering recipe; None where it walks none that
+        has one."""
+        for skeleton in self.by_count.get(lts, ()):
+            walked = skeleton.walk(html)
+            if walked is None:
+                continue
+            recipe = self.renders[skeleton] if skeleton in self.renders else self.rendering(skeleton)
+            if not recipe:
+                continue
+            (runs, tags), (pieces, fills, lines, used, readings) = walked, recipe
+            starts = [reading[4] for reading in readings]
+            for number, tag in tags:
+                reading, recorded = _rendering(tag, self.kept, False), readings[number]
+                if reading[:4] != recorded[:4] or reading[5] != recorded[5]:
+                    break
+                starts[number] = reading[4]
+            else:
+                texts = [" ".join(unescape(runs[i]).split()) for i in used]
+                written = [escape(text, quote=False) for text in texts] + starts
+                out = list(pieces)
+                out[1::2] = [written[i] for i in fills]
+                return "".join(out), "\n".join(filter(None, [" ".join(filter(None, [
+                    "".join([texts[i] for i in node]) for node in line])) for line in lines]))
+        return None
+
+    def rendering(self, skeleton: _Skeleton) -> tuple:
+        """(the marked page's HTML split at its markers, the fill of each
+        marker: a written text hole's place in ``used``, or a tag hole's
+        number after them; per TEXT line, the places of each node; ``used``,
+        the text holes written; each tag hole's rendering) from one
+        rendering scan of the marked page, or () where that scan held a
+        start tag's ">" back; kept in ``renders``."""
+        html, holes = skeleton.marked()
+        readings = tuple(_rendering(_TOKEN.match(text), self.kept, False) for text in skeleton.tags)
+        parser = _Parser(html, self.banned, self.kept, readings={
+            hole: (*reading[:4], chr(_TAG_MARKER + k), reading[5])
+            for k, (hole, reading) in enumerate(zip(holes, readings))})
+        parser._break()
+        recipe = ()
+        # a ">" held back is written later as a piece of its own, ">" or "/>"
+        if ">" not in parser.out and "/>" not in parser.out:
+            pieces = _MARKED.split("".join(parser.out))
+            used = [ord(marker) - _MARKER for marker in pieces[1::2] if ord(marker) < _TAG_MARKER]
+            place = {chr(_MARKER + number): i for i, number in enumerate(used)}
+            place.update((chr(_TAG_MARKER + k), len(used) + k) for k in range(len(holes)))
+            recipe = (pieces, [place[marker] for marker in pieces[1::2]],
+                      [[[place[marker] for marker in node] for node in line.split(" ")]
+                       for line in parser.lines], used, readings)
+        self.renders[skeleton] = recipe
+        return recipe
 
     def match(self, html: str, lts: int, targets: "MatchSet",
               limit: int) -> Optional[tuple[list[Optional[str]], int]]:
@@ -1050,16 +1049,17 @@ class _Skeletons:
 
     def recipe(self, skeleton: _Skeleton, targets: "MatchSet", limit: int) -> tuple:
         """(per target, None or the hole numbers of each text node, the
-        signature, each tag hole's reading) from one scan of the marked
-        page; kept in ``targets.recipes``."""
-        parser = _Parser(skeleton.marked(), self.banned, self.kept, targets, limit)
+        signature, each tag hole's reading) from one matching scan of the
+        marked page; kept in ``targets.recipes``."""
+        html, holes = skeleton.marked()
+        readings = tuple(targets.reading(_TOKEN.match(text), self.kept, False)
+                         for text in skeleton.tags)
+        parser = _Parser(html, self.banned, self.kept, targets, limit, dict(zip(holes, readings)))
         nodes = tuple(
             None if text is None else tuple(
                 tuple(ord(marker) - _MARKER for marker in node) for node in text.split(" ")
             ) if text else () for text in parser.results
         )
-        readings = tuple(targets.reading(_TOKEN.match(text), self.kept, False)
-                         for text in skeleton.tags)
         recipes = targets.recipes
         if len(recipes) >= SKELETON_MEMO_SIZE:
             recipes.clear()
@@ -1068,22 +1068,28 @@ class _Skeletons:
 
     def record(self, html: str, lts: int) -> None:
         """Record a page just scanned, with ``lts`` "<", if there is room."""
-        if (len(self.by_count.get(lts, ())) >= SKELETON_MEMO_ALIKE
-                or max(self.size, self.refused) >= SKELETON_MEMO_SIZE
-                or self.chars + 2 * len(html) > SKELETON_MEMO_CHARS):
-            return
-        skeleton = _record(html, self.banned)
-        if skeleton is None:
-            self.refused += 1
-            return
-        self.by_count.setdefault(lts, []).append(skeleton)
-        self.size += 1
-        self.chars += sum(len(whole) + sum(len(literal) for literal, _ in parts or ())
-                          for whole, parts, _, _ in skeleton.steps)
+        with self.lock:
+            if (len(self.by_count.get(lts, ())) >= SKELETON_MEMO_ALIKE
+                    or max(self.size, self.refused) >= SKELETON_MEMO_SIZE
+                    or self.chars + 2 * len(html) > SKELETON_MEMO_CHARS):
+                return
+            skeleton = _record(html, self.banned)
+            if skeleton is None:
+                self.refused += 1
+                return
+            self.by_count.setdefault(lts, []).append(skeleton)
+            self.size += 1
+            self.chars += sum(len(whole) + sum(len(literal) for literal, _ in parts or ())
+                              for whole, parts, _, _ in skeleton.steps)
 
 
 # (banned, kept) -> its skeleton memo
 _skeletons: dict[tuple, _Skeletons] = {}
+
+
+def _skeleton_memo(banned: frozenset, kept: tuple) -> _Skeletons:
+    key = (banned, kept)
+    return _skeletons.get(key) or _skeletons.setdefault(key, _Skeletons(banned, kept))
 
 
 def text_content(node: Union[Document, Element, TextNode]) -> str:
@@ -1246,11 +1252,9 @@ class MatchSet:
         self.first, self.child, self.descendant = first, child, descendant
         self.subjects = sum(self.subject_of)
         # kept attribute names -> start tag text -> its reading, see
-        # reading; (tag, class set, id) -> eligible states, see _walk. Both
-        # bounded as the start-tag memo is.
+        # reading; bounded as the start-tag memo is
         self.readings: dict[Optional[tuple], dict[str, tuple]] = collections.defaultdict(
             collections.OrderedDict)
-        self.kinds: dict[tuple, int] = {}
         # (skeleton, limit) -> what a page walking the skeleton gives, see
         # _Skeletons.recipe; at most SKELETON_MEMO_SIZE entries
         self.recipes: dict[tuple, tuple] = {}
@@ -1291,13 +1295,12 @@ class MatchSet:
         return slots
 
     def reading(self, source, kept, remember: bool = True) -> tuple:
-        """``_start_tag`` of a start tag, with its attribute dict and class
-        names replaced by the signature bits of its tag and class names and
-        its eligible states. The reading of a plain start tag is kept under
-        its text, as ``_start_tag`` keeps it, for the next tag written alike;
-        without ``remember`` the tag is read afresh and kept in no memo."""
-        tag, closes, opens, raw, attributes, names = (
-            _start_tag if remember else _read_start_tag)(source, kept)
+        """``_read_start_tag`` of a start tag, with its attribute dict and
+        class names replaced by the signature bits of its tag and class
+        names and its eligible states. The reading of a plain start tag is
+        kept under its text, as ``_start_tag`` keeps it, for the next tag
+        written alike; without ``remember``, kept in no memo."""
+        tag, closes, opens, raw, attributes, names = _read_start_tag(source, kept)
         bits = _name_bit(tag)
         for name in names:
             bits |= _name_bit(name)
@@ -1351,17 +1354,11 @@ def _walk(root: Document, automaton: MatchSet, limit: int) -> Iterator[tuple[Ele
     parents, classes = index.parents, index.classes
     top = (automaton.first, automaton.first)
     states: list[tuple[int, int]] = []  # per position: (pre, base)
-    kinds = automaton.kinds
     for position, element in enumerate(itertools.islice(index.elements, max(limit, 0))):
         above = parents[position]
         pre, base = states[above] if above >= 0 else top
-        names = (element.tag, classes[position], element.attrs.get("id"))
-        own = kinds.get(names)
-        if own is None:
-            own = eligible(*names)
-            if len(kinds) < ATTRIBUTE_MEMO_SIZE:
-                kinds[names] = own
-        pre, base, hit = descend(pre, base, own)
+        pre, base, hit = descend(
+            pre, base, eligible(element.tag, classes[position], element.attrs.get("id")))
         states.append((pre, base))
         yield element, hit
 

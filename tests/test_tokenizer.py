@@ -13,6 +13,7 @@ import re
 import subprocess
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -44,14 +45,12 @@ from prodex.htmltree import (
     SKELETON_MEMO_ALIKE,
     SKELETON_MEMO_CHARS,
     SKELETON_MEMO_SIZE,
-    SUBTREE_MEMO_BODIES,
-    SUBTREE_MEMO_CHARS,
     Element,
     MatchSet,
     TextNode,
     _TOKEN,
-    _bodies,
     _read_attributes,
+    _rendering,
     _renderings,
     _skeletons,
     _start_tag,
@@ -144,20 +143,26 @@ def test_pinned_cases_equal_the_reference(html):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(attribute_texts(), st.sampled_from([None, KEPT_ATTRIBUTES])), max_size=6))
 def test_a_memoised_attribute_reading_equals_a_fresh_one(readings):
-    # Each start tag is read with kept None and with the kept names, cold and
-    # then warm, so a memo key without the kept names would be caught.
+    # Each start tag is read for the tree, and rendered with kept None and
+    # with the kept names, cold and then warm, so a rendering memo key
+    # without the kept names would be caught.
     _start_tags.clear()
+    _renderings.clear()
     memoised = {}
     for _ in ("cold", "warm"):
         for text, kept in readings:
             start_tag = _TOKEN.match(f"<p{text}>")
             assert start_tag.lastindex == 4  # a plain start tag
-            fresh = _read_attributes(text, kept)
-            reading = _start_tag(start_tag, kept)
+            fresh = _read_attributes(text, None)
+            # each scan's lookup: its memo, or a reading it keeps there
+            reading = _start_tags.get(start_tag[0]) or _start_tag(start_tag)
             assert reading == ("p", IMPLICIT_CLOSE["p"], True, False, *fresh)
             assert fresh[1] == set((fresh[0].get("class") or "").split())
-            assert memoised.setdefault((text, kept), reading) is reading
-    assert sum(map(len, _start_tags.values())) == len(memoised)
+            assert memoised.setdefault(text, reading) is reading
+            rendering = _renderings[kept].get(start_tag[0]) or _rendering(start_tag, kept)
+            assert rendering == _rendering(start_tag, kept, False)
+            assert memoised.setdefault((text, kept), rendering) is rendering
+    assert len(_start_tags) + sum(map(len, _renderings.values())) == len(memoised)
 
 
 def test_elements_read_from_one_attribute_text_own_their_attrs():
@@ -172,7 +177,7 @@ def test_the_attribute_memo_keeps_its_bounds():
     _clear_memos()
     many = "".join(f'<p class="c{i}">' for i in range(ATTRIBUTE_MEMO_SIZE + 100))
     parse_html(many)
-    assert len(_start_tags[None]) == ATTRIBUTE_MEMO_SIZE
+    assert len(_start_tags) == ATTRIBUTE_MEMO_SIZE
     _rendered(many + '<p class="' + "x" * ATTRIBUTE_MEMO_MAX_TEXT + '">')
     assert len(_renderings[KEPT_ATTRIBUTES]) == ATTRIBUTE_MEMO_SIZE
     assert all(len(key) <= ATTRIBUTE_MEMO_MAX_TEXT for key in _renderings[KEPT_ATTRIBUTES])
@@ -182,7 +187,7 @@ def test_the_attribute_memo_keeps_its_bounds():
         _start_tags.clear()
         (p,) = parse_html(text).children
         assert p.attrs == {"class": text[10:-2]}
-        assert len(_start_tags[None]) == stored
+        assert len(_start_tags) == stored
 
 
 def test_the_readings_a_match_set_keeps_stay_within_the_memo_bounds():
@@ -211,7 +216,7 @@ def test_a_full_start_tag_memo_makes_room_for_a_new_tag(monkeypatch):
     reads.clear()
     assert [p.attrs for p in parse_html(f"{late}a{late}b").children] == [{"class": "late"}] * 2
     assert reads == [' class="late"']
-    memo = _start_tags[None]
+    memo = _start_tags
     assert len(memo) == ATTRIBUTE_MEMO_SIZE
     assert late in memo and '<p class="c0">' not in memo
     assert f'<p class="c{ATTRIBUTE_MEMO_SIZE + 99}">' in memo
@@ -229,23 +234,19 @@ def test_a_full_start_tag_memo_makes_room_for_a_new_tag(monkeypatch):
 def _clear_memos():
     _start_tags.clear()
     _renderings.clear()
-    _bodies.clear()
     _skeletons.clear()
 
 
 @contextlib.contextmanager
 def _no_memos():
     """The scan with its process-wide memos empty, and kept empty."""
-    saved = (htmltree.ATTRIBUTE_MEMO_SIZE, htmltree.SUBTREE_MEMO_BODIES,
-             htmltree.SKELETON_MEMO_SIZE)
-    htmltree.ATTRIBUTE_MEMO_SIZE = htmltree.SUBTREE_MEMO_BODIES = 0
-    htmltree.SKELETON_MEMO_SIZE = 0
+    saved = htmltree.ATTRIBUTE_MEMO_SIZE, htmltree.SKELETON_MEMO_SIZE
+    htmltree.ATTRIBUTE_MEMO_SIZE = htmltree.SKELETON_MEMO_SIZE = 0
     _clear_memos()
     try:
         yield
     finally:
-        (htmltree.ATTRIBUTE_MEMO_SIZE, htmltree.SUBTREE_MEMO_BODIES,
-         htmltree.SKELETON_MEMO_SIZE) = saved
+        htmltree.ATTRIBUTE_MEMO_SIZE, htmltree.SKELETON_MEMO_SIZE = saved
 
 
 @settings(max_examples=300, deadline=None)
@@ -280,23 +281,6 @@ def test_the_memos_change_nothing_a_scan_gives(pages, drawn):
     for _ in ("filling", "filled"):
         for html, want in zip(pages, expected):
             assert read(html, warm) == want
-
-
-def test_the_subtree_memo_keeps_its_bounds():
-    _clear_memos()
-    bodies = [f"{i}<p>x</p></footer>" for i in range(SUBTREE_MEMO_BODIES + 2)]
-    page = "".join("<footer>" + body for body in bodies)
-    assert _rendered(page) == ("", "")
-    assert _bodies.by_tag == {"<footer>": bodies[:SUBTREE_MEMO_BODIES]}
-    assert _rendered(page + "y") == ("y", "y")  # every body known or read
-    long_body = "x" * 1000 + "</footer>"
-    page = "".join(f'<footer class="c{i}">{long_body}' for i in range(SUBTREE_MEMO_CHARS // 1000))
-    _clear_memos()
-    assert _matched(page)[1] == 0  # no kept element: an empty signature
-    assert SUBTREE_MEMO_CHARS - 1100 < _bodies.chars <= SUBTREE_MEMO_CHARS
-    assert _bodies.chars == sum(len(key) + sum(map(len, known))
-                                for key, known in _bodies.by_tag.items())
-    assert all(known == [long_body] for known in _bodies.by_tag.values())
 
 
 _KEY = (BANNED_ELEMENTS, KEPT_ATTRIBUTES)
@@ -433,6 +417,57 @@ def test_a_page_walking_a_recorded_skeleton_gives_what_a_scan_gives(case, drawn)
         assert match(html, match_set) == expected[html]
 
 
+@settings(max_examples=300, deadline=None)
+@given(_skeleton_cases())
+@example(('<div class="\U000F0000">a</div><p>b</p>',
+          [('<div class="\U000F0000">c</div><p>d</p>', True)], []))
+@example(('<div class="&#983040;">a</div><p>b</p>', [('<div class="&#983040;">c</div><p>d</p>', True)],
+          []))
+@example(('<html><body id="page-1"><p class=a>x</p></body></html>',
+          [('<html><body id="page-2"><p class=a>y</p></body></html>', False)], []))
+@example(('<header data-x=1><p id=a>x</p></header><p>y</p>',
+          [('<header data-x=2><p id=b>z</p></header><p>w</p>', False)], []))
+@example(("<p><a\xa0 id=x>t</p>u", [("<p><a\xa0 id=x> </p>v", True)], []))
+@example(("<div><p>a<b>b</b></p><p>c</p>d</div>",
+          [("<div><p> <b>&#32;</b></p><p>c</p>&#32;</div>", True)], []))
+@example(("<p>a<BR ID=x/>b</p>", [("<p>c<BR ID=y/>d</p>", False), ("<p> <BR ID=x/>d</p>", True)],
+          []))
+def test_a_page_walking_a_recorded_skeleton_renders_as_a_scan_does(case):
+    """After the skeleton memo recorded a page, a page that fills its text,
+    script and style holes anew is rendered from the skeleton's recipe,
+    which every skeleton has unless its page names a tag whose end tag does
+    not read back as its own; one that also changes attribute values other
+    than class is, or falls back to the scan; one that changes markup the
+    skeleton holds literally falls back. Either way the HTML and TEXT are a
+    cold scan's."""
+    page, filled, mutated = case
+    pages = [page, *(html for html, _ in filled), *mutated]
+    with _no_memos():
+        expected = {html: _rendered(html) for html in pages}
+    _clear_memos()
+    assert _rendered(page) == expected[page]
+    memo = _skeletons[_KEY]
+    skeleton = htmltree._record(page, BANNED_ELEMENTS)
+    assert memo.size == (skeleton is not None)
+    recipe = memo.size and memo.rendering(memo.by_count[page.count("<")][0])
+    names = [m[2].lower() for m in _TOKEN.finditer(page) if m.lastindex == 4]
+    assert recipe or not memo.size or not all(map(htmltree._closable, names))
+
+    def rendered(html):
+        return memo.render(html, html.count("<"))
+
+    for html in mutated:
+        assert rendered(html) is None
+    for html, holes_only in filled:
+        found = rendered(html)
+        # a lookup tries the skeletons of pages with as many "<" only
+        assert found is not None or not (recipe and holes_only) or html.count("<") != page.count("<")
+        assert found in (None, expected[html])
+        assert _rendered(html) == expected[html]
+    for html in mutated:
+        assert _rendered(html) == expected[html]
+
+
 def test_the_skeleton_memo_keeps_its_bounds(monkeypatch):
     targets = MatchSet([(parse_selector("p"), 0)])
 
@@ -451,9 +486,21 @@ def test_the_skeleton_memo_keeps_its_bounds(monkeypatch):
     page = '<p class="c0">y &amp; z</p>'
     assert memo.match(page, 2, targets, 10_000) == match(page) == (["y & z"], match(page)[1])
 
+    _clear_memos()  # a rendered page is recorded alike, and a skeleton has one rendering recipe
+    for i in range(SKELETON_MEMO_ALIKE + 2):
+        _rendered(f'<p class="c{i}">x</p>')
+    for i in range(SKELETON_MEMO_SIZE):
+        assert _rendered("<p>x" * (i + 3)) == _rendered("<p>x" * (i + 3))
+    memo = _skeletons[_KEY]
+    assert memo.size == SKELETON_MEMO_SIZE and list(memo.by_count)[0] == 2
+    assert len(memo.renders) == SKELETON_MEMO_SIZE - SKELETON_MEMO_ALIKE
+    assert memo.render(page, 2) == _rendered(page) == (page, "y & z")
+    assert len(memo.renders) <= memo.size
+
     _clear_memos()
     big = "<p>" + "x" * (SKELETON_MEMO_CHARS // 2)
     match(big)
+    _rendered(big)
     memo = _skeletons[_KEY]
     assert memo.size == 0 and memo.refused == 0
     for i in range(SKELETON_MEMO_SIZE):
@@ -466,9 +513,29 @@ def test_the_skeleton_memo_keeps_its_bounds(monkeypatch):
     record = htmltree._record
     monkeypatch.setattr(htmltree, "_record", lambda *args: tries.append(args) or record(*args))
     for i in range(SKELETON_MEMO_SIZE + 10):
-        match("<p>a < b" + "<br>" * i)  # a stray "<": refused
+        (match, _rendered)[i % 2]("<p>a < b" + "<br>" * i)  # a stray "<": refused
     assert len(tries) == _skeletons[_KEY].refused == SKELETON_MEMO_SIZE
     assert _skeletons[_KEY].size == 0
+
+
+def test_pages_rendered_on_many_threads_keep_the_skeleton_memo_bounds():
+    """Direct extraction renders pages on worker threads, which record
+    skeletons in one memo: its counts stay true and its bounds held, and
+    each page renders as a cold scan does."""
+    pages = [f'<p class="c{i}">x</p>' + "<b>y</b>" * 100 + "<br>" * (i % 10) for i in range(400)]
+    with _no_memos():
+        expected = [_rendered(html) for html in pages]
+    _clear_memos()
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            rendered = list(pool.map(_rendered, pages, timeout=60))
+    finally:
+        sys.setswitchinterval(switch)
+    assert rendered == expected
+    memo = _skeletons[_KEY]
+    assert memo.size == sum(map(len, memo.by_count.values())) == 10 * SKELETON_MEMO_ALIKE
 
 
 def test_a_lt_1_is_three_text_nodes_joined_when_pruned():

@@ -94,7 +94,7 @@ def corpus():
 
 @corpus.command("generate")
 @click.option("--preset", type=click.Choice(["alpha", "beta", "gamma"]), required=True)
-@click.option("--pages", type=int, default=1000, show_default=True)
+@click.option("--pages", type=click.IntRange(min=1), default=1000, show_default=True)
 @click.option("--seed", type=int, default=7, show_default=True)
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 def corpus_generate(preset, pages, seed, out_dir):
@@ -194,11 +194,13 @@ _PROVIDER_OPTIONS = [
                  help="Session directory for the replay provider."),
     click.option("--record", type=click.Path(), default=None,
                  help="Record all exchanges into this session directory."),
-    click.option("--oracle-imperfections", type=int, default=0, show_default=True,
+    click.option("--oracle-imperfections", type=click.IntRange(min=0), default=0,
+                 show_default=True,
                  help="Planted imperfections per oracle program generation."),
     click.option("--oracle-unreparable-template", multiple=True,
                  help="Template id the oracle never repairs (repeatable)."),
-    click.option("--oracle-unreparable-rate", type=float, default=0.0, show_default=True),
+    click.option("--oracle-unreparable-rate", type=click.FloatRange(0, 1), default=0.0,
+                 show_default=True),
     click.option("--oracle-seed", type=int, default=0, show_default=True),
 ]
 

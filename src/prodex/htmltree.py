@@ -20,21 +20,11 @@ and TEXT and ``match_pruned`` matches selectors in it, as the open elements
 open and close, and neither builds anything.
 
 Template pages repeat their markup, so the scan reads it once per process,
-into bounded memos keyed on exact text. Each distinct plain start tag is
-read once per mode (``_start_tag``, ``_rendering``, ``MatchSet.reading``);
-at most ``ATTRIBUTE_MEMO_SIZE`` entries, the oldest dropped first, and no
-start tag longer than ``ATTRIBUTE_MEMO_MAX_TEXT`` characters; every element
-still owns its attribute dict. The pages of one template share a skeleton:
-their markup once text runs, script and style bodies, and attribute values
-other than ``class`` are taken out. A page that ``render_pruned`` or
-``match_pruned`` scanned is recorded as a skeleton of literal runs and
-holes, and a later page that walks a recorded skeleton to its end is
-written, or gets its texts and signature, from a recipe: one scan of the
-recorded page, once per skeleton for rendering and per skeleton and
-``MatchSet`` for matching (``_Skeletons``; at most ``SKELETON_MEMO_SIZE``
-skeletons, ``SKELETON_MEMO_ALIKE`` per number of "<",
-``SKELETON_MEMO_CHARS`` characters in all). No memo changes what a scan
-gives.
+into bounded memos keyed on exact text: each distinct plain start tag once
+per mode (``_start_tag``, ``_rendering``, ``MatchSet.reading``; see
+``_remember``), and the skeleton the pages of a template share, their
+markup but for texts, script and style bodies and attribute values other
+than ``class``, once (``_Skeletons``). No memo changes what a scan gives.
 
 Selector support is the subset that survives attribute stripping: type
 selectors, ``*``, ``.class``, ``#id``, compounds thereof, and descendant /
@@ -62,7 +52,7 @@ import threading
 import zlib
 from dataclasses import dataclass, field
 from html import escape, unescape
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 VOID_ELEMENTS = frozenset({
     "area", "base", "br", "col", "embed", "hr", "img", "input",
@@ -740,14 +730,13 @@ def render_pruned(html: str, banned: frozenset, kept: tuple) -> Optional[tuple[s
     would give an empty tree. A page that walks a recorded skeleton is
     written from its recipe instead, and a page scanned may be recorded
     (``_Skeletons``)."""
-    skeletons, lts = _skeleton_memo(banned, kept), html.count("<")
-    found = skeletons.render(html, lts)
-    if found is not None:
+    skeletons = _skeleton_memo(banned, kept)
+    if (found := skeletons.lookup(html)) is not None:
         return found
     parser = _Parser(html, banned, kept)
     if not parser.content:
         return None
-    skeletons.record(html, lts)
+    skeletons.record(html)
     parser._break()
     return "".join(parser.out), "\n".join(parser.lines)
 
@@ -761,24 +750,18 @@ def match_pruned(html: str, banned: frozenset, kept: tuple, targets: "MatchSet",
     ``name_signature``. None where ``render_pruned`` gives None. A page that
     walks a recorded skeleton is read from its recipe instead, and a page
     scanned may be recorded (``_Skeletons``)."""
-    skeletons, lts = _skeleton_memo(banned, kept), html.count("<")
-    found = skeletons.match(html, lts, targets, limit)
-    if found is not None:
+    skeletons = _skeleton_memo(banned, kept)
+    if (found := skeletons.lookup(html, targets, limit)) is not None:
         return found
     parser = _Parser(html, banned, kept, targets, limit)
     if not parser.content:
         return None
-    skeletons.record(html, lts)
+    skeletons.record(html)
     return parser.results, parser.signature
 
 
-# The skeleton memo: the pages of one template differ in their texts, their
-# script and style bodies and some attribute values, and in little else, so
-# a page that walks the skeleton of a page read before is rendered or
-# matched from a recipe, without a scan (see _Skeletons).
-SKELETON_MEMO_SIZE = 64  # skeletons; also recipes per MatchSet
-SKELETON_MEMO_ALIKE = 4  # skeletons of pages with the same number of "<"
-SKELETON_MEMO_CHARS = 1 << 20  # characters of all skeletons' literal runs
+# The skeleton memo's bound (see _Skeletons): characters of steps recorded and of pages refused
+SKELETON_MEMO_CHARS = 1 << 20
 # A hole's marker, one per hole: a private use character, of plane 15 for a
 # text hole and of plane 16 for a tag hole. A recorded page holds none.
 _MARKER, _TAG_MARKER, _MARKERS = 0xF0000, 0x100000, 0xFFFFE - 0xF0000
@@ -786,109 +769,97 @@ _MARKED = re.compile("([\U000F0000-\U0010FFFF])")
 _TEXT, _RAW, _TAG = 1, 2, 3  # the holes of a skeleton
 
 
+def _steps(items: list) -> tuple:
+    """A page's literal texts and (hole kind, value) pairs as steps: per
+    text or raw hole and for the page's end, (the text before it, tag holes
+    as recorded; None or its (literal, tag hole number, recorded text)
+    parts, the last with None for both; hole kind; hole value)."""
+    steps, parts, whole, literal, numbers = [], [], [], [], itertools.count()
+    for item in (*items, (None, None)):
+        if type(item) is str:
+            literal.append(item)
+            whole.append(item)
+        elif item[0] == _TAG:
+            parts.append(("".join(literal), next(numbers), item[1]))
+            whole.append(item[1])
+            literal = []
+        else:
+            parts.append(("".join(literal), None, None))
+            steps.append(("".join(whole), tuple(parts) if len(parts) > 1 else None, *item))
+            parts, whole, literal = [], [], []
+    return tuple(steps)
+
+
 class _Skeleton:
-    """A recorded page as literal runs and holes. A text hole (``_TEXT``)
-    is a non-whitespace text run there, and any run without a "<" on
-    another page; a raw hole (``_RAW``, its value the tag) a script or
-    style body through its end tag; a tag hole (``_TAG``) a plain start tag
-    with an attribute other than ``class``, or with a "&" in its attributes,
-    its recorded text in ``tags``. ``steps`` holds, per text or raw hole and
-    for the end of the page, (the text before it with each tag hole as
-    recorded, None or that text's (literal, tag hole number) parts, the last
-    with None, hole kind, hole value)."""
+    """A recorded page as steps of literal runs and holes (``_steps``): a
+    text hole (``_TEXT``) is a non-whitespace text run there, and any run
+    without a "<" on another page; a raw hole (``_RAW``, its value the tag)
+    a script or style body through its end tag; a tag hole (``_TAG``) a
+    plain start tag with an attribute other than ``class`` or a "&" in its
+    attributes. ``rendering``: its rendering recipe, once made."""
 
-    __slots__ = ("steps", "tags")
+    __slots__ = ("steps", "rendering")
 
-    def __init__(self, items: list):
-        """``items``: the page's literal texts and (hole kind, value) pairs."""
-        steps, tags, parts, whole, literal = [], [], [], [], []
-        for item in (*items, (None, None)):
-            if type(item) is str:
-                literal.append(item)
-                whole.append(item)
-            elif item[0] == _TAG:
-                parts.append(("".join(literal), len(tags)))
-                tags.append(item[1])
-                whole.append(item[1])
-                literal = []
-            else:
-                parts.append(("".join(literal), None))
-                steps.append(("".join(whole), tuple(parts) if len(parts) > 1 else None, *item))
-                parts, whole, literal = [], [], []
-        self.steps, self.tags = tuple(steps), tuple(tags)
+    def __init__(self, steps: tuple):
+        self.steps, self.rendering = steps, None
 
-    def marked(self) -> tuple[str, list[str]]:
+    def marked(self) -> tuple[str, list[tuple[str, re.Match]]]:
         """The recorded page with each text hole replaced by its own marker,
         each script or style body emptied, and tag hole k by the placeholder
-        ``<name hk>``, closed as recorded; and the placeholders."""
-        holes = [f"<{tag[2]} h{k}{tag[4]}>" for k, tag in enumerate(map(_TOKEN.match, self.tags))]
-        pieces, texts = [], 0
+        ``<name hk>``, closed as recorded; and (placeholder, recorded start
+        tag's match) of each tag hole."""
+        pieces, holes, texts = [], [], itertools.count(_MARKER)
         for whole, parts, kind, value in self.steps:
-            for literal, number in parts or ((whole, None),):
+            for literal, number, text in parts or ((whole, None, None),):
                 pieces.append(literal)
                 if number is not None:
-                    pieces.append(holes[number])
+                    tag = _TOKEN.match(text)
+                    holes.append((f"<{tag[2]} h{number}{tag[4]}>", tag))
+                    pieces.append(holes[-1][0])
             if kind == _TEXT:
-                pieces.append(chr(_MARKER + texts))
-                texts += 1
+                pieces.append(chr(next(texts)))
             elif kind == _RAW:
                 pieces.append(f"</{value}>")
         return "".join(pieces), holes
 
-    def walk(self, html: str) -> Optional[tuple[list[str], list[tuple[int, re.Match]]]]:
-        """The text holes' runs, and (number, match) of each tag hole whose
-        text differs from the recorded one, of a page that walks this
-        skeleton to its end; None for any other page. Each step compares no
-        further than its literal or hole reaches, so a walk takes time
-        linear in the page."""
-        pos, runs, tags = 0, [], []
-        startswith, find = html.startswith, html.find
-        for whole, parts, kind, value in self.steps:
-            if startswith(whole, pos):
-                pos += len(whole)
-            elif parts is None or (pos := self._tags(html, pos, parts, tags)) < 0:
-                return None
-            if kind == _TEXT:
-                end = find("<", pos)
-                if end < 0:
-                    end = len(html)
-                runs.append(html[pos:end])
-                pos = end
-            elif kind == _RAW:
-                end = _RAW_TEXT_END[value].search(html, pos)
-                if end is None:
-                    return None
-                pos = end.end()
-        return (runs, tags) if pos == len(html) else None
 
-    def _tags(self, html: str, pos: int, parts: tuple, tags: list) -> int:
-        """Walk literals and tag holes, one of which differs from the
-        recorded text, from ``pos``; where the walk ends, or -1."""
-        for literal, number in parts:
-            if not html.startswith(literal, pos):
-                return -1
-            pos += len(literal)
-            if number is None:
-                break
-            text = self.tags[number]
-            if html.startswith(text, pos):
-                pos += len(text)
-                continue
-            tag = _TOKEN.match(html, pos)
-            if tag is None or tag.lastindex != 4:  # the page's end, or not a plain start tag
-                return -1
-            tags.append((number, tag))
-            pos = tag.end()
-        return pos
+def _walk_tags(html: str, pos: int, parts: tuple, tags: list) -> int:
+    """Walk a step's parts from ``pos``, adding (number, match) of each tag
+    hole that differs from the recorded text to ``tags``; where it ends, or
+    -1."""
+    for literal, number, text in parts:
+        if not html.startswith(literal, pos):
+            return -1
+        pos += len(literal)
+        if number is None:
+            break
+        if html.startswith(text, pos):
+            pos += len(text)
+            continue
+        tag = _TOKEN.match(html, pos)
+        if tag is None or tag.lastindex != 4:  # the page's end, or not a plain start tag
+            return -1
+        tags.append((number, tag))
+        pos = tag.end()
+    return pos
 
 
-def _record(html: str, banned: frozenset) -> Optional[_Skeleton]:
-    """The skeleton of a page, or None where the page holds no start tag, a
-    marker, more holes than there are markers, or a token other than text,
-    a plain start or end tag, a script or style body closed by its end tag
-    whose element is in ``banned``, a comment closed by ``--\\s*>``, or a
-    ``<!`` or ``<?`` declaration closed by ">" (not ``<![``). The tokens
-    are read as ``_Parser._run`` reads them."""
+def _shape(step: tuple) -> tuple:
+    """A step as a walk reads it, its tag holes read for tag and class only:
+    other attribute values vary between a template's pages, and a walk passes them."""
+    whole, parts, kind, value = step
+    return kind, value, whole if parts is None else [
+        (literal, text and _read_start_tag(_TOKEN.match(text), ("class",)))
+        for literal, _, text in parts]
+
+
+def _record(html: str, banned: frozenset) -> Optional[tuple]:
+    """The steps of a page's skeleton (``_steps``), or None where the page
+    holds no start tag, a marker, more holes than there are markers, or a
+    token other than text, a plain start or end tag, a script or style body
+    closed by its end tag whose element is in ``banned``, a comment closed
+    by ``--\\s*>``, or a ``<!`` or ``<?`` declaration closed by ">" (not
+    ``<![``). The tokens are read as ``_Parser._run`` reads them."""
     if _MARKED.search(html):
         return None
     items, starts, pos = [], False, 0
@@ -930,12 +901,13 @@ def _record(html: str, banned: frozenset) -> Optional[_Skeleton]:
             break
     if not starts or sum(type(item) is tuple for item in items) > _MARKERS:
         return None
-    return _Skeleton(items)
+    return _steps(items)
 
 
 class _Skeletons:
-    """The skeleton memo of one (banned, kept) pair: pages recorded as
-    skeletons (``_Skeleton``), by their number of "<", and their recipes.
+    """The skeleton memo of one (banned, kept) pair: the skeletons of pages
+    recorded (``_Skeleton``), in one prefix trie of their steps, and their
+    recipes.
 
     A page is recorded only after a scan read it in full, and only where
     each of its tokens is one ``_record`` takes. Pages that walk a
@@ -949,138 +921,169 @@ class _Skeletons:
     through ``_Parser._add_pruned``, unescaped and folded, and a script or
     style body of a banned element never does. Hence the recipes, each one
     scan of the marked page (``_Skeleton.marked``) with each placeholder
-    read as its tag hole. The matching recipe, one per ``MatchSet``, gives
-    per target the holes of each text node (a node's pieces joined without
-    a space, nodes with one), and the signature. The rendering recipe, one
-    per skeleton, writes each tag hole as its own marker, and gives the
-    HTML between markers and the holes of each TEXT line's nodes. On
-    another page a hole folded to nothing adds no piece, a node of none no
-    node and a line of none no line, and a tag hole writes its own start
-    tag. No literal renders a marker: a recorded page holds none, and a
-    start tag with a "&" in its attributes is a tag hole. A skeleton whose
-    scan held a start tag's ">" back has no rendering recipe, since a text
-    hole can change whether a first child comes. Every skeleton holds a
-    start tag, so the page has content.
+    read as its tag hole (see ``render`` and ``match``). On another page a
+    hole folded to nothing adds no piece, a node of none no node and a line
+    of none no line, and a tag hole writes its own start tag. No literal
+    renders a marker: a recorded page holds none, and a start tag with a
+    "&" in its attributes is a tag hole. A text hole can change whether a
+    first child comes, so a skeleton whose scan held a start tag's ">"
+    back has no rendering recipe. Every skeleton holds a start tag, so the
+    page has content.
 
-    A lookup tries the skeletons of pages with as many "<", at most
-    ``SKELETON_MEMO_ALIKE``, each walk linear in the page. At most
-    ``SKELETON_MEMO_SIZE`` pages are recorded, and as many refused, within
-    ``SKELETON_MEMO_CHARS`` characters; none is dropped.
+    A trie node is (a step, the nodes after it), or (the page's end, the
+    skeleton ending there). Skeletons share their leading steps of one
+    ``_shape``; a shared tag hole reads as first recorded in each skeleton
+    below it. A lookup walks the page down the trie once, trying each node
+    at a branch and backing up to it where a later step fails, so no node
+    is tried twice: a miss costs one walk to where the page leaves every
+    skeleton. ``chars`` counts the characters of the steps each recording
+    adds and of each page refused (``_record`` refuses it, or the trie
+    holds its skeleton), within ``SKELETON_MEMO_CHARS``; none is dropped.
     """
 
     def __init__(self, banned: frozenset, kept: tuple):
         self.banned, self.kept = banned, kept
-        self.by_count: dict[int, list[_Skeleton]] = {}
-        self.renders: dict[_Skeleton, tuple] = {}  # see rendering
-        self.size = self.refused = self.chars = 0
+        self.first, self.chars = [], 0  # the trie's first nodes; chars: see above
         self.lock = threading.Lock()  # direct extraction renders on worker threads
 
-    def render(self, html: str, lts: int) -> Optional[tuple[str, str]]:
-        """``render_pruned`` of a page with ``lts`` "<" that walks a recorded
-        skeleton, from its rendering recipe; None where it walks none that
-        has one."""
-        for skeleton in self.by_count.get(lts, ()):
-            walked = skeleton.walk(html)
-            if walked is None:
+    def lookup(self, html: str, targets: Optional["MatchSet"] = None,
+               limit: int = 10_000) -> Optional[tuple]:
+        """``render_pruned``, or with ``targets`` ``match_pruned``, of a page
+        that walks a recorded skeleton whose recipe it meets, from that
+        recipe; None where it walks none."""
+        runs, tags, end = [], [], len(html)
+        startswith, find = html.startswith, html.find
+        branches = [(iter(self.first), 0, 0, 0)]  # (nodes left, where, runs, tags before)
+        while branches:
+            nodes, pos, before, tagged = branches[-1]
+            if (node := next(nodes, None)) is None:
+                branches.pop()
                 continue
-            recipe = self.renders[skeleton] if skeleton in self.renders else self.rendering(skeleton)
-            if not recipe:
-                continue
-            (runs, tags), (pieces, fills, lines, used, readings) = walked, recipe
-            starts = [reading[4] for reading in readings]
-            for number, tag in tags:
-                reading, recorded = _rendering(tag, self.kept, False), readings[number]
-                if reading[:4] != recorded[:4] or reading[5] != recorded[5]:
+            del runs[before:], tags[tagged:]
+            while True:
+                (whole, parts, kind, value), after = node
+                if startswith(whole, pos):
+                    pos += len(whole)
+                elif parts is None or (pos := _walk_tags(html, pos, parts, tags)) < 0:
                     break
-                starts[number] = reading[4]
-            else:
-                texts = [" ".join(unescape(runs[i]).split()) for i in used]
-                written = [escape(text, quote=False) for text in texts] + starts
-                out = list(pieces)
-                out[1::2] = [written[i] for i in fills]
-                return "".join(out), "\n".join(filter(None, [" ".join(filter(None, [
-                    "".join([texts[i] for i in node]) for node in line])) for line in lines]))
+                if kind == _TEXT:
+                    stop = find("<", pos)
+                    if stop < 0:
+                        stop = end
+                    runs.append(html[pos:stop])
+                    pos = stop
+                elif kind == _RAW:
+                    stop = _RAW_TEXT_END[value].search(html, pos)
+                    if stop is None:
+                        break
+                    pos = stop.end()
+                else:  # the page's end: after is the skeleton that ends here
+                    found = pos == end and (self.render(after, runs, tags) if targets is None
+                                            else self.match(after, runs, tags, targets, limit))
+                    if found:
+                        return found
+                    break
+                if len(after) > 1:
+                    branches.append((iter(after), pos, len(runs), len(tags)))
+                    break
+                node = after[0]
         return None
 
-    def rendering(self, skeleton: _Skeleton) -> tuple:
-        """(the marked page's HTML split at its markers, the fill of each
-        marker: a written text hole's place in ``used``, or a tag hole's
-        number after them; per TEXT line, the places of each node; ``used``,
-        the text holes written; each tag hole's rendering) from one
-        rendering scan of the marked page, or () where that scan held a
-        start tag's ">" back; kept in ``renders``."""
-        html, holes = skeleton.marked()
-        readings = tuple(_rendering(_TOKEN.match(text), self.kept, False) for text in skeleton.tags)
-        parser = _Parser(html, self.banned, self.kept, readings={
-            hole: (*reading[:4], chr(_TAG_MARKER + k), reading[5])
-            for k, (hole, reading) in enumerate(zip(holes, readings))})
-        parser._break()
-        recipe = ()
-        # a ">" held back is written later as a piece of its own, ">" or "/>"
-        if ">" not in parser.out and "/>" not in parser.out:
-            pieces = _MARKED.split("".join(parser.out))
-            used = [ord(marker) - _MARKER for marker in pieces[1::2] if ord(marker) < _TAG_MARKER]
-            place = {chr(_MARKER + number): i for i, number in enumerate(used)}
-            place.update((chr(_TAG_MARKER + k), len(used) + k) for k in range(len(holes)))
-            recipe = (pieces, [place[marker] for marker in pieces[1::2]],
-                      [[[place[marker] for marker in node] for node in line.split(" ")]
-                       for line in parser.lines], used, readings)
-        self.renders[skeleton] = recipe
-        return recipe
+    def render(self, skeleton: _Skeleton, runs: list[str],
+               tags: list[tuple[int, re.Match]]) -> Optional[tuple[str, str]]:
+        """``render_pruned`` of a page that walks ``skeleton``, with these
+        text hole runs and changed tag holes, from the skeleton's rendering
+        recipe; None where it has none or a tag hole renders otherwise. The
+        recipe, made once, writes each tag hole as its own marker: (the HTML
+        split at its markers; the fill of each marker, a written text hole's
+        place in ``used`` or a tag hole's number after them; per TEXT line,
+        the places of each node; ``used``, the text holes written; each tag
+        hole's rendering)."""
+        recipe = skeleton.rendering
+        if recipe is None:
+            html, holes = skeleton.marked()
+            readings = tuple(_rendering(tag, self.kept, False) for _, tag in holes)
+            parser = _Parser(html, self.banned, self.kept, readings={
+                hole: (*reading[:4], chr(_TAG_MARKER + k), reading[5])
+                for k, ((hole, _), reading) in enumerate(zip(holes, readings))})
+            parser._break()
+            recipe = ()
+            # a ">" held back is written later as a piece of its own, ">" or "/>"
+            if ">" not in parser.out and "/>" not in parser.out:
+                pieces = _MARKED.split("".join(parser.out))
+                used = [ord(m) - _MARKER for m in pieces[1::2] if ord(m) < _TAG_MARKER]
+                place = {chr(_MARKER + number): i for i, number in enumerate(used)}
+                place.update((chr(_TAG_MARKER + k), len(used) + k) for k in range(len(holes)))
+                recipe = (pieces, [place[marker] for marker in pieces[1::2]],
+                          [[[place[marker] for marker in node] for node in line.split(" ")]
+                           for line in parser.lines], used, readings)
+            skeleton.rendering = recipe
+        if not recipe:
+            return None
+        pieces, fills, lines, used, readings = recipe
+        starts = [reading[4] for reading in readings]
+        for number, tag in tags:
+            reading, recorded = _rendering(tag, self.kept, False), readings[number]
+            if reading[:4] != recorded[:4] or reading[5] != recorded[5]:
+                return None
+            starts[number] = reading[4]
+        texts = [" ".join(unescape(runs[i]).split()) for i in used]
+        written = [escape(text, quote=False) for text in texts] + starts
+        out = list(pieces)
+        out[1::2] = [written[i] for i in fills]
+        return "".join(out), "\n".join(filter(None, [" ".join(filter(None, [
+            "".join([texts[i] for i in node]) for node in line])) for line in lines]))
 
-    def match(self, html: str, lts: int, targets: "MatchSet",
-              limit: int) -> Optional[tuple[list[Optional[str]], int]]:
-        """``match_pruned`` of a page with ``lts`` "<" that walks a recorded
-        skeleton, from its recipe; None where it walks none."""
-        for skeleton in self.by_count.get(lts, ()):
-            walked = skeleton.walk(html)
-            if walked is None:
-                continue
-            runs, tags = walked
-            recipe = targets.recipes.get((skeleton, limit)) or self.recipe(skeleton, targets, limit)
-            nodes, signature, readings = recipe
-            known = targets.readings[self.kept].get
-            if all((known(tag[0]) or targets.reading(tag, self.kept, False)) == readings[number]
+    def match(self, skeleton: _Skeleton, runs: list[str], tags: list[tuple[int, re.Match]],
+              targets: "MatchSet", limit: int) -> Optional[tuple[list[Optional[str]], int]]:
+        """``match_pruned`` of a page that walks ``skeleton``, with these
+        text hole runs and changed tag holes, from its recipe for
+        ``targets``; None where a tag hole reads otherwise. The recipe, made
+        once and kept in ``targets.recipes``, is (per target, None or the
+        holes of each text node, a node's pieces joined without a space and
+        nodes with one; the signature; each tag hole's reading)."""
+        recipe = targets.recipes.get((skeleton, limit))
+        if recipe is None:
+            html, holes = skeleton.marked()
+            readings = tuple(targets.reading(tag, self.kept, False) for _, tag in holes)
+            parser = _Parser(html, self.banned, self.kept, targets, limit,
+                             {hole: reading for (hole, _), reading in zip(holes, readings)})
+            recipe = targets.recipes[skeleton, limit] = (tuple(
+                None if text is None else tuple(
+                    tuple(ord(marker) - _MARKER for marker in node) for node in text.split(" ")
+                ) if text else () for text in parser.results), parser.signature, readings)
+        nodes, signature, readings = recipe
+        known = targets.readings[self.kept].get
+        if not all((known(tag[0]) or targets.reading(tag, self.kept, False)) == readings[number]
                    for number, tag in tags):
-                return [None if holes is None else " ".join(filter(None, [
-                    "".join([" ".join(unescape(runs[i]).split()) for i in node])
-                    for node in holes])) for holes in nodes], signature
-        return None
+            return None
+        return [None if holes is None else " ".join(filter(None, [
+            "".join([" ".join(unescape(runs[i]).split()) for i in node])
+            for node in holes])) for holes in nodes], signature
 
-    def recipe(self, skeleton: _Skeleton, targets: "MatchSet", limit: int) -> tuple:
-        """(per target, None or the hole numbers of each text node, the
-        signature, each tag hole's reading) from one matching scan of the
-        marked page; kept in ``targets.recipes``."""
-        html, holes = skeleton.marked()
-        readings = tuple(targets.reading(_TOKEN.match(text), self.kept, False)
-                         for text in skeleton.tags)
-        parser = _Parser(html, self.banned, self.kept, targets, limit, dict(zip(holes, readings)))
-        nodes = tuple(
-            None if text is None else tuple(
-                tuple(ord(marker) - _MARKER for marker in node) for node in text.split(" ")
-            ) if text else () for text in parser.results
-        )
-        recipes = targets.recipes
-        if len(recipes) >= SKELETON_MEMO_SIZE:
-            recipes.clear()
-        recipe = recipes[skeleton, limit] = (nodes, parser.signature, readings)
-        return recipe
-
-    def record(self, html: str, lts: int) -> None:
-        """Record a page just scanned, with ``lts`` "<", if there is room."""
+    def record(self, html: str) -> None:
+        """Record a page just scanned, if there is room: the steps of its
+        skeleton that no node of their shape holds, as a chain below the rest."""
         with self.lock:
-            if (len(self.by_count.get(lts, ())) >= SKELETON_MEMO_ALIKE
-                    or max(self.size, self.refused) >= SKELETON_MEMO_SIZE
-                    or self.chars + 2 * len(html) > SKELETON_MEMO_CHARS):
+            if self.chars + len(html) > SKELETON_MEMO_CHARS:
                 return
-            skeleton = _record(html, self.banned)
-            if skeleton is None:
-                self.refused += 1
+            steps, nodes, shared = _record(html, self.banned) or (), self.first, []
+            for step in steps:
+                shape = _shape(step)
+                node = next((node for node in nodes if _shape(node[0]) == shape), None)
+                if node is None:
+                    break
+                shared.append(node[0])
+                nodes = node[1]
+            else:  # refused, or the trie holds its skeleton
+                self.chars += len(html)
                 return
-            self.by_count.setdefault(lts, []).append(skeleton)
-            self.size += 1
-            self.chars += sum(len(whole) + sum(len(literal) for literal, _ in parts or ())
-                              for whole, parts, _, _ in skeleton.steps)
+            added = steps[len(shared):]
+            chain = _Skeleton((*shared, *added))
+            for step in reversed(added):
+                chain = [(step, chain)]
+            nodes.append(chain[0])  # built in full first: a walk on another thread sees all or none
+            self.chars += sum(len(step[0]) for step in added)
 
 
 # (banned, kept) -> its skeleton memo
@@ -1180,7 +1183,7 @@ def _parse_simple(s: str, pos: int, full: str) -> tuple[SimpleSelector, int]:
     return SimpleSelector(tag=tag, classes=frozenset(classes), ids=frozenset(ids)), pos
 
 
-class ElementIndex:
+class ElementIndex(NamedTuple):
     """A document's elements in document order, and the names they carry.
 
     ``parents[i]`` is the position of element i's parent (-1 for a top-level
@@ -1191,13 +1194,9 @@ class ElementIndex:
     its index are freed together by reference counting.
     """
 
-    __slots__ = ("elements", "parents", "classes")
-
-    def __init__(self, elements: list[Element], parents: list[int],
-                 classes: list[frozenset[str]]):
-        self.elements = elements
-        self.parents = parents
-        self.classes = classes
+    elements: list[Element]
+    parents: list[int]
+    classes: list[frozenset[str]]
 
 
 class MatchSet:
@@ -1256,7 +1255,7 @@ class MatchSet:
         self.readings: dict[Optional[tuple], dict[str, tuple]] = collections.defaultdict(
             collections.OrderedDict)
         # (skeleton, limit) -> what a page walking the skeleton gives, see
-        # _Skeletons.recipe; at most SKELETON_MEMO_SIZE entries
+        # _Skeletons.match; one per skeleton recorded and limit
         self.recipes: dict[tuple, tuple] = {}
 
     def eligible(self, tag: str, classes: frozenset[str], ident: Optional[str]) -> int:

@@ -157,12 +157,16 @@ def load_truth(path) -> dict[str, GroundTruthRecord]:
 
 
 def load_labels(path) -> dict[str, bool]:
-    """Bootstrap labels by page id, from a JSON object of page id to label."""
+    """Bootstrap labels by page id, from a JSON object of page id to a JSON
+    boolean."""
     with _reading(path):
         labels = json.loads(Path(path).read_text(encoding="utf-8"))
         if not isinstance(labels, dict):
             raise TypeError("the file must hold a JSON object")
-        return {k: bool(v) for k, v in labels.items()}
+        for page_id, label in labels.items():
+            if type(label) is not bool:
+                raise TypeError(f"the label of page {page_id!r} is {label!r}, not true or false")
+        return labels
 
 
 def load_corpus(corpus_dir) -> Corpus:

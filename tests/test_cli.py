@@ -436,7 +436,11 @@ def test_missing_replay_session_is_a_usage_error(workspace, runner, tmp_path, st
      "labels need at least one positive and one negative page"),
     ("{bad", "labels.json: JSONDecodeError"),
     ("[]", "labels.json: TypeError: the file must hold a JSON object"),
-], ids=["unknown-pages", "one-class", "not-json", "a-list"])
+    (json.dumps({"beta-0000": "true", "beta-0001": "false"}),
+     "labels.json: TypeError: the label of page 'beta-0000' is 'true', not true or false"),
+    (json.dumps({"beta-0000": True, "beta-0001": 0}),
+     "labels.json: TypeError: the label of page 'beta-0001' is 0, not true or false"),
+], ids=["unknown-pages", "one-class", "not-json", "a-list", "strings", "a-number"])
 def test_bad_labels_file_is_a_usage_error(workspace, runner, tmp_path, text, message):
     path = tmp_path / "labels.json"
     path.write_text(text)
@@ -503,6 +507,35 @@ def test_zero_runs_is_a_usage_error(workspace, runner, tmp_path):
          "--out", str(tmp_path / "out"), "--runs", "0"],
     )
     assert result.exit_code == 2, result.output
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("pages", ["0", "-5"])
+def test_a_page_count_below_one_is_a_usage_error(runner, tmp_path, pages):
+    result = runner.invoke(
+        main,
+        ["corpus", "generate", "--preset", "alpha", "--pages", pages, "--out", str(tmp_path / "c")],
+    )
+    assert result.exit_code == 2, result.output
+    assert "--pages" in result.output
+    assert not (tmp_path / "c").exists()
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--oracle-unreparable-rate", "5"),
+    ("--oracle-unreparable-rate", "-1"),
+    ("--oracle-imperfections", "-3"),
+])
+@pytest.mark.parametrize("strategy", ["direct", "indirect"])
+def test_an_oracle_option_out_of_range_is_a_usage_error(workspace, runner, tmp_path, strategy,
+                                                         option, value):
+    result = runner.invoke(
+        main,
+        ["extract", strategy, "--corpus", str(workspace / "corpus"),
+         "--out", str(tmp_path / "out"), option, value],
+    )
+    assert result.exit_code == 2, result.output
+    assert option in result.output
     assert not (tmp_path / "out").exists()
 
 

@@ -42,9 +42,7 @@ from prodex.htmltree import (
     ATTRIBUTE_MEMO_MAX_TEXT,
     ATTRIBUTE_MEMO_SIZE,
     IMPLICIT_CLOSE,
-    SKELETON_MEMO_ALIKE,
     SKELETON_MEMO_CHARS,
-    SKELETON_MEMO_SIZE,
     Element,
     MatchSet,
     TextNode,
@@ -240,13 +238,13 @@ def _clear_memos():
 @contextlib.contextmanager
 def _no_memos():
     """The scan with its process-wide memos empty, and kept empty."""
-    saved = htmltree.ATTRIBUTE_MEMO_SIZE, htmltree.SKELETON_MEMO_SIZE
-    htmltree.ATTRIBUTE_MEMO_SIZE = htmltree.SKELETON_MEMO_SIZE = 0
+    saved = htmltree.ATTRIBUTE_MEMO_SIZE, htmltree.SKELETON_MEMO_CHARS
+    htmltree.ATTRIBUTE_MEMO_SIZE = htmltree.SKELETON_MEMO_CHARS = 0
     _clear_memos()
     try:
         yield
     finally:
-        htmltree.ATTRIBUTE_MEMO_SIZE, htmltree.SKELETON_MEMO_SIZE = saved
+        htmltree.ATTRIBUTE_MEMO_SIZE, htmltree.SKELETON_MEMO_CHARS = saved
 
 
 @settings(max_examples=300, deadline=None)
@@ -284,6 +282,10 @@ def test_the_memos_change_nothing_a_scan_gives(pages, drawn):
 
 
 _KEY = (BANNED_ELEMENTS, KEPT_ATTRIBUTES)
+#: Markup that two skeletons of the examples share before they differ.
+_LONG_PREFIX = ('<!DOCTYPE html><html lang="de"><head><title>t</title></head>'
+                '<body id="page-1"><nav class="n"><a href="/">a</a><a href="/b">b</a></nav>'
+                + '<div class="w">' * 8 + "<h1>x</h1><p>y</p>")
 #: Fillings of a text hole: entities, whitespace only, empty, and text that
 #: folds; none holds a "<".
 _HOLE_TEXTS = ("", " ", "\n  ", "a", "b  b", "&lt;", "&amp;", "x &lt;p&gt; &amp;y",
@@ -305,18 +307,37 @@ _MUTATIONS = (
 )
 
 
-def _pieces(skeleton):
-    """The literal texts and (hole kind, value) holes of a skeleton, in page
-    order; a tag hole's value is its recorded text."""
+def _pieces(steps):
+    """The literal texts and (hole kind, value) holes of a skeleton's steps,
+    in page order; a tag hole's value is its recorded text."""
     pieces = []
-    for whole, parts, kind, value in skeleton.steps:
-        for literal, number in parts or ((whole, None),):
+    for whole, parts, kind, value in steps:
+        for literal, number, text in parts or ((whole, None, None),):
             pieces.append(literal)
             if number is not None:
-                pieces.append((htmltree._TAG, skeleton.tags[number]))
+                pieces.append((htmltree._TAG, text))
         if kind is not None:
             pieces.append((kind, value))
     return pieces
+
+
+def _step_chars(steps):
+    """The characters a recording of these new steps is charged: their text."""
+    return sum(len(whole) for whole, _, _, _ in steps)
+
+
+def _trie(memo):
+    """The skeletons a memo's trie ends in, and the characters of its
+    steps, counted by walking every node."""
+    skeletons, chars, nodes = [], 0, list(memo.first)
+    while nodes:
+        step, after = nodes.pop()
+        chars += _step_chars((step,))
+        if isinstance(after, list):
+            nodes.extend(after)
+        else:
+            skeletons.append(after)
+    return skeletons, chars
 
 
 @st.composite
@@ -350,10 +371,10 @@ def _skeleton_cases(draw):
     raw holes changed) pairs), and pages that change one of its literals;
     no others where the skeleton recorder refuses the page."""
     page = draw(template_markup() | markup())
-    skeleton = htmltree._record(page, BANNED_ELEMENTS)
-    if skeleton is None:
+    steps = htmltree._record(page, BANNED_ELEMENTS)
+    if steps is None:
         return page, [], []
-    pieces = _pieces(skeleton)
+    pieces = _pieces(steps)
     filled = [(draw(_filled(pieces, tags)), not tags) for tags in (False, True, True)]
     sites = [(i, pattern, repl) for i, piece in enumerate(pieces) if isinstance(piece, str)
              for pattern, repl in _MUTATIONS if pattern.search(piece)]
@@ -379,13 +400,24 @@ def _skeleton_cases(draw):
          [("p", 0)])
 @example(("<p>a < b</p>", [], []), [("p", 0)])
 @example(("<script></script><p id=x>y", [], ["<script><</script>"]), [("p", 0)])
+@example(('<div><script>var a = "<p>";</script><p>x</p></div>',
+          [('<div><script>var a = 1;</script><p>y</p></div>', True)], []), [("p", 0)])
+@example(('<div><script>var a = 1;</script><p>x</p></div>',
+          [('<div><script>var a = "<p>" + "</b>";</script><p>y</p></div>', True)], []),
+         [("p", 0)])
+@example((_LONG_PREFIX + "<p>c</p><p>d</p></div>",
+          [(_LONG_PREFIX + "<p>e</p><p></p></div>", True)],
+          [_LONG_PREFIX + "<p>c</p></div>", _LONG_PREFIX + "<p>c</p><p>d</p><p>e</p></div>"]),
+         [("p", 1), ("div.w p", 3)])
 def test_a_page_walking_a_recorded_skeleton_gives_what_a_scan_gives(case, drawn):
     """After the skeleton memo recorded a page, a page that fills its text,
     script and style holes anew is matched from the skeleton's recipe; one
     that also changes attribute values other than class is, or falls back
     to the scan; one that changes markup the skeleton holds literally falls
-    back. Either way the texts, signature and content are a cold scan's.
-    A page the recorder refuses is not recorded."""
+    back, and is recorded beside it where the recorder takes it, after
+    which both walk. Either way the texts, signature and content are a
+    cold scan's. A page the recorder refuses is not recorded, and is
+    charged its length."""
     page, filled, mutated = case
     targets = [(parse_selector(selector), node_index) for selector, node_index in drawn]
 
@@ -399,22 +431,28 @@ def test_a_page_walking_a_recorded_skeleton_gives_what_a_scan_gives(case, drawn)
     match_set = MatchSet(targets)
     assert match(page, match_set) == expected[page]
     memo = _skeletons[_KEY]
-    recorded = htmltree._record(page, BANNED_ELEMENTS) is not None
-    assert (memo.size, memo.refused) == (recorded, not recorded and expected[page] is not None)
+    steps = htmltree._record(page, BANNED_ELEMENTS)
+    assert len(_trie(memo)[0]) == (steps is not None)
+    assert memo.chars == (_step_chars(steps) if steps
+                          else len(page) if expected[page] is not None else 0)
 
     def walked(html):
-        return memo.match(html, html.count("<"), match_set, 10_000)
+        return memo.lookup(html, match_set)
 
     for html in mutated:
         assert walked(html) is None
     for html, holes_only in filled:
         found = walked(html)
-        # a lookup tries the skeletons of pages with as many "<" only
-        assert found is not None or not holes_only or html.count("<") != page.count("<")
+        assert found is not None or not holes_only
         assert found in (None, expected[html])
         assert match(html, match_set) == expected[html]
     for html in mutated:
         assert match(html, match_set) == expected[html]
+    for html in mutated:  # recorded beside the page, where the recorder takes it
+        recordable = expected[html] is not None and htmltree._record(html, BANNED_ELEMENTS)
+        assert walked(html) == expected[html] or not recordable
+    for html, holes_only in filled:
+        assert walked(html) == expected[html] or not holes_only
 
 
 @settings(max_examples=300, deadline=None)
@@ -432,14 +470,22 @@ def test_a_page_walking_a_recorded_skeleton_gives_what_a_scan_gives(case, drawn)
           [("<div><p> <b>&#32;</b></p><p>c</p>&#32;</div>", True)], []))
 @example(("<p>a<BR ID=x/>b</p>", [("<p>c<BR ID=y/>d</p>", False), ("<p> <BR ID=x/>d</p>", True)],
           []))
+@example(('<div><script>var a = "<p>";</script><p>x</p></div>',
+          [('<div><script>var a = 1;</script><p>y</p></div>', True)], []))
+@example(('<div><script>var a = 1;</script><p>x</p></div>',
+          [('<div><script>var a = "<p>" + "</b>";</script><p>y</p></div>', True)], []))
+@example((_LONG_PREFIX + "<p>c</p><p>d</p></div>",
+          [(_LONG_PREFIX + "<p>e</p><p></p></div>", True)],
+          [_LONG_PREFIX + "<p>c</p></div>", _LONG_PREFIX + "<p>c</p><p>d</p><p>e</p></div>"]))
 def test_a_page_walking_a_recorded_skeleton_renders_as_a_scan_does(case):
     """After the skeleton memo recorded a page, a page that fills its text,
     script and style holes anew is rendered from the skeleton's recipe,
     which every skeleton has unless its page names a tag whose end tag does
     not read back as its own; one that also changes attribute values other
     than class is, or falls back to the scan; one that changes markup the
-    skeleton holds literally falls back. Either way the HTML and TEXT are a
-    cold scan's."""
+    skeleton holds literally falls back, and is recorded beside it where
+    the recorder takes it, after which both walk. Either way the HTML and
+    TEXT are a cold scan's."""
     page, filled, mutated = case
     pages = [page, *(html for html, _ in filled), *mutated]
     with _no_memos():
@@ -447,25 +493,37 @@ def test_a_page_walking_a_recorded_skeleton_renders_as_a_scan_does(case):
     _clear_memos()
     assert _rendered(page) == expected[page]
     memo = _skeletons[_KEY]
-    skeleton = htmltree._record(page, BANNED_ELEMENTS)
-    assert memo.size == (skeleton is not None)
-    recipe = memo.size and memo.rendering(memo.by_count[page.count("<")][0])
-    names = [m[2].lower() for m in _TOKEN.finditer(page) if m.lastindex == 4]
-    assert recipe or not memo.size or not all(map(htmltree._closable, names))
+    steps = htmltree._record(page, BANNED_ELEMENTS)
+    skeletons = _trie(memo)[0]
+    assert len(skeletons) == (steps is not None)
+    found = memo.lookup(page)  # the page walks its skeleton, whose recipe is made
+    recipe = skeletons and skeletons[0].rendering
+    assert found == (expected[page] if recipe else None)
+
+    def closable(html):
+        names = [m[2].lower() for m in _TOKEN.finditer(html) if m.lastindex == 4]
+        return all(map(htmltree._closable, names))
+
+    assert recipe or not skeletons or not closable(page)
 
     def rendered(html):
-        return memo.render(html, html.count("<"))
+        return memo.lookup(html)
 
     for html in mutated:
         assert rendered(html) is None
     for html, holes_only in filled:
         found = rendered(html)
-        # a lookup tries the skeletons of pages with as many "<" only
-        assert found is not None or not (recipe and holes_only) or html.count("<") != page.count("<")
+        assert found is not None or not (recipe and holes_only)
         assert found in (None, expected[html])
         assert _rendered(html) == expected[html]
     for html in mutated:
         assert _rendered(html) == expected[html]
+    for html in mutated:  # recorded beside the page, where the recorder takes it
+        recordable = (expected[html] is not None and closable(html)
+                      and htmltree._record(html, BANNED_ELEMENTS))
+        assert rendered(html) == expected[html] or not recordable
+    for html, holes_only in filled:
+        assert rendered(html) == expected[html] or not (recipe and holes_only)
 
 
 def test_the_skeleton_memo_keeps_its_bounds(monkeypatch):
@@ -475,57 +533,105 @@ def test_the_skeleton_memo_keeps_its_bounds(monkeypatch):
         return match_pruned(html, BANNED_ELEMENTS, KEPT_ATTRIBUTES, targets)
 
     _clear_memos()
-    for i in range(SKELETON_MEMO_ALIKE + 2):  # as many "<", a skeleton each
+    for i in range(6):  # as many "<", a skeleton each
         match(f'<p class="c{i}">x</p>')
     memo = _skeletons[_KEY]
-    assert memo.size == SKELETON_MEMO_ALIKE and list(memo.by_count) == [2]
-    for i in range(SKELETON_MEMO_SIZE):
+    skeletons, chars = _trie(memo)
+    assert len(skeletons) == len(memo.first) == 6 and memo.chars == chars
+    for i in range(64):  # each a prefix of the next: one step more each
         match("<p>x" * (i + 3))
-    assert memo.size == SKELETON_MEMO_SIZE
-    assert len(targets.recipes) <= SKELETON_MEMO_SIZE
+    skeletons, chars = _trie(memo)
+    assert len(skeletons) == 70 and len(memo.first) == 7
+    assert memo.chars == chars
+    assert chars - sum(len(f'<p class="c{i}">') + 4 for i in range(6)) == 3 * (3 + 63)
+    assert len(targets.recipes) == 0
     page = '<p class="c0">y &amp; z</p>'
-    assert memo.match(page, 2, targets, 10_000) == match(page) == (["y & z"], match(page)[1])
+    assert memo.lookup(page, targets) == match(page) == (["y & z"], match(page)[1])
+    for i in range(64):
+        assert memo.lookup("<p>y" * (i + 3), targets) == match("<p>y" * (i + 3))
+    assert len(targets.recipes) == 65  # one per skeleton walked
 
     _clear_memos()  # a rendered page is recorded alike, and a skeleton has one rendering recipe
-    for i in range(SKELETON_MEMO_ALIKE + 2):
+    for i in range(6):
         _rendered(f'<p class="c{i}">x</p>')
-    for i in range(SKELETON_MEMO_SIZE):
+    for i in range(64):
         assert _rendered("<p>x" * (i + 3)) == _rendered("<p>x" * (i + 3))
     memo = _skeletons[_KEY]
-    assert memo.size == SKELETON_MEMO_SIZE and list(memo.by_count)[0] == 2
-    assert len(memo.renders) == SKELETON_MEMO_SIZE - SKELETON_MEMO_ALIKE
-    assert memo.render(page, 2) == _rendered(page) == (page, "y & z")
-    assert len(memo.renders) <= memo.size
+    skeletons = _trie(memo)[0]
+    assert len(skeletons) == 70
+    assert sum(skeleton.rendering is not None for skeleton in skeletons) == 64
+    assert memo.lookup(page) == _rendered(page) == (page, "y & z")
 
     _clear_memos()
-    big = "<p>" + "x" * (SKELETON_MEMO_CHARS // 2)
+    big = "<p>" + "x" * SKELETON_MEMO_CHARS
     match(big)
     _rendered(big)
     memo = _skeletons[_KEY]
-    assert memo.size == 0 and memo.refused == 0
-    for i in range(SKELETON_MEMO_SIZE):
+    assert memo.chars == 0 and memo.first == []
+    for i in range(64):
         match("<br>" * (SKELETON_MEMO_CHARS // 40 + i))
-    assert 0 < memo.size < SKELETON_MEMO_SIZE
-    assert SKELETON_MEMO_CHARS // 2 < memo.chars <= SKELETON_MEMO_CHARS
+    skeletons, chars = _trie(memo)
+    assert 0 < len(skeletons) < 64
+    assert SKELETON_MEMO_CHARS // 2 < memo.chars == chars <= SKELETON_MEMO_CHARS
 
-    _clear_memos()
+    _clear_memos()  # a refused page is charged its length, and the charge bounds the tries
     tries = []
     record = htmltree._record
     monkeypatch.setattr(htmltree, "_record", lambda *args: tries.append(args) or record(*args))
-    for i in range(SKELETON_MEMO_SIZE + 10):
-        (match, _rendered)[i % 2]("<p>a < b" + "<br>" * i)  # a stray "<": refused
-    assert len(tries) == _skeletons[_KEY].refused == SKELETON_MEMO_SIZE
-    assert _skeletons[_KEY].size == 0
+    pages = ["<p>a < b" + "<br>" * (SKELETON_MEMO_CHARS // 64 + i) for i in range(74)]
+    for i, html in enumerate(pages):
+        (match, _rendered)[i % 2](html)  # a stray "<": refused
+    memo = _skeletons[_KEY]
+    assert 0 < len(tries) < len(pages) and memo.first == []
+    assert memo.chars == sum(len(html) for html, _ in tries) <= SKELETON_MEMO_CHARS
+
+    _clear_memos()  # a page whose skeleton the trie holds is charged as refused
+    named = MatchSet([(parse_selector("#a"), 0)])
+    match_pruned('<p id="a">x</p>', BANNED_ELEMENTS, KEPT_ATTRIBUTES, named)
+    memo = _skeletons[_KEY]
+    charged, page = memo.chars, '<p id="b">y</p>'
+    assert memo.lookup(page, named) is None  # it walks, but its tag hole reads otherwise
+    assert match_pruned(page, BANNED_ELEMENTS, KEPT_ATTRIBUTES, named) == ([None], match(page)[1])
+    assert len(_trie(memo)[0]) == 1 and memo.chars == charged + len(page)
 
 
-def test_pages_rendered_on_many_threads_keep_the_skeleton_memo_bounds():
+def test_skeletons_share_their_steps_up_to_where_their_pages_differ():
+    """Pages of a template whose start tags differ only in attribute values
+    other than class share the trie's nodes, up to the first step whose
+    literals or tag hole's tag or class differ; a page walks the branch its
+    skeleton took."""
+    targets = MatchSet([(parse_selector("p.b"), 0), (parse_selector("#x"), 0)])
+
+    def match(html):
+        return match_pruned(html, BANNED_ELEMENTS, KEPT_ATTRIBUTES, targets)
+
+    _clear_memos()
+    match('<body id="page-1"><h1>t</h1><div id="x">a</div><p class="a">b</p></body>')
+    match('<body id="page-2"><h1>t</h1><div id="x">c</div><p class="b">d</p></body>')
+    match('<body id="page-3"><h1>t</h1><div id="y" class="c">e</div></body>')
+    memo = _skeletons[_KEY]
+    skeletons = _trie(memo)[0]
+    assert len(skeletons) == 3 and len(memo.first) == 1
+    shared = memo.first[0]  # <body id=...><h1>, whatever the id
+    assert len(shared[1]) == 2  # <div id=x> and <div id=y class=c> branch
+    assert len(shared[1][0][1]) == 2  # <p class=a> and <p class=b> branch
+    page = '<body id="page-9"><h1>u</h1><div id="x">f</div><p class="b">g</p></body>'
+    assert memo.lookup(page, targets) == match(page) == (["g", "f"], match(page)[1])
+    page = '<body id="page-9"><h1>u</h1><div id="y" class="c">h</div></body>'
+    assert memo.lookup(page, targets) == match(page)
+    assert len(_trie(memo)[0]) == 3
+
+
+def test_pages_rendered_on_many_threads_keep_the_skeleton_memo_bounds(monkeypatch):
     """Direct extraction renders pages on worker threads, which record
-    skeletons in one memo: its counts stay true and its bounds held, and
-    each page renders as a cold scan does."""
+    skeletons in one memo: its count of characters stays true and its bound
+    held, no recorded skeleton is lost, and each page renders as a cold
+    scan does."""
     pages = [f'<p class="c{i}">x</p>' + "<b>y</b>" * 100 + "<br>" * (i % 10) for i in range(400)]
     with _no_memos():
         expected = [_rendered(html) for html in pages]
     _clear_memos()
+    monkeypatch.setattr(htmltree, "SKELETON_MEMO_CHARS", 100_000)
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -535,7 +641,9 @@ def test_pages_rendered_on_many_threads_keep_the_skeleton_memo_bounds():
         sys.setswitchinterval(switch)
     assert rendered == expected
     memo = _skeletons[_KEY]
-    assert memo.size == sum(map(len, memo.by_count.values())) == 10 * SKELETON_MEMO_ALIKE
+    skeletons, chars = _trie(memo)
+    assert memo.chars == chars <= 100_000 < chars + len(pages[-1])
+    assert len(skeletons) == len(memo.first) == sum(map(bool, map(memo.lookup, pages))) > 100
 
 
 def test_a_lt_1_is_three_text_nodes_joined_when_pruned():

@@ -4,7 +4,9 @@
 header, script, iframe, path, style, symbol, noscript, svg, g, use, option),
 strips every attribute except ``class`` and ``id``, and removes comments and
 whitespace between tags. ``TEXT`` is the plain-text projection of the
-compressed document with one line per block element.
+compressed document with one line per block element. That pruning policy is
+defined once, in ``htmltree`` (``BANNED_ELEMENTS``, ``KEPT_ATTRIBUTES``), and
+re-exported here for callers of this module.
 
 ``compress_both`` writes both in one scan of the page that builds no tree
 (``htmltree.render_pruned``): dropped subtrees are skipped, and each kept
@@ -27,14 +29,8 @@ from typing import Optional
 
 from . import htmltree
 from .gateway import count_tokens
+from .htmltree import BANNED_ELEMENTS, KEPT_ATTRIBUTES  # noqa: F401
 from .reader import RawDocument
-
-BANNED_ELEMENTS = frozenset({
-    "head", "footer", "header", "script", "iframe", "path", "style",
-    "symbol", "noscript", "svg", "g", "use", "option",
-})
-
-KEPT_ATTRIBUTES = ("class", "id")
 
 
 class Variant(str, Enum):
@@ -75,21 +71,20 @@ def compress_both(doc: RawDocument) -> tuple[CompressedDocument, CompressedDocum
     )
 
 
-def match_page(doc: RawDocument, targets: htmltree.MatchSet,
-               limit: int) -> tuple[list[Optional[str]], int]:
+def match_page(doc: RawDocument, targets: htmltree.MatchSet) -> tuple[list[Optional[str]], int]:
     """What ``targets`` select in the pruned tree that ``compress_both``'s
     HTML variant writes, and that tree's name signature, read in one scan
     that builds no tree (``htmltree.match_pruned``). Raises
     UnparsableDocument where ``compress_both`` does."""
-    return _pruned(doc, htmltree.match_pruned, targets, limit)
+    return _pruned(doc, htmltree.match_pruned, targets)
 
 
 def _pruned(doc: RawDocument, parse, *args):
-    """``parse(html, BANNED_ELEMENTS, KEPT_ATTRIBUTES, *args)`` of the page, or
-    UnparsableDocument where the file was not text or the parse gives None."""
+    """``parse(html, *args)`` of the page, or UnparsableDocument where the
+    file was not text or the parse gives None."""
     if doc.unreadable is not None:
         raise UnparsableDocument(f"page {doc.page_id}: {doc.unreadable}")
-    parsed = parse(doc.html, BANNED_ELEMENTS, KEPT_ATTRIBUTES, *args)
+    parsed = parse(doc.html, *args)
     if parsed is None:
         raise UnparsableDocument(f"page {doc.page_id}: no parsable content")
     return parsed

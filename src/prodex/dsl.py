@@ -11,8 +11,9 @@ Programs are valid by construction: a ``FieldRule`` or ``Predicate`` checks
 itself when built and raises ``ProgramParseError`` if it is not, so
 ``parse_program`` checks only the JSON shape and the interpreter runs what
 exists without further checks. The interpreter is pure and sandboxed by
-construction: it can only read the page it is given, selector matching is
-capped, and each field rule is evaluated independently of the others.
+construction: it can only read the page it is given, a selector matches
+only among the page's first ``htmltree.MATCH_LIMIT`` elements, and each
+field rule is evaluated independently of the others.
 
 A program runs on a page in one of two ways with one outcome.
 ``run_extractions`` runs several programs on a raw page in one matching
@@ -59,7 +60,6 @@ from .schema import (
     strip_known_prefix,
 )
 
-SELECTOR_MATCH_LIMIT = 10_000
 MAX_PREDICATE_DEPTH = 8
 #: The characters of a selected text that a rule's capture reads: its search
 #: sees the first CAPTURE_TEXT_LIMIT only, as if the text ended there. The
@@ -557,7 +557,7 @@ def run_extraction_on_tree(prog: ExtractionProgram, tree) -> ExtractionOutcome:
     its compressed HTML), all selectors in one walk of its element index;
     a failing rule never aborts the others."""
     scan = program_scan((prog.rules,))
-    nodes = htmltree.select_targets(tree, scan.targets, SELECTOR_MATCH_LIMIT)
+    nodes = htmltree.select_targets(tree, scan.targets)
     return _outcome(prog.rules, [
         None if nodes[slot] is None else htmltree.text_content(nodes[slot])
         for slot in scan.slots[0]
@@ -593,7 +593,7 @@ def run_extractions(scan: ProgramScan, doc: RawDocument) -> tuple[list[FoodProdu
     gives on the page's pruned tree, ``parse_html`` of its compressed HTML.
     Also returns the pruned tree's name signature. Raises
     UnparsableDocument where ``compress_both`` does."""
-    texts, signature = match_page(doc, scan.targets, SELECTOR_MATCH_LIMIT)
+    texts, signature = match_page(doc, scan.targets)
     found = {slot for slot, text in enumerate(texts) if text is not None}
     return [
         _NO_PRODUCT if found.isdisjoint(slots)  # most programs on most pages

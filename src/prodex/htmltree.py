@@ -12,28 +12,31 @@ style body moves the position. It reads markup exactly as the
 ``html.parser`` of CPython 3.11.7 does when fed a whole page and closed (the
 tests keep that parser as the reference), except that it never raises, and
 it runs in linear time on hostile markup such as unterminated quotes.
-``parse_html`` builds the tree and records its element index. The pruned
-page drops banned subtrees, whose text is never unescaped, keeps only the
-kept attributes, and folds its text under one whitespace rule
+``parse_html`` builds the tree and records its element index. Every page
+is pruned under one policy, defined here: the pruned page drops the
+``BANNED_ELEMENTS`` subtrees, whose text is never unescaped, keeps only the
+``KEPT_ATTRIBUTES``, and folds its text under one whitespace rule
 (``_Parser._add_pruned``); ``render_pruned`` writes it as compressed HTML
 and TEXT and ``match_pruned`` matches selectors in it, as the open elements
 open and close, and neither builds anything.
 
-Template pages repeat their markup, so the scan reads it once per process,
-into bounded memos keyed on exact text: each distinct plain start tag once
-per mode (``_start_tag``, ``_rendering``, ``MatchSet.reading``; see
+Template pages repeat their markup, so the pruned scans read it once per
+process, into bounded memos keyed on exact text: each distinct plain start
+tag once per pruned mode (``_rendering``, ``MatchSet.reading``; see
 ``_remember``), and the skeleton the pages of a template share, their
 markup but for texts, script and style bodies and attribute values other
-than ``class``, once (``_Skeletons``). No memo changes what a scan gives.
+than ``class``, once (``_Skeletons``). The tree reads every start tag
+afresh. No memo changes what a scan gives.
 
 Selector support is the subset that survives attribute stripping: type
 selectors, ``*``, ``.class``, ``#id``, compounds thereof, and descendant /
 child (``>``) combinators. Attribute selectors, pseudo-classes and comma
 groups are rejected. Selectors run as one automaton over the open elements
 (``MatchSet``), in the matching scan and in ``select`` over a parsed
-document's element index. No walk recurses, so deeply nested markup cannot
-exhaust the call stack. That includes ``==`` on trees, and ``repr`` shows a
-node's child count instead of its children.
+document's element index, and match only among a page's first
+``MATCH_LIMIT`` elements in document order. No walk recurses, so deeply
+nested markup cannot exhaust the call stack. That includes ``==`` on
+trees, and ``repr`` shows a node's child count instead of its children.
 
 A name signature folds the tag and class names of a document into one
 ``SIGNATURE_BITS``-wide bit set; the matching scan gives it for the pruned
@@ -78,6 +81,17 @@ BLOCK_ELEMENTS = frozenset({
     "nav", "ol", "p", "pre", "section", "table", "tbody", "td", "tfoot",
     "th", "thead", "tr", "ul",
 })
+
+# The pruning policy: the elements a pruned page drops with their subtrees,
+# and the attributes it keeps.
+BANNED_ELEMENTS = frozenset({
+    "head", "footer", "header", "script", "iframe", "path", "style",
+    "symbol", "noscript", "svg", "g", "use", "option",
+})
+KEPT_ATTRIBUTES = ("class", "id")
+# A selector matches only among a page's first MATCH_LIMIT elements in
+# document order.
+MATCH_LIMIT = 10_000
 
 
 class TextNode:
@@ -192,15 +206,12 @@ _QUOTES = {"'": re.compile("'"), '"': re.compile('"')}
 _LETTERS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
 
 
-# The start-tag memo: template pages repeat the same start tags, so each
-# distinct plain start-tag text is read once per process and per mode (see
-# _start_tag, _rendering, MatchSet.reading). Both bounds cap the memory pages
-# can pin.
+# The start-tag memos: template pages repeat the same start tags, so each
+# distinct plain start-tag text is read once per process and per pruned mode
+# (see _rendering, MatchSet.reading). Both bounds cap the memory pages can pin.
 ATTRIBUTE_MEMO_SIZE = 4096  # entries
 ATTRIBUTE_MEMO_MAX_TEXT = 256  # characters; a longer start tag is read every time
 _NO_CLASSES: frozenset[str] = frozenset()
-# plain start-tag text -> its reading for the tree (see _start_tag)
-_start_tags: dict[str, tuple] = collections.OrderedDict()
 
 
 def _read_attributes(source, kept) -> tuple[dict[str, Optional[str]], frozenset[str]]:
@@ -222,21 +233,12 @@ def _read_attributes(source, kept) -> tuple[dict[str, Optional[str]], frozenset[
     return attrs, frozenset(names.split()) if names else _NO_CLASSES
 
 
-def _start_tag(source) -> tuple:
-    """``_read_start_tag`` of a start tag for the tree, kept under the text
-    of a plain start tag, where the tree's scan looks it up first."""
-    reading = _read_start_tag(source, None)
-    _remember(_start_tags, source, reading)
-    return reading
-
-
-def _read_start_tag(source, kept) -> tuple:
+def _read_start_tag(source, kept=None) -> tuple:
     """What the scan needs of a start tag: (lowered tag, the tags it closes
     implicitly or None, whether it opens, whether a raw-text body follows,
     attribute dict, class-name set), with only the ``kept`` attributes (all
     where None), read afresh. ``source``: the match of a plain start tag,
-    or a tag ``_markup`` read, (tag, attribute pairs, closed). A reading a
-    memo keeps is shared: change a copy of its attribute dict only."""
+    or a tag ``_markup`` read, (tag, attribute pairs, closed)."""
     if type(source) is tuple:
         tag, attrs, closed = source
     else:
@@ -265,18 +267,18 @@ def _remember(memo: dict, source, reading: tuple) -> None:
     memo[source[0]] = reading
 
 
-# kept attribute names -> plain start-tag text -> its rendering (see _rendering)
-_renderings: dict[tuple, dict[str, tuple]] = collections.defaultdict(collections.OrderedDict)
+# plain start-tag text -> its rendering (see _rendering)
+_renderings: dict[str, tuple] = collections.OrderedDict()
 
 
-def _rendering(source, kept, remember: bool = True) -> tuple:
+def _rendering(source, remember: bool = True) -> tuple:
     """``_read_start_tag`` of a start tag, with its attribute dict and class
     names replaced by what the rendering scan writes of the element: its
     start tag, whole where the element does not open; and (its end tag,
     whether that is held back, whether the element breaks a TEXT line), see
-    ``_Parser._render``. Kept under the text of a plain start tag, as
-    ``_start_tag`` keeps its reading; without ``remember``, kept in no memo."""
-    tag, closes, opens, raw, attributes, _ = _read_start_tag(source, kept)
+    ``_Parser._render``. Kept under the text of a plain start tag (see
+    ``_remember``); without ``remember``, kept in no memo."""
+    tag, closes, opens, raw, attributes, _ = _read_start_tag(source, KEPT_ATTRIBUTES)
     start = "<" + tag + "".join(
         f" {name}" if value is None else f' {name}="{escape(value)}"'
         for name, value in attributes.items()
@@ -291,7 +293,7 @@ def _rendering(source, kept, remember: bool = True) -> tuple:
     reading = (tag, closes, opens, raw, start,
                (end, opens and not closable, tag in BLOCK_ELEMENTS or tag == "br"))
     if remember:
-        _remember(_renderings[kept], source, reading)
+        _remember(_renderings, source, reading)
     return reading
 
 
@@ -306,27 +308,26 @@ def _closable(tag: str) -> bool:
 
 class _Parser:
     """One pass that reads a page as CPython 3.11's ``html.parser`` does when fed
-    the whole page and closed. Without ``kept`` it builds the tree, and
+    the whole page and closed. Unless ``pruned`` it builds the tree, and
     records each element as it builds it, with its parent's position and its
-    class names: the tree's element index (see ``ElementIndex``). With
-    ``kept`` given it reads the pruned page and builds nothing: it writes
-    the page as compressed HTML and TEXT lines (see ``render_pruned``), or,
-    with ``targets`` given too, it gives the text of each target's match and
-    the page's name signature (see ``match_pruned``). ``readings``, where
-    given, maps plain start-tag texts to their readings ahead of the mode's
-    memo (see ``_Skeletons``). ``content`` tells whether the
+    class names: the tree's element index (see ``ElementIndex``). When
+    ``pruned`` it reads the pruned page and builds nothing: it writes the
+    page as compressed HTML and TEXT lines (see ``render_pruned``), or, with
+    ``targets`` given too, it gives the text of each target's match and the
+    page's name signature (see ``match_pruned``). ``readings``, where given,
+    maps plain start-tag texts to their readings ahead of the mode's memo
+    (see ``_Skeletons``). ``content`` tells whether the
     unpruned tree would hold anything. Searches for a closer
     keep their answer, and a start tag that never closes marks the
     attribute positions it passed, so hostile markup is read in linear time.
     """
 
-    def __init__(self, html: str, banned=frozenset(), kept=None,
-                 targets: Optional["MatchSet"] = None, limit: int = 10_000,
+    def __init__(self, html: str, pruned: bool = False,
+                 targets: Optional["MatchSet"] = None,
                  readings: Optional[dict[str, tuple]] = None):
-        self.html, self.banned, self.kept = html, banned, kept
-        self.targets, self.limit = targets, limit
+        self.html, self.pruned, self.targets = html, pruned, targets
         self.children: list[Union[Element, TextNode]] = []
-        self.index = ElementIndex([], [], []) if kept is None else None
+        self.index = None if pruned else ElementIndex([], [], [])
         # open elements: (tag, children, position) when building, (tag, True,
         # position) when rendering, (tag, pre, position, base) when matching
         # (see MatchSet), or (tag, None, -1) if not built
@@ -346,7 +347,7 @@ class _Parser:
             self.counts = [0] * len(targets.wanted)  # matches per selector
             self.collectors: list[tuple[int, int, list[int]]] = []  # see _hit
             self.results: list[Optional[str]] = [None] * len(targets.targets)
-        elif kept is not None:
+        elif pruned:
             self.out = []  # the compressed HTML, in pieces
             self.lines: list[str] = []  # the TEXT lines completed
             self.renders: list[tuple[int, str, bool]] = []  # see _render
@@ -360,25 +361,24 @@ class _Parser:
         markup and script and style bodies move the position, and the scan
         restarts there. A tag that ``_markup`` reads comes back to be built,
         rendered or matched, or closed, here."""
-        s, banned, kept = self.html, self.banned, self.kept
-        pruned = kept is not None
+        s, pruned = self.html, self.pruned
+        banned = BANNED_ELEMENTS if pruned else ()
         stack, open_, targets = self.stack, self.open, self.targets
         matching = targets is not None
         if matching:
-            tags, read = targets.readings[kept], functools.partial(targets.reading, kept=kept)
-            descend = targets.descend
-            root, limit = targets.first, self.limit
+            tags, read, descend = targets.readings, targets.reading, targets.descend
+            root, limit = targets.first, MATCH_LIMIT
             add_pruned, close = self._add_pruned, self._close
         elif pruned:
-            tags, read = _renderings[kept], functools.partial(_rendering, kept=kept)
+            tags, read = _renderings, _rendering
             root, render = True, self._render
             add_pruned, close = self._add_rendered, self._end
-        else:  # no text is pruned and no element is watched
-            tags, read = _start_tags, _start_tag
+        else:  # no text is pruned, no element is watched and no reading is kept
+            tags, read = {}, _read_start_tag
             root, index = self.children, self.index
             elements, parents, classes = index.elements, index.parents, index.classes
             add_pruned = close = None
-        if readings is not None:  # a copy, so that they come first
+        if readings:  # a copy, so that they come first
             tags = {**tags, **readings}
         markup, known = self._markup, tags.get
         # watch: the depth of the innermost element whose text is collected,
@@ -459,7 +459,7 @@ class _Parser:
                         entry = (tag, True, count)
                         count += 1
                     else:  # first: the attribute dict, second: the class names
-                        element = Element(tag, first.copy())
+                        element = Element(tag, first)
                         parent.append(element)
                         elements.append(element)
                         parents.append(top[2] if top else -1)
@@ -487,7 +487,7 @@ class _Parser:
         stack = self.stack
         if not data or (stack and stack[-1][1] is None):
             return  # nothing, or in a subtree not built
-        if self.kept is None:
+        if not self.pruned:
             (stack[-1][1] if stack else self.children).append(TextNode(data))
         else:
             add = self._add_pruned if self.out is None else self._add_rendered
@@ -719,9 +719,9 @@ def parse_html(html: str) -> Document:
     return Document(parser.children, parser.index)
 
 
-def render_pruned(html: str, banned: frozenset, kept: tuple) -> Optional[tuple[str, str]]:
-    """The tree of ``parse_html`` without the elements named in ``banned``
-    and their subtrees, with only the ``kept`` attributes, and with its text
+def render_pruned(html: str) -> Optional[tuple[str, str]]:
+    """The tree of ``parse_html`` without the ``BANNED_ELEMENTS`` and their
+    subtrees, with only the ``KEPT_ATTRIBUTES``, and with its text
     under the pruned whitespace rule (``_Parser._add_pruned``), written in
     one scan that builds no tree: as HTML with no whitespace added between
     tags, which ``parse_html`` reads back as that tree, and as TEXT, one
@@ -730,33 +730,30 @@ def render_pruned(html: str, banned: frozenset, kept: tuple) -> Optional[tuple[s
     would give an empty tree. A page that walks a recorded skeleton is
     written from its recipe instead, and a page scanned may be recorded
     (``_Skeletons``)."""
-    skeletons = _skeleton_memo(banned, kept)
-    if (found := skeletons.lookup(html)) is not None:
+    if (found := _skeletons.lookup(html)) is not None:
         return found
-    parser = _Parser(html, banned, kept)
+    parser = _Parser(html, pruned=True)
     if not parser.content:
         return None
-    skeletons.record(html)
+    _skeletons.record(html)
     parser._break()
     return "".join(parser.out), "\n".join(parser.lines)
 
 
-def match_pruned(html: str, banned: frozenset, kept: tuple, targets: "MatchSet",
-                 limit: int = 10_000) -> Optional[tuple[list[Optional[str]], int]]:
+def match_pruned(html: str, targets: "MatchSet") -> Optional[tuple[list[Optional[str]], int]]:
     """What ``targets`` select in the pruned tree ``render_pruned`` writes,
     read in one scan that builds no tree: for each (selector, node index)
-    target, the ``text_content`` of ``select(tree, selector, limit)[node
-    index]``, or None where there is no such match; and the tree's
+    target, the ``text_content`` of ``select(tree, selector)[node index]``,
+    or None where there is no such match; and the tree's
     ``name_signature``. None where ``render_pruned`` gives None. A page that
     walks a recorded skeleton is read from its recipe instead, and a page
     scanned may be recorded (``_Skeletons``)."""
-    skeletons = _skeleton_memo(banned, kept)
-    if (found := skeletons.lookup(html, targets, limit)) is not None:
+    if (found := _skeletons.lookup(html, targets)) is not None:
         return found
-    parser = _Parser(html, banned, kept, targets, limit)
+    parser = _Parser(html, pruned=True, targets=targets)
     if not parser.content:
         return None
-    skeletons.record(html)
+    _skeletons.record(html)
     return parser.results, parser.signature
 
 
@@ -853,13 +850,14 @@ def _shape(step: tuple) -> tuple:
         for literal, _, text in parts]
 
 
-def _record(html: str, banned: frozenset) -> Optional[tuple]:
+def _record(html: str) -> Optional[tuple]:
     """The steps of a page's skeleton (``_steps``), or None where the page
     holds no start tag, a marker, more holes than there are markers, or a
     token other than text, a plain start or end tag, a script or style body
-    closed by its end tag whose element is in ``banned``, a comment closed
-    by ``--\\s*>``, or a ``<!`` or ``<?`` declaration closed by ">" (not
-    ``<![``). The tokens are read as ``_Parser._run`` reads them."""
+    closed by its end tag whose element is in ``BANNED_ELEMENTS``, a
+    comment closed by ``--\\s*>``, or a ``<!`` or ``<?`` declaration closed
+    by ">" (not ``<![``). The tokens are read as ``_Parser._run`` reads
+    them."""
     if _MARKED.search(html):
         return None
     items, starts, pos = [], False, 0
@@ -881,7 +879,7 @@ def _record(html: str, banned: frozenset) -> Optional[tuple]:
                 if m[4] or tag not in _RAW_TEXT_END:
                     continue
                 end = _RAW_TEXT_END[tag].search(html, m.end())
-                if tag not in banned or end is None:
+                if tag not in BANNED_ELEMENTS or end is None:
                     return None
                 items.append((_RAW, tag))
             else:  # other markup: only a closed comment or declaration is taken
@@ -905,9 +903,9 @@ def _record(html: str, banned: frozenset) -> Optional[tuple]:
 
 
 class _Skeletons:
-    """The skeleton memo of one (banned, kept) pair: the skeletons of pages
-    recorded (``_Skeleton``), in one prefix trie of their steps, and their
-    recipes.
+    """The skeleton memo: the skeletons of pages recorded (``_Skeleton``),
+    in one prefix trie of their steps, and their recipes, all read under the
+    one pruning policy.
 
     A page is recorded only after a scan read it in full, and only where
     each of its tokens is one ``_record`` takes. Pages that walk a
@@ -937,17 +935,19 @@ class _Skeletons:
     at a branch and backing up to it where a later step fails, so no node
     is tried twice: a miss costs one walk to where the page leaves every
     skeleton. ``chars`` counts the characters of the steps each recording
-    adds and of each page refused (``_record`` refuses it, or the trie
-    holds its skeleton), within ``SKELETON_MEMO_CHARS``; none is dropped.
+    adds and of each page ``_record`` refuses, within
+    ``SKELETON_MEMO_CHARS``; none is dropped. A page whose skeleton the
+    trie already holds is charged nothing, so pages that walk a skeleton
+    and still are scanned (a recipe refuses them, the skeleton has no
+    rendering recipe, or another thread recorded it first) leave room for
+    the skeletons of later templates.
     """
 
-    def __init__(self, banned: frozenset, kept: tuple):
-        self.banned, self.kept = banned, kept
+    def __init__(self):
         self.first, self.chars = [], 0  # the trie's first nodes; chars: see above
         self.lock = threading.Lock()  # direct extraction renders on worker threads
 
-    def lookup(self, html: str, targets: Optional["MatchSet"] = None,
-               limit: int = 10_000) -> Optional[tuple]:
+    def lookup(self, html: str, targets: Optional["MatchSet"] = None) -> Optional[tuple]:
         """``render_pruned``, or with ``targets`` ``match_pruned``, of a page
         that walks a recorded skeleton whose recipe it meets, from that
         recipe; None where it walks none."""
@@ -979,7 +979,7 @@ class _Skeletons:
                     pos = stop.end()
                 else:  # the page's end: after is the skeleton that ends here
                     found = pos == end and (self.render(after, runs, tags) if targets is None
-                                            else self.match(after, runs, tags, targets, limit))
+                                            else self.match(after, runs, tags, targets))
                     if found:
                         return found
                     break
@@ -1002,8 +1002,8 @@ class _Skeletons:
         recipe = skeleton.rendering
         if recipe is None:
             html, holes = skeleton.marked()
-            readings = tuple(_rendering(tag, self.kept, False) for _, tag in holes)
-            parser = _Parser(html, self.banned, self.kept, readings={
+            readings = tuple(_rendering(tag, False) for _, tag in holes)
+            parser = _Parser(html, pruned=True, readings={
                 hole: (*reading[:4], chr(_TAG_MARKER + k), reading[5])
                 for k, ((hole, _), reading) in enumerate(zip(holes, readings))})
             parser._break()
@@ -1023,7 +1023,7 @@ class _Skeletons:
         pieces, fills, lines, used, readings = recipe
         starts = [reading[4] for reading in readings]
         for number, tag in tags:
-            reading, recorded = _rendering(tag, self.kept, False), readings[number]
+            reading, recorded = _rendering(tag, False), readings[number]
             if reading[:4] != recorded[:4] or reading[5] != recorded[5]:
                 return None
             starts[number] = reading[4]
@@ -1035,26 +1035,26 @@ class _Skeletons:
             "".join([texts[i] for i in node]) for node in line])) for line in lines]))
 
     def match(self, skeleton: _Skeleton, runs: list[str], tags: list[tuple[int, re.Match]],
-              targets: "MatchSet", limit: int) -> Optional[tuple[list[Optional[str]], int]]:
+              targets: "MatchSet") -> Optional[tuple[list[Optional[str]], int]]:
         """``match_pruned`` of a page that walks ``skeleton``, with these
         text hole runs and changed tag holes, from its recipe for
         ``targets``; None where a tag hole reads otherwise. The recipe, made
         once and kept in ``targets.recipes``, is (per target, None or the
         holes of each text node, a node's pieces joined without a space and
         nodes with one; the signature; each tag hole's reading)."""
-        recipe = targets.recipes.get((skeleton, limit))
+        recipe = targets.recipes.get(skeleton)
         if recipe is None:
             html, holes = skeleton.marked()
-            readings = tuple(targets.reading(tag, self.kept, False) for _, tag in holes)
-            parser = _Parser(html, self.banned, self.kept, targets, limit,
-                             {hole: reading for (hole, _), reading in zip(holes, readings)})
-            recipe = targets.recipes[skeleton, limit] = (tuple(
+            readings = tuple(targets.reading(tag, False) for _, tag in holes)
+            parser = _Parser(html, pruned=True, targets=targets, readings={
+                hole: reading for (hole, _), reading in zip(holes, readings)})
+            recipe = targets.recipes[skeleton] = (tuple(
                 None if text is None else tuple(
                     tuple(ord(marker) - _MARKER for marker in node) for node in text.split(" ")
                 ) if text else () for text in parser.results), parser.signature, readings)
         nodes, signature, readings = recipe
-        known = targets.readings[self.kept].get
-        if not all((known(tag[0]) or targets.reading(tag, self.kept, False)) == readings[number]
+        known = targets.readings.get
+        if not all((known(tag[0]) or targets.reading(tag, False)) == readings[number]
                    for number, tag in tags):
             return None
         return [None if holes is None else " ".join(filter(None, [
@@ -1067,7 +1067,10 @@ class _Skeletons:
         with self.lock:
             if self.chars + len(html) > SKELETON_MEMO_CHARS:
                 return
-            steps, nodes, shared = _record(html, self.banned) or (), self.first, []
+            steps, nodes, shared = _record(html), self.first, []
+            if steps is None:  # refused
+                self.chars += len(html)
+                return
             for step in steps:
                 shape = _shape(step)
                 node = next((node for node in nodes if _shape(node[0]) == shape), None)
@@ -1075,8 +1078,7 @@ class _Skeletons:
                     break
                 shared.append(node[0])
                 nodes = node[1]
-            else:  # refused, or the trie holds its skeleton
-                self.chars += len(html)
+            else:  # the trie holds its skeleton
                 return
             added = steps[len(shared):]
             chain = _Skeleton((*shared, *added))
@@ -1086,13 +1088,7 @@ class _Skeletons:
             self.chars += sum(len(step[0]) for step in added)
 
 
-# (banned, kept) -> its skeleton memo
-_skeletons: dict[tuple, _Skeletons] = {}
-
-
-def _skeleton_memo(banned: frozenset, kept: tuple) -> _Skeletons:
-    key = (banned, kept)
-    return _skeletons.get(key) or _skeletons.setdefault(key, _Skeletons(banned, kept))
+_skeletons = _Skeletons()
 
 
 def text_content(node: Union[Document, Element, TextNode]) -> str:
@@ -1250,13 +1246,11 @@ class MatchSet:
         self.any_tag = self.by_tag.pop(None, ())
         self.first, self.child, self.descendant = first, child, descendant
         self.subjects = sum(self.subject_of)
-        # kept attribute names -> start tag text -> its reading, see
-        # reading; bounded as the start-tag memo is
-        self.readings: dict[Optional[tuple], dict[str, tuple]] = collections.defaultdict(
-            collections.OrderedDict)
-        # (skeleton, limit) -> what a page walking the skeleton gives, see
-        # _Skeletons.match; one per skeleton recorded and limit
-        self.recipes: dict[tuple, tuple] = {}
+        # start tag text -> its reading, see reading; a start-tag memo
+        self.readings: dict[str, tuple] = collections.OrderedDict()
+        # skeleton -> what a page walking it gives, see _Skeletons.match;
+        # one per skeleton recorded
+        self.recipes: dict[_Skeleton, tuple] = {}
 
     def eligible(self, tag: str, classes: frozenset[str], ident: Optional[str]) -> int:
         """The states of the compounds an element with this tag, class set
@@ -1293,20 +1287,20 @@ class MatchSet:
                 slots += wanted
         return slots
 
-    def reading(self, source, kept, remember: bool = True) -> tuple:
+    def reading(self, source, remember: bool = True) -> tuple:
         """``_read_start_tag`` of a start tag, with its attribute dict and
         class names replaced by the signature bits of its tag and class
         names and its eligible states. The reading of a plain start tag is
-        kept under its text, as ``_start_tag`` keeps it, for the next tag
-        written alike; without ``remember``, kept in no memo."""
-        tag, closes, opens, raw, attributes, names = _read_start_tag(source, kept)
+        kept under its text (see ``_remember``) for the next tag written
+        alike; without ``remember``, kept in no memo."""
+        tag, closes, opens, raw, attributes, names = _read_start_tag(source, KEPT_ATTRIBUTES)
         bits = _name_bit(tag)
         for name in names:
             bits |= _name_bit(name)
         reading = (tag, closes, opens, raw, bits,
                    self.eligible(tag, names, attributes.get("id")))
         if remember:
-            _remember(self.readings[kept], source, reading)
+            _remember(self.readings, source, reading)
         return reading
 
 
@@ -1315,45 +1309,40 @@ def _automaton(compiled: CompiledSelector) -> MatchSet:
     return MatchSet(((compiled, 0),))
 
 
-def select(
-    root: Document,
-    selector: Union[str, CompiledSelector],
-    limit: int = 10_000,
-) -> list[Element]:
+def select(root: Document, selector: Union[str, CompiledSelector]) -> list[Element]:
     """All elements of a parsed document matching the selector, in document
-    order, capped at limit.
+    order.
 
-    Only the first ``limit`` elements in document order are considered. The
+    Only the first ``MATCH_LIMIT`` elements in document order are considered. The
     selection runs ``MatchSet``'s automaton, the one a matching scan runs,
     over the element index the parse recorded.
     """
     compiled = parse_selector(selector) if isinstance(selector, str) else selector
-    return [element for element, hit in _walk(root, _automaton(compiled), limit) if hit]
+    return [element for element, hit in _walk(root, _automaton(compiled)) if hit]
 
 
-def select_targets(root: Document, targets: MatchSet,
-                   limit: int = 10_000) -> list[Optional[Element]]:
+def select_targets(root: Document, targets: MatchSet) -> list[Optional[Element]]:
     """For each (selector, node index) target, the element
-    ``select(root, selector, limit)[node index]``, or None where there is
-    none: all the targets in one walk of the element index."""
+    ``select(root, selector)[node index]``, or None where there is none:
+    all the targets in one walk of the element index."""
     found: list[Optional[Element]] = [None] * len(targets.targets)
     counts = [0] * len(targets.wanted)
-    for element, hit in _walk(root, targets, limit):
+    for element, hit in _walk(root, targets):
         if hit:
             for slot in targets.count(hit, counts):
                 found[slot] = element
     return found
 
 
-def _walk(root: Document, automaton: MatchSet, limit: int) -> Iterator[tuple[Element, int]]:
-    """Each of the first ``limit`` elements of a parsed document, in
+def _walk(root: Document, automaton: MatchSet) -> Iterator[tuple[Element, int]]:
+    """Each of the first ``MATCH_LIMIT`` elements of a parsed document, in
     document order, with the last states of ``automaton`` it is in."""
     eligible, descend = automaton.eligible, automaton.descend
     index = root.index
     parents, classes = index.parents, index.classes
     top = (automaton.first, automaton.first)
     states: list[tuple[int, int]] = []  # per position: (pre, base)
-    for position, element in enumerate(itertools.islice(index.elements, max(limit, 0))):
+    for position, element in enumerate(itertools.islice(index.elements, MATCH_LIMIT)):
         above = parents[position]
         pre, base = states[above] if above >= 0 else top
         pre, base, hit = descend(

@@ -359,12 +359,12 @@ class Page:
             self._tree = parse_html(self.html.content)
         return self._tree
 
-    def _document(self, variant: int, kept: dict[str, CompressedDocument]) -> CompressedDocument:
-        doc = kept.get(self.page_id)
+    def _document(self, variant: int, cached: dict[str, CompressedDocument]) -> CompressedDocument:
+        doc = cached.get(self.page_id)
         if doc is None:
             if self._compressed is None:
                 self._compressed = self._cache.read(self.page_id, compress_both)
-            doc = kept[self.page_id] = self._compressed[variant]
+            doc = cached[self.page_id] = self._compressed[variant]
         return doc
 
 

@@ -4,7 +4,7 @@ compressed HTML and TEXT, which ``prodex.htmltree``'s tokenizer must equal.
 
 ``reference_parse`` must equal ``htmltree.parse_html``. For the pruned tree
 ``reference_prune(reference_parse(html))``,
-``htmltree.render_pruned(html, BANNED_ELEMENTS, KEPT_ATTRIBUTES)`` must give
+``htmltree.render_pruned(html)`` must give
 its ``serialize`` and its ``block_text_lines`` joined with newlines, and is
 None exactly where ``reference_is_empty(reference_parse(html))``. Only tests
 import this module, so no runtime path falls back to ``html.parser``.

@@ -863,12 +863,12 @@ def test_a_drawn_program_is_refused_or_runs_alike_on_the_page_and_its_tree(html,
             assert scanned == run_extraction_on_tree(program, tree).product
 
 
-def test_a_capture_reads_at_most_the_capped_text_of_a_huge_element():
+def test_a_capture_reads_at_most_the_capped_text_of_a_huge_element(monkeypatch):
     """A 100,000-character text under a targeted element: a capture that
     backtracks for time quadratic in its text runs within 1 s on the raw
     page, cold and from the page's recorded skeleton, and on the tree, as it
     reads only the first CAPTURE_TEXT_LIMIT characters."""
-    from prodex.compress import BANNED_ELEMENTS, KEPT_ATTRIBUTES, compress_both
+    from prodex.compress import compress_both
     from prodex.dsl import program_scan, run_extractions
     from prodex.reader import RawDocument
 
@@ -884,9 +884,9 @@ def test_a_capture_reads_at_most_the_capped_text_of_a_huge_element():
         assert product == FoodProduct()
 
     run()
-    htmltree._skeletons.clear()  # so that a cold scan records the page
+    skeletons = htmltree._Skeletons()  # so that a cold scan records the page
+    monkeypatch.setattr(htmltree, "_skeletons", skeletons)
     run()
-    skeletons = htmltree._skeletons[BANNED_ELEMENTS, KEPT_ATTRIBUTES]
     assert skeletons.lookup(html, scan.targets) is not None
     run()  # from the page's skeleton
     tree = htmltree.parse_html(compress_both(raw)[0].content)

@@ -1,9 +1,11 @@
+import contextlib
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from markup import markup, selectors
 from reference_html import block_text_lines, serialize
 
-from prodex.compress import BANNED_ELEMENTS, KEPT_ATTRIBUTES
+from prodex import htmltree
 from prodex.htmltree import (
     Document,
     Element,
@@ -21,7 +23,19 @@ from prodex.htmltree import (
 
 
 def _rendered(html):
-    return render_pruned(html, BANNED_ELEMENTS, KEPT_ATTRIBUTES)
+    return render_pruned(html)
+
+
+@contextlib.contextmanager
+def _match_limit(limit):
+    """Selectors match among the first ``limit`` elements while in this
+    block. A MatchSet keeps the recipes it made under the limit then in
+    force, so a test that varies the limit matches with a fresh one."""
+    saved, htmltree.MATCH_LIMIT = htmltree.MATCH_LIMIT, limit
+    try:
+        yield
+    finally:
+        htmltree.MATCH_LIMIT = saved
 
 
 def _pruned_tree(html):
@@ -133,7 +147,8 @@ class TestSelectors:
     def test_match_limit_caps_scanning(self):
         html = "<div>" + "<p>x</p>" * 50 + "</div>"
         tree = parse_html(html)
-        assert len(select(tree, "p", limit=10)) <= 10
+        with _match_limit(10):
+            assert len(select(tree, "p")) <= 10
 
 
 def test_serialize_bare_attribute():
@@ -203,11 +218,12 @@ def _reference_select(root, selector, limit):
 @given(markup(), selectors(), st.one_of(st.integers(0, 12), st.just(10_000)))
 def test_select_equals_reference_walk(html, selector, limit):
     tree = parse_html(html)
-    got = select(tree, selector, limit=limit)
+    with _match_limit(limit):
+        got = select(tree, selector)
+        # A second call on the same document reuses its index.
+        assert [id(e) for e in select(tree, selector)] == [id(e) for e in got]
     want = _reference_select(tree, selector, limit)
     assert [id(e) for e in got] == [id(e) for e in want]
-    # A second call on the same document reuses its index.
-    assert [id(e) for e in select(tree, selector, limit=limit)] == [id(e) for e in got]
 
 
 def test_document_index_is_built_once():
@@ -306,12 +322,12 @@ def test_walks_survive_deep_nesting():
 
 # --- Matching scan ---------------------------------------------------------------
 
-def _selected_nodes(tree, targets, limit):
+def _selected_nodes(tree, targets):
     """The reference: the node select gives for each (selector, node index)
     target, or None."""
     nodes = []
     for selector, node_index in targets:
-        matches = select(tree, selector, limit)
+        matches = select(tree, selector)
         nodes.append(matches[node_index] if node_index < len(matches) else None)
     return nodes
 
@@ -332,23 +348,24 @@ def test_the_matching_scan_equals_select_on_the_pruned_tree(html, drawn, limit):
     where render_pruned gives None; a MatchSet gives the same again with its
     readings kept. One walk of the tree finds every target's node."""
     targets = [(parse_selector(selector), node_index) for selector, node_index in drawn]
-    match_set = MatchSet(targets)
-    found = match_pruned(html, BANNED_ELEMENTS, KEPT_ATTRIBUTES, match_set, limit)
-    tree = _pruned_tree(html)
-    if tree is None:
-        assert found is None
-        return
-    texts, signature = found
-    nodes = _selected_nodes(tree, targets, limit)
-    assert signature == name_signature(tree)
-    assert texts == [None if node is None else text_content(node) for node in nodes]
-    assert match_pruned(html, BANNED_ELEMENTS, KEPT_ATTRIBUTES, match_set, limit) == found
-    assert [id(node) for node in select_targets(tree, match_set, limit)] == list(map(id, nodes))
+    with _match_limit(limit):
+        match_set = MatchSet(targets)
+        found = match_pruned(html, match_set)
+        tree = _pruned_tree(html)
+        if tree is None:
+            assert found is None
+            return
+        texts, signature = found
+        nodes = _selected_nodes(tree, targets)
+        assert signature == name_signature(tree)
+        assert texts == [None if node is None else text_content(node) for node in nodes]
+        assert match_pruned(html, match_set) == found
+        assert [id(node) for node in select_targets(tree, match_set)] == list(map(id, nodes))
 
 
 def test_targets_sharing_a_selector_count_its_matches_once():
     html = '<table><tr><td class="v">1</td><td class="v">2 g</td></tr></table>'
     cell = parse_selector("td.v")
     match_set = MatchSet([(cell, 1), (parse_selector("tr > td"), 0), (cell, 1), (cell, 0)])
-    texts, _ = match_pruned(html, BANNED_ELEMENTS, KEPT_ATTRIBUTES, match_set)
+    texts, _ = match_pruned(html, match_set)
     assert texts == ["2 g", "1", "2 g", "1"]

@@ -9,7 +9,6 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from prodex.compress import BANNED_ELEMENTS, KEPT_ATTRIBUTES
 from prodex.htmltree import parse_html, render_pruned
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -44,7 +43,7 @@ def test_the_tracer_counts_the_elements_the_parse_recorded():
     html = ('<div class="a"><script>x</script><p>y<br></p></div>'
             '<footer><p>z</p></footer><ul><li>1<li>2</ul>')
     parsed = parse_html(html)
-    pruned = parse_html(render_pruned(html, BANNED_ELEMENTS, KEPT_ATTRIBUTES)[0])
+    pruned = parse_html(render_pruned(html)[0])
     assert len(pruned.index.elements) < len(parsed.index.elements)
     for document in (parsed, pruned):
         assert tracer.Tracer()._elements(document) == len(document.index.elements)

@@ -4,7 +4,7 @@
 ``render_pruned`` must write that tree pruned after the fact
 (``tests/reference_html.py``), on tag soup and on each case the reference
 reads in a surprising way. On hostile markup both run in linear time. The
-memo of start-tag readings agrees with a fresh reading and keeps its bounds.
+memos of start-tag readings agree with a fresh reading and keep their bounds.
 """
 
 import contextlib
@@ -37,7 +37,6 @@ from reference_html import (
 
 import prodex
 from prodex import htmltree
-from prodex.compress import BANNED_ELEMENTS, KEPT_ATTRIBUTES
 from prodex.htmltree import (
     ATTRIBUTE_MEMO_MAX_TEXT,
     ATTRIBUTE_MEMO_SIZE,
@@ -48,11 +47,9 @@ from prodex.htmltree import (
     TextNode,
     _TOKEN,
     _read_attributes,
+    _read_start_tag,
     _rendering,
     _renderings,
-    _skeletons,
-    _start_tag,
-    _start_tags,
     match_pruned,
     parse_html,
     parse_selector,
@@ -61,7 +58,7 @@ from prodex.htmltree import (
 
 
 def _rendered(html):
-    return render_pruned(html, BANNED_ELEMENTS, KEPT_ATTRIBUTES)
+    return render_pruned(html)
 
 
 def _pruned(html):
@@ -83,7 +80,7 @@ _HOSTILE_TARGETS = MatchSet([
 
 
 def _matched(html):
-    return match_pruned(html, BANNED_ELEMENTS, KEPT_ATTRIBUTES, _HOSTILE_TARGETS)
+    return match_pruned(html, _HOSTILE_TARGETS)
 
 
 def _assert_matches_reference(html):
@@ -139,28 +136,29 @@ def test_pinned_cases_equal_the_reference(html):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(attribute_texts(), st.sampled_from([None, KEPT_ATTRIBUTES])), max_size=6))
-def test_a_memoised_attribute_reading_equals_a_fresh_one(readings):
-    # Each start tag is read for the tree, and rendered with kept None and
-    # with the kept names, cold and then warm, so a rendering memo key
-    # without the kept names would be caught.
-    _start_tags.clear()
+@given(st.lists(attribute_texts(), max_size=6))
+def test_a_memoised_attribute_reading_equals_a_fresh_one(texts):
+    # Each start tag is read afresh for the tree, and rendered and read for
+    # matching, cold and then warm, so a memo that kept one mode's reading
+    # for the other would be caught.
     _renderings.clear()
+    targets = MatchSet([(parse_selector("p.a"), 0)])
     memoised = {}
     for _ in ("cold", "warm"):
-        for text, kept in readings:
+        for text in texts:
             start_tag = _TOKEN.match(f"<p{text}>")
             assert start_tag.lastindex == 4  # a plain start tag
             fresh = _read_attributes(text, None)
-            # each scan's lookup: its memo, or a reading it keeps there
-            reading = _start_tags.get(start_tag[0]) or _start_tag(start_tag)
-            assert reading == ("p", IMPLICIT_CLOSE["p"], True, False, *fresh)
+            assert _read_start_tag(start_tag) == ("p", IMPLICIT_CLOSE["p"], True, False, *fresh)
             assert fresh[1] == set((fresh[0].get("class") or "").split())
-            assert memoised.setdefault(text, reading) is reading
-            rendering = _renderings[kept].get(start_tag[0]) or _rendering(start_tag, kept)
-            assert rendering == _rendering(start_tag, kept, False)
-            assert memoised.setdefault((text, kept), rendering) is rendering
-    assert len(_start_tags) + sum(map(len, _renderings.values())) == len(memoised)
+            # each scan's lookup: its memo, or a reading it keeps there
+            rendering = _renderings.get(start_tag[0]) or _rendering(start_tag)
+            assert rendering == _rendering(start_tag, False)
+            assert memoised.setdefault(("render", text), rendering) is rendering
+            reading = targets.readings.get(start_tag[0]) or targets.reading(start_tag)
+            assert reading == targets.reading(start_tag, False)
+            assert memoised.setdefault(("match", text), reading) is reading
+    assert len(_renderings) + len(targets.readings) == len(memoised)
 
 
 def test_elements_read_from_one_attribute_text_own_their_attrs():
@@ -174,18 +172,24 @@ def test_elements_read_from_one_attribute_text_own_their_attrs():
 def test_the_attribute_memo_keeps_its_bounds():
     _clear_memos()
     many = "".join(f'<p class="c{i}">' for i in range(ATTRIBUTE_MEMO_SIZE + 100))
-    parse_html(many)
-    assert len(_start_tags) == ATTRIBUTE_MEMO_SIZE
-    _rendered(many + '<p class="' + "x" * ATTRIBUTE_MEMO_MAX_TEXT + '">')
-    assert len(_renderings[KEPT_ATTRIBUTES]) == ATTRIBUTE_MEMO_SIZE
-    assert all(len(key) <= ATTRIBUTE_MEMO_MAX_TEXT for key in _renderings[KEPT_ATTRIBUTES])
+    long_tag = '<p class="' + "x" * ATTRIBUTE_MEMO_MAX_TEXT + '">'
+    targets = MatchSet([(parse_selector("p.c1"), 0)])
+    _rendered(many + long_tag)
+    match_pruned(many + long_tag, targets)
+    for memo in (_renderings, targets.readings):
+        assert len(memo) == ATTRIBUTE_MEMO_SIZE
+        assert all(len(key) <= ATTRIBUTE_MEMO_MAX_TEXT for key in memo)
     at_cap = '<p class="' + "x" * (ATTRIBUTE_MEMO_MAX_TEXT - 12) + '">'
     assert len(at_cap) == ATTRIBUTE_MEMO_MAX_TEXT
     for text, stored in ((at_cap, 1), (at_cap[:-2] + 'x">', 0)):
-        _start_tags.clear()
-        (p,) = parse_html(text).children
+        _clear_memos()
+        (p,) = _pruned(text).children
         assert p.attrs == {"class": text[10:-2]}
-        assert len(_start_tags) == stored
+        assert len(_renderings) == stored
+        _clear_memos()  # so that the page is scanned, not walked
+        targets = MatchSet([(parse_selector("p"), 0)])
+        assert match_pruned(text, targets)[0] == [""]
+        assert len(targets.readings) == stored
 
 
 def test_the_readings_a_match_set_keeps_stay_within_the_memo_bounds():
@@ -193,11 +197,10 @@ def test_the_readings_a_match_set_keeps_stay_within_the_memo_bounds():
     long_tag = '<p class="' + "x" * ATTRIBUTE_MEMO_MAX_TEXT + '">y'
     html = "".join(f'<p class="c{i}">' for i in range(ATTRIBUTE_MEMO_SIZE + 100))
     assert _matched(long_tag) is not None
-    assert match_pruned(html, BANNED_ELEMENTS, KEPT_ATTRIBUTES, targets)[0] == [""]
-    readings = targets.readings[KEPT_ATTRIBUTES]
-    assert len(readings) == ATTRIBUTE_MEMO_SIZE
+    assert match_pruned(html, targets)[0] == [""]
+    assert len(targets.readings) == ATTRIBUTE_MEMO_SIZE
     assert all(len(key) <= ATTRIBUTE_MEMO_MAX_TEXT
-               for kept in (_HOSTILE_TARGETS, targets) for key in kept.readings[KEPT_ATTRIBUTES])
+               for kept in (_HOSTILE_TARGETS, targets) for key in kept.readings)
 
 
 def test_a_full_start_tag_memo_makes_room_for_a_new_tag(monkeypatch):
@@ -209,30 +212,29 @@ def test_a_full_start_tag_memo_makes_room_for_a_new_tag(monkeypatch):
     read_attributes = htmltree._read_attributes
     monkeypatch.setattr(htmltree, "_read_attributes",
                         lambda *args: reads.append(args[0]) or read_attributes(*args))
-    _start_tags.clear()
-    parse_html(filler)
+    _clear_memos()
+    _rendered(filler)
     reads.clear()
-    assert [p.attrs for p in parse_html(f"{late}a{late}b").children] == [{"class": "late"}] * 2
+    assert _rendered(f"{late}a{late}b") == (f'{late}a</p>{late}b</p>', "a\nb")
     assert reads == [' class="late"']
-    memo = _start_tags
+    memo = _renderings
     assert len(memo) == ATTRIBUTE_MEMO_SIZE
     assert late in memo and '<p class="c0">' not in memo
     assert f'<p class="c{ATTRIBUTE_MEMO_SIZE + 99}">' in memo
 
     targets = MatchSet([(parse_selector("p.late"), 0)])
-    match_pruned(filler, BANNED_ELEMENTS, KEPT_ATTRIBUTES, targets)
+    match_pruned(filler, targets)
     eligible = []
     monkeypatch.setattr(targets, "eligible", lambda *args: eligible.append(args) or 0)
-    match_pruned(f"{late}a{late}b", BANNED_ELEMENTS, KEPT_ATTRIBUTES, targets)
+    match_pruned(f"{late}a{late}b", targets)
     assert len(eligible) == 1
-    readings = targets.readings[KEPT_ATTRIBUTES]
+    readings = targets.readings
     assert len(readings) == ATTRIBUTE_MEMO_SIZE and late in readings
 
 
 def _clear_memos():
-    _start_tags.clear()
     _renderings.clear()
-    _skeletons.clear()
+    htmltree._skeletons = htmltree._Skeletons()
 
 
 @contextlib.contextmanager
@@ -266,7 +268,7 @@ def test_the_memos_change_nothing_a_scan_gives(pages, drawn):
 
     def read(html, match_set):
         rendered = _rendered(html)
-        found = match_pruned(html, BANNED_ELEMENTS, KEPT_ATTRIBUTES, match_set)
+        found = match_pruned(html, match_set)
         return rendered, found
 
     with _no_memos():
@@ -281,7 +283,6 @@ def test_the_memos_change_nothing_a_scan_gives(pages, drawn):
             assert read(html, warm) == want
 
 
-_KEY = (BANNED_ELEMENTS, KEPT_ATTRIBUTES)
 #: Markup that two skeletons of the examples share before they differ.
 _LONG_PREFIX = ('<!DOCTYPE html><html lang="de"><head><title>t</title></head>'
                 '<body id="page-1"><nav class="n"><a href="/">a</a><a href="/b">b</a></nav>'
@@ -371,7 +372,7 @@ def _skeleton_cases(draw):
     raw holes changed) pairs), and pages that change one of its literals;
     no others where the skeleton recorder refuses the page."""
     page = draw(template_markup() | markup())
-    steps = htmltree._record(page, BANNED_ELEMENTS)
+    steps = htmltree._record(page)
     if steps is None:
         return page, [], []
     pieces = _pieces(steps)
@@ -422,7 +423,7 @@ def test_a_page_walking_a_recorded_skeleton_gives_what_a_scan_gives(case, drawn)
     targets = [(parse_selector(selector), node_index) for selector, node_index in drawn]
 
     def match(html, match_set):
-        return match_pruned(html, BANNED_ELEMENTS, KEPT_ATTRIBUTES, match_set)
+        return match_pruned(html, match_set)
 
     pages = [page, *(html for html, _ in filled), *mutated]
     with _no_memos():
@@ -430,8 +431,8 @@ def test_a_page_walking_a_recorded_skeleton_gives_what_a_scan_gives(case, drawn)
     _clear_memos()
     match_set = MatchSet(targets)
     assert match(page, match_set) == expected[page]
-    memo = _skeletons[_KEY]
-    steps = htmltree._record(page, BANNED_ELEMENTS)
+    memo = htmltree._skeletons
+    steps = htmltree._record(page)
     assert len(_trie(memo)[0]) == (steps is not None)
     assert memo.chars == (_step_chars(steps) if steps
                           else len(page) if expected[page] is not None else 0)
@@ -449,7 +450,7 @@ def test_a_page_walking_a_recorded_skeleton_gives_what_a_scan_gives(case, drawn)
     for html in mutated:
         assert match(html, match_set) == expected[html]
     for html in mutated:  # recorded beside the page, where the recorder takes it
-        recordable = expected[html] is not None and htmltree._record(html, BANNED_ELEMENTS)
+        recordable = expected[html] is not None and htmltree._record(html)
         assert walked(html) == expected[html] or not recordable
     for html, holes_only in filled:
         assert walked(html) == expected[html] or not holes_only
@@ -492,8 +493,8 @@ def test_a_page_walking_a_recorded_skeleton_renders_as_a_scan_does(case):
         expected = {html: _rendered(html) for html in pages}
     _clear_memos()
     assert _rendered(page) == expected[page]
-    memo = _skeletons[_KEY]
-    steps = htmltree._record(page, BANNED_ELEMENTS)
+    memo = htmltree._skeletons
+    steps = htmltree._record(page)
     skeletons = _trie(memo)[0]
     assert len(skeletons) == (steps is not None)
     found = memo.lookup(page)  # the page walks its skeleton, whose recipe is made
@@ -520,7 +521,7 @@ def test_a_page_walking_a_recorded_skeleton_renders_as_a_scan_does(case):
         assert _rendered(html) == expected[html]
     for html in mutated:  # recorded beside the page, where the recorder takes it
         recordable = (expected[html] is not None and closable(html)
-                      and htmltree._record(html, BANNED_ELEMENTS))
+                      and htmltree._record(html))
         assert rendered(html) == expected[html] or not recordable
     for html, holes_only in filled:
         assert rendered(html) == expected[html] or not (recipe and holes_only)
@@ -530,12 +531,12 @@ def test_the_skeleton_memo_keeps_its_bounds(monkeypatch):
     targets = MatchSet([(parse_selector("p"), 0)])
 
     def match(html):
-        return match_pruned(html, BANNED_ELEMENTS, KEPT_ATTRIBUTES, targets)
+        return match_pruned(html, targets)
 
     _clear_memos()
     for i in range(6):  # as many "<", a skeleton each
         match(f'<p class="c{i}">x</p>')
-    memo = _skeletons[_KEY]
+    memo = htmltree._skeletons
     skeletons, chars = _trie(memo)
     assert len(skeletons) == len(memo.first) == 6 and memo.chars == chars
     for i in range(64):  # each a prefix of the next: one step more each
@@ -556,7 +557,7 @@ def test_the_skeleton_memo_keeps_its_bounds(monkeypatch):
         _rendered(f'<p class="c{i}">x</p>')
     for i in range(64):
         assert _rendered("<p>x" * (i + 3)) == _rendered("<p>x" * (i + 3))
-    memo = _skeletons[_KEY]
+    memo = htmltree._skeletons
     skeletons = _trie(memo)[0]
     assert len(skeletons) == 70
     assert sum(skeleton.rendering is not None for skeleton in skeletons) == 64
@@ -566,7 +567,7 @@ def test_the_skeleton_memo_keeps_its_bounds(monkeypatch):
     big = "<p>" + "x" * SKELETON_MEMO_CHARS
     match(big)
     _rendered(big)
-    memo = _skeletons[_KEY]
+    memo = htmltree._skeletons
     assert memo.chars == 0 and memo.first == []
     for i in range(64):
         match("<br>" * (SKELETON_MEMO_CHARS // 40 + i))
@@ -581,18 +582,41 @@ def test_the_skeleton_memo_keeps_its_bounds(monkeypatch):
     pages = ["<p>a < b" + "<br>" * (SKELETON_MEMO_CHARS // 64 + i) for i in range(74)]
     for i, html in enumerate(pages):
         (match, _rendered)[i % 2](html)  # a stray "<": refused
-    memo = _skeletons[_KEY]
+    memo = htmltree._skeletons
     assert 0 < len(tries) < len(pages) and memo.first == []
-    assert memo.chars == sum(len(html) for html, _ in tries) <= SKELETON_MEMO_CHARS
+    assert memo.chars == sum(len(html) for (html,) in tries) <= SKELETON_MEMO_CHARS
 
-    _clear_memos()  # a page whose skeleton the trie holds is charged as refused
+    _clear_memos()  # a page whose skeleton the trie holds is charged nothing
     named = MatchSet([(parse_selector("#a"), 0)])
-    match_pruned('<p id="a">x</p>', BANNED_ELEMENTS, KEPT_ATTRIBUTES, named)
-    memo = _skeletons[_KEY]
+    match_pruned('<p id="a">x</p>', named)
+    memo = htmltree._skeletons
     charged, page = memo.chars, '<p id="b">y</p>'
     assert memo.lookup(page, named) is None  # it walks, but its tag hole reads otherwise
-    assert match_pruned(page, BANNED_ELEMENTS, KEPT_ATTRIBUTES, named) == ([None], match(page)[1])
-    assert len(_trie(memo)[0]) == 1 and memo.chars == charged + len(page)
+    assert match_pruned(page, named) == ([None], match(page)[1])
+    assert len(_trie(memo)[0]) == 1 and memo.chars == charged
+
+
+def test_pages_of_a_recorded_skeleton_leave_room_for_later_skeletons(monkeypatch):
+    """A page that walks a recorded skeleton but is scanned anyway, as its
+    tag hole reads otherwise for the targets, is charged nothing however
+    often it comes, so the memo's bound is not used up and a later page of
+    a new skeleton is still recorded."""
+    named = MatchSet([(parse_selector("#a"), 0)])
+    first, later = '<p id="a">x</p>', '<div class="c">z</div>'
+    _clear_memos()
+    monkeypatch.setattr(htmltree, "SKELETON_MEMO_CHARS", 4 * len(first))
+    assert match_pruned(first, named)[0] == ["x"]
+    memo = htmltree._skeletons
+    charged = memo.chars
+    assert 0 < charged < len(first)
+    for i in range(20):
+        page = f'<p id="b{i}">y{i}</p>'
+        assert memo.lookup(page, named) is None  # it walks, but its tag hole reads otherwise
+        assert match_pruned(page, named)[0] == [None]
+        assert memo.chars == charged
+    assert match_pruned(later, named)[0] == [None]
+    assert len(_trie(memo)[0]) == 2
+    assert memo.lookup(later, named) == match_pruned(later, named)
 
 
 def test_skeletons_share_their_steps_up_to_where_their_pages_differ():
@@ -603,13 +627,13 @@ def test_skeletons_share_their_steps_up_to_where_their_pages_differ():
     targets = MatchSet([(parse_selector("p.b"), 0), (parse_selector("#x"), 0)])
 
     def match(html):
-        return match_pruned(html, BANNED_ELEMENTS, KEPT_ATTRIBUTES, targets)
+        return match_pruned(html, targets)
 
     _clear_memos()
     match('<body id="page-1"><h1>t</h1><div id="x">a</div><p class="a">b</p></body>')
     match('<body id="page-2"><h1>t</h1><div id="x">c</div><p class="b">d</p></body>')
     match('<body id="page-3"><h1>t</h1><div id="y" class="c">e</div></body>')
-    memo = _skeletons[_KEY]
+    memo = htmltree._skeletons
     skeletons = _trie(memo)[0]
     assert len(skeletons) == 3 and len(memo.first) == 1
     shared = memo.first[0]  # <body id=...><h1>, whatever the id
@@ -640,7 +664,7 @@ def test_pages_rendered_on_many_threads_keep_the_skeleton_memo_bounds(monkeypatc
     finally:
         sys.setswitchinterval(switch)
     assert rendered == expected
-    memo = _skeletons[_KEY]
+    memo = htmltree._skeletons
     skeletons, chars = _trie(memo)
     assert memo.chars == chars <= 100_000 < chars + len(pages[-1])
     assert len(skeletons) == len(memo.first) == sum(map(bool, map(memo.lookup, pages))) > 100

@@ -126,7 +126,7 @@ def compress_cmd(variant, in_path, out_dir):
     manifest = []
     failures: dict[str, str] = {}
     for path in files:
-        raw = read_page(path, str(path))
+        raw = read_page(path)
         try:
             html_doc, text_doc = compress_both(raw)
         except UnparsableDocument as exc:

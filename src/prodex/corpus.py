@@ -446,8 +446,7 @@ def _generate_page(
         ingredients_html=ingredients_html,
         rng=rng,
     )
-    url = f"https://shop-{shop_id}.example/artikel/{page_id}"
-    return RawDocument(page_id=page_id, url=url, html=html), record
+    return RawDocument(page_id=page_id, html=html), record
 
 
 def _render_nutrition(template: TemplateSpec, shown: dict[str, Decimal]) -> str:

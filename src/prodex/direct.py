@@ -1,7 +1,8 @@
 """Direct strategy: one schema-constrained completion per product page.
 
-Every call is priced into the caller's ledger, which is the only record of
-what the run paid; results are plain products.
+Every call is priced into a ledger that joins the run's ledger.json, the
+only record of what the run paid and what ``prodex evaluate`` counts;
+results are plain products.
 """
 
 from __future__ import annotations
@@ -61,49 +62,42 @@ def extract_direct_batch(
 
     Returns the products by page_id, in document order, and the failed pages
     with the reason each failed.
-    With ``out_dir``, each finished page is written once, atomically, to its
-    product file in that run directory (``prodex.rundir``), its only record:
-    a page that has one is not extracted again, so an interrupted run resumes
-    without re-calling the provider for done pages.
-    With workers > 1, pages fan out over a pool of that many threads, the
-    only code that calls a provider from more than one thread. Each page
-    prices its calls into a ledger of its own, and those entries join
-    ``ledger`` in document order once every page is done, so the ledger
-    does not depend on the order in which calls complete.
+    Every page runs one body, for any ``workers``: it is extracted with its
+    calls priced into a ledger of its own, and with ``out_dir`` a finished
+    page is written at once, atomically, to its product file in that run
+    directory (``prodex.rundir``), its only record. A page that has one is
+    not extracted again, so an interrupted run resumes without re-calling
+    the provider for done pages. The page ledgers join ``ledger`` in
+    document order, so it does not depend on the order in which calls
+    complete. With workers > 1 the bodies run on a pool of that many
+    threads, the only code that calls a provider from more than one thread;
+    with 1 they run in the calling thread, one after another.
     """
     done = rundir.resume_products(out_dir) if out_dir is not None else {}
-
     pending = [doc for doc in docs if doc.page_id not in done]
     failures: dict[str, str] = {}
 
-    def finish(page_id: str, product: FoodProduct) -> None:
-        done[page_id] = product
-        if out_dir is not None:
-            rundir.write_product(out_dir, page_id, product)
+    def extract_page(doc: CompressedDocument) -> CostLedger:
+        page_ledger = CostLedger()
+        try:
+            product = extract_direct(doc, provider, model_id, page_ledger)
+        except (ExtractionFailed, *PROVIDER_FAILURES) as exc:
+            failures[doc.page_id] = str(exc)
+        else:
+            done[doc.page_id] = product
+            if out_dir is not None:
+                rundir.write_product(out_dir, doc.page_id, product)
+        return page_ledger
 
-    if workers <= 1:
-        for doc in pending:
-            try:
-                finish(doc.page_id, extract_direct(doc, provider, model_id, ledger=ledger))
-            except (ExtractionFailed, *PROVIDER_FAILURES) as exc:
-                failures[doc.page_id] = str(exc)
-    else:
-        from concurrent.futures import ThreadPoolExecutor, as_completed
+    if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
 
-        page_ledgers = [CostLedger() for _ in pending]
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                pool.submit(extract_direct, doc, provider, model_id, page_ledger): doc
-                for doc, page_ledger in zip(pending, page_ledgers)
-            }
-            for future in as_completed(futures):
-                page_id = futures[future].page_id
-                try:
-                    finish(page_id, future.result())
-                except (ExtractionFailed, *PROVIDER_FAILURES) as exc:
-                    failures[page_id] = str(exc)
-        for page_ledger in page_ledgers:
-            ledger.entries.extend(page_ledger.entries)
+            page_ledgers = list(pool.map(extract_page, pending))
+    else:
+        page_ledgers = map(extract_page, pending)
+    for page_ledger in page_ledgers:
+        ledger.entries.extend(page_ledger.entries)
 
     products = {doc.page_id: done[doc.page_id] for doc in docs if doc.page_id in done}
     return products, failures

@@ -87,9 +87,11 @@ class Usage:
 
 @dataclass(frozen=True)
 class ChatExchange:
-    model_id: str
-    system_prompt: str
-    user_prompt: str
+    """A provider's answer to one request: the response text, its usage and
+    when it came. The caller holds the request, so the answer does not echo
+    it. ``structured_call`` prices the usage into the caller's ledger, the
+    one record that ``prodex evaluate`` counts calls and cost from."""
+
     response_text: str
     usage: Usage
     timestamp: float = 0.0
@@ -182,6 +184,14 @@ def cost(usage: Usage, model_id: str) -> Decimal:
 
 # --- Ledger -----------------------------------------------------------------
 
+#: The role tags of the primary model's calls (a direct page's, and an
+#: indirect run's reference, generation and refinement calls) and of the
+#: decision model's; a ledger counts its calls and cost by model through
+#: these alone (``CostLedger.by_model``).
+PRIMARY_ROLES = ("direct", "reference", "func_gen", "refine")
+DECISION_ROLE = "decision_gen"
+
+
 @dataclass(frozen=True)
 class LedgerEntry:
     exchange_ref: str
@@ -235,6 +245,14 @@ class CostLedger:
         for entry in self.entries:
             counts[entry.role_tag] = counts.get(entry.role_tag, 0) + 1
         return counts
+
+    def by_model(self) -> tuple[tuple[int, Decimal], tuple[int, Decimal]]:
+        """(calls, cost) of the primary model's entries (``PRIMARY_ROLES``)
+        and of the decision model's (``DECISION_ROLE``)."""
+        counts, costs = self.count_by_role(), self.total_by_role()
+        return ((sum(counts.get(role, 0) for role in PRIMARY_ROLES),
+                 sum((costs.get(role, Decimal(0)) for role in PRIMARY_ROLES), Decimal(0))),
+                (counts.get(DECISION_ROLE, 0), costs.get(DECISION_ROLE, Decimal(0))))
 
     def to_json(self) -> str:
         """ledger.json: ``meta``, ``total_usd`` and ``entries``, each entry
@@ -407,14 +425,7 @@ class LiveProvider:
             raise ProviderRefusal(str(choice["refusal"]))
         response_text = choice.get("content") or ""
         usage = self._usage_from_body(body, system_prompt, user_prompt, response_text)
-        return ChatExchange(
-            model_id=model_id,
-            system_prompt=system_prompt,
-            user_prompt=user_prompt,
-            response_text=response_text,
-            usage=usage,
-            timestamp=time.time(),
-        )
+        return ChatExchange(response_text=response_text, usage=usage, timestamp=time.time())
 
     def _post_with_retries(self, payload: dict) -> dict:
         import requests
@@ -526,9 +537,6 @@ class ReplayProvider:
             raise ReplayMiss(key) from None
         record = json.loads(text)
         return ChatExchange(
-            model_id=record["model_id"],
-            system_prompt=record["system_prompt"],
-            user_prompt=record["user_prompt"],
             response_text=record["response_text"],
             usage=Usage.from_dict(record["usage"]),
             timestamp=float(record.get("timestamp", 0.0)),

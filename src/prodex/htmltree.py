@@ -378,9 +378,9 @@ class _Parser:
             root, index = self.children, self.index
             elements, parents, classes = index.elements, index.parents, index.classes
             add_pruned = close = None
-        if readings:  # a copy, so that they come first
-            tags = {**tags, **readings}
-        markup, known = self._markup, tags.get
+        # the placeholders first, then the live memo, which the scan's own readings join
+        known = collections.ChainMap(readings, tags).get if readings else tags.get
+        markup = self._markup
         # watch: the depth of the innermost element whose text is collected,
         # or that is rendered, or -1
         count, watch, signature, pos = 0, -1, 0, 0

@@ -38,7 +38,6 @@ import json
 import random
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from decimal import Decimal
 from typing import Optional
 
 from . import prompts
@@ -60,7 +59,8 @@ from .dsl import (
     run_extraction_on_tree,
     run_extractions,
 )
-from .gateway import PROVIDER_FAILURES, CostLedger, Provider, request_schema, structured_call
+from .gateway import (DECISION_ROLE, PROVIDER_FAILURES, CostLedger, Provider, request_schema,
+                      structured_call)
 from .htmltree import Document, parse_html, selector_needs
 from .schema import (
     FIELDS,
@@ -80,10 +80,6 @@ class EnsembleBootstrapFailed(Exception):
 
 class ReferenceUnattainable(Exception):
     """No sufficiently filled reference object obtainable for a page."""
-
-
-# Ledger role tags of the primary model's calls.
-PRIMARY_ROLES = ("reference", "func_gen", "refine")
 
 
 @dataclass(frozen=True)
@@ -294,7 +290,7 @@ def build_decision_ensemble(
                 _, program = structured_call(
                     provider, config.decision_model, system, user, schema,
                     _program_parser(DecisionProgram),
-                    ledger=ledger, role_tag="decision_gen",
+                    ledger=ledger, role_tag=DECISION_ROLE,
                 )
             except SchemaViolation:
                 continue
@@ -693,20 +689,19 @@ def process_shop(
             entry.attrs_total += count
             page_results[page_id] = PageResult(page_id, product, entry.program.program_id, count)
 
-    by_role_cost = ledger.total_by_role()
-    primary_cost = sum((by_role_cost.get(role, Decimal(0)) for role in PRIMARY_ROLES), Decimal(0))
+    (primary_calls, primary_cost), (decision_calls, decision_cost) = ledger.by_model()
     by_role_count = ledger.count_by_role()
     metrics = ShopRunMetrics(
         shop_id=corpus.shop_id,
         pages_total=len(corpus.pages),
-        llm_calls_primary_model=sum(by_role_count.get(role, 0) for role in PRIMARY_ROLES),
-        llm_calls_decision_model=by_role_count.get("decision_gen", 0),
+        llm_calls_primary_model=primary_calls,
+        llm_calls_decision_model=decision_calls,
         functions_generated=by_role_count.get("func_gen", 0),
         refinements_performed=by_role_count.get("refine", 0),
         reference_extractions=by_role_count.get("reference", 0),
         seed=config.rng_seed,
         cost_primary_usd=str(primary_cost),
-        cost_decision_usd=str(by_role_cost.get("decision_gen", Decimal(0))),
+        cost_decision_usd=str(decision_cost),
         cost_total_usd=str(ledger.total_usd),
         synthesis_log=synthesis_log,
     )

@@ -67,9 +67,6 @@ class OracleProvider:
         else:
             response = self._direct_product(user_prompt)
         return ChatExchange(
-            model_id=model_id,
-            system_prompt=system_prompt,
-            user_prompt=user_prompt,
             response_text=response,
             usage=estimate_usage(system_prompt, user_prompt, response),
             timestamp=0.0,

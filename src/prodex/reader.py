@@ -54,20 +54,19 @@ def _reading(path):
 @dataclass(frozen=True)
 class RawDocument:
     page_id: str
-    url: str
     html: str
     # Why the page file could not be read as text (its html is then empty);
     # compression reports it as the page's failure.
     unreadable: Optional[str] = None
 
 
-def read_page(path: Path, url: str) -> RawDocument:
+def read_page(path: Path) -> RawDocument:
     """The page in the file ``path``, named by the file's stem. A file that
     is not UTF-8 gives a document that names the decoding error."""
     try:
-        return RawDocument(page_id=path.stem, url=url, html=path.read_text(encoding="utf-8"))
+        return RawDocument(page_id=path.stem, html=path.read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
-        return RawDocument(page_id=path.stem, url=url, html="", unreadable=f"not UTF-8: {exc}")
+        return RawDocument(page_id=path.stem, html="", unreadable=f"not UTF-8: {exc}")
 
 
 @dataclass(frozen=True)
@@ -179,10 +178,8 @@ def load_corpus(corpus_dir) -> Corpus:
         shop_id, corpus_id = manifest["shop_id"], manifest["corpus_id"]
         template_ids = tuple(manifest["template_ids"])
     truth = load_truth(root)
-    pages = [
-        read_page(path, f"https://shop-{shop_id}.example/artikel/{path.stem}")
-        for path in sorted((root / "pages").glob("*.html"), key=lambda path: path.name)
-    ]
+    pages = [read_page(path)
+             for path in sorted((root / "pages").glob("*.html"), key=lambda path: path.name)]
     labels = load_labels(root / "labels.json")
     path = root / "templates.json"
     with _reading(path):

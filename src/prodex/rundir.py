@@ -1,9 +1,14 @@
 """The run directory: the one module that names, writes and reads the files a
 command leaves in its ``--out`` (the corpus directory is ``prodex.reader``'s).
 Each is written whole to ``<name>.tmp`` and renamed into place, so an
-interrupted command leaves no torn file. A run file ``prodex evaluate`` cannot
-read, of the wrong shape or listing a page twice raises MalformedProduct
-naming it.
+interrupted command leaves no torn file.
+
+``prodex evaluate`` reads every run alike, the direct directory and each
+indirect ``run-NN/``: its products, and its calls and cost from its
+ledger.json, the one source of call accounting. An indirect run's
+metrics.json is written for the reader but not read back. A run file
+``prodex evaluate`` cannot read, of the wrong shape or listing a page twice
+raises MalformedProduct naming it.
 """
 
 import json
@@ -162,14 +167,12 @@ def _manifest(text: str) -> dict:
     return scoring
 
 
-def _metrics_counts(text: str) -> dict:
-    metrics = json.loads(text)
-    calls = (metrics["llm_calls_primary_model"], metrics["llm_calls_decision_model"])
-    cost = metrics["cost_total_usd"]
-    if any(type(n) is not int or n < 0 for n in calls) or not isinstance(cost, str):
-        raise TypeError(f"want call counts and a cost string, got {calls} and {cost!r}")
-    Decimal(cost)  # raises InvalidOperation for a cost that is not a decimal
-    return {"calls_primary": calls[0], "calls_decision": calls[1], "cost_usd": cost}
+def _ledger_counts(text: str) -> dict:
+    """``evaluate``'s call counts and cost of a run, from its ledger.json."""
+    ledger = CostLedger.from_json(text)
+    (primary, _), (decision, _) = ledger.by_model()
+    return {"calls_primary": primary, "calls_decision": decision,
+            "cost_usd": str(ledger.total_usd)}
 
 
 def _run_products(text: str, read: dict) -> dict[str, FoodProduct]:
@@ -230,7 +233,8 @@ def read_products(out) -> dict[str, FoodProduct]:
 
 def read_results(root):
     """``evaluate``'s scoring arguments for the run directory, and per run (a direct
-    directory is one) its products and counts, read as the iteration reaches it."""
+    directory is one, an indirect one holds ``run-NN/``) its products and the
+    calls and cost of its ledger.json, read as the iteration reaches it."""
     root = Path(root)
     scoring = _read(root / MANIFEST, _manifest)
     failed = _read(root / FAILURES, json.loads) if (root / FAILURES).exists() else {}
@@ -239,12 +243,12 @@ def read_results(root):
                                f" not {failed!r:.40}")
     scoring["failed"] = failed
     if scoring["strategy"] == "direct":
-        products, ledger = read_products(root), _read(root / LEDGER, CostLedger.from_json)
-        counts = {"calls_primary": len(ledger.entries), "cost_usd": str(ledger.total_usd)}
-        return scoring, iter([(products, counts)])
-    run_dirs = sorted(root.glob(RUNS))
-    if not run_dirs:
-        raise MalformedProduct(f"{root}: an indirect run directory holds no {RUNS} run")
-    read: dict = {}  # see _run_products
-    return scoring, ((_read(run / RUN_PRODUCTS, lambda text: _run_products(text, read)),
-                      _read(run / METRICS, _metrics_counts)) for run in run_dirs)
+        runs, products = [root], read_products
+    else:
+        runs, read = sorted(root.glob(RUNS)), {}  # read: see _run_products
+        if not runs:
+            raise MalformedProduct(f"{root}: an indirect run directory holds no {RUNS} run")
+
+        def products(run):
+            return _read(run / RUN_PRODUCTS, lambda text: _run_products(text, read))
+    return scoring, ((products(run), _read(run / LEDGER, _ledger_counts)) for run in runs)

@@ -121,6 +121,27 @@ def test_extract_direct_ledger_is_byte_identical_under_workers(workspace, runner
     assert ledgers[0] == ledgers[1] == ledgers[2]
 
 
+def test_extract_direct_with_one_worker_starts_no_thread(workspace, runner, tmp_path,
+                                                        monkeypatch):
+    """``--workers 1`` runs each page in the calling thread: no pool, no thread."""
+    from concurrent import futures
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a thread pool or a thread was started")
+
+    monkeypatch.setattr(futures, "ThreadPoolExecutor", refused)
+    monkeypatch.setattr(threading.Thread, "start", refused)
+    out = tmp_path / "direct"
+    result = runner.invoke(
+        main,
+        ["extract", "direct", "--corpus", str(workspace / "corpus"), "--out", str(out),
+         "--provider", "oracle", "--workers", "1"],
+    )
+    assert result.exit_code == 0, result.output
+    assert len(list((out / "products").glob("*.json"))) == 40
+    assert len(json.loads((out / "ledger.json").read_text())["entries"]) == 40
+
+
 def test_extract_direct_resume_uses_checkpoint(workspace, runner):
     out = workspace / "direct"
     result = runner.invoke(
@@ -570,6 +591,66 @@ def test_evaluate_averages_every_run_of_every_indirect_directory(workspace, runn
 
 
 @pytest.fixture(scope="module")
+def indirect_runs(workspace, runner, tmp_path_factory):
+    """A two-run indirect directory, to be copied before it is edited."""
+    out = tmp_path_factory.mktemp("indirect-runs") / "indirect"
+    result = runner.invoke(
+        main,
+        ["extract", "indirect", "--corpus", str(workspace / "corpus"), "--out", str(out),
+         "--provider", "oracle", "--runs", "2"],
+    )
+    assert result.exit_code == 0, result.output
+    return out
+
+
+def _evaluated_shop(workspace, runner, out, report_path) -> dict:
+    result = runner.invoke(
+        main,
+        ["evaluate", "--results", str(out), "--truth", str(workspace / "corpus"),
+         "--out", str(report_path)],
+    )
+    assert result.exit_code == 0, result.output
+    return json.loads(report_path.read_text(encoding="utf-8"))["shops"]["beta"]
+
+
+def test_evaluate_does_not_read_an_indirect_runs_metrics(workspace, runner, tmp_path,
+                                                         indirect_runs):
+    """metrics.json is written for the reader, not read back: editing its
+    counts changes no byte of the report."""
+    out = shutil.copytree(indirect_runs, tmp_path / "indirect")
+    before = _evaluated_shop(workspace, runner, out, tmp_path / "before.json")
+    path = out / "run-00" / "metrics.json"
+    metrics = json.loads(path.read_text(encoding="utf-8"))
+    assert metrics["llm_calls_primary_model"] > 0
+    metrics.update(llm_calls_primary_model=metrics["llm_calls_primary_model"] + 7,
+                   llm_calls_decision_model=metrics["llm_calls_decision_model"] + 3,
+                   cost_total_usd="123.45")
+    path.write_text(json.dumps(metrics, indent=2), encoding="utf-8")
+    assert _evaluated_shop(workspace, runner, out, tmp_path / "after.json") == before
+    assert (tmp_path / "after.json").read_bytes() == (tmp_path / "before.json").read_bytes()
+
+
+def test_evaluate_counts_each_indirect_run_from_its_ledger(workspace, runner, tmp_path,
+                                                           indirect_runs):
+    """A call missing from a run's ledger.json is missing from the report:
+    one primary call fewer, and its price off the cost."""
+    from decimal import Decimal
+
+    out = shutil.copytree(indirect_runs, tmp_path / "indirect")
+    before = _evaluated_shop(workspace, runner, out, tmp_path / "before.json")
+    path = out / "run-00" / "ledger.json"
+    ledger = json.loads(path.read_text(encoding="utf-8"))
+    primary = next(i for i, entry in enumerate(ledger["entries"])
+                   if entry["role_tag"] != "decision_gen")
+    dropped = ledger["entries"].pop(primary)
+    path.write_text(json.dumps(ledger, indent=2), encoding="utf-8")
+    after = _evaluated_shop(workspace, runner, out, tmp_path / "after.json")
+    assert after["calls_primary"] == before["calls_primary"] - 1
+    assert after["calls_decision"] == before["calls_decision"]
+    assert Decimal(after["cost_usd"]) == Decimal(before["cost_usd"]) - Decimal(dropped["cost_usd"])
+
+
+@pytest.fixture(scope="module")
 def broken_corpus(tmp_path_factory, runner):
     """A 20-page beta corpus whose first labeled page is emptied."""
     corpus = tmp_path_factory.mktemp("broken") / "corpus"
@@ -812,16 +893,16 @@ def test_unparsable_product_file_is_a_usage_error(workspace, runner, tmp_path):
 @pytest.mark.parametrize("name, text", [
     ("products.json", "{bad"),
     ("products.json", '[{"page_id": "beta-0000", "product": {"fat": {"value": "x"}}}]'),
-    ("metrics.json", "{}"),
+    ("ledger.json", '{"entries": [{"model_id": "o3-mini"}]}'),
     ("products.json", "[" * 100_000),
-    ("metrics.json", "[" * 100_000),
-    ("metrics.json", '{"llm_calls_primary_model": "abc", "llm_calls_decision_model": 0,'
-                     ' "cost_total_usd": "0"}'),
-    ("metrics.json", '{"llm_calls_primary_model": 1, "llm_calls_decision_model": 0,'
-                     ' "cost_total_usd": "abc"}'),
-], ids=["products-invalid-json", "products-bad-product", "metrics-missing-key",
-        "products-deeply-nested", "metrics-deeply-nested", "metrics-count-not-a-number",
-        "metrics-cost-not-a-decimal"])
+    ("ledger.json", "[" * 100_000),
+    ("ledger.json", '{"entries": [{"exchange_ref": "k", "model_id": "o3-mini", "role_tag":'
+                    ' "reference", "usage": {"input_tokens": "abc"}, "cost_usd": "0"}]}'),
+    ("ledger.json", '{"entries": [{"exchange_ref": "k", "model_id": "o3-mini", "role_tag":'
+                    ' "reference", "usage": {}, "cost_usd": "abc"}]}'),
+], ids=["products-invalid-json", "products-bad-product", "ledger-missing-key",
+        "products-deeply-nested", "ledger-deeply-nested", "ledger-count-not-a-number",
+        "ledger-cost-not-a-decimal"])
 def test_unreadable_indirect_run_file_is_a_usage_error(workspace, runner, tmp_path, name, text):
     out = tmp_path / "indirect"
     result = runner.invoke(

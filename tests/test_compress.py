@@ -36,7 +36,7 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 def _raw(html, page_id="p"):
-    return RawDocument(page_id=page_id, url="test", html=html)
+    return RawDocument(page_id=page_id, html=html)
 
 
 def _html(doc):

@@ -102,7 +102,7 @@ class _FixedAnswerProvider:
     def complete_structured(self, model_id, system_prompt, user_prompt, json_schema):
         from prodex.gateway import ChatExchange, Usage
 
-        return ChatExchange(model_id, system_prompt, user_prompt, self.response, Usage())
+        return ChatExchange(self.response, Usage())
 
 
 class _DeeplyNestedProvider:
@@ -116,7 +116,7 @@ class _DeeplyNestedProvider:
         from prodex.gateway import ChatExchange, Usage
 
         if any(f"Art.-Nr. {p}" in user_prompt for p in self.bad_pages):
-            return ChatExchange(model_id, system_prompt, user_prompt, "[" * 100_000, Usage())
+            return ChatExchange("[" * 100_000, Usage())
         return self.inner.complete_structured(model_id, system_prompt, user_prompt, json_schema)
 
 
@@ -304,3 +304,27 @@ class TestParallelBatch:
         assert counting.calls == 0
         assert not failures
         assert list(again.items()) == list(first.items())
+
+    def test_pages_finished_on_many_threads_are_all_kept(self, small_alpha, oracle, tmp_path):
+        """Worker threads record their pages' products, failures and product
+        files at once: with more workers than cores and a short switch
+        interval, no page is lost, and the ledger lists every attempt in
+        document order."""
+        import sys
+
+        docs = [compress_both(page)[0] for page in small_alpha.pages[:40]]
+        bad = {doc.page_id for doc in docs[::3]}
+        ledger, interval = CostLedger(), sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            products, failures = extract_direct_batch(
+                docs, _DeeplyNestedProvider(oracle, bad), "o3-mini", ledger, out_dir=tmp_path,
+                workers=16,
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert set(failures) == bad
+        assert list(products) == [doc.page_id for doc in docs if doc.page_id not in bad]
+        assert sorted(read_products(tmp_path)) == sorted(products)
+        assert [entry.page_id for entry in ledger.entries] == [
+            doc.page_id for doc in docs for _ in range(2 if doc.page_id in bad else 1)]

@@ -847,7 +847,7 @@ def test_a_drawn_program_is_refused_or_runs_alike_on_the_page_and_its_tree(html,
             program = parse_program(json.dumps(data))
         except ProgramParseError:
             return
-        raw = RawDocument("p", "test", html)
+        raw = RawDocument("p", html)
         try:
             html_doc, text_doc = compress_both(raw)
         except UnparsableDocument:
@@ -876,7 +876,7 @@ def test_a_capture_reads_at_most_the_capped_text_of_a_huge_element(monkeypatch):
     program = ExtractionProgram("p", "FoodProduct", (rule,))
     scan = program_scan((program.rules,))
     html = '<td class="fat">' + "1" * 100_000 + "</td>"
-    raw = RawDocument("p", "test", html)
+    raw = RawDocument("p", html)
 
     def run():
         with _time_bound(_EXAMPLE_BOUND_S):

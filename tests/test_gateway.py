@@ -166,9 +166,6 @@ class _ScriptedProvider:
         self.calls.append(user_prompt)
         text = self.responses.pop(0)
         return ChatExchange(
-            model_id=model_id,
-            system_prompt=system_prompt,
-            user_prompt=user_prompt,
             response_text=text,
             usage=estimate_usage(system_prompt, user_prompt, text),
             timestamp=0.0,
@@ -318,7 +315,7 @@ class TestRecordReplay:
 
         class Answering:
             def complete_structured(self, *args):
-                return ChatExchange(model_id, system, user, response, usage, timestamp)
+                return ChatExchange(response, usage, timestamp)
 
         json_schema = RequestSchema(schema) if request_schema else schema
         with tempfile.TemporaryDirectory() as session:

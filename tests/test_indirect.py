@@ -780,7 +780,7 @@ class _DeeplyNestedPrograms:
         from prodex.gateway import ChatExchange, Usage
 
         if json_schema["title"] == "ExtractionProgram" and f"Art.-Nr. {self.page_id}" in user_prompt:
-            return ChatExchange(model_id, system_prompt, user_prompt, "[" * 100_000, Usage())
+            return ChatExchange("[" * 100_000, Usage())
         return self.inner.complete_structured(model_id, system_prompt, user_prompt, json_schema)
 
 

@@ -232,6 +232,21 @@ def test_a_full_start_tag_memo_makes_room_for_a_new_tag(monkeypatch):
     assert len(readings) == ATTRIBUTE_MEMO_SIZE and late in readings
 
 
+def test_a_recipe_scan_with_a_tag_hole_reads_a_repeated_start_tag_once(monkeypatch):
+    """A recipe scan looks up its tag holes' placeholders and then the live
+    start-tag memo, which its own readings join, so a start tag the marked
+    page repeats is read once."""
+    _clear_memos()
+    render_pruned('<div id="a"><p class="x">1</p><p class="x">2</p></div>')
+    targets = MatchSet([(parse_selector("p.x"), 0)])
+    eligible, read = [], targets.eligible
+    monkeypatch.setattr(targets, "eligible", lambda *args: eligible.append(args[0]) or read(*args))
+    page = '<div id="b"><p class="x">1</p><p class="x">2</p></div>'
+    assert match_pruned(page, targets)[0] == ["1"]
+    assert htmltree._skeletons.lookup(page, targets) is not None  # it walked the skeleton
+    assert eligible.count("p") == 1
+
+
 def _clear_memos():
     _renderings.clear()
     htmltree._skeletons = htmltree._Skeletons()

@@ -21,12 +21,12 @@ from pathlib import Path
 
 import click
 
-from . import prompts, rundir
+from . import files, prompts, rundir
 from .direct import extract_direct_batch
 from .gateway import (PRICES, CostLedger, LiveProvider, RecordingProvider, ReplayProvider,
                       count_tokens)
 from .reader import (READ_ERRORS, Corpus, MalformedCorpusFile, MalformedTruth, MissingTruth,
-                     load_corpus, load_labels, load_truth, read_page)
+                     list_files, load_corpus, load_labels, load_truth, read_page)
 # parse_product is not called here: it stays bound because the benchmark's
 # tracer wraps it at this site (perfbench/tracer.py, SITES).
 from .schema import parse_product  # noqa: F401
@@ -76,7 +76,7 @@ def main(ctx, config_path):
     ctx.ensure_object(dict)
     if config_path:
         try:
-            ctx.obj["config"] = json.loads(Path(config_path).read_text(encoding="utf-8"))
+            ctx.obj["config"] = json.loads(files.read_text(config_path))
         except (OSError, ValueError, RecursionError) as exc:
             raise click.UsageError(f"--config: {config_path}: {type(exc).__name__}: {exc}") from exc
         if not isinstance(ctx.obj["config"], dict):
@@ -117,16 +117,15 @@ def compress_cmd(variant, in_path, out_dir):
     """Compress pages to HTML_COMPRESSED or TEXT plus a token manifest."""
     from .compress import UnparsableDocument
 
-    in_path = Path(in_path)
     Path(out_dir).mkdir(parents=True, exist_ok=True)
-    if in_path.is_dir():
-        files = sorted(in_path.glob("*.html"), key=lambda path: path.name)
+    if Path(in_path).is_dir():
+        pages = list_files(in_path, ".html")
     else:
-        files = [in_path]
+        pages = [(Path(in_path).stem, in_path)]
     manifest = []
     failures: dict[str, str] = {}
-    for path in files:
-        raw = read_page(path)
+    for page_id, path in pages:
+        raw = read_page(path, page_id)
         try:
             html_doc, text_doc = compress_both(raw)
         except UnparsableDocument as exc:
@@ -401,7 +400,7 @@ def _read_report(path) -> RunReport:
     from .evaluate import RunReport
 
     try:
-        return RunReport.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        return RunReport.from_dict(json.loads(files.read_text(path)))
     except READ_ERRORS as exc:
         raise click.UsageError(
             f"{path} is not a report: {type(exc).__name__}: {exc}"
@@ -421,9 +420,7 @@ def compare_cmd(direct_path, indirect_path, out_path):
         summary = compare_strategies(direct, indirect)
     except CorpusMismatch as exc:
         raise click.UsageError(f"the reports score different corpora: {exc}") from exc
-    Path(out_path).write_text(
-        json.dumps(summary, indent=2, ensure_ascii=False), encoding="utf-8"
-    )
+    files.write_atomic(out_path, json.dumps(summary, indent=2, ensure_ascii=False))
     click.echo(
         f"Δaccuracy {summary['delta_accuracy']:+.2f}, "
         f"call reduction {summary['call_reduction_pct']:.2f}%"

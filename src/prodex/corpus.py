@@ -26,13 +26,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
 from dataclasses import dataclass
 from decimal import Decimal
 from html import escape
-from pathlib import Path
 from typing import Optional
 
+from . import files
 # parse_program is not called here: it stays bound because the benchmark's
 # tracer wraps it at this site (perfbench/tracer.py, SITES).
 from .dsl import ExtractionProgram, FieldRule, PostOp, parse_program  # noqa: F401
@@ -597,32 +598,29 @@ def _render_page(
 # --- On-disk layout ------------------------------------------------------------
 
 def write_corpus(corpus: Corpus, out_dir, preset: Optional[str] = None, spec: Optional[ShopSpec] = None) -> None:
-    out = Path(out_dir)
-    (out / "pages").mkdir(parents=True, exist_ok=True)
+    """Write the corpus to ``out_dir``, in place: files a write replaces are rewritten."""
+    out = os.fspath(out_dir)
+    pages = os.path.join(out, "pages")
+    os.makedirs(pages, exist_ok=True)
     for doc in corpus.pages:
-        (out / "pages" / f"{doc.page_id}.html").write_text(doc.html, encoding="utf-8")
-    with (out / "truth.jsonl").open("w", encoding="utf-8") as fh:
-        for doc in corpus.pages:
-            fh.write(json.dumps(corpus.truth[doc.page_id].to_dict(), ensure_ascii=False))
-            fh.write("\n")
-    (out / "labels.json").write_text(
-        json.dumps(corpus.labels, indent=2, sort_keys=True), encoding="utf-8"
-    )
-    (out / "templates.json").write_text(
-        json.dumps(
-            {
-                "decision_keywords": list(corpus.decision_keywords),
-                "templates": [
-                    {"template_id": tid,
-                     "true_program": load_true_program(corpus, tid).to_dict()}
-                    for tid in corpus.template_ids
-                ],
-            },
-            indent=2,
-            ensure_ascii=False,
-        ),
-        encoding="utf-8",
-    )
+        files.write_text(os.path.join(pages, f"{doc.page_id}.html"), doc.html)
+    files.write_text(os.path.join(out, "truth.jsonl"), "".join(
+        json.dumps(corpus.truth[doc.page_id].to_dict(), ensure_ascii=False) + "\n"
+        for doc in corpus.pages))
+    files.write_text(os.path.join(out, "labels.json"),
+                     json.dumps(corpus.labels, indent=2, sort_keys=True))
+    files.write_text(os.path.join(out, "templates.json"), json.dumps(
+        {
+            "decision_keywords": list(corpus.decision_keywords),
+            "templates": [
+                {"template_id": tid,
+                 "true_program": load_true_program(corpus, tid).to_dict()}
+                for tid in corpus.template_ids
+            ],
+        },
+        indent=2,
+        ensure_ascii=False,
+    ))
     manifest = {
         "shop_id": corpus.shop_id,
         "corpus_id": corpus.corpus_id,
@@ -631,4 +629,4 @@ def write_corpus(corpus: Corpus, out_dir, preset: Optional[str] = None, spec: Op
         "seed": spec.seed if spec else None,
         "template_ids": list(corpus.template_ids),
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2), encoding="utf-8")
+    files.write_text(os.path.join(out, "manifest.json"), json.dumps(manifest, indent=2))

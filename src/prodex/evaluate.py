@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from typing import Iterable, Optional
 
+from . import files
 from .reader import GroundTruthRecord, MissingTruth
 from .schema import FoodProduct
 from .similarity import compare
@@ -205,7 +206,8 @@ def compare_strategies(direct: RunReport, indirect: RunReport) -> dict:
 
 
 def emit_report(report: RunReport, fmt: str, path) -> None:
-    """Write the report as json, csv or markdown (deterministic bytes)."""
+    """Write the report as json, csv or markdown (deterministic bytes), whole:
+    an interrupted write leaves no torn report."""
     if fmt == "json":
         text = json.dumps(report.to_dict(), indent=2, ensure_ascii=False) + "\n"
     elif fmt == "csv":
@@ -214,8 +216,7 @@ def emit_report(report: RunReport, fmt: str, path) -> None:
         text = _to_markdown(report)
     else:
         raise ValueError(f"unknown report format {fmt!r}")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    files.write_atomic(path, text)
 
 
 def _variants_present(report: RunReport) -> list[str]:

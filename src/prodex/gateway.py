@@ -30,9 +30,9 @@ import time
 from dataclasses import dataclass, replace
 from decimal import Decimal
 from json.encoder import encode_basestring as json_string
-from pathlib import Path
 from typing import Callable, Optional, Protocol, TypeVar
 
+from . import files
 from .schema import SchemaViolation, json_block
 
 
@@ -78,11 +78,14 @@ class Usage:
 
     @staticmethod
     def from_dict(data: dict) -> "Usage":
-        return Usage(
-            input_tokens=int(data.get("input_tokens", 0)),
-            cached_input_tokens=int(data.get("cached_input_tokens", 0)),
-            output_tokens=int(data.get("output_tokens", 0)),
-        )
+        """The usage of a ledger entry or session record; a count that is not
+        a JSON integer raises TypeError, and a negative one ValueError."""
+        counts = {name: data.get(name, 0)
+                  for name in ("input_tokens", "cached_input_tokens", "output_tokens")}
+        for name, count in counts.items():
+            if type(count) is not int:
+                raise TypeError(f"{name} {count!r} is not an integer")
+        return Usage(**counts)
 
 
 @dataclass(frozen=True)
@@ -282,21 +285,46 @@ class CostLedger:
 
     @staticmethod
     def from_json(text: str) -> "CostLedger":
+        """The ledger in ``text``, as ``to_json`` writes it. It must hold an
+        ``entries`` list, and each entry a role tag of ``PRIMARY_ROLES`` or
+        ``DECISION_ROLE``, integer token counts of at least 0 and its cost as
+        a decimal string; anything else raises ValueError naming the entry."""
         data = json.loads(text)
         ledger = CostLedger()
         ledger.meta = dict(data.get("meta", {}))
-        for raw in data.get("entries", []):
-            ledger.entries.append(
-                LedgerEntry(
+        entries = data["entries"]
+        if not isinstance(entries, list):
+            raise TypeError(f"entries must be a list, not {type(entries).__name__}")
+        for index, raw in enumerate(entries):
+            try:
+                ledger.entries.append(LedgerEntry(
                     exchange_ref=raw["exchange_ref"],
                     model_id=raw["model_id"],
-                    role_tag=raw["role_tag"],
+                    role_tag=_role_tag(raw["role_tag"]),
                     usage=Usage.from_dict(raw["usage"]),
-                    cost_usd=Decimal(raw["cost_usd"]),
+                    cost_usd=_cost(raw["cost_usd"]),
                     page_id=raw.get("page_id"),
-                )
-            )
+                ))
+            except (KeyError, TypeError, ValueError, AttributeError, ArithmeticError) as exc:
+                raise ValueError(f"ledger entry {index}: {type(exc).__name__}: {exc}") from exc
         return ledger
+
+
+def _role_tag(role_tag: str) -> str:
+    if role_tag != DECISION_ROLE and role_tag not in PRIMARY_ROLES:
+        raise ValueError(f"role tag {role_tag!r} is neither a primary nor a decision role")
+    return role_tag
+
+
+def _cost(text: str) -> Decimal:
+    """A cost as ``to_json`` writes it: a string that reads as a finite decimal
+    of at least 0, so that no binary float is taken for its nearest decimal."""
+    if not isinstance(text, str):
+        raise TypeError(f"cost {text!r} is not a decimal string")
+    value = Decimal(text)
+    if not value.is_finite() or value < 0:
+        raise ValueError(f"cost {text!r} is not a finite amount of at least 0")
+    return value
 
 
 # --- Providers ---------------------------------------------------------------
@@ -470,26 +498,15 @@ class LiveProvider:
         )
 
 
-def write_atomic(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` through ``<name>.tmp`` and a rename, so an
-    interrupted write leaves at most a stray ``.tmp`` file, never a torn
-    ``path``. A lone surrogate, which UTF-8 cannot hold, is written as its
-    ``\\udXXX`` escape, which JSON text, the only text written with one,
-    reads back as the same character."""
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8", errors="backslashreplace")
-    os.replace(tmp, path)
-
-
 class RecordingProvider:
     """Wraps any provider and persists each exchange as ``<key>.json`` in a
-    session directory, written with ``write_atomic``: the bytes of
+    session directory, written with ``files.write_atomic``: the bytes of
     ``json.dumps`` of the record with ``indent=2, ensure_ascii=False``."""
 
     def __init__(self, inner: Provider, session_dir):
         self.inner = inner
-        self.session_dir = Path(session_dir)
-        self.session_dir.mkdir(parents=True, exist_ok=True)
+        self.session_dir = os.fspath(session_dir)
+        os.makedirs(self.session_dir, exist_ok=True)
         self._lock = threading.Lock()
 
     def complete_structured(self, model_id, system_prompt, user_prompt, json_schema) -> ChatExchange:
@@ -517,7 +534,7 @@ class RecordingProvider:
             f'"timestamp": {json.dumps(exchange.timestamp)}',
         ], 1)
         with self._lock:
-            write_atomic(self.session_dir / f"{key}.json", text)
+            files.write_atomic(os.path.join(self.session_dir, f"{key}.json"), text)
         return replace(exchange, key=key)
 
 
@@ -525,14 +542,14 @@ class ReplayProvider:
     """Serves recorded exchanges; any unseen prompt is a ReplayMiss."""
 
     def __init__(self, session_dir):
-        self.session_dir = Path(session_dir)
-        if not self.session_dir.is_dir():
+        self.session_dir = os.fspath(session_dir)
+        if not os.path.isdir(self.session_dir):
             raise ReplayMiss(f"no session directory {self.session_dir}")
 
     def complete_structured(self, model_id, system_prompt, user_prompt, json_schema) -> ChatExchange:
         key = exchange_key(model_id, system_prompt, user_prompt, json_schema)
         try:
-            text = (self.session_dir / f"{key}.json").read_text(encoding="utf-8")
+            text = files.read_text(os.path.join(self.session_dir, f"{key}.json"))
         except FileNotFoundError:
             raise ReplayMiss(key) from None
         record = json.loads(text)

@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from pathlib import Path
+import os
+
+from .. import files
 
 _TEMPLATE_NAMES = (
     "direct_system.txt",
@@ -23,7 +25,7 @@ _TEMPLATE_NAMES = (
 
 @functools.cache
 def load(name: str) -> str:
-    return Path(__file__).with_name(name).read_text(encoding="utf-8")
+    return files.read_text(os.path.join(os.path.dirname(__file__), name))
 
 
 def bundle_hash() -> str:

@@ -12,12 +12,13 @@ commands, only the oracle makes one. The generator lives in
 from __future__ import annotations
 
 import json
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from decimal import Decimal
-from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Union
 
+from . import files
 from .schema import FoodProduct, SchemaViolation, product_from_dict, product_to_dict
 
 if TYPE_CHECKING:
@@ -60,13 +61,23 @@ class RawDocument:
     unreadable: Optional[str] = None
 
 
-def read_page(path: Path) -> RawDocument:
-    """The page in the file ``path``, named by the file's stem. A file that
-    is not UTF-8 gives a document that names the decoding error."""
+def read_page(path, page_id: str) -> RawDocument:
+    """The page ``page_id`` in the file ``path``. A file that is not UTF-8
+    gives a document that names the decoding error."""
     try:
-        return RawDocument(page_id=path.stem, html=path.read_text(encoding="utf-8"))
+        return RawDocument(page_id=page_id, html=files.read_text(path))
     except UnicodeDecodeError as exc:
-        return RawDocument(page_id=path.stem, html="", unreadable=f"not UTF-8: {exc}")
+        return RawDocument(page_id=page_id, html="", unreadable=f"not UTF-8: {exc}")
+
+
+def list_files(directory, suffix: str) -> list[tuple[str, str]]:
+    """(stem, path) of each entry of ``directory`` named ``*<suffix>``, in name
+    order: what ``Path(directory).glob("*" + suffix)`` finds, sorted by name,
+    as str paths."""
+    with os.scandir(directory) as entries:
+        found = sorted((entry.name, entry.path) for entry in entries
+                       if entry.name.endswith(suffix))
+    return [(name[:-len(suffix)] or name, path) for name, path in found]
 
 
 @dataclass(frozen=True)
@@ -134,11 +145,11 @@ def load_truth(path) -> dict[str, GroundTruthRecord]:
     """Ground truth by page id, from a corpus directory or a truth.jsonl file.
     A record that does not load, or names a page an earlier line names,
     raises MalformedTruth naming its line."""
-    path = Path(path)
-    if path.is_dir():
-        path = path / "truth.jsonl"
+    path = os.fspath(path)
+    if os.path.isdir(path):
+        path = os.path.join(path, "truth.jsonl")
     with _reading(path):
-        lines = path.read_text(encoding="utf-8").split("\n")
+        lines = files.read_text(path).split("\n")
     truth: dict[str, GroundTruthRecord] = {}
     for number, line in enumerate(lines, start=1):
         if not line.strip():
@@ -159,7 +170,7 @@ def load_labels(path) -> dict[str, bool]:
     """Bootstrap labels by page id, from a JSON object of page id to a JSON
     boolean."""
     with _reading(path):
-        labels = json.loads(Path(path).read_text(encoding="utf-8"))
+        labels = json.loads(files.read_text(path))
         if not isinstance(labels, dict):
             raise TypeError("the file must hold a JSON object")
         for page_id, label in labels.items():
@@ -171,19 +182,21 @@ def load_labels(path) -> dict[str, bool]:
 def load_corpus(corpus_dir) -> Corpus:
     """The corpus in ``corpus_dir``. A file that does not load raises
     MalformedCorpusFile, and a bad truth.jsonl record MalformedTruth."""
-    root = Path(corpus_dir)
-    path = root / "manifest.json"
+    root = os.fspath(corpus_dir)
+    path = os.path.join(root, "manifest.json")
     with _reading(path):
-        manifest = json.loads(path.read_text(encoding="utf-8"))
+        manifest = json.loads(files.read_text(path))
         shop_id, corpus_id = manifest["shop_id"], manifest["corpus_id"]
         template_ids = tuple(manifest["template_ids"])
     truth = load_truth(root)
-    pages = [read_page(path)
-             for path in sorted((root / "pages").glob("*.html"), key=lambda path: path.name)]
-    labels = load_labels(root / "labels.json")
-    path = root / "templates.json"
+    path = os.path.join(root, "pages")
     with _reading(path):
-        templates = json.loads(path.read_text(encoding="utf-8"))
+        listed = list_files(path, ".html")
+    pages = [read_page(page, page_id) for page_id, page in listed]
+    labels = load_labels(os.path.join(root, "labels.json"))
+    path = os.path.join(root, "templates.json")
+    with _reading(path):
+        templates = json.loads(files.read_text(path))
         decision_keywords = tuple(templates.get("decision_keywords", DECISION_KEYWORDS))
         true_programs = {
             entry["template_id"]: json.dumps(entry["true_program"])

@@ -1,7 +1,7 @@
 """The run directory: the one module that names, writes and reads the files a
 command leaves in its ``--out`` (the corpus directory is ``prodex.reader``'s).
-Each is written whole to ``<name>.tmp`` and renamed into place, so an
-interrupted command leaves no torn file.
+Each is written whole to ``<name>.tmp`` and renamed into place
+(``prodex.files``), so an interrupted command leaves no torn file.
 
 ``prodex evaluate`` reads every run alike, the direct directory and each
 indirect ``run-NN/``: its products, and its calls and cost from its
@@ -19,8 +19,9 @@ from decimal import Decimal
 from json.encoder import encode_basestring as json_string
 from pathlib import Path
 
-from .gateway import CostLedger, write_atomic
-from .reader import READ_ERRORS
+from . import files
+from .gateway import CostLedger
+from .reader import READ_ERRORS, list_files
 from .schema import (FoodProduct, SchemaViolation, parse_product, product_from_dict,
                      serialize_product)
 
@@ -43,7 +44,7 @@ def write_failures(out, failures: dict[str, str]) -> None:
     with none, remove the file an earlier invocation left."""
     path = Path(out) / FAILURES
     if failures:
-        write_atomic(path, json.dumps(failures, indent=2, sort_keys=True))
+        files.write_atomic(path, json.dumps(failures, indent=2, sort_keys=True))
     else:
         path.unlink(missing_ok=True)
 
@@ -52,11 +53,11 @@ def write_manifest(out, strategy: str, variant: str, shop, **fields) -> None:
     """manifest.json: what ``prodex evaluate`` scores the directory as, then ``fields``."""
     manifest = {"strategy": strategy, "variant": variant, "shop_id": shop.shop_id,
                 "corpus_id": shop.corpus_id, **fields}
-    write_atomic(Path(out) / MANIFEST, json.dumps(manifest, indent=2))
+    files.write_atomic(Path(out) / MANIFEST, json.dumps(manifest, indent=2))
 
 
 def write_ledger(out, ledger: CostLedger) -> None:
-    write_atomic(Path(out) / LEDGER, ledger.to_json())
+    files.write_atomic(Path(out) / LEDGER, ledger.to_json())
 
 
 def remove_products(out) -> None:
@@ -72,7 +73,7 @@ def resume_products(out) -> dict[str, FoodProduct]:
 
 def write_product(out, page_id: str, product: FoodProduct) -> None:
     """A finished direct page's only record."""
-    write_atomic(Path(out) / PRODUCTS / f"{page_id}.json", serialize_product(product))
+    files.write_atomic(os.path.join(out, PRODUCTS, f"{page_id}.json"), serialize_product(product))
 
 
 def write_products_json(fh, page_results, texts=None) -> None:
@@ -116,12 +117,10 @@ def write_run(out, index: int, result, texts=None) -> None:
     reusing and then holding ``texts`` as ``write_products_json`` does."""
     run = Path(out) / f"run-{index:02d}"
     run.mkdir(parents=True, exist_ok=True)
-    tmp = run / f"{RUN_PRODUCTS}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with files.atomic_writer(run / RUN_PRODUCTS) as fh:
         write_products_json(fh, result.page_results, texts)
-    os.replace(tmp, run / RUN_PRODUCTS)
-    write_atomic(run / LIBRARY, result.library.to_json())
-    write_atomic(run / METRICS, result.metrics.to_json())
+    files.write_atomic(run / LIBRARY, result.library.to_json())
+    files.write_atomic(run / METRICS, result.metrics.to_json())
     write_ledger(run, result.ledger)
 
 
@@ -131,27 +130,27 @@ def write_summary(out, shop_id: str, master_seed: int, run_seeds: list[int], met
     summary = dict(master_seed=master_seed, runs=len(run_seeds), run_seeds=run_seeds,
                    accuracies=[m.accuracy for m in metrics],
                    primary_calls=[m.llm_calls_primary_model for m in metrics], distribution=dist)
-    write_atomic(Path(out) / SUMMARY, json.dumps(summary, indent=2, ensure_ascii=False))
+    files.write_atomic(Path(out) / SUMMARY, json.dumps(summary, indent=2, ensure_ascii=False))
     if dist is not None:
-        write_atomic(Path(out) / SUMMARY_CSV, "shop_id,runs,min,mean,max,stddev\n"
+        files.write_atomic(Path(out) / SUMMARY_CSV, "shop_id,runs,min,mean,max,stddev\n"
                      f"{shop_id},{dist['n']},{dist['min']:.4f},{dist['mean']:.4f},"
                      f"{dist['max']:.4f},{dist['stddev']:.4f}\n")
 
 
 def write_compressed(out, doc) -> None:
     suffix = ".txt" if doc.variant.value == "TEXT" else ".html"  # evaluate loads no compress
-    write_atomic(Path(out) / f"{doc.page_id}{suffix}", doc.content)
+    files.write_atomic(os.path.join(out, doc.page_id + suffix), doc.content)
 
 
 def write_token_manifest(out, counts: list[tuple[str, str, int, int]]) -> None:
     keys = ("page_id", "variant", "token_count", "original_token_count")
-    write_atomic(Path(out) / MANIFEST, json.dumps([dict(zip(keys, c)) for c in counts], indent=2))
+    files.write_atomic(Path(out) / MANIFEST, json.dumps([dict(zip(keys, c)) for c in counts], indent=2))
 
 
-def _read(path: Path, parse):
+def _read(path, parse):
     """``parse`` of the text of ``path``; any fault is a MalformedProduct naming it."""
     try:
-        return parse(path.read_text(encoding="utf-8"))
+        return parse(files.read_text(path))
     except (*READ_ERRORS, SchemaViolation, ArithmeticError) as exc:
         detail = exc if isinstance(exc, SchemaViolation) else f"{type(exc).__name__}: {exc}"
         raise MalformedProduct(f"{path}: {detail}") from exc
@@ -227,8 +226,8 @@ def _array_items(text: str) -> list[tuple[str, object]]:
 
 def read_products(out) -> dict[str, FoodProduct]:
     """A direct run's finished pages by page_id (a stray ``*.json.tmp`` is not one)."""
-    return {path.stem: _read(path, parse_product)
-            for path in sorted((Path(out) / PRODUCTS).glob("*.json"), key=lambda path: path.name)}
+    return {page_id: _read(path, parse_product)
+            for page_id, path in list_files(os.path.join(out, PRODUCTS), ".json")}
 
 
 def read_results(root):

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from prodex import files
 from prodex.cli import main
 from prodex.schema import FIELDS
 
@@ -204,11 +205,11 @@ def test_extract_direct_resumes_an_interrupted_product_write(
     workspace, runner, tmp_path, monkeypatch, torn
 ):
     out = tmp_path / "direct"
-    real_write_text = Path.write_text
+    real_write_text = files.write_text
     product_writes = []
 
     def interrupted(path, data, *args, **kwargs):
-        if path.parent.name == "products":
+        if Path(path).parent.name == "products":
             product_writes.append(path)
             if len(product_writes) == 10:
                 if torn:
@@ -216,7 +217,7 @@ def test_extract_direct_resumes_an_interrupted_product_write(
                 raise KeyboardInterrupt
         return real_write_text(path, data, *args, **kwargs)
 
-    monkeypatch.setattr(Path, "write_text", interrupted)
+    monkeypatch.setattr(files, "write_text", interrupted)
     result = runner.invoke(
         main,
         ["extract", "direct", "--corpus", str(workspace / "corpus"), "--out", str(out),
@@ -506,6 +507,17 @@ def test_malformed_corpus_file_is_a_usage_error(workspace, runner, tmp_path, nam
         assert result.exit_code == 2, result.output
         assert f"corpus file {path}: {message}" in result.output
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("strategy", ["direct", "indirect"])
+def test_a_corpus_without_pages_is_a_usage_error(workspace, runner, tmp_path, strategy):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(workspace / "corpus", corpus, ignore=shutil.ignore_patterns("pages"))
+    result = runner.invoke(main, ["extract", strategy, "--corpus", str(corpus),
+                                  "--out", str(tmp_path / "out"), "--provider", "oracle"])
+    assert result.exit_code == 2, result.output
+    assert f"corpus file {corpus / 'pages'}: FileNotFoundError" in result.output
+    assert not (tmp_path / "out").exists()
 
 
 def test_a_corpus_without_ground_truth_is_a_usage_error_to_evaluate(workspace, runner,
@@ -890,6 +902,25 @@ def test_unparsable_product_file_is_a_usage_error(workspace, runner, tmp_path):
     assert not (tmp_path / "report.json").exists()
 
 
+def _ledger_entry(**fields) -> str:
+    entry = {"exchange_ref": "k", "model_id": "o3-mini", "role_tag": "reference",
+             "usage": {"input_tokens": 10, "cached_input_tokens": 0, "output_tokens": 2},
+             "cost_usd": "0.0000198", "page_id": None, **fields}
+    return json.dumps({"meta": {}, "total_usd": "0", "entries": [entry]})
+
+
+# Ledgers that read at the parent as something other than what they hold: no
+# calls, a call of no model, a binary float's nearest decimal, a truncated count.
+_UNCOUNTABLE_LEDGERS = [
+    ("ledger.json", "{}"),
+    ("ledger.json", _ledger_entry(role_tag="refernce")),
+    ("ledger.json", _ledger_entry(cost_usd=0.1)),
+    ("ledger.json", _ledger_entry(usage={"input_tokens": 1.9})),
+]
+_UNCOUNTABLE_LEDGER_IDS = ["ledger-without-entries", "ledger-unknown-role",
+                           "ledger-float-cost", "ledger-float-count"]
+
+
 @pytest.mark.parametrize("name, text", [
     ("products.json", "{bad"),
     ("products.json", '[{"page_id": "beta-0000", "product": {"fat": {"value": "x"}}}]'),
@@ -900,9 +931,10 @@ def test_unparsable_product_file_is_a_usage_error(workspace, runner, tmp_path):
                     ' "reference", "usage": {"input_tokens": "abc"}, "cost_usd": "0"}]}'),
     ("ledger.json", '{"entries": [{"exchange_ref": "k", "model_id": "o3-mini", "role_tag":'
                     ' "reference", "usage": {}, "cost_usd": "abc"}]}'),
+    *_UNCOUNTABLE_LEDGERS,
 ], ids=["products-invalid-json", "products-bad-product", "ledger-missing-key",
         "products-deeply-nested", "ledger-deeply-nested", "ledger-count-not-a-number",
-        "ledger-cost-not-a-decimal"])
+        "ledger-cost-not-a-decimal", *_UNCOUNTABLE_LEDGER_IDS])
 def test_unreadable_indirect_run_file_is_a_usage_error(workspace, runner, tmp_path, name, text):
     out = tmp_path / "indirect"
     result = runner.invoke(
@@ -934,9 +966,11 @@ def test_unreadable_indirect_run_file_is_a_usage_error(workspace, runner, tmp_pa
     ("failures.json", "[" * 100_000),
     ("failures.json", '"abc"'),
     ("manifest.json", '{"strategy": "both", "corpus_id": "c", "shop_id": "s"}'),
+    *_UNCOUNTABLE_LEDGERS,
 ], ids=["ledger-invalid-json", "ledger-missing-key", "manifest-invalid-json",
         "manifest-missing-key", "ledger-deeply-nested", "manifest-deeply-nested",
-        "failures-deeply-nested", "failures-not-an-object", "manifest-unknown-strategy"])
+        "failures-deeply-nested", "failures-not-an-object", "manifest-unknown-strategy",
+        *_UNCOUNTABLE_LEDGER_IDS])
 def test_unreadable_direct_run_file_is_a_usage_error(workspace, runner, tmp_path, name, text):
     out = tmp_path / "direct"
     result = runner.invoke(
@@ -1206,3 +1240,32 @@ def test_an_answer_holding_a_lone_surrogate_is_refused_and_replays(small_beta, r
         log = json.loads(files["run-00/metrics.json"])["synthesis_log"]
         assert log and {entry["outcome"] for entry in log} == {"reference_unattainable"}
     assert not list((tmp_path / "session").glob("*.tmp"))
+
+
+@pytest.mark.parametrize("command", ["evaluate", "compare"])
+def test_an_interrupted_report_write_leaves_the_previous_report(workspace, runner, tmp_path,
+                                                                 monkeypatch, command):
+    out, report = tmp_path / "direct", tmp_path / "report.json"
+    extracted = runner.invoke(main, ["extract", "direct", "--corpus", str(workspace / "corpus"),
+                                     "--out", str(out), "--provider", "oracle"])
+    assert extracted.exit_code == 0, extracted.output
+    args = ["evaluate", "--results", str(out), "--truth", str(workspace / "corpus"),
+            "--out", str(report)]
+    assert runner.invoke(main, args).exit_code == 0
+    if command == "compare":
+        args = ["compare", "--direct", str(report), "--indirect", str(report),
+                "--out", str(tmp_path / "compare.json")]
+        assert runner.invoke(main, args).exit_code == 0
+    target = Path(args[-1])
+    previous = target.read_bytes()
+    real_write_text = files.write_text
+
+    def torn_write(path, data):
+        real_write_text(path, data[: len(data) // 2])
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(files, "write_text", torn_write)
+    result = runner.invoke(main, args)
+    monkeypatch.undo()
+    assert result.exit_code != 0
+    assert target.read_bytes() == previous

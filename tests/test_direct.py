@@ -5,6 +5,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from prodex import files
 from prodex.compress import CompressedDocument, Variant, compress_both
 from prodex.direct import extract_direct, extract_direct_batch
 from prodex.rundir import MalformedProduct, read_products
@@ -176,7 +177,7 @@ class TestBatch:
         self, small_alpha, oracle, tmp_path, monkeypatch
     ):
         docs = self._docs(small_alpha, 5)
-        real_write_text = Path.write_text
+        real_write_text = files.write_text
         writes = []
 
         def torn_write(path, data, *args, **kwargs):
@@ -186,7 +187,7 @@ class TestBatch:
                 raise KeyboardInterrupt
             return real_write_text(path, data, *args, **kwargs)
 
-        monkeypatch.setattr(Path, "write_text", torn_write)
+        monkeypatch.setattr(files, "write_text", torn_write)
         with pytest.raises(KeyboardInterrupt):
             extract_direct_batch(docs, oracle, "o3-mini", CostLedger(), out_dir=tmp_path)
         monkeypatch.undo()

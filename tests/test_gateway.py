@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 import jsontext
 
 import prodex
+from prodex import files
 from prodex.dsl import (
     ExtractionProgram,
     extraction_program_json_schema,
@@ -19,6 +20,8 @@ from prodex.dsl import (
 )
 from prodex.gateway import (
     CORRECTIVE_INSTRUCTION,
+    DECISION_ROLE,
+    PRIMARY_ROLES,
     ChatExchange,
     CostLedger,
     LedgerEntry,
@@ -89,6 +92,12 @@ class TestUsage:
         with pytest.raises(ValueError):
             Usage(input_tokens=-1)
 
+    @pytest.mark.parametrize("count", [1.9, 2.0, "3", True, None, -1])
+    def test_from_dict_takes_only_integer_counts_of_at_least_0(self, count):
+        with pytest.raises((TypeError, ValueError)):
+            Usage.from_dict({"input_tokens": count})
+        assert Usage.from_dict({"input_tokens": 3}) == Usage(input_tokens=3)
+
 
 class TestLedger:
     def test_total_equals_entry_sum_exactly(self):
@@ -146,6 +155,39 @@ class TestLedger:
             } for e in ledger.entries],
         }
         assert ledger.to_json() == json.dumps(reference, indent=2, ensure_ascii=False)
+
+    def test_from_json_reads_every_role_back(self):
+        ledger = CostLedger()
+        for role in (*PRIMARY_ROLES, DECISION_ROLE):
+            ledger.add(role, "o3-mini", role, Usage(input_tokens=7, output_tokens=3), page_id="p")
+        again = CostLedger.from_json(ledger.to_json())
+        assert again.to_json() == ledger.to_json()
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"role_tag": "refernce"}, "'refernce' is neither a primary nor a decision role"),
+        ({"cost_usd": 0.1}, "cost 0.1 is not a decimal string"),
+        ({"cost_usd": "NaN"}, "cost 'NaN' is not a finite amount"),
+        ({"cost_usd": "-1"}, "cost '-1' is not a finite amount"),
+        ({"cost_usd": "abc"}, "InvalidOperation"),
+        ({"usage": {"input_tokens": 1.9}}, "input_tokens 1.9 is not an integer"),
+        ({"usage": {"output_tokens": -1}}, "token counts must be non-negative"),
+        ({"usage": []}, "AttributeError"),
+    ], ids=["unknown-role", "float-cost", "nan-cost", "negative-cost", "cost-not-a-decimal",
+            "float-count", "negative-count", "usage-not-an-object"])
+    def test_from_json_refuses_an_entry_it_cannot_count_and_names_it(self, fields, message):
+        ledger = CostLedger()
+        ledger.add("a", "o3-mini", "direct", Usage(input_tokens=7))
+        ledger.add("b", "gpt-4o", DECISION_ROLE, Usage(input_tokens=7))
+        data = json.loads(ledger.to_json())
+        data["entries"][1].update(fields)
+        with pytest.raises(ValueError, match="^ledger entry 1: ") as refused:
+            CostLedger.from_json(json.dumps(data))
+        assert message in str(refused.value)
+
+    @pytest.mark.parametrize("text", ["{}", '{"entries": {}}'])
+    def test_from_json_wants_a_list_of_entries(self, text):
+        with pytest.raises((KeyError, TypeError)):
+            CostLedger.from_json(text)
 
     def test_counts_by_role(self):
         ledger = CostLedger()
@@ -353,17 +395,19 @@ class TestRecordReplay:
         replay = ReplayProvider(tmp_path / "session")
         calls = []
 
-        def counting(method):
-            real = getattr(Path, method)
+        def counting(owner, method):
+            real = getattr(owner, method)
 
-            def counted(self, *args, **kwargs):
-                calls.append((method, self.name))
-                return real(self, *args, **kwargs)
+            def counted(path, *args, **kwargs):
+                calls.append((method, os.path.basename(path)))
+                return real(path, *args, **kwargs)
 
             return counted
 
-        for method in ("read_text", "exists", "is_file", "stat"):
-            monkeypatch.setattr(Path, method, counting(method))
+        monkeypatch.setattr(files, "read_text", counting(files, "read_text"))
+        for owner, method in ((Path, "exists"), (Path, "is_file"), (Path, "stat"),
+                              (os.path, "exists"), (os.path, "isfile"), (os, "stat")):
+            monkeypatch.setattr(owner, method, counting(owner, method))
         exchange = replay.complete_structured("m", "sys", "user-1", SCHEMA)
         with pytest.raises(ReplayMiss) as miss:
             replay.complete_structured("m", "sys", "user-2", SCHEMA)
@@ -434,7 +478,7 @@ class TestRecordReplay:
         assert replay.complete_structured("m", "sys", "user-1", SCHEMA).response_text == '{"a": 1}'
 
     def test_interrupted_write_leaves_no_torn_record(self, tmp_path, monkeypatch):
-        real_write_text = Path.write_text
+        real_write_text = files.write_text
 
         def torn_write(path, data, *args, **kwargs):
             real_write_text(path, data[: len(data) // 2], *args, **kwargs)
@@ -442,7 +486,7 @@ class TestRecordReplay:
 
         recorder = RecordingProvider(_ScriptedProvider(['{"a": 1}', '{"a": 1}']),
                                      tmp_path / "session")
-        monkeypatch.setattr(Path, "write_text", torn_write)
+        monkeypatch.setattr(files, "write_text", torn_write)
         with pytest.raises(OSError):
             recorder.complete_structured("m", "sys", "user-1", SCHEMA)
         monkeypatch.undo()

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 import test_golden_direct
 from click.testing import CliRunner
 
-from prodex import rundir
+from prodex import files, rundir
 from prodex.cli import main
 from prodex.corpus import generate_shop, preset_spec, write_corpus
 from prodex.gateway import CostLedger
@@ -91,7 +91,7 @@ def test_an_interrupted_write_leaves_no_torn_file(corpus, tmp_path, monkeypatch,
     left is absent or holds the bytes of the finished run it replaces."""
     args = _args(command, corpus) + (["--fresh"] if command == "direct" else [])
     finished = _run(args, tmp_path / "finished")
-    real_write_text = Path.write_text
+    real_write_text = files.write_text
     interrupted = 0
     while True:
         out = tmp_path / f"out-{interrupted}"
@@ -99,14 +99,14 @@ def test_an_interrupted_write_leaves_no_torn_file(corpus, tmp_path, monkeypatch,
         writes = []
 
         def torn_write(path, data, *rest, **kwargs):
-            if out in path.parents:
+            if out in Path(path).parents:
                 writes.append(path)
                 if len(writes) == interrupted + 1:
                     real_write_text(path, data[: len(data) // 2], *rest, **kwargs)
                     raise _Interrupted
             return real_write_text(path, data, *rest, **kwargs)
 
-        monkeypatch.setattr(Path, "write_text", torn_write)
+        monkeypatch.setattr(files, "write_text", torn_write)
         result = CliRunner().invoke(main, [*map(str, args), "--out", str(out)])
         monkeypatch.undo()
         left = {name: data for name, data in _files(out).items() if not name.endswith(".tmp")}

@@ -15,7 +15,7 @@ import pytest
 from click.testing import CliRunner
 
 import prodex
-from prodex import prompts
+from prodex import files, prompts
 from prodex.cli import main
 from prodex.corpus import generate_shop, preset_spec, write_corpus
 from prodex.reader import load_corpus, load_true_program
@@ -63,6 +63,7 @@ def test_evaluate_loads_neither_the_tree_nor_the_dsl_nor_the_orchestrator(record
     assert loaded == {
         "prodex", "prodex.cli", "prodex.reader", "prodex.schema", "prodex.similarity",
         "prodex.evaluate", "prodex.gateway", "prodex.direct", "prodex.prompts", "prodex.rundir",
+        "prodex.files",
     }
     assert not loaded & {"prodex.indirect", "prodex.htmltree", "prodex.dsl", "prodex.oracle"}
 
@@ -88,13 +89,13 @@ def test_the_reader_parses_a_true_program_on_the_first_request(recorded):
 
 def test_each_prompt_template_is_read_once_per_process(monkeypatch):
     reads = []
-    real_read = Path.read_text
+    real_read = files.read_text
 
-    def counting_read(self, *args, **kwargs):
-        reads.append(self.name)
-        return real_read(self, *args, **kwargs)
+    def counting_read(path):
+        reads.append(os.path.basename(path))
+        return real_read(path)
 
-    monkeypatch.setattr(Path, "read_text", counting_read)
+    monkeypatch.setattr(files, "read_text", counting_read)
     prompts.load.cache_clear()
     try:
         for _ in range(3):
